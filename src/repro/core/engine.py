@@ -133,9 +133,11 @@ class WireframeEngine(Engine):
         ``cached_plan`` short-circuits the Edgifier/Triangulator with a
         previously computed ``(AGPlan, Chordification)`` pair. The caller
         (the service's plan cache) is responsible for only reusing plans
-        across *alpha-equivalent* queries over the *same store epoch* —
-        edge indexes and chord structure are positional, so they carry
-        over exactly for queries that differ only in variable names.
+        across *alpha-equivalent* queries — edge indexes and chord
+        structure are positional, so they carry over exactly for queries
+        that differ only in variable names. A plan holds no data, so it
+        stays valid when the store changes; one made from older
+        statistics can only be a slower order, never a wrong one.
         """
         query.validate()
         bound = bind_query(query, self.store)

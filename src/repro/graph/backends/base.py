@@ -15,8 +15,10 @@ rest of the system consumes:
 * degree/cardinality summaries for the statistics catalog
   (:meth:`predicate_summaries`, :meth:`count`, :meth:`out_degree`,
   :meth:`in_degree`),
-* the monotonic :attr:`epoch` counter that plan/result caches key
-  their validity on, and
+* the monotonic :attr:`epoch` counter and its per-predicate refinement
+  :meth:`predicate_epoch`, which plan/result caches key their validity
+  on, plus :meth:`label_degrees`, the per-node input of the catalog's
+  delta maintenance, and
 * :meth:`index_bytes`, the resident size of the physical indexes
   (what the memory-footprint benchmark compares across backends).
 
@@ -189,17 +191,26 @@ class StorageBackend(abc.ABC):
         consistent.
         """
 
-    def add_many(self, triples: Iterable[tuple[int, int, int]]) -> int:
+    def add_many(
+        self,
+        triples: Iterable[tuple[int, int, int]],
+        applied: "list | None" = None,
+    ) -> int:
         """Bulk-insert; returns the number of *new* triples.
 
         Backends override this to amortize their per-insert locking
         over the whole batch — the dominant cost of the bulk-load path
         (dataset generation, :func:`~repro.datasets.loader.load_dataset`).
+        When ``applied`` is given, ``(s, p, o, 1)`` is appended to it for
+        every triple actually stored (duplicates are not reported) — the
+        change feed the store's delta-maintained catalog consumes.
         """
         added = 0
         for s, p, o in triples:
             if self.add(s, p, o):
                 added += 1
+                if applied is not None:
+                    applied.append((s, p, o, 1))
         return added
 
     def remove(self, s: int, p: int, o: int) -> bool:
@@ -217,16 +228,24 @@ class StorageBackend(abc.ABC):
             f"backend {self.name!r} does not support triple removal"
         )
 
-    def remove_many(self, triples: Iterable[tuple[int, int, int]]) -> int:
+    def remove_many(
+        self,
+        triples: Iterable[tuple[int, int, int]],
+        applied: "list | None" = None,
+    ) -> int:
         """Bulk-delete; returns the number of triples actually removed.
 
         Backends override this to amortize locking (and, for columnar
-        layouts, per-predicate rebuilds) over the whole batch.
+        layouts, per-predicate rebuilds) over the whole batch. When
+        ``applied`` is given, ``(s, p, o, -1)`` is appended to it for
+        every triple actually deleted.
         """
         removed = 0
         for s, p, o in triples:
             if self.remove(s, p, o):
                 removed += 1
+                if applied is not None:
+                    applied.append((s, p, o, -1))
         return removed
 
     @abc.abstractmethod
@@ -273,6 +292,17 @@ class StorageBackend(abc.ABC):
     def epoch(self) -> int:
         """Monotonic mutation counter (one tick per stored or removed
         triple — additions and deletions both advance it)."""
+
+    @abc.abstractmethod
+    def predicate_epoch(self, p: "int | None") -> int:
+        """Mutation counter of predicate ``p`` alone: one tick per
+        stored or removed ``p``-triple, ``0`` for a predicate never
+        written (or ``None``, an un-interned label).
+
+        Monotonic for the life of the backend — never reset when the
+        predicate empties — so equal readings prove the predicate's
+        edge set did not change in between (no ABA).
+        """
 
     @property
     @abc.abstractmethod
@@ -328,6 +358,28 @@ class StorageBackend(abc.ABC):
     def in_degree(self, p: int, o: int) -> int:
         """Number of ``p``-edges entering ``o``."""
         return len(self.predecessors(p, o))
+
+    def label_degrees(
+        self, nodes: Iterable[int]
+    ) -> dict[int, tuple[dict[int, int], dict[int, int]]]:
+        """``node -> ({label: out-degree}, {label: in-degree})`` over
+        every predicate, zero degrees omitted (a node with no edges
+        maps to two empty dicts).
+
+        One node's share of the catalog's bigram statistics is a
+        function of exactly these two vectors, which is what lets a
+        write patch the catalog in O(touched nodes × predicates).
+        Backends override the generic probe loop where a point degree
+        lookup would do O(predicate) work (columnar sealing).
+        """
+        preds = self.predicates()
+        return {
+            n: (
+                {p: d for p in preds if (d := self.out_degree(p, n))},
+                {p: d for p in preds if (d := self.in_degree(p, n))},
+            )
+            for n in nodes
+        }
 
     # -- bulk kernel views ----------------------------------------------
 

@@ -37,6 +37,7 @@ import sys
 import threading
 from array import array
 from bisect import bisect_left
+from collections import Counter, defaultdict
 from collections.abc import Mapping, Set
 from typing import AbstractSet, Iterator
 
@@ -361,12 +362,14 @@ class ColumnarBackend(StorageBackend):
         self._seal_lock = threading.Lock()
         self._size = 0
         self._nodes: set[int] = set()
-        self._nodes_dirty = False
+        #: Endpoints of removed pairs; nodes() decides which are gone.
+        self._maybe_gone: set[int] = set()
         #: Endpoint columns adopted by :meth:`import_segments` whose
         #: union into ``_nodes`` is deferred to the first :meth:`nodes`
         #: call — a snapshot warm start stays O(1) in node count.
         self._pending_nodes: list = []
         self._epoch = 0
+        self._pred_epoch: defaultdict[int, int] = defaultdict(int)
 
     # -- construction ---------------------------------------------------
 
@@ -380,7 +383,7 @@ class ColumnarBackend(StorageBackend):
             with self._seal_lock:
                 return self._add_locked(s, p, o)
 
-    def add_many(self, triples) -> int:
+    def add_many(self, triples, applied=None) -> int:
         # Both locks acquired once per batch (reentrant perms.insert
         # re-acquisition inside is an owner-check fast path).
         added = 0
@@ -389,6 +392,8 @@ class ColumnarBackend(StorageBackend):
                 for s, p, o in triples:
                     if self._add_locked(s, p, o):
                         added += 1
+                        if applied is not None:
+                            applied.append((s, p, o, 1))
         return added
 
     def _add_locked(self, s: int, p: int, o: int) -> bool:
@@ -405,6 +410,7 @@ class ColumnarBackend(StorageBackend):
         staged.setdefault(s, set()).add(o)
         self._size += 1
         self._epoch += 1
+        self._pred_epoch[p] += 1
         self._nodes.add(s)
         self._nodes.add(o)
         self._perms.insert(s, p, o)
@@ -415,7 +421,7 @@ class ColumnarBackend(StorageBackend):
             with self._seal_lock:
                 return self._remove_batch_locked(p, [(s, o)]) == 1
 
-    def remove_many(self, triples) -> int:
+    def remove_many(self, triples, applied=None) -> int:
         # Group by predicate first: a removal touching a sealed run
         # rebuilds that predicate's columns, so the rebuild must be
         # paid once per predicate, not once per triple.
@@ -426,10 +432,12 @@ class ColumnarBackend(StorageBackend):
         with self._perms.lock:
             with self._seal_lock:
                 for p, pairs in by_p.items():
-                    removed += self._remove_batch_locked(p, pairs)
+                    removed += self._remove_batch_locked(p, pairs, applied)
         return removed
 
-    def _remove_batch_locked(self, p: int, pairs: list[tuple[int, int]]) -> int:
+    def _remove_batch_locked(
+        self, p: int, pairs: list[tuple[int, int]], applied=None
+    ) -> int:
         """Delete ``pairs`` from predicate ``p``; both locks held.
 
         Staged pairs are discarded in place; sealed pairs are filtered
@@ -467,11 +475,16 @@ class ColumnarBackend(StorageBackend):
         if removed:
             self._size -= removed
             self._epoch += removed
-            self._nodes_dirty = True
-            for s, o in hit_staged:
-                self._perms.discard(s, p, o)
-            for s, o in hit_sealed:
-                self._perms.discard(s, p, o)
+            self._pred_epoch[p] += removed
+            for hits in (hit_staged, hit_sealed):
+                for s, o in hits:
+                    # Either endpoint may still appear elsewhere;
+                    # nodes() probes just these.
+                    self._maybe_gone.add(s)
+                    self._maybe_gone.add(o)
+                    self._perms.discard(s, p, o)
+                    if applied is not None:
+                        applied.append((s, p, o, -1))
         return removed
 
     def freeze(self) -> None:
@@ -541,6 +554,7 @@ class ColumnarBackend(StorageBackend):
                     self._cols[p] = _Columns.from_segment(seg)
                     self._size += n
                     self._epoch += n
+                    self._pred_epoch[p] += n
                     added += n
                     self._pending_nodes.append(seg.subs)
                     self._pending_nodes.append(seg.robjs)
@@ -560,36 +574,35 @@ class ColumnarBackend(StorageBackend):
         return self._size
 
     def nodes(self) -> set[int]:
-        """All endpoint ids; drains any import-deferred column unions.
+        """All endpoint ids; drains any import-deferred column unions
+        and settles the endpoints removals may have orphaned.
 
         The drain runs under the seal lock and the emptied pending list
         is published only *after* ``_nodes`` is fully updated, so a
         concurrent reader either joins the drain or sees the finished
         set — never a half-built one.
         """
-        while self._pending_nodes or self._nodes_dirty:
+        while self._pending_nodes or self._maybe_gone:
             with self._seal_lock:
-                if self._nodes_dirty:
-                    # Removals invalidate the incremental endpoint set;
-                    # rebuild from the live columns and staging (which
-                    # also covers anything still in the pending list).
-                    nodes = set()
-                    for cols in self._cols.values():
-                        nodes.update(cols.subs)
-                        nodes.update(cols.robjs)
-                    for staged in self._staged.values():
-                        nodes.update(staged.keys())
-                        for objs in staged.values():
-                            nodes.update(objs)
-                    self._nodes = nodes
-                    self._pending_nodes = []
-                    self._nodes_dirty = False
-                elif self._pending_nodes:
-                    nodes = self._nodes
-                    for column in self._pending_nodes:
-                        nodes.update(column)
-                    self._pending_nodes = []
+                nodes = self._nodes
+                # Pending columns first: one adopted before a removal
+                # still lists the removed pair's endpoints.
+                for column in self._pending_nodes:
+                    nodes.update(column)
+                self._pending_nodes = []
+                # Only endpoints of removed pairs can have dropped out;
+                # probe the per-predicate key columns for just those
+                # instead of rescanning the store.
+                if self._maybe_gone:
+                    degrees = self._label_degrees_locked(self._maybe_gone)
+                    for n, (outs, ins) in degrees.items():
+                        if not outs and not ins:
+                            nodes.discard(n)
+                    self._maybe_gone = set()
         return self._nodes
+
+    def predicate_epoch(self, p) -> int:
+        return self._pred_epoch.get(p, 0)
 
     def predicates(self) -> list[int]:
         # Under the seal lock: a concurrent reader-triggered seal
@@ -719,6 +732,44 @@ class ColumnarBackend(StorageBackend):
         if i == len(robjs) or robjs[i] != o:
             return 0
         return cols.roffs[i + 1] - cols.roffs[i]
+
+    def label_degrees(self, nodes):
+        with self._seal_lock:
+            return self._label_degrees_locked(nodes)
+
+    def _label_degrees_locked(self, nodes):
+        """:meth:`label_degrees` without sealing anything; seal lock held.
+
+        Sealed degrees are two binary searches per predicate; staged
+        writes have no reverse index, so their in-degrees come from one
+        pass over the staging area per call (it holds only the writes
+        since each predicate was last read) — never from a seal, which
+        would cost O(predicate).
+        """
+        staged_in = {
+            p: Counter(o for objs in staged.values() for o in objs)
+            for p, staged in self._staged.items()
+        }
+        out = {}
+        for n in nodes:
+            outs: dict[int, int] = {}
+            ins: dict[int, int] = {}
+            for p, cols in self._cols.items():
+                subs = cols.subs
+                i = bisect_left(subs, n)
+                if i < len(subs) and subs[i] == n:
+                    outs[p] = cols.offs[i + 1] - cols.offs[i]
+                robjs = cols.robjs
+                i = bisect_left(robjs, n)
+                if i < len(robjs) and robjs[i] == n:
+                    ins[p] = cols.roffs[i + 1] - cols.roffs[i]
+            for p, staged in self._staged.items():
+                if objs := staged.get(n):
+                    outs[p] = outs.get(p, 0) + len(objs)
+                if d := staged_in[p].get(n):
+                    ins[p] = ins.get(p, 0) + d
+            out[n] = (outs, ins)
+        return out
 
     # -- node-first navigation ------------------------------------------
 

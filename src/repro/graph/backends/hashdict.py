@@ -15,6 +15,7 @@ copying; callers must not mutate them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import AbstractSet, Iterator
 
 from repro.graph.backends.base import PredicateSummary, StorageBackend
@@ -36,8 +37,10 @@ class HashDictBackend(StorageBackend):
         self._perms = LazyPermutations()
         self._size = 0
         self._nodes: set[int] = set()
-        self._nodes_dirty = False
+        #: Endpoints a removal may have orphaned; resolved by nodes().
+        self._maybe_gone: set[int] = set()
         self._epoch = 0
+        self._pred_epoch: defaultdict[int, int] = defaultdict(int)
 
     # -- construction ---------------------------------------------------
 
@@ -48,7 +51,7 @@ class HashDictBackend(StorageBackend):
         with self._perms.lock:
             return self._add_locked(s, p, o)
 
-    def add_many(self, triples) -> int:
+    def add_many(self, triples, applied=None) -> int:
         # One lock acquisition per batch, not per triple — the
         # per-insert RLock otherwise costs ~20% of a bulk load.
         added = 0
@@ -56,6 +59,8 @@ class HashDictBackend(StorageBackend):
             for s, p, o in triples:
                 if self._add_locked(s, p, o):
                     added += 1
+                    if applied is not None:
+                        applied.append((s, p, o, 1))
         return added
 
     def _add_locked(self, s: int, p: int, o: int) -> bool:
@@ -67,6 +72,7 @@ class HashDictBackend(StorageBackend):
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._size += 1
         self._epoch += 1
+        self._pred_epoch[p] += 1
         self._nodes.add(s)
         self._nodes.add(o)
         # Keep any already-materialized permutation consistent.
@@ -77,12 +83,14 @@ class HashDictBackend(StorageBackend):
         with self._perms.lock:
             return self._remove_locked(s, p, o)
 
-    def remove_many(self, triples) -> int:
+    def remove_many(self, triples, applied=None) -> int:
         removed = 0
         with self._perms.lock:
             for s, p, o in triples:
                 if self._remove_locked(s, p, o):
                     removed += 1
+                    if applied is not None:
+                        applied.append((s, p, o, -1))
         return removed
 
     def _remove_locked(self, s: int, p: int, o: int) -> bool:
@@ -97,6 +105,9 @@ class HashDictBackend(StorageBackend):
             del by_s[s]
             if not by_s:
                 del self._pso[p]
+            # Its last p-edge this way round: s may still appear under
+            # another label or as an object; nodes() decides.
+            self._maybe_gone.add(s)
         by_o = self._pos[p]
         subs = by_o[o]
         subs.discard(s)
@@ -104,11 +115,10 @@ class HashDictBackend(StorageBackend):
             del by_o[o]
             if not by_o:
                 del self._pos[p]
+            self._maybe_gone.add(o)
         self._size -= 1
         self._epoch += 1
-        # The endpoint may still appear elsewhere; membership is only
-        # decidable by a full rescan, so defer it (see nodes()).
-        self._nodes_dirty = True
+        self._pred_epoch[p] += 1
         self._perms.discard(s, p, o)
         return True
 
@@ -125,19 +135,19 @@ class HashDictBackend(StorageBackend):
     def num_triples(self) -> int:
         return self._size
 
+    def predicate_epoch(self, p) -> int:
+        return self._pred_epoch.get(p, 0)
+
     def nodes(self) -> set[int]:
-        if self._nodes_dirty:
-            # Removals invalidate the incrementally-grown endpoint set;
-            # rebuild it from the primary index under the write lock.
+        if self._maybe_gone:
+            # Only the endpoints a removal left without a p-run can have
+            # dropped out; probe the per-predicate key sets for just
+            # those instead of rescanning the store.
             with self._perms.lock:
-                if self._nodes_dirty:
-                    nodes: set[int] = set()
-                    for by_s in self._pso.values():
-                        nodes.update(by_s.keys())
-                        for objs in by_s.values():
-                            nodes.update(objs)
-                    self._nodes = nodes
-                    self._nodes_dirty = False
+                for n, (outs, ins) in self.label_degrees(self._maybe_gone).items():
+                    if not outs and not ins:
+                        self._nodes.discard(n)
+                self._maybe_gone = set()
         return self._nodes
 
     def predicates(self) -> list[int]:
@@ -174,6 +184,18 @@ class HashDictBackend(StorageBackend):
 
     def count(self, p: int) -> int:
         return sum(len(objs) for objs in self._pso.get(p, _EMPTY_DICT).values())
+
+    def label_degrees(self, nodes):
+        with self._perms.lock:
+            return {
+                n: (
+                    {p: len(objs) for p, by_s in self._pso.items()
+                     if (objs := by_s.get(n))},
+                    {p: len(subs) for p, by_o in self._pos.items()
+                     if (subs := by_o.get(n))},
+                )
+                for n in nodes
+            }
 
     # -- bulk kernel views ----------------------------------------------
 

@@ -69,7 +69,15 @@ class TripleStore:
         else:
             self._backend = create_backend(backend)
         self._frozen = False
-        self._catalog_cache: "tuple[int, Catalog] | None" = None
+        # (epoch, catalog) as of the last catalog() call, and the
+        # triples actually stored/deleted since: epoch + len(pending)
+        # equals the backend epoch exactly when nothing bypassed the
+        # facade, which is when the memo may be patched, not rebuilt.
+        self._catalog_memo: "tuple[int, Catalog] | None" = None
+        self._pending: list[tuple[int, int, int, int]] = []
+        #: How each catalog refresh was served — ``"delta"`` (memo
+        #: patched from the pending changes) or ``"full"`` (rebuilt).
+        self.catalog_refreshes = {"full": 0, "delta": 0}
         # Serializes the whole logical write path (journal + backend
         # mutation) across threads; also what persist()/compaction take
         # for an epoch-stable view. Reentrant so a caller may pin an
@@ -134,10 +142,7 @@ class TripleStore:
         """Insert the triple ⟨s, p, o⟩; returns ``False`` if already present."""
         if self._frozen:
             raise StoreError("store is frozen; cannot add triples")
-        with self._write_lock:
-            if self._write_log is not None:
-                self._write_log.journal(((s, p, o),), ())
-            return self._backend.add(s, p, o)
+        return self._write(((s, p, o),), ()) == 1
 
     def add_triples(self, triples: Iterable[tuple[int, int, int]]) -> int:
         """Bulk-insert; returns the number of *new* triples.
@@ -148,12 +153,7 @@ class TripleStore:
         """
         if self._frozen:
             raise StoreError("store is frozen; cannot add triples")
-        with self._write_lock:
-            if self._write_log is not None:
-                batch = [tuple(t) for t in triples]
-                self._write_log.journal(batch, ())
-                return self._backend.add_many(batch)
-            return self._backend.add_many(triples)
+        return self._write(triples, ())
 
     def add_term_triple(self, s: str, p: str, o: str) -> bool:
         """Insert a triple of raw strings, interning them first."""
@@ -161,7 +161,7 @@ class TripleStore:
             raise StoreError("store is frozen; cannot add triples")
         with self._write_lock:
             enc = self.dictionary.encode
-            return self.add(enc(s), enc(p), enc(o))
+            return self._write(((enc(s), enc(p), enc(o)),), ()) == 1
 
     def add_term_triples(self, triples: Iterable[tuple[str, str, str]]) -> int:
         """Bulk string-triple insert; returns the number of new triples."""
@@ -169,33 +169,59 @@ class TripleStore:
             raise StoreError("store is frozen; cannot add triples")
         with self._write_lock:
             enc = self.dictionary.encode
-            if self._write_log is not None:
-                batch = [(enc(s), enc(p), enc(o)) for s, p, o in triples]
-                self._write_log.journal(batch, ())
-                return self._backend.add_many(batch)
-            return self._backend.add_many(
-                (enc(s), enc(p), enc(o)) for s, p, o in triples
+            return self._write(
+                ((enc(s), enc(p), enc(o)) for s, p, o in triples), ()
             )
 
     def remove(self, s: int, p: int, o: int) -> bool:
         """Delete the triple ⟨s, p, o⟩; ``False`` if it was not stored."""
         if self._frozen:
             raise StoreError("store is frozen; cannot remove triples")
-        with self._write_lock:
-            if self._write_log is not None:
-                self._write_log.journal((), ((s, p, o),))
-            return self._backend.remove(s, p, o)
+        return self._write((), ((s, p, o),)) == 1
 
     def remove_triples(self, triples: Iterable[tuple[int, int, int]]) -> int:
         """Bulk-delete; returns the number of triples actually removed."""
         if self._frozen:
             raise StoreError("store is frozen; cannot remove triples")
+        return self._write((), triples)
+
+    def _write(self, adds, removes) -> int:
+        """Journal one batch (write-ahead), then apply it; returns the
+        number of triples actually stored or deleted."""
         with self._write_lock:
             if self._write_log is not None:
-                batch = [tuple(t) for t in triples]
-                self._write_log.journal((), batch)
-                return self._backend.remove_many(batch)
-            return self._backend.remove_many(triples)
+                adds = [tuple(t) for t in adds]
+                removes = [tuple(t) for t in removes]
+                self._write_log.journal(adds, removes)
+            return self.apply_unjournaled(adds, removes)
+
+    def apply_unjournaled(self, adds=(), removes=()) -> int:
+        """Apply a batch to the backend *without* journaling it.
+
+        The tail of every facade write, and the whole of WAL replay
+        (whose records are already in the log). While a catalog memo is
+        alive, the backend reports each triple it actually stored or
+        deleted into the pending-change list :meth:`catalog` patches the
+        memo from; if that list outgrows :meth:`_delta_limit` the memo
+        is dropped instead (the next :meth:`catalog` rebuilds), so the
+        list never holds more than a bounded slice of the store.
+        """
+        with self._write_lock:
+            memo = self._catalog_memo
+            applied = self._pending if memo is not None else None
+            changed = self._backend.add_many(adds, applied) if adds else 0
+            if removes:
+                changed += self._backend.remove_many(removes, applied)
+            if memo is not None and len(applied) > self._delta_limit():
+                self._catalog_memo = None
+                self._pending = []
+            return changed
+
+    def _delta_limit(self) -> int:
+        """Most pending changes worth patching rather than rebuilding:
+        a patch costs two endpoint probes × predicates per change, a
+        rebuild one pass over the store."""
+        return max(_MIN_DELTA_LIMIT, self._backend.num_triples // 32)
 
     def remove_term_triple(self, s: str, p: str, o: str) -> bool:
         """Delete a triple of raw strings; ``False`` if any term is
@@ -227,30 +253,74 @@ class TripleStore:
         """Mutation counter: one tick per added *or* removed triple.
 
         Two reads returning the same epoch guarantee the store content
-        did not change in between, which is what plan/result caches key
-        their validity on. Owned by the backend (the layer that
-        actually stores the triple).
+        did not change in between — the shortcut by which the service's
+        caches skip their per-predicate check (:meth:`predicate_epoch`,
+        what entries are actually valid by). Owned by the backend (the
+        layer that actually stores the triple).
         """
         return self._backend.epoch
 
+    def predicate_epoch(self, p: "int | None") -> int:
+        """Mutation counter of predicate ``p`` alone (``0`` for a label
+        never written, or ``None``). Monotonic — never reset when the
+        predicate empties — so equal readings prove ``p``'s edge set is
+        unchanged: what the service's caches stamp entries with."""
+        return self._backend.predicate_epoch(p)
+
     def catalog(self) -> "Catalog":
-        """The store's statistics catalog, built at most once per epoch.
+        """The store's statistics catalog, current as of this call.
 
         Every engine constructed without an explicit catalog shares this
         memoized instance instead of silently recomputing
         :func:`~repro.stats.catalog.build_catalog` — on large graphs the
-        rebuild dwarfs the query itself. Adding a triple invalidates the
-        memo; the next call rebuilds from the current contents.
+        rebuild dwarfs the query itself. A write does not throw the memo
+        away: the triples it actually changed are queued, and the next
+        call drains the queue under :attr:`write_lock` and patches them
+        into a new frozen catalog (:func:`~repro.stats.catalog.patch_catalog`,
+        cost proportional to the batch, result ``==`` a from-scratch
+        build). A full build runs only when there is no memo yet, the
+        memo is a sampled estimate, more changes are pending than a
+        patch is worth, or the backend was mutated behind the facade.
+        Either way the refresh is single-flight: concurrent callers
+        after a write wait for one build and share it.
         """
-        from repro.stats.catalog import build_catalog
+        memo = self._catalog_memo
+        if memo is not None and memo[0] == self._backend.epoch:
+            return memo[1]
+        from repro.stats.catalog import build_catalog, patch_catalog
 
-        cached = self._catalog_cache
-        epoch = self._backend.epoch
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        catalog = build_catalog(self)
-        self._catalog_cache = (epoch, catalog)
-        return catalog
+        with self._write_lock:
+            memo = self._catalog_memo
+            epoch = self._backend.epoch
+            pending = self._pending
+            if memo is not None and memo[0] == epoch:
+                return memo[1]
+            if (
+                memo is not None
+                and not memo[1].sampled
+                and memo[0] + len(pending) == epoch
+            ):
+                touched = {c[0] for c in pending}
+                touched.update(c[2] for c in pending)
+                catalog = patch_catalog(
+                    memo[1], pending, self._backend.label_degrees(touched)
+                )
+                self.catalog_refreshes["delta"] += 1
+            else:
+                catalog = build_catalog(self)
+                self.catalog_refreshes["full"] += 1
+            self._pending = []
+            self._catalog_memo = (epoch, catalog)
+            return catalog
+
+    def seed_catalog(self, catalog: "Catalog") -> None:
+        """Adopt ``catalog`` as the memo for the store's *current*
+        contents (e.g. the one persisted beside a snapshot), so later
+        writes — WAL replay included — patch it instead of forcing a
+        full rebuild. The caller vouches that it matches the store."""
+        with self._write_lock:
+            self._pending = []
+            self._catalog_memo = (self._backend.epoch, catalog)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -509,3 +579,7 @@ class TripleStore:
 
 
 _EMPTY_DICT: dict = {}
+
+#: Floor of :meth:`TripleStore._delta_limit`, so small stores still
+#: patch ordinary write batches.
+_MIN_DELTA_LIMIT = 256

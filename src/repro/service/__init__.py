@@ -13,7 +13,8 @@ pushes many queries through it. This package provides that layer:
   ``(AGPlan, Chordification)`` pairs keyed on that signature, so
   repeated query templates skip the Edgifier/Triangulator entirely.
 - :class:`~repro.service.caches.ResultCache` — a bounded cache of final
-  results, invalidated automatically when the store's epoch moves.
+  results; a write invalidates exactly the entries whose query
+  mentions a predicate it changed (plans likewise).
 - :class:`~repro.service.query_service.QueryService` — the façade: a
   thread pool over the immutable store, ``submit()`` returning futures,
   ``evaluate_many()`` for batches with per-query deadlines, and

@@ -5,21 +5,24 @@ a lock, with hit/miss/eviction counters. On top of it sit the two
 service caches:
 
 - :class:`PlanCache` maps a query signature to the reusable planning
-  artifacts ``(AGPlan, Chordification)``. Plans depend only on the
-  catalog, so the whole cache is cleared when the store (and hence the
-  catalog) changes.
+  artifacts ``(AGPlan, Chordification)``.
 - :class:`ResultCache` maps ``(signature, materialize)`` to a finished
-  :class:`~repro.engine_api.EngineResult`. Entries are stamped with the
-  store epoch they were computed at; a lookup whose epoch no longer
-  matches is treated as a miss and dropped, so stale answers can never
-  be served after ``store.add*`` mutates the graph.
+  :class:`~repro.engine_api.EngineResult`.
+
+Both share one validity rule. A conjunctive query's answer is a function
+of the edge sets of its own predicates only, so an entry is stamped with
+the *versions* of those predicates — the store's per-predicate mutation
+counters, read by the service — and is dropped, as a miss, exactly when
+a lookup presents different ones. A write to any other predicate leaves
+it a hit. (A cached plan would stay *correct* across any write; it is
+dropped with its predicates so their new statistics get planned with.)
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, NamedTuple
+from typing import Any, Callable, Hashable, NamedTuple
 
 from repro.engine_api import EngineResult
 from repro.planner.plan import AGPlan, Chordification
@@ -33,6 +36,7 @@ class CacheStats(NamedTuple):
     evictions: int
     size: int
     maxsize: int
+    stale_drops: int = 0
 
     @property
     def lookups(self) -> int:
@@ -61,6 +65,7 @@ class LRUCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        self._stale_drops = 0
 
     _MISSING = object()
 
@@ -114,61 +119,108 @@ class LRUCache:
                 evictions=self._evictions,
                 size=len(self._data),
                 maxsize=self.maxsize,
+                stale_drops=self._stale_drops,
             )
+
+    def _drop_stale(self, key: Hashable, entry: Any, record: bool) -> None:
+        """Retire ``entry`` (found under ``key`` by a :meth:`get` that,
+        when ``record``, counted a hit): a stale entry is a miss."""
+        with self._lock:
+            if record:
+                self._hits -= 1
+                self._misses += 1
+            if self._data.get(key) is entry:
+                del self._data[key]
+                self._stale_drops += 1
+
+
+#: Versions of a query's predicates, one per edge, in edge order.
+Versions = tuple
 
 
 class PlanCache(LRUCache):
     """LRU of ``(AGPlan, Chordification)`` keyed by query signature."""
 
-    def get_plan(self, signature: Hashable) -> tuple[AGPlan, Chordification] | None:
-        """The cached ``(AGPlan, Chordification)`` pair, or ``None``."""
-        return self.get(signature)
+    def get_plan(
+        self, signature: Hashable, versions: Versions
+    ) -> tuple[AGPlan, Chordification] | None:
+        """The cached ``(AGPlan, Chordification)`` pair planned at
+        ``versions``, or ``None``; an entry planned at other versions
+        is dropped."""
+        entry = self.get(signature)
+        if entry is None:
+            return None
+        if entry[0] != versions:
+            self._drop_stale(signature, entry, record=True)
+            return None
+        return entry[1]
 
     def put_plan(
         self,
         signature: Hashable,
+        versions: Versions,
         ag_plan: AGPlan,
         chordification: Chordification,
     ) -> None:
         """Cache the planning artifacts for ``signature``."""
-        self.put(signature, (ag_plan, chordification))
+        self.put(signature, (versions, (ag_plan, chordification)))
 
 
-class _ResultEntry(NamedTuple):
-    epoch: int
-    result: EngineResult
+class _ResultEntry:
+    """One cached result: the predicate versions it is valid for, and
+    the last store epoch at which they were seen to still hold."""
+
+    __slots__ = ("epoch", "versions", "result")
+
+    def __init__(self, epoch: int, versions: Versions, result: EngineResult):
+        self.epoch = epoch
+        self.versions = versions
+        self.result = result
 
 
 class ResultCache(LRUCache):
-    """Bounded result cache with epoch-based invalidation.
+    """Bounded result cache, valid per predicate version.
 
-    Entries record the store epoch at computation time. ``get_result``
-    only returns entries whose epoch matches the caller's view of the
-    store; mismatched entries are dropped eagerly so one pass over a
-    mutated store's keys retires them.
+    An entry is served while the versions of its query's predicates are
+    the ones it was computed at. The store epoch it also carries is not
+    a second rule, only the shortcut that proves the first: no mutation
+    anywhere since the epoch the versions were last checked at means no
+    mutation of these predicates either, so a read-only store pays one
+    integer compare per hit and never reads a version.
     """
 
     def get_result(
-        self, signature: Hashable, epoch: int, record: bool = True
+        self,
+        signature: Hashable,
+        epoch: int,
+        versions: Callable[[], Versions],
+        record: bool = True,
     ) -> EngineResult | None:
-        """The cached result for ``signature`` if it was computed at
-        ``epoch``; stale entries are dropped and report ``None``."""
+        """The cached result for ``signature`` if its predicates are
+        unchanged; a stale entry is dropped and reports ``None``.
+
+        ``epoch`` must have been read from the store *before*
+        ``versions()`` is called (which happens only when it differs
+        from the entry's): the entry is then re-stamped with an epoch no
+        newer than the versions it vouches for.
+        """
         entry: _ResultEntry | None = self.get(signature, record=record)
         if entry is None:
             return None
         if entry.epoch != epoch:
-            # A stale entry is a miss, not a hit: reclassify the lookup
-            # the base class may have just counted, then retire it.
-            with self._lock:
-                if record:
-                    self._hits -= 1
-                    self._misses += 1
-                self._data.pop(signature, None)
-            return None
+            if entry.versions != versions():
+                self._drop_stale(signature, entry, record)
+                return None
+            entry.epoch = epoch
         return entry.result
 
     def put_result(
-        self, signature: Hashable, epoch: int, result: EngineResult
+        self,
+        signature: Hashable,
+        epoch: int,
+        versions: Versions,
+        result: EngineResult,
     ) -> None:
-        """Cache ``result`` as valid for store epoch ``epoch``."""
-        self.put(signature, _ResultEntry(epoch, result))
+        """Cache ``result`` as computed at ``versions``, which held at
+        store epoch ``epoch``."""
+        self.put(signature, _ResultEntry(epoch, versions, result))

@@ -1,18 +1,21 @@
 """A long-lived, concurrent query service over one triple store.
 
 :class:`QueryService` is the production-shaped front end the ROADMAP
-asks for: it owns a store and its statistics catalog (built exactly
-once per store epoch), keeps one Wireframe engine alive, and serves
-many queries through a thread pool. Two caches sit in front of the
-engine:
+asks for: it owns a store and its statistics catalog (kept current by
+the store, patched per write batch), keeps one Wireframe engine alive,
+and serves many queries through a thread pool. Two caches sit in front
+of the engine:
 
 1. a **plan cache** keyed on the alpha-invariant query signature, so a
    repeated query *template* skips the Edgifier/Triangulator and reuses
    its ``(AGPlan, Chordification)`` verbatim;
-2. a **result cache** keyed on ``(signature, materialize)`` and stamped
-   with the store epoch, so an exactly-repeated query returns without
-   touching the engine at all — and never returns a stale answer after
-   the store mutates.
+2. a **result cache** keyed on ``(signature, materialize)``, so an
+   exactly-repeated query returns without touching the engine at all.
+
+Entries of both are stamped with the mutation counters of the query's
+own predicates (``TripleStore.predicate_epoch``): a write invalidates
+exactly the entries whose query mentions a predicate it changed — never
+a stale answer, and no miss for a query the write could not affect.
 
 Evaluation over the store is read-only, so one engine is safely shared
 by all workers (the store's lazy permutation indexes materialize under
@@ -79,8 +82,9 @@ class QueryService:
     store:
         The data graph. Freezing it (``freeze=True``, or freezing it
         yourself beforehand) is recommended for serving; an unfrozen
-        store is tolerated — every mutation bumps the store epoch, which
-        rebuilds the catalog lazily and invalidates both caches.
+        store is tolerated — a mutation patches the catalog on the next
+        query and invalidates the cached plans and results of queries
+        over the predicates it changed, and only those.
     catalog:
         Optional prebuilt statistics for the store's *current* epoch.
         When omitted the store's memoized catalog is used.
@@ -241,6 +245,7 @@ class QueryService:
             ("repro_cache_lookups_total", "lookups"),
             ("repro_cache_hits_total", "hits"),
             ("repro_cache_evictions_total", "evictions"),
+            ("repro_cache_stale_drops_total", "stale_drops"),
         ):
             reg.callback(
                 metric,
@@ -266,6 +271,16 @@ class QueryService:
             "Triples in the served store.",
             lambda: self.store.num_triples,
             aggregation="max",
+        )
+        reg.callback(
+            "repro_catalog_refreshes_total",
+            "Statistics-catalog refreshes after a write, by kind: "
+            "patched from the write batches (delta) or rebuilt (full).",
+            lambda: {
+                (kind,): n for kind, n in self.store.catalog_refreshes.items()
+            },
+            kind="counter",
+            labelnames=("kind",),
         )
         reg.callback(
             "repro_store_epoch",
@@ -392,26 +407,19 @@ class QueryService:
         journals durably (``fsync`` policy per
         :class:`~repro.storage.wal.WriteAheadLog`), and the snapshot
         need not exist yet (an empty store is started). The snapshot's
-        stored catalog is reused only when the log replayed nothing —
-        replayed batches would make it stale. ``use_mmap``/
-        ``lazy_terms`` do not apply (a writable store needs owned
-        arrays and an internable dictionary).
+        stored catalog seeds the store's catalog memo and the replayed
+        batches are patched into it, so recovery pays no statistics
+        rebuild either. ``use_mmap``/``lazy_terms`` do not apply (a
+        writable store needs owned arrays and an internable
+        dictionary).
         """
         from repro.storage import load_snapshot, load_snapshot_catalog
 
         if wal:
-            from repro.storage import is_snapshot, open_store, scan_wal
-            from repro.storage.recovery import wal_path_for
+            from repro.storage import open_store
 
-            replayed = len(scan_wal(wal_path_for(path)).records)
-            had_snapshot = is_snapshot(path)
             store = open_store(path, backend=backend, fsync=fsync, verify=verify)
-            catalog = (
-                load_snapshot_catalog(path, verify=verify)
-                if had_snapshot and replayed == 0
-                else None
-            )
-            service = cls(store, catalog=catalog, **service_kwargs)
+            service = cls(store, **service_kwargs)
             service._owns_wal = True
             service._record_source(path)
             return service
@@ -658,23 +666,38 @@ class QueryService:
         self.close()
 
     def _refresh_if_stale(self) -> None:
-        """Re-synchronize engine and caches after a store mutation.
+        """Re-synchronize the engine after a store mutation.
 
         The common case (epoch unchanged) is a single integer compare.
-        On change, the engine is rebuilt over the store's memoized
-        catalog and the plan cache is cleared; the result cache
-        self-invalidates through its epoch stamps.
+        On change, the engine is rebuilt over the store's catalog (which
+        the store patches from the pending write batches). Neither cache
+        is cleared: entries invalidate themselves, one by one, through
+        their predicate-version stamps.
         """
         if self.store.epoch == self._epoch:
             return
         with self._refresh_lock:
-            if self.store.epoch == self._epoch:
+            # Read before the rebuild: a write landing meanwhile leaves
+            # the service stale again, never marked fresher than it is.
+            epoch = self.store.epoch
+            if epoch == self._epoch:
                 return
             self._engine = WireframeEngine(
                 self.store, None, **self._engine_options
             )
-            self.plan_cache.clear()
-            self._epoch = self.store.epoch
+            self._epoch = epoch
+
+    def _versions(self, query: ConjunctiveQuery) -> tuple:
+        """The mutation counter of each of ``query``'s predicates.
+
+        A CQ's answer is a function of the edge sets of its own
+        predicates only (a constant can only match through them), so
+        equal versions prove an unchanged answer. A label the dictionary
+        has not interned reads ``0``, as does one never written.
+        """
+        lookup = self.store.dictionary.lookup
+        version = self.store.predicate_epoch
+        return tuple(version(lookup(edge.predicate)) for edge in query.edges)
 
     # ------------------------------------------------------------------
     # Submission APIs
@@ -719,7 +742,9 @@ class QueryService:
         result_key = (self._backend_name, query_signature(query), materialize)
         plan_key = (self._backend_name, plan_signature(query))
 
-        cached = self.result_cache.get_result(result_key, epoch)
+        cached = self.result_cache.get_result(
+            result_key, epoch, lambda: self._versions(query)
+        )
         if cached is not None:
             # Served without touching the pool: complete the future now.
             self.stats.record_result_cache_short_circuit()
@@ -730,11 +755,18 @@ class QueryService:
             )
             return future
 
+        # Read before evaluation starts: _run caches its result only if
+        # these still hold when it finishes.
+        versions = self._versions(query)
+        # A follower may only join a leader that set out from the same
+        # versions: one that started before a write to these predicates
+        # could hand back an answer older than the follower's submit.
+        inflight_key = (result_key, versions)
         leader: "Future[EngineResult] | None" = None
         budget = _budget_of(deadline)
         with self._inflight_lock:
             if self.coalesce:
-                entry = self._inflight.get(result_key)
+                entry = self._inflight.get(inflight_key)
                 # Attach only when our budget covers the leader's worst
                 # case; a stricter duplicate evaluates independently so
                 # its deadline stays enforced.
@@ -748,17 +780,18 @@ class QueryService:
                     result_key,
                     plan_key,
                     epoch,
+                    versions,
                     deadline,
                     materialize,
                     submitted_at,
                     trace,
                 )
-                if self.coalesce and result_key not in self._inflight:
-                    self._inflight[result_key] = (future, budget)
+                if self.coalesce and inflight_key not in self._inflight:
+                    self._inflight[inflight_key] = (future, budget)
                     future.add_done_callback(
                         # dict.pop is atomic; deliberately lock-free —
                         # this callback can fire synchronously right here.
-                        lambda _f, _k=result_key: self._inflight.pop(_k, None)
+                        lambda _f, _k=inflight_key: self._inflight.pop(_k, None)
                     )
                 return future
         # Coalesced path, outside the lock: the leader's completion
@@ -865,6 +898,7 @@ class QueryService:
         result_key: tuple,
         plan_key: tuple,
         epoch: int,
+        versions: tuple,
         deadline: Deadline | float | None,
         materialize: bool,
         submitted_at: float,
@@ -893,7 +927,9 @@ class QueryService:
 
             # The result cache may have been filled while we queued
             # (don't re-count: submit() already recorded this lookup).
-            cached = self.result_cache.get_result(result_key, epoch, record=False)
+            cached = self.result_cache.get_result(
+                result_key, epoch, lambda: self._versions(query), record=False
+            )
             if cached is not None:
                 outcome = "ok"
                 self.stats.record_latency(queue_seconds, 0.0, 0.0)
@@ -903,13 +939,15 @@ class QueryService:
 
             engine = self._engine
             t0 = time.perf_counter()
-            cached_plan = self.plan_cache.get_plan(plan_key)
+            cached_plan = self.plan_cache.get_plan(plan_key, versions)
             plan_outcome = "hit" if cached_plan is not None else "miss"
             # One bind either way: plan() reuses the cached artifacts on
             # a hit and runs the planners only on a miss.
             prepared = engine.plan(query, cached_plan=cached_plan)
             if cached_plan is None:
-                self.plan_cache.put_plan(plan_key, prepared[1], prepared[2])
+                self.plan_cache.put_plan(
+                    plan_key, versions, prepared[1], prepared[2]
+                )
             t1 = time.perf_counter()
             if trace is not None:
                 trace.add_timed("plan", t0, t1)
@@ -937,11 +975,15 @@ class QueryService:
                     "backend": self._backend_name,
                 },
             )
-            # Only a result computed at the epoch we advertised may be
-            # cached under it; a concurrent mutation means our answer is
-            # already stale.
-            if self.store.epoch == epoch:
-                self.result_cache.put_result(result_key, epoch, result)
+            # Cache only an answer whose predicates did not change
+            # while it was computed (a write to any other predicate
+            # cannot have touched it). Epoch first, versions second, so
+            # the stamp is never newer than what it vouches for.
+            epoch = self.store.epoch
+            if self._versions(query) == versions:
+                self.result_cache.put_result(
+                    result_key, epoch, versions, result
+                )
             outcome = "ok"
             self.stats.record_latency(queue_seconds, t1 - t0, exec_seconds)
             return self._annotate(
@@ -988,6 +1030,7 @@ class QueryService:
         snap["backend"] = self._backend_name
         snap["max_workers"] = self.max_workers
         snap["store_triples"] = self.store.num_triples
+        snap["catalog_refreshes"] = dict(self.store.catalog_refreshes)
         snap["read_only"] = self.read_only
         snap["degraded"] = self.degraded
         # Which durable generation is answering (the handoff gauge):

@@ -26,7 +26,9 @@ cost chords and early extensions with.
 The catalog is a plain value object: build it once per dataset with
 :func:`build_catalog` (the paper's "computed offline" step), then share
 it across planners, engines, and benchmarks. It can be serialized to a
-JSON-compatible dict.
+JSON-compatible dict. A writable store keeps it current with
+:func:`patch_catalog`, which folds a batch of triple changes into a new
+catalog in time proportional to the batch, not the store.
 """
 
 from __future__ import annotations
@@ -74,9 +76,16 @@ class Catalog:
     statistics), so it can key caches and be shared freely across
     engines and service threads. The mappings themselves must not be
     mutated by callers.
+
+    ``sampled`` marks bigram figures as scaled estimates from a node
+    sample (see :func:`build_catalog`); it is provenance, not content,
+    so it takes no part in equality or hashing. Exact catalogs are the
+    only ones :func:`patch_catalog` may maintain incrementally.
     """
 
-    __slots__ = ("unigrams", "bigrams", "num_triples", "num_nodes", "_hash")
+    __slots__ = (
+        "unigrams", "bigrams", "num_triples", "num_nodes", "sampled", "_hash"
+    )
 
     def __init__(
         self,
@@ -84,11 +93,13 @@ class Catalog:
         bigrams: dict[tuple[int, int, str], BigramStat],
         num_triples: int,
         num_nodes: int,
+        sampled: bool = False,
     ):
         object.__setattr__(self, "unigrams", unigrams)
         object.__setattr__(self, "bigrams", bigrams)
         object.__setattr__(self, "num_triples", num_triples)
         object.__setattr__(self, "num_nodes", num_nodes)
+        object.__setattr__(self, "sampled", sampled)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -154,7 +165,7 @@ class Catalog:
 
     def to_dict(self) -> dict:
         """JSON-compatible representation (for offline persistence)."""
-        return {
+        data = {
             "num_triples": self.num_triples,
             "num_nodes": self.num_nodes,
             "unigrams": {str(p): list(u) for p, u in self.unigrams.items()},
@@ -163,6 +174,9 @@ class Catalog:
                 for (p1, p2, orient), b in self.bigrams.items()
             },
         }
+        if self.sampled:
+            data["sampled"] = True
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Catalog":
@@ -171,13 +185,61 @@ class Catalog:
         for key, b in data["bigrams"].items():
             p1, p2, orient = key.split(",")
             bigrams[(int(p1), int(p2), orient)] = BigramStat(*b)
-        return cls(unigrams, bigrams, data["num_triples"], data["num_nodes"])
+        return cls(
+            unigrams,
+            bigrams,
+            data["num_triples"],
+            data["num_nodes"],
+            sampled=bool(data.get("sampled", False)),
+        )
 
     def __repr__(self) -> str:
         return (
             f"Catalog({len(self.unigrams)} labels, {len(self.bigrams)} bigram "
             f"entries, {self.num_triples} triples)"
         )
+
+
+def _bump(acc: dict, key: tuple[int, int, str], nodes: int, pairs: int) -> None:
+    cell = acc.get(key)
+    if cell is None:
+        acc[key] = [nodes, pairs]
+    else:
+        cell[0] += nodes
+        cell[1] += pairs
+
+
+def _add_node(
+    acc: dict[tuple[int, int, str], list[int]],
+    outs: "dict[int, int] | None",
+    ins: "dict[int, int] | None",
+    sign: int,
+) -> None:
+    """Add ``sign`` × one node's share of every bigram to ``acc``.
+
+    ``outs``/``ins`` are the node's ``{label: degree}`` vectors. Every
+    label pair in ``ins × outs`` contributes to ``os``, every unordered
+    pair in ``outs × outs`` to ``ss`` and in ``ins × ins`` to ``oo``
+    (stored once, ``p1 <= p2``). ``acc`` maps a bigram key to
+    ``[join_nodes, join_pairs]``. The one definition of a node's
+    contribution, shared by the full build (``sign=1`` for every node)
+    and the delta patch (``-1`` for a touched node's old vectors, ``+1``
+    for its new ones).
+    """
+    if outs:
+        for p1, d1 in outs.items():
+            for p2, d2 in outs.items():
+                if p1 <= p2:
+                    _bump(acc, (p1, p2, "ss"), sign, sign * d1 * d2)
+    if ins:
+        for p1, d1 in ins.items():
+            for p2, d2 in ins.items():
+                if p1 <= p2:
+                    _bump(acc, (p1, p2, "oo"), sign, sign * d1 * d2)
+    if outs and ins:
+        for p1, d1 in ins.items():  # p1's object is this node
+            for p2, d2 in outs.items():  # p2's subject is this node
+                _bump(acc, (p1, p2, "os"), sign, sign * d1 * d2)
 
 
 def build_catalog(
@@ -237,42 +299,120 @@ def build_catalog(
     else:
         scan_nodes = all_nodes
 
-    nodes_acc: dict[tuple[int, int, str], float] = {}
-    pairs_acc: dict[tuple[int, int, str], float] = {}
-
-    def bump(p1: int, p2: int, orient: str, pairs: int) -> None:
-        key = (p1, p2, orient)
-        nodes_acc[key] = nodes_acc.get(key, 0.0) + 1.0
-        pairs_acc[key] = pairs_acc.get(key, 0.0) + pairs
-
+    acc: dict[tuple[int, int, str], list[int]] = {}
     for node in scan_nodes:
-        outs = out_deg.get(node)
-        ins = in_deg.get(node)
-        if outs:
-            for p1, d1 in outs.items():
-                for p2, d2 in outs.items():
-                    if p1 <= p2:  # store each unordered ss pair once
-                        bump(p1, p2, "ss", d1 * d2)
-        if ins:
-            for p1, d1 in ins.items():
-                for p2, d2 in ins.items():
-                    if p1 <= p2:
-                        bump(p1, p2, "oo", d1 * d2)
-        if outs and ins:
-            for p1, d1 in ins.items():  # p1's object is this node
-                for p2, d2 in outs.items():  # p2's subject is this node
-                    bump(p1, p2, "os", d1 * d2)
+        _add_node(acc, out_deg.get(node), in_deg.get(node), 1)
 
-    bigrams = {
-        key: BigramStat(
-            max(int(round(nodes_acc[key] * scale)), 1),
-            max(int(round(pairs_acc[key] * scale)), 1),
-        )
-        for key in nodes_acc
-    }
+    if scale == 1.0:
+        bigrams = {key: BigramStat(n, pairs) for key, (n, pairs) in acc.items()}
+    else:
+        bigrams = {
+            key: BigramStat(
+                max(int(round(n * scale)), 1), max(int(round(pairs * scale)), 1)
+            )
+            for key, (n, pairs) in acc.items()
+        }
     return Catalog(
         unigrams=unigrams,
         bigrams=bigrams,
         num_triples=store.num_triples,
         num_nodes=store.num_nodes,
+        sampled=scale != 1.0,
+    )
+
+
+def _before(new: dict[int, int], delta: "dict[int, int] | None") -> dict[int, int]:
+    """A degree vector as it stood before ``delta`` was applied to it."""
+    if not delta:
+        return new
+    old = dict(new)
+    for p, d in delta.items():
+        was = old.get(p, 0) - d
+        if was:
+            old[p] = was
+        else:
+            old.pop(p, None)
+    return old
+
+
+def _count_transitions(
+    counts: dict[int, int], old: dict[int, int], new: dict[int, int]
+) -> None:
+    """Labels a node gained (+1) or lost (-1) between two vectors."""
+    for p in new.keys() - old.keys():
+        counts[p] = counts.get(p, 0) + 1
+    for p in old.keys() - new.keys():
+        counts[p] = counts.get(p, 0) - 1
+
+
+def patch_catalog(
+    catalog: Catalog,
+    changes: Iterable[tuple[int, int, int, int]],
+    degrees: dict[int, tuple[dict[int, int], dict[int, int]]],
+) -> Catalog:
+    """The exact catalog after ``changes``, derived from the one before.
+
+    ``changes`` are the ``(s, p, o, ±1)`` triples actually stored or
+    deleted since ``catalog`` (which must be exact, not sampled) was
+    current; ``degrees`` maps every endpoint appearing in them to its
+    *current* ``({label: out-degree}, {label: in-degree})`` vectors
+    (:meth:`StorageBackend.label_degrees`). A node's old vectors follow
+    by subtracting its net changes, so nothing else of the store is
+    read: unigrams and the node/triple totals move by counted
+    transitions, and only the bigram keys the touched nodes contribute
+    to are rewritten (old contribution out, new one in, keys reaching
+    zero dropped). The result ``==`` ``build_catalog`` of the store.
+    """
+    d_out: dict[int, dict[int, int]] = {}
+    d_in: dict[int, dict[int, int]] = {}
+    d_count: dict[int, int] = {}
+    for s, p, o, sign in changes:
+        d_count[p] = d_count.get(p, 0) + sign
+        row = d_out.setdefault(s, {})
+        row[p] = row.get(p, 0) + sign
+        row = d_in.setdefault(o, {})
+        row[p] = row.get(p, 0) + sign
+
+    d_subjects: dict[int, int] = {}
+    d_objects: dict[int, int] = {}
+    d_nodes = 0
+    acc: dict[tuple[int, int, str], list[int]] = {}
+    for node, (outs, ins) in degrees.items():
+        old_outs = _before(outs, d_out.get(node))
+        old_ins = _before(ins, d_in.get(node))
+        _count_transitions(d_subjects, old_outs, outs)
+        _count_transitions(d_objects, old_ins, ins)
+        d_nodes += bool(outs or ins) - bool(old_outs or old_ins)
+        _add_node(acc, old_outs, old_ins, -1)
+        _add_node(acc, outs, ins, 1)
+
+    unigrams = dict(catalog.unigrams)
+    for p in d_count.keys() | d_subjects.keys() | d_objects.keys():
+        count, subjects, objects = unigrams.get(p, (0, 0, 0))
+        count += d_count.get(p, 0)
+        if count:
+            unigrams[p] = UnigramStat(
+                count,
+                subjects + d_subjects.get(p, 0),
+                objects + d_objects.get(p, 0),
+            )
+        else:
+            unigrams.pop(p, None)
+    if unigrams.keys() - catalog.unigrams.keys():
+        unigrams = dict(sorted(unigrams.items()))  # build_catalog's order
+
+    bigrams = dict(catalog.bigrams)
+    for key, (d_n, d_pairs) in acc.items():
+        if d_n or d_pairs:
+            n, pairs = bigrams.get(key, _EMPTY_BIGRAM)
+            if n + d_n:
+                bigrams[key] = BigramStat(n + d_n, pairs + d_pairs)
+            else:
+                del bigrams[key]
+
+    return Catalog(
+        unigrams,
+        bigrams,
+        catalog.num_triples + sum(d_count.values()),
+        catalog.num_nodes + d_nodes,
     )

@@ -36,6 +36,7 @@ from repro.graph.store import TripleStore
 from repro.storage.snapshot import (
     is_snapshot,
     load_snapshot,
+    load_snapshot_catalog,
     read_manifest,
     save_snapshot,
 )
@@ -106,11 +107,7 @@ def _replay_record(store: TripleStore, record: WalRecord, where: str) -> None:
                 )
         for term in record.terms[overlap:]:
             dictionary.encode(term)
-    backend = store.backend
-    if record.adds:
-        backend.add_many(record.adds)
-    if record.removes:
-        backend.remove_many(record.removes)
+    store.apply_unjournaled(record.adds, record.removes)
 
 
 def replay_wal(
@@ -120,8 +117,9 @@ def replay_wal(
 
     Returns ``(records_applied, last_seq)``. The store must be
     unfrozen with an eager (internable) dictionary. Applying goes
-    through the *backend* (not the facade) so an attached write log is
-    never re-journaled with its own replay.
+    through :meth:`TripleStore.apply_unjournaled` so an attached write
+    log is never re-journaled with its own replay, while a seeded
+    catalog memo still sees every replayed change.
     """
     where = os.fspath(wal_path)
     scan = scan_wal(where)
@@ -147,6 +145,11 @@ def open_store(
     attaches the journaling hook. Every acknowledged mutation from
     here on survives ``kill -9`` under the default per-batch ``fsync``
     policy.
+
+    A catalog stored beside the snapshot seeds the store's catalog memo
+    *before* the replay, so replayed batches are patched into it like
+    any other write and the first query after a crash pays no
+    statistics rebuild.
     """
     target = os.fspath(path)
     if is_snapshot(target):
@@ -157,6 +160,9 @@ def open_store(
             verify=verify,
             freeze=False,
         )
+        catalog = load_snapshot_catalog(target, verify=verify)
+        if catalog is not None:
+            store.seed_catalog(catalog)
     elif os.path.exists(target) and os.listdir(target):
         raise SnapshotError(
             f"{target!r} exists but is not a snapshot directory"

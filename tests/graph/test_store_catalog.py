@@ -45,13 +45,23 @@ class TestMemoizedCatalog:
         store = small_store()
         assert store.catalog() is store.catalog()
 
-    def test_rebuilt_after_mutation(self):
+    def test_refreshed_after_mutation(self):
         store = small_store()
         first = store.catalog()
         store.add_term_triple("c", "likes", "d")
         second = store.catalog()
         assert second is not first
         assert second.num_triples == first.num_triples + 1
+        # Patched from the one changed triple (tests/graph/
+        # test_catalog_delta.py), and indistinguishable from a rebuild.
+        assert second == build_catalog(store)
+        assert store.catalog_refreshes == {"full": 1, "delta": 1}
+
+    def test_predicate_epochs_sum_to_the_epoch(self):
+        store = small_store()
+        ids = {p: store.predicate_epoch(p) for p in store.predicates()}
+        assert sorted(ids.values()) == [1, 2]
+        assert sum(ids.values()) == store.epoch
 
     def test_matches_explicit_build(self):
         store = small_store(freeze=True)

@@ -1,4 +1,4 @@
-"""LRU semantics, counters, and epoch invalidation of the service caches."""
+"""LRU semantics, counters, and predicate-version validity of the service caches."""
 
 import threading
 
@@ -83,33 +83,63 @@ class TestLRUCache:
         assert len(cache) <= 64
 
 
+def never():
+    raise AssertionError("versions must not be read on the epoch fast path")
+
+
 class TestPlanCache:
     def test_roundtrip(self):
         cache = PlanCache(4)
-        assert cache.get_plan("sig") is None
-        cache.put_plan("sig", "AGPLAN", "CHORDS")
-        assert cache.get_plan("sig") == ("AGPLAN", "CHORDS")
+        assert cache.get_plan("sig", (1, 2)) is None
+        cache.put_plan("sig", (1, 2), "AGPLAN", "CHORDS")
+        assert cache.get_plan("sig", (1, 2)) == ("AGPLAN", "CHORDS")
+
+    def test_changed_predicate_drops_the_plan(self):
+        cache = PlanCache(4)
+        cache.put_plan("sig", (1, 2), "AGPLAN", "CHORDS")
+        assert cache.get_plan("sig", (1, 3)) is None
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.stale_drops) == (0, 1, 1)
+        assert len(cache) == 0
 
 
 class TestResultCache:
-    def test_epoch_match_serves(self):
+    def test_same_epoch_serves_without_reading_versions(self):
         cache = ResultCache(4)
-        cache.put_result("sig", 7, result(3))
-        assert cache.get_result("sig", 7).count == 3
+        cache.put_result("sig", 7, (1,), result(3))
+        assert cache.get_result("sig", 7, never).count == 3
 
-    def test_epoch_mismatch_is_a_miss_and_evicts(self):
+    def test_write_elsewhere_is_still_a_hit(self):
+        """The epoch moved but the query's predicates did not: a hit,
+        re-stamped so the next lookup takes the fast path again."""
         cache = ResultCache(4)
-        cache.put_result("sig", 7, result(3))
-        assert cache.get_result("sig", 8) is None
+        cache.put_result("sig", 7, (1, 4), result(3))
+        assert cache.get_result("sig", 9, lambda: (1, 4)).count == 3
+        assert cache.get_result("sig", 9, never).count == 3
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.stale_drops) == (2, 0, 0)
+
+    def test_changed_predicate_is_a_miss_and_evicts(self):
+        cache = ResultCache(4)
+        cache.put_result("sig", 7, (1, 4), result(3))
+        assert cache.get_result("sig", 8, lambda: (1, 5)) is None
         # The stale entry was retired, and the lookup counted as a miss.
         stats = cache.stats()
         assert stats.hits == 0
         assert stats.misses == 1
+        assert stats.stale_drops == 1
         assert len(cache) == 0
+
+    def test_unrecorded_lookup_leaves_hit_counters_alone(self):
+        cache = ResultCache(4)
+        cache.put_result("sig", 7, (1,), result(3))
+        assert cache.get_result("sig", 8, lambda: (2,), record=False) is None
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.stale_drops) == (0, 0, 1)
 
     def test_fresh_entry_after_invalidation(self):
         cache = ResultCache(4)
-        cache.put_result("sig", 1, result(3))
-        assert cache.get_result("sig", 2) is None
-        cache.put_result("sig", 2, result(5))
-        assert cache.get_result("sig", 2).count == 5
+        cache.put_result("sig", 1, (1,), result(3))
+        assert cache.get_result("sig", 2, lambda: (2,)) is None
+        cache.put_result("sig", 2, (2,), result(5))
+        assert cache.get_result("sig", 2, never).count == 5

@@ -138,18 +138,28 @@ class TestResultCache:
             assert svc.engine is not engine_before  # catalog was rebuilt
             assert svc.epoch == store.epoch
 
-    def test_mutation_clears_plan_cache(self, mini_yago):
+    def test_mutation_drops_only_plans_over_the_written_predicate(self):
         from repro.graph.builder import GraphBuilder
 
-        store = GraphBuilder().edge("a", "knows", "b").build(freeze=False)
-        query = parse_sparql("select ?x where { ?x knows ?y }")
-        with QueryService(store, max_workers=1) as svc:
-            svc.evaluate(query)
-            assert len(svc.plan_cache) == 1
+        store = (
+            GraphBuilder()
+            .edge("a", "knows", "b")
+            .edge("a", "likes", "b")
+            .build(freeze=False)
+        )
+        knows = parse_sparql("select ?x where { ?x knows ?y }")
+        likes = parse_sparql("select ?x where { ?x likes ?y }")
+        with QueryService(store, max_workers=1, result_cache_size=0) as svc:
+            svc.evaluate(knows)
+            svc.evaluate(likes)
+            assert len(svc.plan_cache) == 2
             store.add_term_triple("b", "knows", "c")
-            svc.evaluate(query)
-            # Cleared on refresh, then repopulated by the re-plan.
-            assert svc.plan_cache.stats().hits == 0
+            # Re-planned with the written predicate's new statistics...
+            assert svc.evaluate(knows).stats["service"]["plan_cache"] == "miss"
+            # ...while the plan the write could not affect is reused.
+            assert svc.evaluate(likes).stats["service"]["plan_cache"] == "hit"
+            stats = svc.plan_cache.stats()
+            assert (stats.hits, stats.stale_drops) == (1, 1)
 
     def test_disabled_result_cache(self, mini_yago, mined_queries):
         with QueryService(mini_yago, max_workers=1, result_cache_size=0,
@@ -325,9 +335,12 @@ class TestBackendSurfacing:
             result_key = (
                 mini_yago.backend_name, query_signature(query), True,
             )
-            assert svc.result_cache.get_result(result_key, svc.epoch) is not None
+            versions = svc._versions(query)
+            assert svc.result_cache.get_result(
+                result_key, svc.epoch, lambda: versions
+            ) is not None
             plan_key = (mini_yago.backend_name, plan_signature(query))
-            assert svc.plan_cache.get_plan(plan_key) is not None
+            assert svc.plan_cache.get_plan(plan_key, versions) is not None
 
     def test_columnar_store_served_identically(self, mini_yago, mined_queries):
         from repro.graph.store import TripleStore
