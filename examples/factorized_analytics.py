@@ -47,10 +47,10 @@ t_factorized = time.perf_counter() - t0
 print(f"\nfactorized count: {count:,} answers in "
       f"{t_factorized * 1000:.1f} ms (O(|AG|))")
 
-from repro.core.defactorize import count_embeddings  # noqa: E402
+from repro.core.defactorize import iter_embeddings  # noqa: E402
 
 t0 = time.perf_counter()
-assert count_embeddings(ag, detail.embedding_plan.order) == count
+assert sum(1 for _ in iter_embeddings(ag, detail.embedding_plan.order)) == count
 t_enum = time.perf_counter() - t0
 print(f"enumeration count: same value in {t_enum * 1000:.1f} ms "
       f"(O(|embeddings|)) — {t_enum / max(t_factorized, 1e-9):.0f}x slower")

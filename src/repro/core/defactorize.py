@@ -6,224 +6,244 @@ and an acyclic CQ, the order in which we join is immaterial. No k-ary
 tuple is ever eliminated during a join with a next query edge from the
 iAG." — §3
 
-The joins run *over the answer graph*, never the data graph: this is
-the whole point of factorization. Embeddings are produced by an
-iterative backtracking enumerator over the AG's per-edge adjacency
-indexes; with an ideal AG and an acyclic query the enumerator never
-backtracks off a dead branch, so enumeration is output-linear.
+The joins run *over the answer graph*, never the data graph, and keep
+its factorization "fully down to component node pairs" (§2) for as long
+as the output format allows:
 
-The join order is an :class:`~repro.planner.plan.EmbeddingPlan` (any
-connected order is valid; for non-ideal AGs or cyclic queries order
-affects the intermediate work, which is why the embedding planner
-exists).
+* A **hanging leaf** is a variable that occurs in exactly one query
+  edge (var–var, not a self-loop). Given its *anchor*, the node at the
+  other end, its values are the anchor's AG adjacency set, independent
+  of every other variable.
+* The remaining **skeleton** variables are enumerated variable-at-a-
+  time, in first-appearance order of the embedding plan. A variable's
+  candidates are the ``set.intersection`` of the adjacency sets that
+  reach it from already-known nodes and constants, smallest first: the
+  closing edge of a cycle is an intersection in C, never an expand
+  followed by a check (the Generic-Join step).
+* A complete skeleton assignment **emits factorized**: its rows are
+  ``itertools.product`` over one pool per output column — a 1-tuple
+  for a skeleton value, the adjacency set for a leaf — built in C with
+  no per-row Python. Counting multiplies the pool sizes instead.
+
+The join order is an :class:`~repro.planner.plan.EmbeddingPlan`: any
+connected order yields the same rows on any AG; on non-ideal AGs and
+cyclic queries it changes the intermediate work, which is why the
+embedding planner exists. Row order is unspecified (set iteration).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from collections import Counter
+from itertools import chain, islice, product
+from math import prod
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.core.answer_graph import AnswerGraph
+from repro.core.kernels import BLOCK, Adjacency
 from repro.errors import PlanError
 from repro.planner.plan import validate_connected_order
 from repro.utils.deadline import Deadline
 
-_MISSING = -1  # assignment slots hold node ids (>= 0) or _MISSING
+Row = tuple[int, ...]
+_NONE: frozenset[int] = frozenset()
 
 
-def _compile_steps(
-    ag: AnswerGraph, order: Sequence[int]
-) -> list[Callable[[list[int]], Iterator[None]]]:
-    """One generator-factory per plan step, closed over the AG indexes.
+class _Level(NamedTuple):
+    """One skeleton variable: its candidates' sources and its outputs."""
 
-    Each factory takes the (mutable) assignment array and yields once
-    per local match, having written any newly-bound variables into the
-    array. Variables are "assigned" in plan order, so a step statically
-    knows which of its endpoints are already bound.
-    """
-    bound_query = ag.bound
-    steps: list[Callable[[list[int]], Iterator[None]]] = []
-    assigned: set[int] = set()
+    joins: list[tuple[Adjacency, int]]  # (adjacency from the known side, its slot)
+    loops: list[Adjacency]  # self-loop relations a candidate must satisfy
+    domain: Collection[int | None]  # the candidates when no join constrains them
+    shown: list[int]  # output columns showing this variable
+    #: hanging leaves anchored here: (output column, adjacency towards
+    #: the leaf); column ``None`` only requires the set to be non-empty
+    leaves: list[tuple[int | None, Adjacency]]
 
+
+class _Plan(NamedTuple):
+    #: ``levels[0]`` is a root whose one candidate is ``None``, so every
+    #: variable is reached by the same descent step
+    levels: list[_Level]
+    #: a last variable anchoring no leaf: its candidates go out whole,
+    #: as one more pool, instead of being iterated
+    tail: _Level | None
+    slots: list[int | None]  # known nodes: one per level, then the constants
+    pools: list[Collection[int]]  # one per output column
+    exact: bool  # False when DISTINCT still has to de-duplicate rows
+
+
+def _compile(
+    ag: AnswerGraph, order: Sequence[int] | None, columns: Sequence[int], distinct: bool
+) -> _Plan | None:
+    """Split the query into skeleton levels and hanging leaves, in
+    O(|query|). ``None`` means the AG provably holds no embedding."""
+    edges = ag.bound.edges
+    if ag.empty:
+        return None
+    if order is None:
+        order = tuple(range(len(edges)))
+    validate_connected_order(order, [e.term_tokens() for e in edges])
+    if len(order) != len(edges):
+        raise PlanError("embedding order must cover every query edge")
     for eid in order:
-        edge = bound_query.edges[eid]
-        rel = ("e", eid)
-        fwd = ag.src.get(rel)
-        bwd = ag.dst.get(rel)
-        if fwd is None or bwd is None:
+        if ("e", eid) not in ag.src:
             raise PlanError(f"edge {eid} was never materialized in the AG")
-        s_var, o_var = edge.s_var, edge.o_var
-        s_known = s_var is None or s_var in assigned  # consts are "known"
-        o_known = o_var is None or o_var in assigned
-        s_const, o_const = edge.s_const, edge.o_const
 
-        if s_var is not None and s_var == o_var:
-            var = s_var
-            if s_known:
-                steps.append(_make_check_self(fwd, var))
+    shown_at: dict[int, list[int]] = {}
+    for column, var in enumerate(columns):
+        shown_at.setdefault(var, []).append(column)
+
+    def poolable(var: int) -> bool:
+        # May var's values go out as one whole pool? Yes if it fills one
+        # output column, or none under DISTINCT (it only has to exist).
+        # Projected away under bag semantics it multiplies rows, shown
+        # twice it must agree with itself: both are left to enumeration.
+        shown = shown_at.get(var, ())
+        return len(shown) == 1 or (distinct and not shown)
+
+    degree = Counter(v for e in edges for v in e.var_set())
+    leaf_edges: dict[int, int] = {}  # edge index -> its leaf variable
+    for e in edges:
+        if e.s_var is not None and e.o_var is not None and e.s_var != e.o_var:
+            for var in (e.o_var, e.s_var):
+                if degree[var] == 1 and poolable(var):
+                    leaf_edges[e.index] = var
+                    break
+    leaf_vars = set(leaf_edges.values())
+
+    level_of: dict[int, int] = {}
+    for eid in order:
+        for var in (edges[eid].s_var, edges[eid].o_var):
+            if var is not None and var not in leaf_vars:
+                level_of.setdefault(var, len(level_of) + 1)
+    levels = [_Level([], [], (None,), [], [])] + [
+        _Level([], [], ag.node_sets.get(var, _NONE), shown_at.get(var, []), [])
+        for var in level_of
+    ]
+    slots: list[int | None] = [None] * len(levels)
+
+    for e in edges:
+        fwd, bwd = ag.src[("e", e.index)], ag.dst[("e", e.index)]
+        s, o = e.s_var, e.o_var
+        if e.index in leaf_edges:
+            leaf = leaf_edges[e.index]
+            anchor, adj = (s, fwd) if leaf == o else (o, bwd)
+            column = shown_at[leaf][0] if leaf in shown_at else None
+            levels[level_of[anchor]].leaves.append((column, adj))
+        elif s is not None and s == o:
+            levels[level_of[s]].loops.append(fwd)
+        elif s is not None and o is not None:
+            if level_of[s] < level_of[o]:
+                levels[level_of[o]].joins.append((fwd, level_of[s]))
             else:
-                steps.append(_make_scan_self(fwd, var))
-                assigned.add(var)
-            continue
+                levels[level_of[s]].joins.append((bwd, level_of[o]))
+        elif s is not None or o is not None:  # the constant end is known from the start
+            var, adj, const = (o, fwd, e.s_const) if s is None else (s, bwd, e.o_const)
+            levels[level_of[var]].joins.append((adj, len(slots)))
+            slots.append(const)
+        elif e.o_const not in fwd.get(e.s_const, _NONE):
+            return None
+    exact = not distinct or all(var in shown_at for var in level_of)
+    pooled = level_of and poolable(next(reversed(level_of))) and not levels[-1].leaves
+    tail = levels.pop() if pooled else None
+    return _Plan(levels, tail, slots, [()] * len(columns), exact)
 
-        if s_known and o_known:
-            steps.append(_make_check(fwd, s_var, s_const, o_var, o_const))
-        elif s_known:
-            assert o_var is not None
-            steps.append(_make_expand_fwd(fwd, s_var, s_const, o_var))
-            assigned.add(o_var)
-        elif o_known:
-            assert s_var is not None
-            steps.append(_make_expand_bwd(bwd, o_var, o_const, s_var))
-            assigned.add(s_var)
+
+def _candidates(level: _Level, slots: list[int | None]) -> Collection[int | None]:
+    if not level.joins:
+        found = level.domain
+    elif len(level.joins) == 1:
+        adj, slot = level.joins[0]
+        found = adj.get(slots[slot], _NONE)
+    else:
+        sets = [adj.get(slots[slot], _NONE) for adj, slot in level.joins]
+        if len(sets) > 2:  # a two-set intersection already iterates the smaller
+            sets.sort(key=len)
+        found = sets[0].intersection(*sets[1:])
+    for adj in level.loops:
+        found = [node for node in found if node in adj.get(node, _NONE)]
+    return found
+
+
+def _assignments(plan: _Plan, deadline: Deadline) -> Iterator[list[Collection[int]]]:
+    """Enumerate the skeleton; yield ``plan.pools`` (the same list,
+    refilled in place) once per complete assignment.
+
+    The deadline is charged one unit per candidate considered, so dead
+    branches of a cyclic query are bounded like productive ones.
+    """
+    levels, tail, slots, pools = plan.levels, plan.tail, plan.slots, plan.pools
+    last = len(levels) - 1
+    check = deadline.check_every
+    stack: list[Iterator[int | None]] = [iter(levels[0].domain)] + [iter(())] * last
+    depth = 0
+    while depth >= 0:
+        shown, leaves = levels[depth].shown, levels[depth].leaves
+        for node in stack[depth]:
+            for column, adj in leaves:
+                pool = adj.get(node)
+                if not pool:
+                    break
+                if column is not None:
+                    pools[column] = pool
+            else:
+                slots[depth] = node
+                for column in shown:
+                    pools[column] = (node,)
+                if depth < last:
+                    depth += 1
+                    found = _candidates(levels[depth], slots)
+                    check(len(found) or 1)
+                    stack[depth] = iter(found)
+                    break
+                if tail is not None:
+                    found = _candidates(tail, slots)
+                    if not found:
+                        continue
+                    for column in tail.shown:
+                        pools[column] = found
+                yield pools
         else:
-            # Neither endpoint bound: only legal as the very first step
-            # of a connected order (or an isolated component, which
-            # validate_connected_order rejects).
-            steps.append(_make_scan(fwd, s_var, o_var))
-            if s_var is not None:
-                assigned.add(s_var)
-            if o_var is not None:
-                assigned.add(o_var)
-    return steps
+            depth -= 1
 
 
-# Step factories are module-level functions returning closures so each
-# captures only the locals it needs (faster than attribute lookups in
-# the enumeration hot loop).
+def _blocks(plan: _Plan, deadline: Deadline) -> Iterator[Iterable[Row]]:
+    """The result as lazy C-level row iterators, one per skeleton
+    assignment; a product above ``BLOCK`` rows comes in ``BLOCK``-row
+    slices with a deadline poll between, as in phase 1."""
+    check = deadline.check_every
+    for pools in _assignments(plan, deadline):
+        size = prod(map(len, pools))
+        rows = product(*pools)
+        if size <= BLOCK:
+            check(size)
+            yield rows
+        else:
+            for _ in range(0, size, BLOCK):
+                check(BLOCK)
+                yield islice(rows, BLOCK)
 
 
-def _make_scan(fwd, s_var, o_var):
-    def step(assignment):
-        for s, objs in fwd.items():
-            if s_var is not None:
-                assignment[s_var] = s
-            for o in objs:
-                if o_var is not None:
-                    assignment[o_var] = o
-                yield
-
-    return step
-
-
-def _make_scan_self(fwd, var):
-    def step(assignment):
-        for s in fwd:  # pairs are (n, n) by construction
-            assignment[var] = s
-            yield
-
-    return step
-
-
-def _make_check_self(fwd, var):
-    def step(assignment):
-        node = assignment[var]
-        objs = fwd.get(node)
-        if objs is not None and node in objs:
-            yield
-
-    return step
-
-
-def _make_expand_fwd(fwd, s_var, s_const, o_var):
-    if s_var is not None:
-
-        def step(assignment):
-            objs = fwd.get(assignment[s_var])
-            if objs:
-                for o in objs:
-                    assignment[o_var] = o
-                    yield
-
-    else:
-
-        def step(assignment):
-            objs = fwd.get(s_const)
-            if objs:
-                for o in objs:
-                    assignment[o_var] = o
-                    yield
-
-    return step
-
-
-def _make_expand_bwd(bwd, o_var, o_const, s_var):
-    if o_var is not None:
-
-        def step(assignment):
-            subs = bwd.get(assignment[o_var])
-            if subs:
-                for s in subs:
-                    assignment[s_var] = s
-                    yield
-
-    else:
-
-        def step(assignment):
-            subs = bwd.get(o_const)
-            if subs:
-                for s in subs:
-                    assignment[s_var] = s
-                    yield
-
-    return step
-
-
-def _make_check(fwd, s_var, s_const, o_var, o_const):
-    def step(assignment):
-        s = assignment[s_var] if s_var is not None else s_const
-        o = assignment[o_var] if o_var is not None else o_const
-        objs = fwd.get(s)
-        if objs is not None and o in objs:
-            yield
-
-    return step
+def _unique(rows: Iterable[Row]) -> Iterator[Row]:
+    seen: set[Row] = set()
+    for row in rows:
+        if row not in seen:
+            seen.add(row)
+            yield row
 
 
 def iter_embeddings(
-    ag: AnswerGraph,
-    order: Sequence[int] | None = None,
-    deadline: Deadline | None = None,
-) -> Iterator[tuple[int, ...]]:
+    ag: AnswerGraph, order: Sequence[int] | None = None, deadline: Deadline | None = None
+) -> Iterator[Row]:
     """Enumerate full embeddings (one node id per query variable).
 
     ``order`` is the join order over query-edge indexes (defaults to
     plan-free textual order, which is valid whenever the query is
-    connected). Yields tuples aligned with ``bound.var_names``.
+    connected). Lazily yields tuples aligned with ``bound.var_names``.
     """
-    bound = ag.bound
-    if deadline is None:
-        deadline = Deadline.unlimited()
-    if ag.empty:
-        return
-    if order is None:
-        order = tuple(range(len(bound.edges)))
-    validate_connected_order(order, [e.term_tokens() for e in bound.edges])
-    if len(order) != len(bound.edges):
-        raise PlanError("embedding order must cover every query edge")
-
-    steps = _compile_steps(ag, order)
-    assignment: list[int] = [_MISSING] * bound.num_vars
-    last = len(steps) - 1
-    iters: list[Iterator[None] | None] = [None] * len(steps)
-    iters[0] = steps[0](assignment)
-    depth = 0
-    check = deadline.check
-    while depth >= 0:
-        it = iters[depth]
-        assert it is not None
-        advanced = False
-        for _ in it:
-            advanced = True
-            break
-        if not advanced:
-            depth -= 1
-            continue
-        check()
-        if depth == last:
-            yield tuple(assignment)
-        else:
-            depth += 1
-            iters[depth] = steps[depth](assignment)
+    plan = _compile(ag, order, range(ag.bound.num_vars), False)
+    if plan is not None:
+        yield from chain.from_iterable(_blocks(plan, deadline or Deadline.unlimited()))
 
 
 def materialize_embeddings(
@@ -231,52 +251,32 @@ def materialize_embeddings(
     order: Sequence[int] | None = None,
     deadline: Deadline | None = None,
     limit: int | None = None,
-) -> list[tuple[int, ...]]:
-    """All projected result rows (respecting projection and DISTINCT)."""
+) -> list[Row]:
+    """All projected result rows (respecting projection and DISTINCT),
+    or the first ``limit`` of them without producing the rest."""
     bound = ag.bound
-    projection = bound.projection
-    full = len(projection) == bound.num_vars and projection == tuple(
-        range(bound.num_vars)
-    )
-    rows: list[tuple[int, ...]] = []
-    if bound.distinct and not full:
-        seen: set[tuple[int, ...]] = set()
-        for emb in iter_embeddings(ag, order, deadline):
-            row = tuple(emb[i] for i in projection)
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-                if limit is not None and len(rows) >= limit:
-                    break
-        return rows
-    for emb in iter_embeddings(ag, order, deadline):
-        rows.append(emb if full else tuple(emb[i] for i in projection))
-        if limit is not None and len(rows) >= limit:
-            break
-    return rows
+    plan = _compile(ag, order, bound.projection, bound.distinct)
+    if plan is None:
+        return []
+    rows = chain.from_iterable(_blocks(plan, deadline or Deadline.unlimited()))
+    if not plan.exact:
+        rows = _unique(rows)
+    return list(rows if limit is None else islice(rows, limit))
 
 
 def count_embeddings(
-    ag: AnswerGraph,
-    order: Sequence[int] | None = None,
-    deadline: Deadline | None = None,
+    ag: AnswerGraph, order: Sequence[int] | None = None, deadline: Deadline | None = None
 ) -> int:
-    """Number of projected result rows without materializing them all.
-
-    (With DISTINCT and a proper projection a set of projected rows must
-    still be kept; full-projection counts run in constant memory.)
-    """
+    """Number of projected result rows: the pool sizes multiplied per
+    skeleton assignment, no row ever built — unless DISTINCT projects a
+    skeleton variable away, when rows must be kept to be told apart."""
     bound = ag.bound
-    projection = bound.projection
-    full = len(projection) == bound.num_vars and projection == tuple(
-        range(bound.num_vars)
-    )
-    if bound.distinct and not full:
-        seen: set[tuple[int, ...]] = set()
-        for emb in iter_embeddings(ag, order, deadline):
-            seen.add(tuple(emb[i] for i in projection))
-        return len(seen)
-    count = 0
-    for _ in iter_embeddings(ag, order, deadline):
-        count += 1
-    return count
+    deadline = deadline or Deadline.unlimited()
+    # Bag semantics count embeddings, whatever the projection shows.
+    columns = bound.projection if bound.distinct else range(bound.num_vars)
+    plan = _compile(ag, order, columns, bound.distinct)
+    if plan is None:
+        return 0
+    if not plan.exact:
+        return len(set(chain.from_iterable(_blocks(plan, deadline))))
+    return sum(prod(map(len, pools)) for pools in _assignments(plan, deadline))

