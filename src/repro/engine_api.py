@@ -12,6 +12,7 @@ Table 1 treats its five systems.
 from __future__ import annotations
 
 import abc
+import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -68,6 +69,13 @@ def json_safe(value):
     return str(value)
 
 
+#: Largest rendering :meth:`EngineResult.to_json` keeps on the result.
+#: A default-limit response is a few KiB; a ``limit: null`` answer of
+#: tens of thousands of rows is re-rendered per request instead of being
+#: pinned once per cached result.
+MAX_MEMOIZED_JSON_BYTES = 64 * 1024
+
+
 @dataclass
 class EngineResult:
     """Outcome of one query evaluation.
@@ -83,6 +91,12 @@ class EngineResult:
     count: int
     rows: list[tuple] | None = None
     stats: dict = field(default_factory=dict)
+    # The last to_json() rendering, as (dictionary, limit, bytes). Not a
+    # constructor field, so dataclasses.replace() starts a copy without
+    # it; it is dropped with the result and needs no other invalidation.
+    _json: "tuple | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def decoded_rows(
         self, dictionary, limit: "int | None" = None
@@ -129,6 +143,31 @@ class EngineResult:
             "truncated": decoded is not None and len(decoded) < len(self.rows),
             "stats": json_safe(self.stats),
         }
+
+    def memoized_json(
+        self, dictionary, limit: "int | None" = None
+    ) -> "bytes | None":
+        """The rendering :meth:`to_json` kept for exactly these
+        arguments, or ``None`` if it has to render."""
+        memo = self._json
+        if memo is not None and memo[0] is dictionary and memo[1] == limit:
+            return memo[2]
+        return None
+
+    def to_json(self, dictionary, limit: "int | None" = None) -> bytes:
+        """``json.dumps(self.to_dict(dictionary, limit))`` as bytes.
+
+        The rendering is kept on the result for the last ``limit`` asked
+        (see :meth:`memoized_json`) unless it exceeds
+        :data:`MAX_MEMOIZED_JSON_BYTES`, so a result that is served
+        repeatedly — a result-cache entry — decodes and encodes its rows
+        once. The result, its ``stats`` included, must not be mutated
+        afterwards.
+        """
+        rendered = json.dumps(self.to_dict(dictionary, limit)).encode("utf-8")
+        if len(rendered) <= MAX_MEMOIZED_JSON_BYTES:
+            self._json = (dictionary, limit, rendered)
+        return rendered
 
 
 class Engine(abc.ABC):

@@ -134,7 +134,8 @@ class ConjunctiveQuery:
         Optional human-readable label used in benchmark reports.
     """
 
-    __slots__ = ("edges", "projection", "distinct", "name", "_var_order")
+    __slots__ = ("edges", "projection", "distinct", "name", "_var_order",
+                 "_query_signature", "_plan_signature")
 
     def __init__(
         self,
@@ -184,6 +185,10 @@ class ConjunctiveQuery:
         self.projection: tuple[Var, ...] = proj
         self.distinct = bool(distinct)
         self.name = name
+        # Filled by repro.service.signature: the query is immutable, so
+        # its canonical signatures are computed at most once per object.
+        self._query_signature: tuple | None = None
+        self._plan_signature: tuple | None = None
 
     # ------------------------------------------------------------------
     # Query-graph structure

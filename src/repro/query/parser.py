@@ -14,8 +14,9 @@ Grammar (case-insensitive keywords)::
 Prefixed names (``:A``, ``yago:actedIn``) expand against declared
 prefixes; an undeclared prefix keeps the name as written (the paper's
 queries use a bare default ``:`` prefix, which we keep as the plain
-local name — so ``:A`` parses to the label ``A``). ``a`` expands to
-``rdf:type``.
+local name — so ``:A`` parses to the label ``A``). As in SPARQL's
+``PN_LOCAL``, the local part may itself contain ``:`` (``ns:a:b`` is
+prefix ``ns``, local ``a:b``). ``a`` expands to ``rdf:type``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ _TOKEN_RE = re.compile(
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<punct>[{}.,;*])
-  | (?P<pname>[A-Za-z_][A-Za-z0-9_\-]*)?:(?P<local>[A-Za-z0-9_\-.]*)
+  | (?P<pname>[A-Za-z_][A-Za-z0-9_\-]*)?:(?P<local>[A-Za-z0-9_\-.:]*)
   | (?P<number>-?\d+(?:\.\d+)?)
   | (?P<word>[A-Za-z_][A-Za-z0-9_\-]*)
     """,

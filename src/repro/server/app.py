@@ -17,12 +17,21 @@
 The event loop only parses and routes; evaluation runs on the
 service's thread pool and is awaited through
 :func:`asyncio.wrap_future`, so slow queries never stall the accept
-loop. **Backpressure** is a bounded admission count: once
-``max_pending`` queries are in flight HTTP-side, further submissions
-are shed immediately with ``503`` + ``Retry-After`` instead of
-building an unbounded queue. **Deadlines** start at admission — the
-``X-Repro-Timeout`` header (or the ``timeout_seconds`` body field)
-becomes a running :class:`~repro.utils.deadline.Deadline`, so time
+loop. **A repeated request costs what a cache hit is**: the validated
+request document is remembered under its body bytes (a bounded LRU,
+see :meth:`HTTPQueryServer._parsed`), a result-cache hit comes back
+from :meth:`QueryService.submit` as a completed future and is taken
+without a loop round trip, and the entry's shared
+:class:`~repro.engine_api.EngineResult` keeps its own JSON rendering,
+so the response body is a pre-rendered head, that fragment and a brace
+— byte for byte what ``json.dumps`` of the whole payload would give.
+The fragment has no validity rule of its own: it is dropped with the
+result-cache entry that owns it. **Backpressure** is a bounded
+admission count: once ``max_pending`` queries are in flight HTTP-side,
+further submissions are shed immediately with ``503`` + ``Retry-After``
+instead of building an unbounded queue. **Deadlines** start at
+admission — the ``X-Repro-Timeout`` header (or the
+``timeout_seconds`` body field) becomes a running :class:`~repro.utils.deadline.Deadline`, so time
 spent queued counts against the client's budget exactly as it does
 for in-process callers. **Graceful shutdown** stops accepting, answers
 new requests with ``503 draining``, waits for every in-flight request
@@ -58,6 +67,7 @@ from repro.obs.trace import (
     Trace,
     TraceBuffer,
 )
+from repro.service.caches import LRUCache
 from repro.service.query_service import QueryService
 from repro.server.http import (
     HttpError,
@@ -83,6 +93,43 @@ DEFAULT_ROW_LIMIT = 100
 
 #: Default request-body cap (1 MiB holds ~thousands of wire queries).
 DEFAULT_MAX_BODY_BYTES = 1 << 20
+
+#: Bounds of the request memo: how many validated request documents are
+#: remembered, and the largest body that is (a bigger one is parsed on
+#: every arrival). Together they cap what the memo can pin at 8 MiB of
+#: request bytes.
+REQUEST_MEMO_ENTRIES = 1024
+REQUEST_MEMO_MAX_BODY_BYTES = 8 * 1024
+
+
+def _head(query, **envelope) -> bytes:
+    """A response object for ``query``, open for its ``"result"``.
+
+    ``json.dumps`` of a dict is the concatenation of its members'
+    renderings, so ``_head(q) + json.dumps(r) + b"}"`` is byte for byte
+    ``json.dumps({"query": ..., "columns": ..., "result": r})``.
+    """
+    fields = {
+        **envelope,
+        "query": query.name,
+        "columns": [v.name for v in query.projection],
+    }
+    return (json.dumps(fields)[:-1] + ', "result": ').encode("utf-8")
+
+
+def _query_head(parsed) -> bytes:
+    """Everything of a ``/v1/query`` response body before the result."""
+    return _head(parsed.query, api_version=API_VERSION)
+
+
+def _batch_heads(parsed) -> list[bytes]:
+    """The same for each entry of a ``/v1/batch`` response."""
+    return [_head(req.query) for req in parsed]
+
+
+_BATCH_OPEN = (
+    json.dumps({"api_version": API_VERSION})[:-1] + ', "results": ['
+).encode("utf-8")
 
 
 class _Response:
@@ -278,6 +325,42 @@ class HTTPQueryServer:
             lambda: self._swaps,
             kind="counter",
         )
+        # The hit path's two memos, observed the same way (event-loop
+        # thread only): validated request documents by their bytes, and
+        # how often a response embedded a result's kept rendering
+        # instead of rendering it.
+        self._request_memo = LRUCache(REQUEST_MEMO_ENTRIES)
+        self._fragment_renders = 0
+        self._fragment_reuses = 0
+
+        def memo_lookups() -> dict:
+            stats = self._request_memo.stats()
+            return {("hit",): stats.hits, ("miss",): stats.misses}
+
+        self.metrics.callback(
+            "repro_http_request_memo_lookups_total",
+            "Request bodies looked up in the parsed-request memo, by "
+            "outcome (bodies above the memo's size cap are not looked up).",
+            memo_lookups,
+            kind="counter",
+            labelnames=("outcome",),
+        )
+        self.metrics.callback(
+            "repro_http_request_memo_size",
+            "Validated request documents currently memoized.",
+            lambda: len(self._request_memo),
+        )
+        self.metrics.callback(
+            "repro_cache_result_fragments_total",
+            "Result objects embedded in responses: rendered (decoded "
+            "and JSON-encoded) or reused from the result-cache entry.",
+            lambda: {
+                ("rendered",): self._fragment_renders,
+                ("reused",): self._fragment_reuses,
+            },
+            kind="counter",
+            labelnames=("outcome",),
+        )
         self.metrics.callback(
             "repro_http_traces_buffered",
             "Finished traces retained in the ring buffer.",
@@ -463,6 +546,7 @@ class HTTPQueryServer:
 
     def http_stats(self) -> dict:
         """HTTP-level gauges and counters (the ``/v1/stats`` ``http`` key)."""
+        memo = self._request_memo.stats()
         return {
             "in_flight": self._in_flight,
             "max_pending": self.max_pending,
@@ -473,6 +557,16 @@ class HTTPQueryServer:
             "services_draining": len(self._drain_events),
             "traces_buffered": len(self.traces),
             "recent_trace_ids": self.traces.recent_ids(8),
+            "request_memo": {
+                "hits": memo.hits,
+                "misses": memo.misses,
+                "size": memo.size,
+                "maxsize": memo.maxsize,
+            },
+            "result_fragments": {
+                "rendered": self._fragment_renders,
+                "reused": self._fragment_reuses,
+            },
         }
 
     # ------------------------------------------------------------------
@@ -666,37 +760,84 @@ class HTTPQueryServer:
         )
         return None if budget is None else Deadline(budget)
 
+    def _parsed(self, request: Request, parse, heads, trace) -> tuple:
+        """The validated document of ``request`` and its response head(s).
+
+        Parsing is a pure function of the body bytes, the
+        ``X-Repro-Timeout`` value and ``default_row_limit``, and what it
+        returns is immutable, so the outcome is remembered under exactly
+        those bytes: a repeated request costs one dict probe, and its
+        shared :class:`~repro.query.model.ConjunctiveQuery` carries its
+        signatures with it. Nothing here depends on the service or its
+        data, so there is nothing to invalidate, across a swap either.
+        A request that raises is never stored — it is parsed, and
+        refused, again each time.
+
+        Either way this is the trace's ``parse`` span. It is timed
+        inline rather than through the span() context manager (this runs
+        on every traced request, and the with-block costs about a
+        microsecond more) and starts at the trace's own birth (offset
+        0.0), so it also covers admission and routing and the stage sum
+        stays tight against end-to-end latency.
+        """
+        try:
+            body = request.body
+            timeout = request.headers.get("x-repro-timeout")
+            memoize = len(body) <= REQUEST_MEMO_MAX_BODY_BYTES
+            if memoize:
+                key = (request.path, body, timeout)
+                entry = self._request_memo.get(key)
+                if entry is not None:
+                    return entry
+            parsed = parse(
+                parse_json_body(body),
+                header_timeout=parse_header_timeout(timeout),
+                default_limit=self.default_row_limit,
+            )
+            entry = (parsed, heads(parsed))
+            if memoize:
+                self._request_memo.put(key, entry)
+            return entry
+        finally:
+            if trace is not None:
+                trace.spans.append(
+                    ("parse", 0.0, time.perf_counter() - trace._t0, False)
+                )
+
+    def _result_json(self, service, result, limit) -> bytes:
+        """``result`` as the JSON object a response embeds.
+
+        A result-cache hit hands every caller the cache entry's own
+        result object, which keeps its last rendering: the bytes live
+        and die with the entry, under the entry's validity rule.
+        """
+        dictionary = service.store.dictionary
+        fragment = result.memoized_json(dictionary, limit)
+        if fragment is not None:
+            self._fragment_reuses += 1
+            return fragment
+        self._fragment_renders += 1
+        return result.to_json(dictionary, limit)
+
+    @staticmethod
+    def _trace_member(trace: "Trace | None") -> bytes:
+        """The ``"trace"`` member ``include_trace`` appends to a body.
+
+        Echoes whatever is recorded so far; the trace is sealed
+        (duration stamped, ring-buffered) after serialization.
+        """
+        doc = trace.to_dict() if trace is not None else None
+        return b', "trace": ' + json.dumps(doc).encode("utf-8")
+
     async def _handle_query(self, request: Request) -> _Response:
         # Must be the first statement: _dispatch's attribute store is
         # only safe to read before this coroutine first suspends.
         trace = self._active_trace
-        header_timeout = parse_header_timeout(
-            request.headers.get("x-repro-timeout")
+        parsed, head = self._parsed(
+            request, parse_query_request, _query_head, trace
         )
         if trace is not None:
-            # Spans on this path are timed inline rather than through
-            # the span() context manager: this runs on every traced
-            # request, and the with-block costs about a microsecond
-            # more. The parse span starts at the trace's own birth
-            # (offset 0.0), so it also covers admission and routing and
-            # the stage sum stays tight against end-to-end latency.
-            try:
-                parsed = parse_query_request(
-                    parse_json_body(request.body),
-                    header_timeout=header_timeout,
-                    default_limit=self.default_row_limit,
-                )
-            finally:
-                trace.spans.append(
-                    ("parse", 0.0, time.perf_counter() - trace._t0, False)
-                )
             trace._query = parsed.query
-        else:
-            parsed = parse_query_request(
-                parse_json_body(request.body),
-                header_timeout=header_timeout,
-                default_limit=self.default_row_limit,
-            )
         self._admit(1)
         # Capture the service once: a swap between the await and the
         # serialization below must not mix generations, and the lease
@@ -707,7 +848,12 @@ class HTTPQueryServer:
             future = service.submit(
                 parsed.query, deadline, parsed.materialize, trace=trace
             )
-            result = await asyncio.wrap_future(future)
+            # A result-cache hit comes back already completed: take it
+            # here instead of paying a loop round trip to be told so.
+            result = (
+                future.result() if future.done()
+                else await asyncio.wrap_future(future)
+            )
             if trace is not None:
                 # A reference, not a copy: the slow-query log derives
                 # the plan shape from this lazily, for the rare slow
@@ -715,26 +861,15 @@ class HTTPQueryServer:
                 # when the dispatcher seals the trace.
                 trace._stats = result.stats
                 trace._mark = time.perf_counter()
-                return self._query_response(service, parsed, result, trace)
-            return self._query_response(service, parsed, result, None)
+            return _Response(200, body=b"".join((
+                head,
+                self._result_json(service, result, parsed.limit),
+                self._trace_member(trace) if parsed.include_trace else b"",
+                b"}",
+            )))
         finally:
             self._unlease(service)
             self._release(1)
-
-    def _query_response(self, service, parsed, result, trace) -> _Response:
-        payload = {
-            "api_version": API_VERSION,
-            "query": parsed.query.name,
-            "columns": [v.name for v in parsed.query.projection],
-            "result": result.to_dict(
-                service.store.dictionary, limit=parsed.limit
-            ),
-        }
-        if parsed.include_trace:
-            # Echo whatever is recorded so far; the trace is sealed
-            # (duration stamped, ring-buffered) after serialization.
-            payload["trace"] = trace.to_dict() if trace is not None else None
-        return _Response(200, payload)
 
     async def _handle_batch(self, request: Request) -> _Response:
         # One trace covers the whole batch: per-query engine spans land
@@ -743,27 +878,11 @@ class HTTPQueryServer:
         # single-query requests. Read before the first suspension, like
         # _handle_query.
         trace = self._active_trace
-        header_timeout = parse_header_timeout(
-            request.headers.get("x-repro-timeout")
+        parsed, heads = self._parsed(
+            request, parse_batch_request, _batch_heads, trace
         )
         if trace is not None:
-            try:
-                parsed = parse_batch_request(
-                    parse_json_body(request.body),
-                    header_timeout=header_timeout,
-                    default_limit=self.default_row_limit,
-                )
-            finally:
-                trace.spans.append(
-                    ("parse", 0.0, time.perf_counter() - trace._t0, False)
-                )
             trace.annotations["queries"] = len(parsed)
-        else:
-            parsed = parse_batch_request(
-                parse_json_body(request.body),
-                header_timeout=header_timeout,
-                default_limit=self.default_row_limit,
-            )
         self._admit(len(parsed))
         service = self._lease(self.service)
         try:
@@ -776,28 +895,35 @@ class HTTPQueryServer:
                 )
                 for req in parsed
             ]
-            dictionary = service.store.dictionary
-            results = []
-            for req, future in zip(parsed, futures):
-                entry: dict = {"query": req.query.name}
+            entries = []
+            for req, head, future in zip(parsed, heads, futures):
                 try:
-                    result = await asyncio.wrap_future(future)
+                    result = (
+                        future.result() if future.done()
+                        else await asyncio.wrap_future(future)
+                    )
                 except ReproError as exc:
                     # Same per-query isolation as evaluate_many(
                     # return_exceptions=True): one bad query marks its
                     # slot, the rest of the batch still answers.
                     _status, code, message = map_exception(exc)
-                    entry["error"] = {"code": code, "message": message}
+                    entries.append(json.dumps({
+                        "query": req.query.name,
+                        "error": {"code": code, "message": message},
+                    }).encode("utf-8"))
                 else:
-                    entry["columns"] = [v.name for v in req.query.projection]
-                    entry["result"] = result.to_dict(dictionary, limit=req.limit)
-                results.append(entry)
-            payload = {"api_version": API_VERSION, "results": results}
-            if parsed and parsed[0].include_trace:
-                payload["trace"] = (
-                    trace.to_dict() if trace is not None else None
-                )
-            return _Response(200, payload)
+                    entries.append(b"".join((
+                        head,
+                        self._result_json(service, result, req.limit),
+                        b"}",
+                    )))
+            return _Response(200, body=b"".join((
+                _BATCH_OPEN,
+                b", ".join(entries),
+                b"]",
+                self._trace_member(trace) if parsed[0].include_trace else b"",
+                b"}",
+            )))
         finally:
             self._unlease(service)
             self._release(len(parsed))
@@ -883,10 +1009,11 @@ class HTTPQueryServer:
     def _handle_metrics(self) -> _Response:
         """Prometheus text exposition over both registries.
 
-        The server's own registry (``repro_http_*``) and the current
-        service's (``repro_service_*``, ``repro_cache_*``,
-        ``repro_wal_*``, ...) render as one document; their name spaces
-        are disjoint by construction.
+        The server's own registry (``repro_http_*``, plus the one
+        ``repro_cache_result_fragments_total`` it counts itself) and the
+        current service's (``repro_service_*``, ``repro_cache_*``,
+        ``repro_wal_*``, ...) render as one document; no family name
+        appears in both.
         """
         text = render_registries(self.metrics, self.service.metrics)
         return _Response(

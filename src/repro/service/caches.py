@@ -168,7 +168,13 @@ class PlanCache(LRUCache):
 
 class _ResultEntry:
     """One cached result: the predicate versions it is valid for, and
-    the last store epoch at which they were seen to still hold."""
+    the last store epoch at which they were seen to still hold.
+
+    ``result`` is the one object every hit returns, so what it memoizes
+    (:meth:`EngineResult.to_json`'s rendering) lives exactly as long as
+    the entry: dropped as stale, evicted or discarded with it, and
+    governed by no rule of its own.
+    """
 
     __slots__ = ("epoch", "versions", "result")
 
@@ -221,6 +227,7 @@ class ResultCache(LRUCache):
         versions: Versions,
         result: EngineResult,
     ) -> None:
-        """Cache ``result`` as computed at ``versions``, which held at
-        store epoch ``epoch``."""
+        """Cache ``result`` — the object hits will return, shared and
+        read-only from here on — as computed at ``versions``, which held
+        at store epoch ``epoch``."""
         self.put(signature, _ResultEntry(epoch, versions, result))

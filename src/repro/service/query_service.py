@@ -746,13 +746,13 @@ class QueryService:
             result_key, epoch, lambda: self._versions(query)
         )
         if cached is not None:
-            # Served without touching the pool: complete the future now.
+            # Served without touching the pool: complete the future now,
+            # with the entry's own hit-annotated result (and whatever
+            # rendering of it the entry already carries).
             self.stats.record_result_cache_short_circuit()
             self.stats.record_latency(0.0, 0.0, 0.0)
             future: "Future[EngineResult]" = Future()
-            future.set_result(
-                self._annotate(cached, "cached", "hit", queue_seconds=0.0)
-            )
+            future.set_result(cached)
             return future
 
         # Read before evaluation starts: _run caches its result only if
@@ -813,8 +813,8 @@ class QueryService:
     ):
         """Completion hook chaining a coalesced follower to its leader.
 
-        Success propagates the leader's result (re-annotated, since each
-        caller gets its own stats dict). A leader *timeout* only proves
+        Success propagates the leader's result (re-annotated as
+        ``coalesced`` on a copy). A leader *timeout* only proves
         the leader's budget was too small, so the follower is resubmitted
         under its own deadline; any other failure propagates as-is.
         """
@@ -981,8 +981,11 @@ class QueryService:
             # the stamp is never newer than what it vouches for.
             epoch = self.store.epoch
             if self._versions(query) == versions:
+                # Annotated once, here: every inline hit returns this
+                # object as it is.
                 self.result_cache.put_result(
-                    result_key, epoch, versions, result
+                    result_key, epoch, versions,
+                    self._annotate(result, "cached", "hit"),
                 )
             outcome = "ok"
             self.stats.record_latency(queue_seconds, t1 - t0, exec_seconds)
@@ -1005,10 +1008,13 @@ class QueryService:
         result_outcome: str = "miss",
         queue_seconds: float = 0.0,
     ) -> EngineResult:
-        """A shallow copy of ``result`` carrying per-call service stats.
+        """A shallow copy of ``result`` carrying service stats.
 
-        Cached results are shared across callers, so the base object is
-        never mutated; each caller gets its own ``stats`` dict.
+        The base object is never mutated. A miss, a coalesced follower
+        and a hit that waited in the queue each get their own copy; the
+        inline-hit result (``cached / hit / 0.0``) is built once per
+        cache entry, shared by every caller it is served to, and must be
+        treated as read-only.
         """
         service_stats = {
             "plan_cache": plan_outcome,

@@ -13,6 +13,10 @@ cached plan is only valid for queries whose edge list lines up
 index-for-index. Queries that are equivalent only after permuting edges
 get distinct signatures and plan independently — a deliberate trade of
 hit rate for correctness.
+
+A :class:`~repro.query.model.ConjunctiveQuery` is immutable, so both
+signatures are memoized on the query object: a request the HTTP front
+end parsed once and keeps sharing is signed once.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ def query_signature(query: ConjunctiveQuery) -> QuerySignature:
     >>> query_signature(a) == query_signature(b)
     True
     """
+    signature = query._query_signature
+    if signature is not None:
+        return signature
     var_index = {v: i for i, v in enumerate(query.variables)}
 
     def token(term) -> tuple:
@@ -49,7 +56,8 @@ def query_signature(query: ConjunctiveQuery) -> QuerySignature:
         for edge in query.edges
     )
     projection = tuple(var_index[v] for v in query.projection)
-    return (edges, projection, query.distinct)
+    signature = query._query_signature = (edges, projection, query.distinct)
+    return signature
 
 
 def plan_signature(query: ConjunctiveQuery) -> QuerySignature:
@@ -72,6 +80,9 @@ def plan_signature(query: ConjunctiveQuery) -> QuerySignature:
     >>> query_signature(a) == query_signature(b)
     False
     """
+    signature = query._plan_signature
+    if signature is not None:
+        return signature
     var_index = {v: i for i, v in enumerate(query.variables)}
     const_index: dict[str, int] = {}
 
@@ -82,7 +93,8 @@ def plan_signature(query: ConjunctiveQuery) -> QuerySignature:
             const_index[term.term] = len(const_index)
         return ("c", const_index[term.term])
 
-    return tuple(
+    signature = query._plan_signature = tuple(
         (token(edge.subject), edge.predicate, token(edge.object))
         for edge in query.edges
     )
+    return signature

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import ParseError
-from repro.query.model import Const, Var
+from repro.query.model import ConjunctiveQuery, Const, Var
 from repro.query.parser import parse_sparql
+
+from tests.properties.strategies import LABELS, PHASE2_SHAPES
 
 
 def test_paper_figure1_query():
@@ -88,6 +90,37 @@ def test_numeric_object():
 def test_optional_trailing_dot():
     q = parse_sparql("select ?x where { ?x p ?y . ?y q ?z }")
     assert len(q.edges) == 2
+
+
+#: How a shape's node constants are spelled: as the property suites
+#: write them, and as prefixed names whose local part holds more colons
+#: (the benchmark fixture's planted ``witness:wD2:z`` nodes).
+CONSTANT_SPELLINGS = {
+    "plain": {"n0": "n0", "n1": "n1"},
+    "two-colon": {"n0": "witness:wD2:z", "n1": "ns:a:b:c"},
+}
+
+
+@pytest.mark.parametrize("spelling", CONSTANT_SPELLINGS.values(),
+                         ids=CONSTANT_SPELLINGS.keys())
+@pytest.mark.parametrize("shape", PHASE2_SHAPES.values(),
+                         ids=PHASE2_SHAPES.keys())
+def test_to_sparql_round_trips(shape, spelling):
+    query = ConjunctiveQuery([
+        (spelling.get(s, s), LABELS[slot], spelling.get(o, o))
+        for s, slot, o in shape
+    ])
+    assert parse_sparql(query.to_sparql()) == query
+
+
+def test_colons_in_local_part():
+    q = parse_sparql(
+        "prefix w: <http://w/> select ?x where { ?x p w:a:b . ?x q u:c:d. }"
+    )
+    assert q.edges[0].object == Const("<http://w/a:b>")
+    # A '.' directly after a prefixed name still belongs to its local
+    # part; to_sparql() always writes the separating space.
+    assert q.edges[1].object == Const("u:c:d.")
 
 
 def test_comments_ignored():

@@ -44,6 +44,12 @@ class Client:
     def post(self, path, body, headers=None):
         return self.request("POST", path, body=body, headers=headers)
 
+    def post_raw(self, path, body: bytes, headers=None):
+        """POST exact request bytes; returns ``(status, body-bytes)``."""
+        self.conn.request("POST", path, body=body, headers=headers or {})
+        response = self.conn.getresponse()
+        return response.status, response.read()
+
     def close(self):
         self.conn.close()
 

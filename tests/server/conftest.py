@@ -44,3 +44,17 @@ def client(server):
     c = Client(server.address)
     yield c
     c.close()
+
+
+@pytest.fixture
+def fresh(mini_yago, mini_yago_catalog):
+    """``(service, client)`` with empty caches behind its own server, so
+    a test's first request is a miss and its counters start at zero,
+    whatever ran before it."""
+    with QueryService(mini_yago, catalog=mini_yago_catalog) as svc:
+        with serve_in_background(svc) as handle:
+            c = Client(handle.address)
+            try:
+                yield svc, c
+            finally:
+                c.close()

@@ -10,14 +10,22 @@ columnar alike.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.datasets.paper_queries import (
     paper_diamond_queries,
     paper_snowflake_queries,
 )
+from repro.query.model import ConjunctiveQuery
 from repro.query.parser import parse_query
-from repro.server.wire import API_VERSION
+from repro.server.app import DEFAULT_ROW_LIMIT
+from repro.server.wire import (
+    API_VERSION,
+    parse_batch_request,
+    parse_query_request,
+)
 
 PAPER_QUERIES = paper_snowflake_queries()[:3] + paper_diamond_queries()[:3]
 
@@ -219,3 +227,163 @@ def test_body_timeout_wins_over_header(client):
     )
     assert status == 504
     assert payload["error"]["code"] == "timeout"
+
+
+# ----------------------------------------------------------------------
+# The memoized hit path: same bytes as json.dumps(payload), own heads
+# ----------------------------------------------------------------------
+
+HIT_STATS = {"plan_cache": "cached", "result_cache": "hit", "queue_seconds": 0.0}
+CREATED = "select ?a, ?b where { ?a created ?b }"
+
+
+def _entry_result_doc(svc, req, served: dict) -> dict:
+    """What ``to_dict`` gives for the result-cache entry behind ``req``.
+
+    ``served`` is the result object a response carried: its per-call
+    ``service`` stats (a miss's queue time cannot be known from here)
+    are taken over, everything else comes from the entry.
+    """
+    result = svc.evaluate(req.query, materialize=req.materialize)
+    assert result.stats["service"] == HIT_STATS
+    doc = result.to_dict(svc.store.dictionary, limit=req.limit)
+    doc["stats"]["service"] = served["stats"]["service"]
+    return doc
+
+
+def _dumped_query_payload(svc, doc: dict, reply: bytes) -> bytes:
+    """``json.dumps`` of the payload dict the handler used to build for
+    the request document ``doc``, given the ``reply`` it was served."""
+    req = parse_query_request(doc, default_limit=DEFAULT_ROW_LIMIT)
+    got = json.loads(reply)
+    payload = {
+        "api_version": API_VERSION,
+        "query": req.query.name,
+        "columns": [v.name for v in req.query.projection],
+        "result": _entry_result_doc(svc, req, got["result"]),
+    }
+    if req.include_trace:
+        payload["trace"] = got["trace"]
+    return json.dumps(payload).encode("utf-8")
+
+
+@pytest.mark.parametrize("include_trace", [False, True], ids=["plain", "trace"])
+@pytest.mark.parametrize(
+    "limit", [{"limit": 0}, {"limit": 3}, {}, {"limit": None}],
+    ids=["limit0", "limit3", "default", "null"],
+)
+@pytest.mark.parametrize("materialize", [True, False], ids=["rows", "count"])
+def test_memoized_query_body_is_json_dumps_of_the_payload(
+    fresh, materialize, limit, include_trace
+):
+    svc, fresh_client = fresh
+    doc = {"sparql": CREATED, "materialize": materialize, **limit}
+    if include_trace:
+        doc["include_trace"] = True
+    body = json.dumps(doc).encode()
+    replies = [fresh_client.post_raw("/v1/query", body) for _ in range(3)]
+    assert [status for status, _ in replies] == [200, 200, 200]
+    outcomes = [
+        json.loads(reply)["result"]["stats"]["service"] for _, reply in replies
+    ]
+    assert outcomes[0]["result_cache"] == "miss"
+    assert outcomes[1:] == [HIT_STATS, HIT_STATS]
+    for _, reply in replies:
+        assert reply == _dumped_query_payload(svc, doc, reply)
+    if not include_trace:
+        assert replies[1][1] == replies[2][1]
+
+
+def test_memoized_batch_body_with_a_failing_entry(fresh):
+    svc, fresh_client = fresh
+    doomed = parse_query(
+        "select ?a where { ?a actedIn ?b . ?b locatedIn ?c }"
+    ).to_dict()
+    docs = [{"queries": [CREATED]}] + 2 * [
+        {"queries": [doomed, CREATED], "timeout_seconds": 1e-6}
+    ]
+    outcomes = []
+    for doc in docs:
+        status, reply = fresh_client.post_raw(
+            "/v1/batch", json.dumps(doc).encode()
+        )
+        assert status == 200
+        got = json.loads(reply)
+        results = []
+        for req, entry in zip(
+            parse_batch_request(doc, default_limit=DEFAULT_ROW_LIMIT),
+            got["results"],
+        ):
+            if "error" in entry:
+                assert entry["error"]["code"] == "timeout"
+                results.append(
+                    {"query": req.query.name, "error": entry["error"]}
+                )
+                continue
+            outcomes.append(entry["result"]["stats"]["service"]["result_cache"])
+            results.append({
+                "query": req.query.name,
+                "columns": [v.name for v in req.query.projection],
+                "result": _entry_result_doc(svc, req, entry["result"]),
+            })
+        assert [("error" in entry) for entry in got["results"]] == (
+            [False] if len(doc["queries"]) == 1 else [True, False]
+        )
+        payload = {"api_version": API_VERSION, "results": results}
+        assert reply == json.dumps(payload).encode("utf-8")
+    assert outcomes == ["miss", "hit", "hit"]
+
+
+def test_alpha_renamed_queries_share_a_result_but_not_a_head(fresh):
+    svc, fresh_client = fresh
+    first = ConjunctiveQuery([("?x", "created", "?y")], name="first")
+    second = ConjunctiveQuery([("?a", "created", "?b")], name="second")
+    payloads = []
+    for query in (first, second, first, second):
+        status, payload, _ = fresh_client.post(
+            "/v1/query", {"query": query.to_dict()}
+        )
+        assert status == 200
+        assert payload["query"] == query.name
+        assert payload["columns"] == [v.name for v in query.projection]
+        payloads.append(payload)
+    assert svc.result_cache.stats().size == 1
+    assert [p["result"]["stats"]["service"]["result_cache"] for p in payloads] == [
+        "miss", "hit", "hit", "hit",
+    ]
+    assert payloads[1]["result"] == payloads[2]["result"] == payloads[3]["result"]
+
+
+def _memo(fresh_client) -> dict:
+    return fresh_client.get("/v1/stats")[1]["http"]["request_memo"]
+
+
+def test_timeout_header_is_part_of_what_is_memoized(fresh):
+    """One body under two ``X-Repro-Timeout`` values is two requests:
+    the impossible budget times out, the generous one answers."""
+    _svc, fresh_client = fresh
+    body = json.dumps(
+        {"sparql": "select ?a where { ?a hasWonPrize ?b . ?a diedIn ?c }"}
+    ).encode()
+    for header, want in (("0.000001", 504), ("30", 200), ("junk", 400),
+                         ("junk", 400)):
+        status, _reply = fresh_client.post_raw(
+            "/v1/query", body, headers={"X-Repro-Timeout": header}
+        )
+        assert status == want
+    memo = _memo(fresh_client)
+    # The two well-formed headers were stored, the malformed one never.
+    assert (memo["hits"], memo["misses"], memo["size"]) == (0, 4, 2)
+
+
+def test_a_refused_body_is_parsed_and_refused_again(fresh):
+    _svc, fresh_client = fresh
+    replies = [
+        fresh_client.post_raw("/v1/query", b'{"sparql": "select ?x where {"}')
+        for _ in range(2)
+    ]
+    assert replies[0] == replies[1]
+    assert replies[0][0] == 400
+    assert json.loads(replies[0][1])["error"]["code"] == "parse_error"
+    memo = _memo(fresh_client)
+    assert (memo["hits"], memo["misses"], memo["size"]) == (0, 2, 0)

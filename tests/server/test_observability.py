@@ -202,6 +202,34 @@ def test_metrics_strict_parse_and_request_accounting(client):
     assert sample_value(families, "repro_service_queue_depth") is not None
 
 
+def test_hit_path_memos_are_observable(fresh):
+    """Request-memo lookups/size and fragment renders vs reuses, the
+    same numbers in ``/metrics`` and under ``/v1/stats`` ``http``."""
+    _svc, fresh_client = fresh
+    for _ in range(4):
+        assert fresh_client.post("/v1/query", {"sparql": SPARQL})[0] == 200
+    assert fresh_client.post("/v1/query", {"sparql": "select"})[0] == 400
+    _status, text, _ = fresh_client.get_text("/metrics")
+    http = fresh_client.get("/v1/stats")[1]["http"]
+    families = parse_exposition(text)
+    lookups = "repro_http_request_memo_lookups_total"
+    fragments = "repro_cache_result_fragments_total"
+    assert families[lookups]["type"] == families[fragments]["type"] == "counter"
+    assert families["repro_http_request_memo_size"]["type"] == "gauge"
+    # One parse served four requests; the refused body was looked up,
+    # missed, and never stored.
+    assert sample_value(families, lookups, {"outcome": "hit"}) == 3
+    assert sample_value(families, lookups, {"outcome": "miss"}) == 2
+    assert sample_value(families, "repro_http_request_memo_size") == 1
+    # The miss rendered its own copy, the first hit the entry's.
+    assert sample_value(families, fragments, {"outcome": "rendered"}) == 2
+    assert sample_value(families, fragments, {"outcome": "reused"}) == 2
+    assert http["request_memo"] == {
+        "hits": 3, "misses": 2, "size": 1, "maxsize": 1024,
+    }
+    assert http["result_fragments"] == {"rendered": 2, "reused": 2}
+
+
 def test_metrics_scrape_route_is_label_bounded(client):
     client.get_text("/metrics")
     client.get("/no/such/route")

@@ -9,6 +9,7 @@ the last leased response has been fully serialized.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 from concurrent.futures import Future
@@ -68,6 +69,41 @@ def test_swap_changes_answers_for_subsequent_requests():
                 assert stats["http"]["services_draining"] == 0
             finally:
                 client.close()
+
+
+def test_memoized_request_is_answered_from_the_new_service():
+    """The request memo outlives a swap — it holds parsed requests, no
+    data — while the rendered fragment lives in the old service's result
+    cache and is simply never consulted again."""
+    body = b'{"sparql": "select ?a, ?b where { ?a knows ?b }"}'
+    with QueryService(_store(3)) as small, QueryService(_store(7)) as big:
+        with serve_in_background(small) as handle:
+            client = make_client(handle)
+            try:
+                before = [client.post_raw("/v1/query", body) for _ in range(3)]
+                assert before[1] == before[2]  # memoized request + fragment
+
+                async def swap():
+                    return handle.server.swap_service(big)
+
+                _on_loop(handle, swap()).result(timeout=10)
+                after = [client.post_raw("/v1/query", body) for _ in range(3)]
+                _status, stats, _ = client.get("/v1/stats")
+            finally:
+                client.close()
+    counts = [json.loads(reply)["result"]["count"] for _, reply in before + after]
+    assert counts == [3, 3, 3, 7, 7, 7]
+    outcomes = [
+        json.loads(reply)["result"]["stats"]["service"]["result_cache"]
+        for _, reply in after
+    ]
+    assert outcomes == ["miss", "hit", "hit"]
+    assert after[1] == after[2] != before[2]
+    # Parsed once for all six; each service rendered its miss and its
+    # entry's fragment, and reused the latter once.
+    assert stats["http"]["request_memo"]["misses"] == 1
+    assert stats["http"]["request_memo"]["hits"] == 5
+    assert stats["http"]["result_fragments"] == {"rendered": 4, "reused": 2}
 
 
 class ManualService:

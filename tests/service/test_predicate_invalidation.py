@@ -3,9 +3,15 @@
 A stateful interleaving of writes to predicate ``A`` with cached reads
 over ``A`` and ``B``: no answer may ever be stale, a query the write
 could not affect must keep hitting, and one it could must miss exactly
-once. Runs on whichever backend ``REPRO_BACKEND`` selects.
+once. The same machine runs a second time with every read going
+through a live HTTP server, where a hit is a memoized request plus the
+bytes the result-cache entry rendered earlier: those bytes must change
+with the next write to the query's predicate and be reused across any
+other. Runs on whichever backend ``REPRO_BACKEND`` selects.
 """
 
+import http.client
+import json
 import sys
 import threading
 
@@ -16,6 +22,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.core.engine import WireframeEngine
 from repro.graph.store import TripleStore
 from repro.query.parser import parse_sparql
+from repro.server import serve_in_background
 from repro.service.query_service import QueryService
 from repro.stats.catalog import build_catalog
 
@@ -67,16 +74,22 @@ class WritesBesideCachedReads(RuleBasedStateMachine):
             [t for t in ids if None not in t]
         ))
 
+    def _read(self, name) -> tuple[list, str]:
+        """The served rows (decoded) and the result-cache outcome."""
+        got = self.service.evaluate(QUERIES[name])
+        return (
+            got.decoded_rows(self.store.dictionary),
+            got.stats["service"]["result_cache"],
+        )
+
     @rule(name=st.sampled_from(sorted(QUERIES)))
     def read(self, name):
-        query = QUERIES[name]
-        got = self.service.evaluate(query)
-        want = WireframeEngine(self.store).evaluate(query)
-        if sorted(got.rows) != sorted(want.rows):
+        rows, outcome = self._read(name)
+        want = WireframeEngine(self.store).evaluate(QUERIES[name])
+        if sorted(rows) != sorted(want.decoded_rows(self.store.dictionary)):
             self.stale += 1
         # B's entry outlives every write; one over a written label
         # misses once, then hits again.
-        outcome = got.stats["service"]["result_cache"]
         assert outcome == ("miss" if name in self.must_miss else "hit"), name
         self.must_miss.discard(name)
 
@@ -89,6 +102,51 @@ TestWritesBesideCachedReads = WritesBesideCachedReads.TestCase
 TestWritesBesideCachedReads.settings = settings(
     max_examples=30, stateful_step_count=25, deadline=None
 )
+
+
+class WritesBesideReadsOverHttp(WritesBesideCachedReads):
+    """The same interleaving, read as response bytes."""
+
+    def __init__(self):
+        super().__init__()
+        self.handle = serve_in_background(self.service)
+        self.conn = http.client.HTTPConnection(*self.handle.address, timeout=30)
+        self.bodies = {
+            name: json.dumps(
+                {"sparql": query.to_sparql(), "limit": None}
+            ).encode()
+            for name, query in QUERIES.items()
+        }
+        #: Queries whose cache entry has rendered its fragment: the next
+        #: hit must reuse it, not render.
+        self.rendered: set = set()
+
+    def teardown(self):
+        self.conn.close()
+        self.handle.shutdown()
+        super().teardown()
+
+    def _read(self, name):
+        before = self.handle.server.http_stats()["result_fragments"]
+        self.conn.request("POST", "/v1/query", body=self.bodies[name])
+        response = self.conn.getresponse()
+        reply = response.read()
+        assert response.status == 200
+        result = json.loads(reply)["result"]
+        outcome = result["stats"]["service"]["result_cache"]
+        after = self.handle.server.http_stats()["result_fragments"]
+        reused = outcome == "hit" and name in self.rendered
+        assert after == {
+            "rendered": before["rendered"] + (not reused),
+            "reused": before["reused"] + reused,
+        }, name
+        # A miss renders its own copy; the entry renders on its first hit.
+        (self.rendered.add if outcome == "hit" else self.rendered.discard)(name)
+        return [tuple(row) for row in result["rows"]], outcome
+
+
+TestWritesBesideReadsOverHttp = WritesBesideReadsOverHttp.TestCase
+TestWritesBesideReadsOverHttp.settings = TestWritesBesideCachedReads.settings
 
 
 def test_write_read_mix_cycle_counts():
