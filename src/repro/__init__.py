@@ -97,13 +97,10 @@ from repro.query import (
 from repro.stats import Catalog, CardinalityEstimator, build_catalog
 from repro.planner import (
     AGPlan,
-    BushyPlan,
     Chordification,
     Edgifier,
     EmbeddingPlan,
     Triangulator,
-    bushy_embedding_plan,
-    dp_embedding_plan,
     greedy_embedding_plan,
 )
 from repro.core import (
@@ -247,9 +244,6 @@ __all__ = [
     "Edgifier",
     "Triangulator",
     "greedy_embedding_plan",
-    "dp_embedding_plan",
-    "BushyPlan",
-    "bushy_embedding_plan",
     # core
     "AnswerGraph",
     "generate_answer_graph",

@@ -11,7 +11,8 @@
 * :mod:`repro.core.generation` — phase-1 orchestration (with tracing).
 * :mod:`repro.core.reference` — the retained tuple-at-a-time phase-1
   implementation (equivalence oracle and benchmark baseline).
-* :mod:`repro.core.defactorize` — phase 2: embedding generation.
+* :mod:`repro.core.defactorize` — phase 2, the one executor: embedding
+  generation and counting along a connected edge order.
 * :mod:`repro.core.ideal` — oracle reference implementations.
 * :mod:`repro.core.engine` — the end-to-end Wireframe engine.
 """
@@ -25,7 +26,6 @@ from repro.core.kernels import (
 )
 from repro.core.generation import GenerationStats, GenerationTrace, generate_answer_graph
 from repro.core.defactorize import count_embeddings, iter_embeddings, materialize_embeddings
-from repro.core.bushy_exec import materialize_embeddings_bushy
 from repro.core.factorized import (
     count_embeddings_factorized,
     sample_embedding,
@@ -51,7 +51,6 @@ __all__ = [
     "iter_embeddings",
     "materialize_embeddings",
     "count_embeddings",
-    "materialize_embeddings_bushy",
     "count_embeddings_factorized",
     "variable_marginals",
     "sample_embedding",

@@ -26,9 +26,10 @@ as the output format allows:
   no per-row Python. Counting multiplies the pool sizes instead.
 
 The join order is an :class:`~repro.planner.plan.EmbeddingPlan`: any
-connected order yields the same rows on any AG; on non-ideal AGs and
-cyclic queries it changes the intermediate work, which is why the
-embedding planner exists. Row order is unspecified (set iteration).
+connected order yields the same rows on any AG. All it decides is the
+order of the skeleton variables, which on non-ideal AGs and cyclic
+queries changes how many partial assignments a later intersection
+discards. Row order is unspecified (set iteration).
 """
 
 from __future__ import annotations

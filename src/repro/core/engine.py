@@ -8,9 +8,12 @@ Wires together the whole pipeline of the paper's Fig. 3:
 2. **Answer-graph generation** — interleaved edge extension and node
    burnback (plus chord materialization and, optionally, edge
    burnback).
-3. **Embedding plan** — greedy (the prototype's default, §5) or DP join
-   order from the *actual* AG statistics.
-4. **Defactorization** — embeddings are joined from the AG.
+3. **Embedding plan** — the greedy join order (the prototype's, §5)
+   from the *actual* AG statistics. It fixes the order of the skeleton
+   variables and nothing else; every connected order gives the same
+   rows.
+4. **Defactorization** — embeddings are joined (or only counted) from
+   the AG along that order.
 
 The engine implements the common :class:`~repro.engine_api.Engine`
 interface so the benchmark harness can race it against the baseline
@@ -24,7 +27,6 @@ import time
 from dataclasses import dataclass
 
 from repro.core.answer_graph import AnswerGraph
-from repro.core.bushy_exec import materialize_embeddings_bushy
 from repro.core.defactorize import count_embeddings, materialize_embeddings
 from repro.core.generation import (
     GenerationStats,
@@ -35,9 +37,8 @@ from repro.engine_api import Engine, EngineResult, resolve_catalog
 from repro.errors import QueryError
 from repro.obs.trace import current_trace
 from repro.graph.store import TripleStore
-from repro.planner.bushy import BushyPlan, bushy_embedding_plan
 from repro.planner.edgifier import Edgifier
-from repro.planner.embedding_planner import dp_embedding_plan, greedy_embedding_plan
+from repro.planner.embedding_planner import greedy_embedding_plan
 from repro.planner.plan import AGPlan, Chordification, EmbeddingPlan
 from repro.planner.triangulator import Triangulator
 from repro.query.algebra import BoundQuery, bind_query
@@ -59,7 +60,6 @@ class WireframeResult:
     ag_plan: AGPlan
     chordification: Chordification
     embedding_plan: EmbeddingPlan
-    bushy_plan: "BushyPlan | None"
     generation_stats: GenerationStats
     phase1_seconds: float
     phase2_seconds: float
@@ -85,11 +85,6 @@ class WireframeEngine(Engine):
     use_chords:
         Materialize Triangulator chords for cyclic queries (keeps node
         sets minimal, §4.I). Required for edge burnback.
-    embedding_planner:
-        ``"greedy"`` (the prototype's phase-2 default), ``"dp"``
-        (optimal left-deep), or ``"bushy"`` (the §6 extension: DP over
-        the full bushy join-tree space, executed with materialized
-        sub-trees).
     """
 
     name = "WF"
@@ -100,14 +95,8 @@ class WireframeEngine(Engine):
         catalog: Catalog | None = None,
         edge_burnback: bool = False,
         use_chords: bool = True,
-        embedding_planner: str = "greedy",
         exhaustive_limit: int = 16,
     ):
-        if embedding_planner not in ("greedy", "dp", "bushy"):
-            raise QueryError(
-                f"unknown embedding planner {embedding_planner!r}; "
-                "expected 'greedy', 'dp', or 'bushy'"
-            )
         if edge_burnback and not use_chords:
             raise QueryError("edge burnback requires chord materialization")
         self.store = store
@@ -117,7 +106,6 @@ class WireframeEngine(Engine):
         self.triangulator = Triangulator(self.estimator)
         self.edge_burnback = edge_burnback
         self.use_chords = use_chords
-        self.embedding_planner = embedding_planner
 
     # ------------------------------------------------------------------
     # Planning
@@ -150,14 +138,6 @@ class WireframeEngine(Engine):
             chordification = Chordification((), (), (), 0.0)
         return bound, ag_plan, chordification
 
-    def _embedding_plan(
-        self, bound: BoundQuery, ag: AnswerGraph
-    ) -> EmbeddingPlan:
-        sizes, node_counts = ag.relation_statistics()
-        if self.embedding_planner == "dp":
-            return dp_embedding_plan(bound, sizes, node_counts)
-        return greedy_embedding_plan(bound, sizes, node_counts)
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
@@ -168,23 +148,19 @@ class WireframeEngine(Engine):
         deadline: Deadline | None = None,
         materialize: bool = True,
         trace: GenerationTrace | None = None,
-        cached_plan: tuple[AGPlan, Chordification] | None = None,
         prepared: tuple[BoundQuery, AGPlan, Chordification] | None = None,
     ) -> WireframeResult:
         """Full two-phase evaluation with all artifacts exposed.
 
         ``prepared`` — the exact triple an earlier :meth:`plan` call
-        returned for this query — skips binding and planning entirely;
-        ``cached_plan`` skips only the planners (the query is re-bound).
+        returned for this query (where a cached plan is applied, if
+        any) — skips binding and planning here.
         """
         if deadline is None:
             deadline = Deadline.unlimited()
-        if prepared is not None:
-            bound, ag_plan, chordification = prepared
-        else:
-            bound, ag_plan, chordification = self.plan(
-                query, cached_plan=cached_plan
-            )
+        if prepared is None:
+            prepared = self.plan(query)
+        bound, ag_plan, chordification = prepared
 
         t0 = time.perf_counter()
         ag, gen_stats = generate_answer_graph(
@@ -197,25 +173,14 @@ class WireframeEngine(Engine):
         )
         t1 = time.perf_counter()
 
-        bushy_plan: BushyPlan | None = None
         if ag.empty:
             embedding_plan = EmbeddingPlan(tuple(range(len(bound.edges))), 0.0)
             rows: list[tuple] | None = [] if materialize else None
             count = 0
-        elif self.embedding_planner == "bushy":
-            sizes, node_counts = ag.relation_statistics()
-            bushy_plan = bushy_embedding_plan(bound, sizes, node_counts)
-            # Informational left-deep rendering of the tree's leaves.
-            embedding_plan = EmbeddingPlan(
-                bushy_plan.root.edges(), bushy_plan.estimated_cost
-            )
-            all_rows = materialize_embeddings_bushy(
-                ag, bushy_plan, deadline=deadline
-            )
-            count = len(all_rows)
-            rows = all_rows if materialize else None
         else:
-            embedding_plan = self._embedding_plan(bound, ag)
+            embedding_plan = greedy_embedding_plan(
+                bound, *ag.relation_statistics()
+            )
             if materialize:
                 rows = materialize_embeddings(
                     ag, embedding_plan.order, deadline=deadline
@@ -241,7 +206,6 @@ class WireframeEngine(Engine):
             ag_plan=ag_plan,
             chordification=chordification,
             embedding_plan=embedding_plan,
-            bushy_plan=bushy_plan,
             generation_stats=gen_stats,
             phase1_seconds=t1 - t0,
             phase2_seconds=t2 - t1,
@@ -254,7 +218,13 @@ class WireframeEngine(Engine):
         materialize: bool = True,
     ) -> EngineResult:
         """Uniform-interface evaluation (see :class:`Engine`)."""
-        result = self.evaluate_detailed(query, deadline, materialize)
+        return self.engine_result(
+            self.evaluate_detailed(query, deadline, materialize)
+        )
+
+    def engine_result(self, result: WireframeResult) -> EngineResult:
+        """``result`` as the uniform :class:`EngineResult`, with the
+        ``stats`` block every surface (library, service, wire) reports."""
         return EngineResult(
             engine=self.name,
             count=result.count,

@@ -5,8 +5,8 @@
   left-deep edge order for answer-graph generation.
 * :mod:`repro.planner.triangulator` — the Triangulator: chordification
   of cycles longer than three via polygon-triangulation DP.
-* :mod:`repro.planner.embedding_planner` — greedy and DP join orders
-  for defactorization (phase 2).
+* :mod:`repro.planner.embedding_planner` — the greedy join order for
+  defactorization (phase 2); it fixes the skeleton variable order only.
 """
 
 from repro.planner.plan import (
@@ -21,16 +21,7 @@ from repro.planner.plan import (
 from repro.planner.cost import cost_of_order
 from repro.planner.edgifier import Edgifier
 from repro.planner.triangulator import Triangulator
-from repro.planner.embedding_planner import (
-    greedy_embedding_plan,
-    dp_embedding_plan,
-)
-from repro.planner.bushy import (
-    BushyJoin,
-    BushyLeaf,
-    BushyPlan,
-    bushy_embedding_plan,
-)
+from repro.planner.embedding_planner import greedy_embedding_plan
 
 __all__ = [
     "AGPlan",
@@ -44,9 +35,4 @@ __all__ = [
     "Edgifier",
     "Triangulator",
     "greedy_embedding_plan",
-    "dp_embedding_plan",
-    "BushyLeaf",
-    "BushyJoin",
-    "BushyPlan",
-    "bushy_embedding_plan",
 ]

@@ -1,13 +1,17 @@
-"""Phase-2 planners: join orders for defactorization.
+"""The phase-2 planner: the join order for defactorization.
 
-For an **acyclic** CQ over an **ideal** AG the join order is immaterial
-(no intermediate tuple is ever lost — §4.II), so any connected order is
-optimal up to constant factors. For cyclic CQs, or when the AG is not
-ideal, intermediate results can shrink and order matters; the paper's
-prototype "presently use[s] a greedy approach to generate a tree plan
-based on the available statistics from the answer graph phase", with a
-cost-based DP mentioned as the principled alternative. Both are
-implemented here.
+The paper's prototype "presently use[s] a greedy approach to generate a
+tree plan based on the available statistics from the answer graph
+phase" (§5), and that is the one planner here. The order decides one
+thing: the sequence in which :mod:`repro.core.defactorize` enumerates
+the *skeleton* variables (first appearance in the order). Hanging
+leaves are emitted as independent pools whatever the order, and any
+connected order yields the same rows. For an **acyclic** CQ over an
+**ideal** AG no intermediate tuple is ever lost (§4.II), so the order is
+immaterial; for cyclic CQs or a non-ideal AG a skeleton variable
+enumerated early can produce partial assignments that a later
+intersection discards; the greedy rule (smallest estimated
+intermediate first) keeps those few.
 
 Unlike phase 1, the statistics used are *exact*: the answer graph is
 already materialized, so each query edge's relation size and per-side
@@ -18,7 +22,7 @@ estimated as ``t · |e| / distinct_e(v)`` — the average fan of ``e`` at
 only shrink: ``t · min(1, |e| / (distinct_s · distinct_o))`` models the
 closing-edge selectivity.
 
-To avoid a circular dependency on :mod:`repro.core`, the planners take
+To avoid a circular dependency on :mod:`repro.core`, the planner takes
 plain size dictionaries rather than an ``AnswerGraph``; the engine
 extracts them via ``AnswerGraph.relation_statistics()``.
 """
@@ -106,66 +110,3 @@ def greedy_embedding_plan(
         remaining.discard(best_eid)
     return EmbeddingPlan(order=tuple(order), estimated_cost=cost)
 
-
-def dp_embedding_plan(
-    bound: BoundQuery,
-    sizes: Mapping[int, int],
-    node_counts: Mapping[tuple[int, str], int],
-    exhaustive_limit: int = 14,
-) -> EmbeddingPlan:
-    """Optimal left-deep join order under the same cost model.
-
-    Bottom-up DP over connected edge subsets minimizing the *sum of
-    estimated intermediate sizes* (a standard Selinger-style objective).
-    Falls back to :func:`greedy_embedding_plan` beyond
-    ``exhaustive_limit`` edges.
-    """
-    n = len(bound.edges)
-    if n > exhaustive_limit:
-        return greedy_embedding_plan(bound, sizes, node_counts)
-    if n == 0:
-        raise PlanError("cannot plan embeddings for a query with no edges")
-
-    edge_vars = [bound.edges[eid].var_set() for eid in range(n)]
-    edge_tokens = [bound.edges[eid].term_tokens() for eid in range(n)]
-    # best[mask] = (total cost, current est size, order)
-    best: dict[int, tuple[float, float, tuple[int, ...]]] = {}
-    for eid in range(n):
-        size = float(max(sizes.get(eid, 0), 1))
-        best[1 << eid] = (size, float(sizes.get(eid, 0)), (eid,))
-
-    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in best:
-        masks_by_size[1].append(mask)
-    for size_level in range(1, n):
-        for mask in masks_by_size[size_level]:
-            total, current, order = best[mask]
-            if len(order) != size_level:
-                continue
-            bound_vars: set[int] = set()
-            bound_tokens: set = set()
-            for eid in order:
-                bound_vars |= edge_vars[eid]
-                bound_tokens |= edge_tokens[eid]
-            for eid in range(n):
-                bit = 1 << eid
-                if mask & bit:
-                    continue
-                if bound_tokens and not (edge_tokens[eid] & bound_tokens):
-                    continue
-                step = _edge_cost_step(
-                    bound, eid, bound_vars, current, sizes, node_counts
-                )
-                new_mask = mask | bit
-                new_total = total + max(step, 0.0)
-                incumbent = best.get(new_mask)
-                if incumbent is None or new_total < incumbent[0]:
-                    if incumbent is None:
-                        masks_by_size[size_level + 1].append(new_mask)
-                    best[new_mask] = (new_total, step, order + (eid,))
-
-    full = (1 << n) - 1
-    if full not in best:
-        raise PlanError("query graph is disconnected; cannot plan embeddings")
-    total, _, order = best[full]
-    return EmbeddingPlan(order=order, estimated_cost=total)

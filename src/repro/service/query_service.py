@@ -117,7 +117,8 @@ class QueryService:
     engine_options:
         Extra keyword arguments forwarded to
         :class:`~repro.core.engine.WireframeEngine` (``edge_burnback``,
-        ``use_chords``, ``embedding_planner``, ``exhaustive_limit``).
+        ``use_chords``, ``exhaustive_limit``: phase-1 choices only —
+        phase 2 has one planner and one executor, nothing to select).
 
     >>> from repro.graph.builder import GraphBuilder
     >>> store = (
@@ -957,24 +958,7 @@ class QueryService:
                 query, effective, materialize, prepared=prepared
             )
             exec_seconds = time.perf_counter() - t1
-            result = EngineResult(
-                engine=engine.name,
-                count=detail.count,
-                rows=detail.rows,
-                stats={
-                    "ag_size": detail.ag_size,
-                    "edge_walks": detail.generation_stats.edge_walks,
-                    "phase1_seconds": detail.phase1_seconds,
-                    "phase2_seconds": detail.phase2_seconds,
-                    "ag_plan": detail.ag_plan.order,
-                    "embedding_plan": detail.embedding_plan.order,
-                    "chords": len(detail.chordification.chords),
-                    "spurious_pairs_removed": (
-                        detail.generation_stats.spurious_pairs_removed
-                    ),
-                    "backend": self._backend_name,
-                },
-            )
+            result = engine.engine_result(detail)
             # Cache only an answer whose predicates did not change
             # while it was computed (a write to any other predicate
             # cannot have touched it). Epoch first, versions second, so

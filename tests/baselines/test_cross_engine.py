@@ -34,8 +34,6 @@ def all_engines(store, catalog=None):
         WireframeEngine(store, catalog),
         WireframeEngine(store, catalog, edge_burnback=True),
         WireframeEngine(store, catalog, use_chords=False),
-        WireframeEngine(store, catalog, embedding_planner="dp"),
-        WireframeEngine(store, catalog, embedding_planner="bushy"),
         HashJoinEngine(store, catalog),
         IndexNestedLoopEngine(store, catalog),
         ColumnarEngine(store, catalog),

@@ -1,10 +1,10 @@
-"""Tests for phase-2 embedding planners."""
+"""Tests for the phase-2 embedding planner."""
 
 import pytest
 
 from repro.errors import PlanError
 from repro.graph.store import TripleStore
-from repro.planner.embedding_planner import dp_embedding_plan, greedy_embedding_plan
+from repro.planner.embedding_planner import greedy_embedding_plan
 from repro.planner.plan import validate_connected_order
 from repro.query.algebra import bind_query
 from repro.query.model import ConjunctiveQuery
@@ -34,29 +34,6 @@ def test_greedy_order_connected():
     plan = greedy_embedding_plan(bound, sizes, counts)
     validate_connected_order(plan.order, [e.var_set() for e in bound.edges])
     assert sorted(plan.order) == [0, 1, 2]
-
-
-def test_dp_not_worse_than_greedy():
-    bound = chain3()
-    sizes = {0: 40, 1: 40, 2: 4}
-    counts = {
-        (0, "s"): 40, (0, "o"): 2,
-        (1, "s"): 2, (1, "o"): 40,
-        (2, "s"): 4, (2, "o"): 4,
-    }
-    greedy = greedy_embedding_plan(bound, sizes, counts)
-    dp = dp_embedding_plan(bound, sizes, counts)
-    assert dp.estimated_cost <= greedy.estimated_cost + 1e-9
-    validate_connected_order(dp.order, [e.var_set() for e in bound.edges])
-
-
-def test_dp_falls_back_to_greedy_beyond_limit():
-    bound = chain3()
-    sizes = {0: 1, 1: 2, 2: 3}
-    counts = {(i, s): 1 for i in range(3) for s in ("s", "o")}
-    dp = dp_embedding_plan(bound, sizes, counts, exhaustive_limit=2)
-    greedy = greedy_embedding_plan(bound, sizes, counts)
-    assert dp.order == greedy.order
 
 
 def test_zero_size_relation_preferred_first():
@@ -89,5 +66,3 @@ def test_disconnected_rejected():
     counts = {(i, s): 1 for i in range(2) for s in ("s", "o")}
     with pytest.raises(PlanError):
         greedy_embedding_plan(bound, sizes, counts)
-    with pytest.raises(PlanError):
-        dp_embedding_plan(bound, sizes, counts)

@@ -65,25 +65,3 @@ def test_projected_distinct_agreement(graph, query):
             reference = rows
         assert rows == reference, type(engine).__name__
 
-
-@SETTINGS
-@given(graph=edge_lists(), query=acyclic_queries())
-def test_bushy_equals_left_deep(graph, query):
-    """The §6 bushy executor returns exactly the left-deep result set."""
-    from repro.core.engine import WireframeEngine
-
-    store = build_store(graph)
-    left_deep = WireframeEngine(store).evaluate(query)
-    bushy = WireframeEngine(store, embedding_planner="bushy").evaluate(query)
-    assert sorted(bushy.rows) == sorted(left_deep.rows)
-
-
-@SETTINGS
-@given(graph=edge_lists(), query=cyclic_queries())
-def test_bushy_equals_left_deep_cyclic(graph, query):
-    from repro.core.engine import WireframeEngine
-
-    store = build_store(graph)
-    left_deep = WireframeEngine(store).evaluate(query)
-    bushy = WireframeEngine(store, embedding_planner="bushy").evaluate(query)
-    assert sorted(bushy.rows) == sorted(left_deep.rows)

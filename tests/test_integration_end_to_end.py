@@ -50,7 +50,6 @@ def test_mined_query_agrees_across_all_engines(workflow):
     oracle = sorted(enumerate_embeddings_bruteforce(store, query))
     engines = [
         WireframeEngine(store, catalog),
-        WireframeEngine(store, catalog, embedding_planner="bushy"),
         HashJoinEngine(store, catalog),
         IndexNestedLoopEngine(store, catalog),
         ColumnarEngine(store, catalog),

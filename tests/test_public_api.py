@@ -1,7 +1,9 @@
 """Public-API surface tests: exports resolve and are documented."""
 
+import ast
 import inspect
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,33 @@ import repro
 def test_all_exports_resolve():
     for name in repro.__all__:
         assert hasattr(repro, name), f"repro.__all__ lists missing {name!r}"
+
+
+def test_phase_two_exports_one_planner_and_one_executor():
+    """The retired DP/tree planners and the second executor stay gone."""
+    names = set(repro.__all__)
+    assert {n for n in names if n.endswith("_embedding_plan")} == {
+        "greedy_embedding_plan"
+    }
+    assert {n for n in names if n.startswith("materialize_embeddings")} == {
+        "materialize_embeddings"
+    }
+    assert {n for n in names if n.endswith("Plan")} == {"AGPlan", "EmbeddingPlan"}
+
+
+def test_everything_the_e2e_benchmark_imports_resolves():
+    """``benchmarks/e2e`` may not change with the program it measures."""
+    e2e = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+    imported = {
+        alias.name
+        for path in sorted(e2e.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "repro"
+        for alias in node.names
+    }
+    assert "greedy_embedding_plan" in imported  # the walk found twin.py
+    missing = sorted(name for name in imported if not hasattr(repro, name))
+    assert not missing, f"benchmarks/e2e imports missing names: {missing}"
 
 
 def test_version_present():
