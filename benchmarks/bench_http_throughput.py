@@ -15,27 +15,25 @@ query's HTTP-reported count equals the in-process
 ``QueryService.evaluate`` count. The HTTP layer must be a transport,
 not a different engine.
 
-The gate asserts:
+The gates (``python benchmarks/bench_http_throughput.py [--smoke]
+[--output F] [--baseline F]``, on the shared ``repro.bench.gate`` runner):
 
-1. warm throughput >= :data:`WARM_QPS_FLOOR` requests/second,
+1. no non-200 response in either pass,
 2. warm per-request p99 <= :data:`P99_CEILING` seconds,
 3. the warm pass is >= :data:`WARM_SPEEDUP_FLOOR` x the cold pass —
-   the cache hierarchy must survive the wire, and
+   the cache hierarchy must survive the wire,
 4. the observability layer (tracing + /metrics) costs <=
    :data:`OVERHEAD_CEILING` of warm per-request serving time — its
    per-dispatch cost vs an ``observability=False`` server (interleaved
    request-level A/B), stated against the warm socket RTT — with a
-   live server's ``/metrics`` body strict-parsed mid-load.
+   live server's ``/metrics`` body strict-parsed mid-load, and
+5. warm QPS no more than :data:`REGRESSION_TOLERANCE` below the
+   committed ``BENCH_http_throughput.json``, compared only between runs
+   of the same mode, backend and load.
 
-Two entry points:
-
-* ``pytest benchmarks/bench_http_throughput.py [--smoke]`` —
-  pytest-benchmark timings (CI's bench-smoke job);
-* ``python benchmarks/bench_http_throughput.py [--smoke] [--output F]
-  [--baseline F]`` — the CI serving gate: prints the table, writes
-  ``BENCH_http_throughput.json``, exits non-zero on a missed floor, a
-  parity mismatch, or a >25% warm-QPS regression vs the committed
-  baseline.
+The absolute warm-throughput floor lives where the hit path is measured
+against an oracle: CI's ``http_hot`` step asserts ``ops_per_s`` on the
+``benchmarks/e2e`` result line.
 
 ``--soak [--soak-seconds N]`` switches to the **soak mode** (the
 nightly, non-gating CI job): sustained closed-loop load for ``N``
@@ -57,7 +55,6 @@ final ``/metrics`` snapshots) land in ``--chaos-artifacts``.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import http.client
 import json
@@ -73,17 +70,12 @@ if __name__ == "__main__":  # script mode: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from repro.bench import gate
 from repro.datasets.paper_queries import paper_diamond_queries, paper_snowflake_queries
 from repro.query.miner import QueryMiner
 from repro.query.templates import chain_template
 from repro.server import serve_in_background
 from repro.service import QueryService
-
-#: Minimum warm-pass throughput the gate enforces. Conservative: local
-#: runs measure thousands of req/s; CI containers are slower and
-#: shared, so the floor only catches order-of-magnitude collapses
-#: (e.g. an accidental per-request engine rebuild or a lost cache).
-WARM_QPS_FLOOR = 150.0
 
 #: Maximum warm-pass per-request p99, in seconds. Warm requests are
 #: cache hits plus JSON + socket overhead — tens of milliseconds even
@@ -551,8 +543,18 @@ def run_http_benchmark(store, catalog, clients: int = CLIENTS) -> dict:
             parity = check_parity(handle.address, service, distinct)
             snapshot = service.snapshot()
             http_stats = handle.server.http_stats()
+    mismatched = [name for name, same in parity.items() if not same]
+    if mismatched:
+        raise AssertionError(f"HTTP and in-process counts differ: {mismatched}")
+    for label, record in (("cold", cold), ("warm", warm)):
+        print(
+            f"{label:4s} {record['requests']:>4} requests  "
+            f"{record['qps']:8.1f} req/s   "
+            f"p50 {record['p50_seconds'] * 1e3:7.2f} ms   "
+            f"p99 {record['p99_seconds'] * 1e3:7.2f} ms   "
+            f"errors {record['errors']} (first: {record['first_error']})"
+        )
     return {
-        "workload": "chain-diamond-snowflake-http",
         "workload_size": len(workload),
         "clients": clients,
         "backend": store.backend_name,
@@ -563,111 +565,22 @@ def run_http_benchmark(store, catalog, clients: int = CLIENTS) -> dict:
         "plan_cache_hit_rate": snapshot["plan_cache"]["hit_rate"],
         "result_cache_hit_rate": snapshot["result_cache"]["hit_rate"],
         "shed": http_stats["shed"],
-        "warm_qps_floor": WARM_QPS_FLOOR,
-        "p99_ceiling": P99_CEILING,
-        "warm_speedup_floor": WARM_SPEEDUP_FLOOR,
         "observability": run_overhead_check(store, catalog, clients),
     }
 
 
-def gate_failures(results: dict) -> list[str]:
-    """Floor/parity violations in ``results`` (empty = pass)."""
-    failures = []
-    for name, same in results["parity"].items():
-        if not same:
-            failures.append(f"parity: {name} differs between HTTP and in-process")
-    for label in ("cold", "warm"):
-        if results[label]["errors"]:
-            failures.append(
-                f"{label} pass had {results[label]['errors']} non-200 "
-                f"responses (first: {results[label]['first_error']})"
-            )
-    if results["warm"]["qps"] < WARM_QPS_FLOOR:
-        failures.append(
-            f"warm throughput {results['warm']['qps']:.0f} req/s below the "
-            f"{WARM_QPS_FLOOR:.0f} req/s floor"
-        )
-    if results["warm"]["p99_seconds"] > P99_CEILING:
-        failures.append(
-            f"warm p99 {results['warm']['p99_seconds'] * 1e3:.1f} ms above "
-            f"the {P99_CEILING * 1e3:.0f} ms ceiling"
-        )
-    if results["warm_speedup"] < WARM_SPEEDUP_FLOOR:
-        failures.append(
-            f"warm pass only {results['warm_speedup']:.2f}x the cold pass "
-            f"(floor {WARM_SPEEDUP_FLOOR:.1f}x — cache hierarchy lost over "
-            f"the wire)"
-        )
-    obs = results.get("observability")
-    if obs is not None and obs["overhead"] > OVERHEAD_CEILING:
-        failures.append(
-            f"observability adds "
-            f"{obs['dispatch_delta_seconds'] * 1e6:.1f} µs to a "
-            f"{obs['warm_rtt_seconds'] * 1e6:.0f} µs warm request "
-            f"({obs['overhead']:.1%}) — ceiling {OVERHEAD_CEILING:.0%}"
-        )
-    return failures
-
-
-# ----------------------------------------------------------------------
-# pytest entry point (CI bench-smoke job)
-# ----------------------------------------------------------------------
-
-
-def test_http_throughput_gate(benchmark, store, catalog):
-    """Warm HTTP serving meets the QPS floor, p99 ceiling, and warm
-    speedup, with HTTP/in-process parity on every distinct query."""
-    results = benchmark.pedantic(
-        lambda: run_http_benchmark(store, catalog),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info.update(
-        {
-            "warm_qps": round(results["warm"]["qps"], 1),
-            "cold_qps": round(results["cold"]["qps"], 1),
-            "warm_p99_ms": round(results["warm"]["p99_seconds"] * 1e3, 2),
-            "warm_speedup": round(results["warm_speedup"], 2),
-            "clients": results["clients"],
-            "obs_overhead": round(
-                results["observability"]["overhead"], 4
-            ),
-        }
-    )
-    failures = gate_failures(results)
-    assert not failures, "; ".join(failures)
-
-
-# ----------------------------------------------------------------------
-# script entry point (CI serving gate + BENCH_http_throughput.json)
-# ----------------------------------------------------------------------
-
-
-def _regression(results: dict, baseline_path: Path) -> list[str]:
-    """Warm-QPS regression vs the committed baseline (empty = pass).
-
-    Throughput scales with dataset size and backend, so the comparison
-    only runs between same-shape measurements — a full-size run against
-    the committed smoke baseline skips the check rather than failing it
-    spuriously.
-    """
-    baseline = json.loads(baseline_path.read_text())
-    for key in ("mode", "backend", "workload_size", "clients"):
-        if baseline.get(key) != results.get(key):
-            print(
-                f"http gate: baseline {key}={baseline.get(key)!r} vs this "
-                f"run {results.get(key)!r} — regression check skipped"
-            )
-            return []
-    floor = baseline["warm"]["qps"] * (1.0 - REGRESSION_TOLERANCE)
-    if results["warm"]["qps"] < floor:
-        return [
-            f"warm throughput {results['warm']['qps']:.0f} req/s fell below "
-            f"{floor:.0f} req/s (baseline {baseline['warm']['qps']:.0f} "
-            f"req/s - {REGRESSION_TOLERANCE:.0%})"
-        ]
-    print(f"http gate: no regression vs {baseline_path}")
-    return []
+GATES = [
+    gate.Gate("cold.errors", ceiling=0),
+    gate.Gate("warm.errors", ceiling=0),
+    gate.Gate(
+        "warm.qps",
+        tolerance=REGRESSION_TOLERANCE,
+        like_for_like=("mode", "backend", "workload_size", "clients"),
+    ),
+    gate.Gate("warm.p99_seconds", ceiling=P99_CEILING),
+    gate.Gate("warm_speedup", floor=WARM_SPEEDUP_FLOOR),
+    gate.Gate("observability.overhead", ceiling=OVERHEAD_CEILING),
+]
 
 
 def run_chaos_mode(args) -> int:
@@ -688,10 +601,8 @@ def run_chaos_mode(args) -> int:
     )
     failures: list[str] = []
     results: dict = {
-        "benchmark": "bench_http_throughput",
-        "schema": 1,
+        **gate.header("bench_http_throughput", args.smoke),
         "mode": "chaos",
-        "python": sys.version.split()[0],
         "seed": args.chaos_seed,
     }
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
@@ -731,22 +642,63 @@ def run_chaos_mode(args) -> int:
 
     for failure in failures:
         print(f"FAIL: {failure}")
-    if args.output is not None:
-        args.output.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"wrote {args.output}")
+    gate.write(args.output, results)
     if artifact_dir:
         print(f"chaos artifacts in {artifact_dir}")
     return 1 if failures else 0
 
 
+def _benchmark_store(smoke: bool):
+    """(store, catalog) of the benchmark graph; a quarter scale under --smoke."""
+    if smoke:
+        os.environ.setdefault("REPRO_BENCH_SCALE", "0.25")
+    from repro.bench.workloads import benchmark_catalog, make_benchmark_store
+
+    return make_benchmark_store(), benchmark_catalog()
+
+
+def measure(smoke: bool) -> dict:
+    return run_http_benchmark(*_benchmark_store(smoke))
+
+
+def run_soak_mode(args) -> int:
+    """Windowed trend report — the nightly job body; only errors fail it."""
+    store, catalog = _benchmark_store(args.smoke)
+    results = {
+        **gate.header("bench_http_throughput", args.smoke),
+        "backend": store.backend_name,
+        **run_soak(store, catalog, args.soak_seconds),
+    }
+    metrics_text = results.pop("_metrics_text")
+    if args.metrics_output is not None:
+        args.metrics_output.write_text(metrics_text)
+        print(f"wrote final /metrics snapshot to {args.metrics_output}")
+    for window in results["windows"]:
+        rss = window["rss_bytes"]
+        print(
+            f"t={window['start_seconds']:6.1f}s  "
+            f"{window['qps']:8.1f} req/s   "
+            f"p50 {window['p50_seconds'] * 1e3:7.2f} ms   "
+            f"p99 {window['p99_seconds'] * 1e3:7.2f} ms   "
+            f"rss {rss / 1e6 if rss else 0:7.1f} MB"
+        )
+    growth = results["rss_growth"]
+    print(
+        f"soak: {results['requests']} requests over "
+        f"{results['seconds']:.0f}s, errors {results['errors']}, "
+        f"rss growth {growth:.3f}x" if growth is not None else
+        f"soak: {results['requests']} requests, rss not sampled"
+    )
+    gate.write(args.output, results)
+    if results["errors"]:
+        print(f"FAIL: soak saw {results['errors']} non-200 responses "
+              f"(first: {results['first_error']})")
+        return 1
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny dataset (CI)")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="write results JSON here")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="fail if warm QPS regresses >25%% vs this file")
+    parser = gate.parser(__doc__)
     parser.add_argument("--soak", action="store_true",
                         help="sustained-load soak mode (non-gating)")
     parser.add_argument("--soak-seconds", type=float, default=60.0,
@@ -764,104 +716,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="directory for chaos event journals and "
                         "/metrics snapshots (default $CHAOS_ARTIFACT_DIR)")
     args = parser.parse_args(argv)
-
     if args.chaos:
         return run_chaos_mode(args)
-
-    if args.smoke:
-        os.environ.setdefault("REPRO_BENCH_SCALE", "0.25")
-
-    from repro.bench.workloads import benchmark_catalog, make_benchmark_store
-
-    store = make_benchmark_store()
-    catalog = benchmark_catalog()
-
     if args.soak:
-        results = {
-            "benchmark": "bench_http_throughput",
-            "schema": 1,
-            "python": sys.version.split()[0],
-            "backend": store.backend_name,
-            **run_soak(store, catalog, args.soak_seconds),
-        }
-        metrics_text = results.pop("_metrics_text")
-        if args.metrics_output is not None:
-            args.metrics_output.write_text(metrics_text)
-            print(f"wrote final /metrics snapshot to {args.metrics_output}")
-        for window in results["windows"]:
-            rss = window["rss_bytes"]
-            print(
-                f"t={window['start_seconds']:6.1f}s  "
-                f"{window['qps']:8.1f} req/s   "
-                f"p50 {window['p50_seconds'] * 1e3:7.2f} ms   "
-                f"p99 {window['p99_seconds'] * 1e3:7.2f} ms   "
-                f"rss {rss / 1e6 if rss else 0:7.1f} MB"
-            )
-        growth = results["rss_growth"]
-        print(
-            f"soak: {results['requests']} requests over "
-            f"{results['seconds']:.0f}s, errors {results['errors']}, "
-            f"rss growth {growth:.3f}x" if growth is not None else
-            f"soak: {results['requests']} requests, rss not sampled"
-        )
-        if args.output is not None:
-            args.output.write_text(json.dumps(results, indent=2) + "\n")
-            print(f"wrote {args.output}")
-        if results["errors"]:
-            print(f"FAIL: soak saw {results['errors']} non-200 responses "
-                  f"(first: {results['first_error']})")
-            return 1
-        return 0
-
-    results = {
-        "benchmark": "bench_http_throughput",
-        "schema": 1,
-        "mode": "smoke" if args.smoke else "full",
-        "python": sys.version.split()[0],
-        **run_http_benchmark(store, catalog),
-    }
-
-    for label in ("cold", "warm"):
-        record = results[label]
-        print(
-            f"{label:4s} {record['requests']:>4} requests  "
-            f"{record['qps']:8.1f} req/s   "
-            f"p50 {record['p50_seconds'] * 1e3:7.2f} ms   "
-            f"p99 {record['p99_seconds'] * 1e3:7.2f} ms   "
-            f"errors {record['errors']}"
-        )
-    print(
-        f"parity: {sum(results['parity'].values())}/{len(results['parity'])} "
-        f"queries identical over HTTP"
-    )
-    obs = results["observability"]
-    print(
-        f"observability: +{obs['dispatch_delta_seconds'] * 1e6:.1f} us "
-        f"on a {obs['warm_rtt_seconds'] * 1e6:.0f} us warm request -> "
-        f"{obs['overhead']:.1%} overhead (ceiling {OVERHEAD_CEILING:.0%}; "
-        f"/metrics scraped {obs['metrics_families']} families mid-load)"
-    )
-    print(
-        f"gate: warm >= {WARM_QPS_FLOOR:.0f} req/s -> "
-        f"{results['warm']['qps']:.0f}; p99 <= {P99_CEILING * 1e3:.0f} ms -> "
-        f"{results['warm']['p99_seconds'] * 1e3:.1f}; warm speedup >= "
-        f"{WARM_SPEEDUP_FLOOR:.1f}x -> {results['warm_speedup']:.2f}x"
-    )
-
-    failures = gate_failures(results)
-    if args.baseline is not None and args.baseline.exists():
-        failures += _regression(results, args.baseline)
-    elif args.baseline is not None:
-        print(f"http gate: baseline {args.baseline} missing, "
-              f"regression check skipped")
-
-    for failure in failures:
-        print(f"FAIL: {failure}")
-
-    if args.output is not None:
-        args.output.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"wrote {args.output}")
-    return 1 if failures else 0
+        return run_soak_mode(args)
+    return gate.run("bench_http_throughput", measure, GATES, args)
 
 
 if __name__ == "__main__":

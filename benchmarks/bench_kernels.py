@@ -1,35 +1,23 @@
 """Set-at-a-time kernels vs the tuple-at-a-time reference.
 
-Benchmarks phase-1 (answer-graph generation) on three synthetic
-workloads — chain, diamond, snowflake — whose layered stores have the
-chunky per-node fan-out that bulk ``set``/``dict`` algebra is built
-for. Each workload races :func:`repro.core.generation.generate_answer_graph`
-(the kernel path) against
-:func:`repro.core.reference.generate_answer_graph_reference` (the
-retained pre-kernel implementation), asserts their outputs are
-bit-identical, and **asserts a >= 2x generation-phase speedup** on the
-gated workloads — chain, diamond, snowflake in the paper's default
-configuration, plus the edge-burnback diamond variant (gated since the
-fixpoint grew relation-version skipping and union-form triangle
-pruning; it was probe-bound on both sides before).
+Times phase 1 (answer-graph generation) on four synthetic workloads —
+chain, diamond, diamond with edge burnback, snowflake — whose layered
+stores have the chunky per-node fan-out that bulk ``set``/``dict``
+algebra is built for. Each workload races
+:func:`repro.core.generation.generate_answer_graph` against the retained
+pre-kernel :func:`repro.core.reference.generate_answer_graph_reference`
+after asserting their outputs are bit-identical.
 
-Two entry points:
-
-* ``pytest benchmarks/bench_kernels.py [--smoke]`` — pytest-benchmark
-  timings with speedup in ``extra_info`` (CI's bench-smoke job).
-* ``python benchmarks/bench_kernels.py [--smoke] [--output F]
-  [--baseline F]`` — the perf-regression gate: writes
-  ``BENCH_kernels.json`` and exits non-zero if any gated workload's
-  speedup falls more than 20% below the committed baseline. The gate
-  compares *speedups* (kernel vs same-machine reference), not raw
-  walks/second, so it is stable across runner hardware; raw throughput
-  is still recorded for the perf trajectory.
+``python benchmarks/bench_kernels.py [--smoke] [--output F] [--baseline F]``
+gates every workload at a >= 2x speedup and at most a 20% drop below
+the committed ``BENCH_kernels.json``. The gate compares *speedups*
+(kernel vs same-machine reference), not raw walks/second, so it holds
+across runner hardware. ``--calibrate K`` keeps the lowest of K
+measurements per workload; use it when recording the baseline.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
 import sys
 import time
@@ -40,8 +28,7 @@ from pathlib import Path
 if __name__ == "__main__":  # script mode: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import pytest
-
+from repro.bench import gate
 from repro.core.engine import WireframeEngine
 from repro.core.generation import generate_answer_graph
 from repro.core.reference import generate_answer_graph_reference
@@ -56,12 +43,9 @@ SPEEDUP_FLOOR = 2.0
 #: baseline before the CI gate fails (20%).
 REGRESSION_TOLERANCE = 0.20
 
-GATED = ("chain", "diamond", "diamond_eb", "snowflake")
-
 
 #: The snowflake workload's layers (label, source layer, target layer) —
-#: shared with bench_memory_footprint so the memory gate measures the
-#: same graph the kernel gate races on.
+#: shared with bench_snapshot_open so both gates measure one graph family.
 SNOWFLAKE_LAYERS = (
     ("A", "x", "m"), ("B", "x", "y"), ("C", "x", "z"),
     ("D", "m", "a"), ("E", "m", "b"), ("F", "y", "c"),
@@ -89,7 +73,6 @@ def _layered_store(
 @dataclass(frozen=True)
 class KernelWorkload:
     name: str
-    gated: bool
     edge_burnback: bool
     n: int
     degree: int
@@ -121,13 +104,13 @@ def _snowflake():
 
 
 WORKLOADS = {
-    "chain": KernelWorkload("chain", True, False, 600, 12, _chain),
-    "diamond": KernelWorkload("diamond", True, False, 320, 20, _diamond),
-    "snowflake": KernelWorkload("snowflake", True, False, 320, 16, _snowflake),
+    "chain": KernelWorkload("chain", False, 600, 12, _chain),
+    "diamond": KernelWorkload("diamond", False, 320, 20, _diamond),
+    "snowflake": KernelWorkload("snowflake", False, 320, 16, _snowflake),
     # Edge burnback: the versioned fixpoint skips re-pruning settled
     # triangles and the union-form pass replaces per-object probes, so
     # this variant now holds the same 2x floor as the default three.
-    "diamond_eb": KernelWorkload("diamond_eb", True, True, 320, 20, _diamond),
+    "diamond_eb": KernelWorkload("diamond_eb", True, 320, 20, _diamond),
 }
 
 
@@ -180,7 +163,7 @@ def _best_of(fn, rounds: int) -> float:
     return min(times)
 
 
-def measure(name: str, rounds: int = 5) -> dict:
+def measure_workload(name: str, rounds: int) -> dict:
     """Race kernel vs reference; returns the workload's result record."""
     workload = WORKLOADS[name]
     _check_equivalence(name)  # also warms indexes and caches
@@ -188,8 +171,6 @@ def measure(name: str, rounds: int = 5) -> dict:
     reference_s = _best_of(lambda: _run_reference(name), rounds)
     _, stats = _run_kernel(name)
     return {
-        "workload": name,
-        "gated": workload.gated,
         "edge_burnback": workload.edge_burnback,
         "n": workload.n,
         "degree": workload.degree,
@@ -201,123 +182,45 @@ def measure(name: str, rounds: int = 5) -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# pytest entry point (CI bench-smoke job)
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_kernel_speedup(benchmark, name, request):
-    rounds = 3 if request.config.getoption("--smoke") else 7
-    workload = WORKLOADS[name]
-    _check_equivalence(name)
-    benchmark.pedantic(
-        lambda: _run_kernel(name), rounds=rounds, iterations=1, warmup_rounds=1
-    )
-    kernel_s = benchmark.stats.stats.min
-    reference_s = _best_of(lambda: _run_reference(name), rounds)
-    speedup = reference_s / kernel_s
-    benchmark.extra_info["workload"] = name
-    benchmark.extra_info["reference_seconds"] = reference_s
-    benchmark.extra_info["speedup"] = round(speedup, 3)
-    if workload.gated:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"{name}: kernel generation is only {speedup:.2f}x the "
-            f"tuple-at-a-time reference (floor {SPEEDUP_FLOOR}x)"
+def measure(smoke: bool, calibrate: int = 1) -> dict:
+    # Even --smoke keeps enough rounds for a stable min-of-N: ratio
+    # noise, not wall time, is what flakes the gate.
+    rounds = 5 if smoke else 9
+    workloads = {}
+    for name in sorted(WORKLOADS):
+        record = min(
+            (measure_workload(name, rounds) for _ in range(calibrate)),
+            key=lambda r: r["speedup"],
         )
+        workloads[name] = record
+        print(
+            f"{name:12s} kernel {record['kernel_seconds'] * 1e3:7.2f} ms   "
+            f"reference {record['reference_seconds'] * 1e3:7.2f} ms   "
+            f"x{record['speedup']:.2f}"
+        )
+    return {"rounds": rounds, "workloads": workloads}
 
 
-# ----------------------------------------------------------------------
-# script entry point (CI perf gate)
-# ----------------------------------------------------------------------
-
-
-def _gate(results: dict, baseline_path: Path) -> list[str]:
-    """Speedup regressions vs the committed baseline (empty = pass)."""
-    baseline = json.loads(baseline_path.read_text())
-    failures = []
-    for name, record in baseline.get("workloads", {}).items():
-        if not record.get("gated"):
-            continue
-        current = results["workloads"].get(name)
-        if current is None:
-            failures.append(f"{name}: present in baseline but not measured")
-            continue
-        floor = record["speedup"] * (1.0 - REGRESSION_TOLERANCE)
-        if current["speedup"] < floor:
-            failures.append(
-                f"{name}: speedup {current['speedup']:.2f}x fell below "
-                f"{floor:.2f}x (baseline {record['speedup']:.2f}x - "
-                f"{REGRESSION_TOLERANCE:.0%})"
-            )
-    return failures
+GATES = [
+    gate.Gate(
+        f"workloads.{name}.speedup",
+        floor=SPEEDUP_FLOOR,
+        tolerance=REGRESSION_TOLERANCE,
+    )
+    for name in sorted(WORKLOADS)
+]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="fewer timing rounds (CI)")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="write results JSON here")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="fail if gated speedups regress >20%% vs this file")
+    parser = gate.parser(__doc__)
     parser.add_argument("--calibrate", type=int, default=1, metavar="K",
                         help="measure each workload K times and keep the most "
                              "conservative (lowest-speedup) record; use when "
                              "recording the committed baseline")
     args = parser.parse_args(argv)
-
-    # Script mode feeds the CI regression gate, so even --smoke keeps
-    # enough rounds for a stable min-of-N (ratio noise, not wall time,
-    # is what flakes the gate).
-    rounds = 5 if args.smoke else 9
-    baseline_data = (
-        args.baseline if args.baseline and args.baseline.exists() else None
+    return gate.run(
+        "bench_kernels", lambda smoke: measure(smoke, args.calibrate), GATES, args
     )
-
-    results = {
-        "benchmark": "bench_kernels",
-        "schema": 1,
-        "python": sys.version.split()[0],
-        "rounds": rounds,
-        "speedup_floor": SPEEDUP_FLOOR,
-        "workloads": {},
-    }
-    for name in sorted(WORKLOADS):
-        record = measure(name, rounds)
-        for _ in range(args.calibrate - 1):
-            again = measure(name, rounds)
-            if again["speedup"] < record["speedup"]:
-                record = again
-        results["workloads"][name] = record
-        print(
-            f"{name:12s} kernel {record['kernel_seconds'] * 1e3:7.2f} ms   "
-            f"reference {record['reference_seconds'] * 1e3:7.2f} ms   "
-            f"x{record['speedup']:.2f}"
-            f"{'  (gated)' if record['gated'] else ''}"
-        )
-
-    status = 0
-    for name in GATED:
-        if results["workloads"][name]["speedup"] < SPEEDUP_FLOOR:
-            print(f"FAIL: {name} below the {SPEEDUP_FLOOR}x speedup floor")
-            status = 1
-
-    if baseline_data is not None:
-        failures = _gate(results, baseline_data)
-        for failure in failures:
-            print(f"REGRESSION: {failure}")
-        if failures:
-            status = 1
-        else:
-            print(f"perf gate: no regression vs {baseline_data}")
-    elif args.baseline is not None:
-        print(f"perf gate: baseline {args.baseline} missing, gate skipped")
-
-    if args.output is not None:
-        args.output.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"wrote {args.output}")
-    return status
 
 
 if __name__ == "__main__":

@@ -1,98 +1,30 @@
-"""The memory-footprint claim (§5) — and the backend index footprint.
+"""The memory-footprint claim (§5).
 
 "The answer-graph approach requires a much smaller memory footprint,
 which can be beneficial for traditional database systems that heavily
 use secondary storage."
 
-Two footprints are measured here:
+Wireframe's working set is the answer graph (|AG| pairs); the
+materializing baselines hold their largest intermediate relation.
+Recorded on the Table-1 workload — the footprint ratio is the paper's
+claim in numbers — and the AG must never exceed the materializers'
+peaks.
 
-1. **Working set.** Wireframe's working set is the answer graph (|AG|
-   pairs); the materializing baselines hold their largest intermediate
-   relation. Recorded on the Table-1 workload — the footprint ratio is
-   the paper's claim in numbers — and the AG must never exceed the
-   materializers' peaks.
-
-2. **Resident index bytes per storage backend.** The dict-of-sets
-   ``hashdict`` layout pays CPython hash-table overhead per stored id;
-   the dictionary-encoded ``columnar`` layout stores the same triples
-   as sorted ``array('q')`` runs at 8 bytes per id. On the snowflake
-   workload the columnar backend must use at least
-   :data:`MEMORY_SAVINGS_FLOOR` (30%) less index memory — asserted in
-   the pytest entry point and gated by the script entry point, which
-   writes ``BENCH_memory.json`` for the CI artifact trail:
-
-   ``python benchmarks/bench_memory_footprint.py [--smoke]
-   [--output BENCH_memory.json]``
+(The storage backends' resident index bytes — columnar at least 30%
+under hashdict — are a count, asserted in tier-1:
+``tests/graph/test_backends.py::test_columnar_index_bytes_smaller_than_hashdict``;
+``benchmarks/e2e`` reports ``graph.*.index_bytes_per_triple``.)
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-from pathlib import Path
-
-if __name__ == "__main__":  # script mode: make src/ importable
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-# The snowflake workload builder is shared with the kernel benchmark
-# (same graph for the perf and memory gates); benchmarks/ is not a
-# package, so make it importable in script mode too.
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
 import pytest
-
-from bench_kernels import SNOWFLAKE_LAYERS, _layered_store
 
 from repro.baselines import ColumnarEngine, HashJoinEngine, IndexNestedLoopEngine
 from repro.core.engine import WireframeEngine
 from repro.datasets.paper_queries import paper_diamond_queries, paper_snowflake_queries
-from repro.graph.backends import available_backends
-from repro.graph.store import TripleStore
 
 QUERIES = {q.name: q for q in paper_snowflake_queries() + paper_diamond_queries()}
-
-#: Minimum fraction of hashdict index memory the columnar backend must
-#: save on the snowflake workload (0.30 = "at least 30% smaller").
-MEMORY_SAVINGS_FLOOR = 0.30
-
-
-def _snowflake_store(backend: str, n: int, degree: int, seed: int = 3) -> TripleStore:
-    """The kernel benchmarks' snowflake digraph on the given backend."""
-    return _layered_store(SNOWFLAKE_LAYERS, n, degree, seed, backend=backend)
-
-
-def measure_backend_memory(n: int = 320, degree: int = 16) -> dict:
-    """Resident index bytes per backend on the snowflake workload."""
-    backends = {}
-    for name in available_backends():
-        store = _snowflake_store(name, n, degree)
-        backends[name] = {
-            "index_bytes": store.index_bytes(),
-            "bytes_per_triple": store.index_bytes() / store.num_triples,
-            "triples": store.num_triples,
-        }
-    hashdict = backends["hashdict"]["index_bytes"]
-    columnar = backends["columnar"]["index_bytes"]
-    return {
-        "workload": "snowflake",
-        "n": n,
-        "degree": degree,
-        "backends": backends,
-        "columnar_savings": 1.0 - columnar / hashdict,
-        "savings_floor": MEMORY_SAVINGS_FLOOR,
-    }
-
-
-def _snowflake_size() -> tuple[int, int]:
-    """(n, degree), shrunk by REPRO_BENCH_SCALE (the --smoke knob)."""
-    scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-    return max(64, int(320 * scale)), max(4, int(16 * min(scale, 1.0)))
-
-
-# ----------------------------------------------------------------------
-# pytest entry points
-# ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("query_name", sorted(QUERIES))
@@ -130,67 +62,3 @@ def test_ag_never_larger_than_materialized_peaks(store, catalog):
         if ag_size * 2 < min(peaks):
             smaller_somewhere += 1
     assert smaller_somewhere >= 5  # a clear majority of the workload
-
-
-def test_columnar_backend_index_memory_savings(benchmark):
-    """The columnar backend's resident indexes are >= 30% smaller than
-    hashdict's on the snowflake workload."""
-    n, degree = _snowflake_size()
-    results = benchmark.pedantic(
-        lambda: measure_backend_memory(n, degree),
-        rounds=1, iterations=1,
-    )
-    benchmark.extra_info.update(
-        {
-            "hashdict_bytes": results["backends"]["hashdict"]["index_bytes"],
-            "columnar_bytes": results["backends"]["columnar"]["index_bytes"],
-            "columnar_savings": round(results["columnar_savings"], 4),
-        }
-    )
-    assert results["columnar_savings"] >= MEMORY_SAVINGS_FLOOR, (
-        f"columnar saves only {results['columnar_savings']:.1%} "
-        f"(floor {MEMORY_SAVINGS_FLOOR:.0%})"
-    )
-
-
-# ----------------------------------------------------------------------
-# script entry point (CI memory gate + BENCH_memory.json artifact)
-# ----------------------------------------------------------------------
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="smaller snowflake store (CI)")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="write results JSON here")
-    args = parser.parse_args(argv)
-
-    n, degree = (128, 8) if args.smoke else (320, 16)
-    results = {
-        "benchmark": "bench_memory_footprint",
-        "schema": 1,
-        "python": sys.version.split()[0],
-        **measure_backend_memory(n, degree),
-    }
-    for name, record in sorted(results["backends"].items()):
-        print(
-            f"{name:10s} {record['index_bytes'] / 1024:10.1f} KiB of indexes "
-            f"({record['bytes_per_triple']:.1f} B/triple, "
-            f"{record['triples']} triples)"
-        )
-    print(f"columnar savings: {results['columnar_savings']:.1%} "
-          f"(floor {MEMORY_SAVINGS_FLOOR:.0%})")
-
-    if args.output is not None:
-        args.output.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"wrote {args.output}")
-
-    if results["columnar_savings"] < MEMORY_SAVINGS_FLOOR:
-        print("FAIL: columnar backend below the memory-savings floor")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

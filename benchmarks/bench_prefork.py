@@ -23,21 +23,16 @@ therefore scale where threads cannot:
    ``/proc/<pid>/smaps`` after the timed pass (only faulted pages
    count), and only on the mmap-capable columnar backend.
 
-Two entry points:
-
-* ``pytest benchmarks/bench_prefork.py [--smoke]`` — pytest-benchmark
-  timings (CI's bench-smoke job);
-* ``python benchmarks/bench_prefork.py [--smoke] [--output F]
-  [--baseline F]`` — the CI prefork gate: prints the scaling curve,
-  writes ``BENCH_prefork.json``, exits non-zero on a missed gate or a
-  >25% regression of the scaling ratio vs the committed baseline
-  (skipped when the baseline was measured on a different core count).
+``python benchmarks/bench_prefork.py [--smoke] [--output F] [--baseline F]``
+also fails on a >25% drop of the scaling ratio vs the committed
+``BENCH_prefork.json`` (compared only between runs of the same core
+count, mode, backend and load). A gate this machine cannot demonstrate
+is recorded ``"verified": false`` with the reason, and a later run
+prints ``UNVERIFIED`` for it instead of comparing against it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import tempfile
@@ -47,6 +42,7 @@ if __name__ == "__main__":  # script mode: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from repro.bench import gate
 from repro.datasets.paper_queries import paper_snowflake_queries
 from repro.server.prefork import PreforkServer
 from repro.storage import save_snapshot
@@ -128,11 +124,9 @@ def run_prefork_benchmark(
     """
     payload = os.path.realpath(os.fspath(snapshot))
     results: dict = {
-        "workload": "snowflake-cpu-bound-http",
         "requests": len(bodies),
         "clients": clients,
         "threads_per_worker": THREADS,
-        "cpus": os.cpu_count(),
         "configs": {},
     }
     for workers in WORKER_COUNTS:
@@ -164,6 +158,12 @@ def run_prefork_benchmark(
             "restarts": stats["pool"]["restarts"],
             "snapshot_residency": residency,
         }
+        print(
+            f"workers={workers}  {timed['qps']:8.1f} req/s   "
+            f"p50 {timed['p50_seconds'] * 1e3:7.2f} ms   "
+            f"p99 {timed['p99_seconds'] * 1e3:7.2f} ms   "
+            f"errors {timed['errors']} (first: {timed['first_error']})"
+        )
 
     base = results["configs"]["workers-1"]["qps"]
     results["scaling"] = {
@@ -182,58 +182,10 @@ def run_prefork_benchmark(
             sum(pss) / max(rss) if rss and pss and max(rss) else None
         ),
     }
-    results["scaling_floor"] = SCALING_FLOOR
-    results["shared_pss_ceiling"] = SHARED_PSS_CEILING
+    configs = results["configs"].values()
+    results["errors"] = sum(config["errors"] for config in configs)
+    results["restarts"] = sum(config["restarts"] for config in configs)
     return results
-
-
-def gate_failures(results: dict, backend: str) -> tuple[list[str], list[str]]:
-    """(hard failures, skip notices) for one benchmark run."""
-    failures: list[str] = []
-    notices: list[str] = []
-    for name, config in results["configs"].items():
-        if config["errors"]:
-            failures.append(
-                f"{name} had {config['errors']} non-200 responses "
-                f"(first: {config['first_error']})"
-            )
-        if config["restarts"]:
-            failures.append(f"{name} needed {config['restarts']} respawns")
-
-    if results["cpus"] is not None and results["cpus"] >= MIN_CORES_FOR_GATE:
-        if results["scaling_ratio"] < SCALING_FLOOR:
-            failures.append(
-                f"4 workers only {results['scaling_ratio']:.2f}x the "
-                f"single-process baseline (floor {SCALING_FLOOR:.1f}x on "
-                f"{results['cpus']} cores)"
-            )
-    else:
-        notices.append(
-            f"scaling gate skipped: {results['cpus']} core(s) < "
-            f"{MIN_CORES_FOR_GATE} (curve recorded, not enforced)"
-        )
-
-    sharing = results["sharing"]
-    if backend != "columnar":
-        notices.append(
-            f"sharing gate skipped: backend {backend!r} does not mmap "
-            f"snapshots"
-        )
-    elif (
-        sharing["max_worker_rss_bytes"] is None
-        or sharing["max_worker_rss_bytes"] < SHARING_MIN_RESIDENT
-    ):
-        notices.append(
-            "sharing gate skipped: too few resident snapshot bytes "
-            f"({sharing['max_worker_rss_bytes']}) to measure"
-        )
-    elif sharing["pss_over_rss"] > SHARED_PSS_CEILING:
-        failures.append(
-            f"snapshot pages are not shared: summed worker Pss is "
-            f"{sharing['pss_over_rss']:.2f}x the largest worker's Rss "
-            f"(ceiling {SHARED_PSS_CEILING:.1f}x)"
-        )
-    return failures, notices
 
 
 def _prepare_snapshot(workdir: str):
@@ -247,122 +199,43 @@ def _prepare_snapshot(workdir: str):
     return path, store.backend_name
 
 
-# ----------------------------------------------------------------------
-# pytest entry point (CI bench-smoke job)
-# ----------------------------------------------------------------------
-
-
-def test_prefork_scaling_curve(benchmark, tmp_path):
-    """The worker pool serves the CPU-bound workload error-free at
-    every size; scaling and sharing gates apply where measurable."""
-    os.environ.setdefault("REPRO_BENCH_SCALE", "0.25")
-    snapshot, backend = _prepare_snapshot(str(tmp_path))
-    bodies = build_bodies(96)
-    results = benchmark.pedantic(
-        lambda: run_prefork_benchmark(snapshot, bodies, clients=8),
-        rounds=1, iterations=1,
-    )
-    benchmark.extra_info.update(
-        {
-            "scaling_ratio": round(results["scaling_ratio"], 2),
-            "cpus": results["cpus"],
-        }
-    )
-    failures, _notices = gate_failures(results, backend)
-    assert not failures, "; ".join(failures)
-
-
-# ----------------------------------------------------------------------
-# script entry point (CI prefork gate + BENCH_prefork.json)
-# ----------------------------------------------------------------------
-
-
-def _regression(results: dict, baseline_path: Path) -> list[str]:
-    """Scaling-ratio regression vs the committed baseline.
-
-    Parallel speedup is a property of the core count, so the compare
-    only runs between measurements from same-size machines — anything
-    else prints a skip notice instead of failing spuriously.
-    """
-    baseline = json.loads(baseline_path.read_text())
-    for key in ("cpus", "mode", "backend", "requests", "clients"):
-        if baseline.get(key) != results.get(key):
-            print(
-                f"prefork gate: baseline {key}={baseline.get(key)!r} vs "
-                f"this run {results.get(key)!r} — regression check skipped"
-            )
-            return []
-    floor = baseline["scaling_ratio"] * (1.0 - REGRESSION_TOLERANCE)
-    if results["scaling_ratio"] < floor:
-        return [
-            f"scaling ratio {results['scaling_ratio']:.2f}x fell below "
-            f"{floor:.2f}x (baseline {baseline['scaling_ratio']:.2f}x - "
-            f"{REGRESSION_TOLERANCE:.0%})"
-        ]
-    print(f"prefork gate: no regression vs {baseline_path}")
-    return []
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny dataset + short passes (CI)")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="write results JSON here")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="committed BENCH_prefork.json to compare against")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
+def measure(smoke: bool) -> dict:
+    if smoke:
         os.environ.setdefault("REPRO_BENCH_SCALE", "0.25")
-
     with tempfile.TemporaryDirectory(prefix="bench-prefork-") as workdir:
         snapshot, backend = _prepare_snapshot(workdir)
-        bodies = build_bodies(160 if args.smoke else 400)
-        results = {
-            "benchmark": "bench_prefork",
-            "schema": 1,
-            "mode": "smoke" if args.smoke else "full",
-            "python": sys.version.split()[0],
-            "backend": backend,
-            **run_prefork_benchmark(snapshot, bodies),
-        }
-
-    for n in WORKER_COUNTS:
-        config = results["configs"][f"workers-{n}"]
-        print(
-            f"workers={n}  {config['qps']:8.1f} req/s "
-            f"({results['scaling'][f'workers-{n}']:5.2f}x)   "
-            f"p50 {config['p50_seconds'] * 1e3:7.2f} ms   "
-            f"p99 {config['p99_seconds'] * 1e3:7.2f} ms   "
-            f"errors {config['errors']}"
+        results = run_prefork_benchmark(snapshot, build_bodies(160 if smoke else 400))
+    results["backend"] = backend
+    skip = {}
+    if (os.cpu_count() or 1) < MIN_CORES_FOR_GATE:
+        skip["scaling_ratio"] = (
+            f"{os.cpu_count()} core(s) < {MIN_CORES_FOR_GATE}: "
+            f"curve recorded, not enforced"
         )
-    sharing = results["sharing"]
-    if sharing["pss_over_rss"] is not None:
-        print(
-            f"sharing: summed Pss "
-            f"{sharing['summed_pss_bytes'] / 1e6:.1f} MB over max Rss "
-            f"{sharing['max_worker_rss_bytes'] / 1e6:.1f} MB = "
-            f"{sharing['pss_over_rss']:.2f}x across the 4-worker pool"
+    resident = results["sharing"]["max_worker_rss_bytes"]
+    if backend != "columnar":
+        skip["sharing.pss_over_rss"] = f"backend {backend!r} does not mmap snapshots"
+    elif resident is None or resident < SHARING_MIN_RESIDENT:
+        skip["sharing.pss_over_rss"] = (
+            f"too few resident snapshot bytes ({resident}) to measure sharing"
         )
+    results["skip"] = skip
+    return results
 
-    failures, notices = gate_failures(results, backend)
-    for notice in notices:
-        print(f"prefork gate: {notice}")
-    if args.baseline is not None and args.baseline.exists():
-        failures += _regression(results, args.baseline)
-    elif args.baseline is not None:
-        print(f"prefork gate: baseline {args.baseline} missing, "
-              f"regression check skipped")
 
-    for failure in failures:
-        print(f"FAIL: {failure}")
-
-    if args.output is not None:
-        args.output.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"wrote {args.output}")
-    return 1 if failures else 0
-
+GATES = [
+    gate.Gate("errors", ceiling=0),
+    gate.Gate("restarts", ceiling=0),
+    gate.Gate(
+        "scaling_ratio",
+        floor=SCALING_FLOOR,
+        tolerance=REGRESSION_TOLERANCE,
+        like_for_like=("cpus", "mode", "backend", "requests", "clients"),
+    ),
+    gate.Gate("sharing.pss_over_rss", ceiling=SHARED_PSS_CEILING),
+]
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        gate.run("bench_prefork", measure, GATES, gate.parser(__doc__).parse_args())
+    )

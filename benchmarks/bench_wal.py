@@ -4,7 +4,7 @@ Before the write-ahead log, making an acknowledged batch durable meant
 ``save_snapshot`` — rewriting every segment, cost proportional to the
 whole store. With the WAL (:mod:`repro.storage.wal`) the same guarantee
 is one appended, fsync'd record — cost proportional to the *batch*.
-This benchmark quantifies that on a populated store:
+This benchmark quantifies that on a populated store, per backend:
 
 * **wal append** — ``add_term_triples`` through the journaled facade
   under the default ``fsync="batch"`` policy (encode + write + fsync
@@ -12,45 +12,31 @@ This benchmark quantifies that on a populated store:
 * **full save** — ``save_snapshot`` of the same store, the per-batch
   durability cost of the pre-WAL write path.
 
-Correctness is asserted before timing: after all batches, a reopen
-(snapshot + WAL replay) must recover the exact live fingerprint under
-every backend. The gate asserts WAL append is at least
-:data:`WAL_SPEEDUP_FLOOR` (5x) cheaper per batch than a full save, and
-``--baseline`` enforces a :data:`REGRESSION_TOLERANCE` (25%) bound on
-speedup regressions vs. the committed ``BENCH_wal.json``.
+After the batches a reopen (snapshot + WAL replay) must recover the
+exact live fingerprint, or the run raises. The gate: WAL append at
+least :data:`WAL_SPEEDUP_FLOOR` (5x) cheaper per batch than a full save
+on the slower backend, and at most a :data:`REGRESSION_TOLERANCE` (25%)
+drop vs. the committed ``BENCH_wal.json`` at the same store size.
 
-A second scenario measures **group commit**: serial vs.
-:data:`CONTENDED_APPENDERS` contended appender threads on one
-``fsync="batch"`` log. The gate is gauge-based (hardware-independent):
-contended appenders must pay under
-:data:`GROUP_COMMIT_FSYNC_CEILING` fsyncs per acknowledged append —
-followers absorbed into a leader's fsync — while ``durable_seq`` still
-covers every append.
+Group commit (contended appenders pay < 0.9 fsyncs per acknowledged
+append) is a count, not a timing, and is asserted in tier-1:
+``tests/storage/test_group_commit.py``.
 
-Two entry points:
-
-* ``pytest benchmarks/bench_wal.py [--smoke]`` — pytest-benchmark
-  timings for CI's bench-smoke job;
-* ``python benchmarks/bench_wal.py [--smoke] [--output F]
-  [--baseline F]`` — the CI crash-recovery gate: prints the table,
-  writes ``BENCH_wal.json``, exits non-zero on a missed floor, a
-  regression, or a recovery mismatch.
+``python benchmarks/bench_wal.py [--smoke] [--output F] [--baseline F]``
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
 if __name__ == "__main__":  # script mode: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.bench import gate
 from repro.graph.backends import available_backends
 from repro.storage import (
     close_store,
@@ -62,28 +48,11 @@ from repro.storage import (
 #: Minimum full-save / WAL-append per-batch cost ratio the gate enforces.
 WAL_SPEEDUP_FLOOR = 5.0
 
-#: Maximum fsyncs per acknowledged append the contended group-commit
-#: scenario may spend. Serial appenders pay exactly 1.0 (every append
-#: leads its own commit); contended appenders must batch under a shared
-#: leader fsync, so anything at or above this ceiling means group
-#: commit stopped absorbing followers.
-GROUP_COMMIT_FSYNC_CEILING = 0.9
-
-#: Appender threads in the contended group-commit scenario.
-CONTENDED_APPENDERS = 4
-
 #: Allowed relative drop of the WAL speedup vs the committed baseline
 #: (hardware-independent: both sides are measured on the same machine).
 REGRESSION_TOLERANCE = 0.25
 
 REPEATS = 5
-
-
-def _sizes() -> tuple[int, int, int]:
-    """(base_triples, batch_size, batches), shrunk by REPRO_BENCH_SCALE."""
-    scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-    base = max(2_000, int(20_000 * scale))
-    return base, 16, max(8, int(32 * min(scale, 1.0)))
 
 
 def _base_triples(n: int):
@@ -115,7 +84,6 @@ def run_wal_benchmark(
 ) -> dict:
     """Per-batch append vs. save timings + recovery parity, per backend."""
     results: dict = {
-        "workload": "journaled-batches",
         "base_triples": base,
         "batch_size": batch_size,
         "batches": batches,
@@ -150,9 +118,9 @@ def run_wal_benchmark(
         live = store_fingerprint(store)
         close_store(store)
         recovered = open_store(snap, backend=backend)
-        identical = store_fingerprint(recovered) == live
+        recovered_fingerprint = store_fingerprint(recovered)
         close_store(recovered)
-        if not identical:
+        if recovered_fingerprint != live:
             raise AssertionError(
                 f"recovery differs from the live store under {backend!r}"
             )
@@ -163,255 +131,35 @@ def run_wal_benchmark(
             "full_save_seconds": save_seconds,
             "wal_append_seconds_per_batch": append_seconds,
             "wal_speedup": save_seconds / append_seconds,
-            "recovery_identical": identical,
         }
+        print(
+            f"{backend:9s}  full save {save_seconds * 1e3:8.1f} ms"
+            f"   wal append {append_seconds * 1e3:7.2f} ms"
+            f"   ({save_seconds / append_seconds:6.1f}x)"
+        )
 
     results["wal_speedup"] = min(
         entry["wal_speedup"] for entry in results["backends"].values()
     )
-    results["wal_speedup_floor"] = WAL_SPEEDUP_FLOOR
     return results
 
 
-def _drive_appenders(path: str, threads: int, per_thread: int) -> dict:
-    """``threads`` appenders racing one ``fsync="batch"`` log; gauges."""
-    from repro.storage.wal import WriteAheadLog
-
-    wal = WriteAheadLog.open(path, fsync="batch")
-    barrier = threading.Barrier(threads)
-
-    def appender(tid: int) -> None:
-        barrier.wait()
-        for j in range(per_thread):
-            wal.append(adds=[(tid, j, tid * per_thread + j)])
-
-    workers = [
-        threading.Thread(target=appender, args=(tid,))
-        for tid in range(threads)
-    ]
-    start = time.perf_counter()
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    wall = time.perf_counter() - start
-
-    stats = wal.stats()
-    wal.close()
-    total = threads * per_thread
-    return {
-        "threads": threads,
-        "appends": total,
-        "wall_seconds": wall,
-        "appends_per_second": total / wall,
-        "group_commits": stats["group_commits"],
-        "absorbed": stats["absorbed"],
-        "fsyncs_per_append": stats["group_commits"] / total,
-        "durable_seq": stats["durable_seq"],
-    }
-
-
-def run_group_commit_benchmark(
-    workdir: str, per_thread: int = 200, threads: int = CONTENDED_APPENDERS,
-) -> dict:
-    """Serial vs. contended appenders on one log: fsync absorption.
-
-    The gauges (not timings) are the gate: ``group_commits / appends``
-    is the number of fsyncs each acknowledged append actually paid.
-    Serial appends pay 1.0 by construction; contended appenders must
-    share leader fsyncs, and every append must still be durable
-    (``durable_seq`` covers the whole sequence) — group commit trades
-    no durability for the batching.
-    """
-    serial = _drive_appenders(
-        os.path.join(workdir, "gc-serial.wal"), 1, per_thread * threads
-    )
-    contended = _drive_appenders(
-        os.path.join(workdir, "gc-contended.wal"), threads, per_thread
-    )
-    for scenario in (serial, contended):
-        if scenario["durable_seq"] != scenario["appends"]:
-            raise AssertionError(
-                f"group commit lost durability: durable_seq "
-                f"{scenario['durable_seq']} != appends {scenario['appends']}"
-            )
-    return {
-        "serial": serial,
-        "contended": contended,
-        "fsync_ceiling": GROUP_COMMIT_FSYNC_CEILING,
-    }
-
-
-def group_commit_failures(group: dict) -> list[str]:
-    """Gauge-gate violations in a group-commit run (empty = pass)."""
-    contended = group["contended"]
-    failures = []
-    if contended["fsyncs_per_append"] >= GROUP_COMMIT_FSYNC_CEILING:
-        failures.append(
-            f"contended appenders paid {contended['fsyncs_per_append']:.2f} "
-            f"fsyncs/append (ceiling {GROUP_COMMIT_FSYNC_CEILING:.2f}) — "
-            f"group commit is not absorbing followers"
-        )
-    if contended["absorbed"] == 0:
-        failures.append(
-            "contended appenders absorbed zero follower fsyncs"
-        )
-    return failures
-
-
-# ----------------------------------------------------------------------
-# pytest entry point
-# ----------------------------------------------------------------------
-
-
-def test_wal_append_beats_full_save(benchmark, tmp_path):
-    """One fsync'd WAL append >= 5x cheaper than a full snapshot save,
-    with recovery parity under every backend."""
-    base, batch_size, batches = _sizes()
-    results = benchmark.pedantic(
-        lambda: run_wal_benchmark(
-            str(tmp_path), base, batch_size, batches, repeats=2
-        ),
-        rounds=1, iterations=1,
-    )
-    worst = min(r["wal_speedup"] for r in results["backends"].values())
-    benchmark.extra_info.update(
-        {
-            "wal_speedup": round(worst, 1),
-            "base_triples": base,
-        }
-    )
-    assert all(
-        r["recovery_identical"] for r in results["backends"].values()
-    )
-    assert worst >= WAL_SPEEDUP_FLOOR, (
-        f"WAL append only {worst:.1f}x cheaper than a full save "
-        f"(floor {WAL_SPEEDUP_FLOOR:.0f}x)"
-    )
-
-
-def test_group_commit_absorbs_contended_fsyncs(benchmark, tmp_path):
-    """Four contended appenders pay < 0.9 fsyncs per acknowledged
-    append (serial appenders pay 1.0), with full durability."""
-    results = benchmark.pedantic(
-        lambda: run_group_commit_benchmark(str(tmp_path), per_thread=100),
-        rounds=1, iterations=1,
-    )
-    benchmark.extra_info.update(
-        {
-            "contended_fsyncs_per_append": round(
-                results["contended"]["fsyncs_per_append"], 3
-            ),
-            "absorbed": results["contended"]["absorbed"],
-        }
-    )
-    assert results["serial"]["fsyncs_per_append"] == 1.0
-    failures = group_commit_failures(results)
-    assert not failures, "; ".join(failures)
-
-
-# ----------------------------------------------------------------------
-# script entry point (CI crash-recovery gate + BENCH_wal.json)
-# ----------------------------------------------------------------------
-
-
-def _regression(results: dict, baseline_path: Path) -> list[str]:
-    """WAL-speedup regression vs the committed baseline (empty = pass).
-
-    Skipped with a notice when the run and the baseline measured
-    different store sizes — only like-for-like ratios are compared.
-    """
-    baseline = json.loads(baseline_path.read_text())
-    if baseline["base_triples"] != results["base_triples"]:
-        return [
-            f"wal gate: baseline measured {baseline['base_triples']} base "
-            f"triples, this run {results['base_triples']} — regression "
-            f"check skipped (size mismatch)"
-        ]
-    floor = baseline["wal_speedup"] * (1.0 - REGRESSION_TOLERANCE)
-    if results["wal_speedup"] < floor:
-        return [
-            f"wal gate: speedup {results['wal_speedup']:.1f}x fell below "
-            f"{floor:.1f}x (baseline {baseline['wal_speedup']:.1f}x - "
-            f"{REGRESSION_TOLERANCE:.0%})"
-        ]
-    return []
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="smaller base store (CI)")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="write results JSON here")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="committed BENCH_wal.json to compare against")
-    args = parser.parse_args(argv)
-
-    base, batch_size, batches = (4_000, 16, 16) if args.smoke else (20_000, 16, 32)
+def measure(smoke: bool) -> dict:
+    base, batches = (4_000, 16) if smoke else (20_000, 32)
     with tempfile.TemporaryDirectory(prefix="bench-wal-") as workdir:
-        results = {
-            "benchmark": "bench_wal",
-            "schema": 2,
-            "python": sys.version.split()[0],
-            **run_wal_benchmark(workdir, base, batch_size, batches),
-        }
-        results["group_commit"] = run_group_commit_benchmark(
-            workdir, per_thread=100 if args.smoke else 200
-        )
+        return run_wal_benchmark(workdir, base, 16, batches)
 
-    print(f"base store {base} triples, {batches} batches of {batch_size}")
-    for backend, entry in sorted(results["backends"].items()):
-        print(
-            f"{backend:9s}  full save {entry['full_save_seconds'] * 1e3:8.1f} ms"
-            f"   wal append {entry['wal_append_seconds_per_batch'] * 1e3:7.2f} ms"
-            f"   ({entry['wal_speedup']:6.1f}x)"
-        )
-    ok = results["wal_speedup"] >= WAL_SPEEDUP_FLOOR
-    print(f"gate: wal append >= {WAL_SPEEDUP_FLOOR:.0f}x cheaper than a "
-          f"full save -> {'ok' if ok else 'FAIL'}")
 
-    group = results["group_commit"]
-    for label in ("serial", "contended"):
-        entry = group[label]
-        print(
-            f"group commit {label:9s}  {entry['appends']:>4} appends x "
-            f"{entry['threads']} thread(s)  "
-            f"{entry['appends_per_second']:8.0f} appends/s   "
-            f"{entry['fsyncs_per_append']:.3f} fsyncs/append "
-            f"(absorbed {entry['absorbed']})"
-        )
-    print(
-        f"gate: contended fsyncs/append < "
-        f"{GROUP_COMMIT_FSYNC_CEILING:.2f} -> "
-        f"{group['contended']['fsyncs_per_append']:.3f}"
-    )
-
-    failures: list[str] = []
-    if not ok:
-        failures.append(
-            f"FAIL: wal speedup {results['wal_speedup']:.1f}x below the "
-            f"{WAL_SPEEDUP_FLOOR:.0f}x floor"
-        )
-    failures += [f"FAIL: {f}" for f in group_commit_failures(group)]
-    if args.baseline is not None and args.baseline.exists():
-        notices = _regression(results, args.baseline)
-        for notice in notices:
-            print(notice)
-        failures.extend(n for n in notices if "skipped" not in n)
-        if not notices:
-            print(f"wal gate: no regression vs {args.baseline}")
-    elif args.baseline is not None:
-        print(f"wal gate: baseline {args.baseline} not found; skipping compare")
-
-    if args.output is not None:
-        args.output.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"wrote {args.output}")
-
-    for failure in failures:
-        print(failure)
-    return 1 if failures else 0
-
+GATES = [
+    gate.Gate(
+        "wal_speedup",
+        floor=WAL_SPEEDUP_FLOOR,
+        tolerance=REGRESSION_TOLERANCE,
+        like_for_like=("base_triples",),
+    ),
+]
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        gate.run("bench_wal", measure, GATES, gate.parser(__doc__).parse_args())
+    )

@@ -101,19 +101,12 @@ def _load(args) -> tuple[TripleStore, Catalog]:
     lazy_terms = False if getattr(args, "eager_terms", False) else None
     if snapshot:
         if getattr(args, "wal", False):
-            from repro.storage import is_snapshot, open_store, scan_wal, wal_path_for
+            from repro.storage import open_store
 
-            replayed = len(scan_wal(wal_path_for(snapshot)).records)
-            had_snapshot = is_snapshot(snapshot)
+            # open_store seeds the catalog memo from the snapshot and
+            # patches the replayed batches in: no rebuild on recovery.
             store = open_store(snapshot, backend=backend)
-            # The stored catalog describes the snapshot alone; replayed
-            # log records make it stale, so rebuild in that case.
-            catalog = (
-                load_snapshot_catalog(snapshot)
-                if had_snapshot and replayed == 0
-                else None
-            )
-            return store, catalog if catalog is not None else store.catalog()
+            return store, store.catalog()
         store = load_snapshot(snapshot, backend=backend, lazy_terms=lazy_terms)
         catalog = load_snapshot_catalog(snapshot)
         return store, catalog if catalog is not None else store.catalog()
@@ -540,14 +533,23 @@ def _cmd_serve(args) -> int:
             file=sys.stderr,
         )
         return 2
-    store, catalog = _load(args)
-    with QueryService(
-        store,
-        catalog=catalog,
-        max_workers=args.threads,
-        # A WAL-attached store must stay writable (journaled mutations).
-        freeze=store.write_log is None,
-    ) as service:
+    if args.snapshot:
+        # from_snapshot records the path/generation /v1/stats reports
+        # and, with --wal, makes the service own (and seal) the log.
+        service = QueryService.from_snapshot(
+            args.snapshot,
+            backend=args.backend,
+            lazy_terms=False if args.eager_terms else None,
+            wal=args.wal,
+            max_workers=args.threads,
+        )
+    else:
+        store, catalog = _load(args)
+        service = QueryService(
+            store, catalog=catalog, max_workers=args.threads, freeze=True
+        )
+    store = service.store
+    with service:
 
         def on_ready(address):
             host, port = address

@@ -95,14 +95,13 @@ class WireframeEngine(Engine):
         catalog: Catalog | None = None,
         edge_burnback: bool = False,
         use_chords: bool = True,
-        exhaustive_limit: int = 16,
     ):
         if edge_burnback and not use_chords:
             raise QueryError("edge burnback requires chord materialization")
         self.store = store
         self.catalog = resolve_catalog(store, catalog)
         self.estimator = CardinalityEstimator(self.catalog)
-        self.edgifier = Edgifier(self.estimator, exhaustive_limit=exhaustive_limit)
+        self.edgifier = Edgifier(self.estimator)
         self.triangulator = Triangulator(self.estimator)
         self.edge_burnback = edge_burnback
         self.use_chords = use_chords

@@ -20,7 +20,7 @@ rest of the system consumes:
   on, plus :meth:`label_degrees`, the per-node input of the catalog's
   delta maintenance, and
 * :meth:`index_bytes`, the resident size of the physical indexes
-  (what the memory-footprint benchmark compares across backends).
+  (what ``benchmarks/e2e`` reports per backend as ``index_bytes_per_triple``).
 
 :class:`~repro.graph.store.TripleStore` is a thin facade over one
 backend instance; engines, kernels, the catalog builder, and the

@@ -114,11 +114,6 @@ class QueryService:
         refuse to run — in a multi-process pool exactly one owner (the
         dispatcher-side writer) may fold or seal the shared snapshot,
         and a worker accidentally compacting would race it.
-    engine_options:
-        Extra keyword arguments forwarded to
-        :class:`~repro.core.engine.WireframeEngine` (``edge_burnback``,
-        ``use_chords``, ``exhaustive_limit``: phase-1 choices only —
-        phase 2 has one planner and one executor, nothing to select).
 
     >>> from repro.graph.builder import GraphBuilder
     >>> store = (
@@ -146,7 +141,6 @@ class QueryService:
         freeze: bool = False,
         read_only: bool = False,
         probe_interval: float = 5.0,
-        engine_options: dict | None = None,
     ):
         if freeze and not store.frozen:
             store.freeze()
@@ -157,7 +151,6 @@ class QueryService:
         # cache objects are shared or persisted across services.
         self._backend_name = store.backend_name
         self.max_workers = max_workers if max_workers is not None else _default_workers()
-        self._engine_options = dict(engine_options or {})
         self.plan_cache = PlanCache(plan_cache_size)
         self.result_cache = ResultCache(result_cache_size)
         # The per-service metrics registry: stage-latency histograms are
@@ -171,7 +164,7 @@ class QueryService:
         self._inflight_lock = threading.Lock()
         self._refresh_lock = threading.Lock()
         self._epoch = store.epoch
-        self._engine = WireframeEngine(store, catalog, **self._engine_options)
+        self._engine = WireframeEngine(store, catalog)
         self._pool = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="repro-query"
         )
@@ -683,9 +676,7 @@ class QueryService:
             epoch = self.store.epoch
             if epoch == self._epoch:
                 return
-            self._engine = WireframeEngine(
-                self.store, None, **self._engine_options
-            )
+            self._engine = WireframeEngine(self.store)
             self._epoch = epoch
 
     def _versions(self, query: ConjunctiveQuery) -> tuple:

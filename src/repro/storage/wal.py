@@ -41,8 +41,8 @@ variable, and a single ``fsync`` commits every record flushed before
 it was issued. Each appender still returns only once its own record is
 durable; contention turns N fsyncs into one without weakening the
 acknowledged-write guarantee. The ``group_commits`` / ``absorbed``
-gauges (and the contended scenario in ``benchmarks/bench_wal.py``)
-make the batching observable.
+gauges (and ``tests/storage/test_group_commit.py``) make the batching
+observable.
 
 Torn-write tolerance is **by construction**: a crash mid-append leaves
 a truncated or CRC-failing *tail*, which :func:`scan_wal` stops at

@@ -64,9 +64,10 @@ def test_contended_appenders_share_fsyncs(tmp_path, monkeypatch):
     total = threads * per_thread
     assert stats["appended"] == total
     assert stats["durable_seq"] == total
-    # Batching happened: strictly fewer fsyncs than appends, and the
-    # absorbed appends account for the difference in waiters released.
-    assert stats["group_commits"] < total
+    # Batching happened: under 0.9 fsyncs per acknowledged append
+    # (serial appenders pay exactly 1.0, see above), and the absorbed
+    # appends account for the difference in waiters released.
+    assert stats["group_commits"] / total < 0.9
     assert stats["absorbed"] > 0
 
     scan = scan_wal(tmp_path / "log.wal")

@@ -425,3 +425,43 @@ def test_stats_wal_reflects_unfolded_records(tmp_path, capsys):
     assert "likes" in with_wal  # the journaled (unfolded) write
     assert "likes" not in without  # the snapshot alone predates it
     assert "knows" in without  # ... and still holds the removed triple
+
+
+@pytest.mark.parametrize("wal", [False, True])
+def test_serve_snapshot_reports_its_source_and_owns_its_log(
+    tmp_path, monkeypatch, wal
+):
+    """Single-process ``serve --snapshot P`` names P and its generation
+    in the stats block, and with ``--wal`` closes the log it opened."""
+    import repro.server
+
+    snap = journaled_snapshot(tmp_path)
+    seen = {}
+
+    def fake_serve(service, **kwargs):
+        seen["source"] = service.snapshot()["snapshot"]
+        seen["hook"] = service.store.write_log
+
+    monkeypatch.setattr(repro.server, "serve", fake_serve)
+    argv = ["serve", "--snapshot", str(snap), "--port", "0"]
+    assert main(argv + (["--wal"] if wal else [])) == 0
+    assert seen["source"] == {"path": str(snap), "generation": 1}
+    if wal:
+        assert seen["hook"].wal.closed
+    else:
+        assert seen["hook"] is None
+
+
+def test_wal_open_patches_the_stored_catalog_instead_of_rebuilding(tmp_path):
+    from repro.cli import _load, build_parser
+    from repro.stats.catalog import build_catalog
+    from repro.storage import close_store
+
+    snap = journaled_snapshot(tmp_path)  # 2 unfolded records
+    args = build_parser().parse_args(["stats", "--snapshot", str(snap), "--wal"])
+    store, catalog = _load(args)
+    try:
+        assert store.catalog_refreshes == {"full": 0, "delta": 1}
+        assert catalog == build_catalog(store)
+    finally:
+        close_store(store)
