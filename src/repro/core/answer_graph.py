@@ -9,13 +9,33 @@ per-variable candidate node sets.
 Representation
 --------------
 Each materialized *relation* — a real query edge or a chord added by
-the Triangulator — is stored twice, as forward and backward adjacency::
+the Triangulator — is an adjacency index, and can have two::
 
-    src[rel][s] = {o, ...}      dst[rel][o] = {s, ...}
+    forward(rel)[s] = {o, ...}      backward(rel)[o] = {s, ...}
 
-which gives O(1) access from either endpoint during extension,
-defactorization, and burnback. Per-variable node sets are maintained as
-the invariant
+A relation is registered with **one** of them, the direction its
+extension walked, and phase 1 costs what it walks: the opposite index
+is built the first time something asks for it, from what burnback has
+left of the relation by then (on the paper's snowflakes ~15% of the
+pairs walked). Anything holding the AG may trigger the build by calling
+:meth:`AnswerGraph.forward`, :meth:`~AnswerGraph.backward` or
+:meth:`~AnswerGraph.index` — node burnback for a small cascade batch,
+chord joins, edge burnback, phase 2 — and passes the deadline the build
+polls; the time lands in whichever phase asked. A reader that needs no
+inverse does not cause one: sizes, pair iteration and
+:meth:`~AnswerGraph.endpoints` work off whichever index exists.
+
+Ownership: the AG owns its indexes and their value sets.
+:meth:`~AnswerGraph.index` hands out the live dicts, and whoever removes
+pairs from one must keep the other, if :meth:`~AnswerGraph.built`, in
+step. While only whole nodes have been removed (all node burnback does)
+a real edge still holds *every* pair of its predicate between its two
+endpoint sets, so its missing index can be a semi-join against the
+store's live index (:func:`repro.core.kernels.inverse_index`); edge
+burnback, which removes single pairs, indexes both directions of a side
+before it prunes.
+
+Per-variable node sets are maintained as the invariant
 
     node_sets[v] = { n | n appears at v's position in EVERY
                          materialized relation incident to v }
@@ -30,12 +50,16 @@ graph).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
+from repro.core.kernels import Adjacency, AdjacencyView, inverse_index
 from repro.errors import EvaluationError
 from repro.query.algebra import BoundQuery
+from repro.utils.deadline import Deadline
 
 RelKey = tuple[str, int]  # ("e", edge index) | ("c", chord index)
+
+_NO_DEADLINE = Deadline.unlimited()
 
 
 class AnswerGraph:
@@ -43,19 +67,27 @@ class AnswerGraph:
 
     __slots__ = (
         "bound",
-        "src",
-        "dst",
+        "_fwd",
+        "_bwd",
+        "_live",
         "node_sets",
         "var_positions",
         "rel_vars",
         "materialized_order",
         "empty",
+        "__weakref__",
     )
 
     def __init__(self, bound: BoundQuery):
         self.bound = bound
-        self.src: dict[RelKey, dict[int, set[int]]] = {}
-        self.dst: dict[RelKey, dict[int, set[int]]] = {}
+        #: rel -> the indexes built so far, at least one of the two per
+        #: materialized relation. Two plain dicts that know nothing of
+        #: each other: an AG dies by reference count.
+        self._fwd: dict[RelKey, Adjacency] = {}
+        self._bwd: dict[RelKey, Adjacency] = {}
+        #: rel -> (predicate, its store epoch at registration) while the
+        #: relation is all of that predicate between its endpoint sets
+        self._live: dict[RelKey, tuple[int, int]] = {}
         #: var -> set of candidate nodes (absent = unconstrained so far)
         self.node_sets: dict[int, set[int]] = {}
         #: var -> [(rel, "s"|"o"), ...] over materialized relations
@@ -76,76 +108,57 @@ class AnswerGraph:
         rel: RelKey,
         s_var: int | None,
         o_var: int | None,
-        pairs: Iterator[tuple[int, int]] | set[tuple[int, int]] | None = None,
         *,
-        adjacency: dict[int, set[int]] | None = None,
-        backward: dict[int, set[int]] | None = None,
+        forward: Adjacency | None = None,
+        backward: Adjacency | None = None,
+        predicate: int | None = None,
     ) -> None:
-        """Materialize ``rel`` and index both directions.
+        """Materialize ``rel`` from ``forward`` (``{s: {o, ...}}``),
+        ``backward`` (``{o: {s, ...}}``) or both — at least one.
 
-        The relation content is given either as ``pairs`` (an iterable
-        of (s, o) tuples, grouped here tuple-at-a-time) or as
-        pre-grouped ``adjacency`` (``{s: {o, ...}}``, the set-at-a-time
-        kernel output) — exactly one of the two. With ``adjacency``,
-        the AG **takes ownership** of the dict and its value sets
+        The AG **takes ownership** of the dicts and their value sets
         (burnback mutates them in place); kernels always hand over
-        fresh containers. ``backward`` optionally supplies the already
-        inverted ``{o: {s, ...}}`` index (kernels produce it for free
-        on full scans and object-driven walks); it is inverted here
-        otherwise.
+        fresh containers. A direction not given is derived on first
+        read. ``predicate`` promises that the relation is every pair of
+        that store predicate between its subjects and its objects (true
+        of an extension that is not a self-join, never of a chord),
+        which lets the derivation use the store's own index.
 
         Does *not* run burnback — callers (the generation driver)
         intersect node sets and cascade afterwards, because removal
         bookkeeping depends on which endpoints were already constrained.
         """
-        if rel in self.src:
+        if rel in self.rel_vars:
             raise EvaluationError(f"relation {rel} is already materialized")
-        if (pairs is None) == (adjacency is None):
+        if forward is None and backward is None:
             raise EvaluationError(
-                "register_relation needs exactly one of pairs= or adjacency="
+                "register_relation needs forward=, backward= or both"
             )
-        if backward is not None and adjacency is None:
-            raise EvaluationError(
-                "register_relation: backward= requires adjacency= (a supplied "
-                "inverse would be silently discarded on the pairs= path)"
-            )
-        if adjacency is not None:
-            fwd = adjacency
-            if backward is not None:
-                bwd = backward
-            else:
-                from repro.core.kernels import invert_adjacency
-
-                bwd = invert_adjacency(adjacency)
-        else:
-            assert pairs is not None
-            fwd = {}
-            bwd = {}
-            for s, o in pairs:
-                fwd.setdefault(s, set()).add(o)
-                bwd.setdefault(o, set()).add(s)
-        self.src[rel] = fwd
-        self.dst[rel] = bwd
+        if forward is not None:
+            self._fwd[rel] = forward
+        if backward is not None:
+            self._bwd[rel] = backward
+        if predicate is not None:
+            self._live[rel] = (predicate, self.bound.store.predicate_epoch(predicate))
         self.rel_vars[rel] = (s_var, o_var)
         self.materialized_order.append(rel)
         if s_var is not None:
             self.var_positions.setdefault(s_var, []).append((rel, "s"))
-        if o_var is not None and not (s_var == o_var):
+        if o_var is not None:
+            # Also for a self-loop relation (s_var == o_var): one
+            # traversal of the positions list must see both roles.
             self.var_positions.setdefault(o_var, []).append((rel, "o"))
-        elif o_var is not None and s_var == o_var:
-            # Self-loop relation: one traversal of the positions list
-            # must see both roles.
-            self.var_positions.setdefault(o_var, []).append((rel, "o"))
-        if not fwd:
+        if not self._any_index(rel):
             self.empty = True
 
     def drop_relation(self, rel: RelKey) -> None:
         """Remove a materialized relation (used to discard chords after
         generation so phase 2 sees only real query edges)."""
-        if rel not in self.src:
+        if rel not in self.rel_vars:
             return
-        del self.src[rel]
-        del self.dst[rel]
+        self._fwd.pop(rel, None)
+        self._bwd.pop(rel, None)
+        self._live.pop(rel, None)
         s_var, o_var = self.rel_vars.pop(rel)
         for var in {v for v in (s_var, o_var) if v is not None}:
             self.var_positions[var] = [
@@ -154,14 +167,80 @@ class AnswerGraph:
         self.materialized_order.remove(rel)
 
     # ------------------------------------------------------------------
+    # Indexes
+    # ------------------------------------------------------------------
+
+    def forward(self, rel: RelKey, deadline: Deadline | None = None) -> Adjacency:
+        """The live ``s -> {o}`` index of ``rel``, built if need be."""
+        return self.index(rel, "s", deadline)
+
+    def backward(self, rel: RelKey, deadline: Deadline | None = None) -> Adjacency:
+        """The live ``o -> {s}`` index of ``rel``, built if need be."""
+        return self.index(rel, "o", deadline)
+
+    def index(
+        self, rel: RelKey, pos: str, deadline: Deadline | None = None
+    ) -> Adjacency:
+        """The live index of ``rel`` keyed by its ``pos`` (``"s"`` or
+        ``"o"``) endpoint. A first read of the direction the relation
+        was not registered with inverts the other one as it is now,
+        polling ``deadline``. ``KeyError`` for an unmaterialized ``rel``."""
+        mine, other = (self._fwd, self._bwd) if pos == "s" else (self._bwd, self._fwd)
+        adj = mine.get(rel)
+        if adj is None:
+            adj = mine[rel] = inverse_index(
+                other[rel], self._store_view(rel, pos), deadline or _NO_DEADLINE
+            )
+        return adj
+
+    def built(self, rel: RelKey, pos: str) -> Adjacency | None:
+        """:meth:`index` if it exists already, else ``None``."""
+        return (self._fwd if pos == "s" else self._bwd).get(rel)
+
+    def _store_view(self, rel: RelKey, pos: str) -> AdjacencyView | None:
+        """The store's index of ``rel``'s predicate keyed by ``pos``,
+        if ``rel`` is still that predicate restricted to its endpoints
+        and the predicate has not been written to since."""
+        live = self._live.get(rel)
+        if live is None:
+            return None
+        predicate, epoch = live
+        store = self.bound.store
+        if store.predicate_epoch(predicate) != epoch:
+            return None
+        if pos == "s":
+            return store.adjacency(predicate)
+        return store.reverse_adjacency(predicate)
+
+    def _any_index(self, rel: RelKey) -> Adjacency:
+        """Whichever index of ``rel`` exists ({} if unmaterialized)."""
+        adj = self._fwd.get(rel)
+        return adj if adj is not None else self._bwd.get(rel, {})
+
+    def endpoints(self, rel: RelKey, pos: str) -> AbstractSet[int]:
+        """The distinct nodes at ``rel``'s ``pos`` endpoint: the live
+        key view of that index if built, else the union of the other
+        index's value sets (no inverse is built for it)."""
+        adj = self.built(rel, pos)
+        if adj is not None:
+            return adj.keys()
+        return set().union(*self._any_index(rel).values())
+
+    # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
 
     def pairs(self, rel: RelKey) -> Iterator[tuple[int, int]]:
         """Iterate the (s, o) pairs of a materialized relation."""
-        for s, objs in self.src.get(rel, {}).items():
-            for o in objs:
-                yield (s, o)
+        adj = self._fwd.get(rel)
+        if adj is not None:
+            for s, objs in adj.items():
+                for o in objs:
+                    yield (s, o)
+        else:
+            for o, subs in self._bwd.get(rel, {}).items():
+                for s in subs:
+                    yield (s, o)
 
     def pair_set(self, rel: RelKey) -> set[tuple[int, int]]:
         """The (s, o) pairs of ``rel`` as a fresh set."""
@@ -169,7 +248,7 @@ class AnswerGraph:
 
     def relation_size(self, rel: RelKey) -> int:
         """Number of pairs currently in ``rel`` (0 if unmaterialized)."""
-        return sum(len(objs) for objs in self.src.get(rel, {}).values())
+        return sum(map(len, self._any_index(rel).values()))
 
     def edge_pairs(self, edge_index: int) -> set[tuple[int, int]]:
         """The AG pairs of real query edge ``edge_index``."""
@@ -184,7 +263,7 @@ class AnswerGraph:
         """
         return sum(
             self.relation_size(rel)
-            for rel in self.src
+            for rel in self.rel_vars
             if rel[0] == "e"
         )
 
@@ -201,7 +280,7 @@ class AnswerGraph:
 
     def is_materialized(self, rel: RelKey) -> bool:
         """Whether ``rel`` has been registered in this AG."""
-        return rel in self.src
+        return rel in self.rel_vars
 
     def relation_statistics(self) -> tuple[dict[int, int], dict[tuple[int, str], int]]:
         """(sizes, per-side distinct node counts) over real edges.
@@ -211,13 +290,13 @@ class AnswerGraph:
         """
         sizes: dict[int, int] = {}
         node_counts: dict[tuple[int, str], int] = {}
-        for rel in self.src:
+        for rel in self.rel_vars:
             kind, idx = rel
             if kind != "e":
                 continue
             sizes[idx] = self.relation_size(rel)
-            node_counts[(idx, "s")] = len(self.src[rel])
-            node_counts[(idx, "o")] = len(self.dst[rel])
+            node_counts[(idx, "s")] = len(self.endpoints(rel, "s"))
+            node_counts[(idx, "o")] = len(self.endpoints(rel, "o"))
         return sizes, node_counts
 
     def snapshot(self) -> dict:

@@ -4,14 +4,24 @@
 that failed to extend are removed. This 'node burnback' cascades."
 Implemented as a *batched* worklist fixpoint: removals are grouped per
 variable and each batch is applied to every incident relation with
-bulk set operations — one ``set.difference_update`` per touched
-partner bucket (see :func:`repro.core.kernels.subtract_from_buckets`)
-instead of one ``set.discard`` per (node, partner) pair. Any partner
-left without pairs in a relation loses its membership in the opposite
-variable's node set, which feeds the next batch. The fixpoint (and the
-count of removals processed) is identical to the tuple-at-a-time
-reference (:func:`repro.core.reference.node_burnback_reference`); only
-the processing order differs.
+bulk set operations. Any partner left without pairs in a relation
+loses its membership in the opposite variable's node set, which feeds
+the next batch. The fixpoint (and the count of removals processed) is
+identical to the tuple-at-a-time reference
+(:func:`repro.core.reference.node_burnback_reference`); only the
+processing order differs.
+
+How a batch leaves a relation depends on which of the relation's two
+indexes exist (:mod:`repro.core.answer_graph` builds the second one on
+demand). With both, the batch is popped out of the index it keys and
+subtracted from the buckets of its partners in the other — one
+``set.difference_update`` per touched bucket
+(:func:`repro.core.kernels.subtract_from_buckets`). With one, a batch
+that is small against the relation has the other built and goes the
+same way; a large batch — the usual case right after an extension,
+which on the paper's snowflakes burns most of what was walked — is one
+semi-join pass over the index that exists, and the relation stays
+singly indexed (:data:`PASS_BATCH_RATIO`).
 
 **Edge burnback** (§4.I, the paper's work-in-progress extension,
 implemented here): with the query triangulated, every triangle's sides
@@ -30,30 +40,43 @@ from __future__ import annotations
 from typing import AbstractSet, Iterable
 
 from repro.core.answer_graph import AnswerGraph, RelKey
-from repro.core.kernels import subtract_from_buckets
+from repro.core.kernels import Adjacency, strip_from_buckets, subtract_from_buckets
+from repro.errors import EvaluationError
 from repro.planner.plan import Triangle, TriangleSide
 from repro.utils.deadline import Deadline
+
+#: A cascade batch reaches a relation that has one index. If the batch
+#: times this is at least that index's key count, the batch is removed
+#: by one pass over the index; if it is smaller, the missing index is
+#: built (once: today's cost plus that pass at worst) and the batch and
+#: every later one are removed by probe. A pass is cheaper than a build
+#: for the batch at hand, so the ratio only has to catch the relation
+#: that stays large under a long run of small batches: measured on the
+#: paper's ten queries, phase 1 is flat from 64 up and 20% slower at 8.
+PASS_BATCH_RATIO = 128
+
+#: var -> nodes already deleted from its node set, still to be chased
+Removals = dict[int, set[int]]
 
 
 def node_burnback(
     ag: AnswerGraph,
-    removals: Iterable[tuple[int, int]],
+    removals: Removals,
     deadline: Deadline,
     changed_rels: "set[RelKey] | None" = None,
 ) -> int:
-    """Cascade (variable, node) removals to fixpoint.
+    """Cascade node removals to fixpoint.
 
-    ``removals`` seeds the worklist: nodes already deleted from their
-    variable's node set whose incident AG pairs must now be chased.
-    Returns the total number of distinct (variable, node) removals
-    processed. ``changed_rels``, when given, accumulates the relation
-    keys whose indexes this cascade actually shrank — the edge-burnback
-    fixpoint uses it to skip re-pruning triangles whose relations are
-    untouched since their last prune.
+    ``removals`` seeds the worklist, per variable: nodes already deleted
+    from that variable's node set whose incident AG pairs must now be
+    chased (its sets are consumed). Returns the total number of
+    distinct (variable, node) removals processed. ``changed_rels``,
+    when given, accumulates the relation keys whose indexes this
+    cascade actually shrank — the edge-burnback fixpoint uses it to
+    skip re-pruning triangles whose relations are untouched since their
+    last prune.
     """
-    pending: dict[int, set[int]] = {}
-    for var, node in removals:
-        pending.setdefault(var, set()).add(node)
+    pending = {var: batch for var, batch in removals.items() if batch}
     burned = 0
     node_sets = ag.node_sets
     while pending:
@@ -61,27 +84,38 @@ def node_burnback(
         deadline.check_every(len(batch))
         burned += len(batch)
         for rel, pos in ag.var_positions.get(var, ()):
-            if pos == "s":
-                index, other_index = ag.src[rel], ag.dst[rel]
+            far_pos = "o" if pos == "s" else "s"
+            near, far = ag.built(rel, pos), ag.built(rel, far_pos)
+            if near is None or far is None:
+                only = far if near is None else near
+                if len(batch) * PASS_BATCH_RATIO < len(only):
+                    near = ag.index(rel, pos, deadline)
+                    far = ag.index(rel, far_pos, deadline)
+            emptied: Iterable[int]
+            if near is None:
+                # The batch sits inside the buckets of the one index.
+                assert far is not None
+                shrunk, emptied = strip_from_buckets(far, batch)
+                if not shrunk:
+                    continue
             else:
-                index, other_index = ag.dst[rel], ag.src[rel]
-            # Pop the batch out of the near index, collecting the set
-            # of far-side partners whose buckets must shrink. Probe
-            # the smaller side: a cascade batch can dwarf a relation's
-            # remaining index (and vice versa).
-            present = (
-                index.keys() & batch if len(batch) > len(index) else batch
-            )
-            touched: set[int] = set()
-            for node in present:
-                partners = index.pop(node, None)
-                if partners:
-                    touched |= partners
-            if not touched:
-                continue
+                # Pop the batch out of the near index, collecting the
+                # set of far-side partners whose buckets must shrink.
+                # Probe the smaller side: a cascade batch can dwarf a
+                # relation's remaining index (and vice versa).
+                present = near.keys() & batch if len(batch) > len(near) else batch
+                popped = [ps for node in present if (ps := near.pop(node, None))]
+                if not popped:
+                    continue
+                touched = set().union(*popped)
+                if far is None:
+                    # A partner is gone iff no remaining bucket holds it.
+                    touched.difference_update(*near.values())
+                    emptied = touched
+                else:
+                    emptied = subtract_from_buckets(far, touched, batch)
             if changed_rels is not None:
                 changed_rels.add(rel)
-            emptied = subtract_from_buckets(other_index, touched, batch)
             s_var, o_var = ag.rel_vars[rel]
             other_var = o_var if pos == "s" else s_var
             if other_var is not None and emptied:
@@ -91,20 +125,21 @@ def node_burnback(
                     if dropped:
                         candidates -= dropped
                         pending.setdefault(other_var, set()).update(dropped)
-            if not ag.src[rel]:
+            if not (far if near is None else near):
                 ag.empty = True
     return burned
 
 
 def intersect_node_set(
     ag: AnswerGraph, var: int, new_nodes: AbstractSet[int]
-) -> list[tuple[int, int]]:
+) -> Removals:
     """Constrain ``var``'s node set to ``new_nodes``; return removals.
 
     The first relation to touch a variable installs its node set
     outright (no cascade possible — nothing else references those
-    nodes yet). Later relations intersect, and every node that drops
-    out must be cascaded by :func:`node_burnback`.
+    nodes yet). Later relations intersect, and the nodes that drop out
+    come back as ``{var: dropped}`` (``{}`` if none did) for
+    :func:`node_burnback` to cascade.
 
     ``new_nodes`` may be a live ``dict_keys`` view of an AG index — it
     is only read, and copied exactly once on first installation.
@@ -112,11 +147,24 @@ def intersect_node_set(
     current = ag.node_sets.get(var)
     if current is None:
         ag.node_sets[var] = set(new_nodes)
-        return []
-    removed = [(var, node) for node in current.difference(new_nodes)]
-    if removed:
-        current.intersection_update(new_nodes)
-    return removed
+        return {}
+    removed = current.difference(new_nodes)
+    if not removed:
+        return {}
+    current -= removed
+    return {var: removed}
+
+
+def constrain_endpoints(ag: AnswerGraph, rel: RelKey) -> Removals:
+    """:func:`intersect_node_set` for each variable endpoint of the
+    freshly registered ``rel``, with the nodes ``rel`` holds there."""
+    removals: Removals = {}
+    for var, pos in zip(ag.rel_vars[rel], "so"):
+        if var is not None:
+            # (A self-join's second round finds nothing left to drop,
+            # so it cannot overwrite the first one's entry.)
+            removals.update(intersect_node_set(ag, var, ag.endpoints(rel, pos)))
+    return removals
 
 
 # ----------------------------------------------------------------------
@@ -124,23 +172,22 @@ def intersect_node_set(
 # ----------------------------------------------------------------------
 
 
-def _rel_of(side: TriangleSide) -> RelKey:
+def rel_of(side: TriangleSide) -> RelKey:
     return (side.ref.kind[0], side.ref.index)  # "edge"->"e", "chord"->"c"
 
 
-def _adj_from(ag: AnswerGraph, side: TriangleSide, var: int) -> dict[int, set[int]]:
-    """Adjacency of ``side`` keyed by its endpoint variable ``var``."""
-    rel = _rel_of(side)
-    if side.a == var:
-        return ag.src[rel]
-    if side.b == var:
-        return ag.dst[rel]
-    raise ValueError(f"variable {var} is not an endpoint of side {side}")
+def side_index(
+    ag: AnswerGraph, side: TriangleSide, var: int, deadline: Deadline
+) -> Adjacency:
+    """The index of ``side`` keyed by its endpoint variable ``var``."""
+    if var not in (side.a, side.b):
+        raise EvaluationError(f"variable {var} is not an endpoint of {side}")
+    return ag.index(rel_of(side), "s" if side.a == var else "o", deadline)
 
 
 def _prune_side(
     ag: AnswerGraph, triangle: Triangle, side: TriangleSide, deadline: Deadline
-) -> tuple[int, list[tuple[int, int]]]:
+) -> tuple[int, Removals]:
     """Remove pairs of ``side`` that no node z completes to a triangle.
 
     ``side`` spans variables (x, y); the triangle's other two sides
@@ -154,19 +201,19 @@ def _prune_side(
     x, y = side.a, side.b
     side_x = other1 if x in (other1.a, other1.b) else other2
     side_y = other2 if side_x is other1 else other1
-    from_x = _adj_from(ag, side_x, x)
-    # Both directions of the y—z side are already maintained by the AG:
-    # ``from_y`` keys it by y (o -> {z partners}), ``inv_y`` by z
-    # (z -> {o partners}). The inverse turns the per-object membership
-    # probe into one C-level union per source (below).
-    rel_y = _rel_of(side_y)
-    if side_y.a == y:
-        from_y, inv_y = ag.src[rel_y], ag.dst[rel_y]
-    else:
-        from_y, inv_y = ag.dst[rel_y], ag.src[rel_y]
+    from_x = side_index(ag, side_x, x, deadline)
+    # Both directions of the y—z side: ``from_y`` keys it by y
+    # (o -> {z partners}), ``inv_y`` by z (z -> {o partners}). The
+    # inverse turns the per-object membership probe into one C-level
+    # union per source (below).
+    z = side_y.b if side_y.a == y else side_y.a
+    from_y = side_index(ag, side_y, y, deadline)
+    inv_y = side_index(ag, side_y, z, deadline)
 
-    rel = _rel_of(side)
-    fwd, bwd = ag.src[rel], ag.dst[rel]
+    # Pairs, not whole nodes, leave this side: keep both its indexes,
+    # so that neither is ever derived from the other afterwards.
+    rel = rel_of(side)
+    fwd, bwd = ag.forward(rel, deadline), ag.backward(rel, deadline)
 
     # Pass 1 (read-only): per source node, the surviving object set —
     # ``keep = objs ∩ ⋃_{z ∈ from_x[s]} inv_y[z]`` (an object survives
@@ -202,10 +249,10 @@ def _prune_side(
             shrunk.append((s, keep, objs - keep))
 
     if not shrunk:
-        return 0, []
+        return 0, {}
 
     # Pass 2: apply survivors in bulk and collect node-set removals.
-    removals: list[tuple[int, int]] = []
+    removals: Removals = {}
     s_var, o_var = ag.rel_vars[rel]
     node_sets = ag.node_sets
     doomed_by_o: dict[int, set[int]] = {}
@@ -216,7 +263,7 @@ def _prune_side(
             del fwd[s]
             if s_var is not None and s in node_sets.get(s_var, ()):
                 node_sets[s_var].discard(s)
-                removals.append((s_var, s))
+                removals.setdefault(s_var, set()).add(s)
         for o in gone:
             bucket = doomed_by_o.get(o)
             if bucket is None:
@@ -232,7 +279,7 @@ def _prune_side(
             del bwd[o]
             if o_var is not None and o in node_sets.get(o_var, ()):
                 node_sets[o_var].discard(o)
-                removals.append((o_var, o))
+                removals.setdefault(o_var, set()).add(o)
     if not fwd:
         ag.empty = True
     return removed, removals
@@ -281,11 +328,11 @@ def edge_burnback(
         rounds += 1
         for t_idx, triangle in enumerate(triangle_list):
             for s_idx, side in enumerate(triangle.sides):
-                rel = _rel_of(side)
-                if rel not in ag.src:
+                rel = rel_of(side)
+                if not ag.is_materialized(rel):
                     continue
                 other1, other2 = triangle.sides_excluding(side.ref)
-                rels = (rel, _rel_of(other1), _rel_of(other2))
+                rels = (rel, rel_of(other1), rel_of(other2))
                 stamp = (
                     version.get(rels[0], 0),
                     version.get(rels[1], 0),

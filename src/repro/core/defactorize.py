@@ -74,10 +74,17 @@ class _Plan(NamedTuple):
 
 
 def _compile(
-    ag: AnswerGraph, order: Sequence[int] | None, columns: Sequence[int], distinct: bool
+    ag: AnswerGraph,
+    order: Sequence[int] | None,
+    columns: Sequence[int],
+    distinct: bool,
+    deadline: Deadline,
 ) -> _Plan | None:
     """Split the query into skeleton levels and hanging leaves, in
-    O(|query|). ``None`` means the AG provably holds no embedding."""
+    O(|query|) plus the AG indexes it is first to read: each edge is
+    asked for the one direction its join or leaf descends, which phase
+    1 may not have built. ``None`` means the AG provably holds no
+    embedding."""
     edges = ag.bound.edges
     if ag.empty:
         return None
@@ -87,7 +94,7 @@ def _compile(
     if len(order) != len(edges):
         raise PlanError("embedding order must cover every query edge")
     for eid in order:
-        if ("e", eid) not in ag.src:
+        if not ag.is_materialized(("e", eid)):
             raise PlanError(f"edge {eid} was never materialized in the AG")
 
     shown_at: dict[int, list[int]] = {}
@@ -124,25 +131,25 @@ def _compile(
     slots: list[int | None] = [None] * len(levels)
 
     for e in edges:
-        fwd, bwd = ag.src[("e", e.index)], ag.dst[("e", e.index)]
+        rel = ("e", e.index)
         s, o = e.s_var, e.o_var
         if e.index in leaf_edges:
             leaf = leaf_edges[e.index]
-            anchor, adj = (s, fwd) if leaf == o else (o, bwd)
+            anchor, pos = (s, "s") if leaf == o else (o, "o")
             column = shown_at[leaf][0] if leaf in shown_at else None
-            levels[level_of[anchor]].leaves.append((column, adj))
+            levels[level_of[anchor]].leaves.append((column, ag.index(rel, pos, deadline)))
         elif s is not None and s == o:
-            levels[level_of[s]].loops.append(fwd)
+            levels[level_of[s]].loops.append(ag.forward(rel, deadline))
         elif s is not None and o is not None:
             if level_of[s] < level_of[o]:
-                levels[level_of[o]].joins.append((fwd, level_of[s]))
+                levels[level_of[o]].joins.append((ag.forward(rel, deadline), level_of[s]))
             else:
-                levels[level_of[s]].joins.append((bwd, level_of[o]))
+                levels[level_of[s]].joins.append((ag.backward(rel, deadline), level_of[o]))
         elif s is not None or o is not None:  # the constant end is known from the start
-            var, adj, const = (o, fwd, e.s_const) if s is None else (s, bwd, e.o_const)
-            levels[level_of[var]].joins.append((adj, len(slots)))
+            var, pos, const = (o, "s", e.s_const) if s is None else (s, "o", e.o_const)
+            levels[level_of[var]].joins.append((ag.index(rel, pos, deadline), len(slots)))
             slots.append(const)
-        elif e.o_const not in fwd.get(e.s_const, _NONE):
+        elif e.o_const not in ag.forward(rel, deadline).get(e.s_const, _NONE):
             return None
     exact = not distinct or all(var in shown_at for var in level_of)
     pooled = level_of and poolable(next(reversed(level_of))) and not levels[-1].leaves
@@ -242,9 +249,10 @@ def iter_embeddings(
     plan-free textual order, which is valid whenever the query is
     connected). Lazily yields tuples aligned with ``bound.var_names``.
     """
-    plan = _compile(ag, order, range(ag.bound.num_vars), False)
+    deadline = deadline or Deadline.unlimited()
+    plan = _compile(ag, order, range(ag.bound.num_vars), False, deadline)
     if plan is not None:
-        yield from chain.from_iterable(_blocks(plan, deadline or Deadline.unlimited()))
+        yield from chain.from_iterable(_blocks(plan, deadline))
 
 
 def materialize_embeddings(
@@ -256,10 +264,11 @@ def materialize_embeddings(
     """All projected result rows (respecting projection and DISTINCT),
     or the first ``limit`` of them without producing the rest."""
     bound = ag.bound
-    plan = _compile(ag, order, bound.projection, bound.distinct)
+    deadline = deadline or Deadline.unlimited()
+    plan = _compile(ag, order, bound.projection, bound.distinct, deadline)
     if plan is None:
         return []
-    rows = chain.from_iterable(_blocks(plan, deadline or Deadline.unlimited()))
+    rows = chain.from_iterable(_blocks(plan, deadline))
     if not plan.exact:
         rows = _unique(rows)
     return list(rows if limit is None else islice(rows, limit))
@@ -275,7 +284,7 @@ def count_embeddings(
     deadline = deadline or Deadline.unlimited()
     # Bag semantics count embeddings, whatever the projection shows.
     columns = bound.projection if bound.distinct else range(bound.num_vars)
-    plan = _compile(ag, order, columns, bound.distinct)
+    plan = _compile(ag, order, columns, bound.distinct, deadline)
     if plan is None:
         return 0
     if not plan.exact:

@@ -24,13 +24,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.core.answer_graph import AnswerGraph
-from repro.core.kernels import BulkExtension, bulk_extend, flatten_pairs
+from repro.core.kernels import BulkExtension, bulk_extend
 from repro.graph.store import TripleStore
 from repro.query.algebra import BoundEdge
 from repro.utils.deadline import Deadline
 
+
 class ExtensionResult(NamedTuple):
-    """Outcome of one edge-extension step."""
+    """Outcome of one tuple-at-a-time edge-extension step
+    (:func:`repro.core.reference.extend_edge_reference`)."""
 
     pairs: set[tuple[int, int]]
     edge_walks: int
@@ -42,33 +44,23 @@ def extend_edge_bulk(
     edge: BoundEdge,
     deadline: Deadline,
 ) -> BulkExtension:
-    """Matching data edges for ``edge``, as grouped adjacency.
+    """Matching data edges for ``edge``, as grouped adjacency in the
+    direction they were walked.
 
-    Does not mutate ``ag``; the generation driver hands the result's
-    forward/backward adjacency straight to
+    Does not mutate ``ag``; the generation driver hands the result
+    straight to
     :meth:`~repro.core.answer_graph.AnswerGraph.register_relation`
     (no intermediate pair set) and runs burnback. An unsatisfiable edge
     (unknown predicate or constant) yields no pairs.
     """
     if not edge.satisfiable:
-        return BulkExtension({}, {}, 0)
+        return BulkExtension({}, None, 0)
     p = edge.p
     assert p is not None
     s_candidates = _endpoint_candidates(ag, edge.s_var, edge.s_const)
     o_candidates = _endpoint_candidates(ag, edge.o_var, edge.o_const)
     self_join = edge.s_var is not None and edge.s_var == edge.o_var
     return bulk_extend(store, p, s_candidates, o_candidates, self_join, deadline)
-
-
-def extend_edge(
-    ag: AnswerGraph,
-    store: TripleStore,
-    edge: BoundEdge,
-    deadline: Deadline,
-) -> ExtensionResult:
-    """Pair-set view of :func:`extend_edge_bulk` (compatibility API)."""
-    result = extend_edge_bulk(ag, store, edge, deadline)
-    return ExtensionResult(flatten_pairs(result.forward), result.walks)
 
 
 def _endpoint_candidates(

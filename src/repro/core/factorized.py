@@ -90,12 +90,10 @@ def _var_forest(ag: AnswerGraph) -> tuple[list[int], dict[int, list[_TreeEdge]]]
                 if other in visited:
                     continue
                 visited.add(other)
-                edge = ag.bound.edges[eid]
-                if edge.s_var == var:
-                    adj = ag.src[("e", eid)]
-                else:
-                    adj = ag.dst[("e", eid)]
-                children[var].append(_TreeEdge(eid, other, adj))
+                pos = "s" if bound.edges[eid].s_var == var else "o"
+                children[var].append(
+                    _TreeEdge(eid, other, ag.index(("e", eid), pos))
+                )
                 stack.append(other)
     return roots, children
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.answer_graph import AnswerGraph
-from repro.core.burnback import edge_burnback, intersect_node_set, node_burnback
+from repro.core.burnback import constrain_endpoints, edge_burnback, node_burnback
 from repro.core.extension import extend_edge_bulk
 from repro.core.triangles import drop_chords, materialize_chords
 from repro.errors import PlanError
@@ -101,22 +101,20 @@ def generate_answer_graph(
             rel,
             edge.s_var,
             edge.o_var,
-            adjacency=result.forward,
+            forward=result.forward,
             backward=result.backward,
+            predicate=result.predicate,
         )
         if trace is not None:
             trace.record("extend", eid, ag)
 
-        removals: list[tuple[int, int]] = []
-        if edge.s_var is not None:
-            removals += intersect_node_set(ag, edge.s_var, ag.src[rel].keys())
-        if edge.o_var is not None:
-            removals += intersect_node_set(ag, edge.o_var, ag.dst[rel].keys())
+        removals = constrain_endpoints(ag, rel)
         if removals:
+            seeds = None if trace is None else {v: sorted(ns) for v, ns in removals.items()}
             with trace_span("burnback", nested=True):
                 stats.burned_nodes += node_burnback(ag, removals, deadline)
             if trace is not None:
-                trace.record("burnback", [r for r in removals], ag)
+                trace.record("burnback", seeds, ag)
 
     if chordification is not None and not chordification.is_trivial and not ag.empty:
         stats.chord_pairs = materialize_chords(ag, chordification, deadline)

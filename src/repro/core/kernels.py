@@ -24,6 +24,13 @@ unless documented otherwise, so callers may hand results straight to
 :meth:`repro.core.answer_graph.AnswerGraph.register_relation`, which
 takes ownership.
 
+An extension returns the adjacency it *walked* and nothing else: keyed
+by subject when it walked from subjects (or scanned the label), by
+object when it walked from objects. The opposite index is not a product
+of phase 1. :class:`~repro.core.answer_graph.AnswerGraph` derives it the
+first time something reads it, from what burnback has left of the
+relation, through :func:`inverse_index` below.
+
 Adjacency convention: ``adj[x] = {y, ...}`` with no empty value sets —
 a key with an empty set is dropped, matching the AnswerGraph index
 invariant.
@@ -63,17 +70,20 @@ NODE_BLOCK = 1024
 class BulkExtension(NamedTuple):
     """Outcome of one bulk edge-extension.
 
-    ``forward`` is the ``s -> {o}`` adjacency of the matching pairs;
-    ``backward`` is the ``o -> {s}`` inverse when the kernel produced
-    it for free (full-label scans and object-driven walks), else
-    ``None`` and the caller inverts on registration. ``walks`` is the
-    number of data edges retrieved, identical to the tuple-at-a-time
-    count.
+    Exactly one of ``forward`` (the ``s -> {o}`` adjacency of the
+    matching pairs) and ``backward`` (``o -> {s}``) is set: the
+    direction the kernel walked. ``walks`` is the number of data edges
+    retrieved, identical to the tuple-at-a-time count. ``predicate`` is
+    set when the pairs are *all* of that predicate's between their
+    subjects and their objects — every extension but a self-join, which
+    keeps the diagonal only (what ``register_relation(predicate=)``
+    wants to know).
     """
 
-    forward: Adjacency
+    forward: Adjacency | None
     backward: Adjacency | None
     walks: int
+    predicate: int | None = None
 
 
 # ----------------------------------------------------------------------
@@ -109,11 +119,6 @@ def invert_adjacency(adj: Adjacency, deadline: Deadline | None = None) -> Adjace
             else:
                 bucket.add(x)
     return out
-
-
-def flatten_pairs(adj: Adjacency) -> set[tuple[int, int]]:
-    """The pair-set view of ``adj`` (for compatibility shims/tests)."""
-    return {(x, y) for x, ys in adj.items() for y in ys}
 
 
 def semijoin_restrict(
@@ -233,16 +238,15 @@ def bulk_extend(
 def _extend_scan(
     store: "StoreViews", p: int, self_join: bool, deadline: Deadline
 ) -> BulkExtension:
-    """Full-label scan: copy both live indexes wholesale."""
+    """Full-label scan: copy the live subject index wholesale."""
     by_s = store.adjacency(p)
     walks = sum(map(len, by_s.values()))
     deadline.check_every(walks)
     if self_join:
-        fwd: Adjacency = {s: {s} for s, objs in by_s.items() if s in objs}
-        return BulkExtension(fwd, copy_adjacency(fwd), walks)
-    fwd = copy_adjacency(by_s)
-    bwd = copy_adjacency(store.reverse_adjacency(p))
-    return BulkExtension(fwd, bwd, walks)
+        return BulkExtension(
+            {s: {s} for s, objs in by_s.items() if s in objs}, None, walks
+        )
+    return BulkExtension(copy_adjacency(by_s), None, walks, p)
 
 
 #: Rough cost ratio of one interpreted pair-inversion step vs one
@@ -256,11 +260,12 @@ def _semijoin_inverse(
 ) -> Adjacency:
     """The backward index of ``forward``.
 
-    Whenever ``forward[s]`` is exactly ``successors(s) ∩ F`` for one
-    global far-endpoint filter ``F`` (the shape every non-self-join
-    extension produces), the inverse can be derived from the store's
-    live reverse adjacency: for any reached object ``o``,
-    ``backward[o] = reverse[o] ∩ forward.keys()`` — one C-level
+    Whenever ``forward`` holds exactly the pairs of one predicate
+    between a set of sources and a set of far endpoints — the shape
+    every non-self-join extension produces and node burnback keeps,
+    since it only ever removes whole nodes — the inverse can be derived
+    from the store's live reverse adjacency: for any reached object
+    ``o``, ``backward[o] = reverse[o] ∩ forward.keys()`` — one C-level
     intersection per distinct object. That wins when the intersections
     are dense, but degrades on popular objects (huge ``reverse[o]``,
     tiny overlap), so both strategies are costed from index sizes and
@@ -286,6 +291,24 @@ def _semijoin_inverse(
         bwd.update({o: reverse[o] & sources for o in chunk})
         deadline.check_every(len(chunk))
     return bwd
+
+
+def inverse_index(
+    adj: Adjacency, store_view: AdjacencyView | None, deadline: Deadline
+) -> Adjacency:
+    """The opposite index of ``adj``, as fresh containers.
+
+    ``store_view`` is the store's live index of the relation's
+    predicate keyed like the *result* (``reverse_adjacency(p)`` for a
+    subject-keyed ``adj``, ``adjacency(p)`` for an object-keyed one) and
+    may only be given while ``adj`` is still all of that predicate's
+    pairs between its keys and its values; then the semi-join against
+    it is weighed against pair-at-a-time inversion
+    (:func:`_semijoin_inverse`). ``None`` inverts pair by pair.
+    """
+    if store_view is None:
+        return invert_adjacency(adj, deadline)
+    return _semijoin_inverse(store_view, adj, deadline)
 
 
 def _candidate_adjacency(
@@ -337,10 +360,7 @@ def _extend_from_subjects(
     """Subject-driven extension; ``o_filter`` restricts far endpoints."""
     items = store.successor_sets(p, s_candidates)
     fwd, walks = _candidate_adjacency(items, o_filter, self_join, deadline)
-    if self_join:
-        return BulkExtension(fwd, copy_adjacency(fwd), walks)
-    bwd = _semijoin_inverse(store.reverse_adjacency(p), fwd, deadline)
-    return BulkExtension(fwd, bwd, walks)
+    return BulkExtension(fwd, None, walks, None if self_join else p)
 
 
 def _extend_from_objects(
@@ -351,14 +371,11 @@ def _extend_from_objects(
     self_join: bool,
     deadline: Deadline,
 ) -> BulkExtension:
-    """Object-driven extension over the POS index; returns both
-    directions (the backward adjacency is the natural product)."""
+    """Object-driven extension over the POS index: the ``o -> {s}``
+    adjacency is the natural product."""
     items = store.predecessor_sets(p, o_candidates)
     bwd, walks = _candidate_adjacency(items, s_filter, self_join, deadline)
-    if self_join:
-        return BulkExtension(copy_adjacency(bwd), bwd, walks)
-    fwd = _semijoin_inverse(store.adjacency(p), bwd, deadline)
-    return BulkExtension(fwd, bwd, walks)
+    return BulkExtension(None, bwd, walks, None if self_join else p)
 
 
 # ----------------------------------------------------------------------
@@ -396,3 +413,17 @@ def subtract_from_buckets(
             del index[key]
             emptied.append(key)
     return emptied
+
+
+def strip_from_buckets(
+    index: Adjacency, removed: AbstractSet[int]
+) -> tuple[bool, list[int]]:
+    """Bulk-remove ``removed`` from *every* bucket of ``index``.
+
+    The semi-join pass for when the index keyed by the removed nodes
+    does not exist: one C-level ``isdisjoint`` per bucket finds the
+    buckets to shrink. Returns whether any did, and the keys whose
+    bucket drained (deleted from ``index``).
+    """
+    hit = [key for key, bucket in index.items() if not bucket.isdisjoint(removed)]
+    return bool(hit), subtract_from_buckets(index, hit, removed)

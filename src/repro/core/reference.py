@@ -14,6 +14,11 @@ views (``edges`` / ``successors`` / ``predecessors``), so it runs —
 and must agree with itself — on every registered backend; the
 backend-parity property suite exploits exactly that.
 
+The oracle also keeps the eager representation the kernels gave up:
+:func:`register_pairs` indexes every relation in both directions the
+moment it is registered, so nothing here ever derives one index from
+the other.
+
 Deliberately slow; never call these from production paths.
 """
 
@@ -23,6 +28,7 @@ from collections import deque
 from typing import Iterable
 
 from repro.core.answer_graph import AnswerGraph, RelKey
+from repro.core.burnback import intersect_node_set
 from repro.core.extension import ExtensionResult, _endpoint_candidates
 from repro.errors import EvaluationError, PlanError
 from repro.graph.store import TripleStore
@@ -35,6 +41,28 @@ from repro.planner.plan import (
 )
 from repro.query.algebra import BoundEdge, BoundQuery
 from repro.utils.deadline import Deadline
+
+
+def register_pairs(
+    ag: AnswerGraph,
+    rel: RelKey,
+    s_var: int | None,
+    o_var: int | None,
+    pairs: Iterable[tuple[int, int]],
+) -> None:
+    """Register ``rel`` from (s, o) tuples, grouped here one tuple at a
+    time into both indexes."""
+    fwd: dict[int, set[int]] = {}
+    bwd: dict[int, set[int]] = {}
+    for s, o in pairs:
+        fwd.setdefault(s, set()).add(o)
+        bwd.setdefault(o, set()).add(s)
+    ag.register_relation(rel, s_var, o_var, forward=fwd, backward=bwd)
+
+
+def _constrain(ag: AnswerGraph, var: int, nodes: set[int]) -> list[tuple[int, int]]:
+    """:func:`intersect_node_set`, its removals one (var, node) each."""
+    return [(var, n) for n in intersect_node_set(ag, var, nodes).get(var, ())]
 
 
 def extend_edge_reference(
@@ -125,10 +153,8 @@ def node_burnback_reference(
         var, node = queue.popleft()
         burned += 1
         for rel, pos in ag.var_positions.get(var, ()):
-            if pos == "s":
-                index, other_index = ag.src[rel], ag.dst[rel]
-            else:
-                index, other_index = ag.dst[rel], ag.src[rel]
+            index = ag.index(rel, pos)
+            other_index = ag.index(rel, "o" if pos == "s" else "s")
             partners = index.pop(node, None)
             if partners is None:
                 continue
@@ -148,7 +174,7 @@ def node_burnback_reference(
                 if candidates is not None and partner in candidates:
                     candidates.discard(partner)
                     queue.append((other_var, partner))
-            if not ag.src[rel]:
+            if not index:
                 ag.empty = True
     return burned
 
@@ -158,12 +184,9 @@ def _rel_of(side: TriangleSide) -> RelKey:
 
 
 def _adjacency_from(ag: AnswerGraph, side: TriangleSide, var: int):
-    rel = _rel_of(side)
-    if side.a == var:
-        return ag.src[rel]
-    if side.b == var:
-        return ag.dst[rel]
-    raise EvaluationError(f"variable {var} is not an endpoint of {side}")
+    if var not in (side.a, side.b):
+        raise EvaluationError(f"variable {var} is not an endpoint of {side}")
+    return ag.index(_rel_of(side), "s" if side.a == var else "o")
 
 
 def join_triangle_sides_reference(
@@ -200,8 +223,6 @@ def materialize_chords_reference(
     deadline: Deadline,
 ) -> int:
     """Chord materialization through explicit pair sets."""
-    from repro.core.burnback import intersect_node_set
-
     total = 0
     for chord_index in chordification.order:
         if ag.empty:
@@ -218,7 +239,7 @@ def materialize_chords_reference(
                 for s in triangle.sides
                 if not (s.ref.kind == "chord" and s.ref.index == chord.index)
             ]
-            if any(_rel_of(s) not in ag.src for s in others):
+            if not all(ag.is_materialized(_rel_of(s)) for s in others):
                 continue
             joined = join_triangle_sides_reference(
                 ag, triangle, chord.u, chord.v, deadline
@@ -229,10 +250,10 @@ def materialize_chords_reference(
                 f"chord {chord.index} has no triangle with materialized sides; "
                 "chord order is invalid"
             )
-        ag.register_relation(rel, chord.u, chord.v, pairs)
+        register_pairs(ag, rel, chord.u, chord.v, pairs)
         total += len(pairs)
-        removals = intersect_node_set(ag, chord.u, set(ag.src[rel].keys()))
-        removals += intersect_node_set(ag, chord.v, set(ag.dst[rel].keys()))
+        removals = _constrain(ag, chord.u, set(ag.forward(rel)))
+        removals += _constrain(ag, chord.v, set(ag.backward(rel)))
         if removals:
             node_burnback_reference(ag, removals, deadline)
     return total
@@ -250,7 +271,7 @@ def _prune_side_reference(
     from_y = _adjacency_from(ag, side_y, y)
 
     rel = _rel_of(side)
-    fwd, bwd = ag.src[rel], ag.dst[rel]
+    fwd, bwd = ag.forward(rel), ag.backward(rel)
     doomed: list[tuple[int, int]] = []
     for s, objs in fwd.items():
         mids_s = from_x.get(s)
@@ -306,7 +327,7 @@ def edge_burnback_reference(
         rounds += 1
         for triangle in triangle_list:
             for side in triangle.sides:
-                if _rel_of(side) not in ag.src:
+                if not ag.is_materialized(_rel_of(side)):
                     continue
                 removed, removals = _prune_side_reference(
                     ag, triangle, side, deadline
@@ -333,7 +354,6 @@ def generate_answer_graph_reference(
     :func:`repro.core.generation.generate_answer_graph` so the two can
     be raced and diffed field-for-field.
     """
-    from repro.core.burnback import intersect_node_set
     from repro.core.generation import GenerationStats
     from repro.core.triangles import drop_chords
 
@@ -357,13 +377,13 @@ def generate_answer_graph_reference(
         stats.edge_walks += result.edge_walks
         stats.step_walks.append(result.edge_walks)
         rel = ("e", eid)
-        ag.register_relation(rel, edge.s_var, edge.o_var, result.pairs)
+        register_pairs(ag, rel, edge.s_var, edge.o_var, result.pairs)
 
         removals: list[tuple[int, int]] = []
         if edge.s_var is not None:
-            removals += intersect_node_set(ag, edge.s_var, set(ag.src[rel].keys()))
+            removals += _constrain(ag, edge.s_var, set(ag.forward(rel)))
         if edge.o_var is not None:
-            removals += intersect_node_set(ag, edge.o_var, set(ag.dst[rel].keys()))
+            removals += _constrain(ag, edge.o_var, set(ag.backward(rel)))
         if removals:
             stats.burned_nodes += node_burnback_reference(ag, removals, deadline)
 

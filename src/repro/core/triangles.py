@@ -16,38 +16,29 @@ The two-step join runs as a set-at-a-time kernel
 (:func:`repro.core.kernels.compose_adjacency`: one ``set.union`` per
 source node), multi-triangle intersection as
 :func:`repro.core.kernels.intersect_pairs`, and the result is
-registered as pre-grouped adjacency — the explicit pair set of the
-tuple-at-a-time implementation is never materialized.
+registered as pre-grouped ``u -> {v}`` adjacency — the explicit pair
+set of the tuple-at-a-time implementation is never materialized, and
+the ``v -> {u}`` index only if a later join or burnback reads it.
 """
 
 from __future__ import annotations
 
 from repro.core.answer_graph import AnswerGraph, RelKey
-from repro.core.burnback import intersect_node_set, node_burnback
+from repro.core.burnback import (
+    constrain_endpoints,
+    node_burnback,
+    rel_of,
+    side_index,
+)
 from repro.core.kernels import (
     Adjacency,
     adjacency_size,
     compose_adjacency,
-    flatten_pairs,
     intersect_pairs,
-    invert_adjacency,
 )
 from repro.errors import EvaluationError
-from repro.planner.plan import Chordification, Triangle, TriangleSide
+from repro.planner.plan import Chordification, Triangle
 from repro.utils.deadline import Deadline
-
-
-def _rel_of(side: TriangleSide) -> RelKey:
-    return (side.ref.kind[0], side.ref.index)
-
-
-def _adjacency_from(ag: AnswerGraph, side: TriangleSide, var: int):
-    rel = _rel_of(side)
-    if side.a == var:
-        return ag.src[rel]
-    if side.b == var:
-        return ag.dst[rel]
-    raise EvaluationError(f"variable {var} is not an endpoint of {side}")
 
 
 def join_triangle_adjacency(
@@ -69,20 +60,9 @@ def join_triangle_adjacency(
         raise EvaluationError(f"triangle {triangle} lacks sides opposite ({u},{v})")
     side_u = sides[0] if u in (sides[0].a, sides[0].b) else sides[1]
     side_v = sides[1] if side_u is sides[0] else sides[0]
-    from_u = _adjacency_from(ag, side_u, u)  # u -> {z}
-    from_z = _adjacency_from(ag, side_v, z)  # z -> {v}
+    from_u = side_index(ag, side_u, u, deadline)  # u -> {z}
+    from_z = side_index(ag, side_v, z, deadline)  # z -> {v}
     return compose_adjacency(from_u, from_z, deadline)
-
-
-def join_triangle_sides(
-    ag: AnswerGraph,
-    triangle: Triangle,
-    u: int,
-    v: int,
-    deadline: Deadline,
-) -> set[tuple[int, int]]:
-    """Pair-set view of :func:`join_triangle_adjacency` (compat API)."""
-    return flatten_pairs(join_triangle_adjacency(ag, triangle, u, v, deadline))
 
 
 def materialize_chords(
@@ -94,9 +74,8 @@ def materialize_chords(
 
     Each chord's relation is the intersection of the joins of all its
     triangles whose other two sides are already materialized. The
-    chord's endpoints then constrain the AG node sets (through the live
-    ``dict_keys`` views of the freshly registered relation — no key-set
-    copies), cascading through node burnback.
+    chord's endpoints then constrain the AG node sets, cascading
+    through node burnback.
     """
     total = 0
     for chord_index in chordification.order:
@@ -114,7 +93,7 @@ def materialize_chords(
                 for s in triangle.sides
                 if not (s.ref.kind == "chord" and s.ref.index == chord.index)
             ]
-            if any(_rel_of(s) not in ag.src for s in others):
+            if not all(ag.is_materialized(rel_of(s)) for s in others):
                 continue  # sides not ready yet; edge burnback covers it
             joined = join_triangle_adjacency(ag, triangle, chord.u, chord.v, deadline)
             adj = joined if adj is None else intersect_pairs(adj, joined, deadline)
@@ -123,16 +102,9 @@ def materialize_chords(
                 f"chord {chord.index} has no triangle with materialized sides; "
                 "chord order is invalid"
             )
-        ag.register_relation(
-            rel,
-            chord.u,
-            chord.v,
-            adjacency=adj,
-            backward=invert_adjacency(adj, deadline),
-        )
+        ag.register_relation(rel, chord.u, chord.v, forward=adj)
         total += adjacency_size(adj)
-        removals = intersect_node_set(ag, chord.u, ag.src[rel].keys())
-        removals += intersect_node_set(ag, chord.v, ag.dst[rel].keys())
+        removals = constrain_endpoints(ag, rel)
         if removals:
             node_burnback(ag, removals, deadline)
     return total

@@ -122,28 +122,24 @@ class Triangulator:
 
         # DP over ring positions: tc[(i, j)] = (cost, split k) of fully
         # triangulating the sub-polygon i..j, *including* the cost of
-        # materializing chord (i, j) itself when (i, j) is not a ring edge.
-        tc: dict[tuple[int, int], tuple[float, int | None]] = {}
-
-        def solve(i: int, j: int) -> float:
-            if j - i == 1:
-                return 0.0
-            key = (i, j)
-            cached = tc.get(key)
-            if cached is not None:
-                return cached[0]
-            own_cost = seg[(i, j)].size if not _is_ring_edge(i, j, n) else 0.0
-            best_cost, best_k = float("inf"), None
-            for k in range(i + 1, j):
-                cost = solve(i, k) + solve(k, j)
-                if cost < best_cost:
-                    best_cost, best_k = cost, k
-            total = best_cost + own_cost
-            tc[key] = (total, best_k)
-            return total
-
-        # The outer boundary (0, n-1) is the cycle's closing ring edge.
-        total_cost = solve(0, n - 1)
+        # materializing chord (i, j) itself when (i, j) is not a ring
+        # edge. Sub-polygons by growing span, so each one's parts are
+        # there before it. (Loops, not self-recursive closures: those
+        # would tie the plan into a reference cycle through their own
+        # cells, and it should die by reference count.)
+        tc: dict[tuple[int, int], tuple[float, int | None]] = {
+            (i, i + 1): (0.0, None) for i in range(n - 1)
+        }
+        for span in range(2, n):
+            for i in range(n - span):
+                j = i + span
+                best_cost, best_k = float("inf"), None
+                for k in range(i + 1, j):
+                    cost = tc[(i, k)][0] + tc[(k, j)][0]
+                    if cost < best_cost:
+                        best_cost, best_k = cost, k
+                own_cost = 0.0 if _is_ring_edge(i, j, n) else seg[(i, j)].size
+                tc[(i, j)] = (best_cost + own_cost, best_k)
 
         def side_for(i: int, j: int) -> TriangleSide:
             if j - i == 1:
@@ -167,15 +163,19 @@ class Triangulator:
             chord = chords[chord_idx]
             return TriangleSide(SideRef("chord", chord_idx), chord.u, chord.v)
 
-        def rebuild(i: int, j: int) -> None:
-            """Post-order reconstruction: children before the triangle
-            that joins them, so chord materialization order is valid."""
+        # Post-order reconstruction from the outer boundary (0, n-1),
+        # the cycle's closing ring edge: children before the triangle
+        # that joins them, so chord materialization order is valid.
+        stack: list[tuple[int, int, bool]] = [(0, n - 1, False)]
+        while stack:
+            i, j, parts_done = stack.pop()
             if j - i == 1:
-                return
-            _, k = tc[(i, j)]
+                continue
+            k = tc[(i, j)][1]
             assert k is not None
-            rebuild(i, k)
-            rebuild(k, j)
+            if not parts_done:
+                stack += [(i, j, True), (k, j, False), (i, k, False)]
+                continue
             tri = Triangle(
                 vars=(ring[i], ring[k], ring[j]),
                 sides=(side_for(i, k), side_for(k, j), side_for(i, j)),
@@ -186,9 +186,7 @@ class Triangulator:
                 if chord_side.ref.kind == "chord":
                     if chord_side.ref.index not in order:
                         order.append(chord_side.ref.index)
-
-        rebuild(0, n - 1)
-        return total_cost
+        return tc[(0, n - 1)][0]
 
     def _edge_side(self, bound: BoundQuery, eid: int) -> TriangleSide:
         edge = bound.edges[eid]

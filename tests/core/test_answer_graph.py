@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.answer_graph import AnswerGraph
+from repro.core.reference import register_pairs
 from repro.errors import EvaluationError
 from repro.graph.builder import store_from_edges
 from repro.query.algebra import bind_query
@@ -19,7 +20,7 @@ def ag():
 
 
 def test_register_and_views(ag):
-    ag.register_relation(("e", 0), 0, 1, {(10, 20), (11, 20)})
+    register_pairs(ag, ("e", 0), 0, 1, {(10, 20), (11, 20)})
     assert ag.relation_size(("e", 0)) == 2
     assert ag.edge_pairs(0) == {(10, 20), (11, 20)}
     assert set(ag.pairs(("e", 0))) == {(10, 20), (11, 20)}
@@ -29,13 +30,13 @@ def test_register_and_views(ag):
 
 
 def test_duplicate_registration_rejected(ag):
-    ag.register_relation(("e", 0), 0, 1, {(1, 2)})
+    register_pairs(ag, ("e", 0), 0, 1, {(1, 2)})
     with pytest.raises(EvaluationError):
-        ag.register_relation(("e", 0), 0, 1, {(1, 2)})
+        register_pairs(ag, ("e", 0), 0, 1, {(1, 2)})
 
 
 def test_empty_relation_marks_empty(ag):
-    ag.register_relation(("e", 0), 0, 1, set())
+    register_pairs(ag, ("e", 0), 0, 1, set())
     assert ag.empty
 
 
@@ -45,14 +46,14 @@ def test_node_set_requires_constraint(ag):
 
 
 def test_chords_not_counted_in_size(ag):
-    ag.register_relation(("e", 0), 0, 1, {(1, 2)})
-    ag.register_relation(("c", 0), 0, 2, {(1, 3), (1, 4)})
+    register_pairs(ag, ("e", 0), 0, 1, {(1, 2)})
+    register_pairs(ag, ("c", 0), 0, 2, {(1, 3), (1, 4)})
     assert ag.size == 1  # chord pairs excluded from |AG|
 
 
 def test_drop_relation(ag):
-    ag.register_relation(("e", 0), 0, 1, {(1, 2)})
-    ag.register_relation(("c", 0), 0, 2, {(1, 3)})
+    register_pairs(ag, ("e", 0), 0, 1, {(1, 2)})
+    register_pairs(ag, ("c", 0), 0, 2, {(1, 3)})
     ag.drop_relation(("c", 0))
     assert not ag.is_materialized(("c", 0))
     assert ag.materialized_order == [("e", 0)]
@@ -65,14 +66,14 @@ def test_var_positions_for_self_loop():
     store = store_from_edges({"A": [("1", "1")]})
     bound = bind_query(parse_sparql("select * where { ?x A ?x }"), store)
     ag = AnswerGraph(bound)
-    ag.register_relation(("e", 0), 0, 0, {(5, 5)})
+    register_pairs(ag, ("e", 0), 0, 0, {(5, 5)})
     positions = ag.var_positions[0]
     assert (("e", 0), "s") in positions and (("e", 0), "o") in positions
 
 
 def test_relation_statistics(ag):
-    ag.register_relation(("e", 0), 0, 1, {(1, 10), (2, 10), (2, 11)})
-    ag.register_relation(("e", 1), 1, 2, {(10, 20)})
+    register_pairs(ag, ("e", 0), 0, 1, {(1, 10), (2, 10), (2, 11)})
+    register_pairs(ag, ("e", 1), 1, 2, {(10, 20)})
     sizes, counts = ag.relation_statistics()
     assert sizes == {0: 3, 1: 1}
     assert counts[(0, "s")] == 2  # subjects 1, 2
@@ -81,7 +82,7 @@ def test_relation_statistics(ag):
 
 
 def test_snapshot_is_deep(ag):
-    ag.register_relation(("e", 0), 0, 1, {(1, 2)})
+    register_pairs(ag, ("e", 0), 0, 1, {(1, 2)})
     ag.node_sets[0] = {1}
     snap = ag.snapshot()
     ag.node_sets[0].add(99)
@@ -90,5 +91,5 @@ def test_snapshot_is_deep(ag):
 
 
 def test_repr(ag):
-    ag.register_relation(("e", 0), 0, 1, {(1, 2)})
+    register_pairs(ag, ("e", 0), 0, 1, {(1, 2)})
     assert "e0:1" in repr(ag)

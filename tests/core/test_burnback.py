@@ -7,6 +7,7 @@ from repro.core.burnback import (
 )
 from repro.core.generation import generate_answer_graph
 from repro.core.ideal import ideal_answer_graph
+from repro.core.reference import register_pairs
 from repro.datasets.motifs import figure4_graph, figure4_query
 from repro.graph.builder import store_from_edges
 from repro.planner.edgifier import Edgifier
@@ -27,19 +28,19 @@ def chain_ag():
     )
     ag = AnswerGraph(bound)
     d = store.dictionary.lookup
-    ag.register_relation(
-        ("e", 0), 0, 1, {(d("1"), d("5")), (d("2"), d("5")), (d("4"), d("6"))}
+    register_pairs(
+        ag, ("e", 0), 0, 1, {(d("1"), d("5")), (d("2"), d("5")), (d("4"), d("6"))}
     )
     ag.node_sets[0] = {d("1"), d("2"), d("4")}
     ag.node_sets[1] = {d("5"), d("6")}
-    ag.register_relation(("e", 1), 1, 2, {(d("5"), d("9"))})
+    register_pairs(ag, ("e", 1), 1, 2, {(d("5"), d("9"))})
     return store, ag
 
 
 def test_intersect_first_constraint_installs():
     store, ag = chain_ag()
     removals = intersect_node_set(ag, 2, {store.dictionary.lookup("9")})
-    assert removals == []
+    assert removals == {}
     assert ag.node_sets[2] == {store.dictionary.lookup("9")}
 
 
@@ -47,7 +48,7 @@ def test_intersect_shrink_returns_removals():
     store, ag = chain_ag()
     d = store.dictionary.lookup
     removals = intersect_node_set(ag, 1, {d("5")})
-    assert removals == [(1, d("6"))]
+    assert removals == {1: {d("6")}}
     assert ag.node_sets[1] == {d("5")}
 
 
@@ -67,7 +68,7 @@ def test_cascade_is_fixpoint_idempotent():
     d = store.dictionary.lookup
     node_burnback(ag, intersect_node_set(ag, 1, {d("5")}), Deadline.unlimited())
     before = ag.snapshot()
-    node_burnback(ag, [], Deadline.unlimited())
+    node_burnback(ag, {}, Deadline.unlimited())
     assert ag.snapshot() == before
 
 

@@ -23,7 +23,7 @@ import copy
 
 from repro.core.answer_graph import AnswerGraph
 from repro.core.burnback import edge_burnback, node_burnback
-from repro.core.reference import edge_burnback_reference
+from repro.core.reference import edge_burnback_reference, register_pairs
 from repro.planner.plan import SideRef, Triangle, TriangleSide
 from repro.utils.deadline import Deadline
 
@@ -31,27 +31,27 @@ from repro.utils.deadline import Deadline
 def _build_ag() -> AnswerGraph:
     ag = AnswerGraph(bound=None)
     # Triangle sides.
-    ag.register_relation(  # S: var0 -> var1
-        ("e", 0), 0, 1,
-        pairs=[(10, 20), (10, 21), (10, 22), (12, 20), (12, 22)],
+    register_pairs(  # S: var0 -> var1
+        ag, ("e", 0), 0, 1,
+        [(10, 20), (10, 21), (10, 22), (12, 20), (12, 22)],
     )
-    ag.register_relation(  # X: var0 -> var2
-        ("e", 1), 0, 2,
-        pairs=[(10, 30), (10, 33), (12, 31), (12, 32), (12, 33)],
+    register_pairs(  # X: var0 -> var2
+        ag, ("e", 1), 0, 2,
+        [(10, 30), (10, 33), (12, 31), (12, 32), (12, 33)],
     )
-    ag.register_relation(  # Y: var1 -> var2
-        ("e", 2), 1, 2,
-        pairs=[(20, 30), (20, 31), (20, 32), (21, 31), (22, 33)],
+    register_pairs(  # Y: var1 -> var2
+        ag, ("e", 2), 1, 2,
+        [(20, 30), (20, 31), (20, 32), (21, 31), (22, 33)],
     )
     # The cascade conduit, outside the triangle.
-    ag.register_relation(  # R: var1 -> var4
-        ("e", 3), 1, 4, pairs=[(20, 40), (21, 41), (22, 40)],
+    register_pairs(  # R: var1 -> var4
+        ag, ("e", 3), 1, 4, [(20, 40), (21, 41), (22, 40)],
     )
-    ag.register_relation(  # V: var3 -> var4
-        ("e", 4), 3, 4, pairs=[(50, 41), (51, 40)],
+    register_pairs(  # V: var3 -> var4
+        ag, ("e", 4), 3, 4, [(50, 41), (51, 40)],
     )
-    ag.register_relation(  # W: var2 -> var3
-        ("e", 5), 2, 3, pairs=[(30, 50), (31, 51), (32, 51), (33, 51)],
+    register_pairs(  # W: var2 -> var3
+        ag, ("e", 5), 2, 3, [(30, 50), (31, 51), (32, 51), (33, 51)],
     )
     ag.node_sets = {
         0: {10, 12},
@@ -106,7 +106,7 @@ def test_node_burnback_reports_changed_relations():
     ag = _build_ag()
     ag.node_sets[1].discard(21)
     changed: set = set()
-    node_burnback(ag, [(1, 21)], Deadline.unlimited(), changed)
+    node_burnback(ag, {1: {21}}, Deadline.unlimited(), changed)
     # Node 21's removal shrinks S and Y directly and drains R's pair
     # (21, 41), whose cascade travels V -> W and shrinks X and Y too.
     assert changed == {

@@ -141,3 +141,33 @@ def test_total_seconds_property():
     assert result.total_seconds == pytest.approx(
         result.phase1_seconds + result.phase2_seconds
     )
+
+
+def test_an_evaluation_leaves_nothing_to_the_cyclic_collector():
+    """Plans, answer graphs and results die by reference count: with
+    the collector off, an acyclic and a cyclic paper query leave no
+    unreachable object behind, and the answer graph goes with its last
+    reference."""
+    import gc
+    import weakref
+
+    from repro.datasets.paper_queries import paper_queries
+    from repro.datasets.yago_like import generate_yago_like
+
+    engine = WireframeEngine(generate_yago_like(scale=0.2, seed=0))
+    queries = {q.name: q for q in paper_queries()}
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in ("CQ_S#1", "CQ_D#1"):
+            assert engine.evaluate(queries[name]).count > 0
+            assert gc.collect() == 0, name
+            detail = engine.evaluate_detailed(queries[name])
+            answer_graph = weakref.ref(detail.answer_graph)
+            del detail
+            assert answer_graph() is None, name
+            assert gc.collect() == 0, name
+    finally:
+        if was_enabled:
+            gc.enable()

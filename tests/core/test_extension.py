@@ -3,11 +3,30 @@
 import pytest
 
 from repro.core.answer_graph import AnswerGraph
-from repro.core.extension import extend_edge
+from repro.core.extension import ExtensionResult, extend_edge_bulk
+from repro.core.reference import extend_edge_reference, register_pairs
 from repro.graph.builder import store_from_edges
 from repro.query.algebra import bind_query
 from repro.query.parser import parse_sparql
 from repro.utils.deadline import Deadline
+
+from tests.properties.strategies import bulk_pairs
+
+
+def extend_edge(ag, store, edge, deadline) -> ExtensionResult:
+    """One bulk extension as (pairs, walks), checked on the way: it
+    returns the one direction it walked, in containers of its own, and
+    agrees with the tuple-at-a-time reference."""
+    result = extend_edge_bulk(ag, store, edge, deadline)
+    assert (result.forward is None) != (result.backward is None)
+    got = ExtensionResult(bulk_pairs(result), result.walks)
+    assert got == extend_edge_reference(ag, store, edge, Deadline.unlimited())
+    if edge.satisfiable:
+        for s, objs in (result.forward or {}).items():
+            assert objs is not store.successors(edge.p, s)
+        for o, subs in (result.backward or {}).items():
+            assert subs is not store.predecessors(edge.p, o)
+    return got
 
 
 def setup(sparql, edges):
@@ -31,8 +50,8 @@ def test_subject_constrained_extension():
         {"A": [("1", "5"), ("2", "5"), ("3", "6")], "B": [("5", "9"), ("6", "9"), ("7", "9")]},
     )
     r0 = extend_edge(ag, store, bound.edges[0], Deadline.unlimited())
-    ag.register_relation(("e", 0), 0, 1, r0.pairs)
-    ag.node_sets[1] = set(ag.dst[("e", 0)].keys())
+    register_pairs(ag, ("e", 0), 0, 1, r0.pairs)
+    ag.node_sets[1] = set(ag.endpoints(("e", 0), "o"))
     r1 = extend_edge(ag, store, bound.edges[1], Deadline.unlimited())
     # Only B-edges from {5, 6}; the (7, 9) edge is never walked.
     assert r1.edge_walks == 2
@@ -46,11 +65,14 @@ def test_object_constrained_extension():
         {"A": [("1", "2")], "B": [("9", "1"), ("9", "8")]},
     )
     r0 = extend_edge(ag, store, bound.edges[0], Deadline.unlimited())
-    ag.register_relation(("e", 0), 0, 1, r0.pairs)
-    ag.node_sets[0] = set(ag.src[("e", 0)].keys())
+    register_pairs(ag, ("e", 0), 0, 1, r0.pairs)
+    ag.node_sets[0] = set(ag.endpoints(("e", 0), "s"))
     r1 = extend_edge(ag, store, bound.edges[1], Deadline.unlimited())
     assert r1.edge_walks == 1  # only predecessors of node "1"
-    assert len(r1.pairs) == 1
+    assert r1.pairs == {(store.dictionary.lookup("9"), store.dictionary.lookup("1"))}
+    # Walked from the objects, so that is the index it hands over.
+    bulk = extend_edge_bulk(ag, store, bound.edges[1], Deadline.unlimited())
+    assert bulk.forward is None and set(bulk.backward) == ag.node_sets[0]
 
 
 def test_both_constrained_walks_smaller_side():
@@ -84,6 +106,9 @@ def test_constant_object():
     result = extend_edge(ag, store, bound.edges[0], Deadline.unlimited())
     one, two = store.dictionary.lookup("1"), store.dictionary.lookup("2")
     assert result.pairs == {(one, two)}
+    assert result.edge_walks == 1  # the predecessors of the constant
+    bulk = extend_edge_bulk(ag, store, bound.edges[0], Deadline.unlimited())
+    assert bulk.forward is None and bulk.backward == {two: {one}}
 
 
 def test_self_loop_filters_diagonal():
@@ -117,4 +142,4 @@ def test_deadline_enforced():
 
     time.sleep(0.01)
     with pytest.raises(EvaluationTimeout):
-        extend_edge(ag, store, bound.edges[0], deadline)
+        extend_edge_bulk(ag, store, bound.edges[0], deadline)

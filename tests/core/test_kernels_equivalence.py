@@ -8,20 +8,32 @@ counts (per step and total), identical burn/chord/edge-burnback
 accounting, and identical timeout behaviour. These properties quantify
 over random stores and query shapes including self-joins, constants,
 and cyclic (chordified) queries.
+
+The kernels index a relation in the direction they walked and leave
+the other to its first reader; the reference indexes both at once. So
+"identical" is checked on pair sets, whichever index holds them, and
+:func:`test_deferred_indexes_match_reference` forces every missing
+index and checks it against the reference too, under both of node
+burnback's removal strategies.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.extension import extend_edge, extend_edge_bulk
+from repro.core import burnback
+from repro.core.defactorize import count_embeddings, materialize_embeddings
+from repro.core.extension import extend_edge_bulk
 from repro.core.generation import generate_answer_graph
 from repro.core.kernels import (
     adjacency_size,
     compose_adjacency,
-    flatten_pairs,
     intersect_pairs,
     invert_adjacency,
     semijoin_restrict,
@@ -40,7 +52,15 @@ from repro.stats.catalog import build_catalog
 from repro.stats.estimator import CardinalityEstimator
 from repro.utils.deadline import Deadline
 
-from tests.properties.strategies import LABELS, build_store, edge_lists
+from tests.properties.strategies import (
+    LABELS,
+    PHASE2_SHAPES,
+    adjacency_pairs,
+    build_store,
+    bulk_pairs,
+    edge_lists,
+    projected_queries,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -145,28 +165,92 @@ def test_single_extension_matches_reference(graph, query):
     bound = bind_query(query, store)
     ag = AnswerGraph(bound)
     for edge in bound.edges:
-        got = extend_edge(ag, store, edge, Deadline.unlimited())
+        got = extend_edge_bulk(ag, store, edge, Deadline.unlimited())
         want = extend_edge_reference(ag, store, edge, Deadline.unlimited())
-        assert got.pairs == want.pairs
-        assert got.edge_walks == want.edge_walks
+        assert bulk_pairs(got) == want.pairs
+        assert got.walks == want.edge_walks
 
 
 @SETTINGS
-@given(graph=edge_lists(), query=queries())
-def test_bulk_extension_backward_index_consistent(graph, query):
-    """The kernel's backward adjacency is the exact inverse of forward."""
+@given(graph=edge_lists(), query=queries(), data=st.data())
+def test_bulk_extension_backward_index_consistent(graph, query, data):
+    """A kernel hands over the direction it walked; the index the AG
+    derives from it is its exact inverse. The far endpoint is
+    constrained to a drawn node set, so that every walking direction
+    and the far-endpoint filter are covered."""
     from repro.core.answer_graph import AnswerGraph
 
     store = build_store(graph)
     bound = bind_query(query, store)
-    ag = AnswerGraph(bound)
+    nodes = st.sets(st.sampled_from(sorted(store.nodes())))
     for edge in bound.edges:
+        ag = AnswerGraph(bound)
+        for var in edge.var_set():
+            if data.draw(st.booleans()):
+                ag.node_sets[var] = data.draw(nodes)
         result = extend_edge_bulk(ag, store, edge, Deadline.unlimited())
-        if result.backward is None:
-            continue
-        assert flatten_pairs(result.backward) == {
-            (o, s) for s, o in flatten_pairs(result.forward)
+        want = extend_edge_reference(ag, store, edge, Deadline.unlimited())
+        assert (result.forward is None) != (result.backward is None)
+        assert bulk_pairs(result) == want.pairs
+        assert result.walks == want.edge_walks
+        ag.register_relation(
+            ("e", edge.index),
+            edge.s_var,
+            edge.o_var,
+            forward=result.forward,
+            backward=result.backward,
+            predicate=result.predicate,
+        )
+        assert adjacency_pairs(ag.forward(("e", edge.index))) == want.pairs
+        assert adjacency_pairs(ag.backward(("e", edge.index))) == {
+            (o, s) for s, o in want.pairs
         }
+
+
+def _assert_node_set_invariant(ag):
+    """``answer_graph.py``'s docstring: a variable's node set is what
+    every relation incident to it holds at its position."""
+    for var, positions in ag.var_positions.items():
+        if positions:
+            assert ag.node_sets[var] == set.intersection(
+                *(set(ag.endpoints(rel, pos)) for rel, pos in positions)
+            )
+
+
+@pytest.mark.parametrize(
+    "edge_burnback", [False, True], ids=["node-burnback", "edge-burnback"]
+)
+@pytest.mark.parametrize("backend", ["hashdict", "columnar"])
+@settings(max_examples=25, deadline=None)
+@given(graph=edge_lists(), shape=st.sampled_from(sorted(PHASE2_SHAPES)), data=st.data())
+def test_deferred_indexes_match_reference(backend, edge_burnback, graph, shape, data):
+    """Whatever phase 1 left unbuilt, building it gives the reference's
+    relation: both indexes of every relation are mutual inverses equal
+    to the oracle's pair set, every stat agrees, and the node-set
+    invariant holds — with every cascade batch removed by probe
+    (ratio 0) and with every one removed by a pass (ratio ∞)."""
+    store = build_store(graph, backend)
+    query = data.draw(projected_queries(PHASE2_SHAPES[shape]))
+    bound, plan, chordification = _plan(store, query)
+    ag_r, stats_r = generate_answer_graph_reference(
+        bound, plan, chordification=chordification, edge_burnback_enabled=edge_burnback
+    )
+    for ratio in (0, math.inf):
+        with mock.patch.object(burnback, "PASS_BATCH_RATIO", ratio):
+            ag, stats = generate_answer_graph(
+                bound, plan, chordification=chordification,
+                edge_burnback_enabled=edge_burnback,
+            )
+        assert dataclasses.asdict(stats) == dataclasses.asdict(stats_r)
+        assert ag.snapshot() == ag_r.snapshot()
+        if not ag.empty:
+            _assert_node_set_invariant(ag)
+        for rel in ag_r.materialized_order:
+            want = ag_r.pair_set(rel)
+            forward, backward = ag.forward(rel), ag.backward(rel)
+            assert all(forward.values()) and all(backward.values())
+            assert adjacency_pairs(forward) == want
+            assert adjacency_pairs(backward) == {(o, s) for s, o in want}
 
 
 def test_paper_queries_walks_bit_identical():
@@ -258,14 +342,14 @@ def test_invert_adjacency_is_involution(adj):
 @SETTINGS
 @given(adj=adjacencies)
 def test_adjacency_size_counts_pairs(adj):
-    assert adjacency_size(adj) == len(flatten_pairs(adj))
+    assert adjacency_size(adj) == len(adjacency_pairs(adj))
 
 
 @SETTINGS
 @given(a=adjacencies, b=adjacencies)
 def test_intersect_pairs_matches_pair_intersection(a, b):
-    assert flatten_pairs(intersect_pairs(a, b)) == (
-        flatten_pairs(a) & flatten_pairs(b)
+    assert adjacency_pairs(intersect_pairs(a, b)) == (
+        adjacency_pairs(a) & adjacency_pairs(b)
     )
 
 
@@ -278,7 +362,7 @@ def test_compose_adjacency_matches_pair_composition(a, b):
         for y in ys
         for v in b.get(y, ())
     }
-    assert flatten_pairs(compose_adjacency(a, b)) == want
+    assert adjacency_pairs(compose_adjacency(a, b)) == want
 
 
 @SETTINGS
@@ -294,7 +378,8 @@ def test_semijoin_restrict_keeps_only_allowed_keys(adj, keys):
 @SETTINGS
 @given(graph=edge_lists(), query=queries())
 def test_bulk_extend_fresh_containers(graph, query):
-    """Kernel output never aliases live store index sets."""
+    """Kernel output never aliases live store index sets, in whichever
+    direction it comes."""
     store = build_store(graph)
     bound = bind_query(query, store)
     from repro.core.answer_graph import AnswerGraph
@@ -303,9 +388,15 @@ def test_bulk_extend_fresh_containers(graph, query):
     for edge in bound.edges:
         if not edge.satisfiable:
             continue
-        result = extend_edge_bulk(ag, store, edge, Deadline.unlimited())
-        for s, objs in result.forward.items():
-            assert objs is not store.successors(edge.p, s)
+        for var in (None, edge.s_var, edge.o_var):  # scan, from subjects, from objects
+            if var is not None:
+                ag.node_sets = {var: set(store.nodes())}
+            result = extend_edge_bulk(ag, store, edge, Deadline.unlimited())
+            for s, objs in (result.forward or {}).items():
+                assert objs is not store.successors(edge.p, s)
+            for o, subs in (result.backward or {}).items():
+                assert subs is not store.predecessors(edge.p, o)
+        ag.node_sets = {}
 
 
 @SETTINGS
@@ -339,11 +430,54 @@ def test_register_relation_argument_validation():
 
     store = build_store({"A": [(0, 1)]})
     bound = bind_query(ConjunctiveQuery([("?a", "A", "?b")]), store)
+    ag = AnswerGraph(bound)
+    with pytest.raises(EvaluationError):
+        ag.register_relation(("e", 0), 0, 1)  # no direction at all
+    assert not ag.is_materialized(("e", 0))
     for kwargs in (
-        dict(),                                   # neither content form
-        dict(pairs=set(), adjacency={}),          # both content forms
-        dict(pairs={(1, 2)}, backward={2: {1}}),  # inverse without adjacency
+        dict(forward={1: {2}}),
+        dict(backward={2: {1}}),
+        dict(forward={1: {2}}, backward={2: {1}}),
     ):
         ag = AnswerGraph(bound)
-        with pytest.raises(EvaluationError):
-            ag.register_relation(("e", 0), 0, 1, **kwargs)
+        ag.register_relation(("e", 0), 0, 1, **kwargs)
+        assert ag.forward(("e", 0)) == {1: {2}}
+        assert ag.backward(("e", 0)) == {2: {1}}
+
+
+# ----------------------------------------------------------------------
+# Deferred index builds
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("run", [materialize_embeddings, count_embeddings])
+def test_expired_deadline_raises_from_a_deferred_build(run):
+    """Phase 1 left an index phase 2 needs unbuilt; building it polls
+    the deadline phase 2 was given."""
+    store = _busy_store()
+    query = ConjunctiveQuery([("?a", "A", "?b"), ("?b", "B", "?c")])
+    bound, plan, chordification = _plan(store, query)
+    ag, _ = generate_answer_graph(bound, plan, chordification=chordification)
+    assert ag.built(("e", 0), "o") is None  # the leaf ?a hangs off ?b
+    with pytest.raises(EvaluationTimeout) as caught:
+        run(ag, deadline=Deadline(0.000001, stride=1))
+    assert "inverse_index" in [entry.name for entry in caught.traceback]
+    assert ag.built(("e", 0), "o") is None
+    assert run(ag, deadline=Deadline.unlimited()) and ag.built(("e", 0), "o")
+
+
+def test_deferred_build_ignores_the_store_once_it_was_written_to():
+    """An AG may outlive the store state it was generated from; an
+    index it builds later is still the inverse of what it holds."""
+    store = build_store({"A": [(0, 1), (3, 2)], "B": [(1, 4), (2, 4)]})
+    query = ConjunctiveQuery([("?a", "A", "?b"), ("?b", "B", "?c")])
+    bound, plan, chordification = _plan(store, query)
+    ag, _ = generate_answer_graph(bound, plan, chordification=chordification)
+    rel = ("e", 0)
+    want = ag.pair_set(rel)
+    assert len(want) == 2
+    assert ag.built(rel, "s") is None or ag.built(rel, "o") is None
+    # A new edge between a subject and an object the relation holds.
+    assert store.add_term_triple("n0", "A", "n2")
+    assert adjacency_pairs(ag.forward(rel)) == want
+    assert adjacency_pairs(ag.backward(rel)) == {(o, s) for s, o in want}

@@ -1,7 +1,7 @@
 """Tests for chord materialization."""
 
 from repro.core.generation import generate_answer_graph
-from repro.core.triangles import drop_chords, join_triangle_sides
+from repro.core.triangles import drop_chords, join_triangle_adjacency
 from repro.datasets.motifs import figure4_graph, figure4_query
 from repro.planner.edgifier import Edgifier
 from repro.planner.triangulator import Triangulator
@@ -38,18 +38,18 @@ def test_chord_pairs_are_two_step_compositions():
     # Every chord pair (u, v) must be witnessed through both triangles'
     # opposite sides (it is an intersection of their joins).
     for triangle in chordification.triangles:
-        joined = join_triangle_sides(
+        joined = join_triangle_adjacency(
             ag, triangle, chord.u, chord.v, Deadline.unlimited()
         )
-        assert ag.pair_set(rel) <= joined
+        assert ag.pair_set(rel) <= {(u, v) for u, vs in joined.items() for v in vs}
 
 
 def test_chord_constrains_node_sets():
     store, bound, chordification, ag = diamond_setup()
     chord = chordification.chords[0]
     rel = ("c", chord.index)
-    assert set(ag.src[rel].keys()) <= ag.node_sets[chord.u]
-    assert set(ag.dst[rel].keys()) <= ag.node_sets[chord.v]
+    assert set(ag.endpoints(rel, "s")) <= ag.node_sets[chord.u]
+    assert set(ag.endpoints(rel, "o")) <= ag.node_sets[chord.v]
 
 
 def test_drop_chords_removes_relations():

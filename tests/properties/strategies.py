@@ -28,6 +28,23 @@ def edge_lists(draw, max_nodes: int = 8, max_edges_per_label: int = 10):
     return graph
 
 
+def adjacency_pairs(adj: dict) -> set[tuple[int, int]]:
+    """The (key, value) pairs of a ``{key: {value, ...}}`` adjacency."""
+    return {(x, y) for x, ys in adj.items() for y in ys}
+
+
+def bulk_pairs(result) -> set[tuple[int, int]]:
+    """The (s, o) pairs of a ``BulkExtension``; every direction the
+    kernel returned must hold the same ones."""
+    views = []
+    if result.forward is not None:
+        views.append(adjacency_pairs(result.forward))
+    if result.backward is not None:
+        views.append({(s, o) for o, s in adjacency_pairs(result.backward)})
+    assert views and all(view == views[0] for view in views)
+    return views[0]
+
+
 def build_store(graph: dict, backend: str | None = None) -> TripleStore:
     store = TripleStore(backend=backend)
     for label, pairs in graph.items():

@@ -76,9 +76,10 @@ def empty_subject(ag, edge_index: int, subject: int) -> None:
     the emptied sets in place and the node sets stale — the state no
     burnback would leave behind."""
     rel = ("e", edge_index)
-    for obj in ag.src[rel][subject]:
-        ag.dst[rel][obj].discard(subject)
-    ag.src[rel][subject].clear()
+    forward, backward = ag.forward(rel), ag.backward(rel)
+    for obj in forward[subject]:
+        backward[obj].discard(subject)
+    forward[subject].clear()
 
 
 def check(graph, query, victim: int) -> int:
@@ -96,7 +97,7 @@ def check(graph, query, victim: int) -> int:
     if ag.empty:
         return 0
     edge = bound.edges[victim % len(bound.edges)]
-    subjects = sorted(ag.src[("e", edge.index)])
+    subjects = sorted(ag.forward(("e", edge.index)))
     subject = subjects[victim % len(subjects)]
     empty_subject(ag, edge.index, subject)
     survivors = [
