@@ -19,6 +19,7 @@ import pytest
 from repro.core.engine import WireframeEngine
 from repro.core.generation import generate_answer_graph
 from repro.planner.cost import cost_of_order
+from repro.planner.edgifier import greedy_plan
 from repro.planner.plan import AGPlan, validate_connected_order
 from repro.datasets.paper_queries import paper_snowflake_queries
 
@@ -27,29 +28,8 @@ QUERIES = {q.name: q for q in paper_snowflake_queries()}
 
 def _adversarial_order(engine, bound):
     """Worst connected order under the cost model (greedy max)."""
-    tokens = [e.term_tokens() for e in bound.edges]
-    n = len(bound.edges)
-    state = engine.estimator.initial_state()
-    remaining = set(range(n))
-    order = []
-    bound_tokens = set()
-    while remaining:
-        candidates = [
-            eid for eid in remaining
-            if not order or (tokens[eid] & bound_tokens)
-        ]
-        worst, worst_walks, worst_state = None, -1.0, None
-        for eid in candidates:
-            walks, new_state = engine.estimator.estimate_extension(
-                state, bound.edges[eid]
-            )
-            if walks > worst_walks:
-                worst, worst_walks, worst_state = eid, walks, new_state
-        order.append(worst)
-        state = worst_state
-        bound_tokens |= tokens[worst]
-        remaining.discard(worst)
-    validate_connected_order(order, tokens)
+    order = greedy_plan(engine.estimator.compile(bound.edges), pick=max).order
+    validate_connected_order(order, [e.term_tokens() for e in bound.edges])
     return order
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import abc
 
 from repro.engine_api import Engine, EngineResult, resolve_catalog
-from repro.errors import PlanError
 from repro.graph.store import TripleStore
+from repro.planner.edgifier import greedy_plan
 from repro.query.algebra import BoundQuery, bind_query
 from repro.query.model import ConjunctiveQuery
 from repro.stats.catalog import Catalog
@@ -33,32 +33,7 @@ class BaselineEngine(Engine):
 
     def join_order(self, bound: BoundQuery) -> list[int]:
         """Greedy connected order minimizing estimated extension cost."""
-        n = len(bound.edges)
-        state = self.estimator.initial_state()
-        remaining = set(range(n))
-        order: list[int] = []
-        bound_tokens: set = set()
-        while remaining:
-            candidates = [
-                eid
-                for eid in remaining
-                if not order or (bound.edges[eid].term_tokens() & bound_tokens)
-            ]
-            if not candidates:
-                raise PlanError("query graph is disconnected")
-            best_eid, best_walks, best_state = None, float("inf"), None
-            for eid in candidates:
-                walks, new_state = self.estimator.estimate_extension(
-                    state, bound.edges[eid]
-                )
-                if walks < best_walks:
-                    best_eid, best_walks, best_state = eid, walks, new_state
-            assert best_eid is not None and best_state is not None
-            order.append(best_eid)
-            state = best_state
-            bound_tokens |= bound.edges[best_eid].term_tokens()
-            remaining.discard(best_eid)
-        return order
+        return list(greedy_plan(self.estimator.compile(bound.edges)).order)
 
     # ------------------------------------------------------------------
 

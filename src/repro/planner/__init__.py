@@ -1,8 +1,9 @@
 """Cost-based planners (substrates #4–5 in DESIGN.md).
 
 * :mod:`repro.planner.edgifier` — the Edgifier: bottom-up dynamic
-  programming over connected query-edge subsets, producing the
-  left-deep edge order for answer-graph generation.
+  programming over connected query-edge subsets, bounded by its own
+  greedy plan (:func:`greedy_plan`, also the baselines' join order),
+  producing the left-deep edge order for answer-graph generation.
 * :mod:`repro.planner.triangulator` — the Triangulator: chordification
   of cycles longer than three via polygon-triangulation DP.
 * :mod:`repro.planner.embedding_planner` — the greedy join order for
@@ -19,7 +20,7 @@ from repro.planner.plan import (
     TriangleSide,
 )
 from repro.planner.cost import cost_of_order
-from repro.planner.edgifier import Edgifier
+from repro.planner.edgifier import Edgifier, greedy_plan
 from repro.planner.triangulator import Triangulator
 from repro.planner.embedding_planner import greedy_embedding_plan
 
@@ -33,6 +34,7 @@ __all__ = [
     "TriangleSide",
     "cost_of_order",
     "Edgifier",
+    "greedy_plan",
     "Triangulator",
     "greedy_embedding_plan",
 ]

@@ -36,8 +36,13 @@ def cost_of_order(
             f"0..{len(bound.edges) - 1}"
         )
     state = estimator.initial_state()
+    # The total is accumulated left to right, as the planners do: from
+    # Python 3.12 on, builtin sum() compensates and can differ in the
+    # last bit.
+    total = 0.0
     steps = []
     for eid in order:
         walks, state = estimator.estimate_extension(state, bound.edges[eid])
         steps.append(walks)
-    return sum(steps), tuple(steps)
+        total += walks
+    return total, tuple(steps)

@@ -5,189 +5,171 @@ employ a bottom-up, dynamic-programming algorithm to construct the edge
 order based on cost estimation (which relies upon the cardinality
 estimations)." — §4.I
 
-The DP runs over *connected* subsets of query edges (bitmask-encoded).
-For each subset it memoizes the cheapest left-deep order reaching it,
-together with the estimator state after that order (the state carries
-per-variable cardinality estimates, which downstream extension costs
-depend on). Subsets are expanded in increasing size, so the table is
-filled bottom-up exactly as the paper describes; the output is the
-optimal left-deep plan under the cost model.
+The DP runs over *connected* subsets of query edges (bitmask-encoded),
+level by level in increasing size, exactly as the paper describes. For
+each subset it keeps ONE entry: the cheapest left-deep order found to
+reach it, with the per-variable cardinality estimates that order leaves
+behind (ties go to the smaller total cardinality, then to the order
+found first). The estimates are path-dependent — a dearer prefix can
+leave a tighter state and a cheaper continuation — so, like any
+Selinger-style optimizer, this is a heuristic over left-deep orders and
+not their optimum. What it does guarantee is the greedy plan as a floor:
 
-For queries beyond ``exhaustive_limit`` edges the planner degrades to a
-greedy expansion (cheapest next edge at each step) — the DP table is
-exponential in the number of query edges.
+* **Incumbent.** The greedy plan (cheapest connectable edge at each
+  step, :func:`greedy_plan`) is computed first. A candidate prefix
+  already dearer than it is dropped — costs only grow along an order,
+  so it could never finish cheaper — and if no order the DP completes
+  is at most as dear, the greedy plan is the answer. Hence
+  ``plan.estimated_cost <= greedy_plan(...).estimated_cost``, always.
+  Dropped candidates still register their subset: the order in which
+  subsets are discovered decides exact ties two levels up, and it must
+  not depend on the bound.
+* **Expansion budget.** The number of connected subsets is exponential
+  in the worst case (a star of n edges has 2^n), so the DP counts the
+  extensions it enumerates and returns the incumbent when
+  :data:`EXPANSION_BUDGET` is spent. Counted, never timed: a plan is a
+  pure function of ``(bound.edges, catalog)``.
+
+Every number comes from the estimator's compiled per-query statistics
+(:class:`~repro.stats.estimator.QueryStatistics`); a prefix's state is
+one dict of floats, copied only when a candidate is kept, and entries
+link to their parents instead of carrying their order.
+:func:`~repro.planner.cost.cost_of_order` on the returned order
+reproduces ``step_costs`` and ``estimated_cost`` exactly.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable
 
 from repro.errors import PlanError
 from repro.query.algebra import BoundQuery
 from repro.planner.plan import AGPlan
-from repro.stats.estimator import CardinalityEstimator, EstimatorState
+from repro.stats.estimator import CardinalityEstimator, QueryStatistics
+
+#: Extensions (connected subset, next edge) the DP may enumerate before
+#: it settles for the greedy plan. A 9-edge snowflake has 396, a 20-edge
+#: chain 400, a 100-edge chain 10.0k, a 12-edge star 24.6k; a 13-edge
+#: star (53.2k) and anything wider fall back. Using nearly all of it
+#: takes 15 ms on the development box (the 12-edge star of CQ_S#1's
+#: predicates, yago-like scale 2.0, min of 5; the 16-edge star gives up
+#: after 10 ms), against 0.3-0.65 ms for a paper query.
+EXPANSION_BUDGET = 25_000
 
 
-class _Entry(NamedTuple):
-    cost: float
-    order: tuple[int, ...]
-    step_costs: tuple[float, ...]
-    state: EstimatorState
+def greedy_plan(stats: QueryStatistics, pick: Callable = min) -> AGPlan:
+    """The connected order that takes the cheapest next edge at each step
+    (``pick=max``: the costliest — the ablation's adversarial order);
+    the first such edge on a tie."""
+    everything = (1 << stats.num_edges) - 1
+    cards: dict = {}
+    mask = reach = 0
+    order: list[int] = []
+    step_costs: list[float] = []
+    total = 0.0
+    while mask != everything:
+        connectable = stats.connectable(mask, reach)
+        if not connectable:
+            raise PlanError("query graph is disconnected; cannot plan")
+        (walks, new_u, new_v), eid = pick(
+            ((stats.extend(cards, mask, eid), eid) for eid in _bits(connectable)),
+            key=_walks_of,
+        )
+        stats.bind(cards, eid, new_u, new_v)
+        mask |= 1 << eid
+        reach |= stats.adjacent[eid]
+        order.append(eid)
+        step_costs.append(walks)
+        total += walks
+    return AGPlan(tuple(order), tuple(step_costs), total)
 
-    @property
-    def state_weight(self) -> float:
-        """Tie-break key: total estimated node-set cardinality.
 
-        Two orders can reach the same edge subset at the same cost but
-        with different residual cardinality estimates; preferring the
-        tighter state makes the DP deterministic and strictly better on
-        such ties.
-        """
-        return sum(self.state.cards.values())
+def _bits(mask: int):
+    """Indexes of the set bits of ``mask``, ascending."""
+    while mask:
+        bit = mask & -mask
+        yield bit.bit_length() - 1
+        mask ^= bit
 
-    def beats(self, other: "_Entry | None") -> bool:
-        if other is None:
-            return True
-        if self.cost != other.cost:
-            return self.cost < other.cost
-        return self.state_weight < other.state_weight
+
+def _walks_of(step: tuple) -> float:
+    return step[0][0]
 
 
 class Edgifier:
-    """Cost-based left-deep plan construction.
+    """Cost-based left-deep plan construction."""
 
-    Parameters
-    ----------
-    estimator:
-        The catalog-backed cardinality estimator.
-    exhaustive_limit:
-        Maximum number of query edges for the exact subset DP; larger
-        queries fall back to greedy expansion. 16 edges means at most
-        65 536 subsets, comfortably fast.
-    """
-
-    def __init__(self, estimator: CardinalityEstimator, exhaustive_limit: int = 16):
+    def __init__(self, estimator: CardinalityEstimator):
         self.estimator = estimator
-        self.exhaustive_limit = exhaustive_limit
 
     def plan(self, bound: BoundQuery) -> AGPlan:
-        """The cheapest left-deep edge order for ``bound``."""
-        n = len(bound.edges)
-        if n == 0:
+        """The DP's left-deep edge order for ``bound``, never dearer than
+        the greedy one."""
+        if not bound.edges:
             raise PlanError("cannot plan a query with no edges")
-        if n == 1:
-            walks, _ = self.estimator.estimate_extension(
-                self.estimator.initial_state(), bound.edges[0]
-            )
-            return AGPlan(order=(0,), step_costs=(walks,), estimated_cost=walks)
-        if n <= self.exhaustive_limit:
-            return self._plan_dp(bound)
-        return self._plan_greedy(bound)
+        stats = self.estimator.compile(bound.edges)
+        return _bounded_dp(stats, greedy_plan(stats))
 
-    # ------------------------------------------------------------------
 
-    def _edge_vars(self, bound: BoundQuery) -> list[frozenset]:
-        # Term tokens, not bare variables: edges may join through a
-        # shared constant as well.
-        return [e.term_tokens() for e in bound.edges]
+def _bounded_dp(stats: QueryStatistics, incumbent: AGPlan) -> AGPlan:
+    extend = stats.extend
+    adjacent = stats.adjacent
+    ceiling = incumbent.estimated_cost
+    budget = EXPANSION_BUDGET
 
-    def _plan_dp(self, bound: BoundQuery) -> AGPlan:
-        n = len(bound.edges)
-        edge_vars = self._edge_vars(bound)
-        estimator = self.estimator
+    # reach[mask] (see QueryStatistics.connectable) doubles as the set of
+    # discovered subsets. best[mask], for those some order reaches within
+    # the ceiling, is (cost, cards, parent entry, last edge, its walks):
+    # the order and step costs are read back through the parents.
+    reach = {0: 0}
+    best = {0: (0.0, {}, None, -1, 0.0)}
+    level = [0]
+    while level:
+        next_level: list[int] = []
+        for mask in level:
+            near = reach[mask]
+            connectable = stats.connectable(mask, near)
+            budget -= connectable.bit_count()
+            if budget < 0:
+                return incumbent
+            entry = best.get(mask)
+            if entry is not None:
+                cost, cards = entry[0], entry[1]
+            for eid in _bits(connectable):
+                new_mask = mask | 1 << eid
+                if new_mask not in reach:
+                    reach[new_mask] = near | adjacent[eid]
+                    next_level.append(new_mask)
+                if entry is None:
+                    continue
+                walks, new_u, new_v = extend(cards, mask, eid)
+                total = cost + walks
+                if total > ceiling:
+                    continue
+                rival = best.get(new_mask)
+                if rival is not None and total > rival[0]:
+                    continue
+                new_cards = cards.copy()
+                stats.bind(new_cards, eid, new_u, new_v)
+                # An exact cost tie goes to the tighter state — the smaller
+                # total cardinality, summed in first-binding order, which
+                # is the dicts' order — and then to the order found first.
+                if (
+                    rival is None
+                    or total < rival[0]
+                    or sum(new_cards.values()) < sum(rival[1].values())
+                ):
+                    best[new_mask] = (total, new_cards, entry, eid, walks)
+        level = next_level
 
-        # best[mask] = cheapest entry whose materialized set is `mask`.
-        best: dict[int, _Entry] = {}
-        for eid in range(n):
-            walks, state = estimator.estimate_extension(
-                estimator.initial_state(), bound.edges[eid]
-            )
-            entry = _Entry(walks, (eid,), (walks,), state)
-            mask = 1 << eid
-            if entry.beats(best.get(mask)):
-                best[mask] = entry
-
-        # Expand subsets in increasing popcount.
-        by_size: list[list[int]] = [[] for _ in range(n + 1)]
-        for mask in best:
-            by_size[1].append(mask)
-        for size in range(1, n):
-            for mask in by_size[size]:
-                entry = best[mask]
-                bound_vars = set()
-                for eid in entry.order:
-                    bound_vars |= edge_vars[eid]
-                for eid in range(n):
-                    bit = 1 << eid
-                    if mask & bit:
-                        continue
-                    if bound_vars and edge_vars[eid] and not (
-                        edge_vars[eid] & bound_vars
-                    ):
-                        continue  # keep prefixes connected
-                    walks, state = estimator.estimate_extension(
-                        entry.state, bound.edges[eid]
-                    )
-                    new_mask = mask | bit
-                    candidate = _Entry(
-                        entry.cost + walks,
-                        entry.order + (eid,),
-                        entry.step_costs + (walks,),
-                        state,
-                    )
-                    incumbent = best.get(new_mask)
-                    if candidate.beats(incumbent):
-                        if incumbent is None:
-                            by_size[size + 1].append(new_mask)
-                        best[new_mask] = candidate
-
-        full = (1 << n) - 1
-        final = best.get(full)
-        if final is None:
-            raise PlanError(
-                "no connected left-deep order covers every edge; "
-                "is the query graph connected?"
-            )
-        return AGPlan(
-            order=final.order,
-            step_costs=final.step_costs,
-            estimated_cost=final.cost,
-        )
-
-    def _plan_greedy(self, bound: BoundQuery) -> AGPlan:
-        n = len(bound.edges)
-        edge_vars = self._edge_vars(bound)
-        estimator = self.estimator
-        remaining = set(range(n))
-        order: list[int] = []
-        step_costs: list[float] = []
-        state = estimator.initial_state()
-        bound_vars: set[int] = set()
-        while remaining:
-            candidates = [
-                eid
-                for eid in remaining
-                if not order
-                or not edge_vars[eid]
-                or (edge_vars[eid] & bound_vars)
-            ]
-            if not candidates:
-                raise PlanError("query graph is disconnected; cannot plan")
-            best_eid, best_walks, best_state = None, float("inf"), None
-            for eid in candidates:
-                walks, new_state = estimator.estimate_extension(
-                    state, bound.edges[eid]
-                )
-                if walks < best_walks:
-                    best_eid, best_walks, best_state = eid, walks, new_state
-            assert best_eid is not None
-            order.append(best_eid)
-            step_costs.append(best_walks)
-            state = best_state
-            bound_vars |= edge_vars[best_eid]
-            remaining.discard(best_eid)
-        return AGPlan(
-            order=tuple(order),
-            step_costs=tuple(step_costs),
-            estimated_cost=sum(step_costs),
-        )
+    entry = best.get((1 << stats.num_edges) - 1)
+    if entry is None:
+        return incumbent
+    estimated_cost = entry[0]
+    order: list[int] = []
+    step_costs: list[float] = []
+    while entry[2] is not None:
+        order.append(entry[3])
+        step_costs.append(entry[4])
+        entry = entry[2]
+    return AGPlan(tuple(reversed(order)), tuple(reversed(step_costs)), estimated_cost)

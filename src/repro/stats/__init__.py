@@ -6,7 +6,11 @@ cardinality estimators drawn from a catalog consisting of 1-gram and
 """
 
 from repro.stats.catalog import Catalog, UnigramStat, BigramStat, build_catalog
-from repro.stats.estimator import CardinalityEstimator, EstimatorState
+from repro.stats.estimator import (
+    CardinalityEstimator,
+    EstimatorState,
+    QueryStatistics,
+)
 
 __all__ = [
     "Catalog",
@@ -15,4 +19,5 @@ __all__ = [
     "build_catalog",
     "CardinalityEstimator",
     "EstimatorState",
+    "QueryStatistics",
 ]

@@ -7,8 +7,7 @@ estimations are made for each successive edge extension"). This module
 implements those estimations on top of the catalog.
 
 The estimator is purely catalog-driven (offline statistics only), so
-estimates for the same (plan prefix, next edge) pair are deterministic
-and cheap — the DP planner calls it thousands of times.
+estimates for the same (plan prefix, next edge) pair are deterministic.
 
 Estimation model
 ----------------
@@ -40,11 +39,32 @@ Extending with edge ``e = (u -L-> v)``:
 
 Node burnback is *not* charged (the paper amortizes it: every edge that
 burnback removes was paid for when it was walked).
+
+Two statements of one model
+---------------------------
+:meth:`CardinalityEstimator.estimate_extension` over an immutable
+:class:`EstimatorState` is the readable statement of the model and the
+public single-step API. A planner that prices hundreds of candidate
+extensions per query cannot afford a frozen state built from two copied
+dicts per candidate, so :meth:`CardinalityEstimator.compile` looks up
+once per query everything the catalog can say about its edges
+(:class:`QueryStatistics`) and prices an extension from those numbers
+and one flat list of cardinalities. The compiled form performs the same
+floating-point operations in the same order; ``estimate_extension`` is
+the oracle it must match bit for bit
+(``tests/properties/test_property_planners.py``).
+
+What makes the flat form possible: the *constraints* of a variable are
+the (label, side) pairs of the materialized edges that touch it, and the
+correlation fraction is a ``min`` over them — so it depends on *which*
+edges are materialized (a bitmask), never on their order. Only the
+cardinalities are path-dependent, and they are one float per variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from repro.query.algebra import BoundEdge
 from repro.stats.catalog import Catalog
@@ -135,6 +155,11 @@ class CardinalityEstimator:
             new_v = min(sv_v, surviving)
             new_u = min(state.cards.get(edge.s_var, su_v), surviving)
         return walks, self._after(state, edge, walks, new_u, new_v)
+
+    def compile(self, edges: Sequence[BoundEdge]) -> "QueryStatistics":
+        """The catalog's numbers for ``edges``, looked up once (see
+        :class:`QueryStatistics`)."""
+        return QueryStatistics(self.catalog, edges)
 
     def chord_join_pairs(self, p1: int | None, orient: str, p2: int | None) -> int:
         """Exact offline size of the two-edge join ``p1 ⋈_orient p2``.
@@ -264,3 +289,222 @@ def _clamp01(x: float) -> float:
     if x > 1.0:
         return 1.0
     return x
+
+
+_NO_WALKS = (0.0, 0.0, 0.0)
+
+
+class _Direction(NamedTuple):
+    """One edge walked from one of its endpoints, in compiled numbers."""
+
+    #: (bit of another edge on the near variable, clamped 2-gram overlap
+    #: of that edge's label with this one's), one per constraint.
+    links: tuple
+    fan: float  # avg_out walking from the subject, avg_in from the object
+    far_distinct: float
+    far_per_edge: float  # far_distinct / count
+    far_divisor: int  # max(far distinct count, 1)
+
+
+class _CompiledEdge(NamedTuple):
+    s_var: int | None
+    o_var: int | None
+    count: float
+    seed: tuple[float, float, float]  # what extend() returns with neither end bound
+    from_subject: _Direction
+    from_object: _Direction
+
+
+class QueryStatistics:
+    """Everything the catalog says about one query's edges, looked up once.
+
+    Edges are addressed by index and sets of edges by bitmask (bit ``i``
+    is edge ``i``). A plan prefix is ``mask`` — the edges materialized —
+    plus ``cards``, one dict from each bound variable to its estimated
+    ``|N[v]|``, in the order the variables were first bound (which is
+    ``EstimatorState.cards``' order: summing the values in it gives the
+    same float). :meth:`extend` prices the next edge from the two and
+    :meth:`bind` records it.
+
+    Compiled per edge: the unpacked unigram numbers, the seed step (a
+    function of the edge alone) and, per endpoint variable, one
+    ``(bit of another edge on that variable, clamped 2-gram fraction)``
+    pair for every constraint that edge would contribute, so the
+    correlation fraction is a ``min`` over the pairs whose bit is in
+    ``mask``. Compiled per query: which edges share a join token
+    (``adjacent``), for connected-prefix enumeration.
+    """
+
+    __slots__ = ("num_edges", "edge_vars", "adjacent", "loose", "_edges")
+
+    def __init__(self, catalog: Catalog, edges: Sequence[BoundEdge]):
+        self.num_edges = len(edges)
+        #: (subject variable, object variable) per edge; ``None`` for a
+        #: constant or unknown term.
+        self.edge_vars = [(e.s_var, e.o_var) for e in edges]
+
+        # Term tokens, not bare variables: edges may join through a
+        # shared constant as well.
+        tokens = [e.term_tokens() for e in edges]
+        sharing: dict = {}
+        for eid, edge_tokens in enumerate(tokens):
+            for token in edge_tokens:
+                sharing[token] = sharing.get(token, 0) | 1 << eid
+        #: adjacent[i]: the edges sharing a join token with edge ``i``.
+        self.adjacent = []
+        #: edges with no join token (both terms unknown): joinable to anything.
+        self.loose = 0
+        for eid, edge_tokens in enumerate(tokens):
+            shared = 0
+            for token in edge_tokens:
+                shared |= sharing[token]
+            self.adjacent.append(shared & ~(1 << eid))
+            if not edge_tokens:
+                self.loose |= 1 << eid
+
+        # touching[v]: (bit, label, side, distinct nodes of label@side)
+        # of every edge endpoint that is variable ``v`` — the constraint
+        # that edge puts on ``v`` once materialized.
+        unigrams = [catalog.unigram(e.p) for e in edges]
+        touching: dict[int, list] = {}
+        for eid, (edge, stats) in enumerate(zip(edges, unigrams)):
+            for var, side, distinct in (
+                (edge.s_var, "s", stats.distinct_subjects),
+                (edge.o_var, "o", stats.distinct_objects),
+            ):
+                if var is not None:
+                    touching.setdefault(var, []).append((1 << eid, edge.p, side, distinct))
+
+        def links(eid: int, var: int | None, label: int, side: str) -> tuple:
+            return tuple(
+                (bit, _overlap(catalog, known, known_side, denom, label, side))
+                for bit, known, known_side, denom in touching.get(var, ())
+                if bit != 1 << eid
+            )
+
+        self._edges: list[_CompiledEdge | None] = []
+        for eid, (edge, stats) in enumerate(zip(edges, unigrams)):
+            if stats.count == 0:
+                self._edges.append(None)
+                continue
+            count = float(stats.count)
+            subjects = float(stats.distinct_subjects)
+            objects = float(stats.distinct_objects)
+            if edge.s_const is not None and edge.o_const is not None:
+                seed = 1.0
+            elif edge.s_const is not None:
+                seed = stats.avg_out
+            elif edge.o_const is not None:
+                seed = stats.avg_in
+            else:
+                seed = count
+            self._edges.append(
+                _CompiledEdge(
+                    edge.s_var,
+                    edge.o_var,
+                    count,
+                    (
+                        seed,
+                        min(subjects, seed) if edge.s_const is None else 1.0,
+                        min(objects, seed) if edge.o_const is None else 1.0,
+                    ),
+                    _Direction(
+                        links(eid, edge.s_var, edge.p, "s"),
+                        stats.avg_out,
+                        objects,
+                        objects / stats.count,
+                        max(stats.distinct_objects, 1),
+                    ),
+                    _Direction(
+                        links(eid, edge.o_var, edge.p, "o"),
+                        stats.avg_in,
+                        subjects,
+                        subjects / stats.count,
+                        max(stats.distinct_subjects, 1),
+                    ),
+                )
+            )
+
+    def connectable(self, mask: int, reach: int) -> int:
+        """The edges that may extend prefix ``mask`` and keep it connected.
+
+        ``reach`` is the union of ``adjacent[i]`` over ``mask`` (callers
+        maintain it as they grow a prefix).
+        """
+        if mask & ~self.loose:
+            return (reach | self.loose) & ~mask
+        return ((1 << self.num_edges) - 1) & ~mask  # no token bound yet: any edge
+
+    def extend(self, cards: dict, mask: int, eid: int) -> tuple[float, float, float]:
+        """(edge walks, new card of the subject variable, of the object
+        variable) for extending the prefix ``(mask, cards)`` with edge
+        ``eid`` — :meth:`CardinalityEstimator.estimate_extension` on
+        compiled numbers. Estimates are never negative, so the oracle's
+        ``max(·, 0.0)`` on the way into the state is the identity and is
+        not repeated here."""
+        record = self._edges[eid]
+        if record is None:
+            return _NO_WALKS
+        s_var, o_var, count, seed, from_subject, from_object = record
+        u = cards.get(s_var)
+        v = cards.get(o_var)
+        if u is None:
+            if v is None:
+                return seed
+            walks, matched, far = _directed_walks(v, mask, count, from_object)
+            return walks, far, matched
+        if v is None:
+            return _directed_walks(u, mask, count, from_subject)
+        # Both endpoints bound: walk the cheaper direction, filter on the
+        # far side.
+        walks_u, matched_u, _ = _directed_walks(u, mask, count, from_subject)
+        walks_v, matched_v, _ = _directed_walks(v, mask, count, from_object)
+        if walks_u <= walks_v:
+            surviving = walks_u * _clamp01(v / from_subject.far_divisor)
+            return walks_u, min(matched_u, surviving), min(v, surviving)
+        surviving = walks_v * _clamp01(u / from_object.far_divisor)
+        return walks_v, min(u, surviving), min(matched_v, surviving)
+
+    def bind(self, cards: dict, eid: int, new_u: float, new_v: float) -> None:
+        """Record in ``cards`` the cardinalities :meth:`extend` returned."""
+        s_var, o_var = self.edge_vars[eid]
+        if s_var is not None:
+            cards[s_var] = new_u
+        if o_var is not None:
+            cards[o_var] = new_v
+
+
+def _overlap(
+    catalog: Catalog, known: int | None, known_side: str, denom: int, label: int, side: str
+) -> float:
+    """Share of ``known@known_side``'s nodes that also occur at
+    ``label@side``: one term of the correlation fraction."""
+    if denom <= 0:
+        return 0.0
+    return _clamp01(catalog.bigram(known, label, known_side + side).join_nodes / denom)
+
+
+def _directed_walks(
+    near: float, mask: int, count: float, side: _Direction
+) -> tuple[float, float, float]:
+    """(walks, surviving near-side card, far-side card) walking from a
+    bound variable of cardinality ``near``."""
+    links, fan, far_distinct, far_per_edge, _ = side
+    frac = 1.0  # min over the materialized constraints of the 2-gram overlap
+    for bit, overlap in links:
+        if mask & bit and overlap < frac:
+            frac = overlap
+    matched = near * frac
+    walks = matched * fan
+    if count < walks:
+        walks = count
+    if not walks:
+        return walks, matched, 0.0
+    far = walks * far_per_edge
+    if far_distinct < far:
+        far = far_distinct
+    # At least one far node per matched near node's edge, at most all.
+    floor = walks if walks < 1.0 else 1.0
+    if floor > far:
+        far = floor
+    return walks, matched, far

@@ -75,11 +75,27 @@ CYCLIC_SHAPES = (
 )
 
 
+def _ground(draw, shape, labels):
+    """``shape`` under ``labels`` with every variable but its first
+    perhaps replaced throughout by a node constant — ``n0``/``n1`` as
+    :func:`build_store` names them, or ``n99``, which no store has — and
+    every label perhaps by one no store has. A replaced variable keeps
+    its edges joined, through the shared constant."""
+    variables = sorted({t for s, _, o in shape for t in (s, o)})
+    term = {variables[0]: variables[0]}
+    for var in variables[1:]:
+        term[var] = draw(st.sampled_from((var, var, var, "n0", "n1", "n99")))
+    labels = [draw(st.sampled_from((label,) * 5 + ("Z",))) for label in labels]
+    return [(term[s], labels[slot], term[o]) for (s, slot, o) in shape]
+
+
 @st.composite
-def acyclic_queries(draw):
+def shaped_queries(draw, shapes, grounded: bool = False):
+    """One of ``shapes`` under drawn labels; ``grounded`` also draws
+    constant terms and unknown labels (see :func:`_ground`)."""
     from repro.query.model import ConjunctiveQuery
 
-    shape = draw(st.sampled_from(ACYCLIC_SHAPES))
+    shape = draw(st.sampled_from(shapes))
     labels = draw(
         st.lists(
             st.sampled_from(LABELS),
@@ -87,24 +103,17 @@ def acyclic_queries(draw):
             max_size=len(shape),
         )
     )
-    edges = [(s, labels[slot], o) for (s, slot, o) in shape]
-    return ConjunctiveQuery(edges)
+    if grounded:
+        return ConjunctiveQuery(_ground(draw, shape, labels))
+    return ConjunctiveQuery([(s, labels[slot], o) for (s, slot, o) in shape])
 
 
-@st.composite
-def cyclic_queries(draw):
-    from repro.query.model import ConjunctiveQuery
+def acyclic_queries():
+    return shaped_queries(ACYCLIC_SHAPES)
 
-    shape = draw(st.sampled_from(CYCLIC_SHAPES))
-    labels = draw(
-        st.lists(
-            st.sampled_from(LABELS),
-            min_size=len(shape),
-            max_size=len(shape),
-        )
-    )
-    edges = [(s, labels[slot], o) for (s, slot, o) in shape]
-    return ConjunctiveQuery(edges)
+
+def cyclic_queries():
+    return shaped_queries(CYCLIC_SHAPES)
 
 
 #: Shapes for the phase-2 differential: every way defactorization

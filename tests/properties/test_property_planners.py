@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings
 
+from repro.errors import PlanError
 from repro.planner.cost import cost_of_order
-from repro.planner.edgifier import Edgifier
-from repro.planner.plan import validate_connected_order
+from repro.planner.edgifier import Edgifier, greedy_plan
+from repro.planner.plan import AGPlan, validate_connected_order
 from repro.planner.triangulator import Triangulator
 from repro.query.algebra import bind_query
 from repro.query.shapes import find_cycles, is_acyclic
@@ -13,52 +14,122 @@ from repro.stats.catalog import build_catalog
 from repro.stats.estimator import CardinalityEstimator
 
 from tests.properties.strategies import (
+    ACYCLIC_SHAPES,
+    CYCLIC_SHAPES,
+    PHASE2_SHAPES,
     acyclic_queries,
     build_store,
     cyclic_queries,
     edge_lists,
+    shaped_queries,
 )
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
+#: What the Edgifier is drawn: the shared shapes plus a 5- and a 6-edge
+#: one and a self-loop, with constants and unknown labels mixed in.
+PLANNED_ACYCLIC = ACYCLIC_SHAPES + (PHASE2_SHAPES["snowflake"],)
+PLANNED_CYCLIC = CYCLIC_SHAPES + (
+    PHASE2_SHAPES["diamond-with-pendant-leaves"],
+    PHASE2_SHAPES["self-loop"],
+)
 
-@SETTINGS
-@given(graph=edge_lists(), query=acyclic_queries())
-def test_edgifier_plan_is_valid_and_self_consistent(graph, query):
+
+def _connectable(tokens, order, eid):
+    bound_tokens = frozenset().union(*(tokens[done] for done in order))
+    return not bound_tokens or not tokens[eid] or bool(tokens[eid] & bound_tokens)
+
+
+def _specified_dp(bound, estimator):
+    """The Edgifier's recurrence, stated on ``estimate_extension``: level
+    by level over connected edge subsets, one entry per subset — the
+    cheapest, then the smallest total cardinality, then the first found."""
+    tokens = [e.term_tokens() for e in bound.edges]
+
+    def key(entry):
+        return entry[0], sum(entry[3].cards.values())
+
+    best = {0: (0.0, (), (), estimator.initial_state())}
+    level = [0]
+    while level:
+        next_level = []
+        for mask in level:
+            cost, order, steps, state = best[mask]
+            for eid in range(len(tokens)):
+                if mask >> eid & 1 or not _connectable(tokens, order, eid):
+                    continue
+                walks, after = estimator.estimate_extension(state, bound.edges[eid])
+                entry = (cost + walks, order + (eid,), steps + (walks,), after)
+                rival = best.get(mask | 1 << eid)
+                if rival is None:
+                    next_level.append(mask | 1 << eid)
+                if rival is None or key(entry) < key(rival):
+                    best[mask | 1 << eid] = entry
+        level = next_level
+    if (1 << len(tokens)) - 1 not in best:
+        return None  # no connected order covers every edge
+    cost, order, steps, _ = best[(1 << len(tokens)) - 1]
+    return AGPlan(order, steps, cost)
+
+
+def _specified_greedy(bound, estimator, pick=min):
+    """First cheapest (``max``: costliest) connectable edge at each step."""
+    tokens = [e.term_tokens() for e in bound.edges]
+    order, state = (), estimator.initial_state()
+    while len(order) < len(tokens):
+        eid = pick(
+            (e for e in range(len(tokens)) if e not in order and _connectable(tokens, order, e)),
+            key=lambda e: estimator.estimate_extension(state, bound.edges[e])[0],
+        )
+        _, state = estimator.estimate_extension(state, bound.edges[eid])
+        order += (eid,)
+    return AGPlan(order, *reversed(cost_of_order(bound, estimator, order)))
+
+
+def _check_against_specification(graph, query):
     store = build_store(graph)
     bound = bind_query(query, store)
     estimator = CardinalityEstimator(build_catalog(store))
+    dp = _specified_dp(bound, estimator)
+    if dp is None:  # a constant the store lacks is no join token
+        with pytest.raises(PlanError):
+            Edgifier(estimator).plan(bound)
+        return
     plan = Edgifier(estimator).plan(bound)
 
-    tokens = [e.term_tokens() for e in bound.edges]
-    validate_connected_order(plan.order, tokens)
+    validate_connected_order(plan.order, [e.term_tokens() for e in bound.edges])
     assert sorted(plan.order) == list(range(len(bound.edges)))
 
-    # The plan's own cost must be exactly what the shared cost model
-    # assigns its order (the DP and cost_of_order agree).
-    total, steps = cost_of_order(bound, estimator, list(plan.order))
-    assert total == pytest.approx(plan.estimated_cost)
-    assert steps == pytest.approx(plan.step_costs)
+    # The compiled statistics price the plan's order exactly as the
+    # readable model does: equal floats, not close ones.
+    assert cost_of_order(bound, estimator, plan.order) == (
+        plan.estimated_cost,
+        plan.step_costs,
+    )
 
-    # NOTE on optimality: the DP memoizes ONE estimator state per edge
-    # subset (like any Selinger-style optimizer), so when two prefixes
-    # of the same subset differ in cost AND in state tightness, the
-    # cheaper-prefix choice can occasionally lose overall. That
-    # approximation is inherent to the paper's bottom-up DP design;
-    # exhaustive-optimality is asserted on deterministic fixtures in
-    # tests/planner/test_edgifier.py instead of universally here.
+    stats = estimator.compile(bound.edges)
+    greedy = greedy_plan(stats)
+    assert greedy == _specified_greedy(bound, estimator)
+    assert greedy_plan(stats, pick=max) == _specified_greedy(bound, estimator, max)
+
+    # The DP memoizes ONE estimator state per edge subset (like any
+    # Selinger-style optimizer) and the state is path-dependent, so it
+    # is not the optimum over left-deep orders and can even lose to the
+    # greedy plan; the Edgifier returns whichever of the two is cheaper.
+    assert plan.estimated_cost <= greedy.estimated_cost
+    assert plan == (dp if dp.estimated_cost <= greedy.estimated_cost else greedy)
 
 
 @SETTINGS
-@given(graph=edge_lists(), query=cyclic_queries())
+@given(graph=edge_lists(), query=shaped_queries(PLANNED_ACYCLIC, grounded=True))
+def test_edgifier_plan_is_valid_and_self_consistent(graph, query):
+    _check_against_specification(graph, query)
+
+
+@SETTINGS
+@given(graph=edge_lists(), query=shaped_queries(PLANNED_CYCLIC, grounded=True))
 def test_edgifier_handles_cyclic_queries(graph, query):
-    store = build_store(graph)
-    bound = bind_query(query, store)
-    estimator = CardinalityEstimator(build_catalog(store))
-    plan = Edgifier(estimator).plan(bound)
-    validate_connected_order(
-        plan.order, [e.term_tokens() for e in bound.edges]
-    )
+    _check_against_specification(graph, query)
 
 
 @SETTINGS
