@@ -5,7 +5,9 @@ extension of each query edge followed by burnback, with one cascade
 (10 → 6 → 4). This bench measures phase 1 in isolation on
 burnback-heavy graphs — many decoy branches that extension retrieves
 and burnback must then cascade away — and records how much of the
-retrieved AG the burnback removes.
+retrieved AG the burnback removes. It runs the paper's phase 1
+(``lookahead=False``): with look-ahead the decoys' B-edges are dropped
+as they are retrieved and only half of the cascade is left to burn.
 """
 
 import pytest
@@ -43,7 +45,7 @@ def test_fig2_generation_with_burnback(benchmark, decoys):
     plan = Edgifier(estimator).plan(bound)
 
     def run():
-        return generate_answer_graph(bound, plan)
+        return generate_answer_graph(bound, plan, lookahead=False)
 
     ag, stats = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     assert ag.size == 40 * 3  # only the complete chains survive
@@ -58,5 +60,5 @@ def test_fig2_cascade_depth_is_bounded_by_walks():
     bound = bind_query(figure1_query(), store)
     estimator = CardinalityEstimator(build_catalog(store))
     plan = Edgifier(estimator).plan(bound)
-    _, stats = generate_answer_graph(bound, plan)
+    _, stats = generate_answer_graph(bound, plan, lookahead=False)
     assert stats.burned_nodes <= 2 * stats.edge_walks

@@ -5,7 +5,9 @@ five systems under the warm-cache protocol and reports, per row:
 execution time per engine (``*`` on timeout), the answer-graph size
 (|iAG| for the acyclic snowflakes; |AG| — non-ideal, node burnback
 only — for the diamonds, exactly as the paper's Wireframe
-configuration), and the embedding count.
+configuration), the embedding count, and phase 1's edge walks — as
+the engine runs by default (``walks``) and as the paper's phase 1,
+without look-ahead, does (``walks (paper)``); both leave the same AG.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from repro.bench.workloads import (
     make_benchmark_store,
 )
 from repro.core.engine import WireframeEngine
+from repro.core.generation import generate_answer_graph
 from repro.datasets.paper_queries import paper_diamond_queries, paper_snowflake_queries
+from repro.errors import EvaluationError
 from repro.graph.store import TripleStore
 from repro.query.model import ConjunctiveQuery
 from repro.utils.tables import TextTable
@@ -38,16 +42,35 @@ class Table1Row:
     times: dict[str, float | None] = field(default_factory=dict)
     ag_size: int | None = None
     embeddings: int | None = None
+    walks: int | None = None
+    walks_paper: int | None = None  # lookahead=False
 
 
 def _ag_metrics(
     store: TripleStore, query: ConjunctiveQuery, catalog
-) -> tuple[int, int]:
-    """(|AG|, |embeddings|) measured with the paper's WF configuration
-    (no edge burnback, so diamond AGs are the non-ideal ones)."""
+) -> tuple[int, int, int, int]:
+    """(|AG|, |embeddings|, edge walks, edge walks without look-ahead)
+    measured with the paper's WF configuration (no edge burnback, so
+    diamond AGs are the non-ideal ones). The paper's count is one more
+    phase 1 along the same plan, nothing else run twice."""
     engine = WireframeEngine(store, catalog)
-    result = engine.evaluate_detailed(query, materialize=False)
-    return result.ag_size, result.count
+    prepared = engine.plan(query)
+    result = engine.evaluate_detailed(query, materialize=False, prepared=prepared)
+    bound, ag_plan, chordification = prepared
+    paper_ag, paper = generate_answer_graph(
+        bound, ag_plan, chordification=chordification, lookahead=False
+    )
+    if result.ag_size != paper_ag.size:
+        raise EvaluationError(
+            f"{query.name}: |AG| {result.ag_size} with look-ahead, "
+            f"{paper_ag.size} without"
+        )
+    return (
+        result.ag_size,
+        result.count,
+        result.generation_stats.edge_walks,
+        paper.edge_walks,
+    )
 
 
 def reproduce_table1(
@@ -94,7 +117,9 @@ def reproduce_table1(
             row.times[engine.name] = timing.seconds
             if timing.count is not None:
                 row.embeddings = timing.count
-        row.ag_size, ag_count = _ag_metrics(store, query, catalog)
+        row.ag_size, ag_count, row.walks, row.walks_paper = _ag_metrics(
+            store, query, catalog
+        )
         if row.embeddings is None:
             row.embeddings = ag_count
         rows.append(row)
@@ -109,7 +134,8 @@ def format_table1(rows: list[Table1Row], engines: tuple[str, ...] = ENGINE_ORDER
         if not shape_rows:
             continue
         table = TextTable(
-            ["#", f"{shape} query", *engines, ag_header, "|Embeddings|"]
+            ["#", f"{shape} query", *engines, ag_header, "|Embeddings|",
+             "walks", "walks (paper)"]
         )
         for row in shape_rows:
             table.add_row(
@@ -119,6 +145,8 @@ def format_table1(rows: list[Table1Row], engines: tuple[str, ...] = ENGINE_ORDER
                     *[row.times.get(e) for e in engines],
                     row.ag_size,
                     row.embeddings,
+                    row.walks,
+                    row.walks_paper,
                 ]
             )
         sections.append(table.render())

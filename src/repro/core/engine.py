@@ -85,6 +85,13 @@ class WireframeEngine(Engine):
     use_chords:
         Materialize Triangulator chords for cyclic queries (keeps node
         sets minimal, §4.I). Required for edge burnback.
+    lookahead:
+        Phase 1 lets an extension that binds a new variable keep only
+        the nodes the query's other edges on that variable can match in
+        the store (``generate_answer_graph(..., lookahead=)``). On by
+        default: same answer graph and rows for fewer edge walks.
+        ``False`` is the paper's phase 1, the setting its Fig. 2 trace
+        and Table 1 walk counts are reproduced in.
     """
 
     name = "WF"
@@ -95,6 +102,7 @@ class WireframeEngine(Engine):
         catalog: Catalog | None = None,
         edge_burnback: bool = False,
         use_chords: bool = True,
+        lookahead: bool = True,
     ):
         if edge_burnback and not use_chords:
             raise QueryError("edge burnback requires chord materialization")
@@ -105,6 +113,7 @@ class WireframeEngine(Engine):
         self.triangulator = Triangulator(self.estimator)
         self.edge_burnback = edge_burnback
         self.use_chords = use_chords
+        self.lookahead = lookahead
 
     # ------------------------------------------------------------------
     # Planning
@@ -169,6 +178,7 @@ class WireframeEngine(Engine):
             deadline=deadline,
             edge_burnback_enabled=self.edge_burnback,
             trace=trace,
+            lookahead=self.lookahead,
         )
         t1 = time.perf_counter()
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.core.answer_graph import AnswerGraph
 from repro.core.burnback import constrain_endpoints, edge_burnback, node_burnback
-from repro.core.extension import extend_edge_bulk
+from repro.core.extension import extend_edge_bulk, incidence_of
 from repro.core.triangles import drop_chords, materialize_chords
 from repro.errors import PlanError
 from repro.obs.trace import trace_span
@@ -59,6 +59,7 @@ def generate_answer_graph(
     edge_burnback_enabled: bool = False,
     keep_chords: bool = False,
     trace: GenerationTrace | None = None,
+    lookahead: bool = True,
 ) -> tuple[AnswerGraph, GenerationStats]:
     """Generate the answer graph for ``bound`` along ``plan``.
 
@@ -74,6 +75,16 @@ def generate_answer_graph(
     keep_chords:
         Leave chord relations inside the returned AG (default: dropped
         so that phase 2 and |AG| accounting see only real query edges).
+    lookahead:
+        An extension that binds a variable for the first time keeps only
+        the nodes the query's other edges on that variable can match in
+        the store at all (:func:`repro.core.extension.lookahead_views`)
+        — the nodes node burnback would remove once those edges are
+        extended, never retrieved instead. The answer graph that comes
+        out is the same either way; ``edge_walks``, ``step_walks`` and
+        ``burned_nodes`` are lower. ``False`` is the paper's phase 1
+        (its Fig. 2 trace and Table 1 walk counts) — the ablation
+        switch.
     """
     if deadline is None:
         deadline = Deadline.unlimited()
@@ -84,6 +95,7 @@ def generate_answer_graph(
         raise PlanError(
             f"plan covers {len(plan.order)} of {len(bound.edges)} query edges"
         )
+    incidence = incidence_of(bound) if lookahead else None
 
     ag = AnswerGraph(bound)
     stats = GenerationStats()
@@ -93,7 +105,7 @@ def generate_answer_graph(
             stats.step_walks.append(0)
             continue
         edge = bound.edges[eid]
-        result = extend_edge_bulk(ag, bound.store, edge, deadline)
+        result = extend_edge_bulk(ag, bound.store, edge, deadline, incidence)
         stats.edge_walks += result.walks
         stats.step_walks.append(result.walks)
         rel = ("e", eid)

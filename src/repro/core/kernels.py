@@ -14,10 +14,27 @@ call per candidate node (or per produced block), not one
 Edge-walk accounting is preserved **exactly**: the paper's cost model
 and Table-1 figures count data edges *retrieved* (before far-endpoint
 filtering), so kernels compute walk counts from index set sizes
-(``sum(len(...))``) rather than loop iterations. The retained
-tuple-at-a-time implementations in :mod:`repro.core.reference` define
-the semantics these kernels must match bit-for-bit; the equivalence is
-asserted property-style in ``tests/core/test_kernels_equivalence.py``.
+(``sum(len(...))``) rather than loop iterations. A step that walks
+from candidates counts every edge of theirs, whatever candidate set or
+look-ahead views then filter the far end; a scan counts the edges of
+the subjects it reads, which are all of the label's unless look-ahead
+views narrowed the subject keys first (one key-set intersection, before
+any edge is touched). The retained tuple-at-a-time implementations in
+:mod:`repro.core.reference` define the semantics these kernels must
+match bit-for-bit; the equivalence is asserted property-style in
+``tests/core/test_kernels_equivalence.py``.
+
+Look-ahead views (:func:`repro.core.extension.lookahead_views`) reach
+:func:`bulk_extend` as sequences of live set-likes, one per other query
+edge on an endpoint variable this step binds. They go through the same
+far-endpoint filter a bound endpoint's candidate set does — each
+candidate's neighbour bucket ``&``-ed with one view after another, in C,
+iterating the smaller side on either backend — and an empty sequence is
+the plain copy: there is one kernel, with or without them. A view only
+earns its probes where the predicate has far endpoints that dangle
+outside it; one that holds them all is dropped before the buckets are
+walked (:func:`_filtering`), so a store without dangling nodes is read
+at the price of the plain copy.
 
 All kernels return *fresh* containers (new dicts holding new sets)
 unless documented otherwise, so callers may hand results straight to
@@ -38,7 +55,7 @@ invariant.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.utils.deadline import Deadline
 
@@ -55,6 +72,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #: columnar runs with galloping intersection.
 Adjacency = dict[int, set[int]]
 AdjacencyView = Mapping[int, AbstractSet[int]]
+#: Set-like views a far endpoint is intersected with, one after another.
+Views = Sequence[AbstractSet[int]]
 
 #: Pairs to accumulate before one :meth:`Deadline.check_every` call in
 #: the extension kernels — polling per 4k-pair block keeps the call
@@ -207,6 +226,8 @@ def bulk_extend(
     o_candidates: AbstractSet[int] | None,
     self_join: bool,
     deadline: Deadline,
+    s_views: Views = (),
+    o_views: Views = (),
 ) -> BulkExtension:
     """Set-at-a-time edge extension against predicate ``p``.
 
@@ -216,23 +237,73 @@ def bulk_extend(
     smaller candidate set, ties to subjects) — with identical walk
     counts and identical resulting pair sets, computed via whole-set
     operations on the store's live indexes.
+
+    ``s_views`` / ``o_views`` are the look-ahead views of an endpoint
+    that has no candidates yet (see the module docstring): a node
+    outside any of them is not kept. They filter the far endpoint of a
+    directed step; a scan is walked from the subjects that are in every
+    one of ``s_views``.
     """
+    from_subjects = True
     if s_candidates is None and o_candidates is None:
-        return _extend_scan(store, p, self_join, deadline)
-    if s_candidates is not None and o_candidates is None:
-        return _extend_from_subjects(store, p, s_candidates, None, self_join, deadline)
-    if o_candidates is not None and s_candidates is None:
-        return _extend_from_objects(store, p, o_candidates, None, self_join, deadline)
-    assert s_candidates is not None and o_candidates is not None
-    # Walk from the smaller candidate set and filter on the other —
-    # same tie-break (subjects win) as the reference implementation.
-    if len(s_candidates) <= len(o_candidates):
-        return _extend_from_subjects(
-            store, p, s_candidates, o_candidates, self_join, deadline
+        if not s_views and not o_views:
+            return _extend_scan(store, p, self_join, deadline)
+        by_s = store.adjacency(p)
+        if s_views:
+            subjects = by_s.keys()
+            for view in s_views:
+                subjects = subjects & view
+            items = store.successor_sets(p, subjects)
+        else:
+            items = list(by_s.items())
+        far_filters = _filtering(o_views, store.object_set(p), len(items), len(by_s))
+    elif o_candidates is None:
+        items = store.successor_sets(p, s_candidates)
+        far_filters = _filtering(
+            o_views, store.object_set(p), len(items), len(store.subject_set(p))
         )
-    return _extend_from_objects(
-        store, p, o_candidates, s_candidates, self_join, deadline
-    )
+    elif s_candidates is None:
+        from_subjects = False
+        items = store.predecessor_sets(p, o_candidates)
+        far_filters = _filtering(
+            s_views, store.subject_set(p), len(items), len(store.object_set(p))
+        )
+    # Both bound: walk from the smaller candidate set and filter on the
+    # other — same tie-break (subjects win) as the reference.
+    elif len(s_candidates) <= len(o_candidates):
+        items = store.successor_sets(p, s_candidates)
+        far_filters = (o_candidates,)
+    else:
+        from_subjects = False
+        items = store.predecessor_sets(p, o_candidates)
+        far_filters = (s_candidates,)
+    adj, walks = _candidate_adjacency(items, far_filters, self_join, deadline)
+    predicate = None if self_join else p
+    if from_subjects:
+        return BulkExtension(adj, None, walks, predicate)
+    # Walked over the POS index: ``o -> {s}`` is the natural product.
+    return BulkExtension(None, adj, walks, predicate)
+
+
+def _filtering(
+    views: Views, far_nodes: AbstractSet[int], n_read: int, n_near: int
+) -> Views:
+    """``views`` without those that cannot drop a far endpoint of this
+    step, i.e. that hold every one of the predicate's ``far_nodes``.
+
+    Whether the predicate has *dangling far endpoints* for a view is
+    read off the store, not left to the caller: the subset test stops
+    at the first far node outside the view (at once where some dangle,
+    the case look-ahead is for) and pays a probe per distinct far node
+    only where none does — there it saves a probe per *edge* walked,
+    each bucket being copied instead of intersected. Asked only when
+    the step reads at least half the predicate's ``n_near`` near nodes:
+    a point lookup must not pay for a pass over the predicate. Dropping
+    such a view changes no pair kept and no walk counted.
+    """
+    if not views or 2 * n_read < n_near:
+        return views
+    return [view for view in views if not far_nodes <= view]
 
 
 def _extend_scan(
@@ -313,12 +384,13 @@ def inverse_index(
 
 def _candidate_adjacency(
     items: "list[tuple[int, AbstractSet[int]]]",
-    far_filter: AbstractSet[int] | None,
+    far_filters: Views,
     self_join: bool,
     deadline: Deadline,
 ) -> tuple[Adjacency, int]:
     """Grouped near→far adjacency over pre-fetched ``(node, live-set)``
-    items, with walk counting and chunked deadline polling.
+    items, with walk counting and chunked deadline polling. A far node
+    is kept if it is in every one of ``far_filters``.
 
     Each :data:`NODE_BLOCK`-node chunk is one dict comprehension whose
     per-item work (``set`` copy or C intersection) never touches the
@@ -327,6 +399,7 @@ def _candidate_adjacency(
     """
     out: Adjacency = {}
     walks = 0
+    first, rest = (far_filters[0], far_filters[1:]) if far_filters else (None, ())
     for i in range(0, len(items), NODE_BLOCK):
         chunk = items[i : i + NODE_BLOCK]
         chunk_walks = sum(len(t[1]) for t in chunk)
@@ -337,45 +410,26 @@ def _candidate_adjacency(
                 {
                     n: {n}
                     for n, far in chunk
-                    if n in far and (far_filter is None or n in far_filter)
+                    if n in far and all(n in f for f in far_filters)
                 }
             )
-        elif far_filter is None:
+        elif first is None:
             out.update({n: set(far) for n, far in chunk})
+        elif not rest:
+            out.update({n: keep for n, far in chunk if (keep := first & far)})
         else:
-            out.update(
-                {n: keep for n, far in chunk if (keep := far & far_filter)}
-            )
+            # Several look-ahead views: each bucket against one after
+            # another, never view against view (a predicate's subjects
+            # can dwarf everything this step walks).
+            for n, far in chunk:
+                keep = first & far
+                for view in rest:
+                    if not keep:
+                        break
+                    keep = view & keep
+                if keep:
+                    out[n] = keep
     return out, walks
-
-
-def _extend_from_subjects(
-    store: "StoreViews",
-    p: int,
-    s_candidates: AbstractSet[int],
-    o_filter: AbstractSet[int] | None,
-    self_join: bool,
-    deadline: Deadline,
-) -> BulkExtension:
-    """Subject-driven extension; ``o_filter`` restricts far endpoints."""
-    items = store.successor_sets(p, s_candidates)
-    fwd, walks = _candidate_adjacency(items, o_filter, self_join, deadline)
-    return BulkExtension(fwd, None, walks, None if self_join else p)
-
-
-def _extend_from_objects(
-    store: "StoreViews",
-    p: int,
-    o_candidates: AbstractSet[int],
-    s_filter: AbstractSet[int] | None,
-    self_join: bool,
-    deadline: Deadline,
-) -> BulkExtension:
-    """Object-driven extension over the POS index: the ``o -> {s}``
-    adjacency is the natural product."""
-    items = store.predecessor_sets(p, o_candidates)
-    bwd, walks = _candidate_adjacency(items, s_filter, self_join, deadline)
-    return BulkExtension(None, bwd, walks, None if self_join else p)
 
 
 # ----------------------------------------------------------------------

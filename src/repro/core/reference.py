@@ -19,6 +19,10 @@ The oracle also keeps the eager representation the kernels gave up:
 moment it is registered, so nothing here ever derives one index from
 the other.
 
+Look-ahead (:mod:`repro.core.extension`) is here too, as a membership
+test per tuple against the same views the kernels intersect with, so
+that walks and burns can be compared with it on as well as off.
+
 Deliberately slow; never call these from production paths.
 """
 
@@ -29,7 +33,7 @@ from typing import Iterable
 
 from repro.core.answer_graph import AnswerGraph, RelKey
 from repro.core.burnback import intersect_node_set
-from repro.core.extension import ExtensionResult, _endpoint_candidates
+from repro.core.extension import ExtensionResult, Incidence, incidence_of, step_inputs
 from repro.errors import EvaluationError, PlanError
 from repro.graph.store import TripleStore
 from repro.planner.plan import (
@@ -65,20 +69,31 @@ def _constrain(ag: AnswerGraph, var: int, nodes: set[int]) -> list[tuple[int, in
     return [(var, n) for n in intersect_node_set(ag, var, nodes).get(var, ())]
 
 
+def _in_all(node: int, views) -> bool:
+    return all(node in view for view in views)
+
+
 def extend_edge_reference(
     ag: AnswerGraph,
     store: TripleStore,
     edge: BoundEdge,
     deadline: Deadline,
+    incidence: Incidence | None = None,
 ) -> ExtensionResult:
-    """Tuple-at-a-time edge extension (the pre-kernel ``extend_edge``)."""
-    if not edge.satisfiable:
+    """Tuple-at-a-time edge extension (the pre-kernel ``extend_edge``).
+
+    With ``incidence``, look-ahead one tuple at a time: a free endpoint
+    takes only nodes in all of its
+    :func:`~repro.core.extension.lookahead_views`. A scan does
+    not retrieve the edges of a subject that is not, and every edge
+    retrieved is a walk whether or not its far end is.
+    """
+    inputs = step_inputs(ag, store, edge, incidence) if edge.satisfiable else None
+    if inputs is None:
         return ExtensionResult(set(), 0)
     p = edge.p
     assert p is not None
-
-    s_candidates = _endpoint_candidates(ag, edge.s_var, edge.s_const)
-    o_candidates = _endpoint_candidates(ag, edge.o_var, edge.o_const)
+    s_candidates, o_candidates, s_views, o_views = inputs
     self_join = edge.s_var is not None and edge.s_var == edge.o_var
 
     pairs: set[tuple[int, int]] = set()
@@ -86,11 +101,14 @@ def extend_edge_reference(
 
     if s_candidates is None and o_candidates is None:
         for s, o in store.edges(p):
+            if not _in_all(s, s_views):
+                continue
             deadline.check()
             walks += 1
             if self_join and s != o:
                 continue
-            pairs.add((s, o))
+            if _in_all(o, o_views):
+                pairs.add((s, o))
         return ExtensionResult(pairs, walks)
 
     if s_candidates is not None and o_candidates is None:
@@ -100,7 +118,8 @@ def extend_edge_reference(
                 walks += 1
                 if self_join and s != o:
                     continue
-                pairs.add((s, o))
+                if _in_all(o, o_views):
+                    pairs.add((s, o))
         return ExtensionResult(pairs, walks)
 
     if o_candidates is not None and s_candidates is None:
@@ -110,7 +129,8 @@ def extend_edge_reference(
                 walks += 1
                 if self_join and s != o:
                     continue
-                pairs.add((s, o))
+                if _in_all(s, s_views):
+                    pairs.add((s, o))
         return ExtensionResult(pairs, walks)
 
     # Both endpoints constrained: walk from the smaller candidate set
@@ -347,6 +367,7 @@ def generate_answer_graph_reference(
     deadline: Deadline | None = None,
     edge_burnback_enabled: bool = False,
     keep_chords: bool = False,
+    lookahead: bool = True,
 ):
     """Phase-1 driver wired to the tuple-at-a-time primitives.
 
@@ -364,6 +385,7 @@ def generate_answer_graph_reference(
         raise PlanError(
             f"plan covers {len(plan.order)} of {len(bound.edges)} query edges"
         )
+    incidence = incidence_of(bound) if lookahead else None
 
     ag = AnswerGraph(bound)
     stats = GenerationStats()
@@ -373,7 +395,7 @@ def generate_answer_graph_reference(
             stats.step_walks.append(0)
             continue
         edge = bound.edges[eid]
-        result = extend_edge_reference(ag, bound.store, edge, deadline)
+        result = extend_edge_reference(ag, bound.store, edge, deadline, incidence)
         stats.edge_walks += result.edge_walks
         stats.step_walks.append(result.edge_walks)
         rel = ("e", eid)

@@ -38,6 +38,14 @@ def test_ag_and_embedding_metrics_present(rows):
         assert row.embeddings is not None and row.embeddings >= 1  # witnesses
 
 
+def test_walks_with_and_without_lookahead(rows):
+    """Both phase-1 settings are reported per query (they left the same
+    |AG|, or `reproduce_table1` would have raised)."""
+    for row in rows:
+        assert row.walks is not None and row.walks_paper is not None
+    assert sum(r.walks for r in rows) < sum(r.walks_paper for r in rows)
+
+
 def test_engine_counts_consistent(rows):
     # All engines returned the same count (via the shared `embeddings`).
     for row in rows:
@@ -49,6 +57,7 @@ def test_format_table1_renders_both_sections(rows):
     assert "|iAG|" in text
     assert "|AG|" in text
     assert "|Embeddings|" in text
+    assert "walks (paper)" in text
     assert "diedIn/influences" in text
 
 

@@ -64,12 +64,50 @@ def test_empty_result_short_circuits():
     assert len(stats.step_walks) == 2
 
 
+def test_empty_lookahead_view_short_circuits():
+    """``9`` is a node but nothing points at it through C: the view of
+    ?y's other edge is empty, so the A step walks nothing at all."""
+    store = store_from_edges(
+        {"A": [("1", "2")], "B": [("2", "9")], "C": [("10", "2")]}
+    )
+    bound = bind_query(
+        parse_sparql("select * where { ?x A ?y . ?y C 9 }"), store
+    )
+    ag, stats = generate_answer_graph(bound, manual_plan([0, 1]))
+    assert ag.empty and ag.size == 0
+    assert stats.step_walks == [0, 0] and stats.edge_walks == 0
+    ag, stats = generate_answer_graph(bound, manual_plan([0, 1]), lookahead=False)
+    assert ag.empty and ag.size == 0
+    assert stats.step_walks == [1, 0]
+
+
+def test_deadline_fires_inside_a_lookahead_scan():
+    from repro.errors import EvaluationTimeout
+    from repro.utils.deadline import Deadline
+
+    chain = [(str(i), str(i + 1)) for i in range(5000)]
+    store = store_from_edges({"A": chain, "B": chain})
+    bound = bind_query(
+        parse_sparql("select * where { ?x A ?y . ?y B ?z }"), store
+    )
+    with pytest.raises(EvaluationTimeout) as caught:
+        generate_answer_graph(
+            bound, manual_plan([0, 1]), deadline=Deadline(0.000001, stride=64)
+        )
+    # The scan that filters its far end, not the wholesale label copy.
+    frames = [entry.name for entry in caught.traceback]
+    assert "_candidate_adjacency" in frames and "_extend_scan" not in frames
+
+
 def test_trace_records_fig2_cascade():
-    """Replays the worked example of Fig. 2 step by step."""
+    """Replays the worked example of Fig. 2 step by step (the paper's
+    phase 1: no look-ahead)."""
     store, bound = bound_fig1()
     d = store.dictionary.lookup
     trace = GenerationTrace()
-    generate_answer_graph(bound, manual_plan([0, 1, 2]), trace=trace)
+    generate_answer_graph(
+        bound, manual_plan([0, 1, 2]), trace=trace, lookahead=False
+    )
 
     extends = trace.of_kind("extend")
     assert [e[1] for e in extends] == [0, 1, 2]
@@ -101,18 +139,42 @@ def test_trace_records_fig2_cascade():
     assert final["node_sets"][bound.var_index("x")] == {d("5")}
     assert final["node_sets"][bound.var_index("y")] == {d("9")}
 
+    # The default looks one edge ahead: 10 is no C-subject, so the B
+    # step never registers (6, 10) and burns 6 -> 4 there and then; the
+    # C step has nothing left to burn. Same final state.
+    ahead = GenerationTrace()
+    ag, _ = generate_answer_graph(bound, manual_plan([0, 1, 2]), trace=ahead)
+    extends = ahead.of_kind("extend")
+    assert len(extends[0][2]["pairs"][("e", 0)]) == 4  # 6 is a B-subject
+    assert extends[1][2]["pairs"][("e", 1)] == {(d("5"), d("9"))}
+    assert [sorted(e[1]) for e in ahead.of_kind("burnback")] == [
+        [bound.var_index("x")]
+    ]
+    assert ag.snapshot() == final
+
 
 def test_burned_nodes_counted():
     store, bound = bound_fig1()
-    _, stats = generate_answer_graph(bound, manual_plan([0, 1, 2]))
+    _, stats = generate_answer_graph(
+        bound, manual_plan([0, 1, 2]), lookahead=False
+    )
     # Nodes 10 (y), 6 (x), 4 (w) burn in the final cascade.
     assert stats.burned_nodes >= 3
+    # With look-ahead 10 is never a node of the AG.
+    _, stats = generate_answer_graph(bound, manual_plan([0, 1, 2]))
+    assert stats.burned_nodes == 2
 
 
 def test_generation_stats_walks_match_paper_cost_unit():
     store, bound = bound_fig1()
-    _, stats = generate_answer_graph(bound, manual_plan([0, 1, 2]))
+    _, stats = generate_answer_graph(
+        bound, manual_plan([0, 1, 2]), lookahead=False
+    )
     # A scans 4 edges, B retrieves 2 (from x in {5,6}), C retrieves 4
     # (from y in {9,10}; 10 has none).
     assert stats.step_walks == [4, 2, 4]
     assert stats.edge_walks == 10
+    # Retrieved is retrieved: looking ahead filters the far end of the
+    # B step, not what it walks; C then starts from y = {9} alone.
+    _, stats = generate_answer_graph(bound, manual_plan([0, 1, 2]))
+    assert stats.step_walks == [4, 2, 4]

@@ -7,7 +7,9 @@ pair sets, identical per-variable node sets, identical edge-walk
 counts (per step and total), identical burn/chord/edge-burnback
 accounting, and identical timeout behaviour. These properties quantify
 over random stores and query shapes including self-joins, constants,
-and cyclic (chordified) queries.
+and cyclic (chordified) queries, with look-ahead on (the default) and
+off (the paper's phase 1): the oracle applies the same rule one tuple
+at a time.
 
 The kernels index a relation in the direction they walked and leave
 the other to its first reader; the reference indexes both at once. So
@@ -29,10 +31,12 @@ from hypothesis import strategies as st
 
 from repro.core import burnback
 from repro.core.defactorize import count_embeddings, materialize_embeddings
-from repro.core.extension import extend_edge_bulk
+from repro.core.extension import extend_edge_bulk, incidence_of
 from repro.core.generation import generate_answer_graph
 from repro.core.kernels import (
+    _filtering,
     adjacency_size,
+    bulk_extend,
     compose_adjacency,
     intersect_pairs,
     invert_adjacency,
@@ -63,6 +67,8 @@ from tests.properties.strategies import (
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
+#: ``lookahead=`` values: the default, and the paper's phase 1.
+LOOKAHEAD = (True, False)
 
 #: Query shapes as (subject, label slot, object) templates. ``?``-terms
 #: are variables; ``n<k>`` terms are constants resolved against the
@@ -119,19 +125,21 @@ def _plan(store, query):
     return bound, plan, chordification
 
 
-def _generate_both(store, query, edge_burnback):
+def _generate_both(store, query, edge_burnback, lookahead):
     bound, plan, chordification = _plan(store, query)
     ag_k, stats_k = generate_answer_graph(
         bound,
         plan,
         chordification=chordification,
         edge_burnback_enabled=edge_burnback,
+        lookahead=lookahead,
     )
     ag_r, stats_r = generate_answer_graph_reference(
         bound,
         plan,
         chordification=chordification,
         edge_burnback_enabled=edge_burnback,
+        lookahead=lookahead,
     )
     return (ag_k, stats_k), (ag_r, stats_r)
 
@@ -141,18 +149,24 @@ def _generate_both(store, query, edge_burnback):
 def test_generation_matches_reference(graph, query):
     """AG state and every stat of phase 1 are bit-identical."""
     store = build_store(graph)
-    (ag_k, stats_k), (ag_r, stats_r) = _generate_both(store, query, False)
-    assert ag_k.snapshot() == ag_r.snapshot()
-    assert stats_k == stats_r
+    for lookahead in LOOKAHEAD:
+        (ag_k, stats_k), (ag_r, stats_r) = _generate_both(
+            store, query, False, lookahead
+        )
+        assert ag_k.snapshot() == ag_r.snapshot(), lookahead
+        assert stats_k == stats_r, lookahead
 
 
 @SETTINGS
 @given(graph=edge_lists(), query=queries())
 def test_generation_matches_reference_with_edge_burnback(graph, query):
     store = build_store(graph)
-    (ag_k, stats_k), (ag_r, stats_r) = _generate_both(store, query, True)
-    assert ag_k.snapshot() == ag_r.snapshot()
-    assert stats_k == stats_r
+    for lookahead in LOOKAHEAD:
+        (ag_k, stats_k), (ag_r, stats_r) = _generate_both(
+            store, query, True, lookahead
+        )
+        assert ag_k.snapshot() == ag_r.snapshot(), lookahead
+        assert stats_k == stats_r, lookahead
 
 
 @SETTINGS
@@ -177,11 +191,13 @@ def test_bulk_extension_backward_index_consistent(graph, query, data):
     """A kernel hands over the direction it walked; the index the AG
     derives from it is its exact inverse. The far endpoint is
     constrained to a drawn node set, so that every walking direction
-    and the far-endpoint filter are covered."""
+    and the far-endpoint filter are covered — or left free, to be
+    filtered by the look-ahead views."""
     from repro.core.answer_graph import AnswerGraph
 
     store = build_store(graph)
     bound = bind_query(query, store)
+    incidence = incidence_of(bound) if data.draw(st.booleans()) else None
     known = sorted(store.nodes())  # none when every drawn label is empty
     nodes = st.sets(st.sampled_from(known)) if known else st.just(set())
     for edge in bound.edges:
@@ -189,8 +205,10 @@ def test_bulk_extension_backward_index_consistent(graph, query, data):
         for var in edge.var_set():
             if data.draw(st.booleans()):
                 ag.node_sets[var] = data.draw(nodes)
-        result = extend_edge_bulk(ag, store, edge, Deadline.unlimited())
-        want = extend_edge_reference(ag, store, edge, Deadline.unlimited())
+        result = extend_edge_bulk(ag, store, edge, Deadline.unlimited(), incidence)
+        want = extend_edge_reference(
+            ag, store, edge, Deadline.unlimited(), incidence
+        )
         assert (result.forward is None) != (result.backward is None)
         assert bulk_pairs(result) == want.pairs
         assert result.walks == want.edge_walks
@@ -229,18 +247,21 @@ def test_deferred_indexes_match_reference(backend, edge_burnback, graph, shape, 
     relation: both indexes of every relation are mutual inverses equal
     to the oracle's pair set, every stat agrees, and the node-set
     invariant holds — with every cascade batch removed by probe
-    (ratio 0) and with every one removed by a pass (ratio ∞)."""
+    (ratio 0) and with every one removed by a pass (ratio ∞), with
+    look-ahead (a drawn half of the examples) and without."""
     store = build_store(graph, backend)
     query = data.draw(projected_queries(PHASE2_SHAPES[shape]))
+    lookahead = data.draw(st.booleans())
     bound, plan, chordification = _plan(store, query)
     ag_r, stats_r = generate_answer_graph_reference(
-        bound, plan, chordification=chordification, edge_burnback_enabled=edge_burnback
+        bound, plan, chordification=chordification,
+        edge_burnback_enabled=edge_burnback, lookahead=lookahead,
     )
     for ratio in (0, math.inf):
         with mock.patch.object(burnback, "PASS_BATCH_RATIO", ratio):
             ag, stats = generate_answer_graph(
                 bound, plan, chordification=chordification,
-                edge_burnback_enabled=edge_burnback,
+                edge_burnback_enabled=edge_burnback, lookahead=lookahead,
             )
         assert dataclasses.asdict(stats) == dataclasses.asdict(stats_r)
         assert ag.snapshot() == ag_r.snapshot()
@@ -256,27 +277,35 @@ def test_deferred_indexes_match_reference(backend, edge_burnback, graph, shape, 
 
 def test_paper_queries_walks_bit_identical():
     """`evaluate_detailed` walk counts on the paper's benchmark queries
-    match the pre-kernel implementation exactly (acceptance criterion)."""
+    match the tuple-at-a-time implementation exactly, with look-ahead
+    and without, and their totals are pinned: without look-ahead it is
+    what every commit since the kernels were written has walked
+    (scale 0.25, seed 0)."""
     from repro.datasets.paper_queries import paper_queries
     from repro.datasets.yago_like import generate_yago_like
 
     store = generate_yago_like(scale=0.25, seed=0)
     from repro.core.engine import WireframeEngine
 
-    engine = WireframeEngine(store, edge_burnback=True)
-    for query in paper_queries():
-        bound, plan, chordification = engine.plan(query)
-        detailed = engine.evaluate_detailed(
-            query, prepared=(bound, plan, chordification), materialize=False
-        )
-        stats_k = detailed.generation_stats
-        ag_r, stats_r = generate_answer_graph_reference(
-            bound, plan, chordification=chordification, edge_burnback_enabled=True
-        )
-        assert stats_k.edge_walks == stats_r.edge_walks
-        assert stats_k.step_walks == stats_r.step_walks
-        assert stats_k == stats_r
-        assert detailed.ag_size == ag_r.size
+    for lookahead, total_walks in ((True, 8885), (False, 12821)):
+        engine = WireframeEngine(store, edge_burnback=True, lookahead=lookahead)
+        walked = 0
+        for query in paper_queries():
+            bound, plan, chordification = engine.plan(query)
+            detailed = engine.evaluate_detailed(
+                query, prepared=(bound, plan, chordification), materialize=False
+            )
+            stats_k = detailed.generation_stats
+            ag_r, stats_r = generate_answer_graph_reference(
+                bound, plan, chordification=chordification,
+                edge_burnback_enabled=True, lookahead=lookahead,
+            )
+            assert stats_k.edge_walks == stats_r.edge_walks
+            assert stats_k.step_walks == stats_r.step_walks
+            assert stats_k == stats_r
+            assert detailed.ag_size == ag_r.size
+            walked += stats_k.edge_walks
+        assert walked == total_walks, lookahead
 
 
 # ----------------------------------------------------------------------
@@ -398,6 +427,34 @@ def test_bulk_extend_fresh_containers(graph, query):
             for o, subs in (result.backward or {}).items():
                 assert subs is not store.predecessors(edge.p, o)
         ag.node_sets = {}
+
+
+@pytest.mark.parametrize("backend", ["hashdict", "columnar"])
+def test_view_is_consulted_only_where_far_endpoints_dangle(backend):
+    """A look-ahead view that holds every far endpoint of the predicate
+    cannot drop a pair: a step that reads most of the predicate finds
+    that out from the store and copies its buckets, a point lookup does
+    not ask. Pairs and walks are those of the unfiltered step."""
+    a = [(s, o) for s in range(8) for o in (100 + s, 101 + s)]
+    store = build_store(
+        {"A": a, "B": [(o, 0) for _, o in a], "C": [(100, 0)]}, backend
+    )
+    p, b, c = (store.dictionary.lookup(label) for label in "ABC")
+    far, covers, misses = store.object_set(p), store.subject_set(b), store.subject_set(c)
+    n_near = len(store.subject_set(p))
+
+    assert _filtering([covers], far, n_near, n_near) == []
+    assert _filtering([covers, misses], far, n_near, n_near) == [misses]
+    assert _filtering([covers], far, 1, n_near) == [covers]
+
+    every = set(store.subject_set(p))
+    plain = bulk_extend(store, p, every, None, False, Deadline.unlimited())
+    viewed = bulk_extend(
+        store, p, every, None, False, Deadline.unlimited(), o_views=[covers]
+    )
+    assert viewed == plain
+    for s, objs in viewed.forward.items():
+        assert objs is not store.successors(p, s)
 
 
 @SETTINGS

@@ -144,13 +144,13 @@ PHASE2_SHAPES = {
 
 
 @st.composite
-def projected_queries(draw, shape):
-    """``shape`` (a value of :data:`PHASE2_SHAPES`) under drawn labels and a
-    drawn projection — full, partial, or repeating a variable — with
-    and without DISTINCT."""
+def projected_queries(draw, shape, alphabet=LABELS):
+    """``shape`` (a value of :data:`PHASE2_SHAPES`) under labels drawn
+    from ``alphabet`` and a drawn projection — full, partial, or
+    repeating a variable — with and without DISTINCT."""
     from repro.query.model import ConjunctiveQuery
 
-    labels = draw(st.lists(st.sampled_from(LABELS), min_size=4, max_size=4))
+    labels = draw(st.lists(st.sampled_from(alphabet), min_size=4, max_size=4))
     edges = [(s, labels[slot], o) for (s, slot, o) in shape]
     variables = sorted({t for s, _, o in shape for t in (s, o) if t.startswith("?")})
     projection = draw(
