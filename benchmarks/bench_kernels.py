@@ -20,12 +20,22 @@ directions of every query-edge relation. Without that the speedups
 would be of generation alone and not comparable with the recordings
 made while generation still inverted everything it walked.
 
+The race is run on the ``hashdict`` layout, whatever ``REPRO_BACKEND``
+says. A second leg runs the same kernel call over the same graph on the
+``columnar`` layout — the one ``repro serve`` opens — after asserting
+equal ``GenerationStats`` (so equal walks) and an equal answer graph,
+and records ``columnar_over_hashdict``, its time as a multiple of the
+hashdict kernel's: what the serving layout's 84% smaller indexes cost
+phase 1, interpreter against interpreter on one machine.
+
 ``python benchmarks/bench_kernels.py [--smoke] [--output F] [--baseline F]``
 gates every workload at a >= 2x speedup and at most a 20% drop below
-the committed ``BENCH_kernels.json``. The gate compares *speedups*
-(kernel vs same-machine reference), not raw walks/second, so it holds
-across runner hardware. ``--calibrate K`` keeps the lowest of K
-measurements per workload; use it when recording the baseline.
+the committed ``BENCH_kernels.json``, and its columnar multiple at
+:data:`COLUMNAR_CEILING`. The gate compares *ratios* (kernel vs
+same-machine reference, columnar vs same-machine hashdict), not raw
+walks/second, so it holds across runner hardware. ``--calibrate K``
+keeps the lowest of K measurements per workload; use it when recording
+the baseline.
 """
 
 from __future__ import annotations
@@ -54,6 +64,16 @@ SPEEDUP_FLOOR = 2.0
 #: Allowed relative drop of a workload's speedup vs the committed
 #: baseline before the CI gate fails (20%).
 REGRESSION_TOLERANCE = 0.20
+
+#: Most the columnar kernel may take, as a multiple of the hashdict
+#: kernel on the same workload. The full-mode recording in
+#: ``BENCH_kernels.json`` reads 1.57 (chain), 1.45 (snowflake), 1.21
+#: and 1.15 (diamond, diamond_eb: chords, which no layout touches,
+#: dominate) with the vectorized ``gather``; one bisect and one merge
+#: per bucket read 2.20, 1.93, 1.35 and 1.24 on the same box. The
+#: ceiling is the highest recording plus 20%, below both of the old
+#: readings that a return to per-bucket work would bring back.
+COLUMNAR_CEILING = 1.9
 
 
 #: The snowflake workload's layers (label, source layer, target layer) —
@@ -88,28 +108,29 @@ class KernelWorkload:
     edge_burnback: bool
     n: int
     degree: int
-    build: object  # () -> (TripleStore, ConjunctiveQuery)
+    build: object  # (backend) -> (TripleStore, ConjunctiveQuery)
 
 
-def _chain():
+def _chain(backend: str):
     store = _layered_store(
-        (("A", "u", "v"), ("B", "v", "w"), ("C", "w", "x")), 600, 12, 1
+        (("A", "u", "v"), ("B", "v", "w"), ("C", "w", "x")), 600, 12, 1, backend
     )
     return store, chain_template(3).instantiate(["A", "B", "C"], name="chain")
 
 
-def _diamond():
+def _diamond(backend: str):
     store = _layered_store(
         (("A", "x", "e"), ("B", "x", "z"), ("C", "y", "e"), ("D", "y", "z")),
         320,
         20,
         2,
+        backend,
     )
     return store, diamond_template().instantiate(list("ABCD"), name="diamond")
 
 
-def _snowflake():
-    store = _layered_store(SNOWFLAKE_LAYERS, 320, 16, 3)
+def _snowflake(backend: str):
+    store = _layered_store(SNOWFLAKE_LAYERS, 320, 16, 3, backend)
     return store, snowflake_template().instantiate(
         list("ABCDEFGHI"), name="snowflake"
     )
@@ -127,17 +148,19 @@ WORKLOADS = {
 
 
 @lru_cache(maxsize=None)
-def _prepared(name: str):
-    """(bound, plan, chordification) for a workload, built once."""
+def _prepared(name: str, backend: str = "hashdict"):
+    """(bound, plan, chordification) for a workload, built once per
+    layout. The same triples in the same order: ids, catalog and plan
+    are the layout's only in name."""
     workload = WORKLOADS[name]
-    store, query = workload.build()
+    store, query = workload.build(backend)
     engine = WireframeEngine(store, edge_burnback=workload.edge_burnback)
     return engine.plan(query)
 
 
-def _run_kernel(name: str):
+def _run_kernel(name: str, backend: str = "hashdict"):
     workload = WORKLOADS[name]
-    bound, plan, chordification = _prepared(name)
+    bound, plan, chordification = _prepared(name, backend)
     deadline = Deadline(300)
     ag, stats = generate_answer_graph(
         bound,
@@ -169,6 +192,9 @@ def _check_equivalence(name: str) -> None:
     ag_r, stats_r = _run_reference(name)
     assert stats_k == stats_r, f"{name}: kernel stats diverge from reference"
     assert ag_k.snapshot() == ag_r.snapshot(), f"{name}: kernel AG diverges"
+    ag_c, stats_c = _run_kernel(name, "columnar")
+    assert stats_c == stats_k, f"{name}: columnar stats diverge from hashdict"
+    assert ag_c.snapshot() == ag_k.snapshot(), f"{name}: columnar AG diverges"
 
 
 def _best_of(fn, rounds: int) -> float:
@@ -186,6 +212,7 @@ def measure_workload(name: str, rounds: int) -> dict:
     _check_equivalence(name)  # also warms indexes and caches
     kernel_s = _best_of(lambda: _run_kernel(name), rounds)
     reference_s = _best_of(lambda: _run_reference(name), rounds)
+    columnar_s = _best_of(lambda: _run_kernel(name, "columnar"), rounds)
     _, stats = _run_kernel(name)
     return {
         "edge_burnback": workload.edge_burnback,
@@ -196,6 +223,8 @@ def measure_workload(name: str, rounds: int) -> dict:
         "reference_seconds": reference_s,
         "speedup": reference_s / kernel_s,
         "kernel_walks_per_second": stats.edge_walks / kernel_s,
+        "columnar_kernel_seconds": columnar_s,
+        "columnar_over_hashdict": columnar_s / kernel_s,
     }
 
 
@@ -213,9 +242,12 @@ def measure(smoke: bool, calibrate: int = 1) -> dict:
         print(
             f"{name:12s} kernel {record['kernel_seconds'] * 1e3:7.2f} ms   "
             f"reference {record['reference_seconds'] * 1e3:7.2f} ms   "
-            f"x{record['speedup']:.2f}"
+            f"x{record['speedup']:.2f}   "
+            f"columnar {record['columnar_kernel_seconds'] * 1e3:7.2f} ms   "
+            f"{record['columnar_over_hashdict']:.2f}x hashdict"
         )
-    return {"rounds": rounds, "workloads": workloads}
+    # 4: + the columnar leg (columnar_kernel_seconds, columnar_over_hashdict)
+    return {"schema": 4, "rounds": rounds, "workloads": workloads}
 
 
 GATES = [
@@ -224,6 +256,9 @@ GATES = [
         floor=SPEEDUP_FLOOR,
         tolerance=REGRESSION_TOLERANCE,
     )
+    for name in sorted(WORKLOADS)
+] + [
+    gate.Gate(f"workloads.{name}.columnar_over_hashdict", ceiling=COLUMNAR_CEILING)
     for name in sorted(WORKLOADS)
 ]
 

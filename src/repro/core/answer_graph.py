@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Iterator
 
-from repro.core.kernels import Adjacency, AdjacencyView, inverse_index
+from repro.core.kernels import Adjacency, inverse_index
 from repro.errors import EvaluationError
 from repro.query.algebra import BoundQuery
 from repro.utils.deadline import Deadline
@@ -189,7 +189,11 @@ class AnswerGraph:
         adj = mine.get(rel)
         if adj is None:
             adj = mine[rel] = inverse_index(
-                other[rel], self._store_view(rel, pos), deadline or _NO_DEADLINE
+                other[rel],
+                self.bound.store,
+                self._live_predicate(rel),
+                pos == "o",
+                deadline or _NO_DEADLINE,
             )
         return adj
 
@@ -197,20 +201,17 @@ class AnswerGraph:
         """:meth:`index` if it exists already, else ``None``."""
         return (self._fwd if pos == "s" else self._bwd).get(rel)
 
-    def _store_view(self, rel: RelKey, pos: str) -> AdjacencyView | None:
-        """The store's index of ``rel``'s predicate keyed by ``pos``,
-        if ``rel`` is still that predicate restricted to its endpoints
-        and the predicate has not been written to since."""
+    def _live_predicate(self, rel: RelKey) -> int | None:
+        """``rel``'s predicate, if ``rel`` is still that predicate
+        restricted to its endpoints and the predicate has not been
+        written to since."""
         live = self._live.get(rel)
         if live is None:
             return None
         predicate, epoch = live
-        store = self.bound.store
-        if store.predicate_epoch(predicate) != epoch:
+        if self.bound.store.predicate_epoch(predicate) != epoch:
             return None
-        if pos == "s":
-            return store.adjacency(predicate)
-        return store.reverse_adjacency(predicate)
+        return predicate
 
     def _any_index(self, rel: RelKey) -> Adjacency:
         """Whichever index of ``rel`` exists ({} if unmaterialized)."""

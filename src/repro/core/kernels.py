@@ -11,10 +11,19 @@ granularity: one :meth:`~repro.utils.deadline.Deadline.check_every`
 call per candidate node (or per produced block), not one
 :meth:`~repro.utils.deadline.Deadline.check` per pair.
 
+An edge extension is one call of the store's
+:meth:`~repro.graph.backends.base.StorageBackend.gather` — candidates
+in, filtered neighbour sets and the walk count out — so each physical
+layout does the step in its own vocabulary (``set & set`` over hash
+indexes, whole-column numpy primitives over sorted columns) and this
+module keeps what is the same for all of them: which of the four
+candidate configurations a step is (:func:`bulk_extend`) and which
+look-ahead views can filter anything (:func:`_filtering`).
+
 Edge-walk accounting is preserved **exactly**: the paper's cost model
 and Table-1 figures count data edges *retrieved* (before far-endpoint
-filtering), so kernels compute walk counts from index set sizes
-(``sum(len(...))``) rather than loop iterations. A step that walks
+filtering), so walk counts come from index sizes (set lengths, offset
+differences) rather than loop iterations. A step that walks
 from candidates counts every edge of theirs, whatever candidate set or
 look-ahead views then filter the far end; a scan counts the edges of
 the subjects it reads, which are all of the label's unless look-ahead
@@ -27,10 +36,9 @@ match bit-for-bit; the equivalence is asserted property-style in
 Look-ahead views (:func:`repro.core.extension.lookahead_views`) reach
 :func:`bulk_extend` as sequences of live set-likes, one per other query
 edge on an endpoint variable this step binds. They go through the same
-far-endpoint filter a bound endpoint's candidate set does — each
-candidate's neighbour bucket ``&``-ed with one view after another, in C,
-iterating the smaller side on either backend — and an empty sequence is
-the plain copy: there is one kernel, with or without them. A view only
+far-endpoint filter a bound endpoint's candidate set does —
+``gather``'s ``far_filters`` — and an empty sequence is the plain copy:
+there is one kernel, with or without them. A view only
 earns its probes where the predicate has far endpoints that dangle
 outside it; one that holds them all is dropped before the buckets are
 walked (:func:`_filtering`), so a store without dangling nodes is read
@@ -55,7 +63,8 @@ invariant.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, NamedTuple, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, AbstractSet, Iterable, NamedTuple, Sequence
 
 from repro.utils.deadline import Deadline
 
@@ -65,25 +74,17 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
     StoreViews = TripleStore | StorageBackend
 
-#: Fresh kernel-owned adjacencies are plain dict-of-sets; *store-view*
-#: arguments are only required to be mapping-like with set-like values
-#: (the storage-backend protocol contract), so the kernels run
-#: unmodified against any physical layout — nested hash maps or sorted
-#: columnar runs with galloping intersection.
+#: Kernel-owned adjacencies are plain dict-of-sets, whatever layout
+#: they were gathered from.
 Adjacency = dict[int, set[int]]
-AdjacencyView = Mapping[int, AbstractSet[int]]
-#: Set-like views a far endpoint is intersected with, one after another.
+#: Set-like views a far endpoint is intersected with, one after another
+#: (plain sets, dict key views or a backend's own set-likes).
 Views = Sequence[AbstractSet[int]]
 
-#: Pairs to accumulate before one :meth:`Deadline.check_every` call in
-#: the extension kernels — polling per 4k-pair block keeps the call
-#: overhead out of the hot loop while bounding timeout overshoot.
+#: Pairs to accumulate before one :meth:`Deadline.check_every` call —
+#: polling per 4k-pair block keeps the call overhead out of the hot loop
+#: while bounding timeout overshoot.
 BLOCK = 4096
-
-#: Candidate nodes per comprehension chunk in the extension kernels.
-#: Within a chunk the work is C-level dict/set algebra; the deadline is
-#: polled once between chunks.
-NODE_BLOCK = 1024
 
 
 class BulkExtension(NamedTuple):
@@ -235,8 +236,8 @@ def bulk_extend(
     :func:`repro.core.reference.extend_edge_reference` — free scan,
     subject-driven, object-driven, and both-endpoints (walking the
     smaller candidate set, ties to subjects) — with identical walk
-    counts and identical resulting pair sets, computed via whole-set
-    operations on the store's live indexes.
+    counts and identical resulting pair sets, each as one
+    ``store.gather`` call.
 
     ``s_views`` / ``o_views`` are the look-ahead views of an endpoint
     that has no candidates yet (see the module docstring): a node
@@ -244,45 +245,46 @@ def bulk_extend(
     directed step; a scan is walked from the subjects that are in every
     one of ``s_views``.
     """
-    from_subjects = True
+    reverse = False
     if s_candidates is None and o_candidates is None:
-        if not s_views and not o_views:
-            return _extend_scan(store, p, self_join, deadline)
-        by_s = store.adjacency(p)
+        subjects = store.subject_set(p)
+        nodes = None  # every subject
         if s_views:
-            subjects = by_s.keys()
+            nodes = subjects
             for view in s_views:
-                subjects = subjects & view
-            items = store.successor_sets(p, subjects)
-        else:
-            items = list(by_s.items())
-        far_filters = _filtering(o_views, store.object_set(p), len(items), len(by_s))
-    elif o_candidates is None:
-        items = store.successor_sets(p, s_candidates)
+                nodes = nodes & view
         far_filters = _filtering(
-            o_views, store.object_set(p), len(items), len(store.subject_set(p))
+            o_views,
+            store.object_set(p),
+            len(subjects if nodes is None else nodes),
+            len(subjects),
+        )
+    elif o_candidates is None:
+        nodes = s_candidates
+        far_filters = _filtering(
+            o_views, store.object_set(p), len(nodes), len(store.subject_set(p))
         )
     elif s_candidates is None:
-        from_subjects = False
-        items = store.predecessor_sets(p, o_candidates)
+        reverse = True
+        nodes = o_candidates
         far_filters = _filtering(
-            s_views, store.subject_set(p), len(items), len(store.object_set(p))
+            s_views, store.subject_set(p), len(nodes), len(store.object_set(p))
         )
     # Both bound: walk from the smaller candidate set and filter on the
     # other — same tie-break (subjects win) as the reference.
     elif len(s_candidates) <= len(o_candidates):
-        items = store.successor_sets(p, s_candidates)
-        far_filters = (o_candidates,)
+        nodes, far_filters = s_candidates, (o_candidates,)
     else:
-        from_subjects = False
-        items = store.predecessor_sets(p, o_candidates)
-        far_filters = (s_candidates,)
-    adj, walks = _candidate_adjacency(items, far_filters, self_join, deadline)
+        reverse = True
+        nodes, far_filters = o_candidates, (s_candidates,)
+    adj, walks = store.gather(
+        p, nodes, far_filters, reverse=reverse, self_join=self_join, deadline=deadline
+    )
     predicate = None if self_join else p
-    if from_subjects:
-        return BulkExtension(adj, None, walks, predicate)
-    # Walked over the POS index: ``o -> {s}`` is the natural product.
-    return BulkExtension(None, adj, walks, predicate)
+    if reverse:
+        # Walked over the POS index: ``o -> {s}`` is the natural product.
+        return BulkExtension(None, adj, walks, predicate)
+    return BulkExtension(adj, None, walks, predicate)
 
 
 def _filtering(
@@ -297,27 +299,15 @@ def _filtering(
     the case look-ahead is for) and pays a probe per distinct far node
     only where none does — there it saves a probe per *edge* walked,
     each bucket being copied instead of intersected. Asked only when
-    the step reads at least half the predicate's ``n_near`` near nodes:
-    a point lookup must not pay for a pass over the predicate. Dropping
-    such a view changes no pair kept and no walk counted.
+    the step has ``n_read`` candidates for at least half the predicate's
+    ``n_near`` near nodes (how many of them the predicate has is known
+    only inside ``gather``): a point lookup must not pay for a pass over
+    the predicate. Dropping such a view, or keeping it, changes no pair
+    kept and no walk counted.
     """
     if not views or 2 * n_read < n_near:
         return views
     return [view for view in views if not far_nodes <= view]
-
-
-def _extend_scan(
-    store: "StoreViews", p: int, self_join: bool, deadline: Deadline
-) -> BulkExtension:
-    """Full-label scan: copy the live subject index wholesale."""
-    by_s = store.adjacency(p)
-    walks = sum(map(len, by_s.values()))
-    deadline.check_every(walks)
-    if self_join:
-        return BulkExtension(
-            {s: {s} for s, objs in by_s.items() if s in objs}, None, walks
-        )
-    return BulkExtension(copy_adjacency(by_s), None, walks, p)
 
 
 #: Rough cost ratio of one interpreted pair-inversion step vs one
@@ -327,109 +317,59 @@ _INVERT_OP_WEIGHT = 4
 
 
 def _semijoin_inverse(
-    reverse: AdjacencyView, forward: Adjacency, deadline: Deadline
+    store: "StoreViews", p: int, reverse: bool, forward: Adjacency, deadline: Deadline
 ) -> Adjacency:
-    """The backward index of ``forward``.
+    """The opposite index of ``forward``, which walked predicate ``p``
+    (``reverse``: the result is keyed by ``p``'s objects).
 
     Whenever ``forward`` holds exactly the pairs of one predicate
     between a set of sources and a set of far endpoints — the shape
     every non-self-join extension produces and node burnback keeps,
     since it only ever removes whole nodes — the inverse can be derived
-    from the store's live reverse adjacency: for any reached object
-    ``o``, ``backward[o] = reverse[o] ∩ forward.keys()`` — one C-level
-    intersection per distinct object. That wins when the intersections
-    are dense, but degrades on popular objects (huge ``reverse[o]``,
-    tiny overlap), so both strategies are costed from index sizes and
-    the cheaper one runs: Σ min(in-degree, |sources|) C-visits for the
+    from the store: for any reached object ``o``, ``backward[o] =
+    predecessors(o) ∩ forward.keys()``, which is one
+    :meth:`~repro.graph.backends.base.StorageBackend.gather` from the
+    objects, filtered by the sources. That wins when the intersections
+    are dense, but degrades on popular objects (huge in-degree, tiny
+    overlap), so both strategies are costed from index sizes and the
+    cheaper one runs: Σ min(in-degree, |sources|) element visits for the
     semi-join vs one interpreted step per surviving pair for direct
     inversion.
     """
     if not forward:
         return {}
-    objects = list(set().union(*forward.values()))
+    objects = set().union(*forward.values())
     sources = forward.keys()
     n_sources = len(sources)
     # Sampled cost estimate: Σ min(in-degree, |sources|) over objects,
     # extrapolated from a prefix so the estimate itself stays cheap.
-    sample = objects if len(objects) <= 256 else objects[:128]
-    sampled = sum(min(len(reverse[o]), n_sources) for o in sample)
+    live = store.reverse_adjacency(p) if reverse else store.adjacency(p)
+    sample = objects if len(objects) <= 256 else list(islice(objects, 128))
+    sampled = sum(min(len(live[o]), n_sources) for o in sample)
     semijoin_cost = sampled * len(objects) // len(sample)
     if semijoin_cost > _INVERT_OP_WEIGHT * adjacency_size(forward):
         return invert_adjacency(forward, deadline)
-    bwd: Adjacency = {}
-    for i in range(0, len(objects), NODE_BLOCK):
-        chunk = objects[i : i + NODE_BLOCK]
-        bwd.update({o: reverse[o] & sources for o in chunk})
-        deadline.check_every(len(chunk))
-    return bwd
+    return store.gather(p, objects, (sources,), reverse=reverse, deadline=deadline)[0]
 
 
 def inverse_index(
-    adj: Adjacency, store_view: AdjacencyView | None, deadline: Deadline
-) -> Adjacency:
-    """The opposite index of ``adj``, as fresh containers.
-
-    ``store_view`` is the store's live index of the relation's
-    predicate keyed like the *result* (``reverse_adjacency(p)`` for a
-    subject-keyed ``adj``, ``adjacency(p)`` for an object-keyed one) and
-    may only be given while ``adj`` is still all of that predicate's
-    pairs between its keys and its values; then the semi-join against
-    it is weighed against pair-at-a-time inversion
-    (:func:`_semijoin_inverse`). ``None`` inverts pair by pair.
-    """
-    if store_view is None:
-        return invert_adjacency(adj, deadline)
-    return _semijoin_inverse(store_view, adj, deadline)
-
-
-def _candidate_adjacency(
-    items: "list[tuple[int, AbstractSet[int]]]",
-    far_filters: Views,
-    self_join: bool,
+    adj: Adjacency,
+    store: "StoreViews",
+    predicate: int | None,
+    reverse: bool,
     deadline: Deadline,
-) -> tuple[Adjacency, int]:
-    """Grouped near→far adjacency over pre-fetched ``(node, live-set)``
-    items, with walk counting and chunked deadline polling. A far node
-    is kept if it is in every one of ``far_filters``.
+) -> Adjacency:
+    """The opposite index of ``adj``, as fresh containers: keyed by
+    object if ``reverse`` (``adj`` is ``s -> {o}``), else by subject.
 
-    Each :data:`NODE_BLOCK`-node chunk is one dict comprehension whose
-    per-item work (``set`` copy or C intersection) never touches the
-    interpreter; the deadline is polled once per chunk with the chunk's
-    walk count.
+    ``predicate`` may only be given while ``adj`` is still all of that
+    store predicate's pairs between its keys and its values; then a
+    semi-join against the store is weighed against pair-at-a-time
+    inversion (:func:`_semijoin_inverse`). ``None`` inverts pair by pair.
     """
-    out: Adjacency = {}
-    walks = 0
-    first, rest = (far_filters[0], far_filters[1:]) if far_filters else (None, ())
-    for i in range(0, len(items), NODE_BLOCK):
-        chunk = items[i : i + NODE_BLOCK]
-        chunk_walks = sum(len(t[1]) for t in chunk)
-        walks += chunk_walks
-        deadline.check_every(chunk_walks)
-        if self_join:
-            out.update(
-                {
-                    n: {n}
-                    for n, far in chunk
-                    if n in far and all(n in f for f in far_filters)
-                }
-            )
-        elif first is None:
-            out.update({n: set(far) for n, far in chunk})
-        elif not rest:
-            out.update({n: keep for n, far in chunk if (keep := first & far)})
-        else:
-            # Several look-ahead views: each bucket against one after
-            # another, never view against view (a predicate's subjects
-            # can dwarf everything this step walks).
-            for n, far in chunk:
-                keep = first & far
-                for view in rest:
-                    if not keep:
-                        break
-                    keep = view & keep
-                if keep:
-                    out[n] = keep
-    return out, walks
+    if predicate is None:
+        return invert_adjacency(adj, deadline)
+    return _semijoin_inverse(store, predicate, reverse, adj, deadline)
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,7 @@ rest of the system consumes:
   :meth:`out_edges` / :meth:`in_edges` / :meth:`triples`),
 * the bulk kernel views from the set-at-a-time execution layer
   (:meth:`adjacency` / :meth:`reverse_adjacency` / :meth:`subject_set`
-  / :meth:`object_set` / :meth:`successor_sets` /
-  :meth:`predecessor_sets`),
+  / :meth:`object_set` / :meth:`gather`),
 * degree/cardinality summaries for the statistics catalog
   (:meth:`predicate_summaries`, :meth:`count`, :meth:`out_degree`,
   :meth:`in_degree`),
@@ -44,9 +43,20 @@ from __future__ import annotations
 
 import abc
 from array import array
-from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 from repro.graph.triples import Triple
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.utils.deadline import Deadline
 
 
 def group_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[array, array, array]:
@@ -400,19 +410,35 @@ class StorageBackend(abc.ABC):
         """Set-like view of the distinct objects of ``p`` (no copy)."""
 
     @abc.abstractmethod
-    def successor_sets(
-        self, p: int, nodes: AbstractSet[int]
-    ) -> list[tuple[int, AbstractSet[int]]]:
-        """``(s, successors-of-s)`` for each node of ``nodes`` with any
-        ``p``-edge; nodes without out-edges are skipped. Probes the
-        smaller of ``nodes`` and the subject index."""
+    def gather(
+        self,
+        p: int,
+        nodes: "AbstractSet[int] | None",
+        far_filters: Sequence[AbstractSet[int]] = (),
+        *,
+        reverse: bool = False,
+        self_join: bool = False,
+        deadline: "Deadline | None" = None,
+    ) -> tuple[dict[int, set[int]], int]:
+        """One bulk edge-extension step: ``(adjacency, walks)``.
 
-    @abc.abstractmethod
-    def predecessor_sets(
-        self, p: int, nodes: AbstractSet[int]
-    ) -> list[tuple[int, AbstractSet[int]]]:
-        """``(o, predecessors-of-o)`` for each node of ``nodes`` with
-        any incoming ``p``-edge."""
+        For every node of ``nodes`` (``None``: every subject of ``p``)
+        that has a ``p``-edge, the **fresh** set of its successors that
+        lie in every one of ``far_filters``; a node left with none is
+        dropped. ``walks`` is the number of edges retrieved — every
+        ``p``-edge of the matched nodes, before any filtering — the
+        paper's cost unit. ``reverse`` walks the POS direction instead
+        (``nodes`` are objects, the sets hold subjects). ``self_join``
+        keeps only the diagonal: ``{n: {n}}`` for a matched node that is
+        its own neighbour and in every filter.
+
+        ``nodes`` and the filters are any set-likes (plain sets, dict
+        key views, this backend's own views); neither is mutated. The
+        caller owns the result. ``deadline`` is polled with the walks
+        (:meth:`~repro.utils.deadline.Deadline.check_every`) before the
+        edges they count are copied. An unknown predicate gives
+        ``({}, 0)``.
+        """
 
     # -- node-first navigation (query mining / unbound-predicate scans) -
 

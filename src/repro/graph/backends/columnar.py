@@ -18,10 +18,14 @@ columnar layout trades pointer-chasing hash lookups for binary search
 and **galloping/merge intersection** over contiguous buffers.
 
 The kernel views (:class:`ColumnarAdjacency`, :class:`SortedRun`) duck
-type as ``Mapping[int, AbstractSet[int]]`` / ``AbstractSet[int]``, so
-:mod:`repro.core.kernels` runs unmodified against either backend:
-``run & other`` dispatches to galloping intersection when both sides
-are sorted runs and to size-ordered hash probing otherwise.
+type as ``Mapping[int, AbstractSet[int]]`` / ``AbstractSet[int]``:
+``run & other`` dispatches to galloping intersection (one
+``searchsorted`` for long runs) when both sides are sorted runs and to
+size-ordered hash probing otherwise. That scalar algebra serves point
+reads; a whole extension step is :meth:`ColumnarBackend.gather`,
+column-at-a-time over zero-copy ``numpy`` views of the same buffers —
+one interpreted call per step, not one per value run (MonetDB/X100's
+argument, Boncz et al., CIDR 2005).
 
 Writes go to a per-predicate staging area (plain dict-of-sets) and are
 *sealed* into the sorted arrays on the first read touching the
@@ -38,8 +42,11 @@ import threading
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from collections.abc import Mapping, Set
-from typing import AbstractSet, Iterator
+from collections.abc import Mapping, Set, Sized
+from itertools import repeat
+from typing import Iterator
+
+import numpy as np
 
 from repro.graph.backends.base import (
     PredicateSummary,
@@ -57,6 +64,17 @@ _EMPTY_ARRAY = array("q")
 #: per probe element) instead of linear merging. 8 keeps the crossover
 #: near the classic ``m log n < m + n`` break-even.
 GALLOP_RATIO = 8
+
+#: Run∩run intersection stays a Python merge/gallop while the smaller
+#: run has at most this many elements; above it one ``searchsorted`` of
+#: the smaller run into the larger is cheaper than the interpreter, below
+#: it numpy's fixed cost per call (~5 us for the five calls) is not.
+VECTOR_RUN = 8
+
+#: :meth:`ColumnarBackend.gather` looks up at most this many candidate
+#: nodes by ``bisect`` — an anchored step, where numpy's fixed cost per
+#: call exceeds the whole lookup.
+SCALAR_NODES = 4
 
 
 def intersect_sorted(
@@ -104,6 +122,24 @@ def intersect_sorted(
     return out
 
 
+def _member_mask(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Which of ``needles`` occur in the sorted, non-empty ``haystack``."""
+    idx = np.searchsorted(haystack, needles)
+    np.minimum(idx, len(haystack) - 1, out=idx)
+    return haystack[idx] == needles
+
+
+def _intersect_runs(a: "SortedRun", b: "SortedRun") -> list[int]:
+    """``a & b`` as an ascending list: vectorized above
+    :data:`VECTOR_RUN`, :func:`intersect_sorted` below."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) <= VECTOR_RUN:
+        return intersect_sorted(a._arr, a._lo, a._hi, b._arr, b._lo, b._hi)
+    small = a.array()
+    return small[_member_mask(b.array(), small)].tolist()
+
+
 class SortedRun(Set):
     """Set-like view over one sorted slice of an ``array('q')``.
 
@@ -134,6 +170,10 @@ class SortedRun(Set):
         i = bisect_left(self._arr, x, self._lo, self._hi)
         return i < self._hi and self._arr[i] == x
 
+    def array(self) -> np.ndarray:
+        """The run as a zero-copy ``int64`` view of its column."""
+        return np.frombuffer(self._arr, dtype=np.int64)[self._lo : self._hi]
+
     @classmethod
     def _from_iterable(cls, it) -> set:
         # Derived sets (|, -, ^, default &) are plain mutable sets.
@@ -141,12 +181,7 @@ class SortedRun(Set):
 
     def __and__(self, other):
         if isinstance(other, SortedRun):
-            return set(
-                intersect_sorted(
-                    self._arr, self._lo, self._hi,
-                    other._arr, other._lo, other._hi,
-                )
-            )
+            return set(_intersect_runs(self, other))
         if not isinstance(other, Set) and not isinstance(other, (set, frozenset)):
             return NotImplemented
         # Probe from the smaller side: bisect into the run, hash into
@@ -166,13 +201,33 @@ class SortedRun(Set):
                 or other._arr[other._hi - 1] < self._arr[self._lo]
             ):
                 return True
-            return not intersect_sorted(
-                self._arr, self._lo, self._hi,
-                other._arr, other._lo, other._hi,
-            )
+            return not _intersect_runs(self, other)
+        if not isinstance(other, Sized):
+            other = set(other)
         if len(self) <= len(other):
             return not any(x in other for x in self)
         return not any(x in self for x in other)
+
+    def __le__(self, other) -> bool:
+        if not isinstance(other, SortedRun):
+            return super().__le__(other)
+        n = len(self)
+        if n > len(other):
+            return False
+        if not n:
+            return True
+        mine, theirs = self.array(), other.array()
+        if mine[0] < theirs[0] or mine[-1] > theirs[-1]:
+            return False
+        # Growing blocks: where some element is missing, one is usually
+        # missing near the front, and the pass stops at that block.
+        lo, step = 0, 64
+        while lo < n:
+            if not _member_mask(theirs, mine[lo : lo + step]).all():
+                return False
+            lo += step
+            step *= 4
+        return True
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SortedRun):
@@ -292,12 +347,13 @@ class _Columns:
     path — every consumer (binary search, slicing, iteration, the
     :class:`SortedRun` set algebra) is indifferent to which."""
 
-    __slots__ = ("subs", "offs", "objs", "robjs", "roffs", "rsubs")
+    __slots__ = ("subs", "offs", "objs", "robjs", "roffs", "rsubs", "_arrays")
 
     def __init__(self, fwd_pairs: list[tuple[int, int]]) -> None:
         self.subs, self.offs, self.objs = group_pairs(fwd_pairs)
         fwd_pairs = sorted((o, s) for s, o in fwd_pairs)
         self.robjs, self.roffs, self.rsubs = group_pairs(fwd_pairs)
+        self._arrays = None
 
     @classmethod
     def from_segment(cls, seg: Segment) -> "_Columns":
@@ -305,6 +361,7 @@ class _Columns:
         self = object.__new__(cls)
         self.subs, self.offs, self.objs = seg.subs, seg.offs, seg.objs
         self.robjs, self.roffs, self.rsubs = seg.robjs, seg.roffs, seg.rsubs
+        self._arrays = None
         return self
 
     def to_segment(self) -> Segment:
@@ -339,13 +396,63 @@ class _Columns:
             return None
         return SortedRun(self.rsubs, self.roffs[i], self.roffs[i + 1])
 
+    def arrays(self, reverse: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, offs, vals)`` of one direction as zero-copy ``int64``
+        views of the columns, made once per sealed predicate. They live
+        and die with these columns (nothing :meth:`ColumnarBackend.gather`
+        returns refers to them) and wrap no storage of their own, so
+        :meth:`index_bytes` leaves them out."""
+        arrays = self._arrays
+        if arrays is None:
+            arrays = self._arrays = tuple(
+                np.frombuffer(column, dtype=np.int64) for column in self.to_segment()
+            )
+        return arrays[3:] if reverse else arrays[:3]
+
     def index_bytes(self) -> int:
-        return sum(
-            sys.getsizeof(getattr(self, slot)) for slot in self.__slots__
-        )
+        return sum(map(sys.getsizeof, self.to_segment()))
 
 
 _EMPTY_RUN = SortedRun(_EMPTY_ARRAY, 0, 0)
+
+
+def _sorted_array(nodes) -> np.ndarray:
+    """Any set-like of node ids as an ascending ``int64`` array."""
+    if isinstance(nodes, SortedRun):
+        return nodes.array()
+    out = np.fromiter(nodes, np.int64, len(nodes))
+    out.sort()
+    return out
+
+
+def _membership(far: np.ndarray, view) -> np.ndarray:
+    """Which elements of ``far`` are in the non-empty set-like ``view``."""
+    if not isinstance(view, SortedRun) and len(view) > len(far):
+        # A hash set that dwarfs the step: probed, not sorted.
+        return np.fromiter(map(view.__contains__, far.tolist()), np.bool_, len(far))
+    return _member_mask(_sorted_array(view), far)
+
+
+def _scalar_buckets(runs, far_filters, self_join: bool) -> dict[int, set[int]]:
+    """:meth:`ColumnarBackend.gather`'s adjacency over ``(node, its
+    SortedRun)`` pairs, one :class:`SortedRun` intersection per run and
+    filter (each probes from its smaller side)."""
+    out: dict[int, set[int]] = {}
+    for node, run in runs:
+        if self_join:
+            if node in run and all(node in view for view in far_filters):
+                out[node] = {node}
+            continue
+        keep = None
+        for view in far_filters:
+            keep = run & view if keep is None else view & keep
+            if not keep:
+                break
+        if keep is None:
+            keep = set(run)
+        if keep:
+            out[node] = keep
+    return out
 
 
 class ColumnarBackend(StorageBackend):
@@ -671,47 +778,89 @@ class ColumnarBackend(StorageBackend):
         cols = self._sealed(p)
         return SortedRun(cols.robjs, 0, len(cols.robjs)) if cols else _EMPTY_RUN
 
-    def successor_sets(
-        self, p: int, nodes: AbstractSet[int]
-    ) -> list[tuple[int, SortedRun]]:
+    def gather(
+        self, p, nodes, far_filters=(), *, reverse=False, self_join=False,
+        deadline=None,
+    ) -> tuple[dict[int, set[int]], int]:
+        """Whole-column vector primitives over the sealed columns: one
+        ``searchsorted`` of the sorted candidates into the key column,
+        offsets -> counts -> walks, one position gather of the value
+        column, one membership mask per filter, one ``tolist`` and one
+        ``set`` per surviving bucket. Two input shapes keep the scalar
+        :class:`SortedRun` algebra, both read off sizes this call sees:
+        at most :data:`SCALAR_NODES` candidates (a point lookup is
+        cheaper than numpy's fixed cost per call), and buckets that
+        dwarf a filter (popular nodes against a few candidates: probing
+        the filter's elements into each run beats copying the runs)."""
         cols = self._sealed(p)
-        if cols is None or not len(cols.subs):
-            return []
-        subs, offs, objs = cols.subs, cols.offs, cols.objs
-        if len(nodes) > len(subs):
-            return [
-                (subs[i], SortedRun(objs, offs[i], offs[i + 1]))
-                for i in range(len(subs))
-                if subs[i] in nodes
-            ]
-        out = []
-        n = len(subs)
-        for s in nodes:
-            i = bisect_left(subs, s)
-            if i < n and subs[i] == s:
-                out.append((s, SortedRun(objs, offs[i], offs[i + 1])))
-        return out
+        if cols is None:
+            return {}, 0
+        if nodes is not None and len(nodes) <= SCALAR_NODES:
+            live = cols.backward() if reverse else cols.forward()
+            runs = [(n, run) for n in nodes if (run := live.get(n)) is not None]
+            walks = sum(len(run) for _, run in runs)
+            if deadline is not None:
+                deadline.check_every(walks)
+            return _scalar_buckets(runs, far_filters, self_join), walks
 
-    def predecessor_sets(
-        self, p: int, nodes: AbstractSet[int]
-    ) -> list[tuple[int, SortedRun]]:
-        cols = self._sealed(p)
-        if cols is None or not len(cols.robjs):
-            return []
-        robjs, roffs, rsubs = cols.robjs, cols.roffs, cols.rsubs
-        if len(nodes) > len(robjs):
-            return [
-                (robjs[i], SortedRun(rsubs, roffs[i], roffs[i + 1]))
-                for i in range(len(robjs))
-                if robjs[i] in nodes
-            ]
-        out = []
-        n = len(robjs)
-        for o in nodes:
-            i = bisect_left(robjs, o)
-            if i < n and robjs[i] == o:
-                out.append((o, SortedRun(rsubs, roffs[i], roffs[i + 1])))
-        return out
+        keys, offs, vals = cols.arrays(reverse)
+        if nodes is None:
+            matched, starts, ends = keys, offs[:-1], offs[1:]
+            walks = len(vals)
+        else:
+            if len(nodes) > len(keys):  # probe the smaller side
+                hit = np.fromiter(
+                    map(nodes.__contains__, keys.tolist()), np.bool_, len(keys)
+                )
+                pos = hit.nonzero()[0]
+            else:
+                wanted = _sorted_array(nodes)
+                pos = np.searchsorted(keys, wanted)
+                np.minimum(pos, len(keys) - 1, out=pos)
+                pos = pos[keys[pos] == wanted]
+            matched, starts, ends = keys[pos], offs[pos], offs[pos + 1]
+            walks = int((ends - starts).sum())
+        if deadline is not None:
+            deadline.check_every(walks)
+        if not walks:
+            return {}, 0
+        # (An empty filter always lands here: nothing below sees one.)
+        if far_filters and walks > GALLOP_RATIO * len(matched) * min(
+            map(len, far_filters)
+        ):
+            raw_vals = cols.rsubs if reverse else cols.objs
+            runs = zip(
+                matched.tolist(),
+                map(SortedRun, repeat(raw_vals), starts.tolist(), ends.tolist()),
+            )
+            return _scalar_buckets(runs, far_filters, self_join), walks
+
+        # The matched runs, concatenated: ``far[lo[i]:hi[i]]`` is run i.
+        counts = ends - starts
+        hi = np.cumsum(counts)
+        if nodes is None:
+            far = vals
+        else:
+            lo = hi - counts
+            far = vals[np.arange(walks) + np.repeat(starts - lo, counts)]
+        keep = None
+        if self_join:
+            keep = far == np.repeat(matched, counts)
+        for view in far_filters:
+            mask = _membership(far, view)
+            keep = mask if keep is None else keep & mask
+        if keep is not None:
+            far = far[keep]
+            kept = np.cumsum(keep)
+            hi = kept[hi - 1]
+        bounds = hi.tolist()
+        values = far.tolist()
+        return {
+            # (A one-element bucket is the common one; no slice for it.)
+            k: {values[a]} if b - a == 1 else set(values[a:b])
+            for k, a, b in zip(matched.tolist(), [0] + bounds, bounds)
+            if a < b
+        }, walks
 
     def out_degree(self, p: int, s: int) -> int:
         cols = self._sealed(p)

@@ -19,12 +19,13 @@ ignored (RDF set semantics).
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import StoreError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (stats imports store)
     from repro.stats.catalog import Catalog
+    from repro.utils.deadline import Deadline
 from repro.graph.backends import StorageBackend, create_backend
 from repro.graph.backends.base import PredicateSummary
 from repro.graph.dictionary import Dictionary, DictionaryView
@@ -426,25 +427,31 @@ class TripleStore:
         """Set-like view of the distinct objects of ``p`` (no copy)."""
         return self._backend.object_set(p)
 
-    def successor_sets(
-        self, p: int, nodes: AbstractSet[int]
-    ) -> list[tuple[int, AbstractSet[int]]]:
-        """``(s, successors-of-s)`` for each node of ``nodes`` with any
-        ``p``-edge, successor sets live (not copied).
-
-        Nodes without out-edges are silently skipped — they contribute
-        zero edge walks. Probes the smaller of ``nodes`` and the
-        subject index; returns an eagerly built list (cheaper than a
-        generator in the kernel hot path).
+    def gather(
+        self,
+        p: int,
+        nodes: "AbstractSet[int] | None",
+        far_filters: Sequence[AbstractSet[int]] = (),
+        *,
+        reverse: bool = False,
+        self_join: bool = False,
+        deadline: "Deadline | None" = None,
+    ) -> tuple[dict[int, set[int]], int]:
+        """One bulk extension step over predicate ``p``: for each node
+        of ``nodes`` (``None``: all) with a ``p``-edge, the fresh set of
+        its neighbours that are in every one of ``far_filters``, and the
+        number of edges retrieved before filtering. See
+        :meth:`StorageBackend.gather
+        <repro.graph.backends.base.StorageBackend.gather>`.
         """
-        return self._backend.successor_sets(p, nodes)
-
-    def predecessor_sets(
-        self, p: int, nodes: AbstractSet[int]
-    ) -> list[tuple[int, AbstractSet[int]]]:
-        """``(o, predecessors-of-o)`` for each node of ``nodes`` with
-        any incoming ``p``-edge; predecessor sets are live views."""
-        return self._backend.predecessor_sets(p, nodes)
+        return self._backend.gather(
+            p,
+            nodes,
+            far_filters,
+            reverse=reverse,
+            self_join=self_join,
+            deadline=deadline,
+        )
 
     def out_degree(self, p: int, s: int) -> int:
         """Number of ``p``-edges leaving node ``s``."""

@@ -94,9 +94,9 @@ def test_deadline_fires_inside_a_lookahead_scan():
         generate_answer_graph(
             bound, manual_plan([0, 1]), deadline=Deadline(0.000001, stride=64)
         )
-    # The scan that filters its far end, not the wholesale label copy.
+    # Inside the store's one extension primitive, on the first step.
     frames = [entry.name for entry in caught.traceback]
-    assert "_candidate_adjacency" in frames and "_extend_scan" not in frames
+    assert frames[-3:-1] == ["gather", "gather"] and frames[-4] == "bulk_extend"
 
 
 def test_trace_records_fig2_cascade():

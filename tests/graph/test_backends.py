@@ -179,6 +179,36 @@ def test_sorted_run_isdisjoint():
     assert run().isdisjoint(run(1))
     assert run(1, 2).isdisjoint({5, 6})
     assert not run(1, 2).isdisjoint({2})
+    # Any iterable, as ``set.isdisjoint`` takes: also one without a length.
+    assert run(1, 2).isdisjoint(x for x in (5, 6))
+    assert not run(1, 2).isdisjoint(iter([7, 2]))
+    # Long runs take the vectorized intersection.
+    assert run(*range(0, 100, 2)).isdisjoint(run(*range(1, 101, 2)))
+    assert not run(*range(0, 100, 2)).isdisjoint(run(*range(1, 99, 2), 98))
+
+
+def test_sorted_run_long_intersection_matches_merge():
+    # Above VECTOR_RUN on the smaller side: one searchsorted, not a merge.
+    evens, threes = run(*range(0, 600, 2)), run(*range(0, 90, 3))
+    assert evens & threes == threes & evens == set(range(0, 90, 6))
+    assert sorted(evens & threes) == isect(evens, threes)
+    assert run(*range(50)) & run(*range(100, 150)) == set()
+
+
+def test_sorted_run_subset_of_run():
+    """``<=`` between runs (what look-ahead asks of a predicate's far
+    nodes and a view) agrees with plain sets, short and long, with the
+    missing element first, last and absent."""
+    whole = run(*range(0, 1000, 2))
+    assert run() <= run() and run() <= whole and not run(2) <= run()
+    assert run(4, 8) <= whole and not run(4, 9) <= whole
+    assert whole <= whole and not whole <= run(*range(0, 998, 2))
+    assert not run(-2, *range(0, 600, 2)) <= whole  # below the range
+    assert not run(*range(0, 600, 2), 1001) <= whole  # above it
+    assert not run(*range(0, 600, 2), 601) <= whole  # a late miss inside
+    assert not run(1, *range(2, 600, 2)) <= whole  # an early one
+    assert run(*range(0, 600, 2)) <= whole
+    assert run(2, 4) <= {2, 4, 6} and not run(2, 5) <= {2, 4, 6}
 
 
 # ----------------------------------------------------------------------
@@ -306,9 +336,51 @@ def test_empty_predicate_views(columnar_store):
     store = columnar_store
     assert store.successors(999, 1) == set()
     assert store.adjacency(999) == {}
-    assert store.successor_sets(999, {1, 2}) == []
+    assert store.gather(999, {1, 2}) == ({}, 0)
+    assert store.gather(999, None, [{1}], reverse=True) == ({}, 0)
     assert store.count(999) == 0
     assert list(store.edges(999)) == []
+
+
+@pytest.mark.parametrize("backend", ("hashdict", "columnar"))
+def test_gather_polls_the_deadline_before_it_copies(backend):
+    """A label scan and a 10k-candidate step under an expired deadline
+    raise from ``gather`` itself, before any adjacency exists."""
+    from repro.errors import EvaluationTimeout
+    from repro.utils.deadline import Deadline
+
+    store = TripleStore(backend=backend)
+    store.add_term_triples((f"s{i}", "p", f"o{i % 97}") for i in range(10_000))
+    store.freeze()
+    p = store.dictionary.lookup("p")
+    subjects = set(store.subject_set(p))
+    assert len(subjects) == 10_000
+    for nodes in (None, subjects):
+        expired = Deadline(1e-9, stride=64)
+        with pytest.raises(EvaluationTimeout) as caught:
+            store.gather(p, nodes, deadline=expired)
+        assert caught.traceback[-2].name == "gather"  # then check_every
+    adj, walks = store.gather(p, subjects, deadline=Deadline(60))
+    assert walks == 10_000 and adj.keys() == subjects
+
+
+def test_columnar_gather_popular_nodes_keep_the_scalar_path():
+    """Buckets that dwarf a filter are probed run by run, not copied:
+    same adjacency, same walks as the copy would give."""
+    store = TripleStore(backend="columnar")
+    store.add_term_triples(
+        (f"hub{h}", "p", f"leaf{i}") for h in range(8) for i in range(400)
+    )
+    store.freeze()
+    lookup = store.dictionary.lookup
+    p = lookup("p")
+    hubs = {lookup(f"hub{h}") for h in range(8)}
+    wanted = {lookup("leaf7"), lookup("leaf399"), 10**9}
+    adj, walks = store.gather(p, hubs, [wanted])
+    assert walks == 3200
+    assert adj == {hub: wanted - {10**9} for hub in hubs}
+    back, walks = store.gather(p, wanted, [hubs], reverse=True)
+    assert walks == 16 and back == {leaf: hubs for leaf in wanted - {10**9}}
 
 
 def test_unknown_permutation_rejected_by_backend():

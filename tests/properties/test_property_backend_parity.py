@@ -8,7 +8,7 @@ backend and assert identical:
 
 * pattern scans over all eight bound/unbound position combinations,
 * kernel-view contents (adjacency / reverse adjacency / subject and
-  object sets / successor_sets / predecessor_sets),
+  object sets) and the ``gather`` extension primitive,
 * statistics catalogs (``Catalog.__eq__`` over unigrams + bigrams),
 * end-to-end ``EngineResult`` counts and rows for the Wireframe engine
   and a materializing baseline, including self-joins and constants,
@@ -18,15 +18,21 @@ backend and assert identical:
 from __future__ import annotations
 
 import itertools
+import tempfile
+from array import array
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import HashJoinEngine
 from repro.core.engine import WireframeEngine
 from repro.graph.backends import available_backends
+from repro.graph.backends.columnar import SortedRun
+from repro.graph.store import TripleStore
 from repro.graph.triples import TriplePattern
 from repro.query.model import ConjunctiveQuery
 from repro.stats.catalog import build_catalog
+from repro.storage.snapshot import load_snapshot, save_snapshot
 
 from tests.properties.strategies import (
     LABELS,
@@ -78,8 +84,6 @@ def test_pattern_scans_identical(graph):
 def test_kernel_views_identical(graph):
     stores = build_on_all_backends(graph)
     reference = stores[0]
-    all_nodes = set(reference.nodes())
-    probe_sets = [set(), all_nodes, set(sorted(all_nodes)[::2])]
     for store in stores[1:]:
         for label in LABELS:
             p = reference.dictionary.lookup(label)
@@ -93,21 +97,103 @@ def test_kernel_views_identical(graph):
             )
             assert set(store.subject_set(p)) == set(reference.subject_set(p))
             assert set(store.object_set(p)) == set(reference.object_set(p))
-            for nodes in probe_sets:
-                assert {
-                    (n, frozenset(vs))
-                    for n, vs in store.successor_sets(p, nodes)
-                } == {
-                    (n, frozenset(vs))
-                    for n, vs in reference.successor_sets(p, nodes)
-                }
-                assert {
-                    (n, frozenset(vs))
-                    for n, vs in store.predecessor_sets(p, nodes)
-                } == {
-                    (n, frozenset(vs))
-                    for n, vs in reference.predecessor_sets(p, nodes)
-                }
+
+
+def _set_like(kind: str, ids):
+    """``ids`` as one of the set-likes an extension step is handed."""
+    if kind == "set":
+        return set(ids)
+    if kind == "frozenset":
+        return frozenset(ids)
+    if kind == "dict_keys":
+        return dict.fromkeys(ids).keys()
+    # A run inside a longer column, as adjacency values are.
+    column = array("q", [-7, *sorted(set(ids)), 1 << 40])
+    return SortedRun(column, 1, len(column) - 1)
+
+
+SET_LIKES = st.sampled_from(("set", "frozenset", "dict_keys", "SortedRun"))
+
+
+def gather_layouts(graph: dict, tmp: str) -> dict:
+    """The same graph under every layout ``gather`` has to serve."""
+    stores = {name: build_store(graph, backend=name) for name in BACKENDS}
+    save_snapshot(stores["columnar"], tmp, include_catalog=False)
+    stores["columnar-mmap"] = load_snapshot(tmp, backend="columnar")
+    staged = TripleStore(backend="columnar")
+    for label, pairs in graph.items():
+        for i, (s, o) in enumerate(pairs):
+            staged.add_term_triple(f"n{s}", label, f"n{o}")
+            if i == len(pairs) // 2:
+                staged.adjacency(staged.dictionary.lookup(label))  # seals
+    stores["columnar-staged"] = staged
+    return stores
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=edge_lists(max_nodes=14, max_edges_per_label=40),
+    label=st.sampled_from(LABELS + ("Z",)),
+    nodes_kind=st.one_of(st.none(), SET_LIKES),
+    nodes_size=st.sampled_from((0, 1, 4, 5, 40)),
+    filters=st.lists(
+        st.tuples(SET_LIKES, st.sampled_from((0, 1, 2, 6, 40))), max_size=3
+    ),
+    reverse=st.booleans(),
+    self_join=st.booleans(),
+    data=st.data(),
+)
+def test_gather_identical_on_every_layout(
+    graph, label, nodes_kind, nodes_size, filters, reverse, self_join, data
+):
+    """``gather`` == the definition, computed pair by pair, on both
+    backends, on mapped columns and over staged writes: the adjacency
+    and the walks, for every kind of candidate set and filter, few and
+    many candidates, nodes the predicate does not have, either
+    direction, the diagonal, and a predicate nobody has."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stores = gather_layouts(graph, tmp + "/snapshot")
+        lookup = stores["hashdict"].dictionary.lookup
+        ids = sorted(stores["hashdict"].nodes()) + [987_654, 987_655]
+
+        def subset(size):
+            return data.draw(
+                st.lists(st.sampled_from(ids), max_size=size, unique=True)
+            )
+
+        p = lookup(label)
+        if p is None:
+            p = 999_999
+        pairs = [(lookup(f"n{s}"), lookup(f"n{o}")) for s, o in graph.get(label, ())]
+        if reverse:
+            pairs = [(o, s) for s, o in pairs]
+        wanted = None if nodes_kind is None else subset(nodes_size)
+        filter_ids = [subset(size) for _, size in filters]
+
+        expected: dict[int, set[int]] = {}
+        walks = 0
+        for near, far in pairs:
+            if wanted is not None and near not in wanted:
+                continue
+            walks += 1
+            if all(far in view for view in filter_ids) and (
+                not self_join or near == far
+            ):
+                expected.setdefault(near, set()).add(far)
+
+        for name, store in stores.items():
+            for target in (store, store.backend):
+                nodes = None if wanted is None else _set_like(nodes_kind, wanted)
+                views = [
+                    _set_like(kind, view)
+                    for (kind, _), view in zip(filters, filter_ids)
+                ]
+                adj, counted = target.gather(
+                    p, nodes, views, reverse=reverse, self_join=self_join
+                )
+                assert (adj, counted) == (expected, walks), name
+                assert all(type(bucket) is set for bucket in adj.values())
+        assert stores["hashdict"].gather(999_999, None) == ({}, 0)
 
 
 @SETTINGS
