@@ -367,9 +367,15 @@ def _cmd_query(args) -> int:
     deadline = Deadline(args.timeout)
     start = time.perf_counter()
     try:
-        result = engine.evaluate(
-            query, deadline=deadline, materialize=args.limit > 0
-        )
+        if args.engine == "WF" and args.limit > 0:
+            # Phase 2 builds only the rows shown; count stays exact.
+            result = engine.engine_result(engine.evaluate_detailed(
+                query, deadline=deadline, limit=args.limit
+            ))
+        else:
+            result = engine.evaluate(
+                query, deadline=deadline, materialize=args.limit > 0
+            )
     except EvaluationTimeout as exc:
         if args.json:
             import json

@@ -23,7 +23,8 @@ as the output format allows:
 * A complete skeleton assignment **emits factorized**: its rows are
   ``itertools.product`` over one pool per output column — a 1-tuple
   for a skeleton value, the adjacency set for a leaf — built in C with
-  no per-row Python. Counting multiplies the pool sizes instead.
+  no per-row Python. Counting multiplies the pool sizes instead; a
+  limited result does both, building rows only until it holds enough.
 
 The join order is an :class:`~repro.planner.plan.EmbeddingPlan`: any
 connected order yields the same rows on any AG. All it decides is the
@@ -259,10 +260,9 @@ def materialize_embeddings(
     ag: AnswerGraph,
     order: Sequence[int] | None = None,
     deadline: Deadline | None = None,
-    limit: int | None = None,
 ) -> list[Row]:
-    """All projected result rows (respecting projection and DISTINCT),
-    or the first ``limit`` of them without producing the rest."""
+    """All projected result rows (respecting projection and DISTINCT);
+    :func:`first_embeddings` gives the first few and their count."""
     bound = ag.bound
     deadline = deadline or Deadline.unlimited()
     plan = _compile(ag, order, bound.projection, bound.distinct, deadline)
@@ -271,7 +271,47 @@ def materialize_embeddings(
     rows = chain.from_iterable(_blocks(plan, deadline))
     if not plan.exact:
         rows = _unique(rows)
-    return list(rows if limit is None else islice(rows, limit))
+    return list(rows)
+
+
+def first_embeddings(
+    ag: AnswerGraph,
+    limit: int,
+    order: Sequence[int] | None = None,
+    deadline: Deadline | None = None,
+) -> tuple[list[Row], int]:
+    """The first ``limit`` projected result rows — exactly the head of
+    :func:`materialize_embeddings`' list — and the exact number of rows.
+
+    One pass over the skeleton: every assignment adds its pool sizes'
+    product to the count, and only while fewer than ``limit`` rows are
+    held does it build rows, ``BLOCK`` at a time from its product. Under
+    DISTINCT with a skeleton variable projected away rows must be built
+    to be told apart, so every one is enumerated and the head kept.
+    """
+    bound = ag.bound
+    deadline = deadline or Deadline.unlimited()
+    plan = _compile(ag, order, bound.projection, bound.distinct, deadline)
+    if plan is None:
+        return [], 0
+    if not plan.exact:
+        unique = list(_unique(chain.from_iterable(_blocks(plan, deadline))))
+        return unique[:limit], len(unique)
+    rows: list[Row] = []
+    count = 0
+    check = deadline.check_every
+    for pools in _assignments(plan, deadline):
+        size = prod(map(len, pools))
+        count += size
+        wanted = min(size, limit - len(rows))
+        if wanted > 0:
+            block = product(*pools)
+            while wanted > 0:
+                step = min(wanted, BLOCK)
+                check(step)
+                rows.extend(islice(block, step))
+                wanted -= step
+    return rows, count
 
 
 def count_embeddings(

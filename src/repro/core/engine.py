@@ -27,7 +27,11 @@ import time
 from dataclasses import dataclass
 
 from repro.core.answer_graph import AnswerGraph
-from repro.core.defactorize import count_embeddings, materialize_embeddings
+from repro.core.defactorize import (
+    count_embeddings,
+    first_embeddings,
+    materialize_embeddings,
+)
 from repro.core.generation import (
     GenerationStats,
     GenerationTrace,
@@ -53,7 +57,7 @@ from repro.utils.deadline import Deadline
 class WireframeResult:
     """Everything one Wireframe evaluation produced."""
 
-    rows: list[tuple] | None
+    rows: list[tuple] | None  # the first ``limit`` rows, when one was given
     count: int
     ag_size: int  # |AG| over real edges after phase 1 (Table 1's column)
     answer_graph: AnswerGraph
@@ -157,12 +161,16 @@ class WireframeEngine(Engine):
         materialize: bool = True,
         trace: GenerationTrace | None = None,
         prepared: tuple[BoundQuery, AGPlan, Chordification] | None = None,
+        limit: int | None = None,
     ) -> WireframeResult:
         """Full two-phase evaluation with all artifacts exposed.
 
         ``prepared`` — the exact triple an earlier :meth:`plan` call
         returned for this query (where a cached plan is applied, if
-        any) — skips binding and planning here.
+        any) — skips binding and planning here. ``limit`` makes phase 2
+        build only the first ``limit`` rows of a materialized result
+        (the head of the unlimited ``rows``); ``count`` and everything
+        else stay what they are without it.
         """
         if deadline is None:
             deadline = Deadline.unlimited()
@@ -190,11 +198,15 @@ class WireframeEngine(Engine):
             embedding_plan = greedy_embedding_plan(
                 bound, *ag.relation_statistics()
             )
-            if materialize:
+            if materialize and limit is None:
                 rows = materialize_embeddings(
                     ag, embedding_plan.order, deadline=deadline
                 )
                 count = len(rows)
+            elif materialize:
+                rows, count = first_embeddings(
+                    ag, limit, embedding_plan.order, deadline=deadline
+                )
             else:
                 rows = None
                 count = count_embeddings(ag, embedding_plan.order, deadline=deadline)

@@ -82,7 +82,10 @@ class EngineResult:
 
     ``count`` is always the number of result tuples (after projection
     and DISTINCT); ``rows`` holds the materialized tuples when the
-    caller asked for them (``materialize=True``), else ``None``.
+    caller asked for them (``materialize=True``), else ``None`` — all
+    of them, or, when the evaluation was given a ``limit``, the first
+    ``limit`` in enumeration order (``len(rows) < count`` then says
+    rows were left out).
     ``stats`` carries engine-specific extras (edge walks, |AG|, plan
     descriptions, phase timings...) surfaced in reports.
     """
@@ -131,16 +134,16 @@ class EngineResult:
         hoc. ``rows`` holds decoded term-string rows (through one
         batched :meth:`decoded_rows` call), capped at ``limit`` when
         given; a non-materialized result writes ``rows: null``.
-        ``truncated`` flags a ``limit`` that actually dropped rows, so
-        clients can distinguish "10 rows" from "first 10 of 10_000".
-        ``stats`` is passed through :func:`json_safe`.
+        ``truncated`` flags rows the answer has and this form does not
+        show, so clients can distinguish "10 rows" from "first 10 of
+        10_000". ``stats`` is passed through :func:`json_safe`.
         """
         decoded = self.decoded_rows(dictionary, limit=limit)
         return {
             "engine": self.engine,
             "count": self.count,
             "rows": None if decoded is None else [list(row) for row in decoded],
-            "truncated": decoded is not None and len(decoded) < len(self.rows),
+            "truncated": decoded is not None and len(decoded) < self.count,
             "stats": json_safe(self.stats),
         }
 

@@ -262,20 +262,22 @@ class HashDictBackend(StorageBackend):
                 )
             elif first is None:
                 out.update(zip(chunk, map(set, fars)))
+            # The run on the left: ``&`` answers in its left operand's
+            # type, and a bucket must be a ``set`` whatever the filter.
             elif not rest:
                 out.update(
-                    {n: keep for n, far in zip(chunk, fars) if (keep := first & far)}
+                    {n: keep for n, far in zip(chunk, fars) if (keep := far & first)}
                 )
             else:
                 # Several filters: each bucket against one after
                 # another, never filter against filter (a predicate's
                 # subjects can dwarf everything this step walks).
                 for n, far in zip(chunk, fars):
-                    keep = first & far
+                    keep = far & first
                     for view in rest:
                         if not keep:
                             break
-                        keep = view & keep
+                        keep = keep & view
                     if keep:
                         out[n] = keep
         return out, walks

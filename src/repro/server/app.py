@@ -87,8 +87,9 @@ from repro.server.wire import (
 )
 from repro.utils.deadline import Deadline
 
-#: Default cap on decoded rows per response; clients raise it per
-#: request with the ``limit`` field (the count is always exact).
+#: Default cap on rows per response — built by phase 2, cached and
+#: decoded; clients raise it per request with the ``limit`` field (the
+#: count is always exact).
 DEFAULT_ROW_LIMIT = 100
 
 #: Default request-body cap (1 MiB holds ~thousands of wire queries).
@@ -846,7 +847,8 @@ class HTTPQueryServer:
         try:
             deadline = self._deadline_for(parsed.timeout_seconds)
             future = service.submit(
-                parsed.query, deadline, parsed.materialize, trace=trace
+                parsed.query, deadline, parsed.materialize, trace=trace,
+                limit=parsed.limit,
             )
             # A result-cache hit comes back already completed: take it
             # here instead of paying a loop round trip to be told so.
@@ -892,6 +894,7 @@ class HTTPQueryServer:
                     self._deadline_for(req.timeout_seconds),
                     req.materialize,
                     trace=trace,
+                    limit=req.limit,
                 )
                 for req in parsed
             ]

@@ -7,7 +7,8 @@ service caches:
 - :class:`PlanCache` maps a query signature to the reusable planning
   artifacts ``(AGPlan, Chordification)``.
 - :class:`ResultCache` maps ``(signature, materialize)`` to a finished
-  :class:`~repro.engine_api.EngineResult`.
+  :class:`~repro.engine_api.EngineResult` — all of its rows, or the
+  first ones, which serve a request asking for no more than that.
 
 Both share one validity rule. A conjunctive query's answer is a function
 of the edge sets of its own predicates only, so an entry is stamped with
@@ -201,14 +202,21 @@ class ResultCache(LRUCache):
         epoch: int,
         versions: Callable[[], Versions],
         record: bool = True,
+        limit: int | None = None,
     ) -> EngineResult | None:
         """The cached result for ``signature`` if its predicates are
-        unchanged; a stale entry is dropped and reports ``None``.
+        unchanged and it holds the ``limit`` rows asked for (``None`` =
+        all); a stale entry is dropped and reports ``None``.
 
         ``epoch`` must have been read from the store *before*
         ``versions()`` is called (which happens only when it differs
         from the entry's): the entry is then re-stamped with an epoch no
         newer than the versions it vouches for.
+
+        A result holding fewer rows than its ``count`` serves only a
+        ``limit`` no larger than what it holds. Any other lookup is a
+        miss that leaves the entry in place, for the caller's
+        re-evaluation to replace.
         """
         entry: _ResultEntry | None = self.get(signature, record=record)
         if entry is None:
@@ -218,6 +226,17 @@ class ResultCache(LRUCache):
                 self._drop_stale(signature, entry, record)
                 return None
             entry.epoch = epoch
+        rows = entry.result.rows
+        if (
+            rows is not None
+            and len(rows) < entry.result.count
+            and (limit is None or limit > len(rows))
+        ):
+            if record:
+                with self._lock:
+                    self._hits -= 1
+                    self._misses += 1
+            return None
         return entry.result
 
     def put_result(

@@ -11,6 +11,10 @@ of the engine:
    its ``(AGPlan, Chordification)`` verbatim;
 2. a **result cache** keyed on ``(signature, materialize)``, so an
    exactly-repeated query returns without touching the engine at all.
+   A submission's ``limit`` reaches phase 2, so an entry may hold only
+   the first rows of its answer (with the exact count); it then serves
+   a request asking for no more rows than it holds, and any other is a
+   miss whose evaluation replaces it.
 
 Entries of both are stamped with the mutation counters of the query's
 own predicates (``TripleStore.predicate_epoch``): a write invalidates
@@ -61,6 +65,12 @@ def _budget_of(deadline: "Deadline | float | None") -> float:
     return float(deadline)
 
 
+def _covers(leader_limit: int | None, limit: int | None) -> bool:
+    """Whether a result built for ``leader_limit`` rows holds the
+    ``limit`` rows another request asks for (``None`` = all of them)."""
+    return leader_limit is None or (limit is not None and limit <= leader_limit)
+
+
 def _chain_future(target: "Future[EngineResult]"):
     """A done-callback copying one future's outcome onto ``target``."""
 
@@ -99,8 +109,9 @@ class QueryService:
         (the classic thundering-herd guard). A follower only attaches
         when its own budget is at least the leader's — it then waits no
         longer than its budget allows, because the leader completes or
-        times out within that window; stricter-deadline duplicates
-        evaluate independently. If the leader times out under its own
+        times out within that window — and when the leader builds every
+        row the follower's ``limit`` asks for; any other duplicate
+        evaluates independently. If the leader times out under its own
         budget, followers are transparently resubmitted under theirs.
     freeze:
         Freeze the store (and its dictionary) at construction.
@@ -159,8 +170,11 @@ class QueryService:
         self.metrics = MetricsRegistry()
         self.stats = ServiceStats(window=latency_window, registry=self.metrics)
         self.coalesce = coalesce
-        # key -> (leader future, leader budget in seconds at submit).
-        self._inflight: dict[tuple, "tuple[Future[EngineResult], float]"] = {}
+        # key -> (leader future, leader budget in seconds at submit,
+        # leader row limit).
+        self._inflight: dict[
+            tuple, "tuple[Future[EngineResult], float, int | None]"
+        ] = {}
         self._inflight_lock = threading.Lock()
         self._refresh_lock = threading.Lock()
         self._epoch = store.epoch
@@ -701,6 +715,7 @@ class QueryService:
         deadline: Deadline | float | None = None,
         materialize: bool = True,
         trace=None,
+        limit: int | None = None,
     ) -> "Future[EngineResult]":
         """Enqueue one query; returns a future of its ``EngineResult``.
 
@@ -709,6 +724,11 @@ class QueryService:
         float budget in seconds (the clock starts when a worker picks
         the query up). Timeouts surface as
         :class:`~repro.errors.EvaluationTimeout` from ``result()``.
+
+        ``limit`` is how many rows the caller will show (``None`` =
+        all). The result holds at least that many — all of them when the
+        answer has no more — and an exact ``count``: a miss builds only
+        the first ``limit`` rows, a hit may hold more.
 
         ``trace`` (a :class:`repro.obs.trace.Trace`) rides along into
         the worker thread, where it is re-activated so engine-side
@@ -735,7 +755,7 @@ class QueryService:
         plan_key = (self._backend_name, plan_signature(query))
 
         cached = self.result_cache.get_result(
-            result_key, epoch, lambda: self._versions(query)
+            result_key, epoch, lambda: self._versions(query), limit=limit
         )
         if cached is not None:
             # Served without touching the pool: complete the future now,
@@ -761,8 +781,13 @@ class QueryService:
                 entry = self._inflight.get(inflight_key)
                 # Attach only when our budget covers the leader's worst
                 # case; a stricter duplicate evaluates independently so
-                # its deadline stays enforced.
-                if entry is not None and budget >= entry[1]:
+                # its deadline stays enforced. So does one asking for
+                # more rows than the leader builds.
+                if (
+                    entry is not None
+                    and budget >= entry[1]
+                    and _covers(entry[2], limit)
+                ):
                     leader = entry[0]
             if leader is None:
                 self.stats.enqueued()
@@ -775,11 +800,12 @@ class QueryService:
                     versions,
                     deadline,
                     materialize,
+                    limit,
                     submitted_at,
                     trace,
                 )
                 if self.coalesce and inflight_key not in self._inflight:
-                    self._inflight[inflight_key] = (future, budget)
+                    self._inflight[inflight_key] = (future, budget, limit)
                     future.add_done_callback(
                         # dict.pop is atomic; deliberately lock-free —
                         # this callback can fire synchronously right here.
@@ -792,7 +818,7 @@ class QueryService:
         follower: "Future[EngineResult]" = Future()
         self.stats.record_coalesced()
         leader.add_done_callback(
-            self._follower_callback(follower, query, deadline, materialize)
+            self._follower_callback(follower, query, deadline, materialize, limit)
         )
         return follower
 
@@ -802,6 +828,7 @@ class QueryService:
         query: ConjunctiveQuery,
         deadline: Deadline | float | None,
         materialize: bool,
+        limit: int | None,
     ):
         """Completion hook chaining a coalesced follower to its leader.
 
@@ -822,7 +849,7 @@ class QueryService:
                 # Not counted here: the resubmission records its own
                 # outcome through the normal worker path.
                 try:
-                    retry = self.submit(query, deadline, materialize)
+                    retry = self.submit(query, deadline, materialize, limit=limit)
                 except BaseException as submit_exc:  # pool closed, etc.
                     follower.set_exception(submit_exc)
                 else:
@@ -838,9 +865,10 @@ class QueryService:
         query: ConjunctiveQuery,
         deadline: Deadline | float | None = None,
         materialize: bool = True,
+        limit: int | None = None,
     ) -> EngineResult:
         """Synchronous convenience wrapper around :meth:`submit`."""
-        return self.submit(query, deadline, materialize).result()
+        return self.submit(query, deadline, materialize, limit=limit).result()
 
     def evaluate_many(
         self,
@@ -893,6 +921,7 @@ class QueryService:
         versions: tuple,
         deadline: Deadline | float | None,
         materialize: bool,
+        limit: int | None,
         submitted_at: float,
         trace=None,
     ) -> EngineResult:
@@ -920,7 +949,8 @@ class QueryService:
             # The result cache may have been filled while we queued
             # (don't re-count: submit() already recorded this lookup).
             cached = self.result_cache.get_result(
-                result_key, epoch, lambda: self._versions(query), record=False
+                result_key, epoch, lambda: self._versions(query),
+                record=False, limit=limit,
             )
             if cached is not None:
                 outcome = "ok"
@@ -946,7 +976,7 @@ class QueryService:
                 trace.annotations.setdefault("plan_cache", plan_outcome)
 
             detail = engine.evaluate_detailed(
-                query, effective, materialize, prepared=prepared
+                query, effective, materialize, prepared=prepared, limit=limit
             )
             exec_seconds = time.perf_counter() - t1
             result = engine.engine_result(detail)

@@ -8,6 +8,7 @@ import pytest
 from repro.core import defactorize
 from repro.core.defactorize import (
     count_embeddings,
+    first_embeddings,
     iter_embeddings,
     materialize_embeddings,
 )
@@ -70,12 +71,13 @@ def test_projection_without_distinct_keeps_duplicates():
 def test_limit(monkeypatch):
     store = figure1_graph()
     bound, ag = make_ag(store, figure1_query())
-    assert len(materialize_embeddings(ag, limit=5)) == 5
-    assert materialize_embeddings(ag, limit=0) == []
+    assert first_embeddings(ag, 5) == (materialize_embeddings(ag)[:5], 12)
+    assert first_embeddings(ag, 0) == ([], 12)
     # A limit inside one leaf product stops that product: exactly
-    # ``limit`` rows are ever built.
+    # ``limit`` rows are ever built, and the count is still exact.
     built = count_product_rows(monkeypatch)
-    assert len(materialize_embeddings(big_star_ag(), limit=7)) == 7
+    rows, count = first_embeddings(big_star_ag(), 7)
+    assert (len(rows), count) == (7, FAN**3)
     assert len(built) == 7
 
 

@@ -118,13 +118,15 @@ def test_result_keeps_only_its_last_rendering_and_only_under_the_cap(mini_yago):
 
 def test_memos_stay_within_their_caps_under_5000_distinct_bodies(counted):
     """Distinct bodies over one cached result: the request memo fills to
-    its entry cap and stays there; the entry keeps one fragment."""
+    its entry cap and stays there; the entry keeps one fragment. Limits
+    fall, so the rows the first request built serve every later one."""
     client, _calls = counted
     total = 5000
     assert total > 4 * REQUEST_MEMO_ENTRIES
     for i in range(total):
         body = json.dumps(
-            {"sparql": "select ?a, ?b where { ?a exports ?b }", "limit": i}
+            {"sparql": "select ?a, ?b where { ?a exports ?b }",
+             "limit": total - 1 - i}
         ).encode()
         status, _reply = client.post_raw("/v1/query", body)
         assert status == 200
@@ -139,3 +141,4 @@ def test_memos_stay_within_their_caps_under_5000_distinct_bodies(counted):
     assert http["result_fragments"] == {"rendered": total, "reused": 0}
     service = client.get("/v1/stats")[1]["service"]
     assert service["result_cache"]["size"] == 1
+    assert service["result_cache"]["misses"] == 1

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.core.engine import WireframeEngine
 from repro.datasets.paper_queries import (
     paper_diamond_queries,
     paper_snowflake_queries,
@@ -242,9 +243,11 @@ def _entry_result_doc(svc, req, served: dict) -> dict:
 
     ``served`` is the result object a response carried: its per-call
     ``service`` stats (a miss's queue time cannot be known from here)
-    are taken over, everything else comes from the entry.
+    are taken over, everything else comes from the entry. The lookup
+    asks for the request's own ``limit``: an entry built for that many
+    rows holds no more, so an unlimited lookup would be a miss.
     """
-    result = svc.evaluate(req.query, materialize=req.materialize)
+    result = svc.evaluate(req.query, materialize=req.materialize, limit=req.limit)
     assert result.stats["service"] == HIT_STATS
     doc = result.to_dict(svc.store.dictionary, limit=req.limit)
     doc["stats"]["service"] = served["stats"]["service"]
@@ -352,6 +355,96 @@ def test_alpha_renamed_queries_share_a_result_but_not_a_head(fresh):
         "miss", "hit", "hit", "hit",
     ]
     assert payloads[1]["result"] == payloads[2]["result"] == payloads[3]["result"]
+
+
+# ----------------------------------------------------------------------
+# Row limits: a miss builds, and the result cache keeps, at most `limit`
+# ----------------------------------------------------------------------
+
+#: Fourteen rows on ``mini_yago``.
+EXPORTS = "select ?a, ?b where { ?a exports ?b }"
+
+
+def _answers(fresh_client, path: str, docs: list[dict]) -> list:
+    """The ``result`` object(s) of each reply, with their cache outcome
+    pulled out of ``stats``: ``(outcome, result)``, or a list of those
+    for a batch."""
+    out = []
+    for doc in docs:
+        status, payload, _ = fresh_client.post(path, doc)
+        assert status == 200
+        results = [payload["result"]] if "result" in payload else [
+            entry["result"] for entry in payload["results"]
+        ]
+        pairs = [(r["stats"]["service"]["result_cache"], r) for r in results]
+        out.append(pairs[0] if "result" in payload else pairs)
+    return out
+
+
+def test_limit_probe_reads_miss_hit_miss_hit(fresh):
+    _svc, fresh_client = fresh
+    docs = [{"sparql": CREATED, "limit": limit} for limit in (3, 2, None, None)]
+    answers = _answers(fresh_client, "/v1/query", docs)
+    assert [outcome for outcome, _ in answers] == ["miss", "hit", "miss", "hit"]
+    results = [result for _, result in answers]
+    count = results[0]["count"]
+    assert count > 3 and {r["count"] for r in results} == {count}
+    assert [len(r["rows"]) for r in results] == [3, 2, count, count]
+    assert [r["truncated"] for r in results] == [True, True, False, False]
+    assert results[1]["rows"] == results[0]["rows"][:2] == results[2]["rows"][:2]
+    assert results[3]["rows"] == results[2]["rows"]
+
+
+def test_limit_zero_returns_no_rows_and_an_exact_count(fresh):
+    svc, fresh_client = fresh
+    [(outcome, result)] = _answers(
+        fresh_client, "/v1/query", [{"sparql": CREATED, "limit": 0}]
+    )
+    assert outcome == "miss"
+    assert (result["rows"], result["truncated"]) == ([], True)
+    assert result["count"] == svc.evaluate(parse_query(CREATED)).count
+
+
+def _count(svc, sparql: str) -> int:
+    return WireframeEngine(svc.store).evaluate(parse_query(sparql)).count
+
+
+def test_a_limit_at_least_the_count_answers_as_null_does(fresh):
+    svc, fresh_client = fresh
+    count = _count(svc, EXPORTS)
+    docs = [{"sparql": EXPORTS, "limit": limit} for limit in (count + 1, count)]
+    limited = _answers(fresh_client, "/v1/query", docs)
+    assert [outcome for outcome, _ in limited] == ["miss", "hit"]
+    svc.result_cache.clear()  # the null answer gets an evaluation of its own
+    [(outcome, null)] = _answers(
+        fresh_client, "/v1/query", [{"sparql": EXPORTS, "limit": None}]
+    )
+    assert outcome == "miss" and null["count"] == count
+    for _, result in limited:
+        for field in ("rows", "count", "truncated"):
+            assert result[field] == null[field], field
+
+
+def test_batch_with_mixed_limits(fresh):
+    svc, fresh_client = fresh
+    queries = [CREATED, EXPORTS]
+    expected = [_count(svc, q) for q in queries]
+    answers = _answers(fresh_client, "/v1/query", [{"sparql": CREATED, "limit": 3}])
+    batches = _answers(fresh_client, "/v1/batch", [
+        {"queries": queries, "limit": 2},
+        {"queries": queries, "limit": None},
+        {"queries": queries, "limit": 5},
+    ])
+    assert answers[0][0] == "miss"
+    assert [[outcome for outcome, _ in batch] for batch in batches] == [
+        ["hit", "miss"], ["miss", "miss"], ["hit", "hit"],
+    ]
+    full = [result["rows"] for _, result in batches[1]]
+    for batch, limit in zip(batches, (2, None, 5)):
+        for (_, result), rows, count in zip(batch, full, expected):
+            assert result["count"] == count
+            assert result["rows"] == rows[:limit]
+            assert result["truncated"] is (len(rows[:limit]) < count)
 
 
 def _memo(fresh_client) -> dict:

@@ -151,7 +151,7 @@ class ManualService:
         self.futures: list[Future] = []
         self.submitted = threading.Event()
 
-    def submit(self, query, deadline, materialize, trace=None) -> Future:
+    def submit(self, query, deadline, materialize, trace=None, limit=None) -> Future:
         """Record the call and hand back a future the test will resolve."""
         future: Future = Future()
         self.futures.append(future)

@@ -25,10 +25,12 @@ SPARQL = "select ?a, ?b where { ?a created ?b }"
 #: Unique to the include_trace test — a repeated query would hit the
 #: module service's result cache and short-circuit the traced pipeline.
 COLD_SPARQL = "select ?a, ?b where { ?a influences ?b }"
-#: A 3-hop join over the densest predicate: tens of milliseconds of
+#: A 4-hop join over the densest predicate (~72k rows): even with phase
+#: 2 building only the rows a small ``limit`` shows, milliseconds of
 #: engine time, so the traced stages dominate end-to-end latency.
 HEAVY_SPARQL = (
-    "select ?a, ?d where { ?a linksTo ?b . ?b linksTo ?c . ?c linksTo ?d }"
+    "select ?a, ?e where { ?a linksTo ?b . ?b linksTo ?c . ?c linksTo ?d ."
+    " ?d linksTo ?e }"
 )
 
 

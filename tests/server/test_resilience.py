@@ -109,7 +109,7 @@ def test_shed_responses_carry_retry_after_header(tmp_path):
             admitted = threading.Event()
             original = service.submit
 
-            def slow_submit(query, deadline, materialize, trace=None):
+            def slow_submit(query, deadline, materialize, trace=None, limit=None):
                 admitted.set()
                 # A future that completes only when the test says so —
                 # keeps the slot occupied without blocking the server's

@@ -116,7 +116,7 @@ class ManualService:
         self.futures: list[Future] = []
         self.submitted = threading.Event()
 
-    def submit(self, query, deadline, materialize, trace=None) -> Future:
+    def submit(self, query, deadline, materialize, trace=None, limit=None) -> Future:
         future: Future = Future()
         self.futures.append(future)
         self.submitted.set()

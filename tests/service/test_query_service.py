@@ -15,6 +15,10 @@ from repro.service import QueryService
 from repro.utils.deadline import Deadline
 
 
+#: Hundreds of rows on ``mini_yago``: every limit below cuts it.
+MANY_ROWS = "select ?x, ?m where { ?x actedIn ?m }"
+
+
 def expired_deadline() -> Deadline:
     """A deadline that is already exhausted when a worker first polls it."""
     deadline = Deadline(1e-9)
@@ -170,6 +174,71 @@ class TestResultCache:
             assert first.count == second.count
 
 
+class TestRowLimit:
+    """A submission's ``limit`` reaches phase 2: a miss builds at most
+    that many rows, and the entry it leaves serves no larger limit."""
+
+    @staticmethod
+    def outcomes(svc, query, limits):
+        results = [svc.evaluate(query, limit=limit) for limit in limits]
+        return results, [r.stats["service"]["result_cache"] for r in results]
+
+    def test_a_smaller_limit_after_a_larger_one_is_a_hit(self, service):
+        query = parse_sparql(MANY_ROWS)
+        (five, three), outcomes = self.outcomes(service, query, [5, 3])
+        assert outcomes == ["miss", "hit"]
+        assert five.rows == three.rows and len(five.rows) == 5
+        assert five.count == three.count > 5
+
+    def test_a_larger_limit_re_expands_and_replaces_the_entry(self, service):
+        query = parse_sparql(MANY_ROWS)
+        limits = [3, 5, 5, None, None, 2]
+        results, outcomes = self.outcomes(service, query, limits)
+        assert outcomes == ["miss", "miss", "hit", "miss", "hit", "hit"]
+        full = WireframeEngine(service.store).evaluate(query)
+        assert {r.count for r in results} == {full.count}
+        assert [len(r.rows) for r in results] == [3, 5, 5, full.count, full.count,
+                                                  full.count]
+        assert results[0].rows == results[1].rows[:3] == results[3].rows[:3]
+        assert len(service.result_cache) == 1
+        stats = service.result_cache.stats()
+        assert (stats.hits, stats.misses, stats.stale_drops) == (3, 3, 0)
+
+    def test_limit_zero_builds_no_row_and_counts_exactly(self, service, mini_yago):
+        query = parse_sparql(MANY_ROWS)
+        result = service.evaluate(query, limit=0)
+        assert result.rows == []
+        assert result.count == WireframeEngine(service.store).evaluate(
+            query, materialize=False
+        ).count
+        doc = result.to_dict(mini_yago.dictionary, limit=0)
+        assert (doc["rows"], doc["truncated"]) == ([], True)
+
+    def test_truncated_when_a_prefix_entry_serves_a_hit(self, service, mini_yago):
+        query = parse_sparql(MANY_ROWS)
+        service.evaluate(query, limit=4)
+        hit = service.evaluate(query, limit=4)
+        assert hit.stats["service"]["result_cache"] == "hit"
+        for limit in (2, 4):
+            doc = hit.to_dict(mini_yago.dictionary, limit=limit)
+            assert len(doc["rows"]) == limit and doc["truncated"] is True
+        # An answer with no more rows than the limit is whole, not cut.
+        few = parse_sparql("select ?x where { ?x actedIn ?m . ?x wasBornIn ?c }")
+        count = WireframeEngine(service.store).evaluate(few).count
+        whole = service.evaluate(few, limit=count)
+        assert whole.to_dict(mini_yago.dictionary, limit=count)["truncated"] is False
+        assert service.evaluate(few).stats["service"]["result_cache"] == "hit"
+
+    def test_count_only_submissions_ignore_the_limit(self, service):
+        query = parse_sparql(MANY_ROWS)
+        outcomes = [
+            service.evaluate(query, materialize=False, limit=limit)
+            .stats["service"]["result_cache"]
+            for limit in (3, None, 10)
+        ]
+        assert outcomes == ["miss", "hit", "hit"]
+
+
 class TestDeadlines:
     def test_expired_deadline_times_out(self, service, mined_queries):
         with pytest.raises(EvaluationTimeout):
@@ -269,6 +338,48 @@ class TestCoalescing:
         assert svc.stats.coalesced == 3
         assert svc.stats.completed == 4
         assert svc.stats.failures == 0
+
+    def test_follower_attaches_only_to_a_leader_covering_its_limit(
+        self, mini_yago, mined_queries
+    ):
+        blocker, query = mined_queries[0], parse_sparql(MANY_ROWS)
+        with QueryService(mini_yago, max_workers=1,
+                          result_cache_size=0) as svc:
+            self._slow_engine(svc)
+            svc.submit(blocker)  # occupies the single worker
+            leader = svc.submit(query, limit=3)
+            wider = svc.submit(query, limit=5)      # evaluates on its own
+            unlimited = svc.submit(query)           # so does this one
+            narrower = svc.submit(query, limit=2)   # attaches
+            assert svc.stats.coalesced == 1
+            assert len(leader.result(30).rows) == 3
+            assert len(wider.result(30).rows) == 5
+            assert narrower.result(30).rows == leader.result(30).rows
+            assert narrower.result(30).stats["service"]["result_cache"] == "coalesced"
+            full = unlimited.result(30)
+            assert len(full.rows) == full.count > 5
+            # An unlimited leader covers every limit.
+            svc.submit(blocker)
+            lead = svc.submit(query)
+            follower = svc.submit(query, limit=7)
+            assert svc.stats.coalesced == 2
+            assert follower.result(30).rows == lead.result(30).rows
+
+    def test_leader_timeout_resubmits_follower_with_its_limit(
+        self, mini_yago, mined_queries
+    ):
+        blocker, query = mined_queries[0], parse_sparql(MANY_ROWS)
+        with QueryService(mini_yago, max_workers=1,
+                          result_cache_size=0) as svc:
+            self._slow_engine(svc)
+            svc.submit(blocker)
+            leader = svc.submit(query, deadline=expired_deadline())
+            follower = svc.submit(query, limit=2)  # an unlimited leader covers it
+            assert svc.stats.coalesced == 1
+            with pytest.raises(EvaluationTimeout):
+                leader.result(30)
+            result = follower.result(30)
+            assert len(result.rows) == 2 < result.count
 
     def test_coalescing_disabled(self, mini_yago, mined_queries):
         query = mined_queries[0]

@@ -38,6 +38,36 @@ def test_query_wf(capsys):
     assert "?x\t?m" in out
 
 
+def test_query_wf_limit_is_what_phase_2_builds(monkeypatch, capsys):
+    import json
+
+    from repro.core.engine import WireframeEngine
+
+    built = []
+    evaluate_detailed = WireframeEngine.evaluate_detailed
+
+    def recording(self, *args, **kwargs):
+        result = evaluate_detailed(self, *args, **kwargs)
+        built.append(len(result.rows))
+        return result
+
+    monkeypatch.setattr(WireframeEngine, "evaluate_detailed", recording)
+    args = ["query", "--scale", "0.05", "--sparql",
+            "select ?x, ?m where { ?x actedIn ?m }"]
+    assert main(args + ["--limit", "3"]) == 0
+    out = capsys.readouterr().out
+    count = int(out.split(" rows in")[0])
+    assert built == [3] and count > 3
+    assert f"... ({count - 3} more)" in out
+    # At least the count, --json shows every row, as without the limit.
+    assert main(args + ["--limit", str(count), "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert built == [3, count]
+    assert (len(result["rows"]), result["count"], result["truncated"]) == (
+        count, count, False,
+    )
+
+
 def test_query_each_engine(capsys):
     for engine in ("PG", "VT", "MD", "NJ"):
         code = main(
