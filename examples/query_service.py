@@ -9,13 +9,16 @@ statistics catalog exactly once, and serves a whole workload through a
 thread pool with plan caching, result caching, and in-flight request
 coalescing. This example replays a template-heavy workload — the same
 query shapes asked about different entities, plus literal repeats —
-then prints the service's own telemetry.
+then prints the service's own telemetry: ``service.snapshot()``, the
+``/v1/stats`` view of the counters and stage-latency histogram the
+service records in ``service.metrics`` (the registry ``/metrics``
+renders).
 """
 
 import time
 
 from repro import QueryService, WireframeEngine, generate_yago_like, parse_query
-from repro.service.stats import format_stats
+from repro.cli import format_stats
 
 # ----------------------------------------------------------------------
 # 1. Offline prep: one YAGO-like store, frozen for serving.

@@ -130,7 +130,6 @@ from repro.service import (
     PlanCache,
     QueryService,
     ResultCache,
-    ServiceStats,
     plan_signature,
     query_signature,
 )
@@ -168,7 +167,7 @@ try:
 
     __version__ = _pkg_version("repro-answer-graph")
 except _PkgNotFound:  # pragma: no cover — uninstalled checkout
-    __version__ = "1.2.0"
+    __version__ = "1.3.0"
 
 #: Deprecated top-level names: old name -> (replacement name, object).
 #: Accessing one still works for a minor release but warns.
@@ -280,7 +279,6 @@ __all__ = [
     "QueryService",
     "PlanCache",
     "ResultCache",
-    "ServiceStats",
     "plan_signature",
     "query_signature",
     "HashJoinEngine",

@@ -429,13 +429,36 @@ def _parse_query_file(text: str):
     return [parse_query(b) for b in blocks if b]
 
 
+def format_stats(snapshot: dict) -> str:
+    """One-screen rendering of :meth:`QueryService.snapshot
+    <repro.service.QueryService.snapshot>` (``repro batch``'s summary)."""
+    lines = []
+    for key in ("completed", "coalesced", "timeouts", "failures", "queued", "running"):
+        lines.append(f"  {key:<12} {snapshot.get(key, 0)}")
+    for name in ("plan_cache", "result_cache"):
+        cache = snapshot.get(name)
+        if cache:
+            lines.append(
+                f"  {name:<12} {cache['hits']}/{cache['lookups']} hits "
+                f"({100.0 * cache['hit_rate']:.0f}%)"
+            )
+    latencies = snapshot.get("latency_seconds", {})
+    for phase in ("queue", "plan", "exec", "total"):
+        digest = latencies.get(phase)
+        if digest and digest["count"]:
+            lines.append(
+                f"  {phase + ' (s)':<12} mean {digest['mean']:.4f}  "
+                f"p50 {digest['p50']:.4f}  p99 {digest['p99']:.4f}"
+            )
+    return "\n".join(lines)
+
+
 def _cmd_batch(args) -> int:
     import json
 
     from repro.errors import EvaluationTimeout as _Timeout
     from repro.errors import ReproError as _ReproError
     from repro.service import QueryService
-    from repro.service.stats import format_stats
 
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)

@@ -18,8 +18,8 @@ Three metric kinds, Prometheus semantics:
   (:data:`DEFAULT_BUCKETS`, a 1–2.5–5 decade ladder from 100 µs to
   10 s), observation cost one bisect + one lock.
 
-Metrics over *existing* state (queue depth, WAL gauges, cache hit
-counts) register as **callbacks** evaluated at scrape time — the hot
+Metrics over *existing* state (WAL gauges, cache hit counts, store
+size) register as **callbacks** evaluated at scrape time — the hot
 path pays nothing for them.
 
 :meth:`MetricsRegistry.dump` emits a JSON-able structure that rides the
@@ -84,6 +84,10 @@ class _Bound:
 
     def set(self, value: float) -> None:
         self._family._set(self._key, value)
+
+    def value(self) -> float:
+        """Counter/gauge only: this child's current value."""
+        return self._family.value(*self._key)
 
     def observe(self, value: float) -> None:
         # Histogram-only. The cell, bucket bounds, and lock are resolved
@@ -312,6 +316,31 @@ class Histogram(_Metric):
             if cell is None:
                 return 0, 0.0
             return sum(cell[:-1]), cell[-1]
+
+    def quantile(self, q: float, *label_values) -> float:
+        """Bucket estimate of the ``q``-quantile (0 <= q <= 1).
+
+        Nearest rank over the bucket bounds: the upper bound of the
+        bucket holding the observation at rank ``int(q * count)``. 0.0
+        before the first observation; the largest finite bound when that
+        observation overflowed the ladder.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q!r}")
+        key = tuple(str(v) for v in label_values)
+        with self._lock:
+            cell = self._counts.get(key)
+            counts = cell[:-1] if cell is not None else []
+        total = sum(counts)
+        if not total:
+            return 0.0
+        rank = min(int(q * total), total - 1)
+        running = 0
+        for bound, count in zip(self.buckets, counts):
+            running += count
+            if running > rank:
+                return bound
+        return self.buckets[-1]
 
     def dump(self) -> dict:
         out = self.describe()

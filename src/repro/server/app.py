@@ -527,9 +527,7 @@ class HTTPQueryServer:
                 "service_swap",
                 swaps=self._swaps,
                 epoch=service.epoch,
-                generation=service.snapshot().get("snapshot", {}).get(
-                    "generation"
-                ),
+                generation=service.source["generation"],
             )
         return old
 

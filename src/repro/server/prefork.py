@@ -175,19 +175,21 @@ class _WorkerRuntime:
         if close is not None:
             close()
 
+    @property
+    def generation(self) -> "int | None":
+        """The snapshot generation this worker's service answers from."""
+        if self.service is None:
+            return None
+        return self.service.source["generation"]
+
     def worker_gauges(self) -> dict:
         """The per-worker block merged into ``/v1/stats`` (and the pool)."""
         service = self.service
-        source = (
-            service.snapshot()["snapshot"]
-            if service is not None
-            else {"path": None, "generation": None}
-        )
         return {
             "id": self.worker_id,
             "pid": os.getpid(),
-            "generation": source["generation"],
-            "snapshot_path": source["path"],
+            "generation": self.generation,
+            "snapshot_path": service.source["path"] if service is not None else None,
             "rss_bytes": _rss_bytes(),
             "reloads": self.reloads,
             "uptime_seconds": time.time() - self.started_at,
@@ -215,7 +217,7 @@ async def _worker_reload(runtime: _WorkerRuntime) -> dict:
     return {
         "type": "reloaded",
         "worker": runtime.worker_id,
-        "generation": runtime.worker_gauges()["generation"],
+        "generation": runtime.generation,
     }
 
 
@@ -240,7 +242,7 @@ async def _worker_serve(
     if logger is not None:
         logger.log(
             "worker_ready",
-            generation=runtime.worker_gauges()["generation"],
+            generation=runtime.generation,
         )
     conn.setblocking(False)
     reader, writer = await asyncio.open_unix_connection(sock=conn)
@@ -253,7 +255,7 @@ async def _worker_serve(
             "type": "ready",
             "worker": runtime.worker_id,
             "pid": os.getpid(),
-            "generation": runtime.worker_gauges()["generation"],
+            "generation": runtime.generation,
         }
     )
     await writer.drain()
@@ -309,7 +311,7 @@ async def _worker_serve(
                         "worker": runtime.worker_id,
                         "error": f"{type(exc).__name__}: {exc}",
                         "token": token,
-                        "generation": runtime.worker_gauges()["generation"],
+                        "generation": runtime.generation,
                     }
                     if logger is not None:
                         logger.log(
@@ -1077,6 +1079,14 @@ class PreforkServer:
             )
         return True
 
+    def _worker_stats(self):
+        """One ``stats`` RPC per slot, yielding ``(slot, data)``; ``data``
+        is ``None`` for a worker that did not answer."""
+        for slot in self._slots:
+            reply = self._rpc(slot, {"type": "stats"})
+            ok = reply is not None and reply.get("type") == "stats"
+            yield slot, (reply["data"] if ok else None)
+
     def pool_stats(self) -> dict:
         """Aggregate per-worker gauges into the pool-level view.
 
@@ -1087,15 +1097,13 @@ class PreforkServer:
         in_flight = 0
         requests = 0
         generations = set()
-        for slot in self._slots:
-            reply = self._rpc(slot, {"type": "stats"})
+        for slot, data in self._worker_stats():
             entry: dict = {
                 "index": slot.index,
                 "alive": slot.alive,
                 "pid": slot.proc.pid if slot.proc is not None else None,
             }
-            if reply is not None and reply.get("type") == "stats":
-                data = reply["data"]
+            if data is not None:
                 entry.update(data["worker"])
                 entry["http"] = data["http"]
                 in_flight += data["http"]["in_flight"]
@@ -1149,13 +1157,11 @@ class PreforkServer:
         snapshot generation takes the max). Unreachable workers are
         skipped — a scrape never blocks on a corpse.
         """
-        worker_dumps = []
-        for slot in self._slots:
-            reply = self._rpc(slot, {"type": "stats"})
-            if reply is not None and reply.get("type") == "stats":
-                dump = reply["data"].get("metrics")
-                if dump:
-                    worker_dumps.append(dump)
+        worker_dumps = [
+            data["metrics"]
+            for _slot, data in self._worker_stats()
+            if data is not None and data.get("metrics")
+        ]
         aggregated = aggregate_dumps(worker_dumps) if worker_dumps else []
         return render_dump(self.metrics.dump() + aggregated)
 

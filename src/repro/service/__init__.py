@@ -17,24 +17,21 @@ pushes many queries through it. This package provides that layer:
   mentions a predicate it changed (plans likewise).
 - :class:`~repro.service.query_service.QueryService` — the façade: a
   thread pool over the immutable store, ``submit()`` returning futures,
-  ``evaluate_many()`` for batches with per-query deadlines, and
-  aggregate :class:`~repro.service.stats.ServiceStats` (hit rates,
-  queue depth, latency percentiles).
+  ``evaluate_many()`` for batches with per-query deadlines. Its counters
+  and stage latencies live once, in its ``metrics`` registry, which
+  ``snapshot()`` (the ``/v1/stats`` view) reads back.
 """
 
 from repro.service.caches import CacheStats, LRUCache, PlanCache, ResultCache
 from repro.service.query_service import QueryService
 from repro.service.signature import plan_signature, query_signature
-from repro.service.stats import LatencyDigest, ServiceStats
 
 __all__ = [
     "CacheStats",
     "LRUCache",
-    "LatencyDigest",
     "PlanCache",
     "QueryService",
     "ResultCache",
-    "ServiceStats",
     "plan_signature",
     "query_signature",
 ]

@@ -47,9 +47,11 @@ from repro.obs.trace import activate_trace, current_trace, deactivate_trace
 from repro.query.model import ConjunctiveQuery
 from repro.service.caches import PlanCache, ResultCache
 from repro.service.signature import plan_signature, query_signature
-from repro.service.stats import ServiceStats
 from repro.stats.catalog import Catalog
 from repro.utils.deadline import Deadline
+
+#: ``repro_service_stage_seconds`` labels: queue wait, planning, execution, total.
+_PHASES = ("queue", "plan", "exec", "total")
 
 
 def _default_workers() -> int:
@@ -147,7 +149,6 @@ class QueryService:
         max_workers: int | None = None,
         plan_cache_size: int = 512,
         result_cache_size: int = 256,
-        latency_window: int = 2048,
         coalesce: bool = True,
         freeze: bool = False,
         read_only: bool = False,
@@ -164,11 +165,10 @@ class QueryService:
         self.max_workers = max_workers if max_workers is not None else _default_workers()
         self.plan_cache = PlanCache(plan_cache_size)
         self.result_cache = ResultCache(result_cache_size)
-        # The per-service metrics registry: stage-latency histograms are
-        # fed by ServiceStats, everything else reads live state through
-        # scrape-time callbacks (zero hot-path cost).
+        # The per-service metrics registry: the only record of what the
+        # service counts and times itself (see _register_metrics);
+        # snapshot() reads /v1/stats back out of it.
         self.metrics = MetricsRegistry()
-        self.stats = ServiceStats(window=latency_window, registry=self.metrics)
         self.coalesce = coalesce
         # key -> (leader future, leader budget in seconds at submit,
         # leader row limit).
@@ -206,49 +206,44 @@ class QueryService:
         self._register_metrics()
 
     def _register_metrics(self) -> None:
-        """Register scrape-time callbacks over the service's live state.
+        """Register the service's metrics.
 
-        Nothing here touches the query hot path: every value is read
-        when ``/metrics`` is scraped. WAL/snapshot callbacks return
-        ``None`` (sample omitted) when the underlying facility is not
-        attached to this service.
+        Facts the service records itself are children bound once here.
+        Everything else is a scrape-time callback over state other
+        objects own; WAL/snapshot callbacks return ``None`` (sample
+        omitted) when the facility is not attached to this service.
         """
         reg = self.metrics
-        stats = self.stats
-        reg.callback(
+        self._queue_depth = reg.gauge(
             "repro_service_queue_depth",
             "Queries submitted but not yet picked up by a worker.",
-            lambda: stats.queued,
+        ).labels()
+        self._in_flight = reg.gauge(
+            "repro_service_in_flight", "Queries currently evaluating."
+        ).labels()
+        queries = reg.counter(
+            "repro_service_queries_total", "Completed queries by outcome.", ("outcome",)
         )
-        reg.callback(
-            "repro_service_in_flight",
-            "Queries currently evaluating.",
-            lambda: stats.running,
-        )
-        reg.callback(
-            "repro_service_queries_total",
-            "Completed queries by outcome.",
-            lambda: {
-                ("ok",): stats.completed,
-                ("timeout",): stats.timeouts,
-                ("error",): stats.failures,
-            },
-            kind="counter",
-            labelnames=("outcome",),
-        )
-        reg.callback(
+        self._outcomes = {}
+        for outcome in ("ok", "timeout", "error"):
+            self._outcomes[outcome] = queries.labels(outcome)
+            self._outcomes[outcome].inc(0)  # scraped as 0 before any query
+        self._coalesced = reg.counter(
             "repro_service_coalesced_total",
             "Duplicate in-flight queries attached to a leader's future.",
-            lambda: stats.coalesced,
-            kind="counter",
-        )
-        reg.callback(
+        ).labels()
+        self._short_circuits = reg.counter(
             "repro_service_result_cache_short_circuits_total",
             "Queries answered from the result cache without entering "
             "the pool.",
-            lambda: stats.result_cache_short_circuits,
-            kind="counter",
+        ).labels()
+        self._stage_seconds = reg.histogram(
+            "repro_service_stage_seconds",
+            "Per-phase service latency (queue wait, planning, "
+            "execution, and their total).",
+            labelnames=("stage",),
         )
+        self._stages = [self._stage_seconds.labels(phase) for phase in _PHASES]
         for metric, field in (
             ("repro_cache_lookups_total", "lookups"),
             ("repro_cache_hits_total", "hits"),
@@ -761,8 +756,9 @@ class QueryService:
             # Served without touching the pool: complete the future now,
             # with the entry's own hit-annotated result (and whatever
             # rendering of it the entry already carries).
-            self.stats.record_result_cache_short_circuit()
-            self.stats.record_latency(0.0, 0.0, 0.0)
+            self._short_circuits.inc()
+            self._outcomes["ok"].inc()
+            self._record_latency(0.0, 0.0, 0.0)
             future: "Future[EngineResult]" = Future()
             future.set_result(cached)
             return future
@@ -790,20 +786,17 @@ class QueryService:
                 ):
                     leader = entry[0]
             if leader is None:
-                self.stats.enqueued()
-                future = self._pool.submit(
-                    self._run,
-                    query,
-                    result_key,
-                    plan_key,
-                    epoch,
-                    versions,
-                    deadline,
-                    materialize,
-                    limit,
-                    submitted_at,
-                    trace,
-                )
+                self._queue_depth.inc()
+                try:
+                    future = self._pool.submit(
+                        self._run, query, result_key, plan_key, epoch, versions,
+                        deadline, materialize, limit, submitted_at, trace,
+                    )
+                except RuntimeError:
+                    # The pool refused the job (a close() raced past the
+                    # check above): no worker will ever pick it up.
+                    self._queue_depth.dec()
+                    raise
                 if self.coalesce and inflight_key not in self._inflight:
                     self._inflight[inflight_key] = (future, budget, limit)
                     future.add_done_callback(
@@ -816,7 +809,7 @@ class QueryService:
         # callback may run synchronously and (on leader timeout)
         # re-enter submit(), which takes the lock again.
         follower: "Future[EngineResult]" = Future()
-        self.stats.record_coalesced()
+        self._coalesced.inc()
         leader.add_done_callback(
             self._follower_callback(follower, query, deadline, materialize, limit)
         )
@@ -841,7 +834,7 @@ class QueryService:
         def callback(leader: "Future[EngineResult]") -> None:
             exc = leader.exception()
             if exc is None:
-                self.stats.record_coalesced_outcome(ok=True)
+                self._outcomes["ok"].inc()
                 follower.set_result(
                     self._annotate(leader.result(), "coalesced", "coalesced")
                 )
@@ -855,7 +848,7 @@ class QueryService:
                 else:
                     retry.add_done_callback(_chain_future(follower))
             else:
-                self.stats.record_coalesced_outcome(ok=False)
+                self._outcomes["error"].inc()
                 follower.set_exception(exc)
 
         return callback
@@ -925,7 +918,8 @@ class QueryService:
         submitted_at: float,
         trace=None,
     ) -> EngineResult:
-        self.stats.started()
+        self._queue_depth.dec()
+        self._in_flight.inc()
         picked_up = time.perf_counter()
         queue_seconds = picked_up - submitted_at
         outcome = "error"
@@ -954,7 +948,7 @@ class QueryService:
             )
             if cached is not None:
                 outcome = "ok"
-                self.stats.record_latency(queue_seconds, 0.0, 0.0)
+                self._record_latency(queue_seconds, 0.0, 0.0)
                 return self._annotate(
                     cached, "cached", "hit", queue_seconds=queue_seconds
                 )
@@ -993,7 +987,7 @@ class QueryService:
                     self._annotate(result, "cached", "hit"),
                 )
             outcome = "ok"
-            self.stats.record_latency(queue_seconds, t1 - t0, exec_seconds)
+            self._record_latency(queue_seconds, t1 - t0, exec_seconds)
             return self._annotate(
                 result, plan_outcome, "miss", queue_seconds=queue_seconds
             )
@@ -1004,7 +998,16 @@ class QueryService:
         finally:
             if token is not None:
                 deactivate_trace(token)
-            self.stats.finished(outcome)
+            self._in_flight.dec()
+            self._outcomes[outcome].inc()
+
+    def _record_latency(self, queue: float, plan: float, exec_: float) -> None:
+        """Observe one query's per-phase seconds, and their total."""
+        stages = self._stages
+        stages[0].observe(queue)
+        stages[1].observe(plan)
+        stages[2].observe(exec_)
+        stages[3].observe(queue + plan + exec_)
 
     @staticmethod
     def _annotate(
@@ -1032,23 +1035,45 @@ class QueryService:
     # Reporting
     # ------------------------------------------------------------------
 
+    @property
+    def source(self) -> dict:
+        """Which durable snapshot is answering: ``{"path", "generation"}``,
+        both ``None`` for a service built over an in-memory store."""
+        return {"path": self._source_path, "generation": self._source_generation}
+
     def snapshot(self) -> dict:
-        """All service statistics as one JSON-compatible dict."""
-        snap = self.stats.snapshot()
-        snap["plan_cache"] = self._cache_dict(self.plan_cache)
-        snap["result_cache"] = self._cache_dict(self.result_cache)
-        snap["epoch"] = self._epoch
-        snap["backend"] = self._backend_name
-        snap["max_workers"] = self.max_workers
-        snap["store_triples"] = self.store.num_triples
-        snap["catalog_refreshes"] = dict(self.store.catalog_refreshes)
-        snap["read_only"] = self.read_only
-        snap["degraded"] = self.degraded
-        # Which durable generation is answering (the handoff gauge):
-        # None/None for a service built over an in-memory store.
-        snap["snapshot"] = {
-            "path": self._source_path,
-            "generation": self._source_generation,
+        """All service statistics as one JSON-compatible dict.
+
+        The service's own counters are read back from :attr:`metrics`;
+        ``queued``/``running`` alias the live gauges ``queue_depth`` and
+        ``in_flight``. ``latency_seconds`` percentiles are bucket
+        estimates since start, so ``samples == window_size == count``.
+        """
+        queued = int(self._queue_depth.value())
+        running = int(self._in_flight.value())
+        snap = {
+            "queued": queued,
+            "running": running,
+            "queue_depth": queued,
+            "in_flight": running,
+            "completed": int(self._outcomes["ok"].value()),
+            "timeouts": int(self._outcomes["timeout"].value()),
+            "failures": int(self._outcomes["error"].value()),
+            "result_cache_short_circuits": int(self._short_circuits.value()),
+            "coalesced": int(self._coalesced.value()),
+            "latency_seconds": {
+                phase: self._latency_summary(phase) for phase in _PHASES
+            },
+            "plan_cache": self._cache_dict(self.plan_cache),
+            "result_cache": self._cache_dict(self.result_cache),
+            "epoch": self._epoch,
+            "backend": self._backend_name,
+            "max_workers": self.max_workers,
+            "store_triples": self.store.num_triples,
+            "catalog_refreshes": dict(self.store.catalog_refreshes),
+            "read_only": self.read_only,
+            "degraded": self.degraded,
+            "snapshot": self.source,
         }
         hook = self.store.write_log
         if hook is not None:
@@ -1068,6 +1093,20 @@ class QueryService:
             )
             snap["wal"] = wal_stats
         return snap
+
+    def _latency_summary(self, phase: str) -> dict:
+        """One phase of ``repro_service_stage_seconds``, as ``/v1/stats`` shows it."""
+        stages = self._stage_seconds
+        count, total = stages.sample(phase)
+        return {
+            "count": float(count),
+            "mean": total / count if count else 0.0,
+            "p50": stages.quantile(0.50, phase),
+            "p90": stages.quantile(0.90, phase),
+            "p99": stages.quantile(0.99, phase),
+            "window_size": float(count),
+            "samples": float(count),
+        }
 
     @staticmethod
     def _cache_dict(cache) -> dict:

@@ -64,6 +64,44 @@ def test_histogram_buckets_cumulative_in_dump():
     assert histo.sample() == (5, pytest.approx(56.05))
 
 
+def test_histogram_quantile_of_an_empty_series_is_zero():
+    histo = Histogram("repro_t_seconds", "help", buckets=(0.1, 1.0),
+                      labelnames=("stage",))
+    histo.labels("other").observe(0.5)
+    assert histo.quantile(0.5, "total") == 0.0
+    with pytest.raises(ValueError):
+        histo.quantile(1.5, "other")
+
+
+def test_histogram_quantile_of_all_zeros_is_the_first_bound():
+    histo = Histogram("repro_t_seconds", "help", buckets=(0.1, 1.0))
+    for _ in range(3):
+        histo.observe(0.0)
+    assert [histo.quantile(q) for q in (0.0, 0.5, 1.0)] == [0.1, 0.1, 0.1]
+
+
+def test_histogram_quantile_on_overflow_is_the_largest_finite_bound():
+    histo = Histogram("repro_t_seconds", "help", buckets=(0.1, 1.0))
+    histo.observe(0.05)
+    histo.observe(50.0)
+    assert histo.quantile(0.0) == 0.1
+    assert histo.quantile(0.99) == 1.0
+
+
+def test_histogram_quantile_is_nearest_rank_over_bucket_bounds():
+    histo = Histogram("repro_t_seconds", "help", buckets=(0.1, 1.0, 10.0))
+    # Ten observations: ranks 0-3 in (0, 0.1], 4-8 in (0.1, 1], 9 in (1, 10];
+    # a value on a bound belongs to that bound's bucket.
+    for value in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 5.0):
+        histo.observe(value)
+    assert histo.quantile(0.0) == 0.1
+    assert histo.quantile(0.39) == 0.1   # rank 3
+    assert histo.quantile(0.4) == 1.0    # rank 4
+    assert histo.quantile(0.89) == 1.0   # rank 8
+    assert histo.quantile(0.9) == 10.0   # rank 9
+    assert histo.quantile(1.0) == 10.0   # clamped to the last rank
+
+
 def test_histogram_rejects_bad_ladders():
     for bad in ((), (1.0, 1.0), (2.0, 1.0)):
         with pytest.raises(ValueError):

@@ -277,19 +277,28 @@ def test_wal_metrics_absent_without_wal(client):
 
 
 # ----------------------------------------------------------------------
-# /v1/stats: percentile provenance
+# /v1/stats and /metrics: one source
 # ----------------------------------------------------------------------
 
 
-def test_latency_digests_expose_window_and_samples(client):
-    assert client.post("/v1/query", {"sparql": SPARQL})[0] == 200
-    status, stats, _ = client.get("/v1/stats")
-    assert status == 200
+def test_stats_and_metrics_read_one_source(fresh):
+    _svc, fresh_client = fresh
+    queries = 5
+    for _ in range(queries):  # one miss, then result-cache hits
+        assert fresh_client.post("/v1/query", {"sparql": SPARQL})[0] == 200
+    service = fresh_client.get("/v1/stats")[1]["service"]
+    families = parse_exposition(fresh_client.get_text("/metrics")[1])
+    ok = sample_value(families, "repro_service_queries_total", {"outcome": "ok"})
+    total = sample_value(
+        families, "repro_service_stage_seconds_count", {"stage": "total"}
+    )
+    assert service["completed"] == ok == queries
+    assert service["latency_seconds"]["total"]["count"] == total == queries
+    # The percentiles estimate every observation since start.
     for phase in ("queue", "plan", "exec", "total"):
-        digest = stats["service"]["latency_seconds"][phase]
-        assert digest["window_size"] >= 1
-        assert 0 <= digest["samples"] <= digest["window_size"]
-    assert stats["service"]["latency_seconds"]["total"]["samples"] >= 1
+        digest = service["latency_seconds"][phase]
+        assert digest["samples"] == digest["window_size"] == digest["count"]
+        assert 0.0 <= digest["p50"] <= digest["p90"] <= digest["p99"]
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """QueryService: concurrency, caching, invalidation, and determinism."""
 
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -67,6 +69,17 @@ class TestBasics:
         svc.close()
         with pytest.raises(RuntimeError):
             svc.submit(parse_sparql("select ?x where { ?x actedIn ?m }"))
+
+    def test_refused_submission_leaves_no_queue_depth(self, mini_yago):
+        # A close() racing submit() past its closed-check: the pool
+        # refuses the job, so nothing is left queued.
+        with QueryService(mini_yago, max_workers=1) as svc:
+            svc._pool.shutdown(wait=True)
+            with pytest.raises(RuntimeError):
+                svc.submit(parse_sparql("select ?x where { ?x actedIn ?m }"))
+            snap = svc.snapshot()
+            assert (snap["queue_depth"], snap["queued"]) == (0, 0)
+            assert svc.metrics.get("repro_service_queue_depth").value() == 0
 
     def test_snapshot_shape(self, service, mined_queries):
         service.evaluate(mined_queries[0])
@@ -257,7 +270,7 @@ class TestDeadlines:
         serial = WireframeEngine(mini_yago)
         assert results[0].count == serial.evaluate(queries[0]).count
         assert results[2].count == serial.evaluate(queries[2]).count
-        assert svc.stats.timeouts == 2
+        assert svc.snapshot()["timeouts"] == 2
 
     def test_timeout_raises_without_return_exceptions(self, service,
                                                       mined_queries):
@@ -293,9 +306,10 @@ class TestCoalescing:
             futures = [svc.submit(query) for _ in range(5)]
             counts = {f.result(30).count for f in futures}
         assert len(counts) == 1
-        assert svc.stats.coalesced == 4
+        snap = svc.snapshot()
+        assert snap["coalesced"] == 4
         # Exactly one evaluation ran: the others were deduplicated.
-        assert svc.stats.latency["exec"].count == 1
+        assert snap["latency_seconds"]["exec"]["count"] == 1
 
     def test_leader_timeout_retries_follower(self, mini_yago, mined_queries):
         blocker, query = mined_queries[0], mined_queries[1]
@@ -323,8 +337,9 @@ class TestCoalescing:
             lead = svc.submit(query)                   # unlimited budget
             strict = svc.submit(query, deadline=5.0)   # stricter
             assert lead.result(30).count == strict.result(30).count
-        assert svc.stats.coalesced == 0
-        assert svc.stats.latency["exec"].count == 2  # both evaluated
+        snap = svc.snapshot()
+        assert snap["coalesced"] == 0
+        assert snap["latency_seconds"]["exec"]["count"] == 2  # both evaluated
 
     def test_follower_counts_once_resolved(self, mini_yago, mined_queries):
         query = mined_queries[0]
@@ -335,9 +350,8 @@ class TestCoalescing:
             for future in futures:
                 future.result(30)
         # 1 leader + 3 followers, all successful: the books balance.
-        assert svc.stats.coalesced == 3
-        assert svc.stats.completed == 4
-        assert svc.stats.failures == 0
+        snap = svc.snapshot()
+        assert (snap["coalesced"], snap["completed"], snap["failures"]) == (3, 4, 0)
 
     def test_follower_attaches_only_to_a_leader_covering_its_limit(
         self, mini_yago, mined_queries
@@ -351,7 +365,7 @@ class TestCoalescing:
             wider = svc.submit(query, limit=5)      # evaluates on its own
             unlimited = svc.submit(query)           # so does this one
             narrower = svc.submit(query, limit=2)   # attaches
-            assert svc.stats.coalesced == 1
+            assert svc.snapshot()["coalesced"] == 1
             assert len(leader.result(30).rows) == 3
             assert len(wider.result(30).rows) == 5
             assert narrower.result(30).rows == leader.result(30).rows
@@ -362,7 +376,7 @@ class TestCoalescing:
             svc.submit(blocker)
             lead = svc.submit(query)
             follower = svc.submit(query, limit=7)
-            assert svc.stats.coalesced == 2
+            assert svc.snapshot()["coalesced"] == 2
             assert follower.result(30).rows == lead.result(30).rows
 
     def test_leader_timeout_resubmits_follower_with_its_limit(
@@ -375,7 +389,7 @@ class TestCoalescing:
             svc.submit(blocker)
             leader = svc.submit(query, deadline=expired_deadline())
             follower = svc.submit(query, limit=2)  # an unlimited leader covers it
-            assert svc.stats.coalesced == 1
+            assert svc.snapshot()["coalesced"] == 1
             with pytest.raises(EvaluationTimeout):
                 leader.result(30)
             result = follower.result(30)
@@ -388,7 +402,37 @@ class TestCoalescing:
             futures = [svc.submit(query) for _ in range(3)]
             counts = {f.result(30).count for f in futures}
         assert len(counts) == 1
-        assert svc.stats.coalesced == 0
+        assert svc.snapshot()["coalesced"] == 0
+
+
+class TestStatsBooks:
+    def test_concurrent_recording_loses_no_update(self, mini_yago, mined_queries):
+        """Submitting threads, pool workers and coalescing callbacks all
+        record into the same registry children: under a short switch
+        interval every submission still counts exactly once."""
+        callers, per_caller = 6, 40
+
+        def caller(i):
+            futures = [
+                svc.submit(mined_queries[(i + j) % len(mined_queries)])
+                for j in range(per_caller)
+            ]
+            return [f.result(30) for f in futures]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryService(mini_yago, max_workers=4, result_cache_size=2) as svc:
+                with ThreadPoolExecutor(max_workers=callers) as pool:
+                    list(pool.map(caller, range(callers), timeout=60))
+                snap = svc.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        submitted = callers * per_caller
+        assert snap["completed"] == submitted
+        assert (snap["queue_depth"], snap["in_flight"], snap["failures"]) == (0, 0, 0)
+        # Followers take their leader's answer and record no latency.
+        assert snap["latency_seconds"]["total"]["count"] == submitted - snap["coalesced"]
 
 
 class TestAcceptanceScenario:
