@@ -597,17 +597,24 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             on_ready=on_ready,
-            max_pending=args.max_pending,
-            max_body_bytes=args.max_body_kib * 1024,
-            default_timeout=args.timeout if args.timeout > 0 else None,
-            default_row_limit=args.limit,
-            slow_query_seconds=(
-                args.slow_query_ms / 1000.0
-                if args.slow_query_ms is not None else None
-            ),
+            **_server_options(args),
             logger=JsonLogger() if args.log_json else None,
         )
     return 0
+
+
+def _server_options(args) -> dict:
+    """The ``HTTPQueryServer`` options of ``serve``, one process or N."""
+    return {
+        "max_pending": args.max_pending,
+        "max_body_bytes": args.max_body_kib * 1024,
+        "default_timeout": args.timeout if args.timeout > 0 else None,
+        "default_row_limit": args.limit,
+        "slow_query_seconds": (
+            args.slow_query_ms / 1000.0
+            if args.slow_query_ms is not None else None
+        ),
+    }
 
 
 def _serve_prefork(args) -> int:
@@ -661,16 +668,7 @@ def _serve_prefork(args) -> int:
         ),
         watchdog_timeout=args.watchdog_timeout,
         log_json=args.log_json,
-        server_options={
-            "max_pending": args.max_pending,
-            "max_body_bytes": args.max_body_kib * 1024,
-            "default_timeout": args.timeout if args.timeout > 0 else None,
-            "default_row_limit": args.limit,
-            "slow_query_seconds": (
-                args.slow_query_ms / 1000.0
-                if args.slow_query_ms is not None else None
-            ),
-        },
+        server_options=_server_options(args),
     )
     return 0
 

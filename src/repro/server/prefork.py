@@ -7,16 +7,14 @@ spawns N **worker** processes that each warm-start a read-only
 generation (``QueryService.from_snapshot`` — zero-copy mmap, so the
 page cache holds one physical copy of the store no matter how many
 workers map it) and accept connections straight off the shared socket.
-Accept distribution is kernel-level: the listening fd is passed to
-every worker over a Unix-domain control socket (``SCM_RIGHTS`` via
-:func:`socket.send_fds`), all workers sit in ``accept`` on the same
+Accept distribution is kernel-level: every worker inherits the
+listening fd at spawn, all of them sit in ``accept`` on the same
 queue, and no request is ever proxied through the parent.
 
-Control plane — one Unix socket per worker, JSON lines::
+Control plane — one socket pair per worker, JSON lines. The worker
+inherits the listening socket and its end of the pair at spawn, with
+its configuration on the command line, so the channel opens with::
 
-    worker → parent   {"type": "hello", "worker": i, "pid": ...}
-    parent → worker   1 byte + the listening fd (SCM_RIGHTS)
-    parent → worker   {"type": "configure", "snapshot": ..., ...}
     worker → parent   {"type": "ready", "generation": ...}
     parent → worker   {"type": "reload"}          # new generation
     worker → parent   {"type": "reloaded", ...}   # after swap + drain
@@ -61,28 +59,23 @@ normal backoff.
 
 Workers are spawned as ``python -m repro.server._prefork_worker``
 subprocesses (never forked from a threaded parent), which keeps the
-module import-safe under pytest and any embedding application.
+module import-safe under pytest and any embedding application; that
+module is the worker program, this one the dispatcher.
 """
 
 from __future__ import annotations
 
-import argparse
-import asyncio
 import json
 import os
-import shutil
 import socket
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 
 from repro.obs.exposition import CONTENT_TYPE, render_dump
 from repro.obs.logging import JsonLogger
 from repro.obs.metrics import MetricsRegistry, aggregate_dumps
-from repro.server.app import HTTPQueryServer
-from repro.service.query_service import QueryService
 from repro.storage.generations import (
     SnapshotWatcher,
     clear_quarantine,
@@ -90,11 +83,12 @@ from repro.storage.generations import (
     is_quarantined,
     quarantine,
     quarantined,
+    rollback_generation,
 )
 
-__all__ = ["PreforkServer", "serve_prefork", "worker_main"]
+__all__ = ["PreforkServer", "serve_prefork"]
 
-#: Handshake / RPC timeout for a healthy worker (seconds). Reloads get
+#: Spawn / RPC timeout for a healthy worker (seconds). Reloads get
 #: their own, longer budget — building a service can dwarf an RPC.
 CONTROL_TIMEOUT = 60.0
 
@@ -102,300 +96,10 @@ CONTROL_TIMEOUT = 60.0
 RELOAD_TIMEOUT = 300.0
 
 
-def _rss_bytes() -> "int | None":
-    """Resident set size of this process, or ``None`` off-Linux."""
-    try:
-        with open("/proc/self/status", "r", encoding="ascii") as handle:
-            for line in handle:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        pass
-    return None
-
-
 def _send_line(sock_file, message: dict) -> None:
     """Write one JSON control line and flush it."""
     sock_file.write(json.dumps(message).encode("utf-8") + b"\n")
     sock_file.flush()
-
-
-def _recv_line_raw(conn: socket.socket) -> bytes:
-    """Read one newline-terminated line byte-by-byte off a raw socket.
-
-    Used only during the worker handshake, *before* the socket is
-    handed to asyncio — byte-at-a-time reading guarantees nothing past
-    the newline is consumed into a buffer asyncio cannot see. Control
-    lines are tiny, and the parent never pipelines past the handshake.
-    """
-    chunks = []
-    while True:
-        byte = conn.recv(1)
-        if not byte:
-            raise ConnectionError("control socket closed during handshake")
-        if byte == b"\n":
-            return b"".join(chunks)
-        chunks.append(byte)
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-
-
-class _WorkerRuntime:
-    """Mutable per-worker state shared by the HTTP and control tasks."""
-
-    def __init__(self, worker_id: int, config: dict):
-        self.worker_id = worker_id
-        self.config = config
-        self.service: "QueryService | None" = None
-        self.server: "HTTPQueryServer | None" = None
-        self.reloads = 0
-        self.started_at = time.time()
-
-    def build_service(self) -> QueryService:
-        """Open a fresh read-only service over the configured snapshot."""
-        config = self.config
-        return QueryService.from_snapshot(
-            config["snapshot"],
-            backend=config.get("backend"),
-            verify=config.get("verify", True),
-            read_only=True,
-            max_workers=config.get("threads"),
-            **(config.get("service_options") or {}),
-        )
-
-    @staticmethod
-    def close_service(service: QueryService) -> None:
-        """Release a drained service: thread pool first, then the mmap."""
-        service.close(wait=True)
-        dictionary = getattr(service.store, "dictionary", None)
-        close = getattr(dictionary, "close", None)
-        if close is not None:
-            close()
-
-    @property
-    def generation(self) -> "int | None":
-        """The snapshot generation this worker's service answers from."""
-        if self.service is None:
-            return None
-        return self.service.source["generation"]
-
-    def worker_gauges(self) -> dict:
-        """The per-worker block merged into ``/v1/stats`` (and the pool)."""
-        service = self.service
-        return {
-            "id": self.worker_id,
-            "pid": os.getpid(),
-            "generation": self.generation,
-            "snapshot_path": service.source["path"] if service is not None else None,
-            "rss_bytes": _rss_bytes(),
-            "reloads": self.reloads,
-            "uptime_seconds": time.time() - self.started_at,
-        }
-
-
-async def _worker_reload(runtime: _WorkerRuntime) -> dict:
-    """Hot-swap to the latest installed generation without dropping work.
-
-    The new service is built off the event loop (snapshot verify can
-    take real time), swapped in between requests, and the old one is
-    closed only after :meth:`HTTPQueryServer.drain_service` reports its
-    last leased response fully serialized.
-    """
-    loop = asyncio.get_running_loop()
-    server = runtime.server
-    new_service = await loop.run_in_executor(None, runtime.build_service)
-    old_service = server.swap_service(new_service)
-    runtime.service = new_service
-    await server.drain_service(old_service)
-    await loop.run_in_executor(
-        None, runtime.close_service, old_service
-    )
-    runtime.reloads += 1
-    return {
-        "type": "reloaded",
-        "worker": runtime.worker_id,
-        "generation": runtime.generation,
-    }
-
-
-async def _worker_serve(
-    conn: socket.socket, listen_sock: socket.socket, runtime: _WorkerRuntime
-) -> None:
-    """The worker's asyncio main: HTTP serving + the control loop."""
-    config = runtime.config
-    logger = None
-    if config.get("log_json"):
-        logger = JsonLogger().bind(
-            worker=runtime.worker_id, pid=os.getpid()
-        )
-    server = HTTPQueryServer(
-        runtime.service,
-        extra_stats=lambda: {"worker": runtime.worker_gauges()},
-        logger=logger,
-        **(config.get("server_options") or {}),
-    )
-    runtime.server = server
-    await server.start(sock=listen_sock)
-    if logger is not None:
-        logger.log(
-            "worker_ready",
-            generation=runtime.generation,
-        )
-    conn.setblocking(False)
-    reader, writer = await asyncio.open_unix_connection(sock=conn)
-
-    def reply(message: dict) -> None:
-        writer.write(json.dumps(message).encode("utf-8") + b"\n")
-
-    reply(
-        {
-            "type": "ready",
-            "worker": runtime.worker_id,
-            "pid": os.getpid(),
-            "generation": runtime.generation,
-        }
-    )
-    await writer.drain()
-    try:
-        while True:
-            line = await reader.readline()
-            if not line:
-                # Parent died (EOF): exit rather than serve orphaned.
-                return
-            try:
-                message = json.loads(line)
-            except ValueError:
-                message = None
-            if not isinstance(message, dict):
-                # A truncated or garbled control frame must not take a
-                # healthy worker down: report it and keep serving.
-                reply({"type": "error",
-                       "message": f"undecodable control frame: {line!r}"})
-                await writer.drain()
-                continue
-            kind = message.get("type")
-            if kind == "shutdown":
-                if logger is not None:
-                    logger.log("worker_shutdown")
-                return
-            if kind == "ping":
-                # The watchdog's liveness probe. Answering *here* is the
-                # point: this coroutine runs on the worker's event loop,
-                # so a pong proves the loop still schedules work.
-                reply(
-                    {
-                        "type": "pong",
-                        "worker": runtime.worker_id,
-                        "pid": os.getpid(),
-                    }
-                )
-            elif kind == "reload":
-                try:
-                    outcome = await _worker_reload(runtime)
-                except Exception as exc:  # noqa: BLE001 — keep serving old gen
-                    # The new generation would not open (corrupt install,
-                    # checksum mismatch, mmap failure). The old service
-                    # was never swapped out, so this worker still
-                    # answers queries — tell the dispatcher which token
-                    # failed so it can quarantine it.
-                    token = None
-                    try:
-                        token = generation_token(config["snapshot"])
-                    except OSError:
-                        pass
-                    outcome = {
-                        "type": "reload_failed",
-                        "worker": runtime.worker_id,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "token": token,
-                        "generation": runtime.generation,
-                    }
-                    if logger is not None:
-                        logger.log(
-                            "worker_reload_failed",
-                            error=outcome["error"],
-                            token=token,
-                        )
-                else:
-                    if logger is not None:
-                        logger.log(
-                            "worker_reloaded",
-                            generation=outcome.get("generation"),
-                            reloads=runtime.reloads,
-                        )
-                reply(outcome)
-            elif kind == "stats":
-                reply(
-                    {
-                        "type": "stats",
-                        "worker": runtime.worker_id,
-                        "data": {
-                            "worker": runtime.worker_gauges(),
-                            "http": server.http_stats(),
-                            # JSON-able registry dumps: the dispatcher
-                            # aggregates these across workers for its
-                            # own /metrics listener.
-                            "metrics": (
-                                server.metrics.dump()
-                                + server.service.metrics.dump()
-                            ),
-                        },
-                    }
-                )
-            else:
-                reply({"type": "error", "message": f"unknown {kind!r}"})
-            await writer.drain()
-    finally:
-        await server.shutdown()
-
-
-def worker_main(argv: "list[str] | None" = None) -> int:
-    """Entry point of one worker process
-    (``python -m repro.server._prefork_worker``).
-
-    Connects to the dispatcher's control socket, receives the shared
-    listening fd and its configuration, warm-starts the service, and
-    serves until told to shut down (or the control socket closes).
-    """
-    parser = argparse.ArgumentParser(prog="repro.server.prefork")
-    parser.add_argument("--control", required=True,
-                        help="dispatcher control socket path")
-    parser.add_argument("--worker-id", type=int, required=True,
-                        help="slot index assigned by the dispatcher")
-    args = parser.parse_args(argv)
-
-    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    conn.connect(args.control)
-    conn.settimeout(CONTROL_TIMEOUT)
-    with conn.makefile("wb") as out:
-        _send_line(
-            out,
-            {"type": "hello", "worker": args.worker_id, "pid": os.getpid()},
-        )
-    _data, fds, _flags, _addr = socket.recv_fds(conn, 1, 1)
-    if not fds:
-        print("repro.prefork: no listening fd received", file=sys.stderr)
-        return 1
-    listen_sock = socket.socket(fileno=fds[0])
-    config = json.loads(_recv_line_raw(conn))
-    conn.settimeout(None)
-
-    runtime = _WorkerRuntime(args.worker_id, config)
-    runtime.service = runtime.build_service()
-    try:
-        asyncio.run(_worker_serve(conn, listen_sock, runtime))
-    finally:
-        if runtime.service is not None:
-            runtime.close_service(runtime.service)
-    return 0
-
-
-# ----------------------------------------------------------------------
-# Dispatcher side
-# ----------------------------------------------------------------------
 
 
 class _WorkerSlot:
@@ -531,8 +235,6 @@ class PreforkServer:
         self.reload_timeout = reload_timeout
         self._slots = [_WorkerSlot(i) for i in range(workers)]
         self._listen_sock: "socket.socket | None" = None
-        self._control_dir: "str | None" = None
-        self._control_listener: "socket.socket | None" = None
         self._watcher: "SnapshotWatcher | None" = None
         self._stop = threading.Event()
         self._supervisor: "threading.Thread | None" = None
@@ -541,7 +243,6 @@ class PreforkServer:
         self._restarts = 0
         self._handoffs = 0
         self._watchdog_kills = 0
-        self._quarantines = 0
         self._rollbacks = 0
         self._reload_failures = 0
         self._last_watchdog = 0.0
@@ -632,22 +333,13 @@ class PreforkServer:
         self._listen_sock = socket.create_server(
             (self.host, self.port), backlog=128, reuse_port=False
         )
-        self._control_dir = tempfile.mkdtemp(prefix="repro-prefork-")
-        control_path = os.path.join(self._control_dir, "control.sock")
-        self._control_listener = socket.socket(
-            socket.AF_UNIX, socket.SOCK_STREAM
-        )
-        self._control_listener.bind(control_path)
-        self._control_listener.listen(self.workers * 2)
-        self._control_listener.settimeout(CONTROL_TIMEOUT)
-        self._control_path = control_path
         try:
             for slot in self._slots:
                 self._spawn(slot)
         except BaseException:
             self.stop(drain_timeout=1.0)
             raise
-        self._watcher = SnapshotWatcher(self.snapshot, skip_quarantined=True)
+        self._watcher = SnapshotWatcher(self.snapshot)
         token = generation_token(self.snapshot)
         if token is not None and not is_quarantined(self.snapshot, token):
             # The generation every worker just opened successfully is,
@@ -715,17 +407,9 @@ class PreforkServer:
                 slot.proc.wait(timeout=CONTROL_TIMEOUT)
             slot.close_channel()
             slot.proc = None
-        for sock in (self._control_listener, self._listen_sock):
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-        self._control_listener = None
-        self._listen_sock = None
-        if self._control_dir is not None:
-            shutil.rmtree(self._control_dir, ignore_errors=True)
-            self._control_dir = None
+        if self._listen_sock is not None:
+            self._listen_sock.close()
+            self._listen_sock = None
         if self._started and self.logger is not None:
             self.logger.log("pool_stop", restarts=self._restarts)
         self._started = False
@@ -742,20 +426,12 @@ class PreforkServer:
     # Spawning + supervision
     # ------------------------------------------------------------------
 
-    def _configure_message(self) -> dict:
-        return {
-            "type": "configure",
-            "snapshot": self.snapshot,
-            "backend": self.backend,
-            "threads": self.threads,
-            "verify": self.verify,
-            "server_options": self.server_options,
-            "service_options": self.service_options,
-            "log_json": self.log_json,
-        }
-
     def _spawn(self, slot: _WorkerSlot) -> None:
-        """Start one worker process and complete its handshake."""
+        """Start one worker process and wait for its ``ready`` line.
+
+        The worker inherits the listening socket and its end of a fresh
+        socket pair, so its control channel is its own by construction.
+        """
         slot.close_channel()
         # The worker must import the same repro package this dispatcher
         # runs from, whatever the parent's cwd-relative sys.path was.
@@ -768,33 +444,42 @@ class PreforkServer:
             package_root if not existing
             else package_root + os.pathsep + existing
         )
-        slot.proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.server._prefork_worker",
-                "--control",
-                self._control_path,
-                "--worker-id",
-                str(slot.index),
-            ],
-            stdin=subprocess.DEVNULL,
-            env=env,
-        )
+        config = {
+            "snapshot": self.snapshot,
+            "backend": self.backend,
+            "threads": self.threads,
+            "verify": self.verify,
+            "server_options": self.server_options,
+            "service_options": self.service_options,
+            "log_json": self.log_json,
+        }
+        listen_fd = self._listen_sock.fileno()
+        conn, child_end = socket.socketpair()
+        conn.settimeout(CONTROL_TIMEOUT)
+        file = conn.makefile("rwb")
         try:
-            conn, _addr = self._control_listener.accept()
-            conn.settimeout(CONTROL_TIMEOUT)
-            file = conn.makefile("rwb")
-            hello = json.loads(file.readline())
-            if hello.get("type") != "hello":
-                raise ConnectionError(f"bad hello from worker: {hello!r}")
-            socket.send_fds(conn, [b"F"], [self._listen_sock.fileno()])
-            _send_line(file, self._configure_message())
-            ready = json.loads(file.readline())
-            if ready.get("type") != "ready":
-                raise ConnectionError(f"worker never became ready: {ready!r}")
+            # Only the child keeps its end: its exit is EOF here, and
+            # this dispatcher's death is EOF there.
+            with child_end:
+                control_fd = child_end.fileno()
+                slot.proc = subprocess.Popen(
+                    [sys.executable, "-m", "repro.server._prefork_worker",
+                     "--listen-fd", str(listen_fd),
+                     "--control-fd", str(control_fd),
+                     "--worker-id", str(slot.index),
+                     "--config", json.dumps(config)],
+                    pass_fds=(listen_fd, control_fd),
+                    stdin=subprocess.DEVNULL,
+                    env=env,
+                )
+            line = file.readline()
+            ready = json.loads(line) if line else None
+            if not isinstance(ready, dict) or ready.get("type") != "ready":
+                raise ConnectionError(f"worker never became ready: {line!r}")
         except BaseException:
-            if slot.proc.poll() is None:
+            file.close()
+            conn.close()
+            if slot.proc is not None and slot.proc.poll() is None:
                 slot.proc.kill()
                 slot.proc.wait(timeout=CONTROL_TIMEOUT)
             raise
@@ -1013,13 +698,13 @@ class PreforkServer:
         The marker is what every other component keys off: the watcher
         stops offering the token, :func:`repro.storage.recovery.compact`
         refuses to truncate the WAL while it exists, and a restarted
-        dispatcher sees it immediately. The rollback is best-effort —
-        possible only when the previously adopted payload directory
-        still exists next to the symlink.
+        dispatcher sees it immediately. The rollback
+        (:func:`repro.storage.generations.rollback_generation`) is
+        best-effort — possible only when the previously adopted payload
+        directory still exists next to the symlink.
         """
         try:
             quarantine(self.snapshot, token, reason=reason)
-            self._quarantines += 1
             if self.logger is not None:
                 self.logger.log(
                     "generation_quarantined", token=token, reason=reason
@@ -1029,55 +714,26 @@ class PreforkServer:
                 f"repro.prefork: could not quarantine {token!r}: {exc}",
                 file=sys.stderr,
             )
-        self._rollback_generation(token)
+        good = self._adopted_token
+        try:
+            rolled_back = rollback_generation(self.snapshot, token, good)
+        except OSError as exc:
+            print(
+                f"repro.prefork: rollback to {good!r} failed: {exc}",
+                file=sys.stderr,
+            )
+            rolled_back = False
+        if rolled_back:
+            self._rollbacks += 1
+            if self.logger is not None:
+                self.logger.log(
+                    "generation_rollback", to=good, quarantined=token
+                )
         if self._watcher is not None:
             # Adopt whatever the link points at now without firing a
             # change event — otherwise the rollback itself would
             # trigger another (pointless) rolling reload.
             self._watcher.sync()
-
-    def _rollback_generation(self, bad_token: str) -> bool:
-        """Point the snapshot symlink back at the last adopted payload.
-
-        Only possible when (a) the link still points at the bad
-        generation (nothing newer raced in), (b) the last adopted token
-        was a symlink install, and (c) its payload directory survived
-        (the regular installer deletes the old payload after a flip, so
-        rollback mostly applies to externally / partially performed
-        installs — exactly the corrupt-install case). Returns whether
-        the link was flipped.
-        """
-        good = self._adopted_token
-        if good is None or good == bad_token:
-            return False
-        if not good.startswith("link:"):
-            return False
-        if generation_token(self.snapshot) != bad_token:
-            return False
-        payload = good[len("link:"):]
-        parent = os.path.dirname(os.path.abspath(self.snapshot)) or "."
-        if not os.path.isdir(os.path.join(parent, payload)):
-            return False
-        link = f"{self.snapshot}.rollback-{os.getpid()}"
-        try:
-            os.symlink(payload, link)
-            os.replace(link, self.snapshot)
-        except OSError as exc:
-            try:
-                os.unlink(link)
-            except OSError:
-                pass
-            print(
-                f"repro.prefork: rollback to {good!r} failed: {exc}",
-                file=sys.stderr,
-            )
-            return False
-        self._rollbacks += 1
-        if self.logger is not None:
-            self.logger.log(
-                "generation_rollback", to=good, quarantined=bad_token
-            )
-        return True
 
     def _worker_stats(self):
         """One ``stats`` RPC per slot, yielding ``(slot, data)``; ``data``
@@ -1252,6 +908,3 @@ def serve_prefork(
         for sig, handler in previous.items():
             signal.signal(sig, handler)
 
-
-if __name__ == "__main__":  # pragma: no cover — exercised as a subprocess
-    sys.exit(worker_main())

@@ -23,11 +23,12 @@ compactor must not truncate the WAL past a horizon no worker durably
 adopted. :func:`quarantine` drops a marker file in a ``.quarantine``
 sibling directory keyed by the bad generation's token;
 :func:`is_quarantined` / :func:`has_quarantine` are the single checks
-the watcher (``skip_quarantined=True``) and the compactor's truncation
-gate read. Markers are plain JSON files on disk, so they survive a
-dispatcher restart and are visible across processes;
-:func:`clear_quarantine` removes them once the pool has adopted a
-newer, valid generation.
+the watcher and the compactor's truncation gate read. Markers are
+plain JSON files on disk, so they survive a dispatcher restart and are
+visible across processes; :func:`clear_quarantine` removes them once
+the pool has adopted a newer, valid generation.
+:func:`rollback_generation` points the link back at the last good
+payload while it still exists.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ import json
 import os
 import time
 
-from repro.storage.snapshot import is_snapshot, read_manifest
+from repro.storage.snapshot import _flip_link, is_snapshot, read_manifest
 
 __all__ = [
     "generation_token",
+    "rollback_generation",
     "SnapshotWatcher",
     "quarantine_path",
     "quarantine",
@@ -48,6 +50,8 @@ __all__ = [
     "clear_quarantine",
     "has_quarantine",
 ]
+
+_LINK = "link:"
 
 
 def generation_token(path: "str | os.PathLike") -> "str | None":
@@ -61,12 +65,39 @@ def generation_token(path: "str | os.PathLike") -> "str | None":
     """
     target = os.fspath(path)
     try:
-        return "link:" + os.path.basename(os.readlink(target))
+        return _LINK + os.path.basename(os.readlink(target))
     except OSError:
         pass
     if is_snapshot(target):
         return "gen:" + str(read_manifest(target).get("generation", 0))
     return None
+
+
+def rollback_generation(
+    path: "str | os.PathLike", bad_token: str, good_token: "str | None"
+) -> bool:
+    """Point the snapshot symlink at ``path`` back at ``good_token``.
+
+    Only possible when (a) the link still shows ``bad_token`` (nothing
+    newer raced in), (b) ``good_token`` is a symlink install, and (c)
+    its payload directory survived (the regular installer deletes the
+    old payload after a flip, so rollback mostly applies to externally
+    or partially performed installs — exactly the corrupt-install
+    case). Returns whether the link was flipped; a failed flip raises
+    :class:`OSError`.
+    """
+    target = os.fspath(path)
+    if good_token is None or not good_token.startswith(_LINK):
+        return False
+    if good_token == bad_token or generation_token(target) != bad_token:
+        return False
+    payload = os.path.join(
+        os.path.dirname(os.path.abspath(target)), good_token[len(_LINK):]
+    )
+    if not os.path.isdir(payload):
+        return False
+    _flip_link(target, payload)
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -195,19 +226,15 @@ class SnapshotWatcher:
     ``poll``) and reports only *changes*. A path with no snapshot yet
     arms the watcher — the first install fires it.
 
-    With ``skip_quarantined=True`` (the prefork dispatcher's mode) a
-    newly installed generation that carries a quarantine marker is
+    A newly installed generation that carries a quarantine marker is
     *consumed without firing*: the watcher remembers its token — so the
     same bad generation is never re-offered on every poll — but
     reports no change; the next install of a non-quarantined
     generation fires normally.
     """
 
-    def __init__(
-        self, path: "str | os.PathLike", *, skip_quarantined: bool = False
-    ):
+    def __init__(self, path: "str | os.PathLike"):
         self.path = os.fspath(path)
-        self.skip_quarantined = skip_quarantined
         self._token = generation_token(self.path)
 
     @property
@@ -225,9 +252,7 @@ class SnapshotWatcher:
         if current is None or current == self._token:
             return False
         self._token = current
-        if self.skip_quarantined and is_quarantined(self.path, current):
-            return False
-        return True
+        return not is_quarantined(self.path, current)
 
     def sync(self) -> "str | None":
         """Adopt the current token without firing; returns it.

@@ -68,6 +68,7 @@ from repro.storage.segments import (
     write_segment,
 )
 from repro.storage.termdict import MmapDictionary, write_term_index
+from repro.storage.wal import _fsync_dir
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stats.catalog import Catalog
@@ -145,14 +146,6 @@ class _HashingWriter:
         self.sha.update(data)
         self.nbytes += len(data)
         return self._handle.write(data)
-
-
-def _fsync_dir(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _write_file(directory: str, rel: str, writer, files: dict) -> None:
@@ -282,7 +275,6 @@ def save_snapshot(
         raise
 
     _install(tmp, target)
-    _fsync_dir(os.path.dirname(os.path.abspath(target)))
     return manifest
 
 
@@ -312,24 +304,39 @@ def _install(tmp: str, target: str) -> None:
     parent = os.path.dirname(target) or "."
     payload = _unique_sibling(f"{target}.data")
     os.rename(tmp, payload)
-    link = _unique_sibling(f"{target}.lnk")
-    os.symlink(os.path.basename(payload), link)
     old_payload = None
     if os.path.islink(target):
         previous = os.readlink(target)
         if not os.path.isabs(previous):
             previous = os.path.join(parent, previous)
         old_payload = previous
+    _flip_link(target, payload)
+    if old_payload is not None and os.path.isdir(old_payload):
+        shutil.rmtree(old_payload, ignore_errors=True)
+
+
+def _flip_link(target: str, payload: str) -> None:
+    """Atomically point the symlink ``target`` at its sibling ``payload``.
+
+    A fresh link is renamed over ``target``, then the parent directory
+    is fsynced, so the flip is durable once this returns. Installs and
+    generation rollbacks both go through here. A legacy plain directory
+    at ``target`` is displaced first (the non-atomic case above).
+    """
+    link = _unique_sibling(f"{target}.lnk")
+    os.symlink(os.path.basename(payload), link)
     try:
         os.rename(link, target)
-    except OSError:
+    except IsADirectoryError:
         # Legacy plain-directory target: displace, then install.
         displaced = _unique_sibling(f"{target}.old")
         os.rename(target, displaced)
         os.rename(link, target)
         shutil.rmtree(displaced, ignore_errors=True)
-    if old_payload is not None and os.path.isdir(old_payload):
-        shutil.rmtree(old_payload, ignore_errors=True)
+    except OSError:
+        os.unlink(link)
+        raise
+    _fsync_dir(os.path.dirname(os.path.abspath(target)))
 
 
 # ----------------------------------------------------------------------

@@ -11,13 +11,17 @@ requests and answers fingerprint-identical to a single-process oracle.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.graph.builder import GraphBuilder
 from repro.server.prefork import PreforkServer
 from repro.service import QueryService
@@ -186,6 +190,74 @@ def test_respawn_backoff_grows_and_resets(tmp_path, monkeypatch):
     slot.started_at = time.time() - 60  # lived long enough: streak resets
     pool._respawn(slot)
     assert delays[-1] == 0.2
+
+
+# ----------------------------------------------------------------------
+# Spawn: sockets inherited, ready or nothing
+# ----------------------------------------------------------------------
+
+_DISPATCHER = """
+import json, sys, time
+from repro.server.prefork import PreforkServer
+pool = PreforkServer(sys.argv[1], workers=1)
+pool.start()
+print(json.dumps([w["pid"] for w in pool.pool_stats()["workers"]]), flush=True)
+time.sleep(600)
+"""
+
+
+def _exited(pid: int) -> bool:
+    """True once ``pid`` is gone, or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_worker_exits_when_its_dispatcher_is_sigkilled(static_snapshot):
+    """No orphans: a SIGKILLed dispatcher never says ``shutdown``, so
+    the worker must leave on control-socket EOF alone."""
+    package_root = os.path.dirname(os.path.dirname(repro.__file__))
+    dispatcher = subprocess.Popen(
+        [sys.executable, "-c", _DISPATCHER, str(static_snapshot)],
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    worker = None
+    try:
+        (worker,) = json.loads(dispatcher.stdout.readline())
+        assert not _exited(worker)
+        dispatcher.kill()
+        dispatcher.wait(timeout=30)
+        _wait_for(lambda: _exited(worker))
+    finally:
+        dispatcher.kill()
+        dispatcher.wait(timeout=30)
+        dispatcher.stdout.close()
+        if worker is not None and not _exited(worker):
+            os.kill(worker, signal.SIGKILL)
+
+
+def test_worker_that_cannot_open_its_snapshot_fails_start(
+    tmp_path, monkeypatch
+):
+    spawned: list = []
+    real_popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        spawned.append(real_popen(*args, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    pool = PreforkServer(tmp_path / "missing", workers=2)
+    with pytest.raises(ConnectionError, match="never became ready"):
+        pool.start()
+    # start() gives up at the first worker that exits before ``ready``,
+    # and leaves no child process behind.
+    assert len(spawned) == 1
+    assert spawned[0].poll() is not None
 
 
 # ----------------------------------------------------------------------

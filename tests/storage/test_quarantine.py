@@ -1,10 +1,13 @@
-"""Generation quarantine: markers, the watcher, and the compaction gate.
+"""Generation quarantine: markers, the watcher, rollback, and the
+compaction gate.
 
 Quarantine is how the serving stack remembers — across processes and
 restarts — that an *installed* snapshot generation turned out to be
 unopenable. These tests pin the disk format's observable behavior: the
 markers survive anything short of :func:`clear_quarantine`, the
-dispatcher's watcher never re-offers a marked token,
+dispatcher's watcher never re-offers a marked token, a rollback flips
+the link back only while the bad generation is still current and the
+good payload still exists,
 and :func:`repro.storage.recovery.compact` refuses to truncate the WAL
 while any marker is live (the only adoptable state may still need
 those records).
@@ -13,6 +16,7 @@ those records).
 from __future__ import annotations
 
 import os
+import shutil
 
 from repro.graph.builder import GraphBuilder
 from repro.storage import (
@@ -28,6 +32,7 @@ from repro.storage import (
     save_snapshot,
     scan_wal,
 )
+from repro.storage.generations import rollback_generation
 from repro.storage.recovery import close_store, compact, wal_path_for
 
 
@@ -111,7 +116,7 @@ def test_clear_all_markers(tmp_path):
 def test_watcher_skips_quarantined_generation_without_refiring(tmp_path):
     snap = tmp_path / "snap"
     save_snapshot(_store(3), snap, generation=1)
-    watcher = SnapshotWatcher(snap, skip_quarantined=True)
+    watcher = SnapshotWatcher(snap)
 
     # Generation 2 installs but is immediately found bad.
     save_snapshot(_store(4), snap, overwrite=True, generation=2)
@@ -137,6 +142,69 @@ def test_watcher_sync_adopts_without_firing(tmp_path):
     save_snapshot(_store(4), snap, overwrite=True, generation=2)
     assert watcher.sync() == generation_token(snap)
     assert watcher.poll() is False  # the change was adopted, not fired
+
+
+# ----------------------------------------------------------------------
+# Rollback
+# ----------------------------------------------------------------------
+
+
+def _flip_to_copy(snap) -> "tuple[str, str]":
+    """Point ``snap`` at a copy of its payload and keep the original —
+    an install that did not delete its predecessor. Returns the
+    ``(good, bad)`` tokens."""
+    snap = os.fspath(snap)
+    parent = os.path.dirname(snap)
+    good = generation_token(snap)
+    bad_payload = os.path.basename(snap) + ".data-copy"
+    shutil.copytree(
+        os.path.join(parent, os.readlink(snap)),
+        os.path.join(parent, bad_payload),
+    )
+    os.symlink(bad_payload, snap + ".flip")
+    os.replace(snap + ".flip", snap)
+    return good, generation_token(snap)
+
+
+def test_rollback_flips_the_link_back_to_the_good_payload(tmp_path):
+    snap = tmp_path / "snap"
+    save_snapshot(_store(), snap, generation=1)
+    good, bad = _flip_to_copy(snap)
+
+    assert rollback_generation(snap, bad, good) is True
+    assert generation_token(snap) == good
+    # The temporary link was renamed over the target, not left behind.
+    assert not [n for n in os.listdir(tmp_path) if ".lnk" in n]
+
+
+def test_rollback_refuses_when_a_newer_generation_raced_in(tmp_path):
+    snap = tmp_path / "snap"
+    save_snapshot(_store(), snap, generation=1)
+    good, bad = _flip_to_copy(snap)
+    save_snapshot(_store(4), snap, overwrite=True, generation=2)
+    newer = generation_token(snap)
+
+    assert rollback_generation(snap, bad, good) is False
+    assert generation_token(snap) == newer
+
+
+def test_rollback_refuses_a_gen_token(tmp_path):
+    snap = tmp_path / "snap"
+    save_snapshot(_store(), snap, generation=1)
+    _good, bad = _flip_to_copy(snap)
+
+    assert rollback_generation(snap, bad, "gen:1") is False
+    assert generation_token(snap) == bad
+
+
+def test_rollback_refuses_when_the_good_payload_is_gone(tmp_path):
+    snap = tmp_path / "snap"
+    save_snapshot(_store(), snap, generation=1)
+    good, bad = _flip_to_copy(snap)
+    shutil.rmtree(tmp_path / good[len("link:"):])
+
+    assert rollback_generation(snap, bad, good) is False
+    assert generation_token(snap) == bad
 
 
 # ----------------------------------------------------------------------
