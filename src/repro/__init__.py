@@ -108,7 +108,6 @@ from repro.core import (
     WireframeEngine,
     WireframeResult,
     count_embeddings,
-    count_embeddings_factorized,
     sample_embedding,
     variable_marginals,
     enumerate_embeddings_bruteforce,
@@ -167,7 +166,7 @@ try:
 
     __version__ = _pkg_version("repro-answer-graph")
 except _PkgNotFound:  # pragma: no cover — uninstalled checkout
-    __version__ = "1.3.0"
+    __version__ = "1.4.0"
 
 #: Deprecated top-level names: old name -> (replacement name, object).
 #: Accessing one still works for a minor release but warns.
@@ -249,7 +248,6 @@ __all__ = [
     "iter_embeddings",
     "materialize_embeddings",
     "count_embeddings",
-    "count_embeddings_factorized",
     "variable_marginals",
     "sample_embedding",
     "enumerate_embeddings_bruteforce",

@@ -121,8 +121,8 @@ class NavigationalEngine(BaselineEngine):
             edge = bound.edges[eid]
             p = edge.p
             assert p is not None
-            fwd = store.forward_index(p)
-            bwd = store.backward_index(p)
+            fwd = store.adjacency(p)
+            bwd = store.reverse_adjacency(p)
             s_var, o_var, s_const, o_const = (
                 edge.s_var,
                 edge.o_var,

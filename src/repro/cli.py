@@ -564,7 +564,7 @@ def _cmd_serve(args) -> int:
         return 2
     if args.snapshot:
         # from_snapshot records the path/generation /v1/stats reports
-        # and, with --wal, makes the service own (and seal) the log.
+        # and, with --wal, opens the DurableStore the service closes.
         service = QueryService.from_snapshot(
             args.snapshot,
             backend=args.backend,

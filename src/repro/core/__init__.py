@@ -27,7 +27,6 @@ from repro.core.kernels import (
 from repro.core.generation import GenerationStats, GenerationTrace, generate_answer_graph
 from repro.core.defactorize import count_embeddings, iter_embeddings, materialize_embeddings
 from repro.core.factorized import (
-    count_embeddings_factorized,
     sample_embedding,
     variable_marginals,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "iter_embeddings",
     "materialize_embeddings",
     "count_embeddings",
-    "count_embeddings_factorized",
     "variable_marginals",
     "sample_embedding",
     "enumerate_embeddings_bruteforce",

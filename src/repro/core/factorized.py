@@ -8,16 +8,17 @@ computed **without defactorizing**: on an acyclic CQ with an ideal AG,
 the embedding count, per-variable marginals, and even uniform samples
 are all computable in time linear in |AG| instead of |embeddings|.
 
-This module implements exact message passing over the query tree:
+This module implements exact message passing over the query tree
+(the count alone is :func:`repro.core.defactorize.count_embeddings`,
+which handles cyclic queries too):
 
-* :func:`count_embeddings_factorized` — ``|answers|`` in O(|AG|);
 * :func:`variable_marginals` — for every variable ``v`` and node ``n``,
   how many embeddings bind ``v = n`` (the "histogram" of each output
-  column), also O(|AG|);
+  column), in O(|AG|);
 * :func:`sample_embedding` — one embedding drawn *uniformly at random*
   from the answer set without enumerating it.
 
-All three require the query graph to be **acyclic** (a forest over the
+Both require the query graph to be **acyclic** (a forest over the
 variables — the regime where node burnback guarantees the AG is ideal,
 §3) and the AG to be ideal; they raise :class:`QueryError` for cyclic
 queries, where the AG may contain spurious edges that would inflate the
@@ -125,25 +126,6 @@ def _down_counts(
     for root in roots:
         solve(root)
     return down
-
-
-def count_embeddings_factorized(ag: AnswerGraph) -> int:
-    """|embeddings| in O(|AG|), without enumerating any tuple.
-
-    Equals ``count_embeddings(ag)`` on every acyclic query (property
-    tested); raises :class:`QueryError` on cyclic queries.
-    """
-    _check_supported(ag)
-    if ag.empty:
-        return 0
-    roots, children = _var_forest(ag)
-    down = _down_counts(ag, roots, children)
-    total = 1
-    for root in roots:
-        total *= sum(down[root].values())
-        if total == 0:
-            return 0
-    return total
 
 
 def variable_marginals(ag: AnswerGraph) -> dict[int, dict[int, int]]:

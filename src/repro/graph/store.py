@@ -105,7 +105,7 @@ class TripleStore:
         """The lock every mutation runs under.
 
         Holding it pins the :attr:`epoch`: no add/remove can interleave,
-        which is how ``persist()`` and WAL compaction obtain an
+        which is how ``DurableStore.persist()`` and WAL compaction obtain an
         epoch-stable view without racing writers.
         """
         return self._write_lock
@@ -387,18 +387,6 @@ class TripleStore:
         """Number of triples with predicate ``p``."""
         return self._backend.count(p)
 
-    def forward_index(self, p: int) -> Mapping[int, AbstractSet[int]]:
-        """The live ``subject -> {objects}`` adjacency of predicate ``p``.
-
-        Read-only view used by tuple-at-a-time engines; callers must
-        not mutate it.
-        """
-        return self._backend.adjacency(p)
-
-    def backward_index(self, p: int) -> Mapping[int, AbstractSet[int]]:
-        """The live ``object -> {subjects}`` adjacency of predicate ``p``."""
-        return self._backend.reverse_adjacency(p)
-
     # ------------------------------------------------------------------
     # Bulk accessors (the set-at-a-time kernel interface)
     #
@@ -409,10 +397,7 @@ class TripleStore:
     # ------------------------------------------------------------------
 
     def adjacency(self, p: int) -> Mapping[int, AbstractSet[int]]:
-        """The live ``subject -> {objects}`` index of predicate ``p``.
-
-        Synonym of :meth:`forward_index`, named for the kernel layer.
-        """
+        """The live ``subject -> {objects}`` index of predicate ``p``."""
         return self._backend.adjacency(p)
 
     def reverse_adjacency(self, p: int) -> Mapping[int, AbstractSet[int]]:
@@ -548,15 +533,6 @@ class TripleStore:
     def labels_between(self, s: int, o: int) -> list[int]:
         """All predicates ``p`` with ⟨s, p, o⟩ in the store."""
         return [p for p, objs in self.out_edges(s).items() if o in objs]
-
-    # ------------------------------------------------------------------
-    # Lazy permutations (SPO / SOP / OSP / OPS)
-    # ------------------------------------------------------------------
-
-    def _get_lazy(self, name: str) -> Mapping:
-        """The named secondary permutation (kept for compatibility;
-        lazy-build logic and its lock live in the backend layer)."""
-        return self._backend.get_permutation(name)
 
     def materialize_all_indexes(self) -> None:
         """Eagerly build all six permutation indexes (offline prep)."""

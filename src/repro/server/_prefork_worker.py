@@ -52,13 +52,13 @@ class _WorkerRuntime:
         self.started_at = time.time()
 
     def build_service(self) -> QueryService:
-        """Open a fresh read-only service over the configured snapshot."""
+        """Open a fresh service over the configured snapshot (no WAL:
+        only the pool's owner writes)."""
         config = self.config
         return QueryService.from_snapshot(
             config["snapshot"],
             backend=config.get("backend"),
             verify=config.get("verify", True),
-            read_only=True,
             max_workers=config.get("threads"),
             **(config.get("service_options") or {}),
         )

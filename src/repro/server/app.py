@@ -972,10 +972,10 @@ class HTTPQueryServer:
         # Health polling doubles as the degraded-mode recovery
         # heartbeat: while the WAL cannot append, each (rate-limited)
         # poll re-probes for space. Cheap no-op on healthy services.
-        maybe_probe = getattr(service, "maybe_probe", None)
-        if maybe_probe is not None:
-            maybe_probe()
-        degraded = getattr(service, "degraded", False)
+        durable = service.durable
+        if durable is not None:
+            durable.maybe_probe()
+        degraded = durable is not None and durable.degraded
         if self._draining:
             status, state = 503, "draining"
         elif not probe["ok"]:
@@ -992,7 +992,7 @@ class HTTPQueryServer:
             "backend": store.backend_name,
             "triples": store.num_triples,
             "epoch": service.epoch,
-            "degraded": bool(degraded),
+            "degraded": degraded,
             "probe": probe,
         }
         return _Response(status, payload)

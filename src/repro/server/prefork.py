@@ -142,8 +142,8 @@ class PreforkServer:
     ----------
     snapshot:
         Path of the snapshot the pool serves. Workers open it with
-        ``QueryService.from_snapshot(read_only=True)``; the dispatcher
-        watches it for newly installed generations.
+        ``QueryService.from_snapshot`` (no WAL, so ``read_only``); the
+        dispatcher watches it for newly installed generations.
     workers:
         Number of worker processes.
     host / port:

@@ -27,6 +27,12 @@ a lock). Deadlines stay cooperative: each worker polls its per-query
 :class:`~repro.utils.deadline.Deadline` exactly as the serial engine
 does, and a timed-out query surfaces as
 :class:`~repro.errors.EvaluationTimeout` on its future.
+
+The service only evaluates. A journaled store's lifecycle — sealing the
+write-ahead log, folding it into snapshot generations, the background
+compactor and degraded mode — belongs to the
+:class:`~repro.storage.DurableStore` that
+``from_snapshot(path, wal=True)`` opens and keeps as :attr:`durable`.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from typing import Iterable, Sequence
 
 from repro.core.engine import WireframeEngine
 from repro.engine_api import EngineResult
-from repro.errors import EvaluationTimeout, ReproError
+from repro.errors import EvaluationTimeout, ReproError, StoreError
 from repro.graph.store import TripleStore
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import activate_trace, current_trace, deactivate_trace
@@ -48,6 +54,12 @@ from repro.query.model import ConjunctiveQuery
 from repro.service.caches import PlanCache, ResultCache
 from repro.service.signature import plan_signature, query_signature
 from repro.stats.catalog import Catalog
+from repro.storage import (
+    DurableStore,
+    load_snapshot,
+    load_snapshot_catalog,
+    snapshot_generation,
+)
 from repro.utils.deadline import Deadline
 
 #: ``repro_service_stage_seconds`` labels: queue wait, planning, execution, total.
@@ -117,16 +129,6 @@ class QueryService:
         budget, followers are transparently resubmitted under theirs.
     freeze:
         Freeze the store (and its dictionary) at construction.
-    probe_interval:
-        Minimum seconds between degraded-mode recovery probes (see
-        :meth:`maybe_probe`). Only meaningful with a write-ahead log
-        attached.
-    read_only:
-        Declare this service a pure reader (the prefork *worker* mode):
-        :meth:`persist`, :meth:`compact`, and :meth:`start_compactor`
-        refuse to run — in a multi-process pool exactly one owner (the
-        dispatcher-side writer) may fold or seal the shared snapshot,
-        and a worker accidentally compacting would race it.
 
     >>> from repro.graph.builder import GraphBuilder
     >>> store = (
@@ -151,8 +153,6 @@ class QueryService:
         result_cache_size: int = 256,
         coalesce: bool = True,
         freeze: bool = False,
-        read_only: bool = False,
-        probe_interval: float = 5.0,
     ):
         if freeze and not store.frozen:
             store.freeze()
@@ -183,26 +183,12 @@ class QueryService:
             max_workers=self.max_workers, thread_name_prefix="repro-query"
         )
         self._closed = False
-        self.read_only = read_only
-        # Where this service's data came from (from_snapshot records
-        # it), so /v1/stats can say which generation is answering.
-        self._source_path: "str | None" = None
-        self._source_generation: "int | None" = None
-        # Crash-safe write-path state (see from_snapshot(wal=True) and
-        # start_compactor): whether this service owns the store's WAL
-        # handle, and the background-compaction gauges.
-        self._owns_wal = False
-        self._compactions = 0
-        self._last_compaction_generation: "int | None" = None
-        self._compactor_thread: "threading.Thread | None" = None
-        self._compactor_stop = threading.Event()
-        # Degraded-mode recovery probing (see maybe_probe): rate-limit
-        # state plus gauges. The *flag* itself lives on the WAL.
-        self.probe_interval = probe_interval
-        self._probe_lock = threading.Lock()
-        self._last_probe = 0.0
-        self._probes = 0
-        self._probe_failures = 0
+        #: The journaled store's lifecycle when ``from_snapshot(wal=True)``
+        #: opened this service, else ``None``.
+        self.durable: "DurableStore | None" = None
+        # The snapshot a plain from_snapshot() service answers from, so
+        # /v1/stats can say which generation that is.
+        self._source = {"path": None, "generation": None}
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -211,7 +197,7 @@ class QueryService:
         Facts the service records itself are children bound once here.
         Everything else is a scrape-time callback over state other
         objects own; WAL/snapshot callbacks return ``None`` (sample
-        omitted) when the facility is not attached to this service.
+        omitted) when the service has no such facility.
         """
         reg = self.metrics
         self._queue_depth = reg.gauge(
@@ -294,21 +280,18 @@ class QueryService:
         reg.callback(
             "repro_snapshot_generation",
             "Durable snapshot generation currently being served.",
-            lambda: self._source_generation,
+            lambda: self.source["generation"],
             aggregation="max",
         )
         reg.callback(
             "repro_service_compactions_total",
             "WAL compactions folded into new snapshot generations.",
-            lambda: self._compactions,
+            lambda: 0 if self.durable is None else self.durable.compactions,
             kind="counter",
         )
 
         def wal_stat(field):
-            hook = self.store.write_log
-            if hook is None:
-                return None
-            return hook.wal.stats().get(field)
+            return None if self.durable is None else self.durable.stats()[field]
 
         reg.callback(
             "repro_wal_records",
@@ -330,15 +313,15 @@ class QueryService:
             "repro_service_degraded",
             "Whether the service is in read-only degraded mode (1) "
             "after a WAL append failure, or healthy (0).",
-            lambda: int(self.degraded),
+            lambda: int(self._degraded()),
             aggregation="max",
         )
         reg.callback(
             "repro_service_degraded_probes_total",
             "Degraded-mode recovery probes attempted, by outcome.",
             lambda: {
-                ("ok",): self._probes - self._probe_failures,
-                ("failed",): self._probe_failures,
+                (outcome,): 0 if self.durable is None else self.durable.probes[outcome]
+                for outcome in ("ok", "failed")
             },
             kind="counter",
             labelnames=("outcome",),
@@ -404,27 +387,19 @@ class QueryService:
         dictionary materialization, no sort. Remaining keyword
         arguments are forwarded to the constructor.
 
-        ``wal=True`` opens the **crash-safe writable path** instead
-        (:func:`repro.storage.open_store`): the store arrives unfrozen
-        with its write-ahead log replayed and attached, every mutation
-        journals durably (``fsync`` policy per
-        :class:`~repro.storage.wal.WriteAheadLog`), and the snapshot
-        need not exist yet (an empty store is started). The snapshot's
+        ``wal=True`` opens the **crash-safe writable path** instead: a
+        :class:`~repro.storage.DurableStore`, kept as :attr:`durable`
+        and closed by :meth:`close`. Its store arrives unfrozen with the
+        write-ahead log replayed (the snapshot need not exist yet), and
+        every mutation journals durably under the ``fsync`` policy. The
         stored catalog seeds the store's catalog memo and the replayed
         batches are patched into it, so recovery pays no statistics
-        rebuild either. ``use_mmap``/``lazy_terms`` do not apply (a
-        writable store needs owned arrays and an internable
-        dictionary).
+        rebuild either. ``use_mmap``/``lazy_terms`` do not apply.
         """
-        from repro.storage import load_snapshot, load_snapshot_catalog
-
         if wal:
-            from repro.storage import open_store
-
-            store = open_store(path, backend=backend, fsync=fsync, verify=verify)
-            service = cls(store, **service_kwargs)
-            service._owns_wal = True
-            service._record_source(path)
+            durable = DurableStore.open(path, backend=backend, fsync=fsync, verify=verify)
+            service = cls(durable.store, **service_kwargs)
+            service.durable = durable
             return service
 
         store = load_snapshot(
@@ -436,201 +411,26 @@ class QueryService:
         )
         catalog = load_snapshot_catalog(path, verify=verify)
         service = cls(store, catalog=catalog, **service_kwargs)
-        service._record_source(path)
+        service._source = {
+            "path": os.fspath(path),
+            "generation": snapshot_generation(path),
+        }
         return service
 
-    def _record_source(self, path) -> None:
-        """Remember which snapshot path/generation this service serves."""
-        from repro.storage import snapshot_generation
-
-        self._source_path = os.fspath(path)
-        self._source_generation = snapshot_generation(self._source_path)
-
-    def persist(self, path=None, *, include_catalog: bool = True,
-                overwrite: bool = True, full: bool = False) -> dict:
-        """Make the store durable at its current state.
-
-        With a write-ahead log attached (``from_snapshot(wal=True)`` /
-        :func:`repro.storage.open_store`) and no foreign ``path``, this
-        is **cheap**: every batch is already journaled, so persisting is
-        one ``fsync`` sealing the log — no store rewrite, cost
-        independent of store size. The returned dict carries the log
-        gauges (``{"sealed": True, "wal": ...}``). Pass ``full=True``
-        to force a whole-store snapshot anyway (equivalent to
-        :meth:`compact` minus the log truncation).
-
-        Without a log (or with an explicit foreign ``path``), the full
-        snapshot is written via :func:`repro.storage.save_snapshot`
-        under the store's ``write_lock`` — the save serializes with the
-        write path instead of racing it, so the historical
-        mutated-during-save :class:`~repro.errors.SnapshotError` cannot
-        occur here, and the memoized catalog persisted next to the
-        triples is exactly the persisted epoch's.
-        """
-        from repro.storage import save_snapshot
-
-        self._require_writable("persist()")
-        hook = self.store.write_log
-        if path is not None:
-            target = os.fspath(path)
-        elif hook is not None and hook.snapshot_path is not None:
-            target = hook.snapshot_path
-        else:
-            raise ValueError(
-                "persist() needs a path: this service has no attached "
-                "write-ahead log to seal"
-            )
-        if hook is not None and not full and target == hook.snapshot_path:
-            hook.wal.sync()
-            return {
-                "sealed": True,
-                "snapshot": hook.snapshot_path,
-                "wal": hook.wal.stats(),
-            }
-
-        self._refresh_if_stale()
-        # Holding the write lock pins the epoch: writers queue behind
-        # the save instead of aborting it (readers are unaffected).
-        with self.store.write_lock:
-            return save_snapshot(
-                self.store,
-                target,
-                catalog=None,  # resolved to store.catalog() at this epoch
-                include_catalog=include_catalog,
-                overwrite=overwrite,
-            )
-
-    # ------------------------------------------------------------------
-    # WAL compaction
-    # ------------------------------------------------------------------
-
     def compact(self) -> dict:
-        """Fold the attached WAL into a new snapshot generation now.
-
-        Runs :func:`repro.storage.compact` (off the write path; the log
-        truncation is the only step under the write lock) and updates
-        the service's compaction gauges. Returns the new manifest.
-        """
-        from repro.storage import compact as compact_store
-
-        self._require_writable("compact()")
-        manifest = compact_store(self.store)
-        self._compactions += 1
-        self._last_compaction_generation = manifest.get("generation")
-        if self._source_path is not None:
-            self._source_generation = manifest.get("generation")
-        # A fold-in does not change the epoch, but re-sync defensively:
-        # the snapshot may have raced final writes (compact retried).
-        self._refresh_if_stale()
-        return manifest
-
-    def start_compactor(
-        self, interval: float = 30.0, min_bytes: int = 1 << 20
-    ) -> None:
-        """Start the opt-in background compaction thread.
-
-        Every ``interval`` seconds, if the log holds at least
-        ``min_bytes`` of records, the WAL is folded into a new snapshot
-        generation. Daemonized and stopped by :meth:`close`.
-        """
-        self._require_writable("start_compactor()")
-        if self.store.write_log is None:
-            raise ValueError(
-                "store has no write-ahead log; open it via "
-                "from_snapshot(wal=True) first"
-            )
-        if self._compactor_thread is not None:
-            raise RuntimeError("compactor already running")
-        from repro.storage.wal import HEADER_BYTES
-
-        def loop() -> None:
-            while not self._compactor_stop.wait(interval):
-                hook = self.store.write_log
-                if hook is None:
-                    break
-                # The compactor tick doubles as the degraded-mode
-                # heartbeat: probe for recovery even when nothing is
-                # worth compacting.
-                self.maybe_probe()
-                if hook.wal.size_bytes - HEADER_BYTES < min_bytes:
-                    continue
-                try:
-                    self.compact()
-                except Exception:  # noqa: BLE001 - keep the thread alive
-                    # Failed compactions leave the log intact (still
-                    # fully recoverable); retry next tick.
-                    continue
-
-        self._compactor_stop.clear()
-        self._compactor_thread = threading.Thread(
-            target=loop, name="repro-wal-compactor", daemon=True
-        )
-        self._compactor_thread.start()
-
-    # ------------------------------------------------------------------
-    # Degraded mode (read-only after a WAL append failure)
-    # ------------------------------------------------------------------
+        """:meth:`DurableStore.compact <repro.storage.DurableStore.compact>`;
+        :class:`~repro.errors.StoreError` without a :attr:`durable` store."""
+        if self.durable is None:
+            raise StoreError("this service has no write-ahead log to compact")
+        return self.durable.compact()
 
     @property
-    def degraded(self) -> bool:
-        """True while the attached WAL cannot make appends durable.
+    def read_only(self) -> bool:
+        """True when there is no :attr:`durable` store to persist or compact."""
+        return self.durable is None
 
-        Flipped by the first :class:`~repro.errors.WalAppendError`
-        (disk full, I/O error) and cleared automatically by a
-        successful recovery probe (:meth:`maybe_probe`) or any later
-        successful append. Reads keep serving throughout — degraded
-        mode only refuses writes. Always ``False`` without a WAL.
-        """
-        hook = self.store.write_log
-        if hook is None:
-            return False
-        wal = hook.wal
-        return not wal.closed and wal.degraded
-
-    def maybe_probe(self, force: bool = False) -> "bool | None":
-        """Attempt one degraded-mode recovery probe, rate-limited.
-
-        While degraded, appends a no-op WAL record through the normal
-        durable path at most once per ``probe_interval`` seconds;
-        success clears the degraded flag (space came back). Returns
-        ``True``/``False`` for a probe's outcome, ``None`` when no
-        probe ran (healthy, no WAL, or rate-limited). Called from the
-        health endpoint and the background compactor tick, so recovery
-        is automatic under load-balancer polling even with zero
-        traffic.
-        """
-        hook = self.store.write_log
-        if hook is None or hook.wal.closed or not hook.wal.degraded:
-            return None
-        now = time.monotonic()
-        with self._probe_lock:
-            if not force and now - self._last_probe < self.probe_interval:
-                return None
-            self._last_probe = now
-            self._probes += 1
-        from repro.errors import WalError
-
-        try:
-            ok = hook.wal.probe()
-        except WalError:
-            # Closed under our feet (service shutting down): no outcome.
-            return None
-        if not ok:
-            with self._probe_lock:
-                self._probe_failures += 1
-        return ok
-
-    def _require_writable(self, operation: str) -> None:
-        """Refuse owner-only operations on a ``read_only`` service.
-
-        In a prefork pool only the dispatcher-side owner may seal or
-        fold the shared snapshot; a worker doing so would race it.
-        """
-        if self.read_only:
-            raise RuntimeError(
-                f"{operation} refused: this QueryService is read_only "
-                "(worker mode); only the pool owner persists or compacts"
-            )
+    def _degraded(self) -> bool:
+        return self.durable is not None and self.durable.degraded
 
     @property
     def engine(self) -> WireframeEngine:
@@ -645,22 +445,13 @@ class QueryService:
     def close(self, wait: bool = True) -> None:
         """Shut the worker pool down; the service cannot be reused.
 
-        Also stops the background compactor (if started) and, when this
-        service opened the store's write-ahead log itself
-        (``from_snapshot(wal=True)``), seals and closes it.
+        Also closes the :attr:`durable` store, if any: its compactor
+        stops and its write-ahead log is sealed and closed.
         """
         self._closed = True
-        if self._compactor_thread is not None:
-            self._compactor_stop.set()
-            if wait:
-                self._compactor_thread.join(timeout=30.0)
-            self._compactor_thread = None
         self._pool.shutdown(wait=wait)
-        if self._owns_wal:
-            from repro.storage import close_store
-
-            close_store(self.store)
-            self._owns_wal = False
+        if self.durable is not None:
+            self.durable.close()
 
     def __enter__(self) -> "QueryService":
         return self
@@ -1039,7 +830,9 @@ class QueryService:
     def source(self) -> dict:
         """Which durable snapshot is answering: ``{"path", "generation"}``,
         both ``None`` for a service built over an in-memory store."""
-        return {"path": self._source_path, "generation": self._source_generation}
+        if self.durable is not None:
+            return {"path": self.durable.path, "generation": self.durable.generation}
+        return dict(self._source)
 
     def snapshot(self) -> dict:
         """All service statistics as one JSON-compatible dict.
@@ -1072,26 +865,11 @@ class QueryService:
             "store_triples": self.store.num_triples,
             "catalog_refreshes": dict(self.store.catalog_refreshes),
             "read_only": self.read_only,
-            "degraded": self.degraded,
+            "degraded": self._degraded(),
             "snapshot": self.source,
         }
-        hook = self.store.write_log
-        if hook is not None:
-            from repro.storage import snapshot_generation
-
-            wal_stats = hook.wal.stats()
-            wal_stats["compactions"] = self._compactions
-            wal_stats["compactor_running"] = self._compactor_thread is not None
-            wal_stats["generation"] = (
-                self._last_compaction_generation
-                if self._last_compaction_generation is not None
-                else (
-                    snapshot_generation(hook.snapshot_path)
-                    if hook.snapshot_path is not None
-                    else 0
-                )
-            )
-            snap["wal"] = wal_stats
+        if self.durable is not None:
+            snap["wal"] = self.durable.stats()
         return snap
 
     def _latency_summary(self, phase: str) -> dict:

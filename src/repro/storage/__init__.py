@@ -1,7 +1,7 @@
 """Durable snapshot & segment persistence for triple stores.
 
 The persistence subsystem behind ``repro save`` / ``--snapshot`` and
-:meth:`QueryService.persist() <repro.service.QueryService.persist>`:
+``repro serve --wal``:
 
 * :func:`save_snapshot` — atomically serialize a store (term
   dictionary, per-predicate columnar segments, optional statistics
@@ -22,6 +22,9 @@ The persistence subsystem behind ``repro save`` / ``--snapshot`` and
   ``kill -9``; :func:`compact` folds the log into the next snapshot
   generation off the write path; :func:`store_fingerprint` is the
   content-equality oracle the recovery guarantees are stated in;
+* :class:`DurableStore` — one journaled store's lifecycle (seal,
+  fold-in, background compactor, degraded-mode probe), the object a
+  ``QueryService.from_snapshot(..., wal=True)`` keeps as ``durable``;
 * **generation-change notification**: :func:`generation_token` /
   :class:`SnapshotWatcher` turn the atomic symlink install into a
   one-syscall change detector, which is how the prefork dispatcher
@@ -45,6 +48,7 @@ from repro.storage.generations import (
     quarantine_path,
     quarantined,
 )
+from repro.storage.durable import DurableStore
 from repro.storage.recovery import (
     close_store,
     compact,
@@ -97,6 +101,7 @@ __all__ = [
     "WalWriteHook",
     "WriteAheadLog",
     "scan_wal",
+    "DurableStore",
     "open_store",
     "close_store",
     "replay_wal",

@@ -181,7 +181,7 @@ def save_snapshot(
     *mutation racing the save* is detected through the epoch counter
     and aborts it rather than renaming a torn snapshot into place
     (callers that must not race hold the store's ``write_lock`` — see
-    ``QueryService.persist`` — or go through the WAL compactor's
+    ``DurableStore.persist`` — or go through the WAL compactor's
     retry loop instead).
 
     ``generation`` is the compaction counter stamped into the manifest

@@ -31,7 +31,7 @@ Durability policy is configurable per log: ``fsync="batch"`` (the safe
 default — every :meth:`WriteAheadLog.append` is flushed and fsynced
 before it returns, so an acknowledged write survives ``kill -9``) or
 ``fsync="none"`` (leave scheduling to the OS; an explicit
-:meth:`~WriteAheadLog.sync` — e.g. ``QueryService.persist()`` — makes
+:meth:`~WriteAheadLog.sync` — e.g. ``DurableStore.persist()`` — makes
 everything appended so far durable at once).
 
 Under ``fsync="batch"``, concurrent appenders **group-commit**: the

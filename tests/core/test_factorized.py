@@ -6,11 +6,7 @@ import pytest
 
 from repro.core.defactorize import count_embeddings, iter_embeddings
 from repro.core.engine import WireframeEngine
-from repro.core.factorized import (
-    count_embeddings_factorized,
-    sample_embedding,
-    variable_marginals,
-)
+from repro.core.factorized import sample_embedding, variable_marginals
 from repro.core.generation import generate_answer_graph
 from repro.core.ideal import enumerate_embeddings_bruteforce
 from repro.datasets.motifs import (
@@ -38,13 +34,13 @@ def make_ag(store, query):
 
 def test_fig1_count():
     ag = make_ag(figure1_graph(), figure1_query())
-    assert count_embeddings_factorized(ag) == 12
+    assert count_embeddings(ag) == 12
 
 
 def test_count_equals_enumeration_on_fan_chain():
     store = fan_chain_graph(fan_in=7, fan_out=9, hub_pairs=3)
     ag = make_ag(store, figure1_query())
-    assert count_embeddings_factorized(ag) == count_embeddings(ag) == 3 * 7 * 9
+    assert count_embeddings(ag) == sum(1 for _ in iter_embeddings(ag)) == 3 * 7 * 9
 
 
 def test_count_on_snowflake(mini_yago, mini_yago_catalog):
@@ -54,14 +50,14 @@ def test_count_on_snowflake(mini_yago, mini_yago_catalog):
     for q in paper_snowflake_queries()[:3]:
         detail = engine.evaluate_detailed(q, materialize=False)
         assert (
-            count_embeddings_factorized(detail.answer_graph) == detail.count
+            count_embeddings(detail.answer_graph) == detail.count
         ), q.name
 
 
 def test_cyclic_query_rejected():
+    """Message passing needs a tree; counting does not."""
     ag = make_ag(figure4_graph(), figure4_query())
-    with pytest.raises(QueryError):
-        count_embeddings_factorized(ag)
+    assert count_embeddings(ag) == sum(1 for _ in iter_embeddings(ag))
     with pytest.raises(QueryError):
         variable_marginals(ag)
     with pytest.raises(QueryError):
@@ -71,7 +67,7 @@ def test_cyclic_query_rejected():
 def test_empty_ag():
     store = store_from_edges({"A": [("1", "2")], "B": [("8", "9")]})
     ag = make_ag(store, parse_sparql("select * where { ?x A ?y . ?y B ?z }"))
-    assert count_embeddings_factorized(ag) == 0
+    assert count_embeddings(ag) == 0
     assert sample_embedding(ag) is None
     assert all(not m for m in variable_marginals(ag).values())
 
@@ -89,7 +85,7 @@ def test_marginals_match_enumeration():
 def test_marginals_sum_to_total():
     store = fan_chain_graph(fan_in=4, fan_out=6, hub_pairs=2)
     ag = make_ag(store, figure1_query())
-    total = count_embeddings_factorized(ag)
+    total = count_embeddings(ag)
     marginals = variable_marginals(ag)
     for var, table in marginals.items():
         assert sum(table.values()) == total, var
@@ -105,7 +101,7 @@ def test_marginals_on_branching_query(mini_yago):
         ]
     )
     ag = make_ag(mini_yago, q)
-    total = count_embeddings_factorized(ag)
+    total = count_embeddings(ag)
     marginals = variable_marginals(ag)
     for var, table in marginals.items():
         assert sum(table.values()) == total, var
@@ -143,7 +139,7 @@ def test_constant_component_count():
     )
     q = parse_sparql("select * where { ?x A k . k B ?z }")
     ag = make_ag(store, q)
-    assert count_embeddings_factorized(ag) == 6
+    assert count_embeddings(ag) == 6
     sample = sample_embedding(ag, 1)
     assert sample is not None and len(sample) == 2
 
@@ -156,10 +152,10 @@ def test_factorized_count_much_cheaper_than_enumeration():
     store = fan_chain_graph(fan_in=120, fan_out=120, hub_pairs=3)
     ag = make_ag(store, figure1_query())
     t0 = time.perf_counter()
-    fast = count_embeddings_factorized(ag)
+    fast = count_embeddings(ag)
     t_fast = time.perf_counter() - t0
     t0 = time.perf_counter()
     slow = sum(1 for _ in iter_embeddings(ag))
     t_slow = time.perf_counter() - t0
-    assert fast == slow == count_embeddings(ag) == 3 * 120 * 120
+    assert fast == slow == 3 * 120 * 120
     assert t_fast < t_slow

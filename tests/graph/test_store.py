@@ -155,15 +155,15 @@ def test_materialize_all_indexes(store):
 
 def test_unknown_permutation_rejected(store):
     with pytest.raises(StoreError):
-        store._get_lazy("pos")  # pos is a primary, not lazy, index
+        store.backend.get_permutation("pos")  # a primary, not lazy, index
 
 
 def test_forward_backward_index_views(store):
     knows = store.dictionary.lookup("knows")
     a, b, c = (store.dictionary.lookup(t) for t in "abc")
-    assert store.forward_index(knows)[a] == {b, c}
-    assert store.backward_index(knows)[c] == {a, b}
-    assert store.forward_index(12345) == {}
+    assert store.adjacency(knows)[a] == {b, c}
+    assert store.reverse_adjacency(knows)[c] == {a, b}
+    assert store.adjacency(12345) == {}
 
 
 def test_repr(store):

@@ -49,7 +49,7 @@ def test_concurrent_lazy_builds_with_readers(backend):
                 if worker % 2 == 0:
                     # Builder: force every lazy permutation.
                     for name in LAZY_PERMUTATIONS:
-                        index = store._get_lazy(name)
+                        index = store.backend.get_permutation(name)
                         total = sum(
                             len(third)
                             for second in index.values()
@@ -86,7 +86,7 @@ def test_lazy_index_built_exactly_once(backend):
 
         def build(_: int):
             start.wait()
-            return store._get_lazy("spo")
+            return store.backend.get_permutation("spo")
 
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             indexes = list(pool.map(build, range(THREADS)))
@@ -115,14 +115,14 @@ def test_insert_during_build_never_lost(backend):
 
         def builder():
             barrier.wait()
-            store._get_lazy("spo")
+            store.backend.get_permutation("spo")
 
         threads = [threading.Thread(target=writer), threading.Thread(target=builder)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        spo = store._get_lazy("spo")
+        spo = store.backend.get_permutation("spo")
         for s, p, o in new_triples:
             sid = store.dictionary.lookup(s)
             pid = store.dictionary.lookup(p)

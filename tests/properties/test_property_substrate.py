@@ -34,9 +34,9 @@ def test_store_index_consistency(graph):
     """Forward and backward indexes describe the same edge set."""
     store = build_store(graph)
     for p in store.predicates():
-        fwd_edges = {(s, o) for s, objs in store.forward_index(p).items()
+        fwd_edges = {(s, o) for s, objs in store.adjacency(p).items()
                      for o in objs}
-        bwd_edges = {(s, o) for o, subs in store.backward_index(p).items()
+        bwd_edges = {(s, o) for o, subs in store.reverse_adjacency(p).items()
                      for s in subs}
         assert fwd_edges == bwd_edges
         assert store.count(p) == len(fwd_edges)

@@ -368,7 +368,8 @@ def run_enospc_chaos(
     journal = Journal()
     journal.log("start", scenario="enospc", seed=seed)
 
-    service = QueryService.from_snapshot(snap, wal=True, probe_interval=0.1)
+    service = QueryService.from_snapshot(snap, wal=True)
+    service.durable.PROBE_INTERVAL_SECONDS = 0.1
     disk = ENOSPCHandle(service.store.write_log.wal._handle)
     service.store.write_log.wal._handle = disk
     degraded_seen = False

@@ -148,6 +148,7 @@ class ManualService:
     def __init__(self, store):
         self.store = store
         self.epoch = 0
+        self.durable = None
         self.futures: list[Future] = []
         self.submitted = threading.Event()
 

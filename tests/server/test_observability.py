@@ -248,24 +248,18 @@ def test_metrics_scrape_route_is_label_bounded(client):
 
 
 def test_wal_metrics_appear_only_for_journaled_service(tmp_path):
-    from repro.storage import close_store, open_store
-
-    store = open_store(tmp_path / "snap")
-    try:
-        store.add_term_triples([("a", "p", "b"), ("b", "p", "c")])
-        with QueryService(store) as svc:
-            with serve_in_background(svc) as handle:
-                client = Client(handle.address)
-                try:
-                    status, text, _ = client.get_text("/metrics")
-                finally:
-                    client.close()
-        families = parse_exposition(text)
-        assert sample_value(families, "repro_wal_records") >= 1
-        assert sample_value(families, "repro_wal_fsyncs_total") >= 1
-        assert sample_value(families, "repro_wal_appends_total") >= 1
-    finally:
-        close_store(store)
+    with QueryService.from_snapshot(tmp_path / "snap", wal=True) as svc:
+        svc.store.add_term_triples([("a", "p", "b"), ("b", "p", "c")])
+        with serve_in_background(svc) as handle:
+            client = Client(handle.address)
+            try:
+                status, text, _ = client.get_text("/metrics")
+            finally:
+                client.close()
+    families = parse_exposition(text)
+    assert sample_value(families, "repro_wal_records") >= 1
+    assert sample_value(families, "repro_wal_fsyncs_total") >= 1
+    assert sample_value(families, "repro_wal_appends_total") >= 1
 
 
 def test_wal_metrics_absent_without_wal(client):

@@ -171,7 +171,8 @@ def test_shed_responses_carry_retry_after_header(tmp_path):
 def test_disk_full_degrades_then_recovers_over_http(tmp_path):
     snap = tmp_path / "snap"
     save_snapshot(_chain_store(6), snap, generation=1)
-    service = QueryService.from_snapshot(snap, wal=True, probe_interval=0.0)
+    service = QueryService.from_snapshot(snap, wal=True)
+    service.durable.PROBE_INTERVAL_SECONDS = 0.0
     disk = ENOSPCHandle(service.store.write_log.wal._handle)
     service.store.write_log.wal._handle = disk
     try:

@@ -112,7 +112,7 @@ class ManualService:
     def __init__(self, store):
         self.store = store
         self.epoch = 0
-        self.read_only = False
+        self.durable = None
         self.futures: list[Future] = []
         self.submitted = threading.Event()
 

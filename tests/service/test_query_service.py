@@ -8,12 +8,13 @@ import pytest
 
 from repro.core.engine import WireframeEngine
 from repro.datasets.paper_queries import paper_diamond_queries, paper_snowflake_queries
-from repro.errors import EvaluationTimeout
+from repro.errors import EvaluationTimeout, StoreError
 from repro.query.miner import QueryMiner
 from repro.query.model import ConjunctiveQuery, Const
 from repro.query.parser import parse_sparql
 from repro.query.templates import chain_template
 from repro.service import QueryService
+from repro.storage import save_snapshot
 from repro.utils.deadline import Deadline
 
 
@@ -517,14 +518,14 @@ class TestBackendSurfacing:
 
 
 class TestPersistence:
-    """persist() / from_snapshot(): the durable-service lifecycle."""
+    """save_snapshot() / from_snapshot(): the snapshot-served lifecycle."""
 
     def test_persist_then_from_snapshot_round_trip(self, tmp_path, mini_yago,
                                                    mini_yago_catalog,
                                                    mined_queries):
         with QueryService(mini_yago, catalog=mini_yago_catalog) as service:
             live = [service.evaluate(q) for q in mined_queries]
-            manifest = service.persist(tmp_path / "snap")
+            manifest = save_snapshot(service.store, tmp_path / "snap")
         assert manifest["num_triples"] == mini_yago.num_triples
         assert manifest["epoch"] == mini_yago.epoch
 
@@ -540,7 +541,7 @@ class TestPersistence:
                                             mined_queries):
         with QueryService(mini_yago) as service:
             expect = service.evaluate(mined_queries[0])
-            service.persist(tmp_path / "snap")
+            save_snapshot(service.store, tmp_path / "snap")
         with QueryService.from_snapshot(
             tmp_path / "snap", backend="columnar", use_mmap=True
         ) as warm:
@@ -556,36 +557,33 @@ class TestPersistence:
             assert service.snapshot()["snapshot"] == {
                 "path": None, "generation": None,
             }
-            service.persist(tmp_path / "snap")
+            save_snapshot(service.store, tmp_path / "snap")
         with QueryService.from_snapshot(tmp_path / "snap") as warm:
             gauges = warm.snapshot()
             assert gauges["snapshot"]["path"] == str(tmp_path / "snap")
             assert gauges["snapshot"]["generation"] == 0
-            assert gauges["read_only"] is False
+            assert gauges["read_only"] is True  # no write-ahead log
 
     def test_read_only_service_refuses_writer_operations(
         self, tmp_path, mini_yago, mined_queries
     ):
-        """Worker mode: reads work, every owner-side mutation refuses."""
+        """Worker mode (a snapshot without its WAL): reads work, and
+        there is nothing to persist or compact."""
         with QueryService(mini_yago) as service:
             expect = service.evaluate(mined_queries[0])
-            service.persist(tmp_path / "snap")
-        with QueryService.from_snapshot(
-            tmp_path / "snap", read_only=True
-        ) as worker:
+            save_snapshot(service.store, tmp_path / "snap")
+        with QueryService.from_snapshot(tmp_path / "snap") as worker:
             got = worker.evaluate(mined_queries[0])
             assert sorted(got.rows) == sorted(expect.rows)
+            assert worker.durable is None
             assert worker.snapshot()["read_only"] is True
-            with pytest.raises(RuntimeError, match="read_only"):
-                worker.persist(tmp_path / "other")
-            with pytest.raises(RuntimeError, match="read_only"):
+            assert not hasattr(worker, "persist")
+            with pytest.raises(StoreError):
                 worker.compact()
-            with pytest.raises(RuntimeError, match="read_only"):
-                worker.start_compactor()
 
     def test_from_snapshot_uses_stored_catalog(self, tmp_path, mini_yago):
         with QueryService(mini_yago) as service:
-            service.persist(tmp_path / "snap")
+            save_snapshot(service.store, tmp_path / "snap")
         with QueryService.from_snapshot(tmp_path / "snap") as warm:
             # catalog arrived from disk: identical statistics without a
             # rebuild against the loaded store
@@ -595,7 +593,7 @@ class TestPersistence:
         from repro.storage import load_snapshot_catalog
 
         with QueryService(mini_yago) as service:
-            service.persist(tmp_path / "snap", include_catalog=False)
+            save_snapshot(service.store, tmp_path / "snap", include_catalog=False)
         assert load_snapshot_catalog(tmp_path / "snap") is None
 
     def test_persist_after_mutation_stores_fresh_catalog(self, tmp_path):
@@ -607,7 +605,7 @@ class TestPersistence:
         service = QueryService(store)
         try:
             store.add_term_triple("b", "p", "c")  # mutate after engine built
-            service.persist(tmp_path / "snap")
+            save_snapshot(service.store, tmp_path / "snap")
         finally:
             service.close()
         manifest = read_manifest(tmp_path / "snap")

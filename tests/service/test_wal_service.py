@@ -1,6 +1,7 @@
 """QueryService over the crash-safe write path (wal=True).
 
-The service-layer satellite of the WAL work: cheap ``persist()`` (seal,
+The journaled service keeps its store's lifecycle on ``service.durable``
+(a :class:`~repro.storage.DurableStore`): cheap ``persist()`` (seal,
 not rewrite), ``compact()`` + the background compactor, the WAL gauges
 in ``snapshot()``, and the crash-safe lifecycle end to end.
 """
@@ -9,6 +10,7 @@ import time
 
 import pytest
 
+from repro.errors import StoreError
 from repro.graph.backends import available_backends
 from repro.service import QueryService
 from repro.storage import (
@@ -41,7 +43,7 @@ def test_wal_service_lifecycle(tmp_path, backend):
         fp = store_fingerprint(svc.store)
 
         # persist() with a log attached is a seal, not a rewrite:
-        receipt = svc.persist()
+        receipt = svc.durable.persist()
         assert receipt["sealed"] is True
         assert receipt["wal"]["records"] == 2
         assert not (snap.exists())  # nothing forced a snapshot
@@ -95,9 +97,9 @@ def test_persist_full_and_foreign_path_write_snapshots(tmp_path, backend):
     snap = tmp_path / "snap"
     with QueryService.from_snapshot(snap, wal=True, backend=backend) as svc:
         svc.store.add_term_triples(EDGES)
-        manifest = svc.persist(full=True)
+        manifest = svc.durable.persist(full=True)
         assert manifest["num_triples"] == len(EDGES)
-        foreign = svc.persist(tmp_path / "export")
+        foreign = svc.durable.persist(tmp_path / "export")
         assert foreign["num_triples"] == len(EDGES)
     # The foreign copy is a plain snapshot, loadable without a WAL.
     with QueryService.from_snapshot(tmp_path / "export") as cold:
@@ -111,17 +113,18 @@ def test_persist_without_log_or_path_is_an_error(backend):
     store.add_term_triples(EDGES)
     store.freeze()
     with QueryService(store) as svc:
-        with pytest.raises(ValueError, match="needs a path"):
-            svc.persist()
+        # Nothing to seal: exports go through save_snapshot instead.
+        assert svc.durable is None
+        assert not hasattr(svc, "persist")
 
 
 def test_background_compactor_runs_and_stops(tmp_path, backend):
     snap = tmp_path / "snap"
     with QueryService.from_snapshot(snap, wal=True, backend=backend) as svc:
         svc.store.add_term_triples(EDGES)
-        svc.start_compactor(interval=0.05, min_bytes=1)
+        svc.durable.start_compactor(interval=0.05, min_bytes=1)
         with pytest.raises(RuntimeError, match="already running"):
-            svc.start_compactor(interval=0.05)
+            svc.durable.start_compactor(interval=0.05)
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
             if svc.snapshot()["wal"]["compactions"]:
@@ -143,9 +146,8 @@ def test_compactor_requires_a_write_log(backend):
     store = TripleStore(backend=backend)
     store.freeze()
     with QueryService(store) as svc:
-        with pytest.raises(ValueError, match="no write-ahead log"):
-            svc.start_compactor()
-        with pytest.raises(Exception):
+        assert not hasattr(svc, "start_compactor")
+        with pytest.raises(StoreError, match="no write-ahead log"):
             svc.compact()
 
 

@@ -214,7 +214,7 @@ def test_service_persist_round_trips_lazy_dictionary(tmp_path):
     store = small_store("columnar")
     save_snapshot(store, tmp_path / "a")
     with QueryService.from_snapshot(tmp_path / "a", backend="columnar") as svc:
-        manifest = svc.persist(tmp_path / "b")
+        manifest = save_snapshot(svc.store, tmp_path / "b")
     assert manifest["num_terms"] == len(store.dictionary)
     assert_same_contents(store, load_snapshot(tmp_path / "b"))
 

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,8 @@ def test_all_exports_resolve():
 
 
 def test_phase_two_exports_one_planner_and_one_executor():
-    """The retired DP/tree planners and the second executor stay gone."""
+    """The retired DP/tree planners, the second executor and the second
+    counter stay gone."""
     names = set(repro.__all__)
     assert {n for n in names if n.endswith("_embedding_plan")} == {
         "greedy_embedding_plan"
@@ -25,6 +27,7 @@ def test_phase_two_exports_one_planner_and_one_executor():
         "materialize_embeddings"
     }
     assert {n for n in names if n.endswith("Plan")} == {"AGPlan", "EmbeddingPlan"}
+    assert {n for n in names if n.startswith("count_")} == {"count_embeddings"}
 
 
 def test_everything_the_e2e_benchmark_imports_resolves():
@@ -44,6 +47,13 @@ def test_everything_the_e2e_benchmark_imports_resolves():
 
 def test_version_present():
     assert repro.__version__
+
+
+def test_version_matches_pyproject():
+    """The uninstalled-checkout fallback is kept in sync by hand."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
+    assert repro.__version__ == declared.group(1)
 
 
 def test_version_matches_package_metadata():
