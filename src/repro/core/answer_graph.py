@@ -22,8 +22,11 @@ pairs walked). Anything holding the AG may trigger the build by calling
 :meth:`~AnswerGraph.index` — node burnback for a small cascade batch,
 chord joins, edge burnback, phase 2 — and passes the deadline the build
 polls; the time lands in whichever phase asked. A reader that needs no
-inverse does not cause one: sizes, pair iteration and
-:meth:`~AnswerGraph.endpoints` work off whichever index exists.
+inverse does not cause one: sizes, pair iteration,
+:meth:`~AnswerGraph.endpoints` and per-key bucket sizes
+(:meth:`~AnswerGraph.degrees`) work off whichever index exists, and
+:meth:`~AnswerGraph.bucket` reads one key's bucket of a live relation
+off the store.
 
 Ownership: the AG owns its indexes and their value sets.
 :meth:`~AnswerGraph.index` hands out the live dicts, and whoever removes
@@ -50,6 +53,8 @@ graph).
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import AbstractSet, Iterator
 
 from repro.core.kernels import Adjacency, inverse_index
@@ -200,6 +205,33 @@ class AnswerGraph:
     def built(self, rel: RelKey, pos: str) -> Adjacency | None:
         """:meth:`index` if it exists already, else ``None``."""
         return (self._fwd if pos == "s" else self._bwd).get(rel)
+
+    def degrees(self, rel: RelKey, pos: str) -> Counter[int]:
+        """Each key's bucket size in the ``pos``-keyed index of ``rel``,
+        which is not :meth:`built`: one C-level ``Counter`` over the
+        other index, no inverse built."""
+        other = self._bwd if pos == "s" else self._fwd
+        return Counter(chain.from_iterable(other[rel].values()))
+
+    def bucket(self, rel: RelKey, pos: str, key: int) -> set[int] | None:
+        """``key``'s bucket in the ``pos``-keyed index of ``rel`` without
+        building that index, its nodes added in ascending order: the
+        store's ``key`` neighbours that the other index pairs with
+        ``key``, one store lookup whatever the relation's size. ``None``
+        unless ``rel`` is live (only then does the store know its
+        pairs)."""
+        predicate = self._live_predicate(rel)
+        if predicate is None:
+            return None
+        store = self.bound.store
+        other = self._bwd[rel] if pos == "s" else self._fwd[rel]
+        near = (store.successors if pos == "s" else store.predecessors)(predicate, key)
+        found = near & other.keys()
+        # A live relation pairs ``key`` with all of these or, once
+        # burnback removed ``key``, with none.
+        if found and key not in other[next(iter(found))]:
+            return set()
+        return set(sorted(found))
 
     def _live_predicate(self, rel: RelKey) -> int | None:
         """``rel``'s predicate, if ``rel`` is still that predicate

@@ -23,31 +23,61 @@ as the output format allows:
 * A complete skeleton assignment **emits factorized**: its rows are
   ``itertools.product`` over one pool per output column — a 1-tuple
   for a skeleton value, the adjacency set for a leaf — built in C with
-  no per-row Python. Counting multiplies the pool sizes instead; a
-  limited result does both, building rows only until it holds enough.
+  no per-row Python.
+
+Counting builds no row and, where the skeleton is a forest (every
+acyclic query), enumerates no assignment either: one bottom-up pass
+gives each node the number of rows below it — its leaves' pool sizes
+times, per child variable, the sum of the child's weights over the
+node's adjacency set — the count over a factorized representation of
+Yannakakis and FDB (Olteanu & Závodný, TODS 2015), linear in |AG|. The
+pass reads an index phase 1 did not build only as bucket sizes, and
+roots each tree where its joins descend the built ones. A limited
+result takes that count and then enumerates only until it holds
+``limit`` rows, reading an unbuilt index at the keys it visits. A
+cycle's closing variable, or DISTINCT over a projected-away skeleton
+variable, still counts by enumeration.
 
 The join order is an :class:`~repro.planner.plan.EmbeddingPlan`: any
 connected order yields the same rows on any AG. All it decides is the
 order of the skeleton variables, which on non-ideal AGs and cyclic
 queries changes how many partial assignments a later intersection
-discards. Row order is unspecified (set iteration).
+discards; with at most one skeleton variable it decides nothing
+(:func:`plan_free_order`). Row order is unspecified (set iteration).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, islice, product
+from functools import partial
+from itertools import chain, islice, product, repeat
 from math import prod
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from operator import mul
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from repro.core.answer_graph import AnswerGraph
+from repro.core.answer_graph import AnswerGraph, RelKey
 from repro.core.kernels import BLOCK, Adjacency
 from repro.errors import PlanError
 from repro.planner.plan import validate_connected_order
+from repro.query.algebra import BoundEdge
 from repro.utils.deadline import Deadline
 
 Row = tuple[int, ...]
 _NONE: frozenset[int] = frozenset()
+
+
+class _Shape(NamedTuple):
+    """How a query splits into skeleton and leaves, before any index
+    is read."""
+
+    width: int  # output columns
+    shown_at: dict[int, list[int]]  # var -> the output columns showing it
+    leaf_edges: dict[int, int]  # edge index -> its hanging leaf variable
+    level_of: dict[int, int]  # skeleton var -> level, by first appearance
+    #: whether the last skeleton variable may go out as one whole pool
+    #: (it does if it anchors no leaf)
+    poolable_last: bool
+    exact: bool  # False when DISTINCT still has to de-duplicate rows
 
 
 class _Level(NamedTuple):
@@ -71,21 +101,83 @@ class _Plan(NamedTuple):
     tail: _Level | None
     slots: list[int | None]  # known nodes: one per level, then the constants
     pools: list[Collection[int]]  # one per output column
-    exact: bool  # False when DISTINCT still has to de-duplicate rows
 
 
-def _compile(
-    ag: AnswerGraph,
-    order: Sequence[int] | None,
-    columns: Sequence[int],
-    distinct: bool,
-    deadline: Deadline,
-) -> _Plan | None:
-    """Split the query into skeleton levels and hanging leaves, in
-    O(|query|) plus the AG indexes it is first to read: each edge is
-    asked for the one direction its join or leaf descends, which phase
-    1 may not have built. ``None`` means the AG provably holds no
-    embedding."""
+def _index(ag: AnswerGraph, rel: RelKey, pos: str, deadline: Deadline) -> Adjacency:
+    """``ag.index(rel, pos)``, whose buckets, if phase 2 has to build
+    it, hold their nodes in ascending order — the order
+    :meth:`AnswerGraph.bucket` reads one in. Set iteration follows
+    insertion order where hashes collide, so this is what makes a
+    limited evaluation enumerate exactly like an unlimited one."""
+    adj = ag.built(rel, pos)
+    if adj is None:
+        adj = ag.index(rel, pos, deadline)
+        for key, bucket in adj.items():
+            adj[key] = set(sorted(bucket))
+    return adj
+
+
+class _Buckets:
+    """An index phase 1 did not build, read only at the keys that
+    enumeration visits, each once: off the store while the relation is
+    live (:meth:`AnswerGraph.bucket`), else from the index built whole."""
+
+    __slots__ = ("_read", "_build", "_seen")
+
+    def __init__(self, ag: AnswerGraph, rel: RelKey, pos: str, deadline: Deadline):
+        self._read = partial(ag.bucket, rel, pos)
+        self._build = partial(_index, ag, rel, pos, deadline)
+        self._seen: dict[int | None, Collection[int]] = {}
+
+    def get(self, key: int | None, default: object = None) -> Collection[int]:
+        bucket = self._seen.get(key)
+        if bucket is None:
+            bucket = self._read(key)
+            if bucket is None:
+                bucket = self._build().get(key, _NONE)
+            self._seen[key] = bucket
+        return bucket
+
+
+def _shown_at(columns: Sequence[int]) -> dict[int, list[int]]:
+    """var -> the output columns showing it."""
+    shown_at: dict[int, list[int]] = {}
+    for column, var in enumerate(columns):
+        shown_at.setdefault(var, []).append(column)
+    return shown_at
+
+
+def _poolable(var: int, shown_at: Mapping[int, list[int]], distinct: bool) -> bool:
+    """May ``var``'s values go out as one whole pool? Yes if it fills
+    one output column, or none under DISTINCT (it only has to exist).
+    Projected away under bag semantics it multiplies rows, shown twice
+    it must agree with itself: both are left to enumeration."""
+    shown = shown_at.get(var, ())
+    return len(shown) == 1 or (distinct and not shown)
+
+
+def _leaf_edges(
+    edges: Sequence[BoundEdge], shown_at: Mapping[int, list[int]], distinct: bool
+) -> dict[int, int]:
+    """Edge index -> its hanging leaf variable, for every var–var edge
+    one of whose ends occurs nowhere else and may go out as a pool."""
+    degree = Counter(v for e in edges for v in e.var_set())
+    leaf_edges: dict[int, int] = {}
+    for e in edges:
+        if e.s_var is not None and e.o_var is not None and e.s_var != e.o_var:
+            for var in (e.o_var, e.s_var):
+                if degree[var] == 1 and _poolable(var, shown_at, distinct):
+                    leaf_edges[e.index] = var
+                    break
+    return leaf_edges
+
+
+def _shape(
+    ag: AnswerGraph, order: Sequence[int] | None, columns: Sequence[int], distinct: bool
+) -> _Shape | None:
+    """Validate ``order`` and split the query into skeleton levels and
+    hanging leaves, in O(|query|) and reading no index. ``None`` means
+    the AG is empty."""
     edges = ag.bound.edges
     if ag.empty:
         return None
@@ -98,26 +190,8 @@ def _compile(
         if not ag.is_materialized(("e", eid)):
             raise PlanError(f"edge {eid} was never materialized in the AG")
 
-    shown_at: dict[int, list[int]] = {}
-    for column, var in enumerate(columns):
-        shown_at.setdefault(var, []).append(column)
-
-    def poolable(var: int) -> bool:
-        # May var's values go out as one whole pool? Yes if it fills one
-        # output column, or none under DISTINCT (it only has to exist).
-        # Projected away under bag semantics it multiplies rows, shown
-        # twice it must agree with itself: both are left to enumeration.
-        shown = shown_at.get(var, ())
-        return len(shown) == 1 or (distinct and not shown)
-
-    degree = Counter(v for e in edges for v in e.var_set())
-    leaf_edges: dict[int, int] = {}  # edge index -> its leaf variable
-    for e in edges:
-        if e.s_var is not None and e.o_var is not None and e.s_var != e.o_var:
-            for var in (e.o_var, e.s_var):
-                if degree[var] == 1 and poolable(var):
-                    leaf_edges[e.index] = var
-                    break
+    shown_at = _shown_at(columns)
+    leaf_edges = _leaf_edges(edges, shown_at, distinct)
     leaf_vars = set(leaf_edges.values())
 
     level_of: dict[int, int] = {}
@@ -125,6 +199,33 @@ def _compile(
         for var in (edges[eid].s_var, edges[eid].o_var):
             if var is not None and var not in leaf_vars:
                 level_of.setdefault(var, len(level_of) + 1)
+    return _Shape(
+        len(columns),
+        shown_at,
+        leaf_edges,
+        level_of,
+        bool(level_of) and _poolable(next(reversed(level_of)), shown_at, distinct),
+        not distinct or all(var in shown_at for var in level_of),
+    )
+
+
+def _compile(
+    ag: AnswerGraph, shape: _Shape, deadline: Deadline, lazy: bool = False
+) -> _Plan | None:
+    """Bind the shape's levels and leaves to the AG indexes they
+    descend, in O(|query|) plus the indexes it is first to read: each
+    edge is asked for the one direction its join or leaf descends,
+    which phase 1 may not have built. ``lazy`` reads such a direction
+    only at the keys enumeration visits; otherwise it is built whole.
+    ``None`` means the AG provably holds no embedding."""
+    edges = ag.bound.edges
+    shown_at, leaf_edges, level_of = shape.shown_at, shape.leaf_edges, shape.level_of
+
+    def index(rel: RelKey, pos: str) -> Adjacency:
+        if lazy and ag.built(rel, pos) is None:
+            return _Buckets(ag, rel, pos, deadline)
+        return _index(ag, rel, pos, deadline)
+
     levels = [_Level([], [], (None,), [], [])] + [
         _Level([], [], ag.node_sets.get(var, _NONE), shown_at.get(var, []), [])
         for var in level_of
@@ -138,24 +239,22 @@ def _compile(
             leaf = leaf_edges[e.index]
             anchor, pos = (s, "s") if leaf == o else (o, "o")
             column = shown_at[leaf][0] if leaf in shown_at else None
-            levels[level_of[anchor]].leaves.append((column, ag.index(rel, pos, deadline)))
+            levels[level_of[anchor]].leaves.append((column, index(rel, pos)))
         elif s is not None and s == o:
             levels[level_of[s]].loops.append(ag.forward(rel, deadline))
         elif s is not None and o is not None:
             if level_of[s] < level_of[o]:
-                levels[level_of[o]].joins.append((ag.forward(rel, deadline), level_of[s]))
+                levels[level_of[o]].joins.append((index(rel, "s"), level_of[s]))
             else:
-                levels[level_of[s]].joins.append((ag.backward(rel, deadline), level_of[o]))
+                levels[level_of[s]].joins.append((index(rel, "o"), level_of[o]))
         elif s is not None or o is not None:  # the constant end is known from the start
             var, pos, const = (o, "s", e.s_const) if s is None else (s, "o", e.o_const)
-            levels[level_of[var]].joins.append((ag.index(rel, pos, deadline), len(slots)))
+            levels[level_of[var]].joins.append((index(rel, pos), len(slots)))
             slots.append(const)
         elif e.o_const not in ag.forward(rel, deadline).get(e.s_const, _NONE):
             return None
-    exact = not distinct or all(var in shown_at for var in level_of)
-    pooled = level_of and poolable(next(reversed(level_of))) and not levels[-1].leaves
-    tail = levels.pop() if pooled else None
-    return _Plan(levels, tail, slots, [()] * len(columns), exact)
+    tail = levels.pop() if shape.poolable_last and not levels[-1].leaves else None
+    return _Plan(levels, tail, slots, [()] * shape.width)
 
 
 def _candidates(level: _Level, slots: list[int | None]) -> Collection[int | None]:
@@ -241,6 +340,191 @@ def _unique(rows: Iterable[Row]) -> Iterator[Row]:
             yield row
 
 
+# ----------------------------------------------------------------------
+# Counting bottom-up
+# ----------------------------------------------------------------------
+
+
+#: One factor of a node's weight: ``(mapping, default, measure)`` gives
+#: ``measure(mapping.get(node, default))``, or the value itself when
+#: ``measure`` is ``None``.
+_Factor = tuple[Mapping[int, object], object, Callable[[object], int] | None]
+
+
+def _weighed(factors: list[_Factor], nodes: Iterable[int]) -> Iterator[int]:
+    """Each node's product of ``factors``, lazily, one C-level ``map``
+    per factor over ``nodes`` (iterated once per factor)."""
+    out = None
+    for mapping, default, measure in factors:
+        values = map(mapping.get, nodes, repeat(default))
+        if measure is not None:
+            values = map(measure, values)
+        out = values if out is None else map(mul, out, values)
+    return out
+
+
+def _sums(adj: Adjacency, weight: Mapping[int, int] | None, deadline: Deadline) -> dict[int, int]:
+    """``{key: Σ weight over adj[key]}`` — a child variable's message to
+    its parent, one C-level ``map``/``sum`` per bucket and a deadline
+    poll per ``BLOCK`` buckets. ``weight`` ``None`` weighs every node 1."""
+    if weight is None:
+        deadline.check_every(len(adj))
+        return dict(zip(adj, map(len, adj.values())))
+    get, zero, out = weight.get, repeat(0), {}
+    keys, buckets = iter(adj), iter(adj.values())
+    for _ in range(0, len(adj), BLOCK):
+        deadline.check_every(BLOCK)
+        sums = map(sum, map(map, repeat(get), islice(buckets, BLOCK), repeat(zero)))
+        out.update(zip(islice(keys, BLOCK), sums))
+    return out
+
+
+class _Forest:
+    """A skeleton forest, read off the query: per skeleton variable the
+    leaves it anchors, its joins to other skeleton variables and the
+    values its constants and self-loops leave it. (Methods, not nested
+    functions: recursive closures are reference cycles, and every count
+    would leave one to the cyclic collector.)"""
+
+    __slots__ = ("ag", "deadline", "leaves", "links", "allowed")
+
+    def __init__(self, ag: AnswerGraph, skeleton: Iterable[int], deadline: Deadline):
+        self.ag = ag
+        self.deadline = deadline
+        self.leaves: dict[int, list[tuple[RelKey, str, bool]]] = {v: [] for v in skeleton}
+        self.links: dict[int, list[tuple[int, RelKey, str]]] = {v: [] for v in skeleton}
+        self.allowed: dict[int, Collection[int]] = {}
+
+    def allow(self, var: int, nodes: Collection[int]) -> None:
+        allowed = self.allowed
+        allowed[var] = nodes if var not in allowed else allowed[var] & nodes
+
+    def descents(self, root: int) -> Iterator[tuple[int, int, RelKey, str]]:
+        """(parent, child, relation, parent's end) of the tree below root."""
+        stack = [(root, None)]
+        while stack:
+            var, up = stack.pop()
+            for child, rel, pos in self.links[var]:
+                if child != up:
+                    yield var, child, rel, pos
+                    stack.append((child, var))
+
+    def factors(self, var: int, up: int | None) -> list[_Factor]:
+        """What multiplies into ``var``'s node weights below ``up``."""
+        ag, deadline = self.ag, self.deadline
+        found: list[_Factor] = []
+        for rel, pos, shown in self.leaves[var]:
+            adj = ag.built(rel, pos)
+            if adj is not None:
+                found.append((adj, _NONE, len if shown else bool))
+            else:
+                found.append((ag.degrees(rel, pos), 0, None if shown else bool))
+            deadline.check_every(len(found[-1][0]))
+        for child, rel, pos in self.links[var]:
+            if child != up:
+                adj = _index(ag, rel, pos, deadline)
+                found.append((_sums(adj, self.weights(child, var), deadline), 0, None))
+        return found
+
+    def weights(self, var: int, up: int | None) -> Mapping[int, int] | None:
+        """``var``'s node weights below ``up`` (``None``: 1 everywhere)."""
+        found = self.factors(var, up)
+        keep = self.allowed.get(var)
+        if not found:
+            return None if keep is None else dict.fromkeys(keep, 1)
+        nodes = min((mapping for mapping, _, _ in found), key=len)
+        if keep is not None:
+            nodes = keep if len(keep) <= len(nodes) else [n for n in nodes if n in keep]
+        return dict(zip(nodes, _weighed(found, nodes)))
+
+
+def _forest_count(ag: AnswerGraph, shape: _Shape, deadline: Deadline) -> int | None:
+    """The exact row count of an exact shape whose skeleton is a forest,
+    in one bottom-up pass; ``None`` when a join closes a cycle.
+
+    A node's weight is the number of rows below it: its leaves' pool
+    sizes (1 or 0 for a leaf DISTINCT does not show) times, per child
+    variable, the child's weights summed over the node's bucket. A
+    tree's root sums its weights over the candidates enumeration would
+    give it. Leaves are sized off whichever index exists
+    (:meth:`AnswerGraph.degrees`); a tree is rooted where the most of
+    its joins descend an index phase 1 built, so the others are the
+    only ones built.
+    """
+    skeleton = shape.level_of
+    forest = _Forest(ag, skeleton, deadline)
+    tree_of = {v: v for v in skeleton}  # union-find over the joins
+    for e in ag.bound.edges:
+        rel = ("e", e.index)
+        s, o = e.s_var, e.o_var
+        if e.index in shape.leaf_edges:
+            leaf = shape.leaf_edges[e.index]
+            anchor, pos = (s, "s") if leaf == o else (o, "o")
+            forest.leaves[anchor].append((rel, pos, leaf in shape.shown_at))
+        elif s is not None and s == o:
+            loop = ag.forward(rel, deadline)
+            forest.allow(s, {n for n, bucket in loop.items() if n in bucket})
+        elif s is not None and o is not None:
+            a, b = s, o
+            while tree_of[a] != a:
+                a = tree_of[a]
+            while tree_of[b] != b:
+                b = tree_of[b]
+            if a == b:
+                return None
+            tree_of[a] = b
+            forest.links[s].append((o, rel, "s"))
+            forest.links[o].append((s, rel, "o"))
+        elif s is not None or o is not None:
+            var, pos, const = (o, "s", e.s_const) if s is None else (s, "o", e.o_const)
+            forest.allow(var, _index(ag, rel, pos, deadline).get(const, _NONE))
+        elif e.o_const not in ag.forward(rel, deadline).get(e.s_const, _NONE):
+            return 0
+
+    total = 1
+    placed: set[int] = set()
+    for var in skeleton:  # first appearance: ties root a tree where the order does
+        if var in placed:
+            continue
+        members = [var] + [child for _, child, _, _ in forest.descents(var)]
+        placed.update(members)
+        root = max(members, key=lambda r: sum(
+            ag.built(rel, pos) is not None for _, _, rel, pos in forest.descents(r)))
+        found = forest.factors(root, None)
+        domain = forest.allowed.get(root, ag.node_sets.get(root, _NONE))
+        total *= sum(_weighed(found, domain)) if found else len(domain)
+        if not total:
+            return 0
+    return total
+
+
+# ----------------------------------------------------------------------
+# Public entry points
+# ----------------------------------------------------------------------
+
+
+def plan_free_order(ag: AnswerGraph) -> tuple[int, ...] | None:
+    """A connected join order, when the order cannot matter: the
+    skeleton of the query's rows has at most one variable, so every
+    order enumerates the same way. ``None`` otherwise, or for a
+    disconnected query — ask the planner."""
+    bound = ag.bound
+    shown_at = _shown_at(bound.projection)
+    leaves = set(_leaf_edges(bound.edges, shown_at, bound.distinct).values())
+    if bound.num_vars - len(leaves) > 1:
+        return None
+    tokens = [e.term_tokens() for e in bound.edges]
+    order, reached, rest = [0], set(tokens[0]), set(range(1, len(tokens)))
+    while rest:
+        step = min((eid for eid in rest if tokens[eid] & reached), default=None)
+        if step is None:
+            return None
+        order.append(step)
+        reached |= tokens[step]
+        rest.discard(step)
+    return tuple(order)
+
+
 def iter_embeddings(
     ag: AnswerGraph, order: Sequence[int] | None = None, deadline: Deadline | None = None
 ) -> Iterator[Row]:
@@ -251,7 +535,8 @@ def iter_embeddings(
     connected). Lazily yields tuples aligned with ``bound.var_names``.
     """
     deadline = deadline or Deadline.unlimited()
-    plan = _compile(ag, order, range(ag.bound.num_vars), False, deadline)
+    shape = _shape(ag, order, range(ag.bound.num_vars), False)
+    plan = shape and _compile(ag, shape, deadline)
     if plan is not None:
         yield from chain.from_iterable(_blocks(plan, deadline))
 
@@ -265,11 +550,12 @@ def materialize_embeddings(
     :func:`first_embeddings` gives the first few and their count."""
     bound = ag.bound
     deadline = deadline or Deadline.unlimited()
-    plan = _compile(ag, order, bound.projection, bound.distinct, deadline)
+    shape = _shape(ag, order, bound.projection, bound.distinct)
+    plan = shape and _compile(ag, shape, deadline)
     if plan is None:
         return []
     rows = chain.from_iterable(_blocks(plan, deadline))
-    if not plan.exact:
+    if not shape.exact:
         rows = _unique(rows)
     return list(rows)
 
@@ -283,26 +569,35 @@ def first_embeddings(
     """The first ``limit`` projected result rows — exactly the head of
     :func:`materialize_embeddings`' list — and the exact number of rows.
 
-    One pass over the skeleton: every assignment adds its pool sizes'
-    product to the count, and only while fewer than ``limit`` rows are
-    held does it build rows, ``BLOCK`` at a time from its product. Under
+    On a skeleton forest the count comes bottom-up and enumeration
+    stops once it holds ``limit`` rows, reading what phase 1 did not
+    index only at the nodes it visits. Otherwise one pass over the
+    skeleton adds every assignment's pool-size product to the count and
+    builds rows only while fewer than ``limit`` are held. Under
     DISTINCT with a skeleton variable projected away rows must be built
     to be told apart, so every one is enumerated and the head kept.
     """
     bound = ag.bound
     deadline = deadline or Deadline.unlimited()
-    plan = _compile(ag, order, bound.projection, bound.distinct, deadline)
+    shape = _shape(ag, order, bound.projection, bound.distinct)
+    if shape is None:
+        return [], 0
+    if not shape.exact:
+        plan = _compile(ag, shape, deadline)
+        unique = [] if plan is None else list(_unique(chain.from_iterable(_blocks(plan, deadline))))
+        return unique[:limit], len(unique)
+    count = _forest_count(ag, shape, deadline)
+    if count is not None and (count == 0 or limit == 0):
+        return [], count
+    plan = _compile(ag, shape, deadline, lazy=count is not None and limit < count)
     if plan is None:
         return [], 0
-    if not plan.exact:
-        unique = list(_unique(chain.from_iterable(_blocks(plan, deadline))))
-        return unique[:limit], len(unique)
     rows: list[Row] = []
-    count = 0
     check = deadline.check_every
+    total = 0
     for pools in _assignments(plan, deadline):
         size = prod(map(len, pools))
-        count += size
+        total += size
         wanted = min(size, limit - len(rows))
         if wanted > 0:
             block = product(*pools)
@@ -311,22 +606,32 @@ def first_embeddings(
                 check(step)
                 rows.extend(islice(block, step))
                 wanted -= step
-    return rows, count
+        if count is not None and len(rows) == limit:
+            break
+    return rows, total if count is None else count
 
 
 def count_embeddings(
     ag: AnswerGraph, order: Sequence[int] | None = None, deadline: Deadline | None = None
 ) -> int:
-    """Number of projected result rows: the pool sizes multiplied per
-    skeleton assignment, no row ever built — unless DISTINCT projects a
-    skeleton variable away, when rows must be kept to be told apart."""
+    """Number of projected result rows, no row ever built: bottom-up on
+    a skeleton forest, else the pool sizes multiplied per skeleton
+    assignment — unless DISTINCT projects a skeleton variable away,
+    when rows must be kept to be told apart."""
     bound = ag.bound
     deadline = deadline or Deadline.unlimited()
     # Bag semantics count embeddings, whatever the projection shows.
     columns = bound.projection if bound.distinct else range(bound.num_vars)
-    plan = _compile(ag, order, columns, bound.distinct, deadline)
+    shape = _shape(ag, order, columns, bound.distinct)
+    if shape is None:
+        return 0
+    if shape.exact:
+        count = _forest_count(ag, shape, deadline)
+        if count is not None:
+            return count
+    plan = _compile(ag, shape, deadline)
     if plan is None:
         return 0
-    if not plan.exact:
+    if not shape.exact:
         return len(set(chain.from_iterable(_blocks(plan, deadline))))
     return sum(prod(map(len, pools)) for pools in _assignments(plan, deadline))

@@ -31,6 +31,7 @@ from repro.core.defactorize import (
     count_embeddings,
     first_embeddings,
     materialize_embeddings,
+    plan_free_order,
 )
 from repro.core.generation import (
     GenerationStats,
@@ -195,9 +196,15 @@ class WireframeEngine(Engine):
             rows: list[tuple] | None = [] if materialize else None
             count = 0
         else:
-            embedding_plan = greedy_embedding_plan(
-                bound, *ag.relation_statistics()
-            )
+            # The planner orders skeleton variables; with at most one
+            # there is nothing to order or to gather statistics for.
+            order = plan_free_order(ag)
+            if order is not None:
+                embedding_plan = EmbeddingPlan(order, 0.0)
+            else:
+                embedding_plan = greedy_embedding_plan(
+                    bound, *ag.relation_statistics()
+                )
             if materialize and limit is None:
                 rows = materialize_embeddings(
                     ag, embedding_plan.order, deadline=deadline

@@ -29,12 +29,17 @@ recognized and rejected with a clear error.
 :class:`MmapDictionary` implements the full
 :class:`~repro.graph.dictionary.DictionaryView` read API over the two
 mapped files **without materializing** ``_term_to_id`` or
-``_id_to_term``: ``decode`` slices one record out of the mapped bytes
-(hot ids stay cheap through a small per-instance LRU), ``lookup`` /
-``encode`` binary-search the sorted-id permutation, and iteration
+``_id_to_term``: ``decode`` slices one record out of the mapped bytes,
+``lookup`` / ``encode`` binary-search the sorted-id permutation, and iteration
 streams records in id order. Warm-starting a snapshot therefore costs
 O(1) in the vocabulary size — the OS pages term bytes in on first
 touch.
+
+Each record is read and validated once: ``decode`` memoizes every term
+it has decoded and ``lookup`` every id it has found (never a miss, so
+unknown terms cannot grow it). The mapped vocabulary is immutable, so
+both memos are bounded by it — at most what an eager load pays up
+front, paid only for the terms a workload touches.
 """
 
 from __future__ import annotations
@@ -56,11 +61,6 @@ HEADER_BYTES = _HEADER.size  # 16: keeps the u64 arrays 8-byte aligned
 
 #: Element width of the offset and permutation arrays.
 ITEMSIZE = array("Q").itemsize
-
-#: Decoded-term LRU capacity: hot terms (predicates, common entities)
-#: decode once; a full result-set decode of distinct terms streams
-#: through without evicting its own working set mid-batch.
-DEFAULT_LRU = 4096
 
 
 def write_term_index(
@@ -160,7 +160,7 @@ class MmapDictionary:
 
     __slots__ = (
         "_blob", "_idx", "_offsets", "_perm", "_count", "_where",
-        "_cache", "_lru_size", "__weakref__",
+        "_terms", "_ids", "__weakref__",
     )
 
     def __init__(
@@ -170,7 +170,6 @@ class MmapDictionary:
         *,
         count: "int | None" = None,
         where: str = "terms.dict",
-        lru_size: int = DEFAULT_LRU,
     ) -> None:
         n, offsets, perm = parse_term_index(idx_buf, len(dict_buf), f"{where}.idx")
         if count is not None and count != n:
@@ -183,14 +182,13 @@ class MmapDictionary:
         self._perm = perm
         self._count = n
         self._where = where
-        # A plain insertion-ordered dict as the LRU (hits reinsert, the
-        # oldest entry evicts) rather than functools.lru_cache over a
-        # bound method: caching a bound method on the instance would be
-        # a self-reference cycle, leaving the instance — and the mapped
-        # term files it pins — waiting on cyclic GC instead of being
-        # refcount-reclaimed the moment the last reference drops.
-        self._cache: dict[int, str] = {}
-        self._lru_size = lru_size
+        # Plain dicts of ints and strings rather than functools caches
+        # over bound methods: those would be self-reference cycles,
+        # leaving the instance — and the mapped term files it pins —
+        # waiting on cyclic GC instead of being refcount-reclaimed the
+        # moment the last reference drops.
+        self._terms: dict[int, str] = {}  # id -> term, every one decoded
+        self._ids: dict[str, int] = {}  # term -> id, every one found
 
     # -- record access --------------------------------------------------
     #
@@ -199,7 +197,10 @@ class MmapDictionary:
     # decode on another thread then either raises the documented
     # :class:`SnapshotError` (the reader sampled after the drop) or
     # completes normally (its locals keep the mapped views alive) —
-    # never an ``AttributeError``/``TypeError`` mid-operation.
+    # never an ``AttributeError``/``TypeError`` mid-operation. A memo is
+    # sampled before the buffers and ``close`` replaces it after
+    # dropping them, so a read racing ``close`` can only fill a memo
+    # that no later call sees.
 
     def _require_open(self) -> "tuple[memoryview, memoryview, memoryview]":
         blob, offsets, perm = self._blob, self._offsets, self._perm
@@ -268,7 +269,7 @@ class MmapDictionary:
     # -- DictionaryView: decode -----------------------------------------
 
     def decode(self, term_id: int) -> str:
-        """Return the string for ``term_id`` (LRU-cached record slice)."""
+        """Return the string for ``term_id``, read and validated once."""
         try:
             # operator.index applies exactly the eager dictionary's
             # list-subscript contract: ints (and __index__ types) only —
@@ -283,31 +284,34 @@ class MmapDictionary:
             index += self._count
         if not 0 <= index < self._count:
             raise DictionaryError(f"unknown term id {term_id!r}")
-        cache = self._cache
-        term = cache.pop(index, None)
+        terms = self._terms
+        term = terms.get(index)
         if term is None:
-            term = self._read_term(index)
-            if len(cache) >= self._lru_size:
-                try:
-                    del cache[next(iter(cache))]  # evict the least recent
-                except (StopIteration, KeyError, RuntimeError):
-                    pass  # a racing decode evicted/inserted concurrently
-        cache[index] = term  # (re)insert as most recent
+            term = terms[index] = self._read_term(index)
         return term
 
     def decode_many(self, ids: Iterable[int]) -> list[str]:
-        """Decode every id in ``ids``, in order, through the LRU."""
-        decode = self.decode
-        return [decode(i) for i in ids]
+        """Decode every id in ``ids``, in order; a decoded id is one
+        memo probe."""
+        terms, decode = self._terms, self.decode
+        return [terms[i] if i in terms and type(i) is int else decode(i) for i in ids]
 
     # -- DictionaryView: encode-side ------------------------------------
 
     def lookup(self, term: str) -> "int | None":
-        """The id of ``term``, or ``None`` — binary search, no dict."""
+        """The id of ``term``, or ``None`` — a binary search the first
+        time ``term`` is found, a memo probe after that."""
         if not isinstance(term, str):
             return None
+        ids = self._ids
+        found = ids.get(term)
+        if found is not None:
+            return found
         _, _, perm = self._require_open()
-        key = term.encode("utf-8")
+        try:
+            key = term.encode("utf-8")
+        except UnicodeEncodeError:
+            return None  # a lone surrogate: no UTF-8 record holds it
         count = self._count
         term_bytes = self._record_bytes
         lo, hi = 0, count
@@ -324,6 +328,7 @@ class MmapDictionary:
                 )
             candidate = term_bytes(tid)
             if candidate == key:
+                ids[term] = tid
                 return tid
             if candidate < key:
                 lo = mid + 1
@@ -379,7 +384,8 @@ class MmapDictionary:
         self._offsets = None
         self._perm = None
         self._idx = None
-        self._cache.clear()
+        self._terms = {}
+        self._ids = {}
 
     @property
     def closed(self) -> bool:

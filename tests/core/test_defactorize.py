@@ -12,12 +12,14 @@ from repro.core.defactorize import (
     iter_embeddings,
     materialize_embeddings,
 )
+from repro.core.answer_graph import AnswerGraph
 from repro.core.generation import generate_answer_graph
 from repro.core.ideal import enumerate_embeddings_bruteforce
 from repro.datasets.motifs import figure1_graph, figure1_query
 from repro.core.kernels import BLOCK
 from repro.errors import EvaluationTimeout, PlanError
 from repro.graph.builder import store_from_edges
+from repro.graph.store import TripleStore
 from repro.planner.plan import AGPlan
 from repro.query.algebra import bind_query
 from repro.query.model import ConjunctiveQuery
@@ -187,3 +189,81 @@ def test_deadline_overshoot_is_one_block(monkeypatch):
         for _ in iter_embeddings(big_star_ag(), deadline=deadline):
             pass
     assert len(built) <= BLOCK
+
+
+def test_the_count_polls_the_deadline():
+    ag = big_star_ag()
+    deadline = Deadline(1e-6, stride=1)
+    time.sleep(1e-3)  # already expired when counting starts
+    with pytest.raises(EvaluationTimeout):
+        count_embeddings(ag, deadline=deadline)
+
+
+# ----------------------------------------------------------------------
+# Counting and a limited head build no inverse index
+# ----------------------------------------------------------------------
+
+
+def one_way_ag(store, query):
+    """An AG holding every pair of each edge's predicate, registered
+    object-keyed only (as a phase 1 that walked every edge backwards
+    would leave it), with consistent node sets."""
+    bound = bind_query(query, store)
+    ag = AnswerGraph(bound)
+    for e in bound.edges:
+        backward = {}
+        for s, o in store.edges(e.p):
+            backward.setdefault(o, set()).add(s)
+        ag.register_relation(
+            ("e", e.index), e.s_var, e.o_var, backward=backward, predicate=e.p
+        )
+        for var, nodes in ((e.s_var, set().union(*backward.values())), (e.o_var, set(backward))):
+            ag.node_sets[var] = ag.node_sets.get(var, nodes) & nodes
+    return ag
+
+
+STAR = {"A": [("hub", "a1"), ("hub", "a2"), ("x2", "a3")],
+        "B": [("hub", "b1"), ("hub", "b2"), ("hub", "b3"), ("x2", "b4")]}
+STAR_QUERY = ConjunctiveQuery([("?x", "A", "?a"), ("?x", "B", "?b")])
+
+
+def test_count_builds_no_inverse_on_a_leaf_anchor():
+    # The star's leaves hang off ?x, the subject end: neither index
+    # keyed by ?x exists.
+    star = one_way_ag(store_from_edges(STAR), STAR_QUERY)
+    assert count_embeddings(star) == 2 * 3 + 1 * 1
+    assert star.built(("e", 0), "s") is None and star.built(("e", 1), "s") is None
+    # A chain as phase 1 leaves it: edge 0 scanned subject-keyed, so the
+    # leaf ?a's anchor ?b has no index on edge 0.
+    store = figure1_graph()
+    _, chain = make_ag(store, figure1_query())
+    assert chain.built(("e", 0), "o") is None
+    assert count_embeddings(chain) == 12
+    assert chain.built(("e", 0), "o") is None
+
+
+def test_a_limited_head_builds_no_inverse_while_the_relation_is_live():
+    star = one_way_ag(store_from_edges(STAR), STAR_QUERY)
+    rows, count = first_embeddings(star, 1)
+    assert count == 7 and len(rows) == 1
+    assert star.built(("e", 0), "s") is None and star.built(("e", 1), "s") is None
+    assert rows == materialize_embeddings(star)[:1]
+
+
+def test_a_lazily_read_head_is_the_head_of_the_full_rows():
+    """Leaf values whose ids collide in a set's hash table iterate in
+    insertion order; a bucket read at one anchor and one built with the
+    whole inverse must still enumerate alike. The ``A`` pairs reach the
+    store in descending subject order, the subjects' ids ascend."""
+    store = TripleStore()
+    subjects = [f"s{i}" for i in range(40)]
+    for i, subject in enumerate(subjects):  # spread the ids out
+        store.add_term_triples([(subject, "F", f"f{i}"), (f"g{i}", "F", f"h{i}")])
+    store.add_term_triples([(s, "A", "hub") for s in reversed(subjects)])
+    store.add_term_triples([("hub", "B", f"c{i}") for i in range(3)])
+    query = ConjunctiveQuery([("?a", "A", "?b"), ("?b", "B", "?c")])
+    full = materialize_embeddings(make_ag(store, query)[1])
+    for limit in (1, 7, 39, 41, 119):
+        ag = make_ag(store, query)[1]
+        assert ag.built(("e", 0), "o") is None
+        assert first_embeddings(ag, limit) == (full[:limit], 120)

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.defactorize import _compile
+from repro.core.defactorize import _shape
 from repro.core.engine import WireframeEngine
 from repro.errors import PlanError
 from repro.query.model import ConjunctiveQuery
-from repro.utils.deadline import Deadline
 
 from tests.properties.strategies import (
     PHASE2_SHAPES,
@@ -63,7 +62,6 @@ def test_distinct_over_a_dropped_skeleton_variable_enumerates(backend):
         [("?a", "A", "?b"), ("?b", "B", "?c")], projection=["?a", "?c"], distinct=True
     )
     ag = WireframeEngine(store).evaluate_detailed(query).answer_graph
-    plan = _compile(ag, None, ag.bound.projection, True, Deadline.unlimited())
-    assert not plan.exact
+    assert not _shape(ag, None, ag.bound.projection, True).exact
     assert_heads_agree(store, query)
     assert WireframeEngine(store).evaluate(query).count == 4

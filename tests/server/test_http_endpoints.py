@@ -480,3 +480,31 @@ def test_a_refused_body_is_parsed_and_refused_again(fresh):
     assert json.loads(replies[0][1])["error"]["code"] == "parse_error"
     memo = _memo(fresh_client)
     assert (memo["hits"], memo["misses"], memo["size"]) == (0, 2, 0)
+
+
+@pytest.mark.parametrize("from_snapshot", [False, True], ids=["memory", "snapshot"])
+def test_a_lone_surrogate_term_matches_nothing(tmp_path, mini_yago, from_snapshot):
+    """A term no UTF-8 record can hold is simply not in the dictionary,
+    whether that is the eager one or the mapped one of a snapshot."""
+    from repro.server import serve_in_background
+    from repro.service import QueryService
+    from repro.storage import MmapDictionary, save_snapshot
+
+    from _http_client import Client
+
+    if from_snapshot:
+        save_snapshot(mini_yago, tmp_path / "snap")
+        service = QueryService.from_snapshot(tmp_path / "snap", backend="columnar")
+        assert isinstance(service.store.dictionary, MmapDictionary)
+    else:
+        service = QueryService(mini_yago)
+    with service, serve_in_background(service) as handle:
+        client = Client(handle.address)
+        try:
+            status, payload, _ = client.post(
+                "/v1/query", {"sparql": 'select ?a where { ?a created "x\ud800" }'}
+            )
+        finally:
+            client.close()
+    assert status == 200, payload
+    assert payload["result"]["count"] == 0

@@ -25,12 +25,13 @@ SPARQL = "select ?a, ?b where { ?a created ?b }"
 #: Unique to the include_trace test — a repeated query would hit the
 #: module service's result cache and short-circuit the traced pipeline.
 COLD_SPARQL = "select ?a, ?b where { ?a influences ?b }"
-#: A 4-hop join over the densest predicate (~72k rows): even with phase
-#: 2 building only the rows a small ``limit`` shows, milliseconds of
-#: engine time, so the traced stages dominate end-to-end latency.
+#: A 4-cycle over the densest predicate: closing it takes chords and
+#: tens of milliseconds of phase 1, so the traced stages dominate
+#: end-to-end latency. (An acyclic join no longer does: phase 2 counts
+#: it bottom-up and builds only the rows a small ``limit`` shows.)
 HEAVY_SPARQL = (
-    "select ?a, ?e where { ?a linksTo ?b . ?b linksTo ?c . ?c linksTo ?d ."
-    " ?d linksTo ?e }"
+    "select ?a, ?c where { ?a linksTo ?b . ?b linksTo ?c . ?c linksTo ?d ."
+    " ?d linksTo ?a }"
 )
 
 

@@ -101,24 +101,68 @@ def test_lru_caches_hot_decodes():
     assert lazy.decode(0) is first  # same object: served from the LRU
 
 
-def test_lru_evicts_least_recent_and_stays_bounded():
-    eager = Dictionary()
-    for term in ("a", "b", "c", "d"):
-        eager.encode(term)
-    dict_buf, idx_buf = io.BytesIO(), io.BytesIO()
-    eager.dump(dict_buf)
-    write_term_index(idx_buf, eager)
-    lazy = MmapDictionary(
-        memoryview(dict_buf.getvalue()),
-        memoryview(idx_buf.getvalue()),
-        lru_size=2,
-    )
-    lazy.decode(0), lazy.decode(1)
-    lazy.decode(0)          # refresh 0: 1 is now the least recent
-    lazy.decode(2)          # evicts 1
-    assert set(lazy._cache) == {0, 2}
-    assert len(lazy._cache) <= 2
-    assert lazy.decode(1) == "b"  # evicted entries still decode
+def test_lookup_memoizes_found_ids_only():
+    _, lazy = build(TRICKY_TERMS)
+    for i in range(1000):
+        assert lazy.lookup(f"unknown-{i}") is None
+    assert lazy._ids == {}  # unknown terms never grow the memo
+    assert lazy.lookup("alice") == 0
+    assert lazy._ids == {"alice": 0}
+
+
+def test_lone_surrogate_is_not_in_the_dictionary():
+    eager, lazy = build(TRICKY_TERMS)
+    assert eager.lookup("\ud800") is None
+    assert lazy.lookup("\ud800") is None
+    assert "\ud800" not in lazy
+    with pytest.raises(DictionaryError, match="frozen"):
+        lazy.encode("\ud800")
+
+
+def test_memoized_terms_and_ids_fail_cleanly_after_close():
+    _, lazy = build(TRICKY_TERMS)
+    assert lazy.decode(0) == lazy.decode_many([0])[0] == "alice"
+    assert lazy.lookup("alice") == 0
+    lazy.close()
+    with pytest.raises(SnapshotError, match="closed"):
+        lazy.decode(0)
+    with pytest.raises(SnapshotError, match="closed"):
+        lazy.decode_many([0])
+    with pytest.raises(SnapshotError, match="closed"):
+        lazy.lookup("alice")
+
+
+def test_concurrent_decodes_match_the_eager_dictionary():
+    import sys
+    import threading
+
+    terms = [f"term-{i}" for i in range(2000)] + TRICKY_TERMS
+    eager, lazy = build(terms)
+    ids = list(range(len(terms)))
+    results, errors = [], []
+
+    def decode_all(offset):
+        try:
+            results.append(lazy.decode_many(ids[offset:] + ids[:offset]))
+        except BaseException as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=decode_all, args=(k * 250,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the memo's first fills
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    expected = eager.decode_many(ids)
+    for k, got in enumerate(sorted(results, key=lambda r: terms.index(r[0]))):
+        assert got == expected[k * 250:] + expected[: k * 250]
+    assert lazy.decode_many(ids) == expected
 
 
 def test_no_reference_cycle_instances_are_refcount_reclaimable():
