@@ -22,11 +22,11 @@ pairs walked). Anything holding the AG may trigger the build by calling
 :meth:`~AnswerGraph.index` — node burnback for a small cascade batch,
 chord joins, edge burnback, phase 2 — and passes the deadline the build
 polls; the time lands in whichever phase asked. A reader that needs no
-inverse does not cause one: sizes, pair iteration,
-:meth:`~AnswerGraph.endpoints` and per-key bucket sizes
-(:meth:`~AnswerGraph.degrees`) work off whichever index exists, and
-:meth:`~AnswerGraph.bucket` reads one key's bucket of a live relation
-off the store.
+inverse does not cause one: sizes, pair iteration and
+:meth:`~AnswerGraph.endpoints` work off whichever index exists, the
+bucket sizes of a missing index are counted off the other one
+(:meth:`~AnswerGraph.degrees`), and :meth:`~AnswerGraph.bucket` reads
+one key's bucket of a live relation off the store.
 
 Ownership: the AG owns its indexes and their value sets.
 :meth:`~AnswerGraph.index` hands out the live dicts, and whoever removes
