@@ -2,7 +2,7 @@
 
 * :mod:`repro.core.answer_graph` — the AG data structure.
 * :mod:`repro.core.kernels` — set-at-a-time bulk primitives (semi-join,
-  adjacency composition, pair intersection) backing all of phase 1.
+  adjacency composition, bucket subtraction) backing all of phase 1.
 * :mod:`repro.core.extension` — edge-extension steps (phase 1).
 * :mod:`repro.core.burnback` — cascading node burnback and the optional
   edge burnback for cyclic queries.
@@ -21,7 +21,6 @@ from repro.core.answer_graph import AnswerGraph, RelKey
 from repro.core.kernels import (
     bulk_extend,
     compose_adjacency,
-    intersect_pairs,
     semijoin_restrict,
 )
 from repro.core.generation import GenerationStats, GenerationTrace, generate_answer_graph
@@ -42,7 +41,6 @@ __all__ = [
     "RelKey",
     "bulk_extend",
     "compose_adjacency",
-    "intersect_pairs",
     "semijoin_restrict",
     "GenerationStats",
     "GenerationTrace",

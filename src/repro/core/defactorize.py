@@ -10,20 +10,34 @@ The joins run *over the answer graph*, never the data graph, and keep
 its factorization "fully down to component node pairs" (§2) for as long
 as the output format allows:
 
-* A **hanging leaf** is a variable that occurs in exactly one query
-  edge (var–var, not a self-loop). Given its *anchor*, the node at the
-  other end, its values are the anchor's AG adjacency set, independent
-  of every other variable.
+* A **pool** is a variable whose values, once its *anchors* (the
+  variables at the other ends of its edges) are known, are the
+  intersection of their AG adjacency sets towards it, smallest first,
+  independent of every other variable. The common case is a **hanging
+  leaf**: a variable in exactly one query edge (var–var, not a
+  self-loop), with one anchor. A variable with several anchors is a
+  pool when it may go out whole, has no self-loop, no constant edge
+  and no chord, its edges go to distinct skeleton variables, and those
+  are pairwise joined by an edge or a chord — the apex of a triangle,
+  such as each apex of the paper's diamonds once their chord is kept.
+  Pools are chosen from the query (variables in index order), never
+  from the embedding order. An acyclic query has only leaves.
 * The remaining **skeleton** variables are enumerated variable-at-a-
   time, in first-appearance order of the embedding plan. A variable's
   candidates are the ``set.intersection`` of the adjacency sets that
   reach it from already-known nodes and constants, smallest first: the
   closing edge of a cycle is an intersection in C, never an expand
-  followed by a check (the Generic-Join step).
+  followed by a check (the Generic-Join step). A chord phase 1 kept in
+  the AG (:mod:`repro.core.triangles`) is one more such join, so on a
+  diamond the skeleton is the chord's two ends and enumeration visits
+  the chord's pairs only. A pool is met at its deepest anchor, its
+  earlier anchors' sets intersected once per descent; an empty pool
+  prunes the branch.
 * A complete skeleton assignment **emits factorized**: its rows are
   ``itertools.product`` over one pool per output column — a 1-tuple
-  for a skeleton value, the adjacency set for a leaf — built in C with
-  no per-row Python.
+  for a skeleton value, the set for a pool — built in C with no
+  per-row Python: a union of products over the skeleton's assignments,
+  FDB's f-representation (Olteanu & Závodný, TODS 2015).
 
 Counting builds no row and, where the skeleton is a forest (every
 acyclic query), enumerates no assignment either: one bottom-up pass
@@ -35,22 +49,24 @@ pass reads an index phase 1 did not build only as bucket sizes, and
 roots each tree where its joins descend the built ones. A limited
 result takes that count and then enumerates only until it holds
 ``limit`` rows, reading an unbuilt index at the keys it visits. A
-cycle's closing variable, or DISTINCT over a projected-away skeleton
-variable, still counts by enumeration.
+cycle's closing variable, a pool with several anchors, or DISTINCT
+over a projected-away skeleton variable, still counts by enumeration.
 
 The join order is an :class:`~repro.planner.plan.EmbeddingPlan`: any
 connected order yields the same rows on any AG. All it decides is the
 order of the skeleton variables, which on non-ideal AGs and cyclic
 queries changes how many partial assignments a later intersection
-discards; with at most one skeleton variable it decides nothing
-(:func:`plan_free_order`). Row order is unspecified (set iteration).
+discards; with at most one skeleton variable, or the two ends of a
+kept chord, it decides nothing (:func:`plan_free_order`). Row order is
+unspecified (set iteration); a limited head is still the unlimited
+rows' head.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from itertools import chain, islice, product, repeat
+from itertools import chain, combinations, islice, product, repeat
 from math import prod
 from operator import mul
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -67,17 +83,25 @@ _NONE: frozenset[int] = frozenset()
 
 
 class _Shape(NamedTuple):
-    """How a query splits into skeleton and leaves, before any index
+    """How a query splits into skeleton and pools, before any index
     is read."""
 
     width: int  # output columns
     shown_at: dict[int, list[int]]  # var -> the output columns showing it
-    leaf_edges: dict[int, int]  # edge index -> its hanging leaf variable
+    pool_edges: dict[int, int]  # edge index -> the pool variable it anchors
+    #: whether some pool has more than one anchor (the query is cyclic)
+    meets: bool
     level_of: dict[int, int]  # skeleton var -> level, by first appearance
     #: whether the last skeleton variable may go out as one whole pool
-    #: (it does if it anchors no leaf)
+    #: (it does if it anchors no pool)
     poolable_last: bool
     exact: bool  # False when DISTINCT still has to de-duplicate rows
+
+
+#: A pool closing at a level: (output column, the adjacency from this
+#: level's node towards the pool, the same from earlier anchors with
+#: their slots); column ``None`` only requires the pool to be non-empty
+_Pool = tuple[int | None, Adjacency, list[tuple[Adjacency, int]]]
 
 
 class _Level(NamedTuple):
@@ -87,16 +111,15 @@ class _Level(NamedTuple):
     loops: list[Adjacency]  # self-loop relations a candidate must satisfy
     domain: Collection[int | None]  # the candidates when no join constrains them
     shown: list[int]  # output columns showing this variable
-    #: hanging leaves anchored here: (output column, adjacency towards
-    #: the leaf); column ``None`` only requires the set to be non-empty
-    leaves: list[tuple[int | None, Adjacency]]
+    #: the pools whose deepest anchor is this variable
+    leaves: list[_Pool]
 
 
 class _Plan(NamedTuple):
     #: ``levels[0]`` is a root whose one candidate is ``None``, so every
     #: variable is reached by the same descent step
     levels: list[_Level]
-    #: a last variable anchoring no leaf: its candidates go out whole,
+    #: a last variable anchoring no pool: its candidates go out whole,
     #: as one more pool, instead of being iterated
     tail: _Level | None
     slots: list[int | None]  # known nodes: one per level, then the constants
@@ -172,12 +195,61 @@ def _leaf_edges(
     return leaf_edges
 
 
+def _pool_edges(
+    ag: AnswerGraph, shown_at: Mapping[int, list[int]], distinct: bool
+) -> dict[int, int]:
+    """Edge index -> the pool variable it anchors: every hanging leaf's
+    edge (:func:`_leaf_edges`), and every edge of a variable whose
+    values are the intersection of its anchors' buckets. Such a variable
+    may go out whole, has no self-loop, no constant edge and no chord,
+    its edges go to distinct skeleton variables, and those are pairwise
+    joined by an edge or a chord of ``ag``. Variables are tried in index
+    order, so the choice is the query's, not the embedding order's."""
+    edges = ag.bound.edges
+    pooled = _leaf_edges(edges, shown_at, distinct)
+    taken = set(pooled.values())  # variables that are not skeleton
+    chords = [rv for rel, rv in ag.rel_vars.items() if rel[0] == "c"]
+    # var -> [(edge index, its other end)], None once an edge on var
+    # has a constant end or is a self-loop
+    near: dict[int, list[tuple[int, int]] | None] = {}
+    for e in edges:
+        s, o = e.s_var, e.o_var
+        if s is None or o is None or s == o:
+            for var in (s, o):
+                if var is not None:
+                    near[var] = None
+            continue
+        for var, anchor in ((s, o), (o, s)):
+            found = near.setdefault(var, [])
+            if found is not None:
+                found.append((e.index, anchor))
+    for u, v in chords:
+        near[u] = near[v] = None
+    joined: set[tuple[int | None, int | None]] | None = None
+    for var in sorted(near):
+        found = near[var]
+        if not found or len(found) < 2 or var in taken:
+            continue
+        anchors = [anchor for _, anchor in found]
+        if len(set(anchors)) < len(anchors) or taken.intersection(anchors):
+            continue
+        if not _poolable(var, shown_at, distinct):
+            continue
+        if joined is None:
+            joined = {(e.s_var, e.o_var) for e in edges}
+            joined.update(chords)
+        if all((a, b) in joined or (b, a) in joined for a, b in combinations(anchors, 2)):
+            taken.add(var)
+            pooled.update((eid, var) for eid, _ in found)
+    return pooled
+
+
 def _shape(
     ag: AnswerGraph, order: Sequence[int] | None, columns: Sequence[int], distinct: bool
 ) -> _Shape | None:
     """Validate ``order`` and split the query into skeleton levels and
-    hanging leaves, in O(|query|) and reading no index. ``None`` means
-    the AG is empty."""
+    pools, in O(|query|²) and reading no index. ``None`` means the AG
+    is empty."""
     edges = ag.bound.edges
     if ag.empty:
         return None
@@ -191,18 +263,19 @@ def _shape(
             raise PlanError(f"edge {eid} was never materialized in the AG")
 
     shown_at = _shown_at(columns)
-    leaf_edges = _leaf_edges(edges, shown_at, distinct)
-    leaf_vars = set(leaf_edges.values())
+    pool_edges = _pool_edges(ag, shown_at, distinct)
+    pool_vars = set(pool_edges.values())
 
     level_of: dict[int, int] = {}
     for eid in order:
         for var in (edges[eid].s_var, edges[eid].o_var):
-            if var is not None and var not in leaf_vars:
+            if var is not None and var not in pool_vars:
                 level_of.setdefault(var, len(level_of) + 1)
     return _Shape(
         len(columns),
         shown_at,
-        leaf_edges,
+        pool_edges,
+        len(pool_vars) < len(pool_edges),
         level_of,
         bool(level_of) and _poolable(next(reversed(level_of)), shown_at, distinct),
         not distinct or all(var in shown_at for var in level_of),
@@ -212,49 +285,71 @@ def _shape(
 def _compile(
     ag: AnswerGraph, shape: _Shape, deadline: Deadline, lazy: bool = False
 ) -> _Plan | None:
-    """Bind the shape's levels and leaves to the AG indexes they
+    """Bind the shape's levels and pools to the AG indexes they
     descend, in O(|query|) plus the indexes it is first to read: each
-    edge is asked for the one direction its join or leaf descends,
-    which phase 1 may not have built. ``lazy`` reads such a direction
-    only at the keys enumeration visits; otherwise it is built whole.
+    edge, and each chord the AG keeps, is asked for the one direction
+    its join or pool descends, which phase 1 may not have built.
+    ``lazy`` reads such a direction only at the keys enumeration
+    visits; otherwise it is built whole.
     ``None`` means the AG provably holds no embedding."""
     edges = ag.bound.edges
-    shown_at, leaf_edges, level_of = shape.shown_at, shape.leaf_edges, shape.level_of
+    shown_at, pool_edges, level_of = shape.shown_at, shape.pool_edges, shape.level_of
 
     def index(rel: RelKey, pos: str) -> Adjacency:
         if lazy and ag.built(rel, pos) is None:
             return _Buckets(ag, rel, pos, deadline)
         return _index(ag, rel, pos, deadline)
 
+    def join(rel: RelKey, s: int, o: int) -> None:
+        if level_of[s] < level_of[o]:
+            levels[level_of[o]].joins.append((index(rel, "s"), level_of[s]))
+        else:
+            levels[level_of[s]].joins.append((index(rel, "o"), level_of[o]))
+
     levels = [_Level([], [], (None,), [], [])] + [
         _Level([], [], ag.node_sets.get(var, _NONE), shown_at.get(var, []), [])
         for var in level_of
     ]
     slots: list[int | None] = [None] * len(levels)
+    anchored: dict[int, list[tuple[Adjacency, int]]] = {}  # pool var -> (index, level)
 
     for e in edges:
         rel = ("e", e.index)
         s, o = e.s_var, e.o_var
-        if e.index in leaf_edges:
-            leaf = leaf_edges[e.index]
-            anchor, pos = (s, "s") if leaf == o else (o, "o")
-            column = shown_at[leaf][0] if leaf in shown_at else None
-            levels[level_of[anchor]].leaves.append((column, index(rel, pos)))
+        if e.index in pool_edges:
+            pool = pool_edges[e.index]
+            anchor, pos = (s, "s") if pool == o else (o, "o")
+            anchored.setdefault(pool, []).append((index(rel, pos), level_of[anchor]))
         elif s is not None and s == o:
             levels[level_of[s]].loops.append(ag.forward(rel, deadline))
         elif s is not None and o is not None:
-            if level_of[s] < level_of[o]:
-                levels[level_of[o]].joins.append((index(rel, "s"), level_of[s]))
-            else:
-                levels[level_of[s]].joins.append((index(rel, "o"), level_of[o]))
+            join(rel, s, o)
         elif s is not None or o is not None:  # the constant end is known from the start
             var, pos, const = (o, "s", e.s_const) if s is None else (s, "o", e.o_const)
             levels[level_of[var]].joins.append((index(rel, pos), len(slots)))
             slots.append(const)
         elif e.o_const not in ag.forward(rel, deadline).get(e.s_const, _NONE):
             return None
+    for rel, (u, v) in ag.rel_vars.items():
+        if rel[0] == "c" and u in level_of and v in level_of:
+            join(rel, u, v)  # a chord: one more skeleton join
+    for pool, anchors in anchored.items():
+        # A pool closes at its deepest anchor; the others are known by then.
+        anchors.sort(key=lambda anchor: anchor[1])
+        adj, level = anchors.pop()
+        column = shown_at[pool][0] if pool in shown_at else None
+        levels[level].leaves.append((column, adj, anchors))
     tail = levels.pop() if shape.poolable_last and not levels[-1].leaves else None
     return _Plan(levels, tail, slots, [()] * shape.width)
+
+
+def _meet(sets: list[Collection[int]]) -> Collection[int]:
+    """The intersection of ``sets``, smallest first (one set: itself)."""
+    if len(sets) == 1:
+        return sets[0]
+    if len(sets) > 2:  # a two-set intersection already iterates the smaller
+        sets.sort(key=len)
+    return sets[0].intersection(*sets[1:])
 
 
 def _candidates(level: _Level, slots: list[int | None]) -> Collection[int | None]:
@@ -264,13 +359,28 @@ def _candidates(level: _Level, slots: list[int | None]) -> Collection[int | None
         adj, slot = level.joins[0]
         found = adj.get(slots[slot], _NONE)
     else:
-        sets = [adj.get(slots[slot], _NONE) for adj, slot in level.joins]
-        if len(sets) > 2:  # a two-set intersection already iterates the smaller
-            sets.sort(key=len)
-        found = sets[0].intersection(*sets[1:])
+        found = _meet([adj.get(slots[slot], _NONE) for adj, slot in level.joins])
     for adj in level.loops:
         found = [node for node in found if node in adj.get(node, _NONE)]
     return found
+
+
+def _pinned(
+    leaves: list[_Pool], slots: list[int | None]
+) -> list[tuple[int | None, Adjacency, Collection[int] | None]] | None:
+    """A level's pools with their earlier anchors' buckets met once per
+    descent, so that a node only intersects its own bucket with that:
+    ``(column, adjacency, meet or None)``. ``None`` when a meet is empty
+    — no node of the level can complete."""
+    out = []
+    for column, adj, anchors in leaves:
+        met = None
+        if anchors:
+            met = _meet([a.get(slots[slot], _NONE) for a, slot in anchors])
+            if not met:
+                return None
+        out.append((column, adj, met))
+    return out
 
 
 def _assignments(plan: _Plan, deadline: Deadline) -> Iterator[list[Collection[int]]]:
@@ -284,12 +394,19 @@ def _assignments(plan: _Plan, deadline: Deadline) -> Iterator[list[Collection[in
     last = len(levels) - 1
     check = deadline.check_every
     stack: list[Iterator[int | None]] = [iter(levels[0].domain)] + [iter(())] * last
+    # Per level, its pools as (column, adjacency, what their earlier
+    # anchors leave of them); a level with earlier anchors is re-pinned
+    # on each descent into it.
+    live = [[(column, adj, None) for column, adj, _ in level.leaves] for level in levels]
+    anchored = [any(anchors for _, _, anchors in level.leaves) for level in levels]
     depth = 0
     while depth >= 0:
-        shown, leaves = levels[depth].shown, levels[depth].leaves
+        shown, leaves = levels[depth].shown, live[depth]
         for node in stack[depth]:
-            for column, adj in leaves:
+            for column, adj, met in leaves:
                 pool = adj.get(node)
+                if met is not None and pool:
+                    pool = met & pool
                 if not pool:
                     break
                 if column is not None:
@@ -302,6 +419,12 @@ def _assignments(plan: _Plan, deadline: Deadline) -> Iterator[list[Collection[in
                     depth += 1
                     found = _candidates(levels[depth], slots)
                     check(len(found) or 1)
+                    if found and anchored[depth]:
+                        pinned = _pinned(levels[depth].leaves, slots)
+                        if pinned is None:
+                            found = ()
+                        else:
+                            live[depth] = pinned
                     stack[depth] = iter(found)
                     break
                 if tail is not None:
@@ -451,14 +574,16 @@ def _forest_count(ag: AnswerGraph, shape: _Shape, deadline: Deadline) -> int | N
     its joins descend an index phase 1 built, so the others are the
     only ones built.
     """
+    if shape.meets:
+        return None
     skeleton = shape.level_of
     forest = _Forest(ag, skeleton, deadline)
     tree_of = {v: v for v in skeleton}  # union-find over the joins
     for e in ag.bound.edges:
         rel = ("e", e.index)
         s, o = e.s_var, e.o_var
-        if e.index in shape.leaf_edges:
-            leaf = shape.leaf_edges[e.index]
+        if e.index in shape.pool_edges:
+            leaf = shape.pool_edges[e.index]
             anchor, pos = (s, "s") if leaf == o else (o, "o")
             forest.leaves[anchor].append((rel, pos, leaf in shape.shown_at))
         elif s is not None and s == o:
@@ -503,15 +628,27 @@ def _forest_count(ag: AnswerGraph, shape: _Shape, deadline: Deadline) -> int | N
 # ----------------------------------------------------------------------
 
 
+def _chord_skeleton(ag: AnswerGraph, shown_at: Mapping[int, list[int]]) -> bool:
+    """Whether the skeleton is two variables that a pool meets at — so
+    they are joined, by an edge or a kept chord, and every order
+    enumerates that join's pairs, from one end or the other."""
+    if not any(rel[0] == "c" for rel in ag.rel_vars):
+        return False
+    pooled = _pool_edges(ag, shown_at, ag.bound.distinct)
+    pool_vars = set(pooled.values())
+    return len(pool_vars) < len(pooled) and ag.bound.num_vars - len(pool_vars) == 2
+
+
 def plan_free_order(ag: AnswerGraph) -> tuple[int, ...] | None:
     """A connected join order, when the order cannot matter: the
     skeleton of the query's rows has at most one variable, so every
-    order enumerates the same way. ``None`` otherwise, or for a
+    order enumerates the same way, or it is the two ends of a kept
+    chord (:func:`_chord_skeleton`). ``None`` otherwise, or for a
     disconnected query — ask the planner."""
     bound = ag.bound
     shown_at = _shown_at(bound.projection)
     leaves = set(_leaf_edges(bound.edges, shown_at, bound.distinct).values())
-    if bound.num_vars - len(leaves) > 1:
+    if bound.num_vars - len(leaves) > 1 and not _chord_skeleton(ag, shown_at):
         return None
     tokens = [e.term_tokens() for e in bound.edges]
     order, reached, rest = [0], set(tokens[0]), set(range(1, len(tokens)))

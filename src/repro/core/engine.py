@@ -7,13 +7,14 @@ Wires together the whole pipeline of the paper's Fig. 3:
    cycles.
 2. **Answer-graph generation** — interleaved edge extension and node
    burnback (plus chord materialization and, optionally, edge
-   burnback).
+   burnback). Chords stay in the AG through step 4, which joins
+   through them, and are dropped after it.
 3. **Embedding plan** — the greedy join order (the prototype's, §5)
    from the *actual* AG statistics. It fixes the order of the skeleton
    variables and nothing else; every connected order gives the same
    rows.
 4. **Defactorization** — embeddings are joined (or only counted) from
-   the AG along that order.
+   the AG along that order. A cyclic query's row order is unspecified.
 
 The engine implements the common :class:`~repro.engine_api.Engine`
 interface so the benchmark harness can race it against the baseline
@@ -38,6 +39,7 @@ from repro.core.generation import (
     GenerationTrace,
     generate_answer_graph,
 )
+from repro.core.triangles import drop_chords
 from repro.engine_api import Engine, EngineResult, resolve_catalog
 from repro.errors import QueryError
 from repro.obs.trace import current_trace
@@ -186,6 +188,7 @@ class WireframeEngine(Engine):
             chordification=chordification,
             deadline=deadline,
             edge_burnback_enabled=self.edge_burnback,
+            keep_chords=True,
             trace=trace,
             lookahead=self.lookahead,
         )
@@ -196,8 +199,9 @@ class WireframeEngine(Engine):
             rows: list[tuple] | None = [] if materialize else None
             count = 0
         else:
-            # The planner orders skeleton variables; with at most one
-            # there is nothing to order or to gather statistics for.
+            # The planner orders skeleton variables; with at most one,
+            # or the two ends of a chord, there is nothing to order or
+            # to gather statistics for.
             order = plan_free_order(ag)
             if order is not None:
                 embedding_plan = EmbeddingPlan(order, 0.0)
@@ -217,6 +221,7 @@ class WireframeEngine(Engine):
             else:
                 rows = None
                 count = count_embeddings(ag, embedding_plan.order, deadline=deadline)
+        drop_chords(ag, chordification)
         t2 = time.perf_counter()
 
         active = current_trace()

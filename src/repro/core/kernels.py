@@ -169,30 +169,6 @@ def semijoin_restrict(
     return out
 
 
-def intersect_pairs(
-    a: Adjacency, b: Adjacency, deadline: Deadline | None = None
-) -> Adjacency:
-    """Pairwise intersection of two adjacencies (fresh containers).
-
-    A key survives only if present on both sides with a non-empty
-    value-set intersection — exactly ``pairs(a) & pairs(b)`` grouped by
-    source, without ever materializing either pair set.
-    """
-    if len(b) < len(a):
-        a, b = b, a
-    out: Adjacency = {}
-    for k, vs in a.items():
-        other = b.get(k)
-        if other is None:
-            continue
-        common = vs & other
-        if common:
-            out[k] = common
-            if deadline is not None:
-                deadline.check_every(len(common))
-    return out
-
-
 def compose_adjacency(
     from_u: Adjacency, from_z: Adjacency, deadline: Deadline | None = None
 ) -> Adjacency:

@@ -38,7 +38,6 @@ from repro.core.kernels import (
     adjacency_size,
     bulk_extend,
     compose_adjacency,
-    intersect_pairs,
     invert_adjacency,
     semijoin_restrict,
 )
@@ -373,14 +372,6 @@ def test_invert_adjacency_is_involution(adj):
 @given(adj=adjacencies)
 def test_adjacency_size_counts_pairs(adj):
     assert adjacency_size(adj) == len(adjacency_pairs(adj))
-
-
-@SETTINGS
-@given(a=adjacencies, b=adjacencies)
-def test_intersect_pairs_matches_pair_intersection(a, b):
-    assert adjacency_pairs(intersect_pairs(a, b)) == (
-        adjacency_pairs(a) & adjacency_pairs(b)
-    )
 
 
 @SETTINGS

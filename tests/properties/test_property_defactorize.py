@@ -7,7 +7,9 @@ statement true: whichever variables an order turns into skeleton, leaves
 or a pooled last variable, the row *multiset* is the brute-force
 oracle's, under the query's own projection and DISTINCT/bag semantics,
 and counting without building rows agrees with building them, as does
-a limited head with the rows' head.
+a limited head with the rows' head. The same holds with the chords of a
+cyclic query kept in the AG, where each is one more skeleton join and a
+cycle's apexes become pools that meet at several anchors.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from repro.core.defactorize import (
     materialize_embeddings,
 )
 from repro.core.engine import WireframeEngine
+from repro.core.generation import generate_answer_graph
 from repro.core.ideal import enumerate_embeddings_bruteforce
 from repro.planner.plan import validate_connected_order
 from repro.query.algebra import bind_query
@@ -90,12 +93,20 @@ def empty_subject(ag, edge_index: int, subject: int) -> None:
     forward[subject].clear()
 
 
-def check(graph, query, victim: int) -> int:
+def check(graph, query, victim: int, keep_chords: bool = False) -> int:
     """Every order on the generated AG, then on a non-ideal one;
-    returns the number of embeddings."""
+    returns the number of embeddings. ``keep_chords`` keeps a cyclic
+    query's chords in the AG, as the engine's phase 2 sees it."""
     store = build_store(graph)
-    detail = WireframeEngine(store).evaluate_detailed(query, materialize=False)
+    engine = WireframeEngine(store)
+    detail = engine.evaluate_detailed(query, materialize=False)
     ag, bound = detail.answer_graph, detail.answer_graph.bound
+    if keep_chords:
+        bound, plan, chordification = engine.plan(query)
+        ag, _ = generate_answer_graph(
+            bound, plan, chordification=chordification, keep_chords=True
+        )
+        assert ag.size == detail.ag_size
     embeddings = enumerate_embeddings_bruteforce(store, bound)
     assert detail.count == sum(projected(bound, embeddings).values())
     assert_every_order_agrees(ag, embeddings)
@@ -141,3 +152,22 @@ def test_rows_equal_the_oracle_along_every_connected_order(shape, data):
 )
 def test_fixed_examples(graph, query, embeddings):
     assert check(graph, query, victim=0) == embeddings
+
+
+#: The cyclic shapes, and a 5-cycle: two chords, the second built over
+#: the first.
+CHORDED_SHAPES = {
+    name: PHASE2_SHAPES[name] for name in ("3-cycle", "4-cycle", "diamond-with-pendant-leaves")
+}
+CHORDED_SHAPES["5-cycle"] = (
+    ("?a", 0, "?b"), ("?b", 1, "?c"), ("?c", 2, "?d"), ("?d", 3, "?e"), ("?a", 0, "?e"),
+)
+
+
+@pytest.mark.parametrize("shape", CHORDED_SHAPES.values(), ids=CHORDED_SHAPES.keys())
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_rows_through_kept_chords_equal_the_oracle(shape, data):
+    graph = data.draw(edge_lists(max_nodes=6, max_edges_per_label=12))
+    query = data.draw(projected_queries(shape))
+    check(graph, query, data.draw(st.integers(min_value=0, max_value=10**6)), keep_chords=True)
