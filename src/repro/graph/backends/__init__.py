@@ -24,7 +24,6 @@ import os
 
 from repro.errors import StoreError
 from repro.graph.backends.base import (
-    PredicateSummary,
     Segment,
     StorageBackend,
     group_pairs,
@@ -79,7 +78,6 @@ def create_backend(name: str | None = None) -> StorageBackend:
 
 __all__ = [
     "StorageBackend",
-    "PredicateSummary",
     "Segment",
     "group_pairs",
     "HashDictBackend",

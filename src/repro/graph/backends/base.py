@@ -11,8 +11,8 @@ rest of the system consumes:
 * the bulk kernel views from the set-at-a-time execution layer
   (:meth:`adjacency` / :meth:`reverse_adjacency` / :meth:`subject_set`
   / :meth:`object_set` / :meth:`gather`),
-* degree/cardinality summaries for the statistics catalog
-  (:meth:`predicate_summaries`, :meth:`count`, :meth:`out_degree`,
+* degree/cardinality views for the statistics catalog
+  (:meth:`degree_columns`, :meth:`count`, :meth:`out_degree`,
   :meth:`in_degree`),
 * the monotonic :attr:`epoch` counter and its per-predicate refinement
   :meth:`predicate_epoch`, which plan/result caches key their validity
@@ -52,6 +52,8 @@ from typing import (
     NamedTuple,
     Sequence,
 )
+
+import numpy as np
 
 from repro.graph.triples import Triple
 
@@ -145,19 +147,6 @@ class Segment(NamedTuple):
             raise ValueError("forward offsets do not span the value column")
         if self.roffs[0] != 0 or self.roffs[-1] != len(self.rsubs):
             raise ValueError("reverse offsets do not span the value column")
-
-
-class PredicateSummary(NamedTuple):
-    """Cardinality summary of one predicate, for the stats catalog.
-
-    ``count`` is the number of edges carrying the label;
-    ``distinct_subjects`` / ``distinct_objects`` the sizes of its
-    endpoint sets (hence average fan-out/fan-in).
-    """
-
-    count: int
-    distinct_subjects: int
-    distinct_objects: int
 
 
 class StorageBackend(abc.ABC):
@@ -468,10 +457,25 @@ class StorageBackend(abc.ABC):
 
     # -- catalog & reporting --------------------------------------------
 
-    @abc.abstractmethod
-    def predicate_summaries(self) -> dict[int, PredicateSummary]:
-        """Per-predicate cardinality summaries (the catalog's unigram
-        input), computed from the physical indexes."""
+    def degree_columns(
+        self, p: int, reverse: bool = False
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``(keys, degrees)``: the distinct subjects of ``p`` and their
+        out-degrees as two ``int64`` arrays (``reverse``: its objects
+        and their in-degrees), in matching order, any order; empty for
+        an unknown predicate.
+
+        The catalog's whole input: ``len(keys)`` of each direction and
+        ``degrees.sum()`` are the predicate's unigram, and the rows
+        feed the bigram kernel. The generic implementation reads the
+        adjacency views; backends with a key column and offsets
+        override it. Arrays may view live storage: do not mutate them.
+        """
+        view = self.reverse_adjacency(p) if reverse else self.adjacency(p)
+        return (
+            np.fromiter(view.keys(), np.int64, len(view)),
+            np.fromiter(map(len, view.values()), np.int64, len(view)),
+        )
 
     @abc.abstractmethod
     def index_bytes(self) -> int:

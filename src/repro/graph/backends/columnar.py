@@ -49,7 +49,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.graph.backends.base import (
-    PredicateSummary,
     Segment,
     StorageBackend,
     group_pairs,
@@ -59,6 +58,8 @@ from repro.graph.triples import Triple
 
 _EMPTY_DICT: dict = {}
 _EMPTY_ARRAY = array("q")
+_EMPTY_INT64 = np.zeros(0, np.int64)
+_EMPTY_INT64.flags.writeable = False
 
 #: Size ratio beyond which run∩run intersection gallops (binary search
 #: per probe element) instead of linear merging. 8 keeps the crossover
@@ -944,18 +945,14 @@ class ColumnarBackend(StorageBackend):
 
     # -- catalog & reporting --------------------------------------------
 
-    def predicate_summaries(self) -> dict[int, PredicateSummary]:
-        out = {}
-        for p in self.predicates():
-            cols = self._sealed(p)
-            if cols is None:
-                continue
-            out[p] = PredicateSummary(
-                count=len(cols.objs),
-                distinct_subjects=len(cols.subs),
-                distinct_objects=len(cols.robjs),
-            )
-        return out
+    def degree_columns(self, p, reverse=False):
+        """The sealed key column itself and the differences of its
+        offsets (ascending keys): no per-key object is built."""
+        cols = self._sealed(p)
+        if cols is None:
+            return _EMPTY_INT64, _EMPTY_INT64
+        keys, offs, _ = cols.arrays(reverse)
+        return keys, np.diff(offs)
 
     def index_bytes(self) -> int:
         total = sys.getsizeof(self._cols)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterator
 
-from repro.graph.backends.base import PredicateSummary, StorageBackend
+from repro.graph.backends.base import StorageBackend
 from repro.graph.backends.permutations import LazyPermutations, nested_index_bytes
 from repro.graph.triples import Triple
 
@@ -303,16 +303,6 @@ class HashDictBackend(StorageBackend):
         self._perms.materialize_all(self.triples)
 
     # -- catalog & reporting --------------------------------------------
-
-    def predicate_summaries(self) -> dict[int, PredicateSummary]:
-        return {
-            p: PredicateSummary(
-                count=sum(len(objs) for objs in by_s.values()),
-                distinct_subjects=len(by_s),
-                distinct_objects=len(self._pos.get(p, _EMPTY_DICT)),
-            )
-            for p, by_s in self._pso.items()
-        }
 
     def index_bytes(self) -> int:
         return (

@@ -20,13 +20,21 @@ orient meaning                                   example pattern
 
 ``join_pairs`` for orientation ``os`` is exactly
 ``|L1 ⋈ (o=s) L2|`` — the true size of the two-edge join — computed
-offline in one pass over the graph's nodes. This is what both planners
-cost chords and early extensions with.
+offline from every node's ``{label: degree}`` vectors. This is what both
+planners cost chords and early extensions with.
+
+One numpy kernel, :func:`bigram_sums`, holds the definition of a node's
+share: it takes one row per (node, label) with the degree, expands each
+node's label pairs a bounded chunk at a time (:data:`CHUNK_PAIRS`) and
+sums them exactly in ``int64``. :func:`build_catalog` feeds it the
+store's degree columns; :func:`patch_catalog` feeds it the touched
+nodes' old vectors with sign ``-1`` and their new ones with ``+1``.
 
 The catalog is a plain value object: build it once per dataset with
 :func:`build_catalog` (the paper's "computed offline" step), then share
 it across planners, engines, and benchmarks. It can be serialized to a
-JSON-compatible dict. A writable store keeps it current with
+JSON-compatible dict, bigrams in ascending key order whichever backend
+the store uses. A writable store keeps it current with
 :func:`patch_catalog`, which folds a batch of triple changes into a new
 catalog in time proportional to the batch, not the store.
 """
@@ -34,6 +42,8 @@ catalog in time proportional to the batch, not the store.
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from repro.graph.store import TripleStore
 
@@ -200,46 +210,169 @@ class Catalog:
         )
 
 
-def _bump(acc: dict, key: tuple[int, int, str], nodes: int, pairs: int) -> None:
-    cell = acc.get(key)
-    if cell is None:
-        acc[key] = [nodes, pairs]
+#: Label pairs the bigram kernel expands at once. A chunk is a few
+#: ``int64`` arrays of this length (about 3 MB together), and a dense
+#: accumulator holds at most this many cells (or one row of the label
+#: space, if that is longer), so the kernel's memory beyond its input
+#: rows does not grow with the store.
+CHUNK_PAIRS = 1 << 16
+
+#: The orientations the kernel emits, in the order their keys sort.
+_KERNEL_ORIENTS = ("oo", "os", "ss")
+
+#: ``(node, label, degree, sign)`` ``int64`` columns, one row per label
+#: a node carries in one direction (see :func:`bigram_sums`).
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _grouped(labels: np.ndarray, rows: Rows):
+    """``rows`` sorted by degree vector, then label: ``(group, label
+    index, degree, sign, group end)``, where a vector is one node's rows
+    of one sign and ``group end`` is the row after the last of each
+    row's vector."""
+    node, label, degree, sign = rows
+    group = node * 2 + (sign > 0)
+    index = np.searchsorted(labels, label)
+    width = len(labels)
+    if group.max(initial=0) < np.iinfo(np.int64).max // width:
+        order = np.argsort(group * width + index)  # one key: 5x lexsort's speed
     else:
-        cell[0] += nodes
-        cell[1] += pairs
+        order = np.lexsort((index, group))
+    group = group[order]
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1, [len(group)]))
+    return (
+        group,
+        index[order],
+        degree[order],
+        sign[order],
+        np.repeat(bounds[1:], np.diff(bounds)),
+    )
 
 
-def _add_node(
-    acc: dict[tuple[int, int, str], list[int]],
-    outs: "dict[int, int] | None",
-    ins: "dict[int, int] | None",
-    sign: int,
-) -> None:
-    """Add ``sign`` × one node's share of every bigram to ``acc``.
+def _pair_sums(left, right, first, count, width: int):
+    """Sum every pair of left row ``i`` with right rows ``first[i] ..
+    first[i] + count[i] - 1``: ``(key, Σ sign, Σ sign·d1·d2)`` for each
+    key ``label1 · width + label2`` whose sums are not both zero.
 
-    ``outs``/``ins`` are the node's ``{label: degree}`` vectors. Every
-    label pair in ``ins × outs`` contributes to ``os``, every unordered
-    pair in ``outs × outs`` to ``ss`` and in ``ins × ins`` to ``oo``
-    (stored once, ``p1 <= p2``). ``acc`` maps a bigram key to
-    ``[join_nodes, join_pairs]``. The one definition of a node's
-    contribution, shared by the full build (``sign=1`` for every node)
-    and the delta patch (``-1`` for a touched node's old vectors, ``+1``
-    for its new ones).
+    Left rows are taken a block of labels at a time, so one block's
+    keys fit a dense accumulator of at most ``max(CHUNK_PAIRS, width)``
+    cells; each block's pairs are expanded ``CHUNK_PAIRS`` at a time.
     """
-    if outs:
-        for p1, d1 in outs.items():
-            for p2, d2 in outs.items():
-                if p1 <= p2:
-                    _bump(acc, (p1, p2, "ss"), sign, sign * d1 * d2)
-    if ins:
-        for p1, d1 in ins.items():
-            for p2, d2 in ins.items():
-                if p1 <= p2:
-                    _bump(acc, (p1, p2, "oo"), sign, sign * d1 * d2)
-    if outs and ins:
-        for p1, d1 in ins.items():  # p1's object is this node
-            for p2, d2 in outs.items():  # p2's subject is this node
-                _bump(acc, (p1, p2, "os"), sign, sign * d1 * d2)
+    l_index, l_degree, l_sign = left
+    r_index, r_degree, _ = right
+    per_block = max(1, CHUNK_PAIRS // width)
+    live = np.flatnonzero(count)
+    block = l_index[live] // per_block
+    # A stable sort of one run (every label in one block) is linear.
+    order = np.argsort(block, kind="stable")
+    live = live[order]
+    cuts = np.searchsorted(block[order], np.arange(width // per_block + 2)).tolist()
+    keys, nodes, pairs = [], [], []
+    for base, lo, hi in zip(range(0, width, per_block), cuts, cuts[1:]):
+        if lo == hi:
+            continue
+        rows = live[lo:hi]
+        cells = min(per_block, width - base) * width
+        acc_nodes = np.zeros(cells, np.int64)
+        acc_pairs = np.zeros(cells, np.int64)
+        counts = count[rows]
+        ends = np.cumsum(counts)
+        a = 0
+        while a < len(rows):
+            done = int(ends[a - 1]) if a else 0
+            b = max(a + 1, int(np.searchsorted(ends, done + CHUNK_PAIRS, "right")))
+            chunk, c = rows[a:b], counts[a:b]
+            # Pair t of the chunk is (left row k, right row first[k] +
+            # t - (pairs before k)).
+            right_row = np.arange(int(ends[b - 1]) - done) + np.repeat(
+                first[chunk] - (ends[a:b] - c - done), c
+            )
+            key = np.repeat((l_index[chunk] - base) * width, c) + r_index[right_row]
+            sign = l_sign[chunk]
+            np.add.at(acc_nodes, key, np.repeat(sign, c))
+            np.add.at(
+                acc_pairs,
+                key,
+                np.repeat(sign * l_degree[chunk], c) * r_degree[right_row],
+            )
+            a = b
+        hit = np.flatnonzero(acc_nodes | acc_pairs)
+        keys.append(hit + base * width)
+        nodes.append(acc_nodes[hit])
+        pairs.append(acc_pairs[hit])
+    if not keys:
+        return (np.zeros(0, np.int64),) * 3
+    return np.concatenate(keys), np.concatenate(nodes), np.concatenate(pairs)
+
+
+def bigram_sums(outs: Rows, ins: Rows) -> dict[tuple[int, int, str], tuple[int, int]]:
+    """Every degree vector's share of every bigram, summed exactly:
+    ``(p1, p2, orient) -> (Σ sign, Σ sign · d1 · d2)``.
+
+    ``outs`` holds one row per (node, out-label) with the node's
+    out-degree under that label, ``ins`` the same for in-labels. A
+    node's rows of one sign form one degree vector; vectors of opposite
+    sign never pair, so the delta patch passes a node's old vectors
+    (sign ``-1``) beside its new ones (``+1``). A vector contributes one
+    term to ``ss`` per unordered pair of its out-labels (``p1 <= p2``),
+    to ``oo`` per unordered pair of its in-labels, and to ``os`` per
+    (in-label, out-label) pair: the catalog's one definition of a node's
+    share. The sums are ``int64``, keys whose two sums are both zero are
+    left out, and the rest come in ascending key order.
+
+    Labels are numbered densely, so a key is ``label1 · L + label2``
+    over the ``L`` labels present; pairs are expanded in chunks (see
+    :data:`CHUNK_PAIRS`).
+    """
+    labels = np.unique(np.concatenate((outs[1], ins[1])))
+    width = len(labels)
+    if not width:
+        return {}
+    o_group, o_index, o_degree, o_sign, o_end = _grouped(labels, outs)
+    i_group, i_index, i_degree, i_sign, i_end = _grouped(labels, ins)
+    out_side, in_side = (o_index, o_degree, o_sign), (i_index, i_degree, i_sign)
+    o_row, i_row = np.arange(len(o_group)), np.arange(len(i_group))
+    # A row pairs with itself and the later rows of its vector (labels
+    # ascend within one, so p1 <= p2); for os, an in-row pairs with every
+    # out-row of its vector.
+    lo = np.searchsorted(o_group, i_group)
+    hi = np.searchsorted(o_group, i_group, "right")
+    parts = (
+        _pair_sums(in_side, in_side, i_row, i_end - i_row, width),  # oo
+        _pair_sums(in_side, out_side, lo, hi - lo, width),  # os
+        _pair_sums(out_side, out_side, o_row, o_end - o_row, width),  # ss
+    )
+    # One sort puts the three orientations' keys in tuple order.
+    code = np.concatenate([key * 3 + r for r, (key, _, _) in enumerate(parts)])
+    order = np.argsort(code)
+    nodes = np.concatenate([part[1] for part in parts])[order].tolist()
+    pairs = np.concatenate([part[2] for part in parts])[order].tolist()
+    ids = labels.tolist()
+    out = {}
+    for c, n, pair in zip(code[order].tolist(), nodes, pairs):
+        key, r = divmod(c, 3)
+        p1, p2 = divmod(key, width)
+        out[(ids[p1], ids[p2], _KERNEL_ORIENTS[r])] = (n, pair)
+    return out
+
+
+def _columns(parts: list[tuple[np.ndarray, int, np.ndarray]]) -> Rows:
+    """Rows (sign ``+1``) from ``(nodes, label, degrees)`` columns."""
+    if not parts:
+        empty = np.zeros(0, np.int64)
+        return empty, empty, empty, empty
+    node = np.concatenate([nodes for nodes, _, _ in parts])
+    label = np.concatenate(
+        [np.full(len(nodes), p, np.int64) for nodes, p, _ in parts]
+    )
+    degree = np.concatenate([degrees for _, _, degrees in parts])
+    return node, label, degree, np.ones(len(node), np.int64)
+
+
+def _rows(rows: list[tuple[int, int, int, int]]) -> Rows:
+    """Rows from ``(node, label, degree, sign)`` tuples."""
+    table = np.array(rows, np.int64).reshape(-1, 4)
+    return table[:, 0], table[:, 1], table[:, 2], table[:, 3]
 
 
 def build_catalog(
@@ -247,15 +380,18 @@ def build_catalog(
     sample_nodes: int | None = None,
     seed: int = 0,
 ) -> Catalog:
-    """Compute the catalog in one pass over the store.
+    """Compute the catalog from the store's degree columns.
 
-    Unigrams come straight from the predicate-first indexes (always
-    exact). Bigrams are accumulated node-at-a-time: for each node ``n``,
-    every label pair in ``in-labels(n) × out-labels(n)`` contributes to
-    ``os``/``so``, every pair in ``out × out`` to ``ss``, and every pair
-    in ``in × in`` to ``oo``. Runtime is O(Σ_n |labels(n)|²), which is
-    small for heterogeneous graphs where each node carries a handful of
-    labels.
+    Each predicate's forward and reverse degree columns
+    (:meth:`~repro.graph.store.TripleStore.degree_columns`) give its
+    unigram — edge count, distinct subjects, distinct objects — and one
+    row per (node, label) for the bigram kernel, :func:`bigram_sums`.
+    For each node ``n``, every label pair in ``in-labels(n) ×
+    out-labels(n)`` contributes to ``os``/``so``, every pair in ``out ×
+    out`` to ``ss``, and every pair in ``in × in`` to ``oo``. The work
+    is O(R log R + Σ_n |labels(n)|²) over the R (node, label) rows,
+    vectorized; memory is the rows plus one chunk of
+    :data:`CHUNK_PAIRS` expanded pairs, however many pairs there are.
 
     ``sample_nodes`` makes the bigram pass *sampled*: only that many
     uniformly-drawn nodes are scanned and every bigram figure is scaled
@@ -264,53 +400,45 @@ def build_catalog(
     graphs where a full node scan is too expensive; estimates remain
     unbiased, and the planners only use them for relative comparisons.
 
-    The pass consumes only storage-backend protocol views — the
-    per-predicate cardinality summaries and the forward/reverse
-    adjacency mappings — so it is identical across physical layouts
+    Bigrams come in ascending key order, so equal stores give equal
+    ``to_dict()`` output whatever their backend. The pass reads only
+    the degree columns, so it is identical across physical layouts
     (hashdict, columnar, ...), which the backend-parity suite asserts.
     """
-    unigrams: dict[int, UnigramStat] = {
-        p: UnigramStat(
-            summary.count, summary.distinct_subjects, summary.distinct_objects
-        )
-        for p, summary in sorted(store.predicate_summaries().items())
-    }
-
-    # Per-node label incidence with degrees, read off the adjacency
-    # views (one len() per index run — no per-node point lookups).
-    out_deg: dict[int, dict[int, int]] = {}  # node -> {label: out-degree}
-    in_deg: dict[int, dict[int, int]] = {}
+    unigrams: dict[int, UnigramStat] = {}
+    outs, ins = [], []
     for p in store.predicates():
-        for s, objs in store.adjacency(p).items():
-            out_deg.setdefault(s, {})[p] = len(objs)
-        for o, subs in store.reverse_adjacency(p).items():
-            in_deg.setdefault(o, {})[p] = len(subs)
+        subjects, out_degrees = store.degree_columns(p)
+        objects, in_degrees = store.degree_columns(p, reverse=True)
+        if not len(subjects):
+            continue
+        unigrams[p] = UnigramStat(
+            int(out_degrees.sum()), len(subjects), len(objects)
+        )
+        outs.append((subjects, p, out_degrees))
+        ins.append((objects, p, in_degrees))
+    out_rows, in_rows = _columns(outs), _columns(ins)
 
     all_nodes = store.nodes()
     scale = 1.0
     if sample_nodes is not None and sample_nodes < len(all_nodes):
-        import numpy as np
-
+        node_list = np.fromiter(all_nodes, np.int64, len(all_nodes))
+        node_list.sort()
         rng = np.random.default_rng(seed)
-        node_list = sorted(all_nodes)
-        chosen = rng.choice(len(node_list), size=sample_nodes, replace=False)
-        scan_nodes: Iterable[int] = (node_list[i] for i in sorted(chosen))
+        chosen = node_list[rng.choice(len(node_list), size=sample_nodes, replace=False)]
+        out_rows = tuple(col[np.isin(out_rows[0], chosen)] for col in out_rows)
+        in_rows = tuple(col[np.isin(in_rows[0], chosen)] for col in in_rows)
         scale = len(node_list) / sample_nodes
-    else:
-        scan_nodes = all_nodes
 
-    acc: dict[tuple[int, int, str], list[int]] = {}
-    for node in scan_nodes:
-        _add_node(acc, out_deg.get(node), in_deg.get(node), 1)
-
+    sums = bigram_sums(out_rows, in_rows)
     if scale == 1.0:
-        bigrams = {key: BigramStat(n, pairs) for key, (n, pairs) in acc.items()}
+        bigrams = {key: BigramStat(n, pairs) for key, (n, pairs) in sums.items()}
     else:
         bigrams = {
             key: BigramStat(
                 max(int(round(n * scale)), 1), max(int(round(pairs * scale)), 1)
             )
-            for key, (n, pairs) in acc.items()
+            for key, (n, pairs) in sums.items()
         }
     return Catalog(
         unigrams=unigrams,
@@ -360,8 +488,10 @@ def patch_catalog(
     by subtracting its net changes, so nothing else of the store is
     read: unigrams and the node/triple totals move by counted
     transitions, and only the bigram keys the touched nodes contribute
-    to are rewritten (old contribution out, new one in, keys reaching
-    zero dropped). The result ``==`` ``build_catalog`` of the store.
+    to are rewritten: one :func:`bigram_sums` pass over the touched
+    nodes' old vectors (sign ``-1``) and new ones (``+1``), keys
+    reaching zero dropped. The result ``==`` ``build_catalog`` of the
+    store, key order included.
     """
     d_out: dict[int, dict[int, int]] = {}
     d_in: dict[int, dict[int, int]] = {}
@@ -376,15 +506,18 @@ def patch_catalog(
     d_subjects: dict[int, int] = {}
     d_objects: dict[int, int] = {}
     d_nodes = 0
-    acc: dict[tuple[int, int, str], list[int]] = {}
+    out_rows: list[tuple[int, int, int, int]] = []
+    in_rows: list[tuple[int, int, int, int]] = []
     for node, (outs, ins) in degrees.items():
         old_outs = _before(outs, d_out.get(node))
         old_ins = _before(ins, d_in.get(node))
         _count_transitions(d_subjects, old_outs, outs)
         _count_transitions(d_objects, old_ins, ins)
         d_nodes += bool(outs or ins) - bool(old_outs or old_ins)
-        _add_node(acc, old_outs, old_ins, -1)
-        _add_node(acc, outs, ins, 1)
+        for rows, old, new in ((out_rows, old_outs, outs), (in_rows, old_ins, ins)):
+            rows.extend((node, p, d, -1) for p, d in old.items())
+            rows.extend((node, p, d, 1) for p, d in new.items())
+    acc = bigram_sums(_rows(out_rows), _rows(in_rows))
 
     unigrams = dict(catalog.unigrams)
     for p in d_count.keys() | d_subjects.keys() | d_objects.keys():
@@ -403,12 +536,13 @@ def patch_catalog(
 
     bigrams = dict(catalog.bigrams)
     for key, (d_n, d_pairs) in acc.items():
-        if d_n or d_pairs:
-            n, pairs = bigrams.get(key, _EMPTY_BIGRAM)
-            if n + d_n:
-                bigrams[key] = BigramStat(n + d_n, pairs + d_pairs)
-            else:
-                del bigrams[key]
+        n, pairs = bigrams.get(key, _EMPTY_BIGRAM)
+        if n + d_n:
+            bigrams[key] = BigramStat(n + d_n, pairs + d_pairs)
+        else:
+            del bigrams[key]
+    if acc.keys() - catalog.bigrams.keys():
+        bigrams = dict(sorted(bigrams.items()))  # build_catalog's order
 
     return Catalog(
         unigrams,

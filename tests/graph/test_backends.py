@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 
+import numpy as np
 import pytest
 
 from repro.errors import StoreError
@@ -340,6 +341,29 @@ def test_empty_predicate_views(columnar_store):
     assert store.gather(999, None, [{1}], reverse=True) == ({}, 0)
     assert store.count(999) == 0
     assert list(store.edges(999)) == []
+
+
+@pytest.mark.parametrize("backend", ("hashdict", "columnar"))
+def test_degree_columns(backend):
+    """Keys and degrees in matching order, ``int64``, staged writes
+    included, and empty for an unknown or emptied predicate."""
+    store = TripleStore(backend=backend)
+    store.add_triples([(1, 100, 2), (1, 100, 3), (4, 100, 3), (4, 101, 4)])
+    store.count(100)  # columnar: seal 100, then stage one more pair
+    store.add_triples([(5, 100, 3)])
+    keys, degrees = store.degree_columns(100)
+    assert keys.dtype == degrees.dtype == np.int64
+    assert sorted(zip(keys.tolist(), degrees.tolist())) == [(1, 2), (4, 1), (5, 1)]
+    keys, degrees = store.degree_columns(100, reverse=True)
+    assert sorted(zip(keys.tolist(), degrees.tolist())) == [(2, 1), (3, 3)]
+    store.remove_triples([(4, 101, 4)])
+    for p in (101, 999):
+        for reverse in (False, True):
+            keys, degrees = store.degree_columns(p, reverse)
+            assert len(keys) == len(degrees) == 0
+    if backend == "columnar":  # the sealed key column, ascending
+        keys, _ = store.degree_columns(100)
+        assert keys.tolist() == [1, 4, 5]
 
 
 @pytest.mark.parametrize("backend", ("hashdict", "columnar"))

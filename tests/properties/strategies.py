@@ -45,6 +45,18 @@ def bulk_pairs(result) -> set[tuple[int, int]]:
     return views[0]
 
 
+def degree_table(store: TripleStore) -> dict:
+    """``{(p, reverse): sorted (key, degree) pairs}`` over every
+    predicate: the degree columns in a form that compares across
+    backends (whose column order may differ)."""
+    table = {}
+    for p in store.predicates():
+        for reverse in (False, True):
+            keys, degrees = store.degree_columns(p, reverse)
+            table[p, reverse] = sorted(zip(keys.tolist(), degrees.tolist()))
+    return table
+
+
 def build_store(graph: dict, backend: str | None = None) -> TripleStore:
     store = TripleStore(backend=backend)
     for label, pairs in graph.items():
