@@ -215,7 +215,7 @@ class Catalog:
 #: accumulator holds at most this many cells (or one row of the label
 #: space, if that is longer), so the kernel's memory beyond its input
 #: rows does not grow with the store.
-CHUNK_PAIRS = 1 << 16
+CHUNK_PAIRS = 1 << 14
 
 #: The orientations the kernel emits, in the order their keys sort.
 _KERNEL_ORIENTS = ("oo", "os", "ss")
@@ -224,12 +224,14 @@ _KERNEL_ORIENTS = ("oo", "os", "ss")
 #: a node carries in one direction (see :func:`bigram_sums`).
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
+_NONE = np.zeros(0, np.int64)
+
 
 def _grouped(labels: np.ndarray, rows: Rows):
     """``rows`` sorted by degree vector, then label: ``(group, label
-    index, degree, sign, group end)``, where a vector is one node's rows
-    of one sign and ``group end`` is the row after the last of each
-    row's vector."""
+    index, degree, rest)``. A vector is one node's rows of one sign,
+    ``group`` is ``node · 2 + (sign > 0)``, and ``rest`` counts each row
+    and the rows after it in its vector."""
     node, label, degree, sign = rows
     group = node * 2 + (sign > 0)
     index = np.searchsorted(labels, label)
@@ -240,33 +242,34 @@ def _grouped(labels: np.ndarray, rows: Rows):
         order = np.lexsort((index, group))
     group = group[order]
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1, [len(group)]))
-    return (
-        group,
-        index[order],
-        degree[order],
-        sign[order],
-        np.repeat(bounds[1:], np.diff(bounds)),
-    )
+    rest = np.repeat(bounds[1:], np.diff(bounds))
+    rest -= np.arange(len(group))
+    return group, index[order], degree[order], rest
 
 
-def _pair_sums(left, right, first, count, width: int):
+def _pair_sums(left, right, count, width: int, first=None):
     """Sum every pair of left row ``i`` with right rows ``first[i] ..
-    first[i] + count[i] - 1``: ``(key, Σ sign, Σ sign·d1·d2)`` for each
-    key ``label1 · width + label2`` whose sums are not both zero.
+    first[i] + count[i] - 1`` (``first`` defaults to ``i`` itself):
+    ``(key, Σ sign, Σ sign·d1·d2)`` for each key ``label1 · width +
+    label2`` whose sums are not both zero.
 
+    ``left`` is a grouped ``(group, label index, degree)`` side, whose
+    group's low bit is the sign; ``right`` is ``(label index, degree)``.
     Left rows are taken a block of labels at a time, so one block's
     keys fit a dense accumulator of at most ``max(CHUNK_PAIRS, width)``
     cells; each block's pairs are expanded ``CHUNK_PAIRS`` at a time.
     """
-    l_index, l_degree, l_sign = left
-    r_index, r_degree, _ = right
+    l_group, l_index, l_degree = left
+    r_index, r_degree = right
     per_block = max(1, CHUNK_PAIRS // width)
     live = np.flatnonzero(count)
-    block = l_index[live] // per_block
-    # A stable sort of one run (every label in one block) is linear.
-    order = np.argsort(block, kind="stable")
-    live = live[order]
-    cuts = np.searchsorted(block[order], np.arange(width // per_block + 2)).tolist()
+    cuts = [0, len(live)]
+    if per_block < width:  # several blocks: their rows one after another
+        block = l_index[live] // per_block
+        order = np.argsort(block, kind="stable")
+        live = live[order]
+        cuts = np.searchsorted(block[order], np.arange(width // per_block + 2)).tolist()
+        del block, order
     keys, nodes, pairs = [], [], []
     for base, lo, hi in zip(range(0, width, per_block), cuts, cuts[1:]):
         if lo == hi:
@@ -275,20 +278,21 @@ def _pair_sums(left, right, first, count, width: int):
         cells = min(per_block, width - base) * width
         acc_nodes = np.zeros(cells, np.int64)
         acc_pairs = np.zeros(cells, np.int64)
-        counts = count[rows]
-        ends = np.cumsum(counts)
+        ends = np.cumsum(count[rows])
         a = 0
         while a < len(rows):
             done = int(ends[a - 1]) if a else 0
             b = max(a + 1, int(np.searchsorted(ends, done + CHUNK_PAIRS, "right")))
-            chunk, c = rows[a:b], counts[a:b]
-            # Pair t of the chunk is (left row k, right row first[k] +
+            chunk = rows[a:b]
+            c = count[chunk]
+            start = chunk if first is None else first[chunk]
+            # Pair t of the chunk is (left row k, right row start[k] +
             # t - (pairs before k)).
             right_row = np.arange(int(ends[b - 1]) - done) + np.repeat(
-                first[chunk] - (ends[a:b] - c - done), c
+                start - (ends[a:b] - c - done), c
             )
             key = np.repeat((l_index[chunk] - base) * width, c) + r_index[right_row]
-            sign = l_sign[chunk]
+            sign = (l_group[chunk] & 1) * 2 - 1
             np.add.at(acc_nodes, key, np.repeat(sign, c))
             np.add.at(
                 acc_pairs,
@@ -328,20 +332,20 @@ def bigram_sums(outs: Rows, ins: Rows) -> dict[tuple[int, int, str], tuple[int, 
     width = len(labels)
     if not width:
         return {}
-    o_group, o_index, o_degree, o_sign, o_end = _grouped(labels, outs)
-    i_group, i_index, i_degree, i_sign, i_end = _grouped(labels, ins)
-    out_side, in_side = (o_index, o_degree, o_sign), (i_index, i_degree, i_sign)
-    o_row, i_row = np.arange(len(o_group)), np.arange(len(i_group))
     # A row pairs with itself and the later rows of its vector (labels
     # ascend within one, so p1 <= p2); for os, an in-row pairs with every
-    # out-row of its vector.
+    # out-row of its vector. One side is grouped at a time.
+    o_group, o_index, o_degree, o_rest = _grouped(labels, outs)
+    ss = _pair_sums((o_group, o_index, o_degree), (o_index, o_degree), o_rest, width)
+    del o_rest
+    i_group, i_index, i_degree, i_rest = _grouped(labels, ins)
+    in_side = (i_group, i_index, i_degree)
+    oo = _pair_sums(in_side, (i_index, i_degree), i_rest, width)
+    del i_rest
     lo = np.searchsorted(o_group, i_group)
     hi = np.searchsorted(o_group, i_group, "right")
-    parts = (
-        _pair_sums(in_side, in_side, i_row, i_end - i_row, width),  # oo
-        _pair_sums(in_side, out_side, lo, hi - lo, width),  # os
-        _pair_sums(out_side, out_side, o_row, o_end - o_row, width),  # ss
-    )
+    os_ = _pair_sums(in_side, (o_index, o_degree), hi - lo, width, first=lo)
+    parts = (oo, os_, ss)
     # One sort puts the three orientations' keys in tuple order.
     code = np.concatenate([key * 3 + r for r, (key, _, _) in enumerate(parts)])
     order = np.argsort(code)
@@ -356,17 +360,28 @@ def bigram_sums(outs: Rows, ins: Rows) -> dict[tuple[int, int, str], tuple[int, 
     return out
 
 
-def _columns(parts: list[tuple[np.ndarray, int, np.ndarray]]) -> Rows:
-    """Rows (sign ``+1``) from ``(nodes, label, degrees)`` columns."""
-    if not parts:
-        empty = np.zeros(0, np.int64)
-        return empty, empty, empty, empty
-    node = np.concatenate([nodes for nodes, _, _ in parts])
-    label = np.concatenate(
-        [np.full(len(nodes), p, np.int64) for nodes, p, _ in parts]
-    )
-    degree = np.concatenate([degrees for _, _, degrees in parts])
-    return node, label, degree, np.ones(len(node), np.int64)
+def _degree_rows(store: TripleStore) -> tuple[dict[int, UnigramStat], Rows, Rows]:
+    """Every predicate's unigram, and the ``(node, label, degree, +1)``
+    rows of its subjects (out) and of its objects (in)."""
+    unigrams: dict[int, UnigramStat] = {}
+    columns: tuple[list, list] = ([], [])  # (keys, degrees) pairs per direction
+    for p in store.predicates():
+        fwd, rev = store.degree_columns(p), store.degree_columns(p, reverse=True)
+        if len(fwd[0]):
+            unigrams[p] = UnigramStat(int(fwd[1].sum()), len(fwd[0]), len(rev[0]))
+            columns[0].append(fwd)
+            columns[1].append(rev)
+    labels = np.fromiter(unigrams, np.int64, len(unigrams))
+    sides = []
+    for pairs in columns:
+        node = np.concatenate([keys for keys, _ in pairs] or [_NONE])
+        sides.append((
+            node,
+            np.repeat(labels, [len(keys) for keys, _ in pairs]),
+            np.concatenate([degrees for _, degrees in pairs] or [_NONE]),
+            np.broadcast_to(np.int64(1), node.shape),
+        ))
+    return unigrams, sides[0], sides[1]
 
 
 def _rows(rows: list[tuple[int, int, int, int]]) -> Rows:
@@ -405,20 +420,7 @@ def build_catalog(
     the degree columns, so it is identical across physical layouts
     (hashdict, columnar, ...), which the backend-parity suite asserts.
     """
-    unigrams: dict[int, UnigramStat] = {}
-    outs, ins = [], []
-    for p in store.predicates():
-        subjects, out_degrees = store.degree_columns(p)
-        objects, in_degrees = store.degree_columns(p, reverse=True)
-        if not len(subjects):
-            continue
-        unigrams[p] = UnigramStat(
-            int(out_degrees.sum()), len(subjects), len(objects)
-        )
-        outs.append((subjects, p, out_degrees))
-        ins.append((objects, p, in_degrees))
-    out_rows, in_rows = _columns(outs), _columns(ins)
-
+    unigrams, out_rows, in_rows = _degree_rows(store)
     all_nodes = store.nodes()
     scale = 1.0
     if sample_nodes is not None and sample_nodes < len(all_nodes):
@@ -426,8 +428,10 @@ def build_catalog(
         node_list.sort()
         rng = np.random.default_rng(seed)
         chosen = node_list[rng.choice(len(node_list), size=sample_nodes, replace=False)]
-        out_rows = tuple(col[np.isin(out_rows[0], chosen)] for col in out_rows)
-        in_rows = tuple(col[np.isin(in_rows[0], chosen)] for col in in_rows)
+        keep = np.isin(out_rows[0], chosen)
+        out_rows = tuple(col[keep] for col in out_rows)
+        keep = np.isin(in_rows[0], chosen)
+        in_rows = tuple(col[keep] for col in in_rows)
         scale = len(node_list) / sample_nodes
 
     sums = bigram_sums(out_rows, in_rows)
