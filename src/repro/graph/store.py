@@ -229,8 +229,7 @@ class TripleStore:
         on either backend, and a patch 30-160 us per change on hashdict
         and 110-410 us on columnar (its degree probes are binary
         searches): break-even between about 150 and 2,000 changes.
-        ``num_triples // 512`` is 343 there. The old ``// 32`` (5,488)
-        dated from a pure-Python rebuild about five times slower.
+        ``num_triples // 512`` is 343 there.
         """
         return max(_MIN_DELTA_LIMIT, self._backend.num_triples // 512)
 

@@ -210,103 +210,121 @@ class Catalog:
         )
 
 
-#: Label pairs the bigram kernel expands at once. A chunk is a few
-#: ``int64`` arrays of this length (about 3 MB together), and a dense
-#: accumulator holds at most this many cells (or one row of the label
-#: space, if that is longer), so the kernel's memory beyond its input
-#: rows does not grow with the store.
+#: Label pairs the bigram kernel expands at once: a chunk is a few
+#: ``int64`` arrays of this length (about 1 MB together).
 CHUNK_PAIRS = 1 << 14
 
-#: The orientations the kernel emits, in the order their keys sort.
-_KERNEL_ORIENTS = ("oo", "os", "ss")
+#: Cells of the kernel's dense accumulator: the keys of as many left
+#: labels as fit (at least one), two ``int64`` arrays of this length.
+#: With both bounds, the kernel's memory beyond a few copies of its
+#: input rows does not grow with the store.
+DENSE_CELLS = 1 << 16
+
+#: Orientation by the number of out-rows in a pair (in-in, in-out,
+#: out-out): alphabetical, so a key's code sorts as its tuple does.
+_ORIENTS = ("oo", "os", "ss")
 
 #: ``(node, label, degree, sign)`` ``int64`` columns, one row per label
 #: a node carries in one direction (see :func:`bigram_sums`).
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 _NONE = np.zeros(0, np.int64)
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-def _grouped(labels: np.ndarray, rows: Rows):
-    """``rows`` sorted by degree vector, then label: ``(group, label
-    index, degree, rest)``. A vector is one node's rows of one sign,
-    ``group`` is ``node · 2 + (sign > 0)``, and ``rest`` counts each row
-    and the rows after it in its vector."""
-    node, label, degree, sign = rows
-    group = node * 2 + (sign > 0)
-    index = np.searchsorted(labels, label)
-    width = len(labels)
-    if group.max(initial=0) < np.iinfo(np.int64).max // width:
-        order = np.argsort(group * width + index)  # one key: 5x lexsort's speed
-    else:
-        order = np.lexsort((index, group))
-    group = group[order]
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(group)) + 1, [len(group)]))
-    rest = np.repeat(bounds[1:], np.diff(bounds))
-    rest -= np.arange(len(group))
-    return group, index[order], degree[order], rest
+def _vectors(outs: Rows, ins: Rows):
+    """Both sides' rows in one order: by degree vector, its in-rows
+    before its out-rows, then by label.
 
-
-def _pair_sums(left, right, count, width: int, first=None):
-    """Sum every pair of left row ``i`` with right rows ``first[i] ..
-    first[i] + count[i] - 1`` (``first`` defaults to ``i`` itself):
-    ``(key, Σ sign, Σ sign·d1·d2)`` for each key ``label1 · width +
-    label2`` whose sums are not both zero.
-
-    ``left`` is a grouped ``(group, label index, degree)`` side, whose
-    group's low bit is the sign; ``right`` is ``(label index, degree)``.
-    Left rows are taken a block of labels at a time, so one block's
-    keys fit a dense accumulator of at most ``max(CHUNK_PAIRS, width)``
-    cells; each block's pairs are expanded ``CHUNK_PAIRS`` at a time.
+    Returns ``(labels, key, degree, rest)``: the labels present,
+    ascending; each row's sort key ``(vector · 2 + (row is out)) <<
+    bits | label index``, where ``vector`` is ``node · 2 + (sign > 0)``
+    and ``bits`` holds any label index; its degree; and how many rows of
+    its vector start at it. Node ids that would overflow the key are
+    numbered densely first.
     """
-    l_group, l_index, l_degree = left
-    r_index, r_degree = right
-    per_block = max(1, CHUNK_PAIRS // width)
-    live = np.flatnonzero(count)
-    cuts = [0, len(live)]
-    if per_block < width:  # several blocks: their rows one after another
-        block = l_index[live] // per_block
-        order = np.argsort(block, kind="stable")
-        live = live[order]
-        cuts = np.searchsorted(block[order], np.arange(width // per_block + 2)).tolist()
-        del block, order
-    keys, nodes, pairs = [], [], []
-    for base, lo, hi in zip(range(0, width, per_block), cuts, cuts[1:]):
-        if lo == hi:
-            continue
-        rows = live[lo:hi]
-        cells = min(per_block, width - base) * width
-        acc_nodes = np.zeros(cells, np.int64)
-        acc_pairs = np.zeros(cells, np.int64)
-        ends = np.cumsum(count[rows])
+    labels = np.unique(np.concatenate((outs[1], ins[1])))
+    bits = max(len(labels) - 1, 1).bit_length()
+    key = np.concatenate((outs[0], ins[0]))
+    if len(key) and not 0 <= key.min() <= key.max() < _INT64_MAX >> (bits + 2):
+        key = np.unique(key, return_inverse=True)[1]
+    key *= 4
+    key += np.concatenate((outs[3] > 0, ins[3] > 0)) * 2
+    key[: len(outs[0])] += 1
+    key <<= bits
+    key += labels.searchsorted(np.concatenate((outs[1], ins[1])))
+    order = key.argsort()
+    key = key[order]
+    degree = np.concatenate((outs[2], ins[2]))[order]
+    del order
+    vector = key >> (bits + 1)
+    edge = np.ones(len(key) + 1, np.bool_)  # a row starts a vector (or ends all)
+    np.not_equal(vector[1:], vector[:-1], out=edge[1:-1])
+    del vector
+    bounds = edge.nonzero()[0]
+    rest = bounds[1:].repeat(bounds[1:] - bounds[:-1])
+    rest -= np.arange(len(key))
+    return labels, key, degree, rest
+
+
+def _sums(labels, key, degree, rest) -> dict[tuple[int, int, str], tuple[int, int]]:
+    """:func:`bigram_sums` over :func:`_vectors`' rows. ``rest`` is
+    consumed."""
+    width = len(labels)
+    if not width:
+        return {}
+    bits = max(width - 1, 1).bit_length()
+    mask = (1 << bits) - 1
+    row_cells = 3 * width  # one left label's cells
+    per_block = max(1, DENSE_CELLS // row_cells)
+    if per_block >= width:  # one block: rows in any order
+        blocks = [(0, None)]
+    else:  # rows block by block, each block's rows in their own order
+        block = (key & mask) // per_block
+        rows = block.argsort(kind="stable")
+        cuts = block[rows].searchsorted(np.arange(width // per_block + 2))
+        del block
+        blocks = [
+            (base, rows[lo:hi])
+            for base, lo, hi in zip(range(0, width, per_block), cuts, cuts[1:])
+            if lo < hi
+        ]
+    ids = labels.tolist()
+    sums: dict[tuple[int, int, str], tuple[int, int]] = {}
+    for base, rows in blocks:
+        # The pairs of the rows up to each one, in place (one block: in
+        # ``rest`` itself, which nothing reads again).
+        ends = rest if rows is None else rest[rows]
+        ends.cumsum(out=ends)
+        acc_nodes = np.zeros(min(per_block, width - base) * row_cells, np.int64)
+        acc_pairs = np.zeros(len(acc_nodes), np.int64)
         a = 0
-        while a < len(rows):
+        while a < len(ends):
             done = int(ends[a - 1]) if a else 0
-            b = max(a + 1, int(np.searchsorted(ends, done + CHUNK_PAIRS, "right")))
-            chunk = rows[a:b]
-            c = count[chunk]
-            start = chunk if first is None else first[chunk]
-            # Pair t of the chunk is (left row k, right row start[k] +
-            # t - (pairs before k)).
-            right_row = np.arange(int(ends[b - 1]) - done) + np.repeat(
-                start - (ends[a:b] - c - done), c
-            )
-            key = np.repeat((l_index[chunk] - base) * width, c) + r_index[right_row]
-            sign = (l_group[chunk] & 1) * 2 - 1
-            np.add.at(acc_nodes, key, np.repeat(sign, c))
-            np.add.at(
-                acc_pairs,
-                key,
-                np.repeat(sign * l_degree[chunk], c) * r_degree[right_row],
-            )
+            b = max(a + 1, int(ends.searchsorted(done + CHUNK_PAIRS, "right")))
+            left = np.arange(a, b) if rows is None else rows[a:b]
+            before = ends[a - 1 : b - 1] if a else np.concatenate(([0], ends[: b - 1]))
+            c = ends[a:b] - before
+            # Pair t of the chunk is (left row k, row left[k] + t - the
+            # chunk's pairs before k's).
+            right = (left - (before - done)).repeat(c)
+            right += np.arange(len(right))
+            row = key[left]
+            sign = (row >> (bits + 1) & 1) * 2 - 1
+            cell = (((row & mask) - base) * row_cells + (row >> bits & 1)).repeat(c)
+            row = key[right]
+            cell += (row & mask) * 3 + (row >> bits & 1)
+            np.add.at(acc_nodes, cell, sign.repeat(c))
+            np.add.at(acc_pairs, cell, (sign * degree[left]).repeat(c) * degree[right])
             a = b
-        hit = np.flatnonzero(acc_nodes | acc_pairs)
-        keys.append(hit + base * width)
-        nodes.append(acc_nodes[hit])
-        pairs.append(acc_pairs[hit])
-    if not keys:
-        return (np.zeros(0, np.int64),) * 3
-    return np.concatenate(keys), np.concatenate(nodes), np.concatenate(pairs)
+        hit = (acc_nodes | acc_pairs).nonzero()[0]
+        for cell, n, pairs in zip(
+            (hit + base * row_cells).tolist(), acc_nodes[hit].tolist(), acc_pairs[hit].tolist()
+        ):
+            pair, orient = divmod(cell, 3)
+            p1, p2 = divmod(pair, width)
+            sums[ids[p1], ids[p2], _ORIENTS[orient]] = (n, pairs)
+    return sums
 
 
 def bigram_sums(outs: Rows, ins: Rows) -> dict[tuple[int, int, str], tuple[int, int]]:
@@ -321,43 +339,20 @@ def bigram_sums(outs: Rows, ins: Rows) -> dict[tuple[int, int, str], tuple[int, 
     term to ``ss`` per unordered pair of its out-labels (``p1 <= p2``),
     to ``oo`` per unordered pair of its in-labels, and to ``os`` per
     (in-label, out-label) pair: the catalog's one definition of a node's
-    share. The sums are ``int64``, keys whose two sums are both zero are
-    left out, and the rest come in ascending key order.
+    share. The sums are ``int64`` (exact while they stay below 2**63),
+    keys whose two sums are both zero are left out, and the rest come in
+    ascending key order.
 
-    Labels are numbered densely, so a key is ``label1 · L + label2``
-    over the ``L`` labels present; pairs are expanded in chunks (see
-    :data:`CHUNK_PAIRS`).
+    With a vector's in-rows sorted before its out-rows (:func:`_vectors`),
+    every one of those pairs is a row and a later row of the same
+    vector, so each row pairs with one contiguous run: itself up to the
+    vector's end. Labels are numbered densely; a pair's cell is
+    ``(label1 · L + label2) · 3 + out-rows in the pair`` over the ``L``
+    labels present, so the cells with a sum come out in key order. Pairs
+    are expanded :data:`CHUNK_PAIRS` at a time into accumulators of at
+    most :data:`DENSE_CELLS` cells, a block of left labels at a time.
     """
-    labels = np.unique(np.concatenate((outs[1], ins[1])))
-    width = len(labels)
-    if not width:
-        return {}
-    # A row pairs with itself and the later rows of its vector (labels
-    # ascend within one, so p1 <= p2); for os, an in-row pairs with every
-    # out-row of its vector. One side is grouped at a time.
-    o_group, o_index, o_degree, o_rest = _grouped(labels, outs)
-    ss = _pair_sums((o_group, o_index, o_degree), (o_index, o_degree), o_rest, width)
-    del o_rest
-    i_group, i_index, i_degree, i_rest = _grouped(labels, ins)
-    in_side = (i_group, i_index, i_degree)
-    oo = _pair_sums(in_side, (i_index, i_degree), i_rest, width)
-    del i_rest
-    lo = np.searchsorted(o_group, i_group)
-    hi = np.searchsorted(o_group, i_group, "right")
-    os_ = _pair_sums(in_side, (o_index, o_degree), hi - lo, width, first=lo)
-    parts = (oo, os_, ss)
-    # One sort puts the three orientations' keys in tuple order.
-    code = np.concatenate([key * 3 + r for r, (key, _, _) in enumerate(parts)])
-    order = np.argsort(code)
-    nodes = np.concatenate([part[1] for part in parts])[order].tolist()
-    pairs = np.concatenate([part[2] for part in parts])[order].tolist()
-    ids = labels.tolist()
-    out = {}
-    for c, n, pair in zip(code[order].tolist(), nodes, pairs):
-        key, r = divmod(c, 3)
-        p1, p2 = divmod(key, width)
-        out[(ids[p1], ids[p2], _KERNEL_ORIENTS[r])] = (n, pair)
-    return out
+    return _sums(*_vectors(outs, ins))
 
 
 def _degree_rows(store: TripleStore) -> tuple[dict[int, UnigramStat], Rows, Rows]:
@@ -405,8 +400,10 @@ def build_catalog(
     out-labels(n)`` contributes to ``os``/``so``, every pair in ``out ×
     out`` to ``ss``, and every pair in ``in × in`` to ``oo``. The work
     is O(R log R + Σ_n |labels(n)|²) over the R (node, label) rows,
-    vectorized; memory is the rows plus one chunk of
-    :data:`CHUNK_PAIRS` expanded pairs, however many pairs there are.
+    vectorized; memory is a few ``int64`` copies of the rows plus one
+    chunk of :data:`CHUNK_PAIRS` expanded pairs, however many pairs
+    there are (about 8 MB at peak for the 128k rows and 600k pairs of
+    the benchmark fixture).
 
     ``sample_nodes`` makes the bigram pass *sampled*: only that many
     uniformly-drawn nodes are scanned and every bigram figure is scaled
@@ -434,7 +431,9 @@ def build_catalog(
         in_rows = tuple(col[keep] for col in in_rows)
         scale = len(node_list) / sample_nodes
 
-    sums = bigram_sums(out_rows, in_rows)
+    vectors = _vectors(out_rows, in_rows)
+    del out_rows, in_rows  # free the rows before the pairs are expanded
+    sums = _sums(*vectors)
     if scale == 1.0:
         bigrams = {key: BigramStat(n, pairs) for key, (n, pairs) in sums.items()}
     else:

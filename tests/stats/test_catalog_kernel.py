@@ -1,9 +1,9 @@
 """The vectorized catalog build against the per-node reference.
 
 ``build_catalog`` must equal :func:`catalog_reference.reference_catalog`
-on any store, on every backend, sampled or not, and at any chunk size:
-small ``CHUNK_PAIRS`` values split the pair expansion into many chunks
-and the label space into many accumulator blocks.
+on any store, on every backend, sampled or not, and at any bounds: small
+``CHUNK_PAIRS`` values split the pair expansion into many chunks, small
+``DENSE_CELLS`` values the label space into many accumulator blocks.
 """
 
 from unittest import mock
@@ -26,7 +26,15 @@ SETTINGS = settings(max_examples=80, deadline=None)
 NODE = st.integers(min_value=0, max_value=7)
 PRED = st.integers(min_value=3, max_value=9)
 TRIPLES = st.lists(st.tuples(NODE, PRED, NODE), max_size=40)
-CHUNK = st.sampled_from((1, 2, 3, 7, 50, catalog_module.CHUNK_PAIRS))
+BOUNDS = st.tuples(
+    st.sampled_from((1, 2, 3, 7, 50, catalog_module.CHUNK_PAIRS)),
+    st.sampled_from((1, 20, 60, catalog_module.DENSE_CELLS)),
+)
+
+
+def bounded(bounds):
+    chunk, cells = bounds
+    return mock.patch.multiple(catalog_module, CHUNK_PAIRS=chunk, DENSE_CELLS=cells)
 
 
 def build(triples, backend, emptied=None) -> TripleStore:
@@ -51,12 +59,12 @@ def assert_same(built, expected):
     triples=TRIPLES,
     backend=st.sampled_from(available_backends()),
     emptied=st.one_of(st.none(), st.integers(min_value=3, max_value=11)),
-    chunk=CHUNK,
+    bounds=BOUNDS,
     data=st.data(),
 )
-def test_build_equals_reference(triples, backend, emptied, chunk, data):
+def test_build_equals_reference(triples, backend, emptied, bounds, data):
     store = build(triples, backend, emptied)
-    with mock.patch.object(catalog_module, "CHUNK_PAIRS", chunk):
+    with bounded(bounds):
         assert_same(build_catalog(store), reference_catalog(store))
         if store.num_nodes > 1:
             k = data.draw(st.integers(1, store.num_nodes - 1), label="sample")
@@ -75,10 +83,25 @@ def test_empty_store(backend):
 
 
 @pytest.mark.parametrize("backend", available_backends())
-def test_ids_too_large_for_one_sort_key(backend):
-    big = 1 << 61  # node id × 2 × labels overflows int64: two sort keys
+def test_patched_bigrams_stay_in_key_order(backend):
     store = TripleStore(backend=backend)
-    store.add_triples([(big + 1, 3, big), (big, 4, big + 1), (big + 1, 4, 2), (2, 3, 2)])
+    store.add_triples([(1, 5, 2), (2, 5, 3)])
+    store.catalog()
+    store.add_triples([(2, 3, 1), (3, 9, 4), (4, 4, 4)])
+    patched = store.catalog()
+    assert store.catalog_refreshes == {"full": 1, "delta": 1}
+    assert_same(patched, reference_catalog(store))
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_ids_outside_the_sort_keys_range(backend):
+    # Too large for the sort key, which would wrap big + 1 onto 1 (and
+    # big onto 0), or negative: the kernel renumbers the nodes.
+    big = 1 << 61
+    store = TripleStore(backend=backend)
+    store.add_triples(
+        [(big + 1, 3, big), (big, 4, big + 1), (big + 1, 4, 1), (1, 3, 0), (-2, 3, -2)]
+    )
     assert_same(build_catalog(store), reference_catalog(store))
 
 
@@ -94,9 +117,9 @@ def test_ids_too_large_for_one_sort_key(backend):
         max_size=8,
         unique_by=lambda v: v[:2],
     ),
-    chunk=CHUNK,
+    bounds=BOUNDS,
 )
-def test_signed_vectors_sum_like_the_reference(vectors, chunk):
+def test_signed_vectors_sum_like_the_reference(vectors, bounds):
     """A node's vectors of opposite sign never pair: each is summed as
     its own node, the way the delta patch feeds old and new vectors."""
     expected: dict = {}
@@ -110,7 +133,7 @@ def test_signed_vectors_sum_like_the_reference(vectors, chunk):
         table = np.array(rows, np.int64).reshape(-1, 4)
         return tuple(table[:, i] for i in range(4))
 
-    with mock.patch.object(catalog_module, "CHUNK_PAIRS", chunk):
+    with bounded(bounds):
         sums = bigram_sums(columns(outs), columns(ins))
     assert sums == {k: tuple(v) for k, v in expected.items() if any(v)}
     assert list(sums) == sorted(sums)
