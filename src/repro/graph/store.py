@@ -225,10 +225,11 @@ class TripleStore:
         A patch probes every predicate for each touched endpoint's
         degrees and builds its rows in Python; a rebuild is one
         vectorized pass over the degree columns. On the benchmark
-        fixture (175,624 triples; 2-CPU x86 box) a rebuild took 55-90 ms
-        on either backend, and a patch 30-160 us per change on hashdict
-        and 110-410 us on columnar (its degree probes are binary
-        searches): break-even between about 150 and 2,000 changes.
+        fixture (175,624 triples; 2-CPU x86 box) a rebuild took 43 ms on
+        hashdict and 30 ms on columnar, and a patch 40-190 us per change
+        on hashdict and 140-370 us on columnar (its degree probes are
+        binary searches), the more for endpoints that already carry many
+        labels: break-even between about 80 and 1,000 changes.
         ``num_triples // 512`` is 343 there.
         """
         return max(_MIN_DELTA_LIMIT, self._backend.num_triples // 512)

@@ -237,13 +237,16 @@ def _vectors(outs: Rows, ins: Rows):
     before its out-rows, then by label.
 
     Returns ``(labels, key, degree, rest)``: the labels present,
-    ascending; each row's sort key ``(vector · 2 + (row is out)) <<
-    bits | label index``, where ``vector`` is ``node · 2 + (sign > 0)``
-    and ``bits`` holds any label index; its degree; and how many rows of
-    its vector start at it. Node ids that would overflow the key are
-    numbered densely first.
+    ascending, and per row its sort key ``(vector · 2 + (row is out))
+    << bits | label index`` (``vector`` is ``node · 2 + (sign > 0)``;
+    ``bits`` holds any label index), its degree, and the number of rows
+    from it to the end of its vector. Node ids that would overflow the
+    key are numbered densely first.
     """
-    labels = np.unique(np.concatenate((outs[1], ins[1])))
+    labels = np.sort(np.concatenate((outs[1], ins[1])))
+    first = np.ones(len(labels), np.bool_)  # (np.unique would import numpy.ma)
+    np.not_equal(labels[1:], labels[:-1], out=first[1:])
+    labels = labels[first]
     bits = max(len(labels) - 1, 1).bit_length()
     key = np.concatenate((outs[0], ins[0]))
     if len(key) and not 0 <= key.min() <= key.max() < _INT64_MAX >> (bits + 2):
@@ -400,10 +403,10 @@ def build_catalog(
     out-labels(n)`` contributes to ``os``/``so``, every pair in ``out ×
     out`` to ``ss``, and every pair in ``in × in`` to ``oo``. The work
     is O(R log R + Σ_n |labels(n)|²) over the R (node, label) rows,
-    vectorized; memory is a few ``int64`` copies of the rows plus one
-    chunk of :data:`CHUNK_PAIRS` expanded pairs, however many pairs
-    there are (about 8 MB at peak for the 128k rows and 600k pairs of
-    the benchmark fixture).
+    vectorized. Memory is a few ``int64`` copies of the rows, one chunk
+    of :data:`CHUNK_PAIRS` expanded pairs and one accumulator of at most
+    :data:`DENSE_CELLS` cells, however many pairs there are: about 7 MB
+    at peak for the 128k rows and 600k pairs of the benchmark fixture.
 
     ``sample_nodes`` makes the bigram pass *sampled*: only that many
     uniformly-drawn nodes are scanned and every bigram figure is scaled
