@@ -547,7 +547,7 @@ def patch_catalog(
             bigrams[key] = BigramStat(n + d_n, pairs + d_pairs)
         else:
             del bigrams[key]
-    if acc.keys() - catalog.bigrams.keys():
+    if any(key not in catalog.bigrams for key in acc):
         bigrams = dict(sorted(bigrams.items()))  # build_catalog's order
 
     return Catalog(
