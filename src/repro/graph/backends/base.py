@@ -462,8 +462,8 @@ class StorageBackend(abc.ABC):
     ) -> "tuple[np.ndarray, np.ndarray]":
         """``(keys, degrees)``: the distinct subjects of ``p`` and their
         out-degrees as two ``int64`` arrays (``reverse``: its objects
-        and their in-degrees), in matching order, any order; empty for
-        an unknown predicate.
+        and their in-degrees), paired by position in any order; empty
+        for an unknown predicate.
 
         The catalog's whole input: ``len(keys)`` of each direction and
         ``degrees.sum()`` are the predicate's unigram, and the rows
