@@ -166,7 +166,7 @@ try:
 
     __version__ = _pkg_version("repro-answer-graph")
 except _PkgNotFound:  # pragma: no cover — uninstalled checkout
-    __version__ = "1.7.0"
+    __version__ = "1.8.0"
 
 #: Deprecated top-level names: old name -> (replacement name, object).
 #: Accessing one still works for a minor release but warns.

@@ -37,7 +37,7 @@ from repro.bench.workloads import ENGINE_ORDER, default_engines
 from repro.datasets.loader import load_dataset, save_dataset
 from repro.datasets.yago_like import generate_yago_like
 from repro.errors import EvaluationTimeout, ReproError
-from repro.graph.backends import available_backends
+from repro.graph.backends import DEFAULT_BACKEND, available_backends
 from repro.graph.store import TripleStore
 from repro.graph.ntriples import dump_ntriples_file
 from repro.query.miner import QueryMiner
@@ -77,7 +77,7 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", choices=available_backends(), default=None,
         help="storage backend for the triple indexes "
-        "(default: $REPRO_BACKEND or 'hashdict')",
+        f"(default: $REPRO_BACKEND or {DEFAULT_BACKEND!r})",
     )
     parser.add_argument(
         "--eager-terms", action="store_true",
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compact.add_argument(
         "--backend", choices=available_backends(), default=None,
         help="storage backend used for the fold-in "
-        "(default: $REPRO_BACKEND or 'hashdict')",
+        f"(default: $REPRO_BACKEND or {DEFAULT_BACKEND!r})",
     )
     p_compact.add_argument(
         "--no-catalog", action="store_true",

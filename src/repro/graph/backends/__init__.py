@@ -4,13 +4,14 @@ A backend owns the physical triple layout (see
 :class:`~repro.graph.backends.base.StorageBackend`); the store is a
 thin facade over one backend instance. Two layouts ship:
 
-``hashdict``
-    Nested dict-of-sets hash indexes (the original layout) — fastest
-    random inserts, O(1) point lookups, heaviest memory.
-``columnar``
+``columnar`` (the default)
     Dictionary-encoded sorted ``array('q')`` runs per predicate with
     offset indexes and galloping/merge intersection — a fraction of the
-    memory, binary-search lookups, bulk-load-then-freeze lifecycle.
+    memory and of the cyclic collector's heap, binary-search lookups,
+    writes staged and sealed with a few numpy calls per predicate.
+``hashdict``
+    Nested dict-of-sets hash indexes (the original layout) — O(1) point
+    lookups and inserts, heaviest memory; ``table1_*`` benchmarks pin it.
 
 Selection precedence: an explicit ``TripleStore(backend=...)`` argument
 (name or instance) wins; otherwise the ``REPRO_BACKEND`` environment
@@ -31,7 +32,7 @@ from repro.graph.backends.base import (
 from repro.graph.backends.columnar import ColumnarBackend, SortedRun, intersect_sorted
 from repro.graph.backends.hashdict import HashDictBackend
 
-DEFAULT_BACKEND = "hashdict"
+DEFAULT_BACKEND = "columnar"
 
 #: Environment variable overriding the default backend name.
 BACKEND_ENV_VAR = "REPRO_BACKEND"

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import abc
 from array import array
+from itertools import chain
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -61,29 +62,42 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.utils.deadline import Deadline
 
 
-def group_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[array, array, array]:
-    """Group a sorted, duplicate-free pair list into (keys, offs, vals).
+def _column(values: np.ndarray) -> array:
+    """An ``int64`` array as an owned ``array('q')``: one memcpy."""
+    column = array("q")
+    column.frombytes(memoryview(np.ascontiguousarray(values, np.int64)).cast("B"))
+    return column
+
+
+def group_columns(keys: np.ndarray, vals: np.ndarray) -> tuple[array, array, array]:
+    """Group pairs given as two ``int64`` columns, sorted by key then
+    value and duplicate-free, into ``(keys, offs, vals)``.
 
     ``keys`` are the distinct first components in order, ``vals`` the
     concatenated runs of second components, and ``offs`` the
     ``len(keys) + 1`` prefix offsets delimiting each run — the columnar
-    backend's physical layout and the snapshot segment format.
+    backend's physical layout and the snapshot segment format. The
+    offsets are the run boundaries of ``keys``: a few numpy calls, no
+    loop over the pairs.
     """
-    keys = array("q")
-    offs = array("q", (0,))
-    vals = array("q")
-    prev = None
-    for k, v in pairs:
-        if k != prev:
-            if prev is not None:
-                offs.append(len(vals))
-            keys.append(k)
-            prev = k
-        vals.append(v)
-    offs.append(len(vals))
-    if not keys:  # empty predicate: offs must still be [0]
-        return keys, array("q", (0,)), vals
-    return keys, offs, vals
+    n = len(keys)
+    if not n:  # empty predicate: offs must still be [0]
+        return array("q"), array("q", (0,)), array("q")
+    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    offs = np.concatenate(([0], starts, [n]))
+    return _column(keys[offs[:-1]]), _column(offs), _column(vals)
+
+
+def _pair_columns(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(firsts, seconds)`` of a pair list as two ``int64`` arrays."""
+    flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+    return flat[0::2], flat[1::2]
+
+
+def group_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[array, array, array]:
+    """Group a sorted, duplicate-free pair list into (keys, offs, vals)
+    (:func:`group_columns` over its two components)."""
+    return group_columns(*_pair_columns(pairs))
 
 
 class Segment(NamedTuple):
@@ -108,11 +122,21 @@ class Segment(NamedTuple):
     rsubs: Sequence[int]
 
     @classmethod
-    def from_pairs(cls, pairs: list[tuple[int, int]]) -> "Segment":
-        """Build both directions from sorted, duplicate-free (s, o) pairs."""
-        subs, offs, objs = group_pairs(pairs)
-        robjs, roffs, rsubs = group_pairs(sorted((o, s) for s, o in pairs))
-        return cls(subs, offs, objs, robjs, roffs, rsubs)
+    def from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> "Segment":
+        """Build both directions from duplicate-free (s, o) pairs."""
+        return cls.from_arrays(*_pair_columns(pairs))
+
+    @classmethod
+    def from_arrays(cls, subs: np.ndarray, objs: np.ndarray) -> "Segment":
+        """Build both directions from duplicate-free pairs given as two
+        ``int64`` columns in any order: one ``lexsort`` per direction,
+        then :func:`group_columns`."""
+        fwd = np.lexsort((objs, subs))
+        rev = np.lexsort((subs, objs))
+        return cls(
+            *group_columns(subs[fwd], objs[fwd]),
+            *group_columns(objs[rev], subs[rev]),
+        )
 
     @property
     def num_pairs(self) -> int:

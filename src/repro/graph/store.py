@@ -5,7 +5,7 @@ triples with the six SPO-permutation composite indexes the paper
 configures — lives here; the *physical* layout lives in a
 :class:`~repro.graph.backends.base.StorageBackend` chosen at
 construction (``TripleStore(backend="columnar")``, the
-``REPRO_BACKEND`` environment variable, or the ``hashdict`` default).
+``REPRO_BACKEND`` environment variable, or the ``columnar`` default).
 Engines, kernels, the catalog builder, and the baselines only ever see
 the store's protocol views, so alternative layouts (sorted integer
 columns today, memory-mapped or sharded stores tomorrow) are drop-in
@@ -227,8 +227,10 @@ class TripleStore:
         vectorized pass over the degree columns. On the benchmark
         fixture (175,624 triples; 2-CPU x86 box) a rebuild took 43 ms on
         hashdict and 30 ms on columnar, and a patch 40-190 us per change
-        on hashdict and 140-370 us on columnar (its degree probes are
-        binary searches), the more for endpoints that already carry many
+        on hashdict and 140-370 us on columnar (then two binary
+        searches per predicate per endpoint; one ``searchsorted`` per
+        key column since took a 16-add patch over random endpoints from
+        7-9 to 6.2 ms), the more for endpoints that already carry many
         labels: break-even between about 80 and 1,000 changes.
         ``num_triples // 512`` is 343 there.
         """

@@ -1,0 +1,89 @@
+"""Columnar seals at the benchmark fixture's scale, write after write.
+
+64 cycles in the shape of the ``write_read_mix`` benchmark over
+``generate_yago_like(scale=2.0, seed=0, backend="columnar")``: each
+cycle writes one 16-triple batch (an add, or on every 4th cycle the
+removal of the oldest batch still live), then reads. Even batches are
+16-edge paths over a new predicate, which grows with the live batches
+as the benchmark's probed predicate does; odd batches land on the
+fixture's own predicates, so seals and removals also run over columns
+of thousands of pairs. After each read every predicate the batch
+touched must hold columns equal to :meth:`Segment.from_pairs` of its
+pairs as a plain set tracks them, and the catalog the write patched
+must equal a rebuild. The file name keeps it out of tier-1 collection
+(a few seconds per run); CI runs it on the columnar leg:
+
+    python -m pytest tests/graph/fixture_seal.py -q
+"""
+
+import random
+
+from repro.datasets.yago_like import generate_yago_like
+from repro.graph.backends import Segment
+from repro.stats.catalog import build_catalog
+
+CYCLES = 64
+BATCH = 16
+LINK = "fixture:link"
+
+
+def test_write_read_cycles_seal_exactly():
+    store = generate_yago_like(scale=2.0, seed=0, freeze=False, backend="columnar")
+    backend = store.backend
+    rng = random.Random(0)
+    nodes = sorted(store.nodes())
+    preds = store.predicates()
+    link = store.dictionary.encode(LINK)
+    pairs: dict[int, set[tuple[int, int]]] = {}
+
+    def pairs_of(p):
+        if p not in pairs:
+            pairs[p] = set(backend.edges(p))
+        return pairs[p]
+
+    def batch_of(n):
+        if n % 2 == 0:
+            path = store.dictionary.encode_many(
+                f"fixture:{n}:{i}" for i in range(BATCH + 1)
+            )
+            return [(a, link, b) for a, b in zip(path, path[1:])]
+        batch = set()
+        while len(batch) < BATCH:
+            triple = (rng.choice(nodes), rng.choice(preds), rng.choice(nodes))
+            if triple not in store:
+                batch.add(triple)
+        return sorted(batch)
+
+    store.catalog()
+    refreshes = dict(store.catalog_refreshes)
+    live: list[list[tuple[int, int, int]]] = []
+    added = 0
+    for cycle in range(CYCLES):
+        if cycle % 4 == 3:
+            batch = live.pop(0)
+            assert store.remove_triples(batch) == BATCH
+            for s, p, o in batch:
+                pairs_of(p).remove((s, o))
+        else:
+            batch = batch_of(added)
+            added += 1
+            for s, p, o in batch:  # the model reads the pairs before the add
+                pairs_of(p).add((s, o))
+            assert store.add_triples(batch) == BATCH
+            live.append(batch)
+        assert store.catalog() == build_catalog(store)
+        for p in sorted({p for _, p, _ in batch}):
+            expected = sorted(pairs_of(p))
+            assert backend.count(p) == len(expected)  # the read: seals p
+            cols = backend._cols.get(p)
+            if not expected:
+                assert cols is None
+                continue
+            assert tuple(cols.to_segment()) == tuple(Segment.from_pairs(expected))
+        assert backend.count(link) == BATCH * sum(
+            1 for batch in live if batch[0][1] == link
+        )
+    assert store.catalog_refreshes == {
+        "full": refreshes["full"],
+        "delta": refreshes["delta"] + CYCLES,
+    }

@@ -18,6 +18,7 @@ import pytest
 from repro.errors import StoreError
 from repro.graph.backends import (
     BACKEND_ENV_VAR,
+    DEFAULT_BACKEND,
     ColumnarBackend,
     HashDictBackend,
     available_backends,
@@ -54,10 +55,10 @@ def test_create_backend_unknown_name():
 
 def test_env_var_selects_default(monkeypatch):
     monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    assert default_backend_name() == DEFAULT_BACKEND == "columnar"
+    monkeypatch.setenv(BACKEND_ENV_VAR, "hashdict")
     assert default_backend_name() == "hashdict"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "columnar")
-    assert default_backend_name() == "columnar"
-    assert TripleStore().backend_name == "columnar"
+    assert TripleStore().backend_name == "hashdict"
 
 
 def test_explicit_backend_beats_env(monkeypatch):
