@@ -543,15 +543,19 @@ def _cmd_serve(args) -> int:
     from repro.server import serve
     from repro.service import QueryService
 
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
-    if args.slow_query_ms is not None and args.slow_query_ms <= 0:
-        print("error: --slow-query-ms must be positive", file=sys.stderr)
-        return 2
+    for out_of_range, rule in (
+        (args.workers < 1, "--workers must be >= 1"),
+        (args.threads is not None and args.threads < 1, "--threads must be >= 1"),
+        (args.slow_query_ms is not None and args.slow_query_ms <= 0,
+         "--slow-query-ms must be positive"),
+        (args.max_pending < 1, "--max-pending must be >= 1"),
+        (args.max_body_kib < 1, "--max-body-kib must be >= 1"),
+        (args.limit < 0, "--limit must be >= 0"),
+        (args.watchdog_timeout <= 0, "--watchdog-timeout must be positive"),
+    ):
+        if out_of_range:
+            print(f"error: {rule}", file=sys.stderr)
+            return 2
     if args.workers > 1:
         return _serve_prefork(args)
     if args.metrics_port is not None:

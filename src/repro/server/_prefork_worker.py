@@ -58,19 +58,9 @@ class _WorkerRuntime:
         return QueryService.from_snapshot(
             config["snapshot"],
             backend=config.get("backend"),
-            verify=config.get("verify", True),
             max_workers=config.get("threads"),
             **(config.get("service_options") or {}),
         )
-
-    @staticmethod
-    def close_service(service: QueryService) -> None:
-        """Release a drained service: thread pool first, then the mmap."""
-        service.close(wait=True)
-        dictionary = getattr(service.store, "dictionary", None)
-        close = getattr(dictionary, "close", None)
-        if close is not None:
-            close()
 
     @property
     def generation(self) -> "int | None":
@@ -104,9 +94,7 @@ async def _worker_reload(runtime: _WorkerRuntime) -> dict:
     old_service = server.swap_service(new_service)
     runtime.service = new_service
     await server.drain_service(old_service)
-    await loop.run_in_executor(
-        None, runtime.close_service, old_service
-    )
+    await loop.run_in_executor(None, old_service.close)
     runtime.reloads += 1
     return {
         "type": "reloaded",
@@ -268,7 +256,7 @@ def worker_main(argv: "list[str] | None" = None) -> int:
     try:
         asyncio.run(_worker_serve(conn, listen_sock, runtime))
     finally:
-        runtime.close_service(runtime.service)
+        runtime.service.close()
     return 0
 
 

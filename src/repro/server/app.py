@@ -55,7 +55,6 @@ import hashlib
 import json
 import math
 import sys
-import threading
 import time
 from collections import deque
 
@@ -71,9 +70,11 @@ from repro.service.caches import LRUCache
 from repro.service.query_service import QueryService
 from repro.server.http import (
     HttpError,
+    LoopThread,
     Request,
     read_request,
     render_response,
+    serve_until,
 )
 from repro.server.wire import (
     API_VERSION,
@@ -101,6 +102,10 @@ DEFAULT_MAX_BODY_BYTES = 1 << 20
 #: request bytes.
 REQUEST_MEMO_ENTRIES = 1024
 REQUEST_MEMO_MAX_BODY_BYTES = 8 * 1024
+
+#: The ``Retry-After`` hint of a shed response while no drain rate has
+#: been measured yet (see :meth:`HTTPQueryServer.retry_after`).
+RETRY_AFTER_SECONDS = 1
 
 
 def _head(query, **envelope) -> bytes:
@@ -182,12 +187,6 @@ class HTTPQueryServer:
         neither the header nor the body field (``None`` = unlimited).
     default_row_limit:
         Decoded-row cap applied when a request does not set ``limit``.
-    retry_after_seconds:
-        The ``Retry-After`` hint attached to shed responses when no
-        drain-rate estimate is available yet. Once requests have been
-        completing, the hint is computed from the recent admission-
-        queue drain rate instead (time for the current in-flight load
-        to drain), clamped to [1, 30] seconds.
     extra_stats:
         Optional zero-argument callable returning a dict merged into
         the ``/v1/stats`` payload (the prefork worker adds its
@@ -197,9 +196,8 @@ class HTTPQueryServer:
         ``/v1/query``/``/v1/batch`` request gets a trace (minted, or
         adopted from ``X-Repro-Trace-Id``), its id is echoed in the
         response header, and request counters/latency histograms are
-        recorded. ``GET /metrics`` serves either way.
-    trace_buffer:
-        How many finished traces the in-memory ring buffer retains.
+        recorded. ``GET /metrics`` serves either way. The last 256
+        finished traces are kept (:attr:`traces`).
     slow_query_seconds:
         When set, requests slower than this emit a structured
         slow-query record (trace id, query signature, backend, plan
@@ -220,10 +218,8 @@ class HTTPQueryServer:
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         default_timeout: float | None = 300.0,
         default_row_limit: int | None = DEFAULT_ROW_LIMIT,
-        retry_after_seconds: int = 1,
         extra_stats=None,
         observability: bool = True,
-        trace_buffer: int = 256,
         slow_query_seconds: float | None = None,
         logger=None,
     ):
@@ -236,11 +232,10 @@ class HTTPQueryServer:
         self.max_body_bytes = max_body_bytes
         self.default_timeout = default_timeout
         self.default_row_limit = default_row_limit
-        self.retry_after_seconds = retry_after_seconds
         self.extra_stats = extra_stats
         self.observability = observability
         self.logger = logger
-        self.traces = TraceBuffer(trace_buffer)
+        self.traces = TraceBuffer()
         # The trace _dispatch hands to the handler it is about to run;
         # see _dispatch for why a shared attribute is race-free here.
         self._active_trace: Trace | None = None
@@ -266,7 +261,6 @@ class HTTPQueryServer:
         self._draining = False
         self._idle = asyncio.Event()
         self._idle.set()
-        self._stopped = asyncio.Event()
         # Live-handoff bookkeeping (event-loop thread only, no locks):
         # per-service lease counts plus the waiters drain_service parks.
         self._leases: dict[int, int] = {}
@@ -407,12 +401,6 @@ class HTTPQueryServer:
             )
         return self.address
 
-    async def serve_forever(self) -> None:
-        """Block until :meth:`shutdown` completes."""
-        if self._server is None:
-            await self.start()
-        await self._stopped.wait()
-
     async def shutdown(self) -> None:
         """Graceful shutdown: drain in-flight requests, then stop.
 
@@ -427,7 +415,6 @@ class HTTPQueryServer:
             self._server.close()
             await self._server.wait_closed()
         await self._idle.wait()
-        self._stopped.set()
         if self.logger is not None:
             self.logger.log("server_stop", requests=self._requests)
 
@@ -467,7 +454,7 @@ class HTTPQueryServer:
         Estimates how long the *current* in-flight load needs to drain:
         slots released over the last :attr:`_DRAIN_WINDOW_SECONDS` give
         a completion rate, and ``in_flight / rate`` is the expected
-        wait for a slot. Falls back to ``retry_after_seconds`` when
+        wait for a slot. Falls back to :data:`RETRY_AFTER_SECONDS` when
         nothing has completed recently (cold start, or a fully stalled
         service — where a conservative fixed hint beats dividing by
         zero). Clamped to [1, 30] so a burst of slow queries can never
@@ -483,7 +470,7 @@ class HTTPQueryServer:
             if oldest is None:
                 oldest = stamp
             total += n
-        estimate = float(self.retry_after_seconds)
+        estimate = float(RETRY_AFTER_SECONDS)
         if total > 0 and oldest is not None:
             elapsed = max(now - oldest, 0.05)
             rate = total / elapsed
@@ -1038,18 +1025,16 @@ def serve(
     """Run the HTTP front end until SIGINT/SIGTERM; then drain and exit.
 
     The blocking entry point behind ``repro serve`` and
-    ``examples/http_server.py``. ``on_ready`` (if given) is called with
-    the bound ``(host, port)`` once the socket is listening. Shutdown
-    is always graceful: in-flight requests finish before the process
-    returns.
+    ``examples/http_server.py``; its event loop runs on the calling
+    thread. ``on_ready`` (if given) is called with the bound
+    ``(host, port)`` once the socket is listening. Shutdown is always
+    graceful: in-flight requests finish before the process returns.
     """
     import signal
 
+    server = HTTPQueryServer(service, host=host, port=port, **server_kwargs)
+
     async def _main() -> None:
-        server = HTTPQueryServer(service, host=host, port=port, **server_kwargs)
-        await server.start()
-        if on_ready is not None:
-            on_ready(server.address)
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -1057,10 +1042,7 @@ def serve(
                 loop.add_signal_handler(sig, stop.set)
             except NotImplementedError:  # pragma: no cover — non-POSIX
                 pass
-        try:
-            await stop.wait()
-        finally:
-            await server.shutdown()
+        await serve_until(stop, server.start, server.shutdown, on_ready)
 
     try:
         asyncio.run(_main())
@@ -1068,42 +1050,22 @@ def serve(
         pass
 
 
-class ServerHandle:
+class ServerHandle(LoopThread):
     """A server running on a background thread (tests, benchmarks).
 
     Use as a context manager or call :meth:`shutdown` explicitly; both
     perform the same graceful drain as a signal-triggered shutdown.
     """
 
-    def __init__(self, address: tuple[str, int], thread: threading.Thread,
-                 loop: asyncio.AbstractEventLoop, stop: asyncio.Event,
-                 server: HTTPQueryServer):
-        self.address = address
-        self._thread = thread
-        self._loop = loop
-        self._stop = stop
+    def __init__(self, server: HTTPQueryServer):
         self.server = server
+        super().__init__(server.start, server.shutdown, name="repro-http")
 
     @property
     def url(self) -> str:
         """Base URL of the running server, e.g. ``http://127.0.0.1:8123``."""
         host, port = self.address
         return f"http://{host}:{port}"
-
-    def shutdown(self, timeout: float = 30.0) -> None:
-        """Drain in-flight requests, stop the loop, join the thread."""
-        if not self._thread.is_alive():
-            return
-        self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout)
-        if self._thread.is_alive():  # pragma: no cover — drain stuck
-            raise RuntimeError("server thread did not shut down in time")
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
 
 def serve_in_background(
@@ -1120,39 +1082,6 @@ def serve_in_background(
     a signal would. The default ``port=0`` binds an ephemeral port, so
     parallel test sessions never collide.
     """
-    started = threading.Event()
-    box: dict = {}
-
-    def _thread_main() -> None:
-        async def _run() -> None:
-            server = HTTPQueryServer(
-                service, host=host, port=port, **server_kwargs
-            )
-            try:
-                address = await server.start()
-            except OSError as exc:
-                box["error"] = exc
-                started.set()
-                return
-            box["address"] = address
-            box["loop"] = asyncio.get_running_loop()
-            box["stop"] = asyncio.Event()
-            box["server"] = server
-            started.set()
-            try:
-                await box["stop"].wait()
-            finally:
-                await server.shutdown()
-
-        asyncio.run(_run())
-
-    thread = threading.Thread(
-        target=_thread_main, name="repro-http", daemon=True
-    )
-    thread.start()
-    started.wait()
-    if "error" in box:
-        raise box["error"]
     return ServerHandle(
-        box["address"], thread, box["loop"], box["stop"], box["server"]
+        HTTPQueryServer(service, host=host, port=port, **server_kwargs)
     )

@@ -10,12 +10,16 @@ half-supported.
 
 Transport-level failures raise :class:`HttpError`, which carries the
 HTTP status and a machine-readable error code; the application layer
-renders it as the standard JSON error envelope.
+renders it as the standard JSON error envelope. Every listener in the
+package runs through :func:`serve_until`, on the main thread or in a
+:class:`LoopThread`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import threading
 from dataclasses import dataclass, field
 
 #: Upper bound on the request line + headers block, in bytes.
@@ -109,9 +113,13 @@ async def read_request(
         if not line:
             continue
         name, sep, value = line.partition(":")
-        if not sep or not name.strip():
+        key = name.lower()
+        # RFC 7230 §3.2.4: no whitespace around a name, no folded lines.
+        if not sep or not key or key.strip() != key:
             raise HttpError(400, "malformed_request", f"bad header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        if key == "content-length" and key in headers:  # RFC 7230 §3.3.2
+            raise HttpError(400, "malformed_request", "repeated Content-Length")
+        headers[key] = value.strip()
 
     if "transfer-encoding" in headers:
         raise HttpError(
@@ -123,15 +131,14 @@ async def read_request(
     body = b""
     length_header = headers.get("content-length")
     if length_header is not None:
-        try:
-            length = int(length_header)
-            if length < 0:
-                raise ValueError
-        except ValueError as exc:
+        # Digits only (int() also takes a sign and "_"); over latin-1
+        # only 0-9 are decimal.
+        if not length_header.isdecimal():
             raise HttpError(
                 400, "malformed_request",
                 f"bad Content-Length {length_header!r}",
-            ) from exc
+            )
+        length = int(length_header)
         if length > max_body_bytes:
             raise HttpError(
                 413, "body_too_large",
@@ -182,3 +189,67 @@ def render_response(
     for name, value in (extra_headers or {}).items():
         lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+# ----------------------------------------------------------------------
+# Running a listener
+# ----------------------------------------------------------------------
+
+
+async def serve_until(stop: asyncio.Event, start, shutdown, on_ready=None) -> None:
+    """Start a listener, serve until ``stop`` is set, then shut it down.
+
+    ``start`` and ``shutdown`` are coroutine functions; ``start``
+    returns the bound ``(host, port)``, which is handed to ``on_ready``.
+    ``shutdown`` runs however the wait ends, cancellation included.
+    """
+    address = await start()
+    if on_ready is not None:
+        on_ready(address)
+    try:
+        await stop.wait()
+    finally:
+        await shutdown()
+
+
+class LoopThread:
+    """:func:`serve_until` on a thread with its own event loop.
+
+    The constructor returns once ``start`` has, with :attr:`address`
+    bound, and re-raises what ``start`` raised. :meth:`shutdown` may be
+    called from any thread; it sets the stop event and joins.
+    """
+
+    def __init__(self, start, shutdown, *, name: str):
+        started = concurrent.futures.Future()
+
+        async def main() -> None:
+            self._loop = asyncio.get_running_loop()
+            self._stop = asyncio.Event()
+            try:
+                await serve_until(self._stop, start, shutdown, started.set_result)
+            except Exception as exc:
+                if started.done():
+                    raise
+                started.set_exception(exc)
+
+        self._thread = threading.Thread(
+            target=lambda: asyncio.run(main()), name=name, daemon=True
+        )
+        self._thread.start()
+        self.address = started.result()
+
+    def shutdown(self, timeout: float = 30.0) -> None:
+        """Set the stop event, then join the thread (idempotent)."""
+        if not self._thread.is_alive():
+            return
+        self._loop.call_soon_threadsafe(self._stop.set)
+        self._thread.join(timeout)
+        if self._thread.is_alive():  # pragma: no cover — drain stuck
+            raise RuntimeError(f"{self._thread.name} did not shut down in time")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()

@@ -46,16 +46,16 @@ or blocks traffic.
 **Defense in depth** (the resilience layer): a worker that cannot
 *open* a newly installed generation (checksum mismatch, mmap failure)
 keeps serving its old service and answers ``reload_failed``; the
-dispatcher **quarantines** that generation on disk
-(:func:`repro.storage.generations.quarantine` — the watcher stops
-re-offering it, the compactor stops truncating the WAL), rolls the
-symlink back to the last pool-adopted payload when it still exists,
-and aborts the rolling reload — a corrupt install can never crash-loop
-the pool. A **watchdog** periodically pings each worker over the
-control channel; because the reply is written by the worker's event
-loop, a worker that is alive-but-hung (stuck loop, ``SIGSTOP``, dead
-thread pool) misses the deadline, is SIGKILLed, and respawns under the
-normal backoff.
+dispatcher aborts the rolling reload and has its watcher reject the
+generation (:meth:`repro.storage.generations.SnapshotWatcher.reject`:
+a quarantine marker on disk — the watcher stops re-offering it, the
+compactor stops truncating the WAL — then a rollback of the symlink to
+the last pool-adopted payload when it still exists), so a corrupt
+install can never crash-loop the pool. A **watchdog** periodically
+pings each worker over the control channel; because the reply is
+written by the worker's event loop, a worker that is alive-but-hung
+(stuck loop, ``SIGSTOP``, dead thread pool) misses the deadline, is
+SIGKILLed, and respawns under the normal backoff.
 
 Workers are spawned as ``python -m repro.server._prefork_worker``
 subprocesses (never forked from a threaded parent), which keeps the
@@ -65,6 +65,7 @@ module is the worker program, this one the dispatcher.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import socket
@@ -76,14 +77,18 @@ import time
 from repro.obs.exposition import CONTENT_TYPE, render_dump
 from repro.obs.logging import JsonLogger
 from repro.obs.metrics import MetricsRegistry, aggregate_dumps
+from repro.server.http import (
+    MAX_HEAD_BYTES,
+    LoopThread,
+    read_request,
+    render_response,
+)
+from repro.server.wire import WireError, error_payload, map_exception
 from repro.storage.generations import (
     SnapshotWatcher,
-    clear_quarantine,
     generation_token,
     is_quarantined,
-    quarantine,
     quarantined,
-    rollback_generation,
 )
 
 __all__ = ["PreforkServer", "serve_prefork"]
@@ -94,6 +99,13 @@ CONTROL_TIMEOUT = 60.0
 
 #: How long a reload RPC may take end to end (load + swap + drain).
 RELOAD_TIMEOUT = 300.0
+
+#: Restart-storm control: the k-th consecutive respawn of a slot waits
+#: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(k-1))`` seconds; the count
+#: resets once a worker has stayed up ``HEALTHY_SECONDS``.
+BACKOFF_BASE = 0.1
+BACKOFF_CAP = 5.0
+HEALTHY_SECONDS = 5.0
 
 
 def _send_line(sock_file, message: dict) -> None:
@@ -149,9 +161,10 @@ class PreforkServer:
     host / port:
         Bind address of the shared listening socket (``port=0`` picks
         an ephemeral port; see :attr:`address` after :meth:`start`).
-    backend / threads / verify:
+    backend / threads:
         Forwarded to each worker's ``from_snapshot`` (``threads`` is
-        the per-worker service pool width, ``max_workers``).
+        the per-worker service pool width, ``max_workers``), which
+        always verifies the snapshot.
     server_options / service_options:
         Keyword dicts forwarded to each worker's
         :class:`~repro.server.app.HTTPQueryServer` / service.
@@ -160,10 +173,9 @@ class PreforkServer:
         (disable to drive :meth:`reload` yourself).
     watch_interval:
         Supervision tick in seconds (crash detection + snapshot poll).
-    backoff_base / backoff_cap / healthy_seconds:
-        Restart-storm control: the k-th consecutive respawn of a slot
-        waits ``min(cap, base * 2**(k-1))`` seconds; the count resets
-        after a worker stays up ``healthy_seconds``.
+        A crashed worker is respawned under the restart-storm backoff
+        of :data:`BACKOFF_BASE`, :data:`BACKOFF_CAP` and
+        :data:`HEALTHY_SECONDS`.
     watchdog_interval / watchdog_timeout:
         Stuck-worker detection: every ``watchdog_interval`` seconds the
         supervisor pings each idle worker over its control channel and
@@ -172,9 +184,8 @@ class PreforkServer:
         loop — ``SIGSTOP``, a wedged thread — misses the deadline even
         though the process is alive). The kill feeds the normal respawn
         backoff. ``watchdog_interval=None`` disables the probe.
-    reload_timeout:
-        End-to-end budget for one worker's reload RPC (load + swap +
-        drain).
+        A worker's reload RPC (load + swap + drain) has
+        :data:`RELOAD_TIMEOUT` seconds instead.
     metrics_port:
         When set, the dispatcher serves ``GET /metrics`` on
         ``(host, metrics_port)`` — pool-level gauges plus every
@@ -182,12 +193,10 @@ class PreforkServer:
         ``stats`` RPC. (The dispatcher never answers on the shared
         serving port itself, so aggregation needs its own listener;
         each worker still serves its own per-process ``/metrics``.)
-    log_json / logger:
-        JSON-lines lifecycle logging: pool start/stop, worker
-        spawn/respawn, handoffs. ``log_json=True`` builds a stderr
-        :class:`~repro.obs.logging.JsonLogger` (workers are told to do
-        the same); pass ``logger`` to supply your own for the
-        dispatcher side.
+        Any other request gets the workers' JSON error envelope.
+    log_json:
+        JSON-lines lifecycle logging on stderr, dispatcher and workers
+        alike: pool start/stop, worker spawn/respawn, handoffs.
     """
 
     def __init__(
@@ -199,40 +208,31 @@ class PreforkServer:
         port: int = 0,
         backend: "str | None" = None,
         threads: "int | None" = None,
-        verify: bool = True,
         server_options: "dict | None" = None,
         service_options: "dict | None" = None,
         auto_reload: bool = True,
         watch_interval: float = 0.25,
-        backoff_base: float = 0.1,
-        backoff_cap: float = 5.0,
-        healthy_seconds: float = 5.0,
         watchdog_interval: "float | None" = 10.0,
         watchdog_timeout: float = 5.0,
-        reload_timeout: float = RELOAD_TIMEOUT,
         metrics_port: "int | None" = None,
         log_json: bool = False,
-        logger=None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
+        if watchdog_timeout <= 0:  # every ping would fail and kill its worker
+            raise ValueError(f"watchdog_timeout must be > 0, got {watchdog_timeout!r}")
         self.snapshot = os.fspath(snapshot)
         self.workers = workers
         self.host = host
         self.port = port
         self.backend = backend
         self.threads = threads
-        self.verify = verify
         self.server_options = dict(server_options or {})
         self.service_options = dict(service_options or {})
         self.auto_reload = auto_reload
         self.watch_interval = watch_interval
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.healthy_seconds = healthy_seconds
         self.watchdog_interval = watchdog_interval
         self.watchdog_timeout = watchdog_timeout
-        self.reload_timeout = reload_timeout
         self._slots = [_WorkerSlot(i) for i in range(workers)]
         self._listen_sock: "socket.socket | None" = None
         self._watcher: "SnapshotWatcher | None" = None
@@ -246,17 +246,12 @@ class PreforkServer:
         self._rollbacks = 0
         self._reload_failures = 0
         self._last_watchdog = 0.0
-        #: The last generation token the *whole pool* successfully
-        #: adopted — the rollback target when a later install turns out
-        #: to be unopenable.
-        self._adopted_token: "str | None" = None
         self.metrics_port = metrics_port
         self.log_json = log_json
-        self.logger = logger if logger is not None else (
+        self.logger = (
             JsonLogger().bind(role="dispatcher") if log_json else None
         )
-        self._metrics_server = None
-        self._metrics_thread: "threading.Thread | None" = None
+        self._metrics: "LoopThread | None" = None
         self.metrics = MetricsRegistry()
         self.metrics.callback(
             "repro_pool_workers",
@@ -339,13 +334,9 @@ class PreforkServer:
         except BaseException:
             self.stop(drain_timeout=1.0)
             raise
+        # Every worker has just opened the current generation, so the
+        # watcher counts it as adopted.
         self._watcher = SnapshotWatcher(self.snapshot)
-        token = generation_token(self.snapshot)
-        if token is not None and not is_quarantined(self.snapshot, token):
-            # The generation every worker just opened successfully is,
-            # by definition, pool-adopted: it becomes the rollback
-            # target if a later install cannot be opened.
-            self._adopted_token = token
         self._last_watchdog = time.monotonic()
         self._started = True
         self._supervisor = threading.Thread(
@@ -362,11 +353,7 @@ class PreforkServer:
                 port=port,
                 workers=self.workers,
                 snapshot=self.snapshot,
-                metrics_port=(
-                    self.metrics_address[1]
-                    if self._metrics_server is not None
-                    else None
-                ),
+                metrics_port=self._metrics.address[1] if self._metrics else None,
             )
         return self.address
 
@@ -378,13 +365,9 @@ class PreforkServer:
         is killed. Idempotent.
         """
         self._stop.set()
-        if self._metrics_server is not None:
-            self._metrics_server.shutdown()
-            self._metrics_server.server_close()
-            self._metrics_server = None
-            if self._metrics_thread is not None:
-                self._metrics_thread.join(timeout=CONTROL_TIMEOUT)
-                self._metrics_thread = None
+        if self._metrics is not None:
+            self._metrics.shutdown(timeout=CONTROL_TIMEOUT)
+            self._metrics = None
         if self._supervisor is not None:
             self._supervisor.join(timeout=CONTROL_TIMEOUT)
             self._supervisor = None
@@ -448,7 +431,6 @@ class PreforkServer:
             "snapshot": self.snapshot,
             "backend": self.backend,
             "threads": self.threads,
-            "verify": self.verify,
             "server_options": self.server_options,
             "service_options": self.service_options,
             "log_json": self.log_json,
@@ -529,11 +511,9 @@ class PreforkServer:
                     slot.proc.returncode if slot.proc is not None else None
                 ),
             )
-        if time.time() - slot.started_at > self.healthy_seconds:
+        if time.time() - slot.started_at > HEALTHY_SECONDS:
             slot.failures = 0
-        delay = min(
-            self.backoff_cap, self.backoff_base * (2**slot.failures)
-        )
+        delay = min(BACKOFF_CAP, BACKOFF_BASE * (2**slot.failures))
         slot.failures += 1
         slot.close_channel()
         if self._stop.wait(delay):
@@ -649,7 +629,7 @@ class PreforkServer:
                     outcome[slot.index] = None
                     continue
                 reply = self._rpc(
-                    slot, {"type": "reload"}, timeout=self.reload_timeout
+                    slot, {"type": "reload"}, timeout=RELOAD_TIMEOUT
                 )
                 if reply is not None and reply.get("type") == "reloaded":
                     slot.generation = reply.get("generation")
@@ -661,28 +641,18 @@ class PreforkServer:
                     self._reload_failures += 1
                     bad = reply.get("token") or offered
                     if bad is not None:
-                        self._quarantine_and_rollback(
-                            bad, reply.get("error", "")
-                        )
+                        self._reject(bad, reply.get("error", ""))
                 else:
                     # Unreachable worker (dead or hung): the supervisor
                     # respawns it against the current generation.
                     outcome[slot.index] = None
                     adopted_all = False
             if adopted_all and offered is not None:
-                previous = self._adopted_token
-                self._adopted_token = offered
-                if previous != offered:
-                    # The pool moved on to a good generation: any
-                    # quarantine markers left behind by earlier bad
-                    # installs are obsolete.
-                    cleared = clear_quarantine(self.snapshot)
-                    if cleared and self.logger is not None:
-                        self.logger.log(
-                            "quarantine_cleared",
-                            token=offered,
-                            markers=cleared,
-                        )
+                cleared = self._watcher.adopt(offered)
+                if cleared and self.logger is not None:
+                    self.logger.log(
+                        "quarantine_cleared", token=offered, markers=cleared
+                    )
             self._handoffs += 1
         if self.logger is not None:
             self.logger.log(
@@ -692,48 +662,20 @@ class PreforkServer:
             )
         return outcome
 
-    def _quarantine_and_rollback(self, token: str, reason: str) -> None:
-        """Mark a generation bad on disk, then roll the symlink back.
-
-        The marker is what every other component keys off: the watcher
-        stops offering the token, :func:`repro.storage.recovery.compact`
-        refuses to truncate the WAL while it exists, and a restarted
-        dispatcher sees it immediately. The rollback
-        (:func:`repro.storage.generations.rollback_generation`) is
-        best-effort — possible only when the previously adopted payload
-        directory still exists next to the symlink.
-        """
-        try:
-            quarantine(self.snapshot, token, reason=reason)
-            if self.logger is not None:
-                self.logger.log(
-                    "generation_quarantined", token=token, reason=reason
-                )
-        except OSError as exc:  # disk trouble: degrade, don't die
-            print(
-                f"repro.prefork: could not quarantine {token!r}: {exc}",
-                file=sys.stderr,
-            )
-        good = self._adopted_token
-        try:
-            rolled_back = rollback_generation(self.snapshot, token, good)
-        except OSError as exc:
-            print(
-                f"repro.prefork: rollback to {good!r} failed: {exc}",
-                file=sys.stderr,
-            )
-            rolled_back = False
-        if rolled_back:
-            self._rollbacks += 1
-            if self.logger is not None:
-                self.logger.log(
-                    "generation_rollback", to=good, quarantined=token
-                )
-        if self._watcher is not None:
-            # Adopt whatever the link points at now without firing a
-            # change event — otherwise the rollback itself would
-            # trigger another (pointless) rolling reload.
-            self._watcher.sync()
+    def _reject(self, token: str, reason: str) -> None:
+        """Count, log and report what the watcher's
+        :meth:`~repro.storage.generations.SnapshotWatcher.reject` did
+        with a generation a worker could not open."""
+        good = self._watcher.adopted
+        marked, rolled_back, errors = self._watcher.reject(token, reason)
+        for error in errors:  # disk trouble: degrade, don't die
+            print(f"repro.prefork: {error}", file=sys.stderr)
+        self._rollbacks += rolled_back
+        if self.logger is not None:
+            if marked:
+                self.logger.log("generation_quarantined", token=token, reason=reason)
+            if rolled_back:
+                self.logger.log("generation_rollback", to=good, quarantined=token)
 
     def _worker_stats(self):
         """One ``stats`` RPC per slot, yielding ``(slot, data)``; ``data``
@@ -779,7 +721,7 @@ class PreforkServer:
                 "in_flight": in_flight,
                 "requests": requests,
                 "generations": sorted(generations),
-                "adopted_token": self._adopted_token,
+                "adopted_token": self._watcher.adopted if self._watcher else None,
                 "quarantined": [
                     entry.get("token") for entry in quarantined(self.snapshot)
                 ],
@@ -798,10 +740,7 @@ class PreforkServer:
     @property
     def metrics_address(self) -> "tuple[str, int] | None":
         """Bound ``(host, port)`` of the dispatcher's metrics listener."""
-        if self._metrics_server is None:
-            return None
-        host, port = self._metrics_server.server_address[:2]
-        return (host, port)
+        return None if self._metrics is None else self._metrics.address
 
     def metrics_text(self) -> str:
         """One exposition document for the whole pool.
@@ -825,41 +764,58 @@ class PreforkServer:
         """Serve ``GET /metrics`` from the dispatcher on its own port.
 
         The shared serving port belongs to the workers (the dispatcher
-        never accepts on it), so aggregation gets a small stdlib
-        threading HTTP server instead.
+        never accepts on it), so aggregation gets its own listener: the
+        workers' HTTP transport (:mod:`repro.server.http`) on a
+        :class:`~repro.server.http.LoopThread`.
         """
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+        listener = None
 
-        pool = self
+        async def start():
+            nonlocal listener
+            listener = await asyncio.start_server(
+                self._answer_scrape, self.host, self.metrics_port
+            )
+            return listener.sockets[0].getsockname()[:2]
 
-        class _MetricsHandler(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 — stdlib handler API
-                if self.path != "/metrics":
-                    self.send_error(404, "only /metrics is served here")
-                    return
-                try:
-                    body = pool.metrics_text().encode("utf-8")
-                except Exception as exc:  # noqa: BLE001 — report, not die
-                    self.send_error(500, str(exc))
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+        async def shutdown():
+            listener.close()
 
-            def log_message(self, *args):  # silence per-request stderr
-                pass
-
-        self._metrics_server = ThreadingHTTPServer(
-            (self.host, self.metrics_port), _MetricsHandler
+        self._metrics = LoopThread(
+            start, shutdown, name="repro-prefork-metrics"
         )
-        self._metrics_thread = threading.Thread(
-            target=self._metrics_server.serve_forever,
-            name="repro-prefork-metrics",
-            daemon=True,
-        )
-        self._metrics_thread.start()
+
+    async def _answer_scrape(self, reader, writer) -> None:
+        """Answer one request on the metrics port, then close.
+
+        :meth:`metrics_text` blocks on worker RPCs, so it runs in the
+        loop's executor.
+        """
+        try:
+            # /metrics takes no body; a small one is read and ignored.
+            request = await read_request(reader, MAX_HEAD_BYTES)
+            if request is None:
+                return
+            if request.path != "/metrics":
+                raise WireError("not_found", "only /metrics is served here",
+                                status=404)
+            if request.method != "GET":
+                raise WireError("method_not_allowed", "only GET /metrics",
+                                status=405)
+            text = await asyncio.get_running_loop().run_in_executor(
+                None, self.metrics_text
+            )
+            writer.write(render_response(
+                200, text.encode("utf-8"), content_type=CONTENT_TYPE,
+                keep_alive=False,
+            ))
+        except Exception as exc:  # noqa: BLE001 — report, not die
+            status, code, message = map_exception(exc)
+            if status == 500:
+                print(f"repro.prefork: /metrics: {message}", file=sys.stderr)
+            body = json.dumps(error_payload(code, message)).encode("utf-8")
+            writer.write(render_response(status, body, keep_alive=False))
+        finally:
+            writer.close()  # after the buffered response is flushed
 
 
 # ----------------------------------------------------------------------

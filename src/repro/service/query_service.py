@@ -56,6 +56,7 @@ from repro.service.signature import plan_signature, query_signature
 from repro.stats.catalog import Catalog
 from repro.storage import (
     DurableStore,
+    MmapDictionary,
     load_snapshot,
     load_snapshot_catalog,
     snapshot_generation,
@@ -189,6 +190,8 @@ class QueryService:
         # The snapshot a plain from_snapshot() service answers from, so
         # /v1/stats can say which generation that is.
         self._source = {"path": None, "generation": None}
+        # The mapped term dictionary from_snapshot() opened; close() drops it.
+        self._mapped_terms: "MmapDictionary | None" = None
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -415,6 +418,8 @@ class QueryService:
             "path": os.fspath(path),
             "generation": snapshot_generation(path),
         }
+        if isinstance(store.dictionary, MmapDictionary):
+            service._mapped_terms = store.dictionary
         return service
 
     def compact(self) -> dict:
@@ -445,13 +450,17 @@ class QueryService:
     def close(self, wait: bool = True) -> None:
         """Shut the worker pool down; the service cannot be reused.
 
-        Also closes the :attr:`durable` store, if any: its compactor
-        stops and its write-ahead log is sealed and closed.
+        Also closes what :meth:`from_snapshot` opened: the
+        :attr:`durable` store, if any (its compactor stops and its
+        write-ahead log is sealed and closed), or else the mapped term
+        dictionary. A store passed to the constructor is left open.
         """
         self._closed = True
         self._pool.shutdown(wait=wait)
         if self.durable is not None:
             self.durable.close()
+        if self._mapped_terms is not None:
+            self._mapped_terms.close()
 
     def __enter__(self) -> "QueryService":
         return self

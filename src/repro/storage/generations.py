@@ -29,6 +29,8 @@ visible across processes; :func:`clear_quarantine` removes them once
 the pool has adopted a newer, valid generation.
 :func:`rollback_generation` points the link back at the last good
 payload while it still exists.
+:class:`SnapshotWatcher` owns that policy for a pool of readers; its
+caller only counts and reports.
 """
 
 from __future__ import annotations
@@ -231,11 +233,18 @@ class SnapshotWatcher:
     same bad generation is never re-offered on every poll — but
     reports no change; the next install of a non-quarantined
     generation fires normally.
+
+    :attr:`adopted` is the last generation every reader opened: build
+    the watcher once they have opened the current one.
     """
 
     def __init__(self, path: "str | os.PathLike"):
         self.path = os.fspath(path)
         self._token = generation_token(self.path)
+        #: The rollback target when a later install cannot be opened.
+        self.adopted: "str | None" = (
+            None if is_quarantined(self.path, self._token) else self._token
+        )
 
     @property
     def token(self) -> "str | None":
@@ -264,3 +273,36 @@ class SnapshotWatcher:
         """
         self._token = generation_token(self.path)
         return self._token
+
+    def adopt(self, token: str) -> int:
+        """Record that every reader opened ``token``.
+
+        Moving on to a new good generation makes the markers earlier
+        bad installs left obsolete: they are cleared, and the count of
+        cleared markers is returned.
+        """
+        previous, self.adopted = self.adopted, token
+        return 0 if previous == token else clear_quarantine(self.path)
+
+    def reject(self, token: str, reason: str = ""):
+        """Quarantine ``token``, which a reader could not open, then roll
+        the link back to :attr:`adopted` (:func:`rollback_generation`).
+
+        Returns ``(quarantined, rolled_back, errors)``: disk trouble in
+        either step is listed, not raised, and does not skip the other.
+        The watcher then syncs (:meth:`sync`): a rollback fires no reload.
+        """
+        errors = []
+        try:
+            quarantine(self.path, token, reason=reason)
+            marked = True
+        except OSError as exc:
+            marked = False
+            errors.append(f"could not quarantine {token!r}: {exc}")
+        try:
+            rolled_back = rollback_generation(self.path, token, self.adopted)
+        except OSError as exc:
+            rolled_back = False
+            errors.append(f"rollback to {self.adopted!r} failed: {exc}")
+        self.sync()
+        return marked, rolled_back, errors

@@ -170,13 +170,7 @@ def test_killed_worker_is_respawned_and_requests_keep_succeeding(pool):
 
 def test_respawn_backoff_grows_and_resets(tmp_path, monkeypatch):
     """Restart-storm control: exponential delays, reset after health."""
-    pool = PreforkServer(
-        tmp_path / "snap",
-        workers=1,
-        backoff_base=0.2,
-        backoff_cap=1.0,
-        healthy_seconds=10.0,
-    )
+    pool = PreforkServer(tmp_path / "snap", workers=1)
     slot = pool._slots[0]
     delays: list = []
     monkeypatch.setattr(
@@ -184,12 +178,13 @@ def test_respawn_backoff_grows_and_resets(tmp_path, monkeypatch):
     )
     monkeypatch.setattr(pool, "_spawn", lambda s: None)
     slot.started_at = time.time()  # crashed young: the streak builds
-    for _ in range(4):
+    for _ in range(7):
         pool._respawn(slot)
-    assert delays == [0.2, 0.4, 0.8, 1.0]  # doubling, then capped
+    # Doubling from BACKOFF_BASE, then capped at BACKOFF_CAP.
+    assert delays == [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0]
     slot.started_at = time.time() - 60  # lived long enough: streak resets
     pool._respawn(slot)
-    assert delays[-1] == 0.2
+    assert delays[-1] == 0.1
 
 
 # ----------------------------------------------------------------------

@@ -121,11 +121,23 @@ def test_dispatcher_metrics_listener_aggregates_workers(pool):
     assert families["repro_http_request_seconds"]["type"] == "histogram"
 
 
-def test_metrics_listener_serves_only_metrics(pool):
+def _metrics_port_error(pool, path, data=None):
+    """The status and JSON error code the metrics port answers with."""
     host, port = pool.metrics_address
     with pytest.raises(urllib.error.HTTPError) as excinfo:
-        urllib.request.urlopen(f"http://{host}:{port}/v1/stats", timeout=30)
-    assert excinfo.value.code == 404
+        urllib.request.urlopen(f"http://{host}:{port}{path}", data, timeout=30)
+    assert excinfo.value.headers["Content-Type"] == "application/json"
+    return excinfo.value.code, json.load(excinfo.value)["error"]["code"]
+
+
+def test_metrics_listener_serves_only_metrics(pool):
+    assert _metrics_port_error(pool, "/v1/stats") == (404, "not_found")
+
+
+def test_metrics_listener_refuses_other_methods(pool):
+    assert _metrics_port_error(pool, "/metrics", b"{}") == (
+        405, "method_not_allowed"
+    )
 
 
 def test_pool_metrics_survive_a_worker_scrape_race(pool):

@@ -75,9 +75,11 @@ def test_deep_probe_catches_unreadable_data():
 # ----------------------------------------------------------------------
 
 
-def test_retry_after_falls_back_then_tracks_drain_rate(service):
-    server = HTTPQueryServer(service, retry_after_seconds=7)
-    # Cold start: nothing has completed → the configured fallback.
+def test_retry_after_falls_back_then_tracks_drain_rate(service, monkeypatch):
+    # A fallback above the clamp's floor, so reading it is observable.
+    monkeypatch.setattr("repro.server.app.RETRY_AFTER_SECONDS", 7)
+    server = HTTPQueryServer(service)
+    # Cold start: nothing has completed → the fallback.
     server._in_flight = 4
     assert server.retry_after() == 7
 
@@ -100,9 +102,7 @@ def test_retry_after_falls_back_then_tracks_drain_rate(service):
 
 def test_shed_responses_carry_retry_after_header(tmp_path):
     with QueryService(_chain_store()) as service:
-        with serve_in_background(
-            service, max_pending=1, retry_after_seconds=3
-        ) as handle:
+        with serve_in_background(service, max_pending=1) as handle:
             from _http_client import Client
 
             release = threading.Event()

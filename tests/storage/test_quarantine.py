@@ -208,6 +208,55 @@ def test_rollback_refuses_when_the_good_payload_is_gone(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# The watcher's generation policy: adopt, reject
+# ----------------------------------------------------------------------
+
+
+def test_watcher_rejects_to_the_adopted_generation_and_adopt_clears(tmp_path):
+    snap = tmp_path / "snap"
+    save_snapshot(_store(), snap, generation=1)
+    watcher = SnapshotWatcher(snap)
+    good = watcher.adopted
+    assert good == generation_token(snap)
+
+    _good, bad = _flip_to_copy(snap)
+    assert watcher.poll() is True
+    assert watcher.reject(bad, reason="checksum mismatch") == (True, True, [])
+    assert is_quarantined(snap, bad)
+    assert generation_token(snap) == good
+    assert watcher.poll() is False  # the rollback fires nothing
+    assert watcher.adopted == good
+
+    assert watcher.adopt(good) == 0  # no move, markers stay
+    save_snapshot(_store(4), snap, overwrite=True, generation=2)
+    assert watcher.poll() is True
+    assert watcher.adopt(generation_token(snap)) == 1
+    assert not has_quarantine(snap)
+
+
+def test_watcher_reports_disk_trouble_instead_of_raising(tmp_path):
+    snap = tmp_path / "snap"
+    save_snapshot(_store(), snap, generation=1)
+    with open(quarantine_path(snap), "w"):  # a file where the dir goes
+        pass
+    watcher = SnapshotWatcher(snap)
+    good, bad = _flip_to_copy(snap)
+
+    marked, rolled_back, errors = watcher.reject(bad)
+    assert (marked, rolled_back) == (False, True)
+    assert len(errors) == 1 and "could not quarantine" in errors[0]
+    assert generation_token(snap) == good
+
+
+def test_watcher_never_adopts_a_quarantined_generation(tmp_path):
+    snap = tmp_path / "snap"
+    save_snapshot(_store(), snap, generation=1)
+    quarantine(snap, generation_token(snap))
+    assert SnapshotWatcher(snap).adopted is None
+    assert SnapshotWatcher(tmp_path / "missing").adopted is None
+
+
+# ----------------------------------------------------------------------
 # Compaction gate
 # ----------------------------------------------------------------------
 

@@ -210,6 +210,20 @@ def test_from_snapshot_never_materializes_term_to_id(tmp_path, monkeypatch):
     assert rows == eager_rows
 
 
+def test_service_closes_the_mapped_dictionary_only_if_it_opened_it(tmp_path):
+    save_snapshot(small_store("columnar"), tmp_path / "snap")
+    with QueryService.from_snapshot(tmp_path / "snap", backend="columnar") as svc:
+        opened = svc.store.dictionary
+        assert not opened.closed
+    assert opened.closed
+
+    passed_in = load_snapshot(tmp_path / "snap", backend="columnar")
+    assert isinstance(passed_in.dictionary, MmapDictionary)
+    with QueryService(passed_in):
+        pass
+    assert not passed_in.dictionary.closed
+
+
 def test_service_persist_round_trips_lazy_dictionary(tmp_path):
     store = small_store("columnar")
     save_snapshot(store, tmp_path / "a")

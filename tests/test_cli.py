@@ -482,6 +482,32 @@ def test_serve_snapshot_reports_its_source_and_owns_its_log(
         assert seen["hook"] is None
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-pending", "0"),
+        ("--max-body-kib", "-1"),
+        ("--limit", "-1"),
+        ("--watchdog-timeout", "0"),
+        ("--watchdog-timeout", "-1"),
+    ],
+)
+def test_serve_rejects_out_of_range_numbers(monkeypatch, capsys, flag, value):
+    """Refused up front, like ``--workers 0``: none of these can serve."""
+    import repro.server
+    from repro.server.prefork import PreforkServer
+
+    def fail(*args, **kwargs):
+        raise AssertionError("served")
+
+    monkeypatch.setattr(repro.server, "serve", fail)
+    assert main(["serve", "--scale", "0.05", "--port", "0", flag, value]) == 2
+    assert f"error: {flag} must be" in capsys.readouterr().err
+    if flag == "--watchdog-timeout":
+        with pytest.raises(ValueError, match="watchdog_timeout"):
+            PreforkServer("unused", watchdog_timeout=float(value))
+
+
 def test_wal_open_patches_the_stored_catalog_instead_of_rebuilding(tmp_path):
     from repro.cli import _load, build_parser
     from repro.stats.catalog import build_catalog
