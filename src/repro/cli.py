@@ -337,7 +337,21 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _out_of_range(*rules: tuple[bool, str]) -> bool:
+    """Print ``error: <rule>`` for the first broken rule; whether one was."""
+    for broken, rule in rules:
+        if broken:
+            print(f"error: {rule}", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_query(args) -> int:
+    if _out_of_range(
+        (not args.timeout > 0, "--timeout must be positive"),
+        (args.limit < 0, "--limit must be >= 0"),
+    ):
+        return 2
     store, catalog = _load(args)
     if args.file:
         with open(args.file, "r", encoding="utf-8") as handle:
@@ -460,8 +474,11 @@ def _cmd_batch(args) -> int:
     from repro.errors import ReproError as _ReproError
     from repro.service import QueryService
 
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
+    if _out_of_range(
+        (args.workers is not None and args.workers < 1, "--workers must be >= 1"),
+        (args.repeat < 1, "--repeat must be >= 1"),
+        (not args.timeout > 0, "--timeout must be positive"),
+    ):
         return 2
     store, catalog = _load(args)
     if args.file:
@@ -476,7 +493,7 @@ def _cmd_batch(args) -> int:
                            forbidden_labels=["rdf:type"])
         template = _TEMPLATES[args.template]()
         queries = miner.mine(template, count=args.count)
-    queries = queries * max(args.repeat, 1)
+    queries = queries * args.repeat
     if not queries:
         print("error: empty workload", file=sys.stderr)
         return 2
@@ -543,7 +560,7 @@ def _cmd_serve(args) -> int:
     from repro.server import serve
     from repro.service import QueryService
 
-    for out_of_range, rule in (
+    if _out_of_range(
         (args.workers < 1, "--workers must be >= 1"),
         (args.threads is not None and args.threads < 1, "--threads must be >= 1"),
         (args.slow_query_ms is not None and args.slow_query_ms <= 0,
@@ -553,9 +570,7 @@ def _cmd_serve(args) -> int:
         (args.limit < 0, "--limit must be >= 0"),
         (args.watchdog_timeout <= 0, "--watchdog-timeout must be positive"),
     ):
-        if out_of_range:
-            print(f"error: {rule}", file=sys.stderr)
-            return 2
+        return 2
     if args.workers > 1:
         return _serve_prefork(args)
     if args.metrics_port is not None:

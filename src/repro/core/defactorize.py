@@ -22,22 +22,30 @@ as the output format allows:
   such as each apex of the paper's diamonds once their chord is kept.
   Pools are chosen from the query (variables in index order), never
   from the embedding order. An acyclic query has only leaves.
-* The remaining **skeleton** variables are enumerated variable-at-a-
-  time, in first-appearance order of the embedding plan. A variable's
-  candidates are the ``set.intersection`` of the adjacency sets that
-  reach it from already-known nodes and constants, smallest first: the
-  closing edge of a cycle is an intersection in C, never an expand
-  followed by a check (the Generic-Join step). A chord phase 1 kept in
-  the AG (:mod:`repro.core.triangles`) is one more such join, so on a
-  diamond the skeleton is the chord's two ends and enumeration visits
-  the chord's pairs only. A pool is met at its deepest anchor, its
-  earlier anchors' sets intersected once per descent; an empty pool
-  prunes the branch.
-* A complete skeleton assignment **emits factorized**: its rows are
-  ``itertools.product`` over one pool per output column — a 1-tuple
-  for a skeleton value, the set for a pool — built in C with no
-  per-row Python: a union of products over the skeleton's assignments,
-  FDB's f-representation (Olteanu & Závodný, TODS 2015).
+* The remaining **skeleton** variables are levels, in first-appearance
+  order of the embedding plan, enumerated **a level at a time** for a
+  block of assignments, in C-level iterators only. A level's
+  candidates are ``map(adj.get, parent_column)`` over its join, met by
+  ``&`` with its other joins' buckets and the constants' (the
+  ``set.intersection`` of them, smallest first beyond two): the closing
+  edge of a cycle is an intersection in C, never an expand followed by
+  a check (the Generic-Join step). A chord phase 1 kept in the AG
+  (:mod:`repro.core.triangles`) is one more such join, so on a diamond
+  the skeleton is the chord's two ends and enumeration visits the
+  chord's pairs only. Earlier columns are stretched to the new rows by
+  ``repeat``. A pool is met at its deepest anchor, its earlier anchors'
+  buckets met once per parent row; an assignment an empty pool leaves
+  is dropped by ``compress``. Rows keep the depth-first order of an
+  enumerator that binds one assignment at a time.
+* A block of complete assignments **emits factorized**: its rows are
+  ``chain.from_iterable(map(product, *columns))`` over one column per
+  output column — a 1-tuple per skeleton value, the set per pool —
+  built in C with no per-row Python: a union of products over the
+  skeleton's assignments, FDB's f-representation (Olteanu & Závodný,
+  TODS 2015). When every pool holds one node in every assignment (a
+  property of the data, such as a path's edges) there is nothing to
+  multiply: the pools are flattened and the rows are ``zip`` of the
+  columns.
 
 Counting builds no row and, where the skeleton is a forest (every
 acyclic query), enumerates no assignment either: one bottom-up pass
@@ -48,7 +56,8 @@ Yannakakis and FDB (Olteanu & Závodný, TODS 2015), linear in |AG|. The
 pass reads an index phase 1 did not build only as bucket sizes, and
 roots each tree where its joins descend the built ones. A limited
 result takes that count and then enumerates only until it holds
-``limit`` rows, reading an unbuilt index at the keys it visits. A
+``limit`` rows, in blocks sized by the rows still wanted, reading an
+unbuilt index at the keys it visits. A
 cycle's closing variable, a pool with several anchors, or DISTINCT
 over a projected-away skeleton variable, still counts by enumeration.
 
@@ -66,9 +75,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from itertools import chain, combinations, islice, product, repeat
-from math import prod
-from operator import mul
+from itertools import chain, combinations, compress, islice, product, repeat
+from operator import and_, lt, mul
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.core.answer_graph import AnswerGraph, RelKey
@@ -122,8 +130,9 @@ class _Plan(NamedTuple):
     #: a last variable anchoring no pool: its candidates go out whole,
     #: as one more pool, instead of being iterated
     tail: _Level | None
-    slots: list[int | None]  # known nodes: one per level, then the constants
-    pools: list[Collection[int]]  # one per output column
+    #: one per level (a level's slot is its node column), then the
+    #: constants' nodes
+    slots: list[int | None]
 
 
 def _index(ag: AnswerGraph, rel: RelKey, pos: str, deadline: Deadline) -> Adjacency:
@@ -131,12 +140,13 @@ def _index(ag: AnswerGraph, rel: RelKey, pos: str, deadline: Deadline) -> Adjace
     it, hold their nodes in ascending order — the order
     :meth:`AnswerGraph.bucket` reads one in. Set iteration follows
     insertion order where hashes collide, so this is what makes a
-    limited evaluation enumerate exactly like an unlimited one."""
+    limited evaluation enumerate exactly like an unlimited one. A
+    one-node bucket is in order already."""
     adj = ag.built(rel, pos)
     if adj is None:
         adj = ag.index(rel, pos, deadline)
-        for key, bucket in adj.items():
-            adj[key] = set(sorted(bucket))
+        for key in list(compress(adj, map(partial(lt, 1), map(len, adj.values())))):
+            adj[key] = set(sorted(adj[key]))
     return adj
 
 
@@ -340,7 +350,7 @@ def _compile(
         column = shown_at[pool][0] if pool in shown_at else None
         levels[level].leaves.append((column, adj, anchors))
     tail = levels.pop() if shape.poolable_last and not levels[-1].leaves else None
-    return _Plan(levels, tail, slots, [()] * shape.width)
+    return _Plan(levels, tail, slots)
 
 
 def _meet(sets: list[Collection[int]]) -> Collection[int]:
@@ -352,107 +362,228 @@ def _meet(sets: list[Collection[int]]) -> Collection[int]:
     return sets[0].intersection(*sets[1:])
 
 
-def _candidates(level: _Level, slots: list[int | None]) -> Collection[int | None]:
-    if not level.joins:
-        found = level.domain
-    elif len(level.joins) == 1:
-        adj, slot = level.joins[0]
-        found = adj.get(slots[slot], _NONE)
+def _met(buckets: list[Iterator[Collection[int]]]) -> Iterator[Collection[int]]:
+    """Per row, the :func:`_meet` of one bucket from each iterator: the
+    bucket itself, or ``a & b`` (which is ``a.intersection(b)``) in C,
+    or beyond two a call per row."""
+    if len(buckets) == 1:
+        return buckets[0]
+    if len(buckets) == 2:
+        return map(and_, *buckets)
+    return map(_meet, map(list, zip(*buckets)))
+
+
+def _looped(adj: Adjacency, found: Iterable[int]) -> list[int]:
+    """The nodes of ``found``, in order, that a self-loop relation pairs
+    with themselves."""
+    return [node for node in found if node in adj.get(node, _NONE)]
+
+
+def _candidates(
+    level: _Level, columns: list[list | None], slots: list[int | None], rows: int
+) -> Iterator[Collection[int | None]]:
+    """Each row's candidates for ``level``: the meet of the buckets its
+    joins reach from the row's known nodes (``columns``, by level) and
+    the constants, or the level's domain when no join constrains it;
+    then what its self-loops keep."""
+    known = len(columns)
+    if level.joins:
+        found = _met([
+            map(adj.get, columns[slot], repeat(_NONE)) if slot < known
+            else repeat(adj.get(slots[slot], _NONE), rows)
+            for adj, slot in level.joins
+        ])
     else:
-        found = _meet([adj.get(slots[slot], _NONE) for adj, slot in level.joins])
+        found = repeat(level.domain, rows)
     for adj in level.loops:
-        found = [node for node in found if node in adj.get(node, _NONE)]
+        found = map(partial(_looped, adj), found)
     return found
 
 
-def _pinned(
-    leaves: list[_Pool], slots: list[int | None]
-) -> list[tuple[int | None, Adjacency, Collection[int] | None]] | None:
-    """A level's pools with their earlier anchors' buckets met once per
-    descent, so that a node only intersects its own bucket with that:
-    ``(column, adjacency, meet or None)``. ``None`` when a meet is empty
-    — no node of the level can complete."""
-    out = []
-    for column, adj, anchors in leaves:
-        met = None
-        if anchors:
-            met = _meet([a.get(slots[slot], _NONE) for a, slot in anchors])
-            if not met:
-                return None
-        out.append((column, adj, met))
-    return out
+def _stretch(cells: list, counts: list[int]) -> list:
+    """``cells`` with each one repeated ``counts`` times: a parent row's
+    values carried to its children."""
+    return list(chain.from_iterable(map(repeat, cells, counts)))
 
 
-def _assignments(plan: _Plan, deadline: Deadline) -> Iterator[list[Collection[int]]]:
-    """Enumerate the skeleton; yield ``plan.pools`` (the same list,
-    refilled in place) once per complete assignment.
+def _drop(
+    keep: list, columns: list[list | None], pools: dict[int, list], mets: list[list | None]
+) -> None:
+    """Keep, in place, the rows whose ``keep`` cell is non-empty."""
+    for j, cells in enumerate(columns):
+        if cells is not None:
+            columns[j] = list(compress(cells, keep))
+    for column, cells in pools.items():
+        pools[column] = list(compress(cells, keep))
+    for i, cells in enumerate(mets):
+        if cells is not None:
+            mets[i] = list(compress(cells, keep))
 
-    The deadline is charged one unit per candidate considered, so dead
-    branches of a cyclic query are bounded like productive ones.
+
+def _rows(assignments: int, columns: list[tuple[bool, list]]) -> tuple[int, Iterator[Row]]:
+    """A block's row count and its rows, lazily, in C, from one
+    ``(pooled, cells)`` per output column: a pool of nodes or one node
+    per assignment. When every pool holds one node in every assignment
+    the pools are flattened and the rows are ``zip`` of the columns;
+    otherwise they are FDB's union of products, one ``product`` per
+    assignment over a 1-tuple per node column and the pool per pooled
+    one."""
+    if not columns:
+        return assignments, repeat((), assignments)
+    flat = []
+    for pooled, cells in columns:
+        if pooled:
+            cells = list(chain.from_iterable(cells))
+            # No pool is empty: one node each iff as many as assignments.
+            if len(cells) != assignments:
+                break
+        flat.append(cells)
+    else:
+        return assignments, zip(*flat)
+    pools = [cells for pooled, cells in columns if pooled]
+    sizes = map(len, pools[0])
+    for cells in pools[1:]:
+        sizes = map(mul, sizes, map(len, cells))
+    return sum(sizes), chain.from_iterable(
+        map(product, *[cells if pooled else zip(cells) for pooled, cells in columns]))
+
+
+#: A block of skeleton assignments at one level, before its pools are
+#: read: ``(level, node columns by level, pool columns by output column,
+#: per pool of the level what its earlier anchors met)``
+_Block = tuple[int, list[list | None], dict[int, list], list[list | None]]
+
+
+def _part(block: _Block, part: slice) -> _Block:
+    """The assignments ``part`` of ``block``."""
+    d, columns, pools, mets = block
+    return (
+        d,
+        [None if cells is None else cells[part] for cells in columns],
+        {column: cells[part] for column, cells in pools.items()},
+        [None if cells is None else cells[part] for cells in mets],
+    )
+
+
+def _levelwise(
+    plan: _Plan, width: int, deadline: Deadline, limit: int | None = None
+) -> Iterator[tuple[int, Iterator[Row]]]:
+    """Enumerate the skeleton one level at a time for a block of root
+    candidates; per block of complete assignments yield its row count
+    and its rows (:func:`_rows`), in depth-first order.
+
+    A level's candidates are its joins' buckets read off the parent
+    column by ``map`` and met by ``&``; a parent row's values are
+    carried to its children by ``repeat``; an assignment an empty pool
+    leaves is dropped by ``compress``. No step is taken per
+    assignment in Python, but for a self-loop and for a meet of more
+    than two buckets. A level larger than ``BLOCK`` assignments is
+    split, its blocks finished first to last. With a ``limit`` blocks
+    start one assignment long and at most double, sized by the rows
+    still wanted over the rows a level's assignments gave so far: a
+    limited result reads little more of the AG than its rows need. The
+    deadline is charged per level, one unit per candidate.
     """
-    levels, tail, slots, pools = plan.levels, plan.tail, plan.slots, plan.pools
+    levels, tail, slots = plan.levels, plan.tail, plan.slots
+    check = deadline.check_every
     last = len(levels) - 1
-    check = deadline.check_every
-    stack: list[Iterator[int | None]] = [iter(levels[0].domain)] + [iter(())] * last
-    # Per level, its pools as (column, adjacency, what their earlier
-    # anchors leave of them); a level with earlier anchors is re-pinned
-    # on each descent into it.
-    live = [[(column, adj, None) for column, adj, _ in level.leaves] for level in levels]
-    anchored = [any(anchors for _, _, anchors in level.leaves) for level in levels]
-    depth = 0
-    while depth >= 0:
-        shown, leaves = levels[depth].shown, live[depth]
-        for node in stack[depth]:
-            for column, adj, met in leaves:
-                pool = adj.get(node)
-                if met is not None and pool:
-                    pool = met & pool
-                if not pool:
-                    break
-                if column is not None:
-                    pools[column] = pool
-            else:
-                slots[depth] = node
-                for column in shown:
-                    pools[column] = (node,)
-                if depth < last:
-                    depth += 1
-                    found = _candidates(levels[depth], slots)
-                    check(len(found) or 1)
-                    if found and anchored[depth]:
-                        pinned = _pinned(levels[depth].leaves, slots)
-                        if pinned is None:
-                            found = ()
-                        else:
-                            live[depth] = pinned
-                    stack[depth] = iter(found)
-                    break
-                if tail is not None:
-                    found = _candidates(tail, slots)
-                    if not found:
-                        continue
-                    for column in tail.shown:
-                        pools[column] = found
-                yield pools
+    top = min(1, last)
+    shown_at = {column: d for d, level in enumerate(levels) for column in level.shown}
+    (roots,) = _candidates(levels[top], [], slots, 1)
+    check(len(roots) or 1)
+    roots = iter(roots)
+    # Per level, the most assignments a block holds, and how many went in.
+    caps = [BLOCK if limit is None else 1] * len(levels)
+    taken = [0] * len(levels)
+    produced = 0
+    stack: list[_Block] = []
+    while True:
+        if stack:
+            block = stack.pop()
+            cap = caps[block[0]]
+            if len(block[1][block[0]]) > cap:  # the first ``cap`` go first
+                stack.append(_part(block, slice(cap, None)))
+                block = _part(block, slice(0, cap))
+            d, columns, pools, mets = block
         else:
-            depth -= 1
+            d, columns, pools = top, [None] * len(levels), {}
+            columns[top] = list(islice(roots, caps[top]))
+            if not columns[top]:
+                return
+            if limit is not None:
+                caps[top] = min(2 * caps[top], BLOCK)
+            mets = [None] * len(levels[top].leaves)
+        taken[d] += len(columns[d])
+        level = levels[d]
+        for i, (column, adj, _) in enumerate(level.leaves):
+            pool = map(adj.get, columns[d], repeat(_NONE))
+            if mets[i] is not None:
+                pool = map(and_, mets[i], pool)
+            pool = list(pool)
+            if not all(pool):
+                _drop(pool, columns, pools, mets)
+                pool = list(filter(None, pool))
+            if column is not None:
+                pools[column] = pool
+        rows = len(columns[d])
+        if not rows:
+            continue
+        if d < last:
+            d += 1
+            level = levels[d]
+            found = list(_candidates(level, columns, slots, rows))
+            mets = [
+                list(_met([map(a.get, columns[slot], repeat(_NONE)) for a, slot in anchors]))
+                if anchors else None
+                for _, _, anchors in level.leaves
+            ]
+            nodes = list(chain.from_iterable(found))
+            check(len(nodes) or 1)
+            if not nodes:
+                continue
+            # Unless every parent has exactly one child, carry the
+            # parents' values down.
+            if len(nodes) != rows or not all(found):
+                counts = list(map(len, found))
+                columns = [cells and _stretch(cells, counts) for cells in columns]
+                pools = {column: _stretch(cells, counts) for column, cells in pools.items()}
+                mets = [cells and _stretch(cells, counts) for cells in mets]
+            columns[d] = nodes
+            stack.append((d, columns, pools, mets))
+            continue
+        if tail is not None:
+            found = list(_candidates(tail, columns, slots, rows))
+            check(rows)
+            if not all(found):
+                _drop(found, columns, pools, [])
+                found = list(filter(None, found))
+                rows = len(found)
+                if not rows:
+                    continue
+            for column in tail.shown:
+                pools[column] = found
+        size, out = _rows(rows, [
+            (True, pools[c]) if c in pools else (False, columns[shown_at[c]])
+            for c in range(width)
+        ])
+        yield size, out
+        if limit is not None:
+            # A level's next block: as many assignments as the rows still
+            # wanted take at its rate so far, at most twice the last one.
+            produced += size
+            wanted = limit - produced
+            caps = [max(1, min(2 * cap, BLOCK, -(-wanted * n // produced)))
+                    for cap, n in zip(caps, taken)]
 
 
-def _blocks(plan: _Plan, deadline: Deadline) -> Iterator[Iterable[Row]]:
-    """The result as lazy C-level row iterators, one per skeleton
-    assignment; a product above ``BLOCK`` rows comes in ``BLOCK``-row
-    slices with a deadline poll between, as in phase 1."""
+def _slices(plan: _Plan, width: int, deadline: Deadline) -> Iterator[Iterable[Row]]:
+    """The result as lazy row iterators of at most ``BLOCK`` rows each,
+    the deadline charged per slice, as in phase 1."""
     check = deadline.check_every
-    for pools in _assignments(plan, deadline):
-        size = prod(map(len, pools))
-        rows = product(*pools)
-        if size <= BLOCK:
-            check(size)
-            yield rows
-        else:
-            for _ in range(0, size, BLOCK):
-                check(BLOCK)
-                yield islice(rows, BLOCK)
+    for size, rows in _levelwise(plan, width, deadline):
+        for start in range(0, size, BLOCK):
+            check(min(BLOCK, size - start))
+            yield islice(rows, BLOCK)
 
 
 def _unique(rows: Iterable[Row]) -> Iterator[Row]:
@@ -675,7 +806,7 @@ def iter_embeddings(
     shape = _shape(ag, order, range(ag.bound.num_vars), False)
     plan = shape and _compile(ag, shape, deadline)
     if plan is not None:
-        yield from chain.from_iterable(_blocks(plan, deadline))
+        yield from chain.from_iterable(_slices(plan, shape.width, deadline))
 
 
 def materialize_embeddings(
@@ -691,7 +822,7 @@ def materialize_embeddings(
     plan = shape and _compile(ag, shape, deadline)
     if plan is None:
         return []
-    rows = chain.from_iterable(_blocks(plan, deadline))
+    rows = chain.from_iterable(_slices(plan, shape.width, deadline))
     if not shape.exact:
         rows = _unique(rows)
     return list(rows)
@@ -707,12 +838,13 @@ def first_embeddings(
     :func:`materialize_embeddings`' list — and the exact number of rows.
 
     On a skeleton forest the count comes bottom-up and enumeration
-    stops once it holds ``limit`` rows, reading what phase 1 did not
-    index only at the nodes it visits. Otherwise one pass over the
-    skeleton adds every assignment's pool-size product to the count and
-    builds rows only while fewer than ``limit`` are held. Under
-    DISTINCT with a skeleton variable projected away rows must be built
-    to be told apart, so every one is enumerated and the head kept.
+    stops once it holds ``limit`` rows, its first block ``limit`` roots
+    long, reading what phase 1 did not index only at the nodes it
+    visits. Otherwise one pass over the skeleton adds every block's
+    row count to the count and builds rows only while fewer than
+    ``limit`` are held. Under DISTINCT with a skeleton variable
+    projected away rows must be built to be told apart, so every one is
+    enumerated and the head kept.
     """
     bound = ag.bound
     deadline = deadline or Deadline.unlimited()
@@ -721,28 +853,28 @@ def first_embeddings(
         return [], 0
     if not shape.exact:
         plan = _compile(ag, shape, deadline)
-        unique = [] if plan is None else list(_unique(chain.from_iterable(_blocks(plan, deadline))))
+        unique = [] if plan is None else list(
+            _unique(chain.from_iterable(_slices(plan, shape.width, deadline))))
         return unique[:limit], len(unique)
     count = _forest_count(ag, shape, deadline)
     if count is not None and (count == 0 or limit == 0):
         return [], count
-    plan = _compile(ag, shape, deadline, lazy=count is not None and limit < count)
+    # Only a known count above the limit lets enumeration stop early.
+    early = count is not None and limit < count
+    plan = _compile(ag, shape, deadline, lazy=early)
     if plan is None:
         return [], 0
     rows: list[Row] = []
     check = deadline.check_every
     total = 0
-    for pools in _assignments(plan, deadline):
-        size = prod(map(len, pools))
+    for size, block in _levelwise(plan, shape.width, deadline, limit if early else None):
         total += size
         wanted = min(size, limit - len(rows))
-        if wanted > 0:
-            block = product(*pools)
-            while wanted > 0:
-                step = min(wanted, BLOCK)
-                check(step)
-                rows.extend(islice(block, step))
-                wanted -= step
+        while wanted > 0:
+            step = min(wanted, BLOCK)
+            check(step)
+            rows.extend(islice(block, step))
+            wanted -= step
         if count is not None and len(rows) == limit:
             break
     return rows, total if count is None else count
@@ -770,5 +902,5 @@ def count_embeddings(
     if plan is None:
         return 0
     if not shape.exact:
-        return len(set(chain.from_iterable(_blocks(plan, deadline))))
-    return sum(prod(map(len, pools)) for pools in _assignments(plan, deadline))
+        return len(set(chain.from_iterable(_slices(plan, shape.width, deadline))))
+    return sum(size for size, _ in _levelwise(plan, shape.width, deadline))

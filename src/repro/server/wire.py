@@ -23,6 +23,7 @@ where :mod:`repro.errors` exceptions become HTTP statuses.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from repro.errors import (
@@ -66,10 +67,16 @@ class QueryRequest:
     include_trace: bool = False
 
 
+def _reject_constant(name: str) -> float:
+    raise WireError("malformed_json", f"body is not valid JSON: {name} is not a JSON value")
+
+
 def parse_json_body(body: bytes) -> object:
-    """Decode a JSON request body; malformed bytes raise ``WireError``."""
+    """Decode a JSON request body; malformed bytes raise ``WireError``,
+    and so do ``NaN``, ``Infinity`` and ``-Infinity``, which Python's
+    decoder would otherwise accept."""
     try:
-        return json.loads(body.decode("utf-8"))
+        return json.loads(body.decode("utf-8"), parse_constant=_reject_constant)
     except UnicodeDecodeError as exc:
         raise WireError("malformed_json", f"body is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -90,7 +97,7 @@ def _parse_timeout(doc: dict, header_timeout: float | None) -> float | None:
     """The request's deadline budget in seconds, or ``None`` for none.
 
     The body field wins over the ``X-Repro-Timeout`` header (it is the
-    more deliberate of the two); either must be a positive number.
+    more deliberate of the two); either must be a positive finite number.
     """
     timeout = doc.get("timeout_seconds", header_timeout)
     if timeout is None:
@@ -99,15 +106,17 @@ def _parse_timeout(doc: dict, header_timeout: float | None) -> float | None:
         raise WireError(
             "invalid_field", f"'timeout_seconds' must be a number, got {timeout!r}"
         )
-    if timeout <= 0:
+    # JSON numbers beyond a float decode as inf (1e999) or as an int
+    # float() cannot take (1 and 400 zeros): neither is a budget.
+    if not 0 < timeout <= sys.float_info.max:
         raise WireError(
-            "invalid_field", f"'timeout_seconds' must be positive, got {timeout!r}"
+            "invalid_field", f"'timeout_seconds' must be positive and finite, got {timeout!r}"
         )
     return float(timeout)
 
 
 def parse_header_timeout(value: str | None) -> float | None:
-    """Parse the ``X-Repro-Timeout`` header (seconds, positive float)."""
+    """Parse the ``X-Repro-Timeout`` header (seconds, positive finite float)."""
     if value is None:
         return None
     try:
@@ -116,10 +125,10 @@ def parse_header_timeout(value: str | None) -> float | None:
         raise WireError(
             "invalid_field", f"X-Repro-Timeout header must be a number, got {value!r}"
         ) from exc
-    if timeout <= 0:
+    if not 0 < timeout <= sys.float_info.max:  # also refuses "nan" and "inf"
         raise WireError(
             "invalid_field",
-            f"X-Repro-Timeout header must be positive, got {value!r}",
+            f"X-Repro-Timeout header must be positive and finite, got {value!r}",
         )
     return timeout
 

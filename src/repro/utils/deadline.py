@@ -36,7 +36,7 @@ class Deadline:
     __slots__ = ("budget", "stride", "_start", "_tick", "_unlimited")
 
     def __init__(self, budget: float | None = None, stride: int = 4096):
-        if budget is not None and budget <= 0:
+        if budget is not None and not budget > 0:  # NaN too: it would never expire
             raise ValueError(f"budget must be positive, got {budget!r}")
         if stride <= 0:
             raise ValueError(f"stride must be positive, got {stride!r}")

@@ -87,20 +87,39 @@ def test_disconnected_query_rejected_400(client):
     assert payload["error"]["code"] == "invalid_query"
 
 
+def raw_timeout(value: str) -> str:
+    """A request body whose ``timeout_seconds`` is ``value`` verbatim."""
+    return '{"sparql": "%s", "timeout_seconds": %s}' % (SPARQL, value)
+
+
+BAD_OPTIONS = [
+    ({"sparql": SPARQL, "timeout_seconds": -1}, None, "invalid_field"),
+    ({"sparql": SPARQL, "timeout_seconds": "fast"}, None, "invalid_field"),
+    ({"sparql": SPARQL, "limit": -2}, None, "invalid_field"),
+    ({"sparql": SPARQL, "limit": True}, None, "invalid_field"),
+    ({"sparql": SPARQL, "materialize": "yes"}, None, "invalid_field"),
+    # Python's decoder accepts JSON's missing non-finite numbers, and a
+    # NaN or infinite timeout passes ``<= 0``: neither may get through.
+    (raw_timeout("NaN"), None, "malformed_json"),
+    (raw_timeout("Infinity"), None, "malformed_json"),
+    (raw_timeout("-Infinity"), None, "malformed_json"),
+    (raw_timeout("1e999"), None, "invalid_field"),  # a valid number, decoded as inf
+    (raw_timeout("1" + "0" * 400), None, "invalid_field"),  # an int too large for a float
+    ({"sparql": SPARQL}, {"X-Repro-Timeout": "nan"}, "invalid_field"),
+    ({"sparql": SPARQL}, {"X-Repro-Timeout": "inf"}, "invalid_field"),
+]
+
+
 @pytest.mark.parametrize(
-    "body",
-    [
-        {"sparql": SPARQL, "timeout_seconds": -1},
-        {"sparql": SPARQL, "timeout_seconds": "fast"},
-        {"sparql": SPARQL, "limit": -2},
-        {"sparql": SPARQL, "limit": True},
-        {"sparql": SPARQL, "materialize": "yes"},
-    ],
+    "body, headers, code",
+    BAD_OPTIONS,
+    ids=[f"body{i}" for i in range(5)]  # the ids these five always had
+    + ["nan", "infinity", "minus-infinity", "overflow", "huge-int", "nan-header", "inf-header"],
 )
-def test_bad_option_values_400(client, body):
-    status, payload, _ = client.post("/v1/query", body)
+def test_bad_option_values_400(client, body, headers, code):
+    status, payload, _ = client.post("/v1/query", body, headers=headers)
     assert status == 400
-    assert payload["error"]["code"] == "invalid_field"
+    assert payload["error"]["code"] == code
 
 
 def test_bad_timeout_header_400(client):

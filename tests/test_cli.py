@@ -508,6 +508,33 @@ def test_serve_rejects_out_of_range_numbers(monkeypatch, capsys, flag, value):
             PreforkServer("unused", watchdog_timeout=float(value))
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["query", "--sparql", "select ?x where { ?x created ?y }", "--timeout", "0"],
+         "--timeout"),
+        (["query", "--sparql", "select ?x where { ?x created ?y }", "--timeout", "nan"],
+         "--timeout"),
+        (["query", "--sparql", "select ?x where { ?x created ?y }", "--limit", "-1"],
+         "--limit"),
+        (["batch", "--template", "chain", "--timeout", "-1"], "--timeout"),
+        (["batch", "--template", "chain", "--repeat", "0"], "--repeat"),
+    ],
+    ids=["query-timeout-0", "query-timeout-nan", "query-limit", "batch-timeout", "batch-repeat"],
+)
+def test_query_and_batch_reject_out_of_range_numbers(monkeypatch, capsys, argv, flag):
+    """Refused up front with exit 2, before the store is even loaded:
+    no ``Deadline`` traceback, no silent count-only run or clamp."""
+    import repro.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("loaded a store")
+
+    monkeypatch.setattr(repro.cli, "_load", fail)
+    assert main(argv + ["--scale", "0.05"]) == 2
+    assert f"error: {flag} must be" in capsys.readouterr().err
+
+
 def test_wal_open_patches_the_stored_catalog_instead_of_rebuilding(tmp_path):
     from repro.cli import _load, build_parser
     from repro.stats.catalog import build_catalog

@@ -76,6 +76,13 @@ def test_invalid_budget_rejected():
         Deadline(-1.0)
 
 
+def test_nan_budget_rejected():
+    # NaN compares false with everything: it would pass ``<= 0`` and
+    # never expire.
+    with pytest.raises(ValueError):
+        Deadline(float("nan"))
+
+
 def test_invalid_stride_rejected():
     with pytest.raises(ValueError):
         Deadline(1.0, stride=0)
