@@ -28,6 +28,7 @@ to build the graph in-process.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -315,6 +316,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if _out_of_range((args.top < 0, "--top must be >= 0")):
+        return 2
     store, catalog = _load(args)
     print(f"triples:    {store.num_triples}")
     print(f"nodes:      {store.num_nodes}")
@@ -563,12 +566,15 @@ def _cmd_serve(args) -> int:
     if _out_of_range(
         (args.workers < 1, "--workers must be >= 1"),
         (args.threads is not None and args.threads < 1, "--threads must be >= 1"),
-        (args.slow_query_ms is not None and args.slow_query_ms <= 0,
+        (not args.timeout >= 0, "--timeout must be >= 0 (0 = none)"),
+        (args.slow_query_ms is not None and not args.slow_query_ms > 0,
          "--slow-query-ms must be positive"),
         (args.max_pending < 1, "--max-pending must be >= 1"),
         (args.max_body_kib < 1, "--max-body-kib must be >= 1"),
         (args.limit < 0, "--limit must be >= 0"),
-        (args.watchdog_timeout <= 0, "--watchdog-timeout must be positive"),
+        (not args.watchdog_interval >= 0,
+         "--watchdog-interval must be >= 0 (0 disables the watchdog)"),
+        (not args.watchdog_timeout > 0, "--watchdog-timeout must be positive"),
     ):
         return 2
     if args.workers > 1:
@@ -705,6 +711,11 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    if _out_of_range(
+        (args.runs < 1, "--runs must be >= 1"),
+        (not args.timeout > 0, "--timeout must be positive"),
+    ):
+        return 2
     store, _ = _load(args)
     engines = tuple(name.strip() for name in args.engines.split(",") if name)
     protocol = BenchmarkProtocol(
@@ -815,6 +826,10 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Checked even where --dataset/--snapshot makes the scale unused.
+    scale = getattr(args, "scale", 1.0)
+    if _out_of_range((not 0 < scale < math.inf, "--scale must be positive and finite")):
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except (ReproError, OSError) as exc:

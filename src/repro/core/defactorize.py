@@ -54,7 +54,9 @@ times, per child variable, the sum of the child's weights over the
 node's adjacency set — the count over a factorized representation of
 Yannakakis and FDB (Olteanu & Závodný, TODS 2015), linear in |AG|. The
 pass reads an index phase 1 did not build only as bucket sizes, and
-roots each tree where its joins descend the built ones. A limited
+roots each tree where its joins descend the built ones.
+:mod:`repro.core.factorized` reads marginals and samples off the same
+forest (:func:`_skeleton_forest`), with every variable in it. A limited
 result takes that count and then enumerates only until it holds
 ``limit`` rows, in blocks sized by the rows still wanted, reading an
 unbuilt index at the keys it visits. A
@@ -636,25 +638,38 @@ def _sums(adj: Adjacency, weight: Mapping[int, int] | None, deadline: Deadline) 
 class _Forest:
     """A skeleton forest, read off the query: per skeleton variable the
     leaves it anchors, its joins to other skeleton variables and the
-    values its constants and self-loops leave it. (Methods, not nested
-    functions: recursive closures are reference cycles, and every count
-    would leave one to the cyclic collector.)"""
+    values its constants and self-loops leave it. Each ``(variable,
+    parent)`` weight map is weighed once and kept for the forest's life,
+    so rooting the forest at every variable in turn costs O(|AG|).
+    (Methods, not nested functions: recursive closures are reference
+    cycles, and every count would leave one to the cyclic collector.)"""
 
-    __slots__ = ("ag", "deadline", "leaves", "links", "allowed")
+    __slots__ = ("ag", "deadline", "leaves", "links", "allowed", "memo")
 
     def __init__(self, ag: AnswerGraph, skeleton: Iterable[int], deadline: Deadline):
         self.ag = ag
         self.deadline = deadline
         self.leaves: dict[int, list[tuple[RelKey, str, bool]]] = {v: [] for v in skeleton}
-        self.links: dict[int, list[tuple[int, RelKey, str]]] = {v: [] for v in skeleton}
+        self.links: dict[int, list[tuple[int, RelKey, str]]] = {v: [] for v in self.leaves}
         self.allowed: dict[int, Collection[int]] = {}
+        self.memo: dict[tuple[int, int], Mapping[int, int] | None] = {}
 
     def allow(self, var: int, nodes: Collection[int]) -> None:
         allowed = self.allowed
         allowed[var] = nodes if var not in allowed else allowed[var] & nodes
 
+    def trees(self) -> Iterator[list[int]]:
+        """Each tree's variables, its first skeleton variable first."""
+        placed: set[int] = set()
+        for var in self.links:
+            if var not in placed:
+                members = [var] + [child for _, child, _, _ in self.descents(var)]
+                placed.update(members)
+                yield members
+
     def descents(self, root: int) -> Iterator[tuple[int, int, RelKey, str]]:
-        """(parent, child, relation, parent's end) of the tree below root."""
+        """(parent, child, relation, parent's end) of the tree below root,
+        each parent before its children."""
         stack = [(root, None)]
         while stack:
             var, up = stack.pop()
@@ -680,43 +695,52 @@ class _Forest:
                 found.append((_sums(adj, self.weights(child, var), deadline), 0, None))
         return found
 
-    def weights(self, var: int, up: int | None) -> Mapping[int, int] | None:
+    def weights(self, var: int, up: int) -> Mapping[int, int] | None:
         """``var``'s node weights below ``up`` (``None``: 1 everywhere)."""
+        if (var, up) in self.memo:
+            return self.memo[var, up]
         found = self.factors(var, up)
         keep = self.allowed.get(var)
         if not found:
-            return None if keep is None else dict.fromkeys(keep, 1)
-        nodes = min((mapping for mapping, _, _ in found), key=len)
-        if keep is not None:
-            nodes = keep if len(keep) <= len(nodes) else [n for n in nodes if n in keep]
-        return dict(zip(nodes, _weighed(found, nodes)))
+            weights = None if keep is None else dict.fromkeys(keep, 1)
+        else:
+            nodes = min((mapping for mapping, _, _ in found), key=len)
+            if keep is not None:
+                nodes = keep if len(keep) <= len(nodes) else [n for n in nodes if n in keep]
+            weights = dict(zip(nodes, _weighed(found, nodes)))
+        self.memo[var, up] = weights
+        return weights
+
+    def rooted(self, root: int) -> tuple[Collection[int], Iterator[int] | None]:
+        """``root``'s candidates as its tree's root — what its constants
+        and self-loops leave of its node set — and, lazily and in the
+        same order, the rows of the tree each one has (``None``: 1)."""
+        domain = self.allowed.get(root, self.ag.node_sets.get(root, _NONE))
+        found = self.factors(root, None)
+        return domain, _weighed(found, domain) if found else None
 
 
-def _forest_count(ag: AnswerGraph, shape: _Shape, deadline: Deadline) -> int | None:
-    """The exact row count of an exact shape whose skeleton is a forest,
-    in one bottom-up pass; ``None`` when a join closes a cycle.
-
-    A node's weight is the number of rows below it: its leaves' pool
-    sizes (1 or 0 for a leaf DISTINCT does not show) times, per child
-    variable, the child's weights summed over the node's bucket. A
-    tree's root sums its weights over the candidates enumeration would
-    give it. Leaves are sized off whichever index exists
-    (:meth:`AnswerGraph.degrees`); a tree is rooted where the most of
-    its joins descend an index phase 1 built, so the others are the
-    only ones built.
-    """
-    if shape.meets:
-        return None
-    skeleton = shape.level_of
+def _skeleton_forest(
+    ag: AnswerGraph,
+    skeleton: Iterable[int],
+    pool_edges: Mapping[int, int],
+    shown_at: Mapping[int, list[int]],
+    deadline: Deadline,
+) -> _Forest | None:
+    """The forest of the joins between ``skeleton``'s variables: each
+    edge of ``pool_edges`` a leaf of its anchor, shown if ``shown_at``
+    shows the leaf; each constant and self-loop a filter on its
+    variable's values; a ground edge the AG does not hold a filter no
+    value passes. ``None`` when a join closes a cycle."""
     forest = _Forest(ag, skeleton, deadline)
-    tree_of = {v: v for v in skeleton}  # union-find over the joins
+    tree_of = {v: v for v in forest.links}  # union-find over the joins
     for e in ag.bound.edges:
         rel = ("e", e.index)
         s, o = e.s_var, e.o_var
-        if e.index in shape.pool_edges:
-            leaf = shape.pool_edges[e.index]
+        if e.index in pool_edges:
+            leaf = pool_edges[e.index]
             anchor, pos = (s, "s") if leaf == o else (o, "o")
-            forest.leaves[anchor].append((rel, pos, leaf in shape.shown_at))
+            forest.leaves[anchor].append((rel, pos, leaf in shown_at))
         elif s is not None and s == o:
             loop = ag.forward(rel, deadline)
             forest.allow(s, {n for n, bucket in loop.items() if n in bucket})
@@ -735,20 +759,36 @@ def _forest_count(ag: AnswerGraph, shape: _Shape, deadline: Deadline) -> int | N
             var, pos, const = (o, "s", e.s_const) if s is None else (s, "o", e.o_const)
             forest.allow(var, _index(ag, rel, pos, deadline).get(const, _NONE))
         elif e.o_const not in ag.forward(rel, deadline).get(e.s_const, _NONE):
-            return 0
+            for var in forest.links:
+                forest.allow(var, _NONE)
+    return forest
 
+
+def _forest_count(ag: AnswerGraph, shape: _Shape, deadline: Deadline) -> int | None:
+    """The exact row count of an exact shape whose skeleton is a forest,
+    in one bottom-up pass; ``None`` when a join closes a cycle.
+
+    A node's weight is the number of rows below it: its leaves' pool
+    sizes (1 or 0 for a leaf DISTINCT does not show) times, per child
+    variable, the child's weights summed over the node's bucket. A
+    tree's root sums its weights over the candidates enumeration would
+    give it. Leaves are sized off whichever index exists
+    (:meth:`AnswerGraph.degrees`); a tree is rooted where the most of
+    its joins descend an index phase 1 built, so the others are the
+    only ones built.
+    """
+    if shape.meets:
+        return None
+    forest = _skeleton_forest(
+        ag, shape.level_of, shape.pool_edges, shape.shown_at, deadline)
+    if forest is None:
+        return None
     total = 1
-    placed: set[int] = set()
-    for var in skeleton:  # first appearance: ties root a tree where the order does
-        if var in placed:
-            continue
-        members = [var] + [child for _, child, _, _ in forest.descents(var)]
-        placed.update(members)
+    for members in forest.trees():  # first appearance: ties root a tree where the order does
         root = max(members, key=lambda r: sum(
             ag.built(rel, pos) is not None for _, _, rel, pos in forest.descents(r)))
-        found = forest.factors(root, None)
-        domain = forest.allowed.get(root, ag.node_sets.get(root, _NONE))
-        total *= sum(_weighed(found, domain)) if found else len(domain)
+        domain, weights = forest.rooted(root)
+        total *= len(domain) if weights is None else sum(weights)
         if not total:
             return 0
     return total

@@ -24,6 +24,7 @@ adds ≤ 9 triples per query — statistically invisible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ class YagoLikeConfig:
     plant_witnesses: bool = True
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise DatasetError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:  # NaN too
+            raise DatasetError(f"scale must be positive and finite, got {self.scale}")
         if self.filler_predicates < 0:
             raise DatasetError("filler_predicates cannot be negative")
 

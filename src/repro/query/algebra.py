@@ -25,9 +25,9 @@ class BoundEdge(NamedTuple):
     """One integer-encoded triple pattern.
 
     Exactly one of ``s_var`` / ``s_const`` is non-``None`` unless the
-    subject term is unknown to the dictionary, in which case both may be
-    ``None`` with ``s_missing`` set (same for objects). ``p`` is ``None``
-    when the predicate label does not occur in the data.
+    subject term is a constant unknown to the dictionary, in which case
+    both are ``None`` (same for objects). ``p`` is ``None`` when the
+    predicate label does not occur in the data.
     """
 
     index: int
@@ -62,18 +62,15 @@ class BoundEdge(NamedTuple):
         Two edges are joinable when they share a variable *or* a ground
         term (e.g. ``?x A k . k B ?z`` joins through the constant
         ``k``). Variables become ``("v", index)`` tokens, constants
-        ``("c", id)``.
+        ``("c", id)``, and a constant the store does not know
+        ``("c", None)``: it matches nothing, so the edges it joins have
+        no embedding in any order, and the query stays as connected as
+        its text (which :meth:`ConjunctiveQuery.validate` checks).
         """
-        out = []
-        if self.s_var is not None:
-            out.append(("v", self.s_var))
-        elif self.s_const is not None:
-            out.append(("c", self.s_const))
-        if self.o_var is not None:
-            out.append(("v", self.o_var))
-        elif self.o_const is not None:
-            out.append(("c", self.o_const))
-        return frozenset(out)
+        return frozenset((
+            ("v", self.s_var) if self.s_var is not None else ("c", self.s_const),
+            ("v", self.o_var) if self.o_var is not None else ("c", self.o_const),
+        ))
 
 
 class BoundQuery(NamedTuple):

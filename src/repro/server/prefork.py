@@ -219,7 +219,7 @@ class PreforkServer:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
-        if watchdog_timeout <= 0:  # every ping would fail and kill its worker
+        if not watchdog_timeout > 0:  # every ping would fail and kill its worker; NaN too
             raise ValueError(f"watchdog_timeout must be > 0, got {watchdog_timeout!r}")
         self.snapshot = os.fspath(snapshot)
         self.workers = workers

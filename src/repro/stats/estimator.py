@@ -335,7 +335,7 @@ class QueryStatistics:
     (``adjacent``), for connected-prefix enumeration.
     """
 
-    __slots__ = ("num_edges", "edge_vars", "adjacent", "loose", "_edges")
+    __slots__ = ("num_edges", "edge_vars", "adjacent", "_edges")
 
     def __init__(self, catalog: Catalog, edges: Sequence[BoundEdge]):
         self.num_edges = len(edges)
@@ -352,15 +352,11 @@ class QueryStatistics:
                 sharing[token] = sharing.get(token, 0) | 1 << eid
         #: adjacent[i]: the edges sharing a join token with edge ``i``.
         self.adjacent = []
-        #: edges with no join token (both terms unknown): joinable to anything.
-        self.loose = 0
         for eid, edge_tokens in enumerate(tokens):
             shared = 0
             for token in edge_tokens:
                 shared |= sharing[token]
             self.adjacent.append(shared & ~(1 << eid))
-            if not edge_tokens:
-                self.loose |= 1 << eid
 
         # touching[v]: (bit, label, side, distinct nodes of label@side)
         # of every edge endpoint that is variable ``v`` — the constraint
@@ -431,8 +427,8 @@ class QueryStatistics:
         ``reach`` is the union of ``adjacent[i]`` over ``mask`` (callers
         maintain it as they grow a prefix).
         """
-        if mask & ~self.loose:
-            return (reach | self.loose) & ~mask
+        if mask:
+            return reach & ~mask
         return ((1 << self.num_edges) - 1) & ~mask  # no token bound yet: any edge
 
     def extend(self, cards: dict, mask: int, eid: int) -> tuple[float, float, float]:

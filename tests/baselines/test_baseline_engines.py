@@ -67,12 +67,21 @@ def test_empty_result(engine_cls):
     assert result.rows == []
 
 
-@pytest.mark.parametrize("engine_cls", ENGINES, ids=ENGINE_IDS)
+@pytest.mark.parametrize(
+    "engine_cls",
+    ENGINES + [__import__("repro").WireframeEngine],
+    ids=ENGINE_IDS + ["WF"],
+)
 def test_unknown_label_short_circuits(engine_cls):
     store = figure1_graph()
     q = parse_sparql("select * where { ?a nolabel ?b }")
     result = engine_cls(store).evaluate(q)
     assert result.count == 0
+    # Joined only through a constant the store does not know: empty,
+    # not a disconnected plan.
+    q = parse_sparql("select * where { ?a A zz . zz A ?b }")
+    assert engine_cls(store).evaluate(q).rows == []
+    assert engine_cls(store).evaluate(q, materialize=False).count == 0
 
 
 @pytest.mark.parametrize("engine_cls", ENGINES, ids=ENGINE_IDS)

@@ -120,16 +120,60 @@ def test_samples_are_valid_embeddings():
         assert sample in valid
 
 
+#: A branching tree whose subtrees differ in size: a1 has 3 + 1 rows
+#: below its two ?b values and one ?d, a2 one row below ?b times two
+#: ?d — 6 embeddings, which a sampler that picked a child uniformly
+#: instead of by its subtree's rows would not draw evenly.
+UNEVEN_TREE = (
+    {
+        "A": [("a1", "b1"), ("a1", "b2"), ("a2", "b3")],
+        "B": [("b1", "c1"), ("b1", "c2"), ("b1", "c3"), ("b2", "c4"), ("b3", "c5")],
+        "C": [("a1", "d1"), ("a2", "d2"), ("a2", "d3")],
+    },
+    "select * where { ?a A ?b . ?b B ?c . ?a C ?d }",
+)
+
+
 def test_sampling_covers_support_roughly_uniformly():
-    store = fan_chain_graph(fan_in=2, fan_out=2, hub_pairs=1)  # 4 embeddings
-    ag = make_ag(store, figure1_query())
     import numpy as np
 
-    rng = np.random.default_rng(0)
-    counts = collections.Counter(sample_embedding(ag, rng) for _ in range(400))
-    assert len(counts) == 4  # every embedding reachable
-    for value in counts.values():
-        assert 50 <= value <= 150  # 100 expected; generous tolerance
+    cases = [
+        (fan_chain_graph(fan_in=2, fan_out=2, hub_pairs=1), figure1_query()),  # 4 embeddings
+        (store_from_edges(UNEVEN_TREE[0]), parse_sparql(UNEVEN_TREE[1])),  # 6 embeddings
+    ]
+    for store, query in cases:
+        ag = make_ag(store, query)
+        support = set(enumerate_embeddings_bruteforce(store, query))
+        rng = np.random.default_rng(0)
+        draws = 100 * len(support)
+        counts = collections.Counter(sample_embedding(ag, rng) for _ in range(draws))
+        assert set(counts) == support  # every embedding reachable, nothing else
+        for value in counts.values():
+            assert 50 <= value <= 150  # 100 expected; generous tolerance
+
+
+def test_marginals_weigh_each_join_direction_once(monkeypatch, mini_yago):
+    """All marginals together are one pass per join direction: no
+    ``(variable, parent)`` weight map of the forest is computed twice."""
+    from repro.core import defactorize
+    from repro.datasets.paper_queries import paper_snowflake_queries
+
+    query = paper_snowflake_queries()[0]
+    ag = WireframeEngine(mini_yago).evaluate_detailed(query, materialize=False).answer_graph
+    weighed = collections.Counter()
+    factors = defactorize._Forest.factors
+
+    def counted(forest, var, up):
+        if up is not None:
+            weighed[var, up] += 1
+        return factors(forest, var, up)
+
+    monkeypatch.setattr(defactorize._Forest, "factors", counted)
+    variable_marginals(ag)
+    directions = {(e.o_var, e.s_var) for e in ag.bound.edges}
+    directions |= {(s, o) for o, s in directions}
+    assert set(weighed) == directions  # a tree, rooted at every variable
+    assert set(weighed.values()) == {1}
 
 
 def test_constant_component_count():

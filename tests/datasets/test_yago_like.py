@@ -109,6 +109,9 @@ def test_config_overrides_via_kwargs():
 def test_invalid_config_rejected():
     with pytest.raises(DatasetError):
         YagoLikeConfig(scale=0)
+    for scale in ("nan", "inf"):
+        with pytest.raises(DatasetError, match="positive and finite"):
+            YagoLikeConfig(scale=float(scale))
     with pytest.raises(DatasetError):
         YagoLikeConfig(filler_predicates=-1)
 

@@ -207,6 +207,16 @@ def test_disconnected_query_rejected():
         greedy_plan(estimator.compile(bound.edges))
 
 
+def test_query_joined_only_through_an_unknown_constant_plans():
+    """The constant matches nothing, so the plan yields no rows; it is
+    still a join, not a cross product."""
+    store = figure1_graph()
+    q = ConjunctiveQuery([("?a", "A", "zz"), ("zz", "B", "?b")])
+    bound, edgifier, estimator = make(store, q)
+    assert sorted(edgifier.plan(bound).order) == [0, 1]
+    assert sorted(greedy_plan(estimator.compile(bound.edges)).order) == [0, 1]
+
+
 def test_cost_of_order_validates_permutation():
     store = figure1_graph()
     bound, _, estimator = make(store, figure1_query())

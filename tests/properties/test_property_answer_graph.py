@@ -12,18 +12,35 @@ properties over random graphs and random query shapes:
 """
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import WireframeEngine
 from repro.core.ideal import enumerate_embeddings_bruteforce, ideal_answer_graph
 
 from tests.properties.strategies import (
+    PHASE2_SHAPES,
     acyclic_queries,
     build_store,
     cyclic_queries,
     edge_lists,
+    shaped_queries,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
+
+#: What factorized aggregation accepts: the acyclic shapes, and the
+#: acyclic phase-2 shapes (up to six variables, constants shared or at
+#: the ends) with variables perhaps grounded to known or unknown
+#: constants and labels perhaps unknown.
+FACTORIZED_QUERIES = st.one_of(
+    acyclic_queries(),
+    shaped_queries(
+        tuple(PHASE2_SHAPES[name] for name in (
+            "single-edge", "chain", "star", "snowflake", "shared-constant", "constant-endpoints",
+        )),
+        grounded=True,
+    ),
+)
 
 
 @SETTINGS
@@ -127,7 +144,7 @@ def test_factorized_count_equals_enumeration(graph, query):
 
 
 @SETTINGS
-@given(graph=edge_lists(), query=acyclic_queries())
+@given(graph=edge_lists(), query=FACTORIZED_QUERIES)
 def test_factorized_marginals_are_projections(graph, query):
     """Every variable's marginal equals its column histogram."""
     import collections
@@ -144,7 +161,7 @@ def test_factorized_marginals_are_projections(graph, query):
 
 
 @SETTINGS
-@given(graph=edge_lists(), query=acyclic_queries())
+@given(graph=edge_lists(), query=FACTORIZED_QUERIES)
 def test_factorized_samples_lie_in_answer_set(graph, query):
     from repro.core.factorized import sample_embedding
 

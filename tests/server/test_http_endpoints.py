@@ -29,6 +29,10 @@ from repro.server.wire import (
 )
 
 PAPER_QUERIES = paper_snowflake_queries()[:3] + paper_diamond_queries()[:3]
+#: Joined only through a constant the store does not know: no rows.
+UNKNOWN_CONSTANT = ConjunctiveQuery(
+    [("?a", "actedIn", "zz"), ("zz", "actedIn", "?b")], name="unknown-constant"
+)
 
 
 def test_health_ok(client, service):
@@ -41,7 +45,7 @@ def test_health_ok(client, service):
     assert headers["Content-Type"] == "application/json"
 
 
-@pytest.mark.parametrize("query", PAPER_QUERIES, ids=lambda q: q.name)
+@pytest.mark.parametrize("query", PAPER_QUERIES + [UNKNOWN_CONSTANT], ids=lambda q: q.name)
 def test_query_parity_with_in_process_service(client, service, query):
     """HTTP answers == in-process answers, row for row."""
     expected = service.evaluate(query)

@@ -490,6 +490,13 @@ def test_serve_snapshot_reports_its_source_and_owns_its_log(
         ("--limit", "-1"),
         ("--watchdog-timeout", "0"),
         ("--watchdog-timeout", "-1"),
+        ("--watchdog-timeout", "nan"),
+        ("--watchdog-interval", "-1"),
+        ("--watchdog-interval", "nan"),
+        ("--timeout", "-1"),
+        ("--timeout", "nan"),
+        ("--slow-query-ms", "nan"),
+        ("--scale", "nan"),
     ],
 )
 def test_serve_rejects_out_of_range_numbers(monkeypatch, capsys, flag, value):
@@ -519,19 +526,33 @@ def test_serve_rejects_out_of_range_numbers(monkeypatch, capsys, flag, value):
          "--limit"),
         (["batch", "--template", "chain", "--timeout", "-1"], "--timeout"),
         (["batch", "--template", "chain", "--repeat", "0"], "--repeat"),
+        (["generate", "unused", "--scale", "nan"], "--scale"),
+        (["query", "--sparql", "select ?x where { ?x created ?y }", "--scale", "nan"],
+         "--scale"),
+        (["stats", "--scale", "inf"], "--scale"),
+        (["stats", "--top", "-1"], "--top"),
+        (["table1", "--runs", "0"], "--runs"),
+        (["table1", "--timeout", "0"], "--timeout"),
+        (["table1", "--timeout", "nan"], "--timeout"),
     ],
-    ids=["query-timeout-0", "query-timeout-nan", "query-limit", "batch-timeout", "batch-repeat"],
+    ids=["query-timeout-0", "query-timeout-nan", "query-limit", "batch-timeout", "batch-repeat",
+         "generate-scale-nan", "query-scale-nan", "stats-scale-inf", "stats-top",
+         "table1-runs", "table1-timeout-0", "table1-timeout-nan"],
 )
 def test_query_and_batch_reject_out_of_range_numbers(monkeypatch, capsys, argv, flag):
-    """Refused up front with exit 2, before the store is even loaded:
-    no ``Deadline`` traceback, no silent count-only run or clamp."""
+    """Refused up front with exit 2, before a store is even loaded or
+    generated: no ``Deadline``, ``ValueError`` or ``DatasetError``
+    traceback, no silent count-only run or clamp. (Any command, despite
+    the name.)"""
     import repro.cli
 
     def fail(*args, **kwargs):
         raise AssertionError("loaded a store")
 
     monkeypatch.setattr(repro.cli, "_load", fail)
-    assert main(argv + ["--scale", "0.05"]) == 2
+    monkeypatch.setattr(repro.cli, "generate_yago_like", fail)
+    # A later --scale in ``argv`` overrides this one.
+    assert main(argv[:1] + ["--scale", "0.05"] + argv[1:]) == 2
     assert f"error: {flag} must be" in capsys.readouterr().err
 
 
