@@ -69,7 +69,6 @@ from repro.graph import (
     HashDictBackend,
     StorageBackend,
     Triple,
-    TriplePattern,
     TripleStore,
     available_backends,
     parse_ntriples,
@@ -166,7 +165,7 @@ try:
 
     __version__ = _pkg_version("repro-answer-graph")
 except _PkgNotFound:  # pragma: no cover — uninstalled checkout
-    __version__ = "1.8.0"
+    __version__ = "1.9.0"
 
 #: Deprecated top-level names: old name -> (replacement name, object).
 #: Accessing one still works for a minor release but warns.
@@ -204,7 +203,6 @@ __all__ = [
     "Dictionary",
     "DictionaryView",
     "Triple",
-    "TriplePattern",
     "TripleStore",
     "StorageBackend",
     "HashDictBackend",

@@ -32,27 +32,3 @@ def comparison_table(
         table.add_row(cells)
     return table.render()
 
-
-def speedup_summary(
-    results: dict[tuple[str, str], QueryTiming],
-    baseline: str,
-    target: str,
-    queries: list[str],
-) -> dict[str, float | None]:
-    """Per-query speedup of ``target`` over ``baseline`` (None when
-    either side timed out)."""
-    out: dict[str, float | None] = {}
-    for query in queries:
-        base = results.get((baseline, query))
-        tgt = results.get((target, query))
-        if (
-            base is None
-            or tgt is None
-            or base.seconds is None
-            or tgt.seconds is None
-            or tgt.seconds == 0
-        ):
-            out[query] = None
-        else:
-            out[query] = base.seconds / tgt.seconds
-    return out

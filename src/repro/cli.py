@@ -481,6 +481,7 @@ def _cmd_batch(args) -> int:
         (args.workers is not None and args.workers < 1, "--workers must be >= 1"),
         (args.repeat < 1, "--repeat must be >= 1"),
         (not args.timeout > 0, "--timeout must be positive"),
+        (args.template is not None and args.count < 1, "--count must be >= 1"),
     ):
         return 2
     store, catalog = _load(args)
@@ -575,6 +576,9 @@ def _cmd_serve(args) -> int:
         (not args.watchdog_interval >= 0,
          "--watchdog-interval must be >= 0 (0 disables the watchdog)"),
         (not args.watchdog_timeout > 0, "--watchdog-timeout must be positive"),
+        (not 0 <= args.port <= 65535, "--port must be in 0..65535"),
+        (args.metrics_port is not None and not 0 <= args.metrics_port <= 65535,
+         "--metrics-port must be in 0..65535"),
     ):
         return 2
     if args.workers > 1:
@@ -699,6 +703,11 @@ def _serve_prefork(args) -> int:
 
 
 def _cmd_mine(args) -> int:
+    if _out_of_range(
+        (args.count < 1, "--count must be >= 1"),
+        (args.miner_seed < 0, "--miner-seed must be >= 0"),
+    ):
+        return 2
     store, _ = _load(args)
     miner = QueryMiner(store, seed=args.miner_seed,
                        forbidden_labels=["rdf:type"])
@@ -711,13 +720,15 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    engines = tuple(name.strip() for name in args.engines.split(",") if name)
     if _out_of_range(
         (args.runs < 1, "--runs must be >= 1"),
         (not args.timeout > 0, "--timeout must be positive"),
+        (not engines or not set(engines) <= set(ENGINE_ORDER),
+         f"--engines must be a non-empty subset of {','.join(ENGINE_ORDER)}"),
     ):
         return 2
     store, _ = _load(args)
-    engines = tuple(name.strip() for name in args.engines.split(",") if name)
     protocol = BenchmarkProtocol(
         runs=args.runs,
         discard=1 if args.runs > 1 else 0,
@@ -826,9 +837,12 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Checked even where --dataset/--snapshot makes the scale unused.
+    # Checked even where --dataset/--snapshot makes them unused.
     scale = getattr(args, "scale", 1.0)
-    if _out_of_range((not 0 < scale < math.inf, "--scale must be positive and finite")):
+    if _out_of_range(
+        (not 0 < scale < math.inf, "--scale must be positive and finite"),
+        (getattr(args, "seed", 0) < 0, "--seed must be >= 0"),
+    ):
         return 2
     try:
         return _COMMANDS[args.command](args)

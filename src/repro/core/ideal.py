@@ -77,7 +77,7 @@ def _extensions(
             if s_val in store.successors(p, s_val):
                 yield {}
         else:
-            for s in list(store.subjects(p)):
+            for s in store.subject_set(p):
                 if s in store.successors(p, s):
                     yield {edge.s_var: s}
         return

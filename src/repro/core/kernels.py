@@ -116,11 +116,6 @@ def adjacency_size(adj: Adjacency) -> int:
     return sum(map(len, adj.values()))
 
 
-def copy_adjacency(adj: Adjacency) -> Adjacency:
-    """A fresh adjacency with fresh value sets (one C-level copy each)."""
-    return {k: set(vs) for k, vs in adj.items()}
-
-
 def invert_adjacency(adj: Adjacency, deadline: Deadline | None = None) -> Adjacency:
     """The reverse adjacency ``{y: {x | y in adj[x]}}``.
 

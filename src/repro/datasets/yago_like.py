@@ -60,6 +60,8 @@ class YagoLikeConfig:
     def __post_init__(self) -> None:
         if not 0 < self.scale < math.inf:  # NaN too
             raise DatasetError(f"scale must be positive and finite, got {self.scale}")
+        if self.seed < 0:  # numpy's seeding would raise ValueError
+            raise DatasetError(f"seed must be >= 0, got {self.seed}")
         if self.filler_predicates < 0:
             raise DatasetError("filler_predicates cannot be negative")
 

@@ -1,9 +1,9 @@
 """RDF graph substrate: string dictionary, triple store, N-Triples I/O.
 
 This package is substrate #1 in DESIGN.md: an in-memory, integer-encoded
-triple store with the six composite SPO-permutation indexes the paper
-configures for its relational baselines, plus a small N-Triples
-reader/writer and a convenience builder.
+triple store read predicate-first (every CQ edge carries a fixed label)
+over one of two physical layouts, plus a small N-Triples reader/writer
+and a convenience builder.
 """
 
 from repro.graph.backends import (
@@ -13,10 +13,9 @@ from repro.graph.backends import (
     available_backends,
     create_backend,
     default_backend_name,
-    register_backend,
 )
 from repro.graph.dictionary import Dictionary, DictionaryView
-from repro.graph.triples import Triple, TriplePattern
+from repro.graph.triples import Triple
 from repro.graph.store import TripleStore
 from repro.graph.ntriples import parse_ntriples, serialize_ntriples
 from repro.graph.builder import GraphBuilder
@@ -25,7 +24,6 @@ __all__ = [
     "Dictionary",
     "DictionaryView",
     "Triple",
-    "TriplePattern",
     "TripleStore",
     "StorageBackend",
     "HashDictBackend",
@@ -33,7 +31,6 @@ __all__ = [
     "available_backends",
     "create_backend",
     "default_backend_name",
-    "register_backend",
     "parse_ntriples",
     "serialize_ntriples",
     "GraphBuilder",

@@ -44,17 +44,8 @@ _REGISTRY: dict[str, type[StorageBackend]] = {
 
 
 def available_backends() -> list[str]:
-    """Registered backend names, ascending."""
+    """The shipped backend names, ascending."""
     return sorted(_REGISTRY)
-
-
-def register_backend(cls: type[StorageBackend]) -> type[StorageBackend]:
-    """Register a backend class under ``cls.name`` (usable as a
-    decorator); later registrations replace earlier ones."""
-    if not cls.name or cls.name == "?":
-        raise StoreError(f"backend class {cls.__name__} has no name")
-    _REGISTRY[cls.name] = cls
-    return cls
 
 
 def default_backend_name() -> str:
@@ -65,7 +56,7 @@ def default_backend_name() -> str:
 
 
 def create_backend(name: str | None = None) -> StorageBackend:
-    """Instantiate a backend by registry name (``None`` = default)."""
+    """Instantiate a backend by name (``None`` = default)."""
     if name is None:
         name = default_backend_name()
     cls = _REGISTRY.get(name)
@@ -88,7 +79,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "BACKEND_ENV_VAR",
     "available_backends",
-    "register_backend",
     "default_backend_name",
     "create_backend",
 ]

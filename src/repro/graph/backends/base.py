@@ -5,15 +5,17 @@ triple set — nested hash maps, sorted integer columns, future
 memory-mapped or sharded layouts — and exposes exactly the views the
 rest of the system consumes:
 
-* pattern scans over the six SPO permutations (:meth:`match` plumbing:
-  :meth:`successors` / :meth:`predecessors` / :meth:`edges` /
-  :meth:`out_edges` / :meth:`in_edges` / :meth:`triples`),
+* predicate-first point reads (:meth:`successors` /
+  :meth:`predecessors` / :meth:`edges` / :meth:`contains`), what
+  every engine and baseline reads, since each CQ edge carries a fixed
+  label,
 * the bulk kernel views from the set-at-a-time execution layer
   (:meth:`adjacency` / :meth:`reverse_adjacency` / :meth:`subject_set`
   / :meth:`object_set` / :meth:`gather`),
 * degree/cardinality views for the statistics catalog
-  (:meth:`degree_columns`, :meth:`count`, :meth:`out_degree`,
-  :meth:`in_degree`),
+  (:meth:`degree_columns`, :meth:`count`),
+* node-first reads for the query miner (:meth:`out_edges` /
+  :meth:`in_edges`, built lazily) and the full scan :meth:`triples`,
 * the monotonic :attr:`epoch` counter and its per-predicate refinement
   :meth:`predicate_epoch`, which plan/result caches key their validity
   on, plus :meth:`label_degrees`, the per-node input of the catalog's
@@ -35,8 +37,8 @@ by callers.
 Thread-safety contract: after :meth:`freeze` (or, more generally, in
 the absence of writers) every view method must be safe to call from
 many threads concurrently, including the first, lazily-materializing
-access to a secondary permutation — lazy builds happen under the
-backend's own lock and are published exactly once.
+node-first read — lazy builds happen under the backend's own lock and
+are published exactly once.
 """
 
 from __future__ import annotations
@@ -176,11 +178,10 @@ class Segment(NamedTuple):
 class StorageBackend(abc.ABC):
     """Abstract physical triple layout behind :class:`TripleStore`.
 
-    Implementations register themselves in
-    :mod:`repro.graph.backends` under a short :attr:`name` (e.g.
-    ``"hashdict"``, ``"columnar"``) so stores can be constructed with
-    ``TripleStore(backend="columnar")`` or via the ``REPRO_BACKEND``
-    environment variable.
+    The shipped layouts are listed in :mod:`repro.graph.backends`
+    under a short :attr:`name` (``"hashdict"``, ``"columnar"``) so
+    stores can be constructed with ``TripleStore(backend="columnar")``
+    or via the ``REPRO_BACKEND`` environment variable.
     """
 
     #: Registry/reporting name of the physical layout.
@@ -210,10 +211,10 @@ class StorageBackend(abc.ABC):
         """Insert ⟨s, p, o⟩; ``False`` if already present (set semantics).
 
         Must bump :attr:`epoch` exactly when a new triple is stored and
-        keep every already-materialized secondary permutation
-        consistent.
+        keep every already-built node-first index consistent.
         """
 
+    @abc.abstractmethod
     def add_many(
         self,
         triples: Iterable[tuple[int, int, int]],
@@ -221,36 +222,24 @@ class StorageBackend(abc.ABC):
     ) -> int:
         """Bulk-insert; returns the number of *new* triples.
 
-        Backends override this to amortize their per-insert locking
-        over the whole batch — the dominant cost of the bulk-load path
-        (dataset generation, :func:`~repro.datasets.loader.load_dataset`).
-        When ``applied`` is given, ``(s, p, o, 1)`` is appended to it for
-        every triple actually stored (duplicates are not reported) — the
-        change feed the store's delta-maintained catalog consumes.
+        Takes the write locks once per batch: locking per triple would
+        dominate the bulk-load path (dataset generation,
+        :func:`~repro.datasets.loader.load_dataset`). When ``applied``
+        is given, ``(s, p, o, 1)`` is appended to it for every triple
+        actually stored (duplicates are not reported) — the change feed
+        the store's delta-maintained catalog consumes.
         """
-        added = 0
-        for s, p, o in triples:
-            if self.add(s, p, o):
-                added += 1
-                if applied is not None:
-                    applied.append((s, p, o, 1))
-        return added
 
+    @abc.abstractmethod
     def remove(self, s: int, p: int, o: int) -> bool:
         """Delete ⟨s, p, o⟩; ``False`` if it was not stored.
 
         Must bump :attr:`epoch` exactly when a triple is deleted (the
         counter ticks once per *mutation*, not per net growth) and keep
-        every already-materialized secondary permutation consistent.
-        The default raises: a layout without physical deletion support
-        simply does not override it.
+        every already-built node-first index consistent.
         """
-        from repro.errors import StoreError
 
-        raise StoreError(
-            f"backend {self.name!r} does not support triple removal"
-        )
-
+    @abc.abstractmethod
     def remove_many(
         self,
         triples: Iterable[tuple[int, int, int]],
@@ -258,18 +247,11 @@ class StorageBackend(abc.ABC):
     ) -> int:
         """Bulk-delete; returns the number of triples actually removed.
 
-        Backends override this to amortize locking (and, for columnar
-        layouts, per-predicate rebuilds) over the whole batch. When
-        ``applied`` is given, ``(s, p, o, -1)`` is appended to it for
-        every triple actually deleted.
+        Takes the write locks (and, for columnar layouts, rebuilds each
+        touched predicate) once per batch. When ``applied`` is given,
+        ``(s, p, o, -1)`` is appended to it for every triple actually
+        deleted.
         """
-        removed = 0
-        for s, p, o in triples:
-            if self.remove(s, p, o):
-                removed += 1
-                if applied is not None:
-                    applied.append((s, p, o, -1))
-        return removed
 
     @abc.abstractmethod
     def freeze(self) -> None:
@@ -341,10 +323,6 @@ class StorageBackend(abc.ABC):
         """All distinct predicate ids, ascending."""
 
     @abc.abstractmethod
-    def has_predicate(self, p: int) -> bool:
-        """Whether any triple uses predicate ``p``."""
-
-    @abc.abstractmethod
     def contains(self, s: int, p: int, o: int) -> bool:
         """Whether ⟨s, p, o⟩ is stored."""
 
@@ -358,14 +336,6 @@ class StorageBackend(abc.ABC):
     def predecessors(self, p: int, o: int) -> AbstractSet[int]:
         """Set-like view of subjects ``s`` with ⟨s, p, o⟩."""
 
-    def subjects(self, p: int) -> Iterable[int]:
-        """Distinct subjects of predicate ``p`` (the subject-set view)."""
-        return self.subject_set(p)
-
-    def objects(self, p: int) -> Iterable[int]:
-        """Distinct objects of predicate ``p`` (the object-set view)."""
-        return self.object_set(p)
-
     @abc.abstractmethod
     def edges(self, p: int) -> Iterator[tuple[int, int]]:
         """All (subject, object) pairs of predicate ``p``."""
@@ -374,14 +344,7 @@ class StorageBackend(abc.ABC):
     def count(self, p: int) -> int:
         """Number of triples with predicate ``p``."""
 
-    def out_degree(self, p: int, s: int) -> int:
-        """Number of ``p``-edges leaving ``s``."""
-        return len(self.successors(p, s))
-
-    def in_degree(self, p: int, o: int) -> int:
-        """Number of ``p``-edges entering ``o``."""
-        return len(self.predecessors(p, o))
-
+    @abc.abstractmethod
     def label_degrees(
         self, nodes: Iterable[int]
     ) -> dict[int, tuple[dict[int, int], dict[int, int]]]:
@@ -392,17 +355,7 @@ class StorageBackend(abc.ABC):
         One node's share of the catalog's bigram statistics is a
         function of exactly these two vectors, which is what lets a
         write patch the catalog in O(touched nodes × predicates).
-        Backends override the generic probe loop where a point degree
-        lookup would do O(predicate) work (columnar sealing).
         """
-        preds = self.predicates()
-        return {
-            n: (
-                {p: d for p in preds if (d := self.out_degree(p, n))},
-                {p: d for p in preds if (d := self.in_degree(p, n))},
-            )
-            for n in nodes
-        }
 
     # -- bulk kernel views ----------------------------------------------
 
@@ -453,7 +406,7 @@ class StorageBackend(abc.ABC):
         ``({}, 0)``.
         """
 
-    # -- node-first navigation (query mining / unbound-predicate scans) -
+    # -- node-first navigation (query mining) ---------------------------
 
     @abc.abstractmethod
     def triples(self) -> Iterator[Triple]:
@@ -468,16 +421,6 @@ class StorageBackend(abc.ABC):
     def in_edges(self, o: int) -> Mapping[int, AbstractSet[int]]:
         """``predicate -> subjects`` for edges entering ``o`` (may
         materialize the OPS permutation on first use)."""
-
-    @abc.abstractmethod
-    def get_permutation(self, name: str) -> Mapping:
-        """The named secondary permutation (``spo``/``sop``/``osp``/
-        ``ops``), materialized on first use under the backend lock.
-        Raises :class:`~repro.errors.StoreError` for unknown names."""
-
-    @abc.abstractmethod
-    def materialize_all_indexes(self) -> None:
-        """Eagerly build every secondary permutation (offline prep)."""
 
     # -- catalog & reporting --------------------------------------------
 

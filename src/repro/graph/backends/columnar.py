@@ -686,9 +686,8 @@ class ColumnarBackend(StorageBackend):
         columns is **deferred** to the first :meth:`nodes` call (the
         serving path never asks for it), keeping a warm start O(1) in
         node count. A predicate that already has sealed or staged
-        triples falls back to the deduplicating add path;
-        already-materialized secondary permutations are patched
-        pair-by-pair to stay consistent.
+        triples falls back to the deduplicating add path; already-built
+        node-first indexes are patched pair-by-pair to stay consistent.
         """
         added = 0
         with self._perms.lock:
@@ -761,13 +760,6 @@ class ColumnarBackend(StorageBackend):
         # lock-free key iteration mid-union.
         with self._seal_lock:
             return sorted(self._cols.keys() | self._staged.keys())
-
-    def has_predicate(self, p: int) -> bool:
-        # Probe staging *first*: a concurrent seal publishes the new
-        # columns before dropping the staging entry, so a miss on
-        # staging guarantees a subsequent hit on _cols (same
-        # publish-before-delete ordering contains() relies on).
-        return p in self._staged or p in self._cols
 
     def contains(self, s: int, p: int, o: int) -> bool:
         staged = self._staged.get(p)
@@ -906,26 +898,6 @@ class ColumnarBackend(StorageBackend):
             if a < b
         }, walks
 
-    def out_degree(self, p: int, s: int) -> int:
-        cols = self._sealed(p)
-        if cols is None:
-            return 0
-        subs = cols.subs
-        i = bisect_left(subs, s)
-        if i == len(subs) or subs[i] != s:
-            return 0
-        return cols.offs[i + 1] - cols.offs[i]
-
-    def in_degree(self, p: int, o: int) -> int:
-        cols = self._sealed(p)
-        if cols is None:
-            return 0
-        robjs = cols.robjs
-        i = bisect_left(robjs, o)
-        if i == len(robjs) or robjs[i] != o:
-            return 0
-        return cols.roffs[i + 1] - cols.roffs[i]
-
     def label_degrees(self, nodes):
         with self._seal_lock:
             return self._label_degrees_locked(nodes)
@@ -989,12 +961,6 @@ class ColumnarBackend(StorageBackend):
 
     def in_edges(self, o: int) -> dict[int, set[int]]:
         return self._perms.get("ops", self.triples).get(o, _EMPTY_DICT)
-
-    def get_permutation(self, name: str) -> dict:
-        return self._perms.get(name, self.triples)
-
-    def materialize_all_indexes(self) -> None:
-        self._perms.materialize_all(self.triples)
 
     # -- catalog & reporting --------------------------------------------
 

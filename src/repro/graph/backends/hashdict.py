@@ -2,12 +2,10 @@
 
 Primary indexes are predicate-first nested hash maps — PSO
 (``{p: {s: {o, ...}}}``) and POS — because every edge of a conjunctive
-query in this paper carries a fixed predicate label. The remaining
-four permutations (SPO, SOP, OSP, OPS) are built lazily on first use
-by the shared :class:`~repro.graph.backends.permutations.LazyPermutations`
-machinery, mirroring the "six composite indexes over the permutations
-of subject, predicate, and object" configured for the paper's
-relational imports.
+query in this paper carries a fixed predicate label. The query miner's
+node-first reads go through SPO and OPS, built lazily on first use by
+the shared :class:`~repro.graph.backends.permutations.LazyPermutations`
+machinery.
 
 All views hand back the live ``dict`` / ``set`` containers without
 copying; callers must not mutate them.
@@ -158,9 +156,6 @@ class HashDictBackend(StorageBackend):
     def predicates(self) -> list[int]:
         return sorted(self._pso)
 
-    def has_predicate(self, p: int) -> bool:
-        return p in self._pso
-
     def contains(self, s: int, p: int, o: int) -> bool:
         by_s = self._pso.get(p)
         if by_s is None:
@@ -295,12 +290,6 @@ class HashDictBackend(StorageBackend):
 
     def in_edges(self, o: int) -> dict[int, set[int]]:
         return self._perms.get("ops", self.triples).get(o, _EMPTY_DICT)
-
-    def get_permutation(self, name: str) -> dict:
-        return self._perms.get(name, self.triples)
-
-    def materialize_all_indexes(self) -> None:
-        self._perms.materialize_all(self.triples)
 
     # -- catalog & reporting --------------------------------------------
 

@@ -1,23 +1,24 @@
-"""Lazily-materialized secondary permutation indexes (SPO/SOP/OSP/OPS).
+"""Lazily-materialized node-first indexes (SPO and OPS).
 
 Both shipped backends keep their *primary* data predicate-first and
-materialize the four node-first permutations only when a pattern scan
-or the query miner's random walks first need them. The build-once /
+materialize the two node-first permutations only when the query
+miner's random walks first ask for a node's out- or in-edges
+(:meth:`~repro.graph.store.TripleStore.out_edges` /
+:meth:`~repro.graph.store.TripleStore.in_edges`). The build-once /
 publish-exactly-once discipline lives here, behind one lock shared by
 builders and writers:
 
 * concurrent readers racing to materialize the same permutation build
   it once — the double-checked ``get`` below — and never observe a
   half-built index;
-* a writer inserting while another thread builds a *different*
-  permutation serializes against the build, so the new triple is
-  either included by the ongoing scan or patched in afterwards, never
-  lost.
+* a writer inserting while another thread builds a permutation
+  serializes against the build, so the new triple is either included
+  by the ongoing scan or patched in afterwards, never lost.
 
 The materialized form is a nested ``{k1: {k2: {k3, ...}}}`` hash index
-regardless of the owning backend's primary layout: permutation scans
-are cold paths (query mining, unbound-predicate patterns), so a simple
-uniform representation beats per-backend cleverness.
+regardless of the owning backend's primary layout: node-first reads
+are a cold path (query mining), so a simple uniform representation
+beats per-backend cleverness.
 """
 
 from __future__ import annotations
@@ -26,30 +27,24 @@ import sys
 import threading
 from typing import Callable, Iterator
 
-from repro.errors import StoreError
 from repro.graph.triples import Triple
 
 #: Extraction order of each lazily-built permutation.
 PERMUTATION_EXTRACTORS = {
     "spo": lambda t: (t.s, t.p, t.o),
-    "sop": lambda t: (t.s, t.o, t.p),
-    "osp": lambda t: (t.o, t.s, t.p),
     "ops": lambda t: (t.o, t.p, t.s),
 }
 
-LAZY_PERMUTATIONS = ("spo", "sop", "osp", "ops")
-
 
 class LazyPermutations:
-    """Thread-safe container of the four secondary permutation indexes.
+    """Thread-safe container of the two node-first permutation indexes.
 
     The owning backend passes its full-scan ``triples`` iterator *per
-    call* to :meth:`get` / :meth:`materialize_all` rather than at
-    construction — storing the bound method here would create a
-    backend → permutations → backend reference cycle, turning every
-    discarded store into cyclic garbage that only the gen-2 GC can
-    reclaim (a measurable collection pause once many stores have been
-    built and dropped).
+    call* to :meth:`get` rather than at construction — storing the
+    bound method here would create a backend → permutations → backend
+    reference cycle, turning every discarded store into cyclic garbage
+    that only the gen-2 GC can reclaim (a measurable collection pause
+    once many stores have been built and dropped).
     """
 
     def __init__(self) -> None:
@@ -80,9 +75,8 @@ class LazyPermutations:
         return self._lock
 
     def get(self, name: str, triples: Callable[[], Iterator[Triple]]) -> dict:
-        """The named permutation, building it from ``triples`` on first use."""
-        if name not in PERMUTATION_EXTRACTORS:
-            raise StoreError(f"unknown permutation index {name!r}")
+        """The named permutation (``"spo"`` or ``"ops"``), building it
+        from ``triples`` on first use."""
         index = self._indexes.get(name)
         if index is None:
             # Double-checked: racing readers build at most once, and an
@@ -144,12 +138,6 @@ class LazyPermutations:
                     del inner[k2]
                     if not inner:
                         del index[k1]
-
-    def materialize_all(
-        self, triples: Callable[[], Iterator[Triple]]
-    ) -> None:
-        for name in LAZY_PERMUTATIONS:
-            self.get(name, triples)
 
     def index_bytes(self) -> int:
         """Container bytes of every materialized permutation."""

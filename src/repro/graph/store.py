@@ -1,15 +1,14 @@
 """In-memory triple store: a facade over a pluggable storage backend.
 
 The logical model — a labeled directed multigraph of integer-interned
-triples with the six SPO-permutation composite indexes the paper
-configures — lives here; the *physical* layout lives in a
-:class:`~repro.graph.backends.base.StorageBackend` chosen at
+triples, read predicate-first because every edge of a conjunctive
+query carries a fixed label — lives here; the *physical* layout lives
+in a :class:`~repro.graph.backends.base.StorageBackend` chosen at
 construction (``TripleStore(backend="columnar")``, the
 ``REPRO_BACKEND`` environment variable, or the ``columnar`` default).
 Engines, kernels, the catalog builder, and the baselines only ever see
-the store's protocol views, so alternative layouts (sorted integer
-columns today, memory-mapped or sharded stores tomorrow) are drop-in
-swaps instead of engine rewrites.
+the store's protocol views, so the two layouts (nested hash maps and
+sorted integer columns) are drop-in swaps instead of engine rewrites.
 
 All terms are integers interned through an attached
 :class:`~repro.graph.dictionary.Dictionary`. Duplicate triples are
@@ -30,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle (stats imports store)
     from repro.utils.deadline import Deadline
 from repro.graph.backends import StorageBackend, create_backend
 from repro.graph.dictionary import Dictionary, DictionaryView
-from repro.graph.triples import Triple, TriplePattern
+from repro.graph.triples import Triple
 
 
 class TripleStore:
@@ -291,9 +290,9 @@ class TripleStore:
         call drains the queue under :attr:`write_lock` and patches them
         into a new frozen catalog (:func:`~repro.stats.catalog.patch_catalog`,
         cost proportional to the batch, result ``==`` a from-scratch
-        build). A full build runs only when there is no memo yet, the
-        memo is a sampled estimate, more changes are pending than a
-        patch is worth, or the backend was mutated behind the facade.
+        build). A full build runs only when there is no memo yet, more
+        changes are pending than a patch is worth, or the backend was
+        mutated behind the facade.
         Either way the refresh is single-flight: concurrent callers
         after a write wait for one build and share it.
         """
@@ -308,11 +307,7 @@ class TripleStore:
             pending = self._pending
             if memo is not None and memo[0] == epoch:
                 return memo[1]
-            if (
-                memo is not None
-                and not memo[1].sampled
-                and memo[0] + len(pending) == epoch
-            ):
+            if memo is not None and memo[0] + len(pending) == epoch:
                 touched = {c[0] for c in pending}
                 touched.update(c[2] for c in pending)
                 catalog = patch_catalog(
@@ -359,10 +354,6 @@ class TripleStore:
         """All distinct predicate ids, ascending."""
         return self._backend.predicates()
 
-    def has_predicate(self, p: int) -> bool:
-        """Whether any triple uses predicate ``p``."""
-        return self._backend.has_predicate(p)
-
     def __contains__(self, triple: tuple[int, int, int]) -> bool:
         s, p, o = triple
         return self._backend.contains(s, p, o)
@@ -382,14 +373,6 @@ class TripleStore:
     def predecessors(self, p: int, o: int) -> AbstractSet[int]:
         """Subjects ``s`` with ⟨s, p, o⟩ in the store (empty set if none)."""
         return self._backend.predecessors(p, o)
-
-    def subjects(self, p: int) -> Iterable[int]:
-        """Distinct subjects of predicate ``p``."""
-        return self._backend.subjects(p)
-
-    def objects(self, p: int) -> Iterable[int]:
-        """Distinct objects of predicate ``p``."""
-        return self._backend.objects(p)
 
     def edges(self, p: int) -> Iterator[tuple[int, int]]:
         """All (subject, object) pairs of predicate ``p``."""
@@ -450,82 +433,13 @@ class TripleStore:
             deadline=deadline,
         )
 
-    def out_degree(self, p: int, s: int) -> int:
-        """Number of ``p``-edges leaving node ``s``."""
-        return self._backend.out_degree(p, s)
-
-    def in_degree(self, p: int, o: int) -> int:
-        """Number of ``p``-edges entering node ``o``."""
-        return self._backend.in_degree(p, o)
-
     # ------------------------------------------------------------------
-    # Generic pattern matching over the six permutations
+    # Node-first navigation (used by the query miner's random walks)
     # ------------------------------------------------------------------
 
     def triples(self) -> Iterator[Triple]:
         """Iterate over every triple in the store."""
         return self._backend.triples()
-
-    def match(self, pattern: TriplePattern) -> Iterator[Triple]:
-        """Iterate over all triples satisfying ``pattern``.
-
-        Dispatches to the cheapest permutation index for the bound
-        positions; permutations other than PSO/POS are materialized on
-        first use (``spo`` / ``osp``).
-        """
-        s, p, o = pattern
-        backend = self._backend
-        if p is not None:
-            if s is not None and o is not None:
-                if backend.contains(s, p, o):
-                    yield Triple(s, p, o)
-            elif s is not None:
-                for obj in backend.successors(p, s):
-                    yield Triple(s, p, obj)
-            elif o is not None:
-                for sub in backend.predecessors(p, o):
-                    yield Triple(sub, p, o)
-            else:
-                for sub, obj in backend.edges(p):
-                    yield Triple(sub, p, obj)
-            return
-        if s is not None:
-            spo = backend.get_permutation("spo")
-            by_p = spo.get(s, _EMPTY_DICT)
-            if o is not None:
-                for pred, objs in by_p.items():
-                    if o in objs:
-                        yield Triple(s, pred, o)
-            else:
-                for pred, objs in by_p.items():
-                    for obj in objs:
-                        yield Triple(s, pred, obj)
-            return
-        if o is not None:
-            osp = backend.get_permutation("osp")
-            for sub, preds in osp.get(o, _EMPTY_DICT).items():
-                for pred in preds:
-                    yield Triple(sub, pred, o)
-            return
-        yield from backend.triples()
-
-    def count_matches(self, pattern: TriplePattern) -> int:
-        """Number of triples satisfying ``pattern`` (no materialization
-        beyond what :meth:`match` itself requires)."""
-        s, p, o = pattern
-        if p is not None and s is None and o is None:
-            return self._backend.count(p)
-        if p is not None and s is not None and o is None:
-            return self._backend.out_degree(p, s)
-        if p is not None and o is not None and s is None:
-            return self._backend.in_degree(p, o)
-        if s is None and p is None and o is None:
-            return self._backend.num_triples
-        return sum(1 for _ in self.match(pattern))
-
-    # ------------------------------------------------------------------
-    # Node-first navigation (used by the query miner's random walks)
-    # ------------------------------------------------------------------
 
     def out_edges(self, s: int) -> Mapping[int, AbstractSet[int]]:
         """Map ``predicate -> objects`` for all edges leaving node ``s``.
@@ -545,10 +459,6 @@ class TripleStore:
     def labels_between(self, s: int, o: int) -> list[int]:
         """All predicates ``p`` with ⟨s, p, o⟩ in the store."""
         return [p for p, objs in self.out_edges(s).items() if o in objs]
-
-    def materialize_all_indexes(self) -> None:
-        """Eagerly build all six permutation indexes (offline prep)."""
-        self._backend.materialize_all_indexes()
 
     # ------------------------------------------------------------------
     # Catalog & reporting hooks
@@ -576,8 +486,6 @@ class TripleStore:
             f"backend={self.backend_name})"
         )
 
-
-_EMPTY_DICT: dict = {}
 
 #: Floor of :meth:`TripleStore._delta_limit`, so small stores still
 #: patch ordinary write batches.

@@ -1,9 +1,7 @@
-"""Triple and triple-pattern value types.
+"""The triple value type.
 
-A :class:`Triple` is a fully-ground integer-encoded RDF statement.
-A :class:`TriplePattern` allows any position to be ``None`` (wildcard)
-and is the unit the store's :meth:`~repro.graph.store.TripleStore.match`
-accepts.
+A :class:`Triple` is a fully-ground integer-encoded RDF statement, the
+unit :meth:`~repro.graph.store.TripleStore.triples` yields.
 """
 
 from __future__ import annotations
@@ -17,37 +15,3 @@ class Triple(NamedTuple):
     s: int
     p: int
     o: int
-
-
-class TriplePattern(NamedTuple):
-    """A triple pattern; ``None`` in a position means "any term".
-
-    >>> TriplePattern(None, 3, None).bound_positions()
-    'p'
-    """
-
-    s: int | None
-    p: int | None
-    o: int | None
-
-    def bound_positions(self) -> str:
-        """The bound positions as a string drawn from ``"spo"``.
-
-        Used to pick the cheapest permutation index for a lookup.
-        """
-        out = []
-        if self.s is not None:
-            out.append("s")
-        if self.p is not None:
-            out.append("p")
-        if self.o is not None:
-            out.append("o")
-        return "".join(out)
-
-    def matches(self, triple: Triple) -> bool:
-        """Whether ``triple`` satisfies this pattern."""
-        return (
-            (self.s is None or self.s == triple.s)
-            and (self.p is None or self.p == triple.p)
-            and (self.o is None or self.o == triple.o)
-        )

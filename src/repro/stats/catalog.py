@@ -86,16 +86,9 @@ class Catalog:
     statistics), so it can key caches and be shared freely across
     engines and service threads. The mappings themselves must not be
     mutated by callers.
-
-    ``sampled`` marks bigram figures as scaled estimates from a node
-    sample (see :func:`build_catalog`); it is provenance, not content,
-    so it takes no part in equality or hashing. Exact catalogs are the
-    only ones :func:`patch_catalog` may maintain incrementally.
     """
 
-    __slots__ = (
-        "unigrams", "bigrams", "num_triples", "num_nodes", "sampled", "_hash"
-    )
+    __slots__ = ("unigrams", "bigrams", "num_triples", "num_nodes", "_hash")
 
     def __init__(
         self,
@@ -103,13 +96,11 @@ class Catalog:
         bigrams: dict[tuple[int, int, str], BigramStat],
         num_triples: int,
         num_nodes: int,
-        sampled: bool = False,
     ):
         object.__setattr__(self, "unigrams", unigrams)
         object.__setattr__(self, "bigrams", bigrams)
         object.__setattr__(self, "num_triples", num_triples)
         object.__setattr__(self, "num_nodes", num_nodes)
-        object.__setattr__(self, "sampled", sampled)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -175,7 +166,7 @@ class Catalog:
 
     def to_dict(self) -> dict:
         """JSON-compatible representation (for offline persistence)."""
-        data = {
+        return {
             "num_triples": self.num_triples,
             "num_nodes": self.num_nodes,
             "unigrams": {str(p): list(u) for p, u in self.unigrams.items()},
@@ -184,9 +175,6 @@ class Catalog:
                 for (p1, p2, orient), b in self.bigrams.items()
             },
         }
-        if self.sampled:
-            data["sampled"] = True
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Catalog":
@@ -195,13 +183,7 @@ class Catalog:
         for key, b in data["bigrams"].items():
             p1, p2, orient = key.split(",")
             bigrams[(int(p1), int(p2), orient)] = BigramStat(*b)
-        return cls(
-            unigrams,
-            bigrams,
-            data["num_triples"],
-            data["num_nodes"],
-            sampled=bool(data.get("sampled", False)),
-        )
+        return cls(unigrams, bigrams, data["num_triples"], data["num_nodes"])
 
     def __repr__(self) -> str:
         return (
@@ -388,11 +370,7 @@ def _rows(rows: list[tuple[int, int, int, int]]) -> Rows:
     return table[:, 0], table[:, 1], table[:, 2], table[:, 3]
 
 
-def build_catalog(
-    store: TripleStore,
-    sample_nodes: int | None = None,
-    seed: int = 0,
-) -> Catalog:
+def build_catalog(store: TripleStore) -> Catalog:
     """Compute the catalog from the store's degree columns.
 
     Each predicate's forward and reverse degree columns
@@ -408,50 +386,20 @@ def build_catalog(
     :data:`DENSE_CELLS` cells, however many pairs there are: about 7 MB
     at peak for the 128k rows and 600k pairs of the benchmark fixture.
 
-    ``sample_nodes`` makes the bigram pass *sampled*: only that many
-    uniformly-drawn nodes are scanned and every bigram figure is scaled
-    by ``num_nodes / sample_nodes`` (a Horvitz–Thompson estimate). This
-    is how the paper-scale "computed offline" step stays feasible on
-    graphs where a full node scan is too expensive; estimates remain
-    unbiased, and the planners only use them for relative comparisons.
-
     Bigrams come in ascending key order, so equal stores give equal
     ``to_dict()`` output whatever their backend. The pass reads only
     the degree columns, so it is identical across physical layouts
     (hashdict, columnar, ...), which the backend-parity suite asserts.
     """
     unigrams, out_rows, in_rows = _degree_rows(store)
-    all_nodes = store.nodes()
-    scale = 1.0
-    if sample_nodes is not None and sample_nodes < len(all_nodes):
-        node_list = np.fromiter(all_nodes, np.int64, len(all_nodes))
-        node_list.sort()
-        rng = np.random.default_rng(seed)
-        chosen = node_list[rng.choice(len(node_list), size=sample_nodes, replace=False)]
-        keep = np.isin(out_rows[0], chosen)
-        out_rows = tuple(col[keep] for col in out_rows)
-        keep = np.isin(in_rows[0], chosen)
-        in_rows = tuple(col[keep] for col in in_rows)
-        scale = len(node_list) / sample_nodes
-
     vectors = _vectors(out_rows, in_rows)
     del out_rows, in_rows  # free the rows before the pairs are expanded
     sums = _sums(*vectors)
-    if scale == 1.0:
-        bigrams = {key: BigramStat(n, pairs) for key, (n, pairs) in sums.items()}
-    else:
-        bigrams = {
-            key: BigramStat(
-                max(int(round(n * scale)), 1), max(int(round(pairs * scale)), 1)
-            )
-            for key, (n, pairs) in sums.items()
-        }
     return Catalog(
         unigrams=unigrams,
-        bigrams=bigrams,
+        bigrams={key: BigramStat(n, pairs) for key, (n, pairs) in sums.items()},
         num_triples=store.num_triples,
         num_nodes=store.num_nodes,
-        sampled=scale != 1.0,
     )
 
 
@@ -487,9 +435,8 @@ def patch_catalog(
     """The exact catalog after ``changes``, derived from the one before.
 
     ``changes`` are the ``(s, p, o, ±1)`` triples actually stored or
-    deleted since ``catalog`` (which must be exact, not sampled) was
-    current; ``degrees`` maps every endpoint appearing in them to its
-    *current* ``({label: out-degree}, {label: in-degree})`` vectors
+    deleted since ``catalog`` was current; ``degrees`` maps every
+    endpoint appearing in them to its *current* ``({label: out-degree}, {label: in-degree})`` vectors
     (:meth:`StorageBackend.label_degrees`). A node's old vectors follow
     by subtracting its net changes, so nothing else of the store is
     read: unigrams and the node/triple totals move by counted

@@ -1,7 +1,7 @@
 """Tests for benchmark report formatting."""
 
 from repro.bench.harness import QueryTiming
-from repro.bench.reporting import comparison_table, speedup_summary
+from repro.bench.reporting import comparison_table
 
 
 def timing(engine, query, seconds, count=5):
@@ -34,9 +34,3 @@ def test_comparison_table_missing_cell():
     text = comparison_table(make_results(), ["NJ"], ["Q1"])
     assert "-" in text
 
-
-def test_speedup_summary():
-    speedups = speedup_summary(make_results(), baseline="PG", target="WF",
-                               queries=["Q1", "Q2"])
-    assert speedups["Q1"] == 4.0
-    assert speedups["Q2"] is None  # baseline timed out

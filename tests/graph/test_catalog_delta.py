@@ -53,7 +53,7 @@ class TestPatchedEqualsRebuilt:
             else:  # empty one predicate, then re-add different triples
                 p = batch[0][1]
                 store.remove_triples([(s, p, o) for s, o in list(store.edges(p))])
-                assert not store.has_predicate(p)
+                assert p not in store.predicates()
                 store.add_triples(batch)
             if read_between:  # columnar: seal some staging, not all
                 store.count(batch[0][1])
@@ -86,6 +86,24 @@ class TestPatchedEqualsRebuilt:
         assert store.remove_triples([(5, 100, 6)]) == 0
         assert store.catalog() is memo
 
+    def test_an_old_sampled_catalog_json_is_patched(self, mini_yago):
+        """A ``catalog.json`` written by a sampled build (1.8.0 and
+        earlier) carries ``"sampled": true``; it loads, and a store
+        seeded with it patches it like any other memo."""
+        from repro.stats.catalog import Catalog
+
+        exact = build_catalog(mini_yago)
+        saved = {**exact.to_dict(), "sampled": True}
+        loaded = Catalog.from_dict(saved)
+        assert loaded == exact and hash(loaded) == hash(exact)
+        assert loaded.to_dict() == exact.to_dict()
+        store = TripleStore(backend=mini_yago.backend_name)
+        store.add_triples(mini_yago.triples())
+        store.seed_catalog(loaded)
+        store.add_triples([(1, store.predicates()[0], 2)])
+        assert store.catalog() == build_catalog(store)
+        assert store.catalog_refreshes == {"full": 0, "delta": 1}
+
 
 class TestFallsBackToFullBuild:
     def test_when_more_is_pending_than_a_patch_is_worth(self):
@@ -97,18 +115,6 @@ class TestFallsBackToFullBuild:
         assert store.catalog() == build_catalog(store)
         assert store.catalog_refreshes == {"full": 2, "delta": 0}
 
-    def test_when_the_memo_is_sampled(self, mini_yago):
-        store = TripleStore(backend=mini_yago.backend_name)
-        store.add_triples(mini_yago.triples())
-        sampled = build_catalog(store, sample_nodes=50)
-        assert sampled.sampled
-        store.seed_catalog(sampled)
-        assert store.catalog() is sampled
-        store.add_triples([(1, store.predicates()[0], 2)])
-        rebuilt = store.catalog()
-        assert not rebuilt.sampled and rebuilt == build_catalog(store)
-        assert store.catalog_refreshes == {"full": 1, "delta": 0}
-
     def test_when_the_backend_was_mutated_behind_the_facade(self):
         store = TripleStore()
         store.add_triples([(1, 100, 2)])
@@ -117,17 +123,6 @@ class TestFallsBackToFullBuild:
         store.add_triples([(3, 100, 4)])
         assert store.catalog() == build_catalog(store)
         assert store.catalog_refreshes == {"full": 2, "delta": 0}
-
-    def test_sampled_flag_roundtrips_but_is_not_content(self, mini_yago):
-        from repro.stats.catalog import Catalog
-
-        exact = build_catalog(mini_yago)
-        assert "sampled" not in exact.to_dict()
-        sampled = build_catalog(mini_yago, sample_nodes=50)
-        assert Catalog.from_dict(sampled.to_dict()).sampled
-        marked = Catalog(exact.unigrams, exact.bigrams, exact.num_triples,
-                         exact.num_nodes, sampled=True)
-        assert marked == exact and hash(marked) == hash(exact)
 
 
 class TestPredicateEpoch:
@@ -145,7 +140,7 @@ class TestPredicateEpoch:
         store = TripleStore()
         store.add_triples([(1, 100, 2)])
         store.remove_triples([(1, 100, 2)])
-        assert not store.has_predicate(100)
+        assert 100 not in store.predicates()
         store.add_triples([(3, 100, 4)])
         # Same size as at version 1, different content: no ABA.
         assert store.predicate_epoch(100) == 3

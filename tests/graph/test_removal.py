@@ -10,9 +10,7 @@ import pytest
 
 from repro.errors import StoreError
 from repro.graph.backends import available_backends
-from repro.graph.backends.base import StorageBackend
 from repro.graph.store import TripleStore
-from repro.graph.triples import TriplePattern
 
 BACKENDS = available_backends()
 
@@ -72,15 +70,16 @@ def test_adjacency_views_shrink(store):
 
 def test_match_consistent_after_removal(store):
     a, k, b = ids(store, "alice", "knows", "bob")
-    # Materialize the lazy permutation indexes first, so removal must
-    # update them rather than rebuild from scratch.
-    assert list(store.match(TriplePattern(None, None, o=b)))
-    store.materialize_all_indexes()
+    likes, carol = ids(store, "likes", "carol")
+    # Build both lazy node-first indexes first, so removal must update
+    # them rather than rebuild from scratch.
+    assert store.in_edges(b) == {k: {a}}
+    assert store.out_edges(a) == {k: {b}, likes: {carol}}
     assert store.remove(a, k, b)
-    assert list(store.match(TriplePattern(a, k, b))) == []
-    assert [t for t in store.match(TriplePattern(s=a, p=None, o=None))
-            ] == [(a, *ids(store, "likes", "carol"))]
-    assert all(t.s != a for t in store.match(TriplePattern(None, k, None)))
+    assert store.labels_between(a, b) == []
+    assert store.out_edges(a) == {likes: {carol}}
+    assert store.in_edges(b) == {}
+    assert all(s != a for s, _ in store.edges(k))
 
 
 def test_nodes_rebuilt_after_removal(store):
@@ -144,7 +143,7 @@ def test_remove_whole_predicate(store):
         [t for t in store.triples() if t.p == k]
     )
     assert gone == 3
-    assert not store.has_predicate(k) or store.count(k) == 0
+    assert k not in store.predicates() and store.count(k) == 0
     assert store.predicates() == ids(store, "likes") or store.predicates() == [
         p for p in store.predicates() if store.count(p)
     ]
@@ -199,17 +198,3 @@ def test_interleaved_staged_and_sealed_removal(backend):
         ("alice", "likes", "carol"),
     }
 
-
-def test_base_backend_removal_default_is_a_clear_refusal():
-    # A backend that never overrides remove()/remove_many() inherits a
-    # loud refusal, not silent data loss.
-    class _Immutable:
-        name = "immutable"
-        remove = StorageBackend.remove
-        remove_many = StorageBackend.remove_many
-
-    backend = _Immutable()
-    with pytest.raises(StoreError, match="does not support triple removal"):
-        backend.remove(1, 2, 3)
-    with pytest.raises(StoreError, match="does not support triple removal"):
-        backend.remove_many([(1, 2, 3)])

@@ -1,10 +1,10 @@
-"""Tests for the triple store and its permutation indexes."""
+"""Tests for the triple store: predicate-first and node-first reads."""
 
 import pytest
 
 from repro.errors import StoreError
 from repro.graph.store import TripleStore
-from repro.graph.triples import Triple, TriplePattern
+from repro.graph.triples import Triple
 
 
 @pytest.fixture
@@ -54,8 +54,8 @@ def test_returned_empty_set_is_shared_but_not_mutated(store):
 
 def test_subjects_objects_counts(store):
     knows, likes = (store.dictionary.lookup(p) for p in ("knows", "likes"))
-    assert set(store.subjects(knows)) == set(ids(store, "a", "b"))
-    assert set(store.objects(knows)) == set(ids(store, "b", "c"))
+    assert set(store.subject_set(knows)) == set(ids(store, "a", "b"))
+    assert set(store.object_set(knows)) == set(ids(store, "b", "c"))
     assert store.count(knows) == 3
     assert store.count(likes) == 2
     assert store.count(999) == 0
@@ -64,8 +64,8 @@ def test_subjects_objects_counts(store):
 def test_degrees(store):
     a, knows, _ = ids(store, "a", "knows", "b")
     c = store.dictionary.lookup("c")
-    assert store.out_degree(knows, a) == 2
-    assert store.in_degree(knows, c) == 2
+    assert len(store.successors(knows, a)) == 2
+    assert len(store.predecessors(knows, c)) == 2
 
 
 def test_edges_iteration(store):
@@ -90,40 +90,46 @@ def test_triples_complete(store):
     assert all(isinstance(t, Triple) for t in store.triples())
 
 
+def edge_count(view) -> int:
+    """Edges in a node-first ``predicate -> nodes`` view."""
+    return sum(map(len, view.values()))
+
+
 def test_match_by_predicate(store):
     knows = store.dictionary.lookup("knows")
-    assert store.count_matches(TriplePattern(None, knows, None)) == 3
+    assert store.count(knows) == len(list(store.edges(knows))) == 3
 
 
 def test_match_by_subject_uses_lazy_spo(store):
     a = store.dictionary.lookup("a")
-    matches = list(store.match(TriplePattern(a, None, None)))
-    assert len(matches) == 3  # knows b, knows c, likes c
+    assert edge_count(store.out_edges(a)) == 3  # knows b, knows c, likes c
 
 
-def test_match_by_object_uses_lazy_osp(store):
+def test_match_by_object_uses_lazy_ops(store):
     c = store.dictionary.lookup("c")
-    matches = list(store.match(TriplePattern(None, None, c)))
-    assert len(matches) == 3
+    assert edge_count(store.in_edges(c)) == 3
 
 
 def test_match_fully_bound(store):
     a, knows, b = ids(store, "a", "knows", "b")
-    assert list(store.match(TriplePattern(a, knows, b))) == [Triple(a, knows, b)]
-    assert list(store.match(TriplePattern(b, knows, a))) == []
+    assert (a, knows, b) in store
+    assert (b, knows, a) not in store
+    assert store.labels_between(a, b) == [knows]
+    assert store.labels_between(b, a) == []
 
 
 def test_match_wildcard_counts(store):
-    assert store.count_matches(TriplePattern(None, None, None)) == 5
+    assert len(list(store.triples())) == store.num_triples == 5
 
 
 def test_lazy_index_stays_consistent_after_insert(store):
     a = store.dictionary.lookup("a")
-    # Force SPO materialization, then insert more and re-query.
-    assert len(list(store.match(TriplePattern(a, None, None)))) == 3
+    # Build SPO on the first read, then insert more and re-read.
+    assert edge_count(store.out_edges(a)) == 3
     store.add_term_triple("a", "admires", "d")
-    matches = list(store.match(TriplePattern(a, None, None)))
-    assert len(matches) == 4
+    assert edge_count(store.out_edges(a)) == 4
+    d = store.dictionary.lookup("d")
+    assert store.in_edges(d) == {store.dictionary.lookup("admires"): {a}}
 
 
 def test_out_edges_in_edges_labels_between(store):
@@ -145,17 +151,6 @@ def test_freeze_blocks_adds(store):
     with pytest.raises(StoreError):
         store.add(0, 1, 2)
     assert store.dictionary.frozen
-
-
-def test_materialize_all_indexes(store):
-    store.materialize_all_indexes()
-    a = store.dictionary.lookup("a")
-    assert len(list(store.match(TriplePattern(a, None, None)))) == 3
-
-
-def test_unknown_permutation_rejected(store):
-    with pytest.raises(StoreError):
-        store.backend.get_permutation("pos")  # a primary, not lazy, index
 
 
 def test_forward_backward_index_views(store):

@@ -1,13 +1,14 @@
 """Multithreaded stress tests for the backend layer.
 
-The satellite bug behind these tests: lazy permutation
-materialization used to be guarded by store-level state while the
-physical indexes lived elsewhere, so racing builders/readers (the
-QueryService thread pool) could observe half-built indexes, build the
-same permutation twice, or — worst — lose a concurrent insert from the
-freshly built index. The lock and the lazy-build logic now live in the
-backend layer (:mod:`repro.graph.backends.permutations`); these tests
-hammer them from many threads.
+The bug behind these tests: lazy permutation materialization used to
+be guarded by store-level state while the physical indexes lived
+elsewhere, so racing builders/readers (the QueryService thread pool)
+could observe half-built indexes, build the same permutation twice, or
+— worst — lose a concurrent insert from the freshly built index. The
+lock and the lazy-build logic now live in the backend layer
+(:mod:`repro.graph.backends.permutations`); these tests hammer them
+from many threads through the node-first reads that build them,
+``out_edges`` (SPO) and ``in_edges`` (OPS).
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.graph.backends import available_backends
-from repro.graph.backends.permutations import LAZY_PERMUTATIONS
 from repro.graph.store import TripleStore
-from repro.graph.triples import TriplePattern
 
 THREADS = 8
 ROUNDS = 30
@@ -31,6 +30,25 @@ def build_store(backend: str, n: int = 400) -> TripleStore:
     for i in range(n):
         store.add_term_triple(f"s{i % 53}", f"p{i % 7}", f"o{i % 31}")
     return store
+
+
+def node_first_triples(store: TripleStore) -> tuple[set, set]:
+    """Every triple as the SPO and as the OPS index hold it, read
+    node by node through ``out_edges`` / ``in_edges``."""
+    nodes = sorted(store.nodes())
+    spo = {
+        (s, p, o)
+        for s in nodes
+        for p, objs in store.out_edges(s).items()
+        for o in objs
+    }
+    ops = {
+        (s, p, o)
+        for o in nodes
+        for p, subs in store.in_edges(o).items()
+        for s in subs
+    }
+    return spo, ops
 
 
 @pytest.mark.parametrize("backend", available_backends())
@@ -47,26 +65,25 @@ def test_concurrent_lazy_builds_with_readers(backend):
             try:
                 start.wait()
                 if worker % 2 == 0:
-                    # Builder: force every lazy permutation.
-                    for name in LAZY_PERMUTATIONS:
-                        index = store.backend.get_permutation(name)
-                        total = sum(
-                            len(third)
-                            for second in index.values()
-                            for third in second.values()
-                        )
-                        assert total == len(expected_triples)
+                    # Builder: read every node both ways, building
+                    # both lazy permutations.
+                    spo, ops = node_first_triples(store)
+                    assert spo == ops == expected_triples
                 else:
-                    # Reader: iterate patterns that route through the
-                    # lazy SPO/OSP indexes mid-build.
+                    # Reader: single nodes' reads routed through the
+                    # lazy SPO/OPS indexes mid-build.
                     s = store.dictionary.lookup("s1")
                     o = store.dictionary.lookup("o1")
-                    assert set(store.match(TriplePattern(s, None, None))) == {
-                        t for t in expected_triples if t.s == s
-                    }
-                    assert set(store.match(TriplePattern(None, None, o))) == {
-                        t for t in expected_triples if t.o == o
-                    }
+                    assert {
+                        (s, p, x)
+                        for p, objs in store.out_edges(s).items()
+                        for x in objs
+                    } == {t for t in expected_triples if t.s == s}
+                    assert {
+                        (x, p, o)
+                        for p, subs in store.in_edges(o).items()
+                        for x in subs
+                    } == {t for t in expected_triples if t.o == o}
                     assert set(store.triples()) == expected_triples
             except BaseException as exc:  # noqa: BLE001 - collected for report
                 errors.append(exc)
@@ -82,21 +99,21 @@ def test_lazy_index_built_exactly_once(backend):
     for _ in range(ROUNDS):
         store = build_store(backend, n=200)
         store.freeze()
+        s = store.dictionary.lookup("s1")
         start = threading.Barrier(THREADS)
 
         def build(_: int):
             start.wait()
-            return store.backend.get_permutation("spo")
+            return store.out_edges(s)
 
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
-            indexes = list(pool.map(build, range(THREADS)))
-        first = indexes[0]
-        assert all(index is first for index in indexes)
-        assert sum(
-            len(third)
-            for second in first.values()
-            for third in second.values()
-        ) == store.num_triples
+            views = list(pool.map(build, range(THREADS)))
+        # One build: every thread got the same node's entry of one index.
+        first = views[0]
+        assert all(view is first for view in views)
+        spo, _ = node_first_triples(store)
+        assert spo == set(store.triples())
+        assert len(spo) == store.num_triples
 
 
 @pytest.mark.parametrize("backend", available_backends())
@@ -115,19 +132,18 @@ def test_insert_during_build_never_lost(backend):
 
         def builder():
             barrier.wait()
-            store.backend.get_permutation("spo")
+            store.out_edges(store.dictionary.lookup("s1"))
 
         threads = [threading.Thread(target=writer), threading.Thread(target=builder)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        spo = store.backend.get_permutation("spo")
         for s, p, o in new_triples:
             sid = store.dictionary.lookup(s)
             pid = store.dictionary.lookup(p)
             oid = store.dictionary.lookup(o)
-            assert oid in spo[sid][pid], (s, p, o)
+            assert oid in store.out_edges(sid)[pid], (s, p, o)
 
 
 @pytest.mark.parametrize("backend", available_backends())

@@ -1,35 +1,9 @@
-"""Tests for Triple / TriplePattern value types."""
+"""Tests for the Triple value type."""
 
-from repro.graph.triples import Triple, TriplePattern
+from repro.graph.triples import Triple
 
 
 def test_triple_fields():
     t = Triple(1, 2, 3)
     assert (t.s, t.p, t.o) == (1, 2, 3)
     assert tuple(t) == (1, 2, 3)
-
-
-def test_bound_positions():
-    assert TriplePattern(None, None, None).bound_positions() == ""
-    assert TriplePattern(1, None, None).bound_positions() == "s"
-    assert TriplePattern(None, 1, None).bound_positions() == "p"
-    assert TriplePattern(None, None, 1).bound_positions() == "o"
-    assert TriplePattern(1, 2, 3).bound_positions() == "spo"
-    assert TriplePattern(1, None, 3).bound_positions() == "so"
-
-
-def test_pattern_matches():
-    t = Triple(1, 2, 3)
-    assert TriplePattern(None, None, None).matches(t)
-    assert TriplePattern(1, 2, 3).matches(t)
-    assert TriplePattern(1, None, None).matches(t)
-    assert not TriplePattern(9, None, None).matches(t)
-    assert not TriplePattern(None, 9, None).matches(t)
-    assert not TriplePattern(None, None, 9).matches(t)
-
-
-def test_pattern_zero_ids_are_bound():
-    # id 0 is a valid term id and must not be confused with wildcard.
-    t = Triple(0, 0, 0)
-    assert TriplePattern(0, 0, 0).matches(t)
-    assert TriplePattern(0, 0, 0).bound_positions() == "spo"

@@ -57,7 +57,7 @@ def check_sealed(backend: ColumnarBackend, model: set, p: int) -> None:
     cols = backend._cols.get(p)
     if not pairs:
         assert cols is None
-        assert not backend.has_predicate(p)
+        assert p not in backend.predicates()
         return
     seg = cols.to_segment()
     assert [column.typecode for column in seg] == ["q"] * 6
@@ -134,5 +134,5 @@ def test_removal_empties_a_sealed_and_staged_predicate():
 def test_empty_segment_imports_no_predicate():
     backend = ColumnarBackend()
     assert backend.import_segments([(3, Segment.from_pairs([]))]) == 0
-    assert not backend.has_predicate(3)
+    assert 3 not in backend.predicates()
     assert backend.label_degrees([1]) == {1: ({}, {})}

@@ -1,15 +1,28 @@
 """Property-based tests for the graph substrate and parser."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph.backends import available_backends
 from repro.graph.dictionary import Dictionary
 from repro.graph.ntriples import escape_literal, unescape_literal
-from repro.graph.triples import TriplePattern
+from repro.graph.store import TripleStore
 
 from tests.properties.strategies import build_store, edge_lists
 
 SETTINGS = settings(max_examples=80, deadline=None)
+
+#: Raw ids: nodes 0..5 (6 is never stored) and predicates 100..102, so
+#: random removals often hit and nodes lose their last edges.
+NODES = range(7)
+TRIPLE = st.tuples(
+    st.integers(0, 5), st.integers(100, 102), st.integers(0, 5)
+)
+STEPS = st.lists(
+    st.tuples(st.booleans(), st.lists(TRIPLE, min_size=1, max_size=8)),
+    max_size=10,
+)
 
 
 @SETTINGS
@@ -43,21 +56,51 @@ def test_store_index_consistency(graph):
         assert set(store.edges(p)) == fwd_edges
 
 
+def assert_node_first_views(store: TripleStore, model: set) -> None:
+    """``out_edges``, ``in_edges`` and ``labels_between`` of every node
+    equal a brute-force filter of ``triples()``, which equals ``model``.
+    A node's entries hold no empty label: a removal prunes them."""
+    triples = set(store.triples())
+    assert triples == model
+    for n in NODES:
+        out: dict[int, set[int]] = {}
+        into: dict[int, set[int]] = {}
+        for s, p, o in triples:
+            if s == n:
+                out.setdefault(p, set()).add(o)
+            if o == n:
+                into.setdefault(p, set()).add(s)
+        assert {p: set(objs) for p, objs in store.out_edges(n).items()} == out
+        assert {p: set(subs) for p, subs in store.in_edges(n).items()} == into
+        for o in NODES:
+            assert sorted(store.labels_between(n, o)) == sorted(
+                p for s, p, x in triples if s == n and x == o
+            )
+
+
+@pytest.mark.parametrize("index", ("patched", "fresh"))
+@pytest.mark.parametrize("backend", available_backends())
 @SETTINGS
-@given(graph=edge_lists())
-def test_store_match_agrees_with_scan(graph):
-    store = build_store(graph)
-    all_triples = list(store.triples())
-    assert store.num_triples == len(all_triples)
-    for pattern in (
-        TriplePattern(None, None, None),
-        TriplePattern(all_triples[0].s if all_triples else 0, None, None),
-        TriplePattern(None, all_triples[0].p if all_triples else 0, None),
-        TriplePattern(None, None, all_triples[0].o if all_triples else 0),
-    ):
-        expected = sorted(t for t in all_triples if pattern.matches(t))
-        assert sorted(store.match(pattern)) == expected
-        assert store.count_matches(pattern) == len(expected)
+@given(initial=st.lists(TRIPLE, max_size=20), steps=STEPS)
+def test_node_first_views_agree_with_scan(backend, index, initial, steps):
+    """After interleaved add/remove batches, the lazily built node-first
+    views answer what a scan does: built by a read before the writes and
+    patched by each of them, or built fresh by a read after all of them."""
+    store = TripleStore(backend=backend)
+    store.add_triples(initial)
+    model = set(initial)
+    if index == "patched":
+        assert_node_first_views(store, model)
+    for add, batch in steps:
+        if add:
+            store.add_triples(batch)
+            model.update(batch)
+        else:
+            store.remove_triples(batch)
+            model.difference_update(batch)
+        if index == "patched":
+            assert_node_first_views(store, model)
+    assert_node_first_views(store, model)
 
 
 @SETTINGS
@@ -72,7 +115,7 @@ def test_catalog_bigram_os_is_exact_join_size(graph):
     for p1 in preds:
         for p2 in preds:
             true_join = sum(
-                store.in_degree(p1, node) * store.out_degree(p2, node)
+                len(store.predecessors(p1, node)) * len(store.successors(p2, node))
                 for node in store.nodes()
             )
             assert catalog.bigram(p1, p2, "os").join_pairs == true_join

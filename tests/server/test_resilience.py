@@ -198,9 +198,7 @@ def test_disk_full_degrades_then_recovers_over_http(tmp_path):
             assert result["result"]["count"] == 7
 
             # The rejected write never half-landed.
-            assert result["result"]["count"] == len(
-                list(service.store.match((None, None, None)))
-            )
+            assert result["result"]["count"] == len(list(service.store.triples()))
 
             # Space returns: the health poll's WAL probe recovers the
             # service without a restart.

@@ -3,13 +3,10 @@
 :func:`repro.stats.catalog.build_catalog` sums every node's share of
 every bigram in one vectorized pass. This module states the same
 figures the slow, obvious way: a pure-Python loop over each node's
-``{label: degree}`` vectors, read off the adjacency views, with the
-sampled variant drawing its nodes exactly as the library does.
+``{label: degree}`` vectors, read off the adjacency views.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.stats.catalog import BigramStat, Catalog, UnigramStat
 
@@ -48,8 +45,8 @@ def add_node(
             _bump(acc, (p1, p2, "os"), sign, sign * d1 * d2)
 
 
-def reference_catalog(store, sample_nodes: "int | None" = None, seed: int = 0) -> Catalog:
-    """What ``build_catalog(store, sample_nodes, seed)`` must return."""
+def reference_catalog(store) -> Catalog:
+    """What ``build_catalog(store)`` must return."""
     unigrams = {}
     out_deg: dict[int, dict[int, int]] = {}
     in_deg: dict[int, dict[int, int]] = {}
@@ -65,23 +62,8 @@ def reference_catalog(store, sample_nodes: "int | None" = None, seed: int = 0) -
         for o, subs in backward.items():
             in_deg.setdefault(o, {})[p] = len(subs)
 
-    scan = sorted(store.nodes())
-    scale = 1.0
-    if sample_nodes is not None and sample_nodes < len(scan):
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(scan), size=sample_nodes, replace=False)
-        scale = len(scan) / sample_nodes
-        scan = [scan[i] for i in sorted(chosen)]
-
     acc: dict[tuple[int, int, str], list[int]] = {}
-    for node in scan:
+    for node in sorted(store.nodes()):
         add_node(acc, out_deg.get(node), in_deg.get(node), 1)
-    bigrams = {
-        key: BigramStat(n, pairs)
-        if scale == 1.0
-        else BigramStat(max(int(round(n * scale)), 1), max(int(round(pairs * scale)), 1))
-        for key, (n, pairs) in acc.items()
-    }
-    return Catalog(
-        unigrams, bigrams, store.num_triples, store.num_nodes, sampled=scale != 1.0
-    )
+    bigrams = {key: BigramStat(n, pairs) for key, (n, pairs) in acc.items()}
+    return Catalog(unigrams, bigrams, store.num_triples, store.num_nodes)

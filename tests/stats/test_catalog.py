@@ -119,51 +119,3 @@ def test_catalog_on_yago(mini_yago, mini_yago_catalog):
     for p in mini_yago.predicates():
         assert mini_yago_catalog.unigram(p).count == mini_yago.count(p)
 
-
-class TestSampledCatalog:
-    def test_full_sample_equals_exact(self, mini_yago):
-        exact = build_catalog(mini_yago)
-        sampled = build_catalog(mini_yago, sample_nodes=mini_yago.num_nodes)
-        assert sampled.bigrams == exact.bigrams
-
-    def test_sampled_is_reasonable_in_aggregate(self, mini_yago):
-        # Per-entry estimates are high-variance on Zipf data (a single
-        # hub node can carry most of a bigram), but the Horvitz-
-        # Thompson estimator is unbiased, so the *aggregate* mass must
-        # land near the truth even at a 50% sample.
-        exact = build_catalog(mini_yago)
-        sampled = build_catalog(
-            mini_yago, sample_nodes=mini_yago.num_nodes // 2, seed=3
-        )
-        truth_total = sum(b.join_pairs for b in exact.bigrams.values())
-        est_total = sum(b.join_pairs for b in sampled.bigrams.values())
-        assert 0.5 < est_total / truth_total < 2.0
-        # And most frequent pairs are observed at all.
-        big = sorted(
-            exact.bigrams.items(), key=lambda kv: kv[1].join_pairs, reverse=True
-        )[:20]
-        observed = sum(1 for key, _ in big if sampled.bigram(*key).join_pairs > 0)
-        assert observed >= 15
-
-    def test_sampled_deterministic_by_seed(self, mini_yago):
-        a = build_catalog(mini_yago, sample_nodes=200, seed=7)
-        b = build_catalog(mini_yago, sample_nodes=200, seed=7)
-        assert a.bigrams == b.bigrams
-
-    def test_unigrams_always_exact(self, mini_yago):
-        sampled = build_catalog(mini_yago, sample_nodes=100, seed=1)
-        for p in mini_yago.predicates():
-            assert sampled.unigram(p).count == mini_yago.count(p)
-
-    def test_planner_works_with_sampled_catalog(self, mini_yago):
-        from repro.core.engine import WireframeEngine
-        from repro.datasets.paper_queries import paper_snowflake_queries
-
-        sampled = build_catalog(mini_yago, sample_nodes=300, seed=2)
-        exact_engine = WireframeEngine(mini_yago)
-        sampled_engine = WireframeEngine(mini_yago, sampled)
-        q = paper_snowflake_queries()[1]
-        assert (
-            sampled_engine.evaluate(q, materialize=False).count
-            == exact_engine.evaluate(q, materialize=False).count
-        )

@@ -497,6 +497,10 @@ def test_serve_snapshot_reports_its_source_and_owns_its_log(
         ("--timeout", "nan"),
         ("--slow-query-ms", "nan"),
         ("--scale", "nan"),
+        ("--seed", "-1"),
+        ("--port", "70000"),
+        ("--port", "-1"),
+        ("--metrics-port", "70000"),
     ],
 )
 def test_serve_rejects_out_of_range_numbers(monkeypatch, capsys, flag, value):
@@ -534,10 +538,21 @@ def test_serve_rejects_out_of_range_numbers(monkeypatch, capsys, flag, value):
         (["table1", "--runs", "0"], "--runs"),
         (["table1", "--timeout", "0"], "--timeout"),
         (["table1", "--timeout", "nan"], "--timeout"),
+        (["generate", "unused", "--seed", "-1"], "--seed"),
+        (["query", "--sparql", "select ?x where { ?x created ?y }", "--seed", "-1"],
+         "--seed"),
+        (["stats", "--seed", "-1"], "--seed"),
+        (["mine", "--miner-seed", "-1"], "--miner-seed"),
+        (["mine", "--count", "-1"], "--count"),
+        (["batch", "--template", "chain", "--count", "0"], "--count"),
+        (["table1", "--engines", "WF,XX"], "--engines"),
+        (["table1", "--engines", ","], "--engines"),
     ],
     ids=["query-timeout-0", "query-timeout-nan", "query-limit", "batch-timeout", "batch-repeat",
          "generate-scale-nan", "query-scale-nan", "stats-scale-inf", "stats-top",
-         "table1-runs", "table1-timeout-0", "table1-timeout-nan"],
+         "table1-runs", "table1-timeout-0", "table1-timeout-nan", "generate-seed",
+         "query-seed", "stats-seed", "mine-miner-seed", "mine-count", "batch-count",
+         "table1-engines", "table1-engines-empty"],
 )
 def test_query_and_batch_reject_out_of_range_numbers(monkeypatch, capsys, argv, flag):
     """Refused up front with exit 2, before a store is even loaded or
