@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.core.gc_pause import collector_paused
 from repro.engine_api import Engine
 from repro.errors import EvaluationTimeout
 from repro.query.model import ConjunctiveQuery
@@ -69,7 +70,9 @@ def run_query(
     """Time ``engine`` on ``query`` under ``protocol``.
 
     A timeout on *any* run marks the pair as timed out — matching the
-    paper, where a starred query never produced a measurement.
+    paper, where a starred query never produced a measurement. Every
+    engine runs with the cyclic collector paused, as Wireframe's own
+    ``evaluate`` does, so the comparison stays like-for-like.
     """
     if protocol is None:
         protocol = BenchmarkProtocol()
@@ -81,9 +84,10 @@ def run_query(
         deadline = Deadline(protocol.timeout)
         start = time.perf_counter()
         try:
-            result = engine.evaluate(
-                query, deadline=deadline, materialize=protocol.materialize
-            )
+            with collector_paused():
+                result = engine.evaluate(
+                    query, deadline=deadline, materialize=protocol.materialize
+                )
         except EvaluationTimeout:
             return QueryTiming(
                 engine=engine.name,

@@ -36,7 +36,7 @@ from repro.bench.harness import BenchmarkProtocol
 from repro.bench.table1 import format_table1, reproduce_table1
 from repro.bench.workloads import ENGINE_ORDER, default_engines
 from repro.datasets.loader import load_dataset, save_dataset
-from repro.datasets.yago_like import generate_yago_like
+from repro.datasets.yago_like import MAX_SCALE, generate_yago_like
 from repro.errors import EvaluationTimeout, ReproError
 from repro.graph.backends import DEFAULT_BACKEND, available_backends
 from repro.graph.store import TripleStore
@@ -61,6 +61,10 @@ _TEMPLATES = {
     "star": lambda: star_template(3),
     "cycle": lambda: cycle_template(4),
 }
+
+#: Largest ``batch --repeat``: the repeated workload is one list, built
+#: before the first query runs.
+MAX_REPEAT = 10_000
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
@@ -172,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--count", type=int, default=20,
                          help="queries to mine with --template (default 20)")
     p_batch.add_argument("--repeat", type=int, default=1,
-                         help="repeat the workload N times (exercises caches)")
+                         help="repeat the workload N times (exercises caches; "
+                         f"at most {MAX_REPEAT})")
     p_batch.add_argument("--workers", type=int, default=None,
                          help="thread-pool width (default min(8, cpus))")
     p_batch.add_argument("--timeout", type=float, default=300.0,
@@ -351,7 +356,7 @@ def _out_of_range(*rules: tuple[bool, str]) -> bool:
 
 def _cmd_query(args) -> int:
     if _out_of_range(
-        (not args.timeout > 0, "--timeout must be positive"),
+        (not 0 < args.timeout < math.inf, "--timeout must be positive and finite"),
         (args.limit < 0, "--limit must be >= 0"),
     ):
         return 2
@@ -386,9 +391,7 @@ def _cmd_query(args) -> int:
     try:
         if args.engine == "WF" and args.limit > 0:
             # Phase 2 builds only the rows shown; count stays exact.
-            result = engine.engine_result(engine.evaluate_detailed(
-                query, deadline=deadline, limit=args.limit
-            ))
+            result = engine.evaluate(query, deadline=deadline, limit=args.limit)
         else:
             result = engine.evaluate(
                 query, deadline=deadline, materialize=args.limit > 0
@@ -480,7 +483,8 @@ def _cmd_batch(args) -> int:
     if _out_of_range(
         (args.workers is not None and args.workers < 1, "--workers must be >= 1"),
         (args.repeat < 1, "--repeat must be >= 1"),
-        (not args.timeout > 0, "--timeout must be positive"),
+        (args.repeat > MAX_REPEAT, f"--repeat must be at most {MAX_REPEAT}"),
+        (not 0 < args.timeout < math.inf, "--timeout must be positive and finite"),
         (args.template is not None and args.count < 1, "--count must be >= 1"),
     ):
         return 2
@@ -567,7 +571,8 @@ def _cmd_serve(args) -> int:
     if _out_of_range(
         (args.workers < 1, "--workers must be >= 1"),
         (args.threads is not None and args.threads < 1, "--threads must be >= 1"),
-        (not args.timeout >= 0, "--timeout must be >= 0 (0 = none)"),
+        (not 0 <= args.timeout < math.inf,
+         "--timeout must be finite and >= 0 (0 = none)"),
         (args.slow_query_ms is not None and not args.slow_query_ms > 0,
          "--slow-query-ms must be positive"),
         (args.max_pending < 1, "--max-pending must be >= 1"),
@@ -723,7 +728,7 @@ def _cmd_table1(args) -> int:
     engines = tuple(name.strip() for name in args.engines.split(",") if name)
     if _out_of_range(
         (args.runs < 1, "--runs must be >= 1"),
-        (not args.timeout > 0, "--timeout must be positive"),
+        (not 0 < args.timeout < math.inf, "--timeout must be positive and finite"),
         (not engines or not set(engines) <= set(ENGINE_ORDER),
          f"--engines must be a non-empty subset of {','.join(ENGINE_ORDER)}"),
     ):
@@ -841,6 +846,7 @@ def main(argv: list[str] | None = None) -> int:
     scale = getattr(args, "scale", 1.0)
     if _out_of_range(
         (not 0 < scale < math.inf, "--scale must be positive and finite"),
+        (scale > MAX_SCALE, f"--scale must be at most {MAX_SCALE}"),
         (getattr(args, "seed", 0) < 0, "--seed must be >= 0"),
     ):
         return 2

@@ -34,6 +34,7 @@ from repro.core.defactorize import (
     materialize_embeddings,
     plan_free_order,
 )
+from repro.core.gc_pause import collector_paused
 from repro.core.generation import (
     GenerationStats,
     GenerationTrace,
@@ -249,11 +250,25 @@ class WireframeEngine(Engine):
         query: ConjunctiveQuery,
         deadline: Deadline | None = None,
         materialize: bool = True,
+        *,
+        prepared: tuple[BoundQuery, AGPlan, Chordification] | None = None,
+        limit: int | None = None,
     ) -> EngineResult:
-        """Uniform-interface evaluation (see :class:`Engine`)."""
-        return self.engine_result(
-            self.evaluate_detailed(query, deadline, materialize)
-        )
+        """Uniform-interface evaluation (see :class:`Engine`).
+
+        ``prepared`` and ``limit`` are :meth:`evaluate_detailed`'s. The
+        cyclic collector is paused for the whole evaluation (see
+        :mod:`repro.core.gc_pause`) and resumes only once the
+        :class:`WireframeResult`, and with it the answer graph, has
+        been freed by reference count: only the returned rows are left
+        for its next pass to walk.
+        """
+        with collector_paused():
+            # The WireframeResult is a temporary: it dies as soon as
+            # engine_result returns, before the pause ends.
+            return self.engine_result(self.evaluate_detailed(
+                query, deadline, materialize, prepared=prepared, limit=limit
+            ))
 
     def engine_result(self, result: WireframeResult) -> EngineResult:
         """``result`` as the uniform :class:`EngineResult`, with the

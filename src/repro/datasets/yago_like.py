@@ -39,6 +39,12 @@ from repro.utils.rng import make_rng, spawn_rng
 _MAX_FAN = 64  # cap a single subject's sampled fan-out
 
 
+#: Largest accepted ``scale``: ~90M entities and ~800M triples, far more
+#: than fits in memory. It is there so that an absurd scale fails at
+#: once with its name in the message, not deep in numpy or ``range``.
+MAX_SCALE = 10_000
+
+
 @dataclass(frozen=True)
 class YagoLikeConfig:
     """Generator knobs.
@@ -60,6 +66,10 @@ class YagoLikeConfig:
     def __post_init__(self) -> None:
         if not 0 < self.scale < math.inf:  # NaN too
             raise DatasetError(f"scale must be positive and finite, got {self.scale}")
+        if self.scale > MAX_SCALE:
+            raise DatasetError(
+                f"scale must be at most MAX_SCALE = {MAX_SCALE}, got {self.scale}"
+            )
         if self.seed < 0:  # numpy's seeding would raise ValueError
             raise DatasetError(f"seed must be >= 0, got {self.seed}")
         if self.filler_predicates < 0:

@@ -12,7 +12,9 @@ The substrate every serving layer reports through (ISSUE 9):
   (``GET /metrics``) and the strict line-grammar parser the tests, the
   CI smoke test, and ``examples/metrics_scrape.py`` all validate with;
 * :mod:`repro.obs.logging` — a JSON-lines logger and the slow-query
-  log behind ``repro serve --slow-query-ms``.
+  log behind ``repro serve --slow-query-ms``;
+* :mod:`repro.obs.gc_metrics` — the cyclic collector's collections and
+  pause times, from one process-wide ``gc.callbacks`` hook.
 
 This package is deliberately a leaf: it imports nothing from the rest
 of :mod:`repro`, so the engine, service, storage, and server layers can
@@ -26,6 +28,7 @@ from repro.obs.exposition import (
     render_registries,
     sample_value,
 )
+from repro.obs.gc_metrics import register_gc_metrics
 from repro.obs.logging import JsonLogger, SlowQueryLog
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -65,6 +68,7 @@ __all__ = [
     "merged_dump",
     "new_trace_id",
     "parse_exposition",
+    "register_gc_metrics",
     "render_dump",
     "render_registries",
     "sample_value",

@@ -48,6 +48,7 @@ from repro.core.engine import WireframeEngine
 from repro.engine_api import EngineResult
 from repro.errors import EvaluationTimeout, ReproError, StoreError
 from repro.graph.store import TripleStore
+from repro.obs.gc_metrics import register_gc_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import activate_trace, current_trace, deactivate_trace
 from repro.query.model import ConjunctiveQuery
@@ -359,6 +360,7 @@ class QueryService:
                 lambda f=field: wal_stat(f),
                 kind="counter",
             )
+        register_gc_metrics(reg)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -769,11 +771,10 @@ class QueryService:
                 trace.add_timed("plan", t0, t1)
                 trace.annotations.setdefault("plan_cache", plan_outcome)
 
-            detail = engine.evaluate_detailed(
+            result = engine.evaluate(
                 query, effective, materialize, prepared=prepared, limit=limit
             )
             exec_seconds = time.perf_counter() - t1
-            result = engine.engine_result(detail)
             # Cache only an answer whose predicates did not change
             # while it was computed (a write to any other predicate
             # cannot have touched it). Epoch first, versions second, so

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datasets import schema
-from repro.datasets.yago_like import YagoLikeConfig, generate_yago_like
+from repro.datasets.yago_like import MAX_SCALE, YagoLikeConfig, generate_yago_like
 from repro.errors import DatasetError
 
 
@@ -112,6 +112,9 @@ def test_invalid_config_rejected():
     for scale in ("nan", "inf"):
         with pytest.raises(DatasetError, match="positive and finite"):
             YagoLikeConfig(scale=float(scale))
+    for scale in (MAX_SCALE + 1, 1e15, 99999999999999999999):
+        with pytest.raises(DatasetError, match=f"at most MAX_SCALE = {MAX_SCALE}"):
+            YagoLikeConfig(scale=scale)
     with pytest.raises(DatasetError):
         YagoLikeConfig(filler_predicates=-1)
     with pytest.raises(DatasetError, match="seed must be >= 0"):

@@ -339,3 +339,47 @@ def test_parser_accepts_inf_and_nan_values():
     )
     assert sample_value(families, "repro_x") == math.inf
     assert math.isnan(sample_value(families, "repro_y"))
+
+
+# ----------------------------------------------------------------------
+# Collector families
+# ----------------------------------------------------------------------
+
+
+def test_gc_families_time_every_collection():
+    """The pause histogram counts one observation per collection, from
+    any thread, and registers on any number of registries."""
+    import gc
+    import threading
+
+    from repro.obs.gc_metrics import register_gc_metrics
+
+    first, second = MetricsRegistry(), MetricsRegistry()
+    register_gc_metrics(first)
+    register_gc_metrics(second)
+    pauses = first.get("repro_gc_pause_seconds")
+    assert second.get("repro_gc_pause_seconds") is pauses
+
+    def collections() -> int:
+        return sum(stats["collections"] for stats in gc.get_stats())
+
+    def churn():
+        # Live tracked containers, so young collections follow.
+        kept = [[] for _ in range(20_000)]
+        del kept
+
+    gc.collect()  # nothing young left to trigger a pass between the reads
+    before_pauses, before = pauses.sample()[0], collections()
+    threads = [threading.Thread(target=churn) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+    gc.collect()
+    assert not any(thread.is_alive() for thread in threads)
+    timed = pauses.sample()[0] - before_pauses
+    assert timed == collections() - before > 1
+    dumped = {m["name"]: m for m in first.dump()}
+    assert [s["labels"]["generation"] for s in
+            dumped["repro_gc_collections_total"]["samples"]] == ["0", "1", "2"]
+

@@ -6,7 +6,8 @@ structure:
 
 - every ``/v1/stats`` key and the JSON type of every leaf value;
 - every ``/metrics`` family's name, kind and label names, and the label
-  sets of the samples a freshly started server exposes.
+  sets of the samples a freshly started server exposes (the process-wide
+  ``repro_gc_*`` collector families included).
 
 Both are pinned for a plain in-memory service and for a journaled
 ``QueryService.from_snapshot(..., wal=True)`` service, which adds the
@@ -129,6 +130,11 @@ COMMON_METRICS = {
     "repro_catalog_refreshes_total": (
         "counter", ("kind",), ((("kind", "delta"),), (("kind", "full"),)),
     ),
+    "repro_gc_collections_total": (
+        "counter", ("generation",),
+        ((("generation", "0"),), (("generation", "1"),), (("generation", "2"),)),
+    ),
+    "repro_gc_pause_seconds": ("histogram", (), BARE),
     "repro_http_draining": ("gauge", (), BARE),
     "repro_http_in_flight": ("gauge", (), BARE),
     "repro_http_request_memo_lookups_total": (

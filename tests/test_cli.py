@@ -495,8 +495,11 @@ def test_serve_snapshot_reports_its_source_and_owns_its_log(
         ("--watchdog-interval", "nan"),
         ("--timeout", "-1"),
         ("--timeout", "nan"),
+        ("--timeout", "inf"),
+        ("--timeout", "1e999"),
         ("--slow-query-ms", "nan"),
         ("--scale", "nan"),
+        ("--scale", "99999999999999999999"),
         ("--seed", "-1"),
         ("--port", "70000"),
         ("--port", "-1"),
@@ -547,12 +550,24 @@ def test_serve_rejects_out_of_range_numbers(monkeypatch, capsys, flag, value):
         (["batch", "--template", "chain", "--count", "0"], "--count"),
         (["table1", "--engines", "WF,XX"], "--engines"),
         (["table1", "--engines", ","], "--engines"),
+        (["query", "--sparql", "select ?x where { ?x created ?y }", "--timeout", "inf"],
+         "--timeout"),
+        (["query", "--sparql", "select ?x where { ?x created ?y }", "--timeout", "1e999"],
+         "--timeout"),
+        (["batch", "--template", "chain", "--timeout", "inf"], "--timeout"),
+        (["table1", "--timeout", "inf"], "--timeout"),
+        (["stats", "--scale", "1e15"], "--scale"),
+        (["generate", "unused", "--scale", "99999999999999999999"], "--scale"),
+        (["batch", "--template", "chain", "--repeat", "99999999999999999999"],
+         "--repeat"),
     ],
     ids=["query-timeout-0", "query-timeout-nan", "query-limit", "batch-timeout", "batch-repeat",
          "generate-scale-nan", "query-scale-nan", "stats-scale-inf", "stats-top",
          "table1-runs", "table1-timeout-0", "table1-timeout-nan", "generate-seed",
          "query-seed", "stats-seed", "mine-miner-seed", "mine-count", "batch-count",
-         "table1-engines", "table1-engines-empty"],
+         "table1-engines", "table1-engines-empty", "query-timeout-inf",
+         "query-timeout-1e999", "batch-timeout-inf", "table1-timeout-inf",
+         "stats-scale-1e15", "generate-scale-1e20", "batch-repeat-1e20"],
 )
 def test_query_and_batch_reject_out_of_range_numbers(monkeypatch, capsys, argv, flag):
     """Refused up front with exit 2, before a store is even loaded or
