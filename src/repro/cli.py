@@ -35,6 +35,7 @@ import time
 from repro.bench.harness import BenchmarkProtocol
 from repro.bench.table1 import format_table1, reproduce_table1
 from repro.bench.workloads import ENGINE_ORDER, default_engines
+from repro.core.gc_pause import collector_paused
 from repro.datasets.loader import load_dataset, save_dataset
 from repro.datasets.yago_like import MAX_SCALE, generate_yago_like
 from repro.errors import EvaluationTimeout, ReproError
@@ -378,8 +379,10 @@ def _cmd_query(args) -> int:
 
         engine = WireframeEngine(store, catalog, edge_burnback=True)
 
+    prepared = steps = None
     if args.explain and args.engine == "WF":
-        bound, ag_plan, chordification = engine.plan(query)
+        prepared = engine.plan(query)
+        _, ag_plan, chordification = prepared
         print("answer-graph plan:")
         print(ag_plan.describe(query))
         if not chordification.is_trivial:
@@ -389,7 +392,11 @@ def _cmd_query(args) -> int:
     deadline = Deadline(args.timeout)
     start = time.perf_counter()
     try:
-        if args.engine == "WF" and args.limit > 0:
+        if prepared is not None:
+            result, steps = _evaluate_explained(
+                engine, query, deadline, prepared, args.limit
+            )
+        elif args.engine == "WF" and args.limit > 0:
             # Phase 2 builds only the rows shown; count stays exact.
             result = engine.evaluate(query, deadline=deadline, limit=args.limit)
         else:
@@ -408,6 +415,8 @@ def _cmd_query(args) -> int:
             print(f"* (timed out after {args.timeout:.0f}s)")
         return 1
     elapsed = time.perf_counter() - start
+    if steps is not None:
+        print(_format_step_walks(steps))
 
     if args.json:
         import json
@@ -441,6 +450,40 @@ def _cmd_query(args) -> int:
         if result.count > args.limit:
             print(f"... ({result.count - args.limit} more)")
     return 0
+
+
+def _evaluate_explained(engine, query, deadline, prepared, limit: int):
+    """``engine.evaluate`` for ``repro query`` (``limit`` 0 = count
+    only), plus each generation step's ``(estimated, actual)`` walks.
+    The collector stays paused until the answer graph is freed, as in
+    :meth:`~repro.core.engine.WireframeEngine.evaluate`."""
+    with collector_paused():
+        detailed = engine.evaluate_detailed(
+            query, deadline, limit > 0, prepared=prepared, limit=limit or None
+        )
+        steps = list(zip(
+            detailed.ag_plan.step_costs, detailed.generation_stats.step_walks
+        ))
+        result = engine.engine_result(detailed)
+        del detailed
+    return result, steps
+
+
+def _format_step_walks(steps: list[tuple[float, int]]) -> str:
+    """One line per generation step, estimated vs actual edge walks,
+    then the whole plan's q-error: the factor between the two totals.
+    Both sides are floored at 1 walk, so a zero never divides."""
+    lines = ["estimated vs actual walks:"]
+    for i, (estimated, actual) in enumerate(steps):
+        ratio = max(estimated, 1.0) / max(actual, 1)
+        lines.append(f"{i + 1}. ~{estimated:.0f} est, {actual} actual "
+                     f"(ratio {ratio:.2f})")
+    estimated = sum(cost for cost, _ in steps)
+    actual = sum(walks for _, walks in steps)
+    ratio = max(estimated, 1.0) / max(actual, 1)
+    lines.append(f"plan q-error: {max(ratio, 1 / ratio):.2f} "
+                 f"(~{estimated:.0f} est, {actual} actual)")
+    return "\n".join(lines)
 
 
 def _parse_query_file(text: str):

@@ -1,8 +1,9 @@
 """The paper's contribution: answer-graph (factorized) CQ evaluation.
 
 * :mod:`repro.core.answer_graph` — the AG data structure.
-* :mod:`repro.core.kernels` — set-at-a-time bulk primitives (semi-join,
-  adjacency composition, bucket subtraction) backing all of phase 1.
+* :mod:`repro.core.kernels` — set-at-a-time bulk primitives (edge
+  extension, adjacency inversion and composition, bucket subtraction)
+  backing all of phase 1.
 * :mod:`repro.core.extension` — edge-extension steps (phase 1).
 * :mod:`repro.core.burnback` — cascading node burnback and the optional
   edge burnback for cyclic queries.
@@ -18,11 +19,7 @@
 """
 
 from repro.core.answer_graph import AnswerGraph, RelKey
-from repro.core.kernels import (
-    bulk_extend,
-    compose_adjacency,
-    semijoin_restrict,
-)
+from repro.core.kernels import bulk_extend, compose_adjacency
 from repro.core.generation import GenerationStats, GenerationTrace, generate_answer_graph
 from repro.core.defactorize import count_embeddings, iter_embeddings, materialize_embeddings
 from repro.core.factorized import (
@@ -41,7 +38,6 @@ __all__ = [
     "RelKey",
     "bulk_extend",
     "compose_adjacency",
-    "semijoin_restrict",
     "GenerationStats",
     "GenerationTrace",
     "generate_answer_graph",

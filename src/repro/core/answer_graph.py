@@ -31,12 +31,11 @@ one key's bucket of a live relation off the store.
 Ownership: the AG owns its indexes and their value sets.
 :meth:`~AnswerGraph.index` hands out the live dicts, and whoever removes
 pairs from one must keep the other, if :meth:`~AnswerGraph.built`, in
-step. While only whole nodes have been removed (all node burnback does)
-a real edge still holds *every* pair of its predicate between its two
-endpoint sets, so its missing index can be a semi-join against the
-store's live index (:func:`repro.core.kernels.inverse_index`); edge
-burnback, which removes single pairs, indexes both directions of a side
-before it prunes.
+step. A missing index is always the inversion of the one that exists
+(:func:`repro.core.kernels.invert_adjacency`), so no index build reads
+the store, and an AG that outlives a write to it still indexes what it
+holds. Edge burnback, which removes single pairs, indexes both
+directions of a side before it prunes.
 
 Per-variable node sets are maintained as the invariant
 
@@ -57,14 +56,12 @@ from collections import Counter
 from itertools import chain
 from typing import AbstractSet, Iterator
 
-from repro.core.kernels import Adjacency, inverse_index
+from repro.core.kernels import Adjacency, invert_adjacency
 from repro.errors import EvaluationError
 from repro.query.algebra import BoundQuery
 from repro.utils.deadline import Deadline
 
 RelKey = tuple[str, int]  # ("e", edge index) | ("c", chord index)
-
-_NO_DEADLINE = Deadline.unlimited()
 
 
 class AnswerGraph:
@@ -124,10 +121,11 @@ class AnswerGraph:
         The AG **takes ownership** of the dicts and their value sets
         (burnback mutates them in place); kernels always hand over
         fresh containers. A direction not given is derived on first
-        read. ``predicate`` promises that the relation is every pair of
-        that store predicate between its subjects and its objects (true
-        of an extension that is not a self-join, never of a chord),
-        which lets the derivation use the store's own index.
+        read, by inverting the other. ``predicate`` promises that the
+        relation is every pair of that store predicate between its
+        subjects and its objects (true of an extension that is not a
+        self-join, never of a chord); only :meth:`bucket` uses it, to
+        read one key's bucket off the store without building an index.
 
         Does *not* run burnback — callers (the generation driver)
         intersect node sets and cascade afterwards, because removal
@@ -193,13 +191,7 @@ class AnswerGraph:
         mine, other = (self._fwd, self._bwd) if pos == "s" else (self._bwd, self._fwd)
         adj = mine.get(rel)
         if adj is None:
-            adj = mine[rel] = inverse_index(
-                other[rel],
-                self.bound.store,
-                self._live_predicate(rel),
-                pos == "o",
-                deadline or _NO_DEADLINE,
-            )
+            adj = mine[rel] = invert_adjacency(other[rel], deadline)
         return adj
 
     def built(self, rel: RelKey, pos: str) -> Adjacency | None:

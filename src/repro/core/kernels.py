@@ -54,7 +54,11 @@ by subject when it walked from subjects (or scanned the label), by
 object when it walked from objects. The opposite index is not a product
 of phase 1. :class:`~repro.core.answer_graph.AnswerGraph` derives it the
 first time something reads it, from what burnback has left of the
-relation, through :func:`inverse_index` below.
+relation, by :func:`invert_adjacency` over the relation's own pairs; no
+index build reads the store. Inversion costs one interpreted step per
+pair and one new ``set`` per distinct key, and the new set is most of
+it: a semi-join against the store's reverse index would pay for the
+same sets and visit more elements besides.
 
 Adjacency convention: ``adj[x] = {y, ...}`` with no empty value sets —
 a key with an empty set is dropped, matching the AnswerGraph index
@@ -117,50 +121,28 @@ def adjacency_size(adj: Adjacency) -> int:
 
 
 def invert_adjacency(adj: Adjacency, deadline: Deadline | None = None) -> Adjacency:
-    """The reverse adjacency ``{y: {x | y in adj[x]}}``.
+    """The reverse adjacency ``{y: {x | y in adj[x]}}``, as fresh containers.
 
     Inherently one interpreted step per pair; with ``deadline`` the
-    budget is polled once per source key so a huge inversion still
-    honours cooperative timeouts.
+    budget is polled once per :data:`BLOCK` source keys, with that
+    block's pair count, so a huge inversion still honours cooperative
+    timeouts.
     """
     out: Adjacency = {}
-    for x, ys in adj.items():
+    get = out.get
+    items = iter(adj.items())
+    while block := list(islice(items, BLOCK)):
+        pairs = 0
+        for x, ys in block:
+            pairs += len(ys)
+            for y in ys:
+                bucket = get(y)
+                if bucket is None:
+                    out[y] = {x}
+                else:
+                    bucket.add(x)
         if deadline is not None:
-            deadline.check_every(len(ys))
-        for y in ys:
-            bucket = out.get(y)
-            if bucket is None:
-                out[y] = {x}
-            else:
-                bucket.add(x)
-    return out
-
-
-def semijoin_restrict(
-    adj: Adjacency, keys: AbstractSet[int], deadline: Deadline | None = None
-) -> Adjacency:
-    """``adj`` restricted to source keys in ``keys``, value sets copied.
-
-    The classic semi-join: iterate the smaller side, probe the other.
-    ``keys`` may be a plain ``set`` or a live ``dict_keys`` view — no
-    materialization is forced on the caller.
-    """
-    if len(keys) <= len(adj):
-        probe = keys if isinstance(keys, (set, frozenset)) else set(keys)
-        out = {}
-        for k in probe:
-            vs = adj.get(k)
-            if vs:
-                out[k] = set(vs)
-                if deadline is not None:
-                    deadline.check_every(len(vs))
-        return out
-    out = {}
-    for k, vs in adj.items():
-        if k in keys and vs:
-            out[k] = set(vs)
-            if deadline is not None:
-                deadline.check_every(len(vs))
+            deadline.check_every(pairs)
     return out
 
 
@@ -279,68 +261,6 @@ def _filtering(
     if not views or 2 * n_read < n_near:
         return views
     return [view for view in views if not far_nodes <= view]
-
-
-#: Rough cost ratio of one interpreted pair-inversion step vs one
-#: C-level set-intersection element visit, used to arbitrate between
-#: the two inverse strategies below.
-_INVERT_OP_WEIGHT = 4
-
-
-def _semijoin_inverse(
-    store: "StoreViews", p: int, reverse: bool, forward: Adjacency, deadline: Deadline
-) -> Adjacency:
-    """The opposite index of ``forward``, which walked predicate ``p``
-    (``reverse``: the result is keyed by ``p``'s objects).
-
-    Whenever ``forward`` holds exactly the pairs of one predicate
-    between a set of sources and a set of far endpoints — the shape
-    every non-self-join extension produces and node burnback keeps,
-    since it only ever removes whole nodes — the inverse can be derived
-    from the store: for any reached object ``o``, ``backward[o] =
-    predecessors(o) ∩ forward.keys()``, which is one
-    :meth:`~repro.graph.backends.base.StorageBackend.gather` from the
-    objects, filtered by the sources. That wins when the intersections
-    are dense, but degrades on popular objects (huge in-degree, tiny
-    overlap), so both strategies are costed from index sizes and the
-    cheaper one runs: Σ min(in-degree, |sources|) element visits for the
-    semi-join vs one interpreted step per surviving pair for direct
-    inversion.
-    """
-    if not forward:
-        return {}
-    objects = set().union(*forward.values())
-    sources = forward.keys()
-    n_sources = len(sources)
-    # Sampled cost estimate: Σ min(in-degree, |sources|) over objects,
-    # extrapolated from a prefix so the estimate itself stays cheap.
-    live = store.reverse_adjacency(p) if reverse else store.adjacency(p)
-    sample = objects if len(objects) <= 256 else list(islice(objects, 128))
-    sampled = sum(min(len(live[o]), n_sources) for o in sample)
-    semijoin_cost = sampled * len(objects) // len(sample)
-    if semijoin_cost > _INVERT_OP_WEIGHT * adjacency_size(forward):
-        return invert_adjacency(forward, deadline)
-    return store.gather(p, objects, (sources,), reverse=reverse, deadline=deadline)[0]
-
-
-def inverse_index(
-    adj: Adjacency,
-    store: "StoreViews",
-    predicate: int | None,
-    reverse: bool,
-    deadline: Deadline,
-) -> Adjacency:
-    """The opposite index of ``adj``, as fresh containers: keyed by
-    object if ``reverse`` (``adj`` is ``s -> {o}``), else by subject.
-
-    ``predicate`` may only be given while ``adj`` is still all of that
-    store predicate's pairs between its keys and its values; then a
-    semi-join against the store is weighed against pair-at-a-time
-    inversion (:func:`_semijoin_inverse`). ``None`` inverts pair by pair.
-    """
-    if predicate is None:
-        return invert_adjacency(adj, deadline)
-    return _semijoin_inverse(store, predicate, reverse, adj, deadline)
 
 
 # ----------------------------------------------------------------------

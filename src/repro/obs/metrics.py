@@ -271,10 +271,10 @@ class Histogram(_Metric):
         self.buckets = bounds
         # key -> [per-bucket counts..., overflow count, sum].
         self._counts: dict[tuple, list] = {}
-        # ``locked=False`` skips the per-observation lock: only valid
-        # when every observe() happens on the same thread that serves
-        # scrapes (the HTTP server's event loop). Cell creation and
-        # dump() still take the family lock either way.
+        # ``locked=False`` observes without any lock once the cell
+        # exists: only valid when every observe() happens on the same
+        # thread that serves scrapes (the HTTP server's event loop).
+        # Cell creation and dump() still take the family lock either way.
         self.locked = locked
 
     def observe(self, value: float) -> None:
@@ -287,8 +287,13 @@ class Histogram(_Metric):
         Cell layout: [bucket counts..., overflow count, sum]. Keeping
         the sum in the same list as the counts makes an observation a
         single dict lookup at most — this is the hottest call in the
-        registry (every request latency and pipeline stage).
+        registry (every request latency and pipeline stage). A cell,
+        once made, is never replaced or removed, so the lookup takes no
+        lock; only making one does.
         """
+        cell = self._counts.get(key)
+        if cell is not None:
+            return cell
         with self._lock:
             cell = self._counts.get(key)
             if cell is None:

@@ -10,9 +10,11 @@ batches (16-edge paths over one predicate, an add per cycle and on
 every 4th cycle the removal of the oldest live batch). Every query's
 rows must equal, as a list, the depth-first enumerator of
 :mod:`tests.core.defactorize_reference` on the same answer graph and
-embedding order, and its count :class:`NavigationalEngine`'s. The file
-name keeps it out of tier-1 collection (about half a minute per run);
-CI runs it once per backend:
+embedding order, and its count :class:`NavigationalEngine`'s. After
+each paper query, every relation whose two indexes were both built
+(the second one by inverting the first) must hold exact mutual
+inverses. The file name keeps it out of tier-1 collection (about half
+a minute per run); CI runs it once per backend:
 
     REPRO_BACKEND=columnar python -m pytest tests/core/fixture_phase2.py -q
 """
@@ -27,6 +29,7 @@ from repro.datasets.yago_like import generate_yago_like
 from repro.query.model import ConjunctiveQuery
 
 from tests.core.defactorize_reference import reference_rows
+from tests.properties.strategies import adjacency_pairs
 
 CYCLES = 64
 BATCH = 16
@@ -37,7 +40,7 @@ PROBES = [
 ]
 
 
-def assert_reference_rows(store, query) -> None:
+def assert_reference_rows(store, query):
     engine = WireframeEngine(store)
     result = engine.evaluate_detailed(query)
     # The answer graph again, with its chords, as phase 2 read it.
@@ -46,6 +49,22 @@ def assert_reference_rows(store, query) -> None:
     assert ag.size == result.ag_size
     assert result.rows == reference_rows(ag, result.embedding_plan.order)
     assert result.count == NavigationalEngine(store).evaluate(query, materialize=False).count
+    return result.answer_graph
+
+
+def assert_built_indexes_are_mutual_inverses(ag) -> int:
+    """How many relations had both indexes built; each pair exact."""
+    both = 0
+    for rel in ag.materialized_order:
+        forward, backward = ag.built(rel, "s"), ag.built(rel, "o")
+        if forward is None or backward is None:
+            continue
+        both += 1
+        assert all(forward.values()) and all(backward.values())
+        pairs = adjacency_pairs(forward)
+        assert len(pairs) == ag.relation_size(rel)
+        assert adjacency_pairs(backward) == {(o, s) for s, o in pairs}
+    return both
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +74,10 @@ def store():
 
 @pytest.mark.parametrize("index", range(10))
 def test_paper_query_rows_in_reference_order(store, index):
-    assert_reference_rows(store, paper_queries()[index])
+    query = paper_queries()[index]
+    both = assert_built_indexes_are_mutual_inverses(assert_reference_rows(store, query))
+    # A diamond's chord joins read each side from both ends.
+    assert both > 0 or not query.name.startswith("CQ_D")
 
 
 def test_probe_rows_in_reference_order_after_writes(store):

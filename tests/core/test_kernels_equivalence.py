@@ -37,9 +37,9 @@ from repro.core.kernels import (
     _filtering,
     adjacency_size,
     bulk_extend,
+    BLOCK,
     compose_adjacency,
     invert_adjacency,
-    semijoin_restrict,
 )
 from repro.core.reference import (
     extend_edge_reference,
@@ -387,16 +387,6 @@ def test_compose_adjacency_matches_pair_composition(a, b):
 
 
 @SETTINGS
-@given(adj=adjacencies, keys=st.sets(st.integers(0, 15), max_size=10))
-def test_semijoin_restrict_keeps_only_allowed_keys(adj, keys):
-    restricted = semijoin_restrict(adj, keys)
-    assert set(restricted) == set(adj) & keys
-    for k, vs in restricted.items():
-        assert vs == adj[k]
-        assert vs is not adj[k]  # fresh copies, caller-owned
-
-
-@SETTINGS
 @given(graph=edge_lists(), query=queries())
 def test_bulk_extend_fresh_containers(graph, query):
     """Kernel output never aliases live store index sets, in whichever
@@ -510,14 +500,26 @@ def test_expired_deadline_raises_from_a_deferred_build(run):
     assert ag.built(("e", 0), "o") is None  # the leaf ?a hangs off ?b
     with pytest.raises(EvaluationTimeout) as caught:
         run(ag, deadline=Deadline(0.000001, stride=1))
-    assert "inverse_index" in [entry.name for entry in caught.traceback]
+    assert "invert_adjacency" in [entry.name for entry in caught.traceback]
     assert ag.built(("e", 0), "o") is None
     assert run(ag, deadline=Deadline.unlimited()) and ag.built(("e", 0), "o")
 
 
+def test_large_inversion_polls_the_deadline_inside_its_loop():
+    """An inversion of several blocks of keys polls the deadline per
+    block, from inside the loop, not once before or after it."""
+    adj = {x: {x + 1, x + 2} for x in range(3 * BLOCK)}
+    with pytest.raises(EvaluationTimeout) as caught:
+        invert_adjacency(adj, Deadline(1e-6, stride=1))
+    frames = [entry.name for entry in caught.traceback]
+    assert frames[-2:] == ["invert_adjacency", "check_every"]
+    assert invert_adjacency(adj, Deadline.unlimited()) == invert_adjacency(adj)
+
+
 def test_deferred_build_ignores_the_store_once_it_was_written_to():
     """An AG may outlive the store state it was generated from; an
-    index it builds later is still the inverse of what it holds."""
+    index it builds later is still the inverse of what it holds: no
+    index build reads the store."""
     store = build_store({"A": [(0, 1), (3, 2)], "B": [(1, 4), (2, 4)]})
     query = ConjunctiveQuery([("?a", "A", "?b"), ("?b", "B", "?c")])
     bound, plan, chordification = _plan(store, query)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import pytest
 
@@ -106,6 +107,34 @@ def test_histogram_rejects_bad_ladders():
     for bad in ((), (1.0, 1.0), (2.0, 1.0)):
         with pytest.raises(ValueError):
             Histogram("repro_t_h", "help", buckets=bad)
+
+
+class _CountingLock:
+    """A lock that counts how often it was taken."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquired += 1
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+@pytest.mark.parametrize("locked, per_observation", [(False, 0), (True, 1)])
+def test_unlabeled_observation_takes_a_lock_only_if_locked(locked, per_observation):
+    histo = Histogram("repro_t_seconds", "help", buckets=(1.0,), locked=locked)
+    histo._lock = lock = _CountingLock()
+    histo.observe(0.5)  # makes the cell: takes the lock either way
+    made = lock.acquired
+    assert made >= 1
+    histo.observe(0.5)
+    assert lock.acquired - made == per_observation
+    assert histo.sample() == (2, 1.0)
 
 
 def test_default_buckets_are_strictly_increasing():

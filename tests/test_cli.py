@@ -101,6 +101,31 @@ def test_query_explain(capsys):
     assert "chords: 1" in out
 
 
+def test_query_explain_joins_estimated_and_actual_walks(capsys):
+    import re
+
+    code = main(
+        [
+            "query", "--scale", "0.05", "--explain", "--limit", "2",
+            "--sparql",
+            "select * where { ?x livesIn ?e . ?x isCitizenOf ?z . "
+            "?y isLocatedIn ?e . ?y linksTo ?z }",
+        ]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    plan = re.findall(r"^\d+\. \S+ \(~(\d+) walks\)$", out, re.M)
+    steps = re.findall(
+        r"^\d+\. ~(\d+) est, (\d+) actual \(ratio [\d.]+\)$", out, re.M
+    )
+    assert len(steps) == len(plan) == 4
+    assert [est for est, _ in steps] == plan
+    walks = int(re.search(r"edge walks = (\d+)", out).group(1))
+    assert sum(int(actual) for _, actual in steps) == walks
+    q_error = re.search(r"^plan q-error: ([\d.]+) \(~\d+ est, (\d+) actual\)$", out, re.M)
+    assert float(q_error.group(1)) >= 1.0 and int(q_error.group(2)) == walks
+
+
 def test_query_edge_burnback_requires_wf(capsys):
     code = main(
         [
