@@ -165,7 +165,7 @@ try:
 
     __version__ = _pkg_version("repro-answer-graph")
 except _PkgNotFound:  # pragma: no cover — uninstalled checkout
-    __version__ = "1.10.0"
+    __version__ = "1.11.0"
 
 #: Deprecated top-level names: old name -> (replacement name, object).
 #: Accessing one still works for a minor release but warns.

@@ -28,7 +28,7 @@ to build the graph in-process.
 from __future__ import annotations
 
 import argparse
-import math
+import json
 import sys
 import time
 
@@ -37,7 +37,7 @@ from repro.bench.table1 import format_table1, reproduce_table1
 from repro.bench.workloads import ENGINE_ORDER, default_engines
 from repro.core.gc_pause import collector_paused
 from repro.datasets.loader import load_dataset, save_dataset
-from repro.datasets.yago_like import MAX_SCALE, generate_yago_like
+from repro.datasets.yago_like import generate_yago_like
 from repro.errors import EvaluationTimeout, ReproError
 from repro.graph.backends import DEFAULT_BACKEND, available_backends
 from repro.graph.store import TripleStore
@@ -53,7 +53,9 @@ from repro.query.templates import (
     star_template,
 )
 from repro.stats.catalog import Catalog, build_catalog
+from repro.utils import domains
 from repro.utils.deadline import Deadline
+from repro.utils.domains import MAX_REPEAT
 
 _TEMPLATES = {
     "snowflake": snowflake_template,
@@ -62,10 +64,6 @@ _TEMPLATES = {
     "star": lambda: star_template(3),
     "cycle": lambda: cycle_template(4),
 }
-
-#: Largest ``batch --repeat``: the repeated workload is one list, built
-#: before the first query runs.
-MAX_REPEAT = 10_000
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
@@ -76,10 +74,10 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
         help="durable snapshot written by `save` (mmap warm start)",
     )
     parser.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=domains.scale, default=1.0,
         help="in-process YAGO-like scale (ignored with --dataset/--snapshot)",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=domains.seed, default=0)
     parser.add_argument(
         "--backend", choices=available_backends(), default=None,
         help="storage backend for the triple indexes "
@@ -132,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="build & save the YAGO-like dataset")
     p_gen.add_argument("out", help="output directory")
-    p_gen.add_argument("--scale", type=float, default=1.0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--scale", type=domains.scale, default=1.0)
+    p_gen.add_argument("--seed", type=domains.seed, default=0)
 
     p_stats = sub.add_parser("stats", help="summarize a dataset")
     _add_dataset_args(p_stats)
-    p_stats.add_argument("--top", type=int, default=10,
+    p_stats.add_argument("--top", type=domains.count, default=10,
                          help="show the N most frequent predicates")
 
     p_query = sub.add_parser("query", help="evaluate a SPARQL CQ")
@@ -149,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=ENGINE_ORDER, default="WF",
         help="which system evaluates the query (default WF)",
     )
-    p_query.add_argument("--timeout", type=float, default=300.0)
-    p_query.add_argument("--limit", type=int, default=20,
+    p_query.add_argument("--timeout", type=domains.seconds, default=300.0)
+    p_query.add_argument("--limit", type=domains.count, default=20,
                          help="print at most N rows (0 = count only)")
     p_query.add_argument("--edge-burnback", action="store_true",
                          help="enable edge burnback (WF only)")
@@ -158,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the Wireframe plans")
     p_query.add_argument("--json", action="store_true",
                          help="emit the canonical wire-form query and result "
-                         "as JSON (the same shapes the /v1 HTTP API serves)")
+                         "as JSON (the same shapes the /v1 HTTP API serves; "
+                         "--explain then prints to stderr)")
 
     p_batch = sub.add_parser(
         "batch",
@@ -174,14 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--template", choices=sorted(_TEMPLATES),
         help="mine the workload from this template instead of a file",
     )
-    p_batch.add_argument("--count", type=int, default=20,
+    p_batch.add_argument("--count", type=domains.positive, default=20,
                          help="queries to mine with --template (default 20)")
-    p_batch.add_argument("--repeat", type=int, default=1,
+    p_batch.add_argument("--repeat", type=domains.repeat, default=1,
                          help="repeat the workload N times (exercises caches; "
                          f"at most {MAX_REPEAT})")
-    p_batch.add_argument("--workers", type=int, default=None,
+    p_batch.add_argument("--workers", type=domains.positive, default=None,
                          help="thread-pool width (default min(8, cpus))")
-    p_batch.add_argument("--timeout", type=float, default=300.0,
+    p_batch.add_argument("--timeout", type=domains.seconds, default=300.0,
                          help="per-query budget in seconds")
     p_batch.add_argument("--no-result-cache", action="store_true",
                          help="disable the service result cache")
@@ -195,25 +194,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p_serve)
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="bind address (default 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=8080,
+    p_serve.add_argument("--port", type=domains.port, default=8080,
                          help="bind port (default 8080; 0 = ephemeral)")
-    p_serve.add_argument("--workers", type=int, default=1,
+    p_serve.add_argument("--workers", type=domains.positive, default=1,
                          help="worker processes (default 1; >= 2 serves a "
                          "prefork pool over a shared mmap snapshot and "
                          "requires --snapshot)")
-    p_serve.add_argument("--threads", type=int, default=None,
+    p_serve.add_argument("--threads", type=domains.positive, default=None,
                          help="service thread-pool width per process "
                          "(default min(8, cpus))")
-    p_serve.add_argument("--max-pending", type=int, default=64,
+    p_serve.add_argument("--max-pending", type=domains.positive, default=64,
                          help="in-flight query bound before 503 load shedding")
-    p_serve.add_argument("--max-body-kib", type=int, default=1024,
+    p_serve.add_argument("--max-body-kib", type=domains.positive, default=1024,
                          help="request body cap in KiB (default 1024)")
-    p_serve.add_argument("--timeout", type=float, default=300.0,
-                         help="default per-query budget in seconds for "
-                         "requests without an explicit timeout (0 = none)")
-    p_serve.add_argument("--limit", type=int, default=100,
+    p_serve.add_argument("--timeout", type=domains.seconds, default=300.0,
+                         help="per-query budget in seconds for requests "
+                         "without their own timeout (default 300)")
+    p_serve.add_argument("--limit", type=domains.count, default=100,
                          help="default decoded-row cap per response")
-    p_serve.add_argument("--slow-query-ms", type=float, default=None,
+    p_serve.add_argument("--slow-query-ms", type=domains.milliseconds,
+                         default=None,
                          help="log any request slower than this many "
                          "milliseconds as a structured slow_query line "
                          "with its per-stage spans")
@@ -221,16 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit JSON-lines lifecycle events "
                          "(server_start, worker_ready, handoff, ...) "
                          "on stderr")
-    p_serve.add_argument("--metrics-port", type=int, default=None,
+    p_serve.add_argument("--metrics-port", type=domains.port, default=None,
                          help="with --workers >= 2: serve the pool's "
                          "aggregated GET /metrics on this extra port "
                          "(single-process servers expose /metrics on "
                          "the main port already)")
-    p_serve.add_argument("--watchdog-interval", type=float, default=10.0,
+    p_serve.add_argument("--watchdog-interval", type=domains.seconds_or_off,
+                         default=10.0,
                          help="with --workers >= 2: seconds between "
                          "liveness pings to each worker's event loop; "
                          "0 disables the watchdog (default 10)")
-    p_serve.add_argument("--watchdog-timeout", type=float, default=5.0,
+    p_serve.add_argument("--watchdog-timeout", type=domains.seconds, default=5.0,
                          help="with --workers >= 2: seconds a worker may "
                          "take to answer a ping before it is killed and "
                          "respawned (default 5)")
@@ -239,15 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p_mine)
     p_mine.add_argument("--template", choices=sorted(_TEMPLATES),
                         default="snowflake")
-    p_mine.add_argument("--count", type=int, default=5)
-    p_mine.add_argument("--miner-seed", type=int, default=0)
+    p_mine.add_argument("--count", type=domains.positive, default=5)
+    p_mine.add_argument("--miner-seed", type=domains.seed, default=0)
 
     p_t1 = sub.add_parser("table1", help="regenerate the paper's Table 1")
     _add_dataset_args(p_t1)
-    p_t1.add_argument("--runs", type=int, default=3)
-    p_t1.add_argument("--timeout", type=float, default=60.0)
+    p_t1.add_argument("--runs", type=domains.positive, default=3)
+    p_t1.add_argument("--timeout", type=domains.seconds, default=60.0)
     p_t1.add_argument(
-        "--engines", default=",".join(ENGINE_ORDER),
+        "--engines", type=domains.subset_of(ENGINE_ORDER),
+        default=",".join(ENGINE_ORDER),
         help="comma-separated engine subset (default all five)",
     )
 
@@ -322,8 +324,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    if _out_of_range((args.top < 0, "--top must be >= 0")):
-        return 2
     store, catalog = _load(args)
     print(f"triples:    {store.num_triples}")
     print(f"nodes:      {store.num_nodes}")
@@ -346,21 +346,7 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _out_of_range(*rules: tuple[bool, str]) -> bool:
-    """Print ``error: <rule>`` for the first broken rule; whether one was."""
-    for broken, rule in rules:
-        if broken:
-            print(f"error: {rule}", file=sys.stderr)
-            return True
-    return False
-
-
 def _cmd_query(args) -> int:
-    if _out_of_range(
-        (not 0 < args.timeout < math.inf, "--timeout must be positive and finite"),
-        (args.limit < 0, "--limit must be >= 0"),
-    ):
-        return 2
     store, catalog = _load(args)
     if args.file:
         with open(args.file, "r", encoding="utf-8") as handle:
@@ -380,14 +366,17 @@ def _cmd_query(args) -> int:
         engine = WireframeEngine(store, catalog, edge_burnback=True)
 
     prepared = steps = None
+    # Under --json, stdout carries the JSON document alone.
+    explain_out = sys.stderr if args.json else sys.stdout
     if args.explain and args.engine == "WF":
         prepared = engine.plan(query)
         _, ag_plan, chordification = prepared
-        print("answer-graph plan:")
-        print(ag_plan.describe(query))
+        print("answer-graph plan:", file=explain_out)
+        print(ag_plan.describe(query), file=explain_out)
         if not chordification.is_trivial:
             print(f"chords: {len(chordification.chords)}, "
-                  f"triangles: {len(chordification.triangles)}")
+                  f"triangles: {len(chordification.triangles)}",
+                  file=explain_out)
 
     deadline = Deadline(args.timeout)
     start = time.perf_counter()
@@ -405,8 +394,6 @@ def _cmd_query(args) -> int:
             )
     except EvaluationTimeout as exc:
         if args.json:
-            import json
-
             print(json.dumps({
                 "query": query.to_dict(),
                 "error": {"code": "timeout", "message": str(exc)},
@@ -416,11 +403,9 @@ def _cmd_query(args) -> int:
         return 1
     elapsed = time.perf_counter() - start
     if steps is not None:
-        print(_format_step_walks(steps))
+        print(_format_step_walks(steps), file=explain_out)
 
     if args.json:
-        import json
-
         # The same canonical forms the /v1 HTTP API serves: the query
         # as its wire document, the result through EngineResult.to_dict.
         payload = {
@@ -517,20 +502,8 @@ def format_stats(snapshot: dict) -> str:
 
 
 def _cmd_batch(args) -> int:
-    import json
-
-    from repro.errors import EvaluationTimeout as _Timeout
-    from repro.errors import ReproError as _ReproError
     from repro.service import QueryService
 
-    if _out_of_range(
-        (args.workers is not None and args.workers < 1, "--workers must be >= 1"),
-        (args.repeat < 1, "--repeat must be >= 1"),
-        (args.repeat > MAX_REPEAT, f"--repeat must be at most {MAX_REPEAT}"),
-        (not 0 < args.timeout < math.inf, "--timeout must be positive and finite"),
-        (args.template is not None and args.count < 1, "--count must be >= 1"),
-    ):
-        return 2
     store, catalog = _load(args)
     if args.file:
         if args.file == "-":
@@ -574,7 +547,7 @@ def _cmd_batch(args) -> int:
         entries = []
         for q, r in zip(queries, results):
             entry: dict = {"query": q.to_dict()}
-            if isinstance(r, _ReproError):
+            if isinstance(r, ReproError):
                 _status, code, message = map_exception(r)
                 entry["error"] = {"code": code, "message": message}
             else:
@@ -588,12 +561,12 @@ def _cmd_batch(args) -> int:
         print(json.dumps(payload, indent=2))
         return 0
 
-    ok = sum(1 for r in results if not isinstance(r, _ReproError))
+    ok = sum(1 for r in results if not isinstance(r, ReproError))
     for i, (query, result) in enumerate(zip(queries, results)):
         label = query.name or f"q{i}"
-        if isinstance(result, _Timeout):
+        if isinstance(result, EvaluationTimeout):
             print(f"  {label:<24} *")
-        elif isinstance(result, _ReproError):
+        elif isinstance(result, ReproError):
             print(f"  {label:<24} ! {result}")
         else:
             svc = result.stats.get("service", {})
@@ -611,24 +584,6 @@ def _cmd_serve(args) -> int:
     from repro.server import serve
     from repro.service import QueryService
 
-    if _out_of_range(
-        (args.workers < 1, "--workers must be >= 1"),
-        (args.threads is not None and args.threads < 1, "--threads must be >= 1"),
-        (not 0 <= args.timeout < math.inf,
-         "--timeout must be finite and >= 0 (0 = none)"),
-        (args.slow_query_ms is not None and not args.slow_query_ms > 0,
-         "--slow-query-ms must be positive"),
-        (args.max_pending < 1, "--max-pending must be >= 1"),
-        (args.max_body_kib < 1, "--max-body-kib must be >= 1"),
-        (args.limit < 0, "--limit must be >= 0"),
-        (not args.watchdog_interval >= 0,
-         "--watchdog-interval must be >= 0 (0 disables the watchdog)"),
-        (not args.watchdog_timeout > 0, "--watchdog-timeout must be positive"),
-        (not 0 <= args.port <= 65535, "--port must be in 0..65535"),
-        (args.metrics_port is not None and not 0 <= args.metrics_port <= 65535,
-         "--metrics-port must be in 0..65535"),
-    ):
-        return 2
     if args.workers > 1:
         return _serve_prefork(args)
     if args.metrics_port is not None:
@@ -685,7 +640,7 @@ def _server_options(args) -> dict:
     return {
         "max_pending": args.max_pending,
         "max_body_bytes": args.max_body_kib * 1024,
-        "default_timeout": args.timeout if args.timeout > 0 else None,
+        "default_timeout": args.timeout,
         "default_row_limit": args.limit,
         "slow_query_seconds": (
             args.slow_query_ms / 1000.0
@@ -740,9 +695,7 @@ def _serve_prefork(args) -> int:
         threads=args.threads,
         on_ready=on_ready,
         metrics_port=args.metrics_port,
-        watchdog_interval=(
-            args.watchdog_interval if args.watchdog_interval > 0 else None
-        ),
+        watchdog_interval=args.watchdog_interval,
         watchdog_timeout=args.watchdog_timeout,
         log_json=args.log_json,
         server_options=_server_options(args),
@@ -751,11 +704,6 @@ def _serve_prefork(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    if _out_of_range(
-        (args.count < 1, "--count must be >= 1"),
-        (args.miner_seed < 0, "--miner-seed must be >= 0"),
-    ):
-        return 2
     store, _ = _load(args)
     miner = QueryMiner(store, seed=args.miner_seed,
                        forbidden_labels=["rdf:type"])
@@ -768,22 +716,14 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    engines = tuple(name.strip() for name in args.engines.split(",") if name)
-    if _out_of_range(
-        (args.runs < 1, "--runs must be >= 1"),
-        (not 0 < args.timeout < math.inf, "--timeout must be positive and finite"),
-        (not engines or not set(engines) <= set(ENGINE_ORDER),
-         f"--engines must be a non-empty subset of {','.join(ENGINE_ORDER)}"),
-    ):
-        return 2
     store, _ = _load(args)
     protocol = BenchmarkProtocol(
         runs=args.runs,
         discard=1 if args.runs > 1 else 0,
         timeout=args.timeout,
     )
-    rows = reproduce_table1(store=store, engines=engines, protocol=protocol)
-    print(format_table1(rows, engines=engines))
+    rows = reproduce_table1(store=store, engines=args.engines, protocol=protocol)
+    print(format_table1(rows, engines=args.engines))
     return 0
 
 
@@ -854,8 +794,6 @@ def _cmd_wal_inspect(args) -> int:
 
     summary = wal_inspect(args.path, include_records=args.json)
     if args.json:
-        import json
-
         print(json.dumps(summary, indent=2))
     else:
         width = max(len(k) for k in summary)
@@ -882,17 +820,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Checked even where --dataset/--snapshot makes them unused.
-    scale = getattr(args, "scale", 1.0)
-    if _out_of_range(
-        (not 0 < scale < math.inf, "--scale must be positive and finite"),
-        (scale > MAX_SCALE, f"--scale must be at most {MAX_SCALE}"),
-        (getattr(args, "seed", 0) < 0, "--seed must be >= 0"),
-    ):
-        return 2
+    """CLI entry point; returns the process exit code (2 for a usage
+    error, such as a value outside its option's domain)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage and the error
+        return exc.code
     try:
         return _COMMANDS[args.command](args)
     except (ReproError, OSError) as exc:

@@ -24,7 +24,6 @@ adds ≤ 9 triples per query — statistically invisible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +33,11 @@ from repro.datasets.paper_queries import PAPER_DIAMOND_LABELS, PAPER_SNOWFLAKE_L
 from repro.errors import DatasetError
 from repro.graph.store import TripleStore
 from repro.query.templates import QueryTemplate, diamond_template, snowflake_template
+from repro.utils import domains
+from repro.utils.domains import MAX_SCALE as MAX_SCALE  # re-exported
 from repro.utils.rng import make_rng, spawn_rng
 
 _MAX_FAN = 64  # cap a single subject's sampled fan-out
-
-
-#: Largest accepted ``scale``: ~90M entities and ~800M triples, far more
-#: than fits in memory. It is there so that an absurd scale fails at
-#: once with its name in the message, not deep in numpy or ``range``.
-MAX_SCALE = 10_000
 
 
 @dataclass(frozen=True)
@@ -64,14 +59,11 @@ class YagoLikeConfig:
     plant_witnesses: bool = True
 
     def __post_init__(self) -> None:
-        if not 0 < self.scale < math.inf:  # NaN too
-            raise DatasetError(f"scale must be positive and finite, got {self.scale}")
-        if self.scale > MAX_SCALE:
-            raise DatasetError(
-                f"scale must be at most MAX_SCALE = {MAX_SCALE}, got {self.scale}"
-            )
-        if self.seed < 0:  # numpy's seeding would raise ValueError
-            raise DatasetError(f"seed must be >= 0, got {self.seed}")
+        try:
+            domains.scale(self.scale, "scale")
+            domains.seed(self.seed, "seed")
+        except ValueError as exc:
+            raise DatasetError(str(exc)) from None
         if self.filler_predicates < 0:
             raise DatasetError("filler_predicates cannot be negative")
 

@@ -86,6 +86,7 @@ from repro.server.wire import (
     parse_json_body,
     parse_query_request,
 )
+from repro.utils import domains
 from repro.utils.deadline import Deadline
 
 #: Default cap on rows per response — built by phase 2, cached and
@@ -184,7 +185,7 @@ class HTTPQueryServer:
         Request-body cap; larger uploads are refused with ``413``.
     default_timeout:
         Deadline budget, in seconds, applied to requests that carry
-        neither the header nor the body field (``None`` = unlimited).
+        neither the header nor the body field.
     default_row_limit:
         Decoded-row cap applied when a request does not set ``limit``.
     extra_stats:
@@ -216,21 +217,19 @@ class HTTPQueryServer:
         port: int = 0,
         max_pending: int = 64,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        default_timeout: float | None = 300.0,
+        default_timeout: float = 300.0,
         default_row_limit: int | None = DEFAULT_ROW_LIMIT,
         extra_stats=None,
         observability: bool = True,
         slow_query_seconds: float | None = None,
         logger=None,
     ):
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending!r}")
         self.service = service
         self.host = host
         self.port = port
-        self.max_pending = max_pending
+        self.max_pending = domains.positive(max_pending, "max_pending")
         self.max_body_bytes = max_body_bytes
-        self.default_timeout = default_timeout
+        self.default_timeout = domains.seconds(default_timeout, "default_timeout")
         self.default_row_limit = default_row_limit
         self.extra_stats = extra_stats
         self.observability = observability
@@ -734,17 +733,16 @@ class HTTPQueryServer:
     # Endpoints
     # ------------------------------------------------------------------
 
-    def _deadline_for(self, timeout_seconds: float | None) -> Deadline | None:
+    def _deadline_for(self, timeout_seconds: float | None) -> Deadline:
         """A *running* deadline for one admitted query.
 
         Constructed at admission so that time spent queued — in the
         service pool or behind the event loop — counts against the
         client's budget, mirroring in-process ``Deadline`` semantics.
         """
-        budget = (
+        return Deadline(
             timeout_seconds if timeout_seconds is not None else self.default_timeout
         )
-        return None if budget is None else Deadline(budget)
 
     def _parsed(self, request: Request, parse, heads, trace) -> tuple:
         """The validated document of ``request`` and its response head(s).

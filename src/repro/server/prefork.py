@@ -90,6 +90,7 @@ from repro.storage.generations import (
     is_quarantined,
     quarantined,
 )
+from repro.utils import domains
 
 __all__ = ["PreforkServer", "serve_prefork"]
 
@@ -217,12 +218,8 @@ class PreforkServer:
         metrics_port: "int | None" = None,
         log_json: bool = False,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers!r}")
-        if not watchdog_timeout > 0:  # every ping would fail and kill its worker; NaN too
-            raise ValueError(f"watchdog_timeout must be > 0, got {watchdog_timeout!r}")
         self.snapshot = os.fspath(snapshot)
-        self.workers = workers
+        self.workers = domains.positive(workers, "workers")
         self.host = host
         self.port = port
         self.backend = backend
@@ -232,8 +229,9 @@ class PreforkServer:
         self.auto_reload = auto_reload
         self.watch_interval = watch_interval
         self.watchdog_interval = watchdog_interval
-        self.watchdog_timeout = watchdog_timeout
-        self._slots = [_WorkerSlot(i) for i in range(workers)]
+        # Above TIMEOUT_MAX, socket.settimeout overflows in the probe.
+        self.watchdog_timeout = domains.seconds(watchdog_timeout, "watchdog_timeout")
+        self._slots = [_WorkerSlot(i) for i in range(self.workers)]
         self._listen_sock: "socket.socket | None" = None
         self._watcher: "SnapshotWatcher | None" = None
         self._stop = threading.Event()

@@ -23,7 +23,6 @@ where :mod:`repro.errors` exceptions become HTTP statuses.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 
 from repro.errors import (
@@ -36,6 +35,7 @@ from repro.errors import (
 from repro.query.model import ConjunctiveQuery
 from repro.query.parser import parse_query
 from repro.server.http import HttpError
+from repro.utils import domains
 
 #: The version segment every route is mounted under. Breaking wire
 #: changes bump this and mount alongside the old prefix; additive
@@ -79,7 +79,7 @@ def parse_json_body(body: bytes) -> object:
         return json.loads(body.decode("utf-8"), parse_constant=_reject_constant)
     except UnicodeDecodeError as exc:
         raise WireError("malformed_json", f"body is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise WireError("malformed_json", f"body is not valid JSON: {exc}") from exc
 
 
@@ -93,11 +93,21 @@ def _check_fields(doc: dict, allowed: frozenset, what: str) -> None:
         )
 
 
+def _in_domain(domain, value, name: str):
+    """``domain(value, name)``, its ``ValueError`` an ``invalid_field``."""
+    try:
+        return domain(value, name)
+    except ValueError as exc:
+        raise WireError("invalid_field", str(exc)) from None
+
+
 def _parse_timeout(doc: dict, header_timeout: float | None) -> float | None:
-    """The request's deadline budget in seconds, or ``None`` for none.
+    """The request's deadline budget in seconds, or ``None`` for the
+    server's default.
 
     The body field wins over the ``X-Repro-Timeout`` header (it is the
-    more deliberate of the two); either must be a positive finite number.
+    more deliberate of the two); either must be in the ``seconds``
+    domain (:mod:`repro.utils.domains`).
     """
     timeout = doc.get("timeout_seconds", header_timeout)
     if timeout is None:
@@ -107,61 +117,35 @@ def _parse_timeout(doc: dict, header_timeout: float | None) -> float | None:
             "invalid_field", f"'timeout_seconds' must be a number, got {timeout!r}"
         )
     # JSON numbers beyond a float decode as inf (1e999) or as an int
-    # float() cannot take (1 and 400 zeros): neither is a budget.
-    if not 0 < timeout <= sys.float_info.max:
-        raise WireError(
-            "invalid_field", f"'timeout_seconds' must be positive and finite, got {timeout!r}"
-        )
-    return float(timeout)
+    # float() cannot take (1 and 400 zeros): the domain refuses both.
+    return _in_domain(domains.seconds, timeout, "'timeout_seconds'")
 
 
 def parse_header_timeout(value: str | None) -> float | None:
-    """Parse the ``X-Repro-Timeout`` header (seconds, positive finite float)."""
+    """Parse the ``X-Repro-Timeout`` header (the ``seconds`` domain)."""
     if value is None:
         return None
-    try:
-        timeout = float(value)
-    except ValueError as exc:
-        raise WireError(
-            "invalid_field", f"X-Repro-Timeout header must be a number, got {value!r}"
-        ) from exc
-    if not 0 < timeout <= sys.float_info.max:  # also refuses "nan" and "inf"
-        raise WireError(
-            "invalid_field",
-            f"X-Repro-Timeout header must be positive and finite, got {value!r}",
-        )
-    return timeout
+    return _in_domain(domains.seconds, value, "X-Repro-Timeout header")
 
 
 def _parse_limit(doc: dict, default: int | None) -> int | None:
     limit = doc.get("limit", default)
     if limit is None:
         return None
-    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
+    if isinstance(limit, bool) or not isinstance(limit, int):
         raise WireError(
-            "invalid_field",
-            f"'limit' must be a non-negative integer, got {limit!r}",
+            "invalid_field", f"'limit' must be an integer, got {limit!r}"
         )
-    return limit
+    return _in_domain(domains.count, limit, "'limit'")
 
 
-def _parse_materialize(doc: dict) -> bool:
-    materialize = doc.get("materialize", True)
-    if not isinstance(materialize, bool):
+def _parse_flag(doc: dict, field: str, default: bool) -> bool:
+    value = doc.get(field, default)
+    if not isinstance(value, bool):
         raise WireError(
-            "invalid_field", f"'materialize' must be a boolean, got {materialize!r}"
+            "invalid_field", f"'{field}' must be a boolean, got {value!r}"
         )
-    return materialize
-
-
-def _parse_include_trace(doc: dict) -> bool:
-    include_trace = doc.get("include_trace", False)
-    if not isinstance(include_trace, bool):
-        raise WireError(
-            "invalid_field",
-            f"'include_trace' must be a boolean, got {include_trace!r}",
-        )
-    return include_trace
+    return value
 
 
 def _parse_query_value(doc: dict, what: str) -> ConjunctiveQuery:
@@ -208,9 +192,9 @@ def parse_query_request(
     return QueryRequest(
         query=_parse_query_value(doc, "a query request"),
         timeout_seconds=_parse_timeout(doc, header_timeout),
-        materialize=_parse_materialize(doc),
+        materialize=_parse_flag(doc, "materialize", True),
         limit=_parse_limit(doc, default_limit),
-        include_trace=_parse_include_trace(doc),
+        include_trace=_parse_flag(doc, "include_trace", False),
     )
 
 
@@ -251,9 +235,9 @@ def parse_batch_request(
             status=413,
         )
     timeout = _parse_timeout(doc, header_timeout)
-    materialize = _parse_materialize(doc)
+    materialize = _parse_flag(doc, "materialize", True)
     limit = _parse_limit(doc, default_limit)
-    include_trace = _parse_include_trace(doc)
+    include_trace = _parse_flag(doc, "include_trace", False)
     requests = []
     for i, entry in enumerate(queries_doc):
         if isinstance(entry, str):

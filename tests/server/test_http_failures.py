@@ -107,6 +107,11 @@ BAD_OPTIONS = [
     (raw_timeout("1" + "0" * 400), None, "invalid_field"),  # an int too large for a float
     ({"sparql": SPARQL}, {"X-Repro-Timeout": "nan"}, "invalid_field"),
     ({"sparql": SPARQL}, {"X-Repro-Timeout": "inf"}, "invalid_field"),
+    # Finite, but longer than a lock or a socket can wait.
+    ({"sparql": SPARQL, "timeout_seconds": 1e10}, None, "invalid_field"),
+    ({"sparql": SPARQL}, {"X-Repro-Timeout": "1e10"}, "invalid_field"),
+    # More digits than Python converts to an int: a ValueError, not a 500.
+    (raw_timeout("1" + "0" * 5000), None, "malformed_json"),
 ]
 
 
@@ -114,7 +119,8 @@ BAD_OPTIONS = [
     "body, headers, code",
     BAD_OPTIONS,
     ids=[f"body{i}" for i in range(5)]  # the ids these five always had
-    + ["nan", "infinity", "minus-infinity", "overflow", "huge-int", "nan-header", "inf-header"],
+    + ["nan", "infinity", "minus-infinity", "overflow", "huge-int", "nan-header", "inf-header",
+       "above-timeout-max", "above-timeout-max-header", "int-past-digit-limit"],
 )
 def test_bad_option_values_400(client, body, headers, code):
     status, payload, _ = client.post("/v1/query", body, headers=headers)

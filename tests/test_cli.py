@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.utils import domains
 
 
 def test_generate_and_stats(tmp_path, capsys):
@@ -126,6 +129,27 @@ def test_query_explain_joins_estimated_and_actual_walks(capsys):
     assert float(q_error.group(1)) >= 1.0 and int(q_error.group(2)) == walks
 
 
+def test_query_explain_json_keeps_stdout_one_document(capsys):
+    """Under ``--json`` the plan and the walk lines go to stderr, so
+    stdout parses as the JSON document alone."""
+    import json
+
+    code = main(
+        [
+            "query", "--scale", "0.05", "--explain", "--json", "--limit", "2",
+            "--sparql",
+            "select * where { ?x livesIn ?e . ?x isCitizenOf ?z . "
+            "?y isLocatedIn ?e . ?y linksTo ?z }",
+        ]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["result"]["count"] > 0
+    assert "answer-graph plan:" in captured.err
+    assert "estimated vs actual walks:" in captured.err
+    assert "plan q-error:" in captured.err
+
+
 def test_query_edge_burnback_requires_wf(capsys):
     code = main(
         [
@@ -184,9 +208,9 @@ def test_table1_subset(capsys):
     assert "PG" not in out
 
 
-def test_unknown_command_rejected():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+def test_unknown_command_rejected(capsys):
+    assert main(["frobnicate"]) == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
 def test_batch_template_workload(capsys):
@@ -315,8 +339,8 @@ def test_dataset_loads_into_any_backend(tmp_path, capsys):
 
 
 def test_unknown_backend_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(["stats", "--scale", "0.05", "--backend", "parquet"])
+    assert main(["stats", "--scale", "0.05", "--backend", "parquet"]) == 2
+    assert "argument --backend" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -396,8 +420,8 @@ def test_dump_round_trips_through_parser(tmp_path):
 
 
 def test_snapshot_and_dataset_flags_conflict(capsys):
-    with pytest.raises(SystemExit):
-        main(["stats", "--dataset", "x", "--snapshot", "y"])
+    assert main(["stats", "--dataset", "x", "--snapshot", "y"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -541,7 +565,7 @@ def test_serve_rejects_out_of_range_numbers(monkeypatch, capsys, flag, value):
 
     monkeypatch.setattr(repro.server, "serve", fail)
     assert main(["serve", "--scale", "0.05", "--port", "0", flag, value]) == 2
-    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert f"argument {flag}: must be" in capsys.readouterr().err
     if flag == "--watchdog-timeout":
         with pytest.raises(ValueError, match="watchdog_timeout"):
             PreforkServer("unused", watchdog_timeout=float(value))
@@ -608,7 +632,89 @@ def test_query_and_batch_reject_out_of_range_numbers(monkeypatch, capsys, argv, 
     monkeypatch.setattr(repro.cli, "generate_yago_like", fail)
     # A later --scale in ``argv`` overrides this one.
     assert main(argv[:1] + ["--scale", "0.05"] + argv[1:]) == 2
-    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+#: What each command needs besides the option under test.
+_REQUIRED_ARGS = {
+    "generate": ["unused"],
+    "query": ["--sparql", "select ?x where { ?x created ?y }"],
+    "batch": ["--template", "chain"],
+    "save": ["unused"],
+    "dump": ["unused"],
+}
+_FLOAT_DOMAINS = {
+    domains.seconds, domains.seconds_or_off, domains.milliseconds, domains.scale,
+}
+#: No numeric option accepts these.
+_NEVER_VALID = {"nan", "inf", "1e999", "-1"}
+
+
+def _domain_cases():
+    """``(command, flag, domain, value)`` for every option of every
+    subcommand whose ``type=`` is a domain: floats get nan, inf, 1e999,
+    -1, 0, 1e20 and 1e15 (above ``MAX_SCALE``), ints -1, 0, 1e20 and
+    70000 (above a port), ``--engines`` an unknown name and an empty
+    list."""
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if getattr(action.type, "__module__", None) != domains.__name__:
+                continue
+            flag = action.option_strings[-1]
+            if flag == "--engines":
+                values = ("WF,XX", ",")
+            elif action.type in _FLOAT_DOMAINS:
+                values = ("nan", "inf", "1e999", "-1", "0",
+                          "99999999999999999999", "1e15")
+            else:
+                values = ("-1", "0", "99999999999999999999", "70000")
+            for value in values:
+                yield pytest.param(command, flag, action.type, value,
+                                   id=f"{command}{flag}={value}")
+
+
+@pytest.mark.parametrize("command, flag, domain, value", list(_domain_cases()))
+def test_every_numeric_option_refuses_values_outside_its_domain(
+    monkeypatch, capsys, command, flag, domain, value
+):
+    """Generated from ``build_parser()``. A value outside the option's
+    domain exits 2 with argparse's usage error naming the option, before
+    a dataset is built or a server started; any other value gets past
+    parsing (to the stubbed loader, or a cross-option refusal). Any
+    other exception fails the test."""
+    import repro.cli
+    import repro.server
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(repro.cli, "_load", reached)
+    monkeypatch.setattr(repro.cli, "generate_yago_like", reached)
+    monkeypatch.setattr(repro.server, "serve", reached)
+    monkeypatch.setattr(repro.server, "serve_prefork", reached)
+    try:
+        domain(value)
+        refused = False
+    except ValueError:
+        refused = True
+    assert refused or value not in _NEVER_VALID and flag != "--engines"
+    try:
+        code = main([command, *_REQUIRED_ARGS.get(command, []), flag, value])
+    except Reached:
+        code = None
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 2
+        assert f"argument {flag}: must be" in err and err.startswith("usage:")
+    else:
+        assert f"argument {flag}" not in err
 
 
 def test_wal_open_patches_the_stored_catalog_instead_of_rebuilding(tmp_path):
