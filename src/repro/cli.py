@@ -173,12 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--template", choices=sorted(_TEMPLATES),
         help="mine the workload from this template instead of a file",
     )
-    p_batch.add_argument("--count", type=domains.positive, default=20,
+    p_batch.add_argument("--count", type=domains.repeat, default=20,
                          help="queries to mine with --template (default 20)")
     p_batch.add_argument("--repeat", type=domains.repeat, default=1,
                          help="repeat the workload N times (exercises caches; "
                          f"at most {MAX_REPEAT})")
-    p_batch.add_argument("--workers", type=domains.positive, default=None,
+    p_batch.add_argument("--workers", type=domains.workers, default=None,
                          help="thread-pool width (default min(8, cpus))")
     p_batch.add_argument("--timeout", type=domains.seconds, default=300.0,
                          help="per-query budget in seconds")
@@ -196,11 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind address (default 127.0.0.1)")
     p_serve.add_argument("--port", type=domains.port, default=8080,
                          help="bind port (default 8080; 0 = ephemeral)")
-    p_serve.add_argument("--workers", type=domains.positive, default=1,
+    p_serve.add_argument("--workers", type=domains.workers, default=1,
                          help="worker processes (default 1; >= 2 serves a "
                          "prefork pool over a shared mmap snapshot and "
                          "requires --snapshot)")
-    p_serve.add_argument("--threads", type=domains.positive, default=None,
+    p_serve.add_argument("--threads", type=domains.workers, default=None,
                          help="service thread-pool width per process "
                          "(default min(8, cpus))")
     p_serve.add_argument("--max-pending", type=domains.positive, default=64,
@@ -240,12 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p_mine)
     p_mine.add_argument("--template", choices=sorted(_TEMPLATES),
                         default="snowflake")
-    p_mine.add_argument("--count", type=domains.positive, default=5)
+    p_mine.add_argument("--count", type=domains.repeat, default=5)
     p_mine.add_argument("--miner-seed", type=domains.seed, default=0)
 
     p_t1 = sub.add_parser("table1", help="regenerate the paper's Table 1")
     _add_dataset_args(p_t1)
-    p_t1.add_argument("--runs", type=domains.positive, default=3)
+    p_t1.add_argument("--runs", type=domains.repeat, default=3)
     p_t1.add_argument("--timeout", type=domains.seconds, default=60.0)
     p_t1.add_argument(
         "--engines", type=domains.subset_of(ENGINE_ORDER),

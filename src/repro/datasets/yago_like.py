@@ -25,6 +25,7 @@ adds ≤ 9 triples per query — statistically invisible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -211,10 +212,13 @@ def _populate_channel(
     repeated_subjects = np.repeat(subjects, fans)
 
     p_id = store.dictionary.encode(predicate)
+    loopless = repeated_subjects != objects  # no self-loops in the organic data
     added = store.add_triples(
-        (s, p_id, o)
-        for s, o in zip(repeated_subjects.tolist(), objects.tolist())
-        if s != o  # no self-loops in the organic data
+        zip(
+            repeated_subjects[loopless].tolist(),
+            repeat(p_id),
+            objects[loopless].tolist(),
+        )
     )
     if added == 0:
         # Tiny scales can lose a channel's only sampled edge to the

@@ -23,6 +23,7 @@ from repro.errors import DatasetError, QueryError
 from repro.graph.store import TripleStore
 from repro.query.model import ConjunctiveQuery
 from repro.query.templates import QueryTemplate, TemplateEdge
+from repro.utils import domains
 from repro.utils.rng import make_rng
 
 
@@ -71,12 +72,16 @@ class QueryMiner:
         embedding found during mining). ``distinct_labels`` additionally
         requires all slots of one query to use pairwise-distinct labels.
 
-        Raises :class:`DatasetError` when the attempt budget is spent
-        before ``count`` distinct assignments are found — a sign the
-        dataset is too small for the template.
+        Raises :class:`QueryError` unless ``count`` is in 1..``MAX_REPEAT``
+        (:mod:`repro.utils.domains`; the default budget is 400 attempts
+        per query), and :class:`DatasetError` when the attempt budget
+        is spent before ``count`` distinct assignments are found — a
+        sign the dataset is too small for the template.
         """
-        if count < 1:
-            raise QueryError("count must be >= 1")
+        try:
+            domains.repeat(count, "count")
+        except ValueError as exc:
+            raise QueryError(str(exc)) from None
         budget = max_attempts if max_attempts is not None else max(1000, 400 * count)
         seen: set[tuple[str, ...]] = set()
         queries: list[ConjunctiveQuery] = []

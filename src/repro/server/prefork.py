@@ -158,7 +158,8 @@ class PreforkServer:
         ``QueryService.from_snapshot`` (no WAL, so ``read_only``); the
         dispatcher watches it for newly installed generations.
     workers:
-        Number of worker processes.
+        Number of worker processes, at most ``MAX_WORKERS``
+        (:mod:`repro.utils.domains`), as is ``threads``.
     host / port:
         Bind address of the shared listening socket (``port=0`` picks
         an ephemeral port; see :attr:`address` after :meth:`start`).
@@ -219,11 +220,11 @@ class PreforkServer:
         log_json: bool = False,
     ):
         self.snapshot = os.fspath(snapshot)
-        self.workers = domains.positive(workers, "workers")
+        self.workers = domains.workers(workers, "workers")
         self.host = host
         self.port = port
         self.backend = backend
-        self.threads = threads
+        self.threads = threads if threads is None else domains.workers(threads, "threads")
         self.server_options = dict(server_options or {})
         self.service_options = dict(service_options or {})
         self.auto_reload = auto_reload

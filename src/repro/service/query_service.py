@@ -62,6 +62,7 @@ from repro.storage import (
     load_snapshot_catalog,
     snapshot_generation,
 )
+from repro.utils import domains
 from repro.utils.deadline import Deadline
 
 #: ``repro_service_stage_seconds`` labels: queue wait, planning, execution, total.
@@ -115,7 +116,8 @@ class QueryService:
         Optional prebuilt statistics for the store's *current* epoch.
         When omitted the store's memoized catalog is used.
     max_workers:
-        Thread-pool width (default: ``min(8, cpu_count)``).
+        Thread-pool width (default: ``min(8, cpu_count)``), at most
+        ``MAX_WORKERS`` (:mod:`repro.utils.domains`).
     plan_cache_size / result_cache_size:
         LRU capacities; ``0`` disables the respective cache.
     coalesce:
@@ -156,6 +158,11 @@ class QueryService:
         coalesce: bool = True,
         freeze: bool = False,
     ):
+        self.max_workers = (
+            _default_workers()
+            if max_workers is None
+            else domains.workers(max_workers, "max_workers")
+        )
         if freeze and not store.frozen:
             store.freeze()
         self.store = store
@@ -164,7 +171,6 @@ class QueryService:
         # never alias cached plans/results from another layout, even if
         # cache objects are shared or persisted across services.
         self._backend_name = store.backend_name
-        self.max_workers = max_workers if max_workers is not None else _default_workers()
         self.plan_cache = PlanCache(plan_cache_size)
         self.result_cache = ResultCache(result_cache_size)
         # The per-service metrics registry: the only record of what the

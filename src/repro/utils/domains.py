@@ -19,8 +19,13 @@ import threading
 #: Largest dataset ``scale`` (~800M triples, far more than fits in
 #: memory): an absurd scale fails at once, not deep in numpy.
 MAX_SCALE = 10_000
-#: Largest ``batch --repeat``: the repeated workload is one list.
+#: Largest ``batch --repeat``, ``mine`` / ``batch --count`` and
+#: ``table1 --runs``: each makes one list that long, and mining spends
+#: up to 400 attempts per query asked for.
 MAX_REPEAT = 10_000
+#: Most worker processes (``serve --workers``) or pool threads
+#: (``serve --threads``, ``batch --workers``) one run starts.
+MAX_WORKERS = 256
 
 
 class DomainError(ValueError, argparse.ArgumentTypeError):
@@ -70,6 +75,7 @@ scale = _domain(
 count = seed = _domain(int, (">= 0", lambda x: x >= 0))
 positive = _domain(int, (">= 1", lambda x: x >= 1))
 repeat = _domain(int, (f"in 1..{MAX_REPEAT}", lambda x: 1 <= x <= MAX_REPEAT))
+workers = _domain(int, (f"in 1..{MAX_WORKERS}", lambda x: 1 <= x <= MAX_WORKERS))
 port = _domain(int, ("in 0..65535", lambda x: 0 <= x <= 65535))
 
 

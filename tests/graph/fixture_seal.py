@@ -10,8 +10,13 @@ fixture's own predicates, so seals and removals also run over columns
 of thousands of pairs. After each read every predicate the batch
 touched must hold columns equal to :meth:`Segment.from_pairs` of its
 pairs as a plain set tracks them, and the catalog the write patched
-must equal a rebuild. The file name keeps it out of tier-1 collection
-(a few seconds per run); CI runs it on the columnar leg:
+must equal a rebuild. A second case loads all the fixture's triples
+in one ``add_triples`` call, the bulk path every predicate group of
+which is merged and sealed at once (what ``graph.columnar.build_s``
+times): its columns must equal the generator's, segment for segment,
+and both must equal :meth:`Segment.from_pairs` of the same generation
+on hashdict. The file name keeps it out of tier-1 collection (a few
+seconds per run); CI runs it on the columnar leg:
 
     python -m pytest tests/graph/fixture_seal.py -q
 """
@@ -20,6 +25,7 @@ import random
 
 from repro.datasets.yago_like import generate_yago_like
 from repro.graph.backends import Segment
+from repro.graph.store import TripleStore
 from repro.stats.catalog import build_catalog
 
 CYCLES = 64
@@ -87,3 +93,19 @@ def test_write_read_cycles_seal_exactly():
         "full": refreshes["full"],
         "delta": refreshes["delta"] + CYCLES,
     }
+
+
+def test_one_batch_load_gives_the_generators_columns():
+    generated = generate_yago_like(scale=2.0, seed=0, backend="columnar")
+    store = TripleStore(dictionary=generated.dictionary, backend="columnar")
+    assert store.add_triples(list(generated.triples())) == generated.num_triples
+    assert not store.backend._staged  # every group merged, none staged
+    store.freeze()
+    reference = generate_yago_like(scale=2.0, seed=0, backend="hashdict")
+    loaded = list(store.backend.export_segments())
+    assert [p for p, _ in loaded] == reference.predicates()
+    for (p, seg), (q, expected) in zip(loaded, generated.backend.export_segments()):
+        assert p == q
+        assert tuple(seg) == tuple(expected)
+        assert tuple(seg) == tuple(Segment.from_pairs(sorted(reference.edges(p))))
+    assert store.backend.nodes() == reference.nodes()

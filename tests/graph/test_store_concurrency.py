@@ -13,6 +13,7 @@ from many threads through the node-first reads that build them,
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -144,6 +145,68 @@ def test_insert_during_build_never_lost(backend):
             pid = store.dictionary.lookup(p)
             oid = store.dictionary.lookup(o)
             assert oid in store.out_edges(sid)[pid], (s, p, o)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_batches_that_double_a_predicate_during_build_never_lost(backend):
+    """Each batch at least doubles its predicate, so on columnar every
+    one is merged and sealed at once while a builder materializes both
+    node-first indexes, and a lock-free reader sees the predicate
+    before or after each batch, never within one. (Hashdict's reads are
+    safe only without a writer, so it runs no reader.)"""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for round_no in range(ROUNDS):
+            store = build_store(backend, n=300)
+            barrier = threading.Barrier(3)
+            batches = [
+                [(f"x{round_no}_{i}", "pnew", f"y{i}") for i in range(lo, 2 * lo)]
+                for lo in (1, 2, 4, 8, 16, 32)
+            ]
+            prefixes = {0, 1, 3, 7, 15, 31, 63}
+            done = threading.Event()
+            errors: list[BaseException] = []
+
+            def writer():
+                barrier.wait()
+                for batch in batches:
+                    store.add_term_triples(batch)
+                done.set()
+
+            def builder():
+                barrier.wait()
+                store.out_edges(store.dictionary.lookup("s1"))
+                store.in_edges(store.dictionary.lookup("o1"))
+
+            def reader():
+                barrier.wait()
+                try:
+                    while backend == "columnar" and not done.is_set():
+                        p = store.dictionary.lookup("pnew")
+                        if p is not None:
+                            pairs = list(store.edges(p))
+                            assert len(pairs) in prefixes
+                            assert len(set(pairs)) == len(pairs)
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=f) for f in (writer, builder, reader)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert not errors, errors
+            pid = store.dictionary.lookup("pnew")
+            for batch in batches:
+                for s, _, o in batch:
+                    sid, oid = store.dictionary.lookup(s), store.dictionary.lookup(o)
+                    assert oid in store.out_edges(sid)[pid], (s, o)
+                    assert sid in store.in_edges(oid)[pid], (s, o)
+            assert store.count(pid) == 63
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("backend", available_backends())

@@ -9,12 +9,22 @@ one-pair-at-a-time reference grouping of them, in both directions.
 ``label_degrees`` must equal hashdict's after every step, on nodes that
 are only staged, nodes that are sealed, and nodes that are absent.
 
+Batches of up to ~200 triples over a wider node pool land each
+predicate group on both write paths: a group at least as large as what
+its predicate holds (a new predicate, or one it at least doubles) is
+merged and sealed at once, a smaller one is staged. Against hashdict,
+the ``applied`` change feeds must be equal as multisets, the epochs
+equal, node-first indexes built before a write equal after it, and
+``nodes()`` must hold Python ints only.
+
 Ids go past 2**32 (and up to 2**62) so that no step may pack two ids
 into one 64-bit key, and batches repeat triples so that a duplicate
 within one batch counts once.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +39,12 @@ ABSENT = 2**40
 
 triples = st.tuples(
     st.sampled_from(NODES), st.sampled_from(PREDICATES), st.sampled_from(NODES)
+)
+#: 32 nodes: up to 1,024 pairs per predicate, so a 200-triple group may
+#: or may not double what its predicate holds.
+POOL = NODES + tuple(2**40 + i for i in range(24))
+pool_triples = st.tuples(
+    st.sampled_from(POOL), st.sampled_from(PREDICATES), st.sampled_from(POOL)
 )
 
 
@@ -115,6 +131,83 @@ def test_interleaved_writes_match_a_set(data):
         check_sealed(columnar, model, p)
     assert columnar.nodes() == {s for s, _, _ in model} | {o for _, _, o in model}
     check_degrees(columnar, hashdict, model, NODES)
+
+
+def check_parity(columnar, hashdict, model: set) -> None:
+    assert columnar.epoch == hashdict.epoch
+    for p in PREDICATES:
+        assert columnar.predicate_epoch(p) == hashdict.predicate_epoch(p)
+    assert columnar.num_triples == hashdict.num_triples == len(model)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_bulk_batches_match_hashdict(data):
+    columnar, hashdict = ColumnarBackend(), HashDictBackend()
+    model: set[tuple[int, int, int]] = set()
+    indexed = False
+    for _ in range(data.draw(st.integers(1, 6), label="steps")):
+        op = data.draw(
+            st.sampled_from(("add", "add", "remove", "read", "index")), label="op"
+        )
+        if op == "add":
+            size = data.draw(st.integers(0, 200), label="size")
+            batch = data.draw(
+                st.lists(pool_triples, min_size=size, max_size=size), label="add"
+            )
+            batch += batch[: len(batch) // 8]  # repeats within one batch
+            applied_c, applied_h = [], []
+            new = set(batch) - model
+            assert columnar.add_many(batch, applied_c) == len(new)
+            assert hashdict.add_many(batch, applied_h) == len(new)
+            assert Counter(applied_c) == Counter(applied_h)
+            model |= new
+        elif op == "remove":
+            present = sorted(model)
+            batch = []
+            if present:
+                batch = data.draw(
+                    st.lists(st.sampled_from(present), max_size=40), label="hits"
+                )
+            applied_c, applied_h = [], []
+            assert columnar.remove_many(batch, applied_c) == len(set(batch))
+            hashdict.remove_many(batch, applied_h)
+            assert Counter(applied_c) == Counter(applied_h)
+            model -= set(batch)
+        elif op == "read":
+            for p in PREDICATES:
+                check_sealed(columnar, model, p)
+        else:
+            indexed = True
+        if indexed:  # built before the next write, checked after it
+            for n in POOL:
+                assert columnar.out_edges(n) == hashdict.out_edges(n)
+                assert columnar.in_edges(n) == hashdict.in_edges(n)
+        check_parity(columnar, hashdict, model)
+    for p in PREDICATES:
+        check_sealed(columnar, model, p)
+    nodes = columnar.nodes()
+    assert all(type(n) is int for n in nodes)
+    assert nodes == {s for s, _, _ in model} | {o for _, _, o in model}
+    check_degrees(columnar, hashdict, model, POOL)
+
+
+def test_a_group_that_doubles_its_predicate_is_sealed_at_once():
+    backend = ColumnarBackend()
+    first = [(1, 3, o) for o in range(10, 20)]
+    assert backend.add_many(first + first[:2]) == 10  # a new predicate
+    assert 3 not in backend._staged and backend.count(3) == 10
+    assert backend.add_many([(2, 3, o) for o in range(5)]) == 5  # 5 < 10
+    assert 3 in backend._staged
+    # 15 held, 16 in the group: merged with the staged and sealed pairs.
+    batch = first[:6] + [(4, 3, o) for o in range(10)]
+    applied = []
+    assert backend.add_many(batch, applied) == 10
+    assert sorted(applied) == [(4, 3, o, 1) for o in range(10)]
+    assert 3 not in backend._staged
+    assert backend.count(3) == 25 and backend.epoch == 25
+    assert backend.nodes() == set(range(20))
+    assert all(type(n) is int for n in backend.nodes())
 
 
 def test_removal_empties_a_sealed_and_staged_predicate():

@@ -13,6 +13,7 @@ from repro.query.templates import (
     chain_template,
     diamond_template,
 )
+from repro.utils.domains import MAX_REPEAT
 
 
 def test_mined_chain_queries_are_nonempty():
@@ -75,6 +76,15 @@ def test_invalid_count():
     store = store_from_edges({"A": [("1", "2")]})
     with pytest.raises(QueryError):
         QueryMiner(store).mine(chain_template(1), count=0)
+
+
+def test_count_above_the_bound_is_refused_before_mining():
+    """The default budget is 400 attempts per query: an unbounded count
+    would mine for as long as the count is large."""
+    store = store_from_edges({"A": [("1", "2")]})
+    for count in (MAX_REPEAT + 1, 10**20):
+        with pytest.raises(QueryError, match="count must be in"):
+            QueryMiner(store).mine(chain_template(1), count=count)
 
 
 def test_walk_order_connectivity():

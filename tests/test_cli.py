@@ -571,6 +571,21 @@ def test_serve_rejects_out_of_range_numbers(monkeypatch, capsys, flag, value):
             PreforkServer("unused", watchdog_timeout=float(value))
 
 
+@pytest.mark.parametrize("width", [0, domains.MAX_WORKERS + 1, 10**20])
+def test_pool_widths_are_bounded_in_the_constructors(mini_yago, width):
+    """What ``serve --workers`` / ``--threads`` and ``batch --workers``
+    reach: refused before a process or thread is started."""
+    from repro.server.prefork import PreforkServer
+    from repro.service import QueryService
+
+    with pytest.raises(ValueError, match="workers must be in"):
+        PreforkServer("unused", workers=width)
+    with pytest.raises(ValueError, match="threads must be in"):
+        PreforkServer("unused", threads=width)
+    with pytest.raises(ValueError, match="max_workers must be in"):
+        QueryService(mini_yago, max_workers=width)
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
