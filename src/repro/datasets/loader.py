@@ -100,9 +100,7 @@ def load_dataset(
         for line in f:
             store.dictionary.encode(line.rstrip("\n"))
     with open(os.path.join(directory, TRIPLES_FILE), "r", encoding="utf-8") as f:
-        rows = (
-            tuple(int(field) for field in line.split("\t")) for line in f
-        )
+        rows = (tuple(map(int, line.split("\t"))) for line in f)
         for chunk in batched(rows, batch_size):
             store.add_triples(chunk)
     with open(os.path.join(directory, CATALOG_FILE), "r", encoding="utf-8") as f:

@@ -15,7 +15,8 @@ rest of the system consumes:
 * degree/cardinality views for the statistics catalog
   (:meth:`degree_columns`, :meth:`count`),
 * node-first reads for the query miner (:meth:`out_edges` /
-  :meth:`in_edges`, built lazily) and the full scan :meth:`triples`,
+  :meth:`in_edges`, built on the first read after a write) and the
+  full scan :meth:`triples`,
 * the monotonic :attr:`epoch` counter and its per-predicate refinement
   :meth:`predicate_epoch`, which plan/result caches key their validity
   on, plus :meth:`label_degrees`, the per-node input of the catalog's
@@ -34,11 +35,14 @@ long as it supports C-level set algebra (``&``, ``in``, iteration,
 *live* (or cheap wrappers over live storage) and must never be mutated
 by callers.
 
-Thread-safety contract: after :meth:`freeze` (or, more generally, in
-the absence of writers) every view method must be safe to call from
-many threads concurrently, including the first, lazily-materializing
-node-first read — lazy builds happen under the backend's own lock and
-are published exactly once.
+Thread-safety contract: each backend has one lock, and every write
+runs under it. After :meth:`freeze` (or, more generally, in the
+absence of writers) every view method must be safe to call from many
+threads concurrently, including a node-first read that builds its
+index: the build happens under the same lock, so it never scans a
+half-applied write, and is published once per :attr:`epoch`. A built
+node-first index is never patched; the first read after a write
+rebuilds it.
 """
 
 from __future__ import annotations
@@ -415,12 +419,12 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def out_edges(self, s: int) -> Mapping[int, AbstractSet[int]]:
         """``predicate -> objects`` for edges leaving ``s`` (may
-        materialize the SPO permutation on first use)."""
+        build the SPO permutation, once per epoch)."""
 
     @abc.abstractmethod
     def in_edges(self, o: int) -> Mapping[int, AbstractSet[int]]:
         """``predicate -> subjects`` for edges entering ``o`` (may
-        materialize the OPS permutation on first use)."""
+        build the OPS permutation, once per epoch)."""
 
     # -- catalog & reporting --------------------------------------------
 

@@ -515,7 +515,10 @@ class ColumnarBackend(StorageBackend):
         #: Unsealed writes: predicate -> subject -> {objects}.
         self._staged: dict[int, dict[int, set[int]]] = {}
         self._perms = LazyPermutations()
-        self._seal_lock = threading.Lock()
+        #: The one lock: writes, seals, predicates(), nodes(),
+        #: label_degrees() and node-first builds. Reentrant, as a build
+        #: scans triples(), which seals.
+        self._seal_lock = threading.RLock()
         self._size = 0
         self._nodes: set[int] = set()
         #: Endpoints of removed pairs; nodes() decides which are gone.
@@ -530,14 +533,11 @@ class ColumnarBackend(StorageBackend):
     # -- construction ---------------------------------------------------
 
     def add(self, s: int, p: int, o: int) -> bool:
-        # Lock order is always perms-lock -> seal-lock (a permutation
-        # build holds the former and seals predicates via triples()).
-        # The seal lock makes the staging mutation atomic with respect
-        # to a reader-triggered seal, which would otherwise drop a
-        # triple staged mid-merge.
-        with self._perms.lock:
-            with self._seal_lock:
-                return self._stage_locked(p, ((s, o),)) == 1
+        # The lock makes the staging mutation atomic with respect to a
+        # reader-triggered seal, which would otherwise drop a triple
+        # staged mid-merge.
+        with self._seal_lock:
+            return self._stage_locked(p, ((s, o),)) == 1
 
     def add_many(self, triples, applied=None) -> int:
         """Group the batch by predicate, then land each group one of two
@@ -558,20 +558,17 @@ class ColumnarBackend(StorageBackend):
             group[0].append(s)
             group[1].append(o)
         added = 0
-        # Both locks acquired once per batch (reentrant perms.insert
-        # re-acquisition inside is an owner-check fast path).
-        with self._perms.lock:
-            with self._seal_lock:
-                for p, (subs, objs) in groups.items():
-                    if self._doubled_by(p, len(subs)):
-                        added += self._merge_new_locked(
-                            p,
-                            np.fromiter(subs, np.int64, len(subs)),
-                            np.fromiter(objs, np.int64, len(objs)),
-                            applied,
-                        )
-                    else:
-                        added += self._stage_locked(p, zip(subs, objs), applied)
+        with self._seal_lock:
+            for p, (subs, objs) in groups.items():
+                if self._doubled_by(p, len(subs)):
+                    added += self._merge_new_locked(
+                        p,
+                        np.fromiter(subs, np.int64, len(subs)),
+                        np.fromiter(objs, np.int64, len(objs)),
+                        applied,
+                    )
+                else:
+                    added += self._stage_locked(p, zip(subs, objs), applied)
         return added
 
     def _doubled_by(self, p: int, n: int) -> bool:
@@ -589,11 +586,9 @@ class ColumnarBackend(StorageBackend):
         return n >= held
 
     def _merge_new_locked(self, p: int, subs, objs, applied=None) -> int:
-        """Merge the pairs ``(subs, objs)`` into ``p`` at once; both
-        locks held. Returns how many were new, and accounts for those
-        alone: the size and epochs, the deferred node union, and only
-        while someone reads them, the node-first indexes and
-        ``applied``."""
+        """Merge the pairs ``(subs, objs)`` into ``p`` at once; seal lock
+        held. Returns how many were new, and accounts for those alone:
+        the size and epochs, the deferred node union and ``applied``."""
         cols, new_subs, new_objs = self._merge_locked(p, subs, objs)
         n = len(new_subs)
         if not n:
@@ -607,18 +602,15 @@ class ColumnarBackend(StorageBackend):
         # ids again, as each merge at least doubles its predicate.
         self._pending_nodes.append(cols.subs)
         self._pending_nodes.append(cols.robjs)
-        if self._perms.materialized or applied is not None:
-            pairs = list(zip(new_subs.tolist(), new_objs.tolist()))
-            if self._perms.materialized:
-                for s, o in pairs:
-                    self._perms.insert(s, p, o)
-            if applied is not None:
-                applied.extend((s, p, o, 1) for s, o in pairs)
+        if applied is not None:
+            applied.extend(
+                (s, p, o, 1) for s, o in zip(new_subs.tolist(), new_objs.tolist())
+            )
         return n
 
     def _stage_locked(self, p: int, pairs, applied=None) -> int:
         """Stage the pairs ``(s, o)`` of ``p`` one at a time, skipping
-        those ``p`` holds; both locks held. Returns how many were new."""
+        those ``p`` holds; seal lock held. Returns how many were new."""
         staged = self._staged.get(p)
         cols = self._cols.get(p)
         new = []
@@ -638,18 +630,13 @@ class ColumnarBackend(StorageBackend):
         self._epoch += n
         self._pred_epoch[p] += n
         self._nodes.update(chain.from_iterable(new))
-        # Both locks are held, so no permutation build is under way.
-        if self._perms.materialized:
-            for s, o in new:
-                self._perms.insert(s, p, o)
         if applied is not None:
             applied.extend((s, p, o, 1) for s, o in new)
         return n
 
     def remove(self, s: int, p: int, o: int) -> bool:
-        with self._perms.lock:
-            with self._seal_lock:
-                return self._remove_batch_locked(p, [(s, o)]) == 1
+        with self._seal_lock:
+            return self._remove_batch_locked(p, [(s, o)]) == 1
 
     def remove_many(self, triples, applied=None) -> int:
         # Group by predicate first: a removal touching a sealed run
@@ -659,16 +646,15 @@ class ColumnarBackend(StorageBackend):
         for s, p, o in triples:
             by_p.setdefault(p, []).append((s, o))
         removed = 0
-        with self._perms.lock:
-            with self._seal_lock:
-                for p, pairs in by_p.items():
-                    removed += self._remove_batch_locked(p, pairs, applied)
+        with self._seal_lock:
+            for p, pairs in by_p.items():
+                removed += self._remove_batch_locked(p, pairs, applied)
         return removed
 
     def _remove_batch_locked(
         self, p: int, pairs: list[tuple[int, int]], applied=None
     ) -> int:
-        """Delete ``pairs`` from predicate ``p``; both locks held.
+        """Delete ``pairs`` from predicate ``p``; seal lock held.
 
         Staged pairs are discarded in place; sealed pairs are masked
         out of the columns at once (:meth:`_Columns.without`; a pair is
@@ -711,7 +697,6 @@ class ColumnarBackend(StorageBackend):
                     # nodes() probes just these.
                     self._maybe_gone.add(s)
                     self._maybe_gone.add(o)
-                    self._perms.discard(s, p, o)
                     if applied is not None:
                         applied.append((s, p, o, -1))
         return removed
@@ -817,31 +802,24 @@ class ColumnarBackend(StorageBackend):
         serving path never asks for it), keeping a warm start O(1) in
         node count. A predicate that already has sealed or staged
         triples is merged with the segment's pairs instead, as a large
-        :meth:`add_many` group is (one deduplicating ``lexsort``);
-        already-built node-first indexes are patched with the new pairs.
+        :meth:`add_many` group is (one deduplicating ``lexsort``).
         """
         added = 0
-        with self._perms.lock:
-            with self._seal_lock:
-                for p, seg in segments:
-                    if not seg.num_pairs:  # a sealed predicate is never empty
-                        continue
-                    if p in self._cols or p in self._staged:
-                        added += self._merge_new_locked(
-                            p, *_Columns(seg).pair_arrays()
-                        )
-                        continue
-                    n = seg.num_pairs
-                    self._cols[p] = _Columns(seg)
-                    self._size += n
-                    self._epoch += n
-                    self._pred_epoch[p] += n
-                    added += n
-                    self._pending_nodes.append(seg.subs)
-                    self._pending_nodes.append(seg.robjs)
-                    if self._perms.materialized:
-                        for s, o in seg.pairs():
-                            self._perms.insert(s, p, o)
+        with self._seal_lock:
+            for p, seg in segments:
+                if not seg.num_pairs:  # a sealed predicate is never empty
+                    continue
+                if p in self._cols or p in self._staged:
+                    added += self._merge_new_locked(p, *_Columns(seg).pair_arrays())
+                    continue
+                n = seg.num_pairs
+                self._cols[p] = _Columns(seg)
+                self._size += n
+                self._epoch += n
+                self._pred_epoch[p] += n
+                added += n
+                self._pending_nodes.append(seg.subs)
+                self._pending_nodes.append(seg.robjs)
         return added
 
     # -- cardinalities --------------------------------------------------
@@ -1088,10 +1066,12 @@ class ColumnarBackend(StorageBackend):
                 yield Triple(s, p, o)
 
     def out_edges(self, s: int) -> dict[int, set[int]]:
-        return self._perms.get("spo", self.triples).get(s, _EMPTY_DICT)
+        spo = self._perms.get("spo", self._epoch, self._seal_lock, self.triples)
+        return spo.get(s, _EMPTY_DICT)
 
     def in_edges(self, o: int) -> dict[int, set[int]]:
-        return self._perms.get("ops", self.triples).get(o, _EMPTY_DICT)
+        ops = self._perms.get("ops", self._epoch, self._seal_lock, self.triples)
+        return ops.get(o, _EMPTY_DICT)
 
     # -- catalog & reporting --------------------------------------------
 

@@ -3,9 +3,12 @@
 Primary indexes are predicate-first nested hash maps — PSO
 (``{p: {s: {o, ...}}}``) and POS — because every edge of a conjunctive
 query in this paper carries a fixed predicate label. The query miner's
-node-first reads go through SPO and OPS, built lazily on first use by
-the shared :class:`~repro.graph.backends.permutations.LazyPermutations`
-machinery.
+node-first reads go through SPO and OPS, which the shared
+:class:`~repro.graph.backends.permutations.LazyPermutations` rebuilds
+from :meth:`HashDictBackend.triples` on the first read after a write.
+One lock covers every write, the node-set settling in
+:meth:`HashDictBackend.nodes`, :meth:`HashDictBackend.label_degrees`
+and those builds; every other read takes none.
 
 All views hand back the live ``dict`` / ``set`` containers without
 copying; callers must not mutate them.
@@ -13,6 +16,7 @@ copying; callers must not mutate them.
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from typing import Iterator
 
@@ -38,6 +42,8 @@ class HashDictBackend(StorageBackend):
         self._pso: dict[int, dict[int, set[int]]] = {}
         self._pos: dict[int, dict[int, set[int]]] = {}
         self._perms = LazyPermutations()
+        # Reentrant: nodes() settles removals through label_degrees().
+        self._lock = threading.RLock()
         self._size = 0
         self._nodes: set[int] = set()
         #: Endpoints a removal may have orphaned; resolved by nodes().
@@ -48,17 +54,16 @@ class HashDictBackend(StorageBackend):
     # -- construction ---------------------------------------------------
 
     def add(self, s: int, p: int, o: int) -> bool:
-        # The whole mutation runs under the permutation build lock so a
-        # concurrent lazy build never scans half-inserted state (and
-        # never races the keep-consistent patch inside _add_locked).
-        with self._perms.lock:
+        # A node-first build scans under the same lock, so it never
+        # sees half-inserted state.
+        with self._lock:
             return self._add_locked(s, p, o)
 
     def add_many(self, triples, applied=None) -> int:
         # One lock acquisition per batch, not per triple — the
         # per-insert RLock otherwise costs ~20% of a bulk load.
         added = 0
-        with self._perms.lock:
+        with self._lock:
             for s, p, o in triples:
                 if self._add_locked(s, p, o):
                     added += 1
@@ -78,17 +83,15 @@ class HashDictBackend(StorageBackend):
         self._pred_epoch[p] += 1
         self._nodes.add(s)
         self._nodes.add(o)
-        # Keep any already-materialized permutation consistent.
-        self._perms.insert(s, p, o)
         return True
 
     def remove(self, s: int, p: int, o: int) -> bool:
-        with self._perms.lock:
+        with self._lock:
             return self._remove_locked(s, p, o)
 
     def remove_many(self, triples, applied=None) -> int:
         removed = 0
-        with self._perms.lock:
+        with self._lock:
             for s, p, o in triples:
                 if self._remove_locked(s, p, o):
                     removed += 1
@@ -122,7 +125,6 @@ class HashDictBackend(StorageBackend):
         self._size -= 1
         self._epoch += 1
         self._pred_epoch[p] += 1
-        self._perms.discard(s, p, o)
         return True
 
     def freeze(self) -> None:
@@ -146,7 +148,7 @@ class HashDictBackend(StorageBackend):
             # Only the endpoints a removal left without a p-run can have
             # dropped out; probe the per-predicate key sets for just
             # those instead of rescanning the store.
-            with self._perms.lock:
+            with self._lock:
                 for n, (outs, ins) in self.label_degrees(self._maybe_gone).items():
                     if not outs and not ins:
                         self._nodes.discard(n)
@@ -154,7 +156,8 @@ class HashDictBackend(StorageBackend):
         return self._nodes
 
     def predicates(self) -> list[int]:
-        return sorted(self._pso)
+        with self._lock:
+            return sorted(self._pso)
 
     def contains(self, s: int, p: int, o: int) -> bool:
         by_s = self._pso.get(p)
@@ -186,7 +189,7 @@ class HashDictBackend(StorageBackend):
         return sum(len(objs) for objs in self._pso.get(p, _EMPTY_DICT).values())
 
     def label_degrees(self, nodes):
-        with self._perms.lock:
+        with self._lock:
             return {
                 n: (
                     {p: len(objs) for p, by_s in self._pso.items()
@@ -286,10 +289,12 @@ class HashDictBackend(StorageBackend):
                     yield Triple(s, p, o)
 
     def out_edges(self, s: int) -> dict[int, set[int]]:
-        return self._perms.get("spo", self.triples).get(s, _EMPTY_DICT)
+        spo = self._perms.get("spo", self._epoch, self._lock, self.triples)
+        return spo.get(s, _EMPTY_DICT)
 
     def in_edges(self, o: int) -> dict[int, set[int]]:
-        return self._perms.get("ops", self.triples).get(o, _EMPTY_DICT)
+        ops = self._perms.get("ops", self._epoch, self._lock, self.triples)
+        return ops.get(o, _EMPTY_DICT)
 
     # -- catalog & reporting --------------------------------------------
 

@@ -444,15 +444,17 @@ class TripleStore:
     def out_edges(self, s: int) -> Mapping[int, AbstractSet[int]]:
         """Map ``predicate -> objects`` for all edges leaving node ``s``.
 
-        Materializes the SPO permutation on first use. The returned
-        mapping is live index state — do not mutate.
+        Builds the SPO permutation on the first read after a write
+        (once per epoch). The returned mapping is index state as of
+        that epoch, not patched by later writes — do not mutate.
         """
         return self._backend.out_edges(s)
 
     def in_edges(self, o: int) -> Mapping[int, AbstractSet[int]]:
         """Map ``predicate -> subjects`` for all edges entering ``o``.
 
-        Materializes the OPS permutation on first use.
+        Builds the OPS permutation on the first read after a write
+        (once per epoch).
         """
         return self._backend.in_edges(o)
 

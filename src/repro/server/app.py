@@ -942,7 +942,7 @@ class HTTPQueryServer:
                 edge = next(store.edges(p), None)
                 if edge is not None:
                     # The point lookup: resolve one (p, s) through the
-                    # live permutation index.
+                    # live predicate-first index.
                     store.successors(p, edge[0])
         except Exception as exc:  # noqa: BLE001 — any failure is unhealthy
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datasets.loader import load_dataset, save_dataset
+from repro.datasets.loader import TRIPLES_FILE, load_dataset, save_dataset
 from repro.datasets.motifs import figure1_graph
 from repro.stats.catalog import build_catalog
 
@@ -47,6 +47,15 @@ def test_newline_terms_rejected(tmp_path):
     store = GraphBuilder().edge("a\nb", "p", "c").build()
     with pytest.raises(ValueError):
         save_dataset(store, str(tmp_path))
+
+
+@pytest.mark.parametrize("row", ["1\tx\t2\n", "1\t2\n"])
+def test_malformed_triple_row_raises_value_error(tmp_path, row):
+    save_dataset(figure1_graph(), str(tmp_path))
+    with open(tmp_path / TRIPLES_FILE, "a", encoding="utf-8") as f:
+        f.write(row)
+    with pytest.raises(ValueError):
+        load_dataset(str(tmp_path))
 
 
 def test_queries_identical_after_reload(tmp_path):

@@ -1,14 +1,18 @@
-"""Multithreaded stress tests for the backend layer.
+"""Multithreaded stress tests for the backend layer, and the
+per-epoch rebuild of the node-first indexes.
 
 The bug behind these tests: lazy permutation materialization used to
 be guarded by store-level state while the physical indexes lived
 elsewhere, so racing builders/readers (the QueryService thread pool)
 could observe half-built indexes, build the same permutation twice, or
 — worst — lose a concurrent insert from the freshly built index. The
-lock and the lazy-build logic now live in the backend layer
-(:mod:`repro.graph.backends.permutations`); these tests hammer them
-from many threads through the node-first reads that build them,
-``out_edges`` (SPO) and ``in_edges`` (OPS).
+build now lives in the backend layer
+(:mod:`repro.graph.backends.permutations`): an index is built under the
+backend's one write lock, tagged with the epoch it was built at, and
+rebuilt by the first read after a write instead of being patched.
+These tests hammer it from many threads through the node-first reads
+that build it, ``out_edges`` (SPO) and ``in_edges`` (OPS), and pin
+when a read reuses the index and when it rebuilds.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.graph.backends import available_backends
+from repro.graph.backends import ColumnarBackend, Segment, available_backends
 from repro.graph.store import TripleStore
 
 THREADS = 8
@@ -229,3 +233,69 @@ def test_concurrent_readers_seal_once(backend):
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             views = list(pool.map(read, range(THREADS)))
         assert all(view == expected for view in views)
+
+
+# ----------------------------------------------------------------------
+# One build per epoch
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_reads_without_a_write_between_share_one_build(backend):
+    """Unfrozen, so the first build seals predicates on columnar: a seal
+    moves no epoch, and the second read is the first one's index."""
+    store = build_store(backend)
+    s, o = store.dictionary.lookup("s1"), store.dictionary.lookup("o1")
+    out, into = store.out_edges(s), store.in_edges(o)
+    assert out and into
+    assert store.out_edges(s) is out
+    assert store.in_edges(o) is into
+    store.nodes()
+    store.catalog()
+    assert store.out_edges(s) is out
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_the_read_after_a_write_is_a_fresh_build(backend):
+    store = build_store(backend)
+    s = store.dictionary.lookup("s1")
+    built = store.out_edges(s)
+    before = {q: set(objs) for q, objs in built.items()}
+    store.add_term_triples([("s1", "pfresh", "ofresh")])
+    p, o = store.dictionary.lookup("pfresh"), store.dictionary.lookup("ofresh")
+    after = store.out_edges(s)
+    assert after is not built and after[p] == {o}
+    assert store.in_edges(o) == {p: {s}}
+    # The view read before the write is never patched.
+    assert built == before
+    store.remove_triples([(s, p, o)])
+    assert store.out_edges(s) == before
+    assert store.in_edges(o) == {}
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_a_node_whose_last_triple_is_removed_leaves_the_index(backend):
+    store = build_store(backend)
+    store.add_term_triples([("lone", "p0", "leaf")])
+    lone, leaf = store.dictionary.lookup("lone"), store.dictionary.lookup("leaf")
+    p0 = store.dictionary.lookup("p0")
+    assert store.out_edges(lone) == {p0: {leaf}}
+    assert store.in_edges(leaf) == {p0: {lone}}
+    assert store.remove_triples([(lone, p0, leaf)]) == 1
+    assert store.out_edges(lone) == {} and store.in_edges(leaf) == {}
+    spo, ops = node_first_triples(store)
+    assert spo == ops == set(store.triples())
+    assert lone not in store.nodes() and leaf not in store.nodes()
+
+
+def test_imported_segments_are_in_the_next_build():
+    """``import_segments`` moves the epoch like any write, whether it
+    adopts a new predicate or merges into a held one."""
+    backend = ColumnarBackend()
+    backend.add_many([(1, 3, 2)])
+    assert backend.out_edges(1) == {3: {2}}
+    backend.import_segments(
+        [(3, Segment.from_pairs([(1, 4)])), (5, Segment.from_pairs([(1, 2)]))]
+    )
+    assert backend.out_edges(1) == {3: {2, 4}, 5: {2}}
+    assert backend.in_edges(2) == {3: {1}, 5: {1}}

@@ -168,7 +168,7 @@ def test_killed_worker_is_respawned_and_requests_keep_succeeding(pool):
     assert pool.pool_stats()["pool"]["generations"] == [1]
 
 
-@pytest.mark.parametrize("timeout", [1e10, float("inf"), 0.0, float("nan")])
+@pytest.mark.parametrize("timeout", [1e10, float("inf"), 0.0, -1.0, float("nan")])
 def test_watchdog_timeout_must_be_what_a_socket_can_wait(timeout):
     """The watchdog's probe hands the timeout to ``socket.settimeout``,
     which overflows above ``threading.TIMEOUT_MAX``: such a pool would
