@@ -17,9 +17,12 @@ Two on-disk forms are understood:
 
 :func:`load_dataset` auto-detects which one a directory holds, so every
 CLI command and service constructor accepts either interchangeably.
-Text loads stream through the backends' ``add_many`` in fixed-size
-batches (:data:`BATCH_SIZE`), so multi-GB ingest keeps bounded memory
-and never holds a backend's write lock across a whole file parse.
+Text loads read the triples file in fixed-size batches
+(:data:`BATCH_SIZE` lines), parse each batch into one ``int64`` array
+and write it as one :meth:`~repro.graph.store.TripleStore.add_columns`
+call per predicate, so multi-GB ingest keeps bounded memory, makes no
+Python tuple per line, and never holds a backend's write lock across a
+whole file parse.
 
 (For interchange with *other* tools, use
 :func:`repro.graph.ntriples.dump_ntriples_file`, which writes surface
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 import json
 import os
+
+import numpy as np
 
 from repro.graph.store import TripleStore
 from repro.stats.catalog import Catalog, build_catalog
@@ -100,11 +105,34 @@ def load_dataset(
         for line in f:
             store.dictionary.encode(line.rstrip("\n"))
     with open(os.path.join(directory, TRIPLES_FILE), "r", encoding="utf-8") as f:
-        rows = (tuple(map(int, line.split("\t"))) for line in f)
-        for chunk in batched(rows, batch_size):
-            store.add_triples(chunk)
+        for lines in batched(f, batch_size):
+            _add_rows(store, _parse_rows(lines))
     with open(os.path.join(directory, CATALOG_FILE), "r", encoding="utf-8") as f:
         catalog = Catalog.from_dict(json.load(f))
     if freeze:
         store.freeze()
     return store, catalog
+
+
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    """A batch of ``s<TAB>p<TAB>o`` lines as an ``(n, 3)`` ``int64``
+    array; ``ValueError`` unless every line holds exactly three integer
+    ids (the parser refuses a row whose width differs from the first's,
+    the shape check a blank line or a batch of rows all two or four
+    wide)."""
+    rows = np.loadtxt(lines, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+    if rows.shape != (len(lines), 3):
+        raise ValueError(
+            f"{TRIPLES_FILE}: expected {len(lines)} rows of 3 ids, "
+            f"parsed shape {rows.shape}"
+        )
+    return rows
+
+
+def _add_rows(store: TripleStore, rows: np.ndarray) -> None:
+    """Write a batch of ``(s, p, o)`` rows, one ``add_columns`` call per
+    predicate."""
+    rows = rows[np.argsort(rows[:, 1], kind="stable")]
+    starts = np.flatnonzero(np.diff(rows[:, 1])) + 1
+    for group in np.split(rows, starts):
+        store.add_columns(int(group[0, 1]), group[:, 0], group[:, 2])

@@ -24,14 +24,15 @@ adds ≤ 9 triples per query — statistically invisible.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from repro.datasets import schema
 from repro.datasets.paper_queries import PAPER_DIAMOND_LABELS, PAPER_SNOWFLAKE_LABELS
 from repro.errors import DatasetError
+from repro.graph.dictionary import DictionaryView
 from repro.graph.store import TripleStore
 from repro.query.templates import QueryTemplate, diamond_template, snowflake_template
 from repro.utils import domains
@@ -39,6 +40,9 @@ from repro.utils.domains import MAX_SCALE as MAX_SCALE  # re-exported
 from repro.utils.rng import make_rng, spawn_rng
 
 _MAX_FAN = 64  # cap a single subject's sampled fan-out
+
+#: Generated pairs per predicate id, as (subjects, objects) column chunks.
+_Chunks = dict[int, list[tuple[np.ndarray, np.ndarray]]]
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,10 @@ def generate_yago_like(
     offline-preprocessed dataset is immutable). ``backend`` selects the
     store's physical layout (``None`` = ``REPRO_BACKEND``/default);
     the generated triples are backend-independent.
+
+    Every predicate's pairs (its channels, its ``rdf:type`` rows and its
+    planted witnesses) are gathered as columns and written to the store
+    once, by :meth:`~repro.graph.store.TripleStore.add_columns`.
     """
     if config is None:
         config = YagoLikeConfig()
@@ -97,7 +105,9 @@ def generate_yago_like(
 
     rng = make_rng(config.seed)
     store = TripleStore(backend=backend)
-    entities = _make_entities(store, config)
+    dictionary = store.dictionary
+    entities = _make_entities(dictionary, config)
+    chunks: _Chunks = defaultdict(list)
 
     specs = list(schema.core_predicates())
     specs += _filler_specs(config, spawn_rng(rng, "fillers"))
@@ -106,7 +116,8 @@ def generate_yago_like(
         pred_rng = spawn_rng(rng, f"pred:{spec.name}")
         for ci, channel in enumerate(spec.channels):
             _populate_channel(
-                store,
+                chunks,
+                dictionary,
                 entities,
                 spec.name,
                 channel,
@@ -114,10 +125,14 @@ def generate_yago_like(
             )
 
     if config.include_types:
-        _emit_types(store, entities)
+        _emit_types(chunks, dictionary, entities)
 
     if config.plant_witnesses:
-        _plant_witnesses(store)
+        _plant_witnesses(chunks, dictionary)
+
+    for p in list(chunks):  # each predicate's columns freed once written
+        subjects, objects = zip(*chunks.pop(p))
+        store.add_columns(p, np.concatenate(subjects), np.concatenate(objects))
 
     if freeze:
         store.freeze()
@@ -130,10 +145,10 @@ def generate_yago_like(
 
 
 def _make_entities(
-    store: TripleStore, config: YagoLikeConfig
+    dictionary: DictionaryView, config: YagoLikeConfig
 ) -> dict[str, np.ndarray]:
     """Intern every entity; returns id arrays per type (plus ``Any``)."""
-    encode = store.dictionary.encode
+    encode = dictionary.encode
     entities: dict[str, np.ndarray] = {}
     for type_name, base in schema.TYPE_BASE_COUNTS.items():
         n = max(3, int(round(base * config.scale)))
@@ -182,13 +197,14 @@ def _any_weights(entities: dict[str, np.ndarray], s: float) -> np.ndarray:
 
 
 def _populate_channel(
-    store: TripleStore,
+    chunks: _Chunks,
+    dictionary: DictionaryView,
     entities: dict[str, np.ndarray],
     predicate: str,
     channel: schema.Channel,
     rng: np.random.Generator,
-) -> int:
-    """Sample and insert one channel's edges; returns edges added."""
+) -> None:
+    """Sample one channel's edges into ``chunks``."""
     domain = entities[channel.domain]
     range_ = entities[channel.range]
     n_dom, n_rng = len(domain), len(range_)
@@ -211,24 +227,20 @@ def _populate_channel(
     objects = range_[rng.choice(n_rng, size=total, p=weights)]
     repeated_subjects = np.repeat(subjects, fans)
 
-    p_id = store.dictionary.encode(predicate)
+    p_id = dictionary.encode(predicate)
     loopless = repeated_subjects != objects  # no self-loops in the organic data
-    added = store.add_triples(
-        zip(
-            repeated_subjects[loopless].tolist(),
-            repeat(p_id),
-            objects[loopless].tolist(),
-        )
-    )
-    if added == 0:
+    if loopless.any():
+        chunks[p_id].append((repeated_subjects[loopless], objects[loopless]))
+    else:
         # Tiny scales can lose a channel's only sampled edge to the
         # self-loop filter; every declared predicate must exist in the
         # vocabulary (the paper's dataset has 104 distinct predicates).
-        s = int(subjects[0])
-        fallback = next(int(o) for o in range_ if int(o) != s)
-        if store.add(s, p_id, fallback):
-            added = 1
-    return added
+        # The channels of one predicate never share a pair (their type
+        # pairs differ, see schema.core_predicates), so a channel adds a
+        # new edge exactly when it keeps a loopless one.
+        s = subjects[0]
+        fallback = next(o for o in range_ if o != s)
+        chunks[p_id].append((subjects[:1], np.array([fallback], np.int64)))
 
 
 def _filler_specs(
@@ -251,14 +263,15 @@ def _filler_specs(
     return specs
 
 
-def _emit_types(store: TripleStore, entities: dict[str, np.ndarray]) -> None:
-    encode = store.dictionary.encode
+def _emit_types(
+    chunks: _Chunks, dictionary: DictionaryView, entities: dict[str, np.ndarray]
+) -> None:
+    encode = dictionary.encode
     p_type = encode(schema.RDF_TYPE)
     for type_name in schema.TYPE_NAMES:
+        members = entities[type_name]
         class_id = encode(f"class:{type_name}")
-        store.add_triples(
-            (ent, p_type, class_id) for ent in entities[type_name].tolist()
-        )
+        chunks[p_type].append((members, np.full(len(members), class_id, np.int64)))
 
 
 # ----------------------------------------------------------------------
@@ -266,28 +279,31 @@ def _emit_types(store: TripleStore, entities: dict[str, np.ndarray]) -> None:
 # ----------------------------------------------------------------------
 
 
-def _plant_witnesses(store: TripleStore) -> None:
-    """Insert one witness embedding per Table-1 query."""
+def _plant_witnesses(chunks: _Chunks, dictionary: DictionaryView) -> None:
+    """Add one witness embedding per Table-1 query to ``chunks``."""
     snowflake = snowflake_template()
     diamond = diamond_template()
     for qi, labels in enumerate(PAPER_SNOWFLAKE_LABELS, start=1):
-        _plant_one(store, snowflake, labels, f"wS{qi}")
+        _plant_one(chunks, dictionary, snowflake, labels, f"wS{qi}")
     for qi, labels in enumerate(PAPER_DIAMOND_LABELS, start=1):
-        _plant_one(store, diamond, labels, f"wD{qi}")
+        _plant_one(chunks, dictionary, diamond, labels, f"wD{qi}")
 
 
 def _plant_one(
-    store: TripleStore, template: QueryTemplate, labels: tuple[str, ...], tag: str
+    chunks: _Chunks,
+    dictionary: DictionaryView,
+    template: QueryTemplate,
+    labels: tuple[str, ...],
+    tag: str,
 ) -> None:
-    encode = store.dictionary.encode
+    encode = dictionary.encode
     node_ids = {
         var: encode(f"witness:{tag}:{var}") for var in template.variables
     }
-    store.add_triples(
-        (
-            node_ids[edge.subject],
-            encode(labels[edge.slot]),
-            node_ids[edge.object],
+    for edge in template.edges:
+        chunks[encode(labels[edge.slot])].append(
+            (
+                np.array([node_ids[edge.subject]], np.int64),
+                np.array([node_ids[edge.object]], np.int64),
+            )
         )
-        for edge in template.edges
-    )

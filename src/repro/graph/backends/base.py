@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import abc
 from array import array
-from itertools import chain
+from itertools import chain, repeat
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -227,12 +227,30 @@ class StorageBackend(abc.ABC):
         """Bulk-insert; returns the number of *new* triples.
 
         Takes the write locks once per batch: locking per triple would
-        dominate the bulk-load path (dataset generation,
-        :func:`~repro.datasets.loader.load_dataset`). When ``applied``
+        dominate a bulk load of triples (N-Triples import, WAL replay;
+        loads that hold columns write through :meth:`add_columns`
+        instead). When ``applied``
         is given, ``(s, p, o, 1)`` is appended to it for every triple
         actually stored (duplicates are not reported) — the change feed
         the store's delta-maintained catalog consumes.
         """
+
+    def add_columns(
+        self,
+        p: int,
+        subs: np.ndarray,
+        objs: np.ndarray,
+        applied: "list | None" = None,
+    ) -> int:
+        """Bulk-insert the pairs of predicate ``p`` given as two aligned
+        ``int64`` columns; returns the number of *new* triples and feeds
+        ``applied`` as :meth:`add_many` does.
+
+        The generic implementation zips the columns into one
+        :meth:`add_many` batch; the columnar layout overrides it to land
+        the columns without making a Python triple.
+        """
+        return self.add_many(zip(subs.tolist(), repeat(p), objs.tolist()), applied)
 
     @abc.abstractmethod
     def remove(self, s: int, p: int, o: int) -> bool:

@@ -27,8 +27,9 @@ column-at-a-time over zero-copy ``numpy`` views of the same buffers —
 one interpreted call per step, not one per value run (MonetDB/X100's
 argument, Boncz et al., CIDR 2005).
 
-Writes land per predicate group of a batch, by one rule with no tuning
-constant: a group at least as large as what its predicate holds
+Writes land per predicate group, by one rule with no tuning constant:
+a group (one predicate's share of an ``add_many`` batch, or one
+``add_columns`` call) at least as large as what its predicate holds
 (sealed plus staged; nothing, for a new predicate) is merged with the
 held pairs, deduplicated by one stable ``lexsort`` and sealed at once;
 a smaller group is staged (plain dict-of-sets) triple by triple and
@@ -38,8 +39,11 @@ proportion to what it writes however it is batched, while a 16-triple
 write onto a predicate of thousands stays a set insert per triple.
 One ``add_triples`` of the 175,624-triple benchmark fixture took
 0.42-0.55 s staged per triple and takes 0.10-0.11 s; generating that
-fixture, 0.52-0.63 s and now 0.26-0.27 s (medians of 5, 2-CPU Xeon,
-CPython 3.11, numpy 2.4).
+fixture, 0.52-0.63 s, then 0.26-0.27 s (medians of 5, 2-CPU Xeon,
+CPython 3.11, numpy 2.4). Since the generator hands each predicate's
+columns to ``add_columns`` once, instead of Python triples that
+``add_many`` regroups, it takes 0.12-0.15 s against 0.25-0.31 s for
+the triple path (medians of 7, three alternated rounds, same machine).
 
 Interleaving writes with reads re-seals the touched predicate on every
 read, so a write costs numpy time, not interpreter time per stored
@@ -540,16 +544,14 @@ class ColumnarBackend(StorageBackend):
             return self._stage_locked(p, ((s, o),)) == 1
 
     def add_many(self, triples, applied=None) -> int:
-        """Group the batch by predicate, then land each group one of two
-        ways. A group at least as large as what its predicate holds is
-        merged with the held pairs and sealed at once
-        (:meth:`_merge_locked`, which sorts at most twice the group); a
-        smaller one is staged triple by triple. A group is two lists of
-        ints, which the collector does not track. Grouping the 175,624
-        triples of the benchmark fixture so took 39-54 ms, against
-        29-43 ms for an ``argsort`` of them as one array, but a
-        16-triple write 2 us against 13-19 us: it leaves the small
-        writes the cost they had."""
+        """Group the batch by predicate, then land each group as
+        :meth:`add_columns` does. A group is two lists of ints, which
+        the collector does not track. Grouping the 175,624 triples of
+        the benchmark fixture so took 39-54 ms, against 29-43 ms for an
+        ``argsort`` of them as one array, but a 16-triple write 2 us
+        against 13-19 us: it leaves the small writes the cost they had.
+        Loads that hold columns skip the grouping: they write each
+        predicate through :meth:`add_columns`."""
         groups: dict[int, tuple[list[int], list[int]]] = {}
         for s, p, o in triples:
             group = groups.get(p)
@@ -570,6 +572,18 @@ class ColumnarBackend(StorageBackend):
                 else:
                     added += self._stage_locked(p, zip(subs, objs), applied)
         return added
+
+    def add_columns(self, p, subs, objs, applied=None) -> int:
+        """Land the pairs one of two ways. A group at least as large as
+        what ``p`` holds is merged with the held pairs and sealed at once
+        (:meth:`_merge_locked`, which sorts at most twice the group); a
+        smaller one is staged pair by pair."""
+        if not len(subs):
+            return 0
+        with self._seal_lock:
+            if self._doubled_by(p, len(subs)):
+                return self._merge_new_locked(p, subs, objs, applied)
+            return self._stage_locked(p, zip(subs.tolist(), objs.tolist()), applied)
 
     def _doubled_by(self, p: int, n: int) -> bool:
         """Whether ``n`` new pairs are at least as many as ``p`` holds,

@@ -14,6 +14,8 @@ directly usable as array indexes in the columnar baseline.
 from __future__ import annotations
 
 import struct
+from itertools import accumulate, chain, repeat
+from operator import add
 from typing import BinaryIO, Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.errors import DictionaryError
@@ -172,29 +174,21 @@ class Dictionary:
     ) -> int:
         """Write every term in id order; returns the number written.
 
-        ``record_offsets``, when supplied, receives the byte offset of
-        every record start plus a final total-bytes entry (``n + 1``
-        values) — the snapshot writer feeds them straight into the
-        format-v2 offset table so each term is UTF-8-encoded exactly
-        once per save.
+        The records are joined into one buffer and written by one
+        ``write`` call. ``record_offsets``, when supplied, receives the
+        byte offset of every record start plus a final total-bytes entry
+        (``n + 1`` values) — the snapshot writer feeds them straight
+        into the format-v2 offset table so each term is UTF-8-encoded
+        exactly once per save.
         """
-        pack = _LEN.pack
-        write = out.write
-        if record_offsets is None:
-            for term in self._id_to_term:
-                data = term.encode("utf-8")
-                write(pack(len(data)))
-                write(data)
-        else:
-            pos = 0
-            for term in self._id_to_term:
-                data = term.encode("utf-8")
-                record_offsets.append(pos)
-                write(pack(len(data)))
-                write(data)
-                pos += _LEN.size + len(data)
-            record_offsets.append(pos)
-        return len(self._id_to_term)
+        datas = [term.encode("utf-8") for term in self._id_to_term]
+        lengths = list(map(len, datas))
+        out.write(b"".join(chain.from_iterable(zip(map(_LEN.pack, lengths), datas))))
+        if record_offsets is not None:
+            record_offsets.extend(
+                accumulate(map(add, lengths, repeat(_LEN.size)), initial=0)
+            )
+        return len(datas)
 
     @classmethod
     def load(cls, src: BinaryIO, count: int | None = None) -> "Dictionary":

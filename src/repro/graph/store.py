@@ -17,14 +17,16 @@ ignored (RDF set semantics).
 
 from __future__ import annotations
 
+import operator
 import threading
+from itertools import repeat
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import StoreError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (stats imports store)
-    import numpy as np
-
     from repro.stats.catalog import Catalog
     from repro.utils.deadline import Deadline
 from repro.graph.backends import StorageBackend, create_backend
@@ -148,13 +150,51 @@ class TripleStore:
     def add_triples(self, triples: Iterable[tuple[int, int, int]]) -> int:
         """Bulk-insert; returns the number of *new* triples.
 
-        Prefer this (or :meth:`add_term_triples`) for bulk loads: the
-        backend amortizes its write locking over the whole batch, and a
-        write log journals the batch as one record (one fsync).
+        Prefer this (or :meth:`add_term_triples`) to :meth:`add` for
+        many triples: the backend amortizes its write locking over the
+        whole batch, and a write log journals the batch as one record
+        (one fsync). A load that holds a predicate's pairs as columns
+        writes them through :meth:`add_columns` instead.
         """
         if self._frozen:
             raise StoreError("store is frozen; cannot add triples")
         return self._write(triples, ())
+
+    def add_columns(self, p: int, subjects, objects) -> int:
+        """Bulk-insert the pairs ``(subjects[i], objects[i])`` of
+        predicate ``p``; returns the number of *new* triples.
+
+        The column form of :meth:`add_triples`, for bulk loads that hold
+        a predicate's pairs as two aligned integer arrays (the generator,
+        the text loader): no Python triple is made on the way in. The
+        columnar backend merges and seals the group at once when it is
+        at least as large as what ``p`` holds, and stages it otherwise;
+        other backends receive it as an ``add_many`` batch. A write log
+        journals it as one record, like any other batch.
+        """
+        if self._frozen:
+            raise StoreError("store is frozen; cannot add triples")
+        p = operator.index(p)
+        subs, objs = np.asarray(subjects), np.asarray(objects)
+        if subs.ndim != 1 or subs.shape != objs.shape:
+            raise ValueError(
+                "subjects and objects must be two 1-d columns of one length, "
+                f"got shapes {subs.shape} and {objs.shape}"
+            )
+        if len(subs) and {subs.dtype.kind, objs.dtype.kind} - {"i", "u"}:
+            raise TypeError(
+                f"term ids must be integers, got {subs.dtype} and {objs.dtype}"
+            )
+        subs = subs.astype(np.int64, copy=False)
+        objs = objs.astype(np.int64, copy=False)
+        with self._write_lock:
+            if self._write_log is not None:
+                self._write_log.journal(
+                    list(zip(subs.tolist(), repeat(p), objs.tolist())), []
+                )
+            return self._apply(
+                lambda applied: self._backend.add_columns(p, subs, objs, applied)
+            )
 
     def add_term_triple(self, s: str, p: str, o: str) -> bool:
         """Insert a triple of raw strings, interning them first."""
@@ -207,12 +247,23 @@ class TripleStore:
         is dropped instead (the next :meth:`catalog` rebuilds), so the
         list never holds more than a bounded slice of the store.
         """
-        with self._write_lock:
-            memo = self._catalog_memo
-            applied = self._pending if memo is not None else None
+
+        def mutate(applied) -> int:
             changed = self._backend.add_many(adds, applied) if adds else 0
             if removes:
                 changed += self._backend.remove_many(removes, applied)
+            return changed
+
+        return self._apply(mutate)
+
+    def _apply(self, mutate) -> int:
+        """Run ``mutate(applied)`` on the backend under the write lock,
+        feeding the changes it reports into the catalog memo's pending
+        list while a memo is alive (see :meth:`apply_unjournaled`)."""
+        with self._write_lock:
+            memo = self._catalog_memo
+            applied = self._pending if memo is not None else None
+            changed = mutate(applied)
             if memo is not None and len(applied) > self._delta_limit():
                 self._catalog_memo = None
                 self._pending = []

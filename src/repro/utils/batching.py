@@ -1,10 +1,12 @@
 """Fixed-size batching for streaming ingest paths.
 
-Every bulk-load path (N-Triples files, text datasets) feeds the
-backends' ``add_many`` in :data:`BATCH_SIZE` chunks instead of passing
-one file-length iterable: the backend's write lock is taken once per
-batch — so a multi-gigabyte parse never runs *under* the lock — and
-peak memory is bounded by the batch, not the file.
+Every file load reads in :data:`BATCH_SIZE` chunks instead of passing
+one file-length iterable to the store: N-Triples files as term-triple
+batches (``add_term_triples``), text datasets as line batches each
+parsed into ``int64`` columns and written per predicate
+(``add_columns``). The store's write lock is taken once per write — so
+a multi-gigabyte parse never runs *under* the lock — and peak memory is
+bounded by the batch, not the file.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, Iterator, TypeVar
 
-#: Default triples per batch: large enough to amortize the per-batch
-#: lock acquisition, small enough to keep ingest memory bounded.
+#: Default triples (or lines) per batch: large enough to amortize the
+#: per-batch lock acquisition, small enough to keep ingest memory bounded.
 BATCH_SIZE = 65536
 
 _T = TypeVar("_T")

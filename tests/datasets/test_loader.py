@@ -58,6 +58,20 @@ def test_malformed_triple_row_raises_value_error(tmp_path, row):
         load_dataset(str(tmp_path))
 
 
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@pytest.mark.parametrize("batch_size", [1, 2, 4096])
+@pytest.mark.parametrize("rows", ["1\t2\t3\t4\n5\t6\n", "\n", "1\t2\n3\t4\n"])
+def test_rows_of_the_wrong_width_raise_value_error(tmp_path, rows, batch_size):
+    """Six fields over two rows (or a blank line, or rows all two wide)
+    are not two triples, however the file is batched: a parse that
+    reshaped the whole batch to three columns would accept the first."""
+    save_dataset(figure1_graph(), str(tmp_path))
+    with open(tmp_path / TRIPLES_FILE, "a", encoding="utf-8") as f:
+        f.write(rows)
+    with pytest.raises(ValueError):
+        load_dataset(str(tmp_path), batch_size=batch_size)
+
+
 def test_queries_identical_after_reload(tmp_path):
     from repro.core.engine import WireframeEngine
     from repro.datasets.motifs import figure1_query

@@ -100,3 +100,15 @@ def test_diamond_type_chains_satisfiable():
 def test_target_count_matches_paper():
     assert schema.TARGET_PREDICATE_COUNT == 104
     assert len(schema.CORE_PREDICATE_NAMES) == 24
+
+
+def test_channels_of_one_predicate_never_share_a_pair():
+    """Each channel of a predicate pairs its own (domain, range) types,
+    and a multi-channel predicate has no ``Any`` side: the generator's
+    per-channel fallback relies on it, deciding whether a channel adds
+    a new edge from that channel's sampled pairs alone."""
+    for spec in schema.core_predicates():
+        pairs = [(ch.domain, ch.range) for ch in spec.channels]
+        assert len(set(pairs)) == len(pairs), spec.name
+        if len(pairs) > 1:
+            assert schema.ANY not in {t for pair in pairs for t in pair}, spec.name

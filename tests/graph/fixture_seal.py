@@ -15,22 +15,32 @@ in one ``add_triples`` call, the bulk path every predicate group of
 which is merged and sealed at once (what ``graph.columnar.build_s``
 times): its columns must equal the generator's, segment for segment,
 and both must equal :meth:`Segment.from_pairs` of the same generation
-on hashdict. The file name keeps it out of tier-1 collection (a few
-seconds per run); CI runs it on the columnar leg:
+on hashdict. A third pins the generator's bytes at this scale: the
+snapshot files of the fixture, on both backends, against a recorded
+digest, so a change to how the generator writes cannot change what it
+writes (the smaller scales are pinned in
+``tests/datasets/test_yago_like.py``). The file name keeps it out of
+tier-1 collection (a few seconds per run); CI runs it on the columnar
+leg:
 
     python -m pytest tests/graph/fixture_seal.py -q
 """
 
 import random
 
+import pytest
+
 from repro.datasets.yago_like import generate_yago_like
 from repro.graph.backends import Segment
 from repro.graph.store import TripleStore
 from repro.stats.catalog import build_catalog
+from tests.datasets.test_yago_like import files_digest
 
 CYCLES = 64
 BATCH = 16
 LINK = "fixture:link"
+#: ``files_digest`` of ``generate_yago_like(scale=2.0, seed=0)``.
+FIXTURE_FILES_SHA256 = "726f0265fcbc6621980e463a4a860f17c561a957b466b7d7fd610a8fdd9484b4"
 
 
 def test_write_read_cycles_seal_exactly():
@@ -109,3 +119,9 @@ def test_one_batch_load_gives_the_generators_columns():
         assert tuple(seg) == tuple(expected)
         assert tuple(seg) == tuple(Segment.from_pairs(sorted(reference.edges(p))))
     assert store.backend.nodes() == reference.nodes()
+
+
+@pytest.mark.parametrize("backend", ["columnar", "hashdict"])
+def test_the_fixtures_snapshot_bytes_are_pinned(tmp_path, backend):
+    store = generate_yago_like(scale=2.0, seed=0, backend=backend)
+    assert files_digest(store, tmp_path / "snap") == FIXTURE_FILES_SHA256
