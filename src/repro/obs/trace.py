@@ -9,9 +9,9 @@ contextvar without any plumbing through call signatures.
 Spans are flat ``(name, start_offset, duration, nested)`` tuples
 relative to the trace's start. *Top-level* spans (``nested=False``) are
 contiguous, non-overlapping stages of one request — parse, queue_wait,
-plan, generation, defactorize, serialize — so their durations sum to
-(just under) the end-to-end latency; *nested* spans (burnback, which
-runs inside generation) attribute time without double counting.
+plan, generation, defactorize, resume, serialize — so their durations
+sum to (just under) the end-to-end latency; *nested* spans (burnback,
+which runs inside generation) attribute time without double counting.
 
 Everything on the hot path is built to cost single-digit microseconds:
 spans are tuple appends (atomic under the GIL — worker threads of one
@@ -129,6 +129,17 @@ class Trace:
                   nested: bool = False) -> None:
         """Record a span from two ``time.perf_counter()`` readings."""
         self.spans.append((name, start - self._t0, end - start, nested))
+
+    def add_since_last(self, name: str, end: float) -> None:
+        """Record a top-level span from where the latest top-level span
+        ended (the trace's start if none has) to the ``perf_counter()``
+        reading ``end``: the stretch no stage hook saw."""
+        last = max(
+            (start + dur for _name, start, dur, nested in self.spans
+             if not nested),
+            default=0.0,
+        )
+        self.spans.append((name, last, end - self._t0 - last, False))
 
     def span(self, name: str, nested: bool = False) -> "_Span":
         """Record the wrapped block as one span (a context manager)."""

@@ -835,9 +835,10 @@ class HTTPQueryServer:
             )
             # A result-cache hit comes back already completed: take it
             # here instead of paying a loop round trip to be told so.
+            awaited = not future.done()
             result = (
-                future.result() if future.done()
-                else await asyncio.wrap_future(future)
+                await asyncio.wrap_future(future) if awaited
+                else future.result()
             )
             if trace is not None:
                 # A reference, not a copy: the slow-query log derives
@@ -845,7 +846,13 @@ class HTTPQueryServer:
                 # request only. The mark becomes the "serialize" span
                 # when the dispatcher seals the trace.
                 trace._stats = result.stats
-                trace._mark = time.perf_counter()
+                trace._mark = mark = time.perf_counter()
+                if awaited:
+                    # From the worker's last stage to this line: the
+                    # answer graph's teardown, the result-cache store
+                    # and the thread-to-loop wake-up (for a coalesced
+                    # follower, the wait on its leader).
+                    trace.add_since_last("resume", mark)
             return _Response(200, body=b"".join((
                 head,
                 self._result_json(service, result, parsed.limit),

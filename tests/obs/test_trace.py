@@ -72,6 +72,20 @@ def test_stage_seconds_excludes_nested_stage_millis_includes():
     assert abs(millis["burnback"] - 150.0) < 1e-6  # nested spans sum
 
 
+def test_add_since_last_fills_the_gap_after_the_latest_top_level_span():
+    trace = Trace()
+    t0 = trace._t0
+    trace.add_since_last("first", t0 + 0.1)  # nothing yet: from the start
+    trace.add_timed("generation", t0 + 0.2, t0 + 0.5)
+    trace.add_timed("burnback", t0 + 0.4, t0 + 0.7, nested=True)
+    trace.add_since_last("resume", t0 + 0.9)
+    first, _gen, _burn, resume = trace.spans
+    assert first[:2] == ("first", 0.0) and abs(first[2] - 0.1) < 1e-9
+    # Nested spans do not count: the gap starts where generation ended.
+    assert resume[0] == "resume" and resume[3] is False
+    assert abs(resume[1] - 0.5) < 1e-9 and abs(resume[2] - 0.4) < 1e-9
+
+
 def test_finish_is_idempotent():
     trace = Trace()
     first = trace.finish().duration

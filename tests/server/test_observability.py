@@ -107,7 +107,7 @@ def test_include_trace_returns_stage_spans(client):
     assert trace["trace_id"] == headers["X-Repro-Trace-Id"]
     assert trace["total_ms"] > 0
     names = [span["name"] for span in trace["spans"]]
-    for stage in ("parse", "queue_wait", "plan"):
+    for stage in ("parse", "queue_wait", "plan", "resume"):
         assert stage in names
     for span in trace["spans"]:
         assert set(span) == {"name", "start_ms", "duration_ms", "nested"}
