@@ -121,19 +121,25 @@ with QueryService(store) as service, serve_in_background(
     triples = sample_value(families, "repro_store_triples")
     check("store gauges exported", triples == store.num_triples)
     check("collector families exported",
-          {"repro_gc_collections_total", "repro_gc_pause_seconds"}
-          <= set(families))
+          {"repro_gc_collections_total", "repro_gc_pause_seconds",
+           "repro_gc_promotions_total"} <= set(families))
 
-    # A counter never falls: scrape again and compare the collections.
+    # A counter never falls: scrape again and compare the collections
+    # and the promotions.
     def collections(families) -> list:
         return [sample_value(families, "repro_gc_collections_total",
                              {"generation": g}) or 0 for g in "012"]
+
+    def promotions(families) -> float:
+        return sample_value(families, "repro_gc_promotions_total") or 0
 
     with urllib.request.urlopen(handle.url + "/metrics") as response:
         again = parse_exposition(response.read().decode("utf-8"))
     check("repro_gc_collections_total did not fall between scrapes",
           all(b >= a for a, b in zip(collections(families),
                                      collections(again))))
+    check("repro_gc_promotions_total did not fall between scrapes",
+          promotions(again) >= promotions(families))
 
     print("\n  a few series, as a scraper sees them:")
     for name in ("repro_http_in_flight", "repro_store_triples",

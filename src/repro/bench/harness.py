@@ -71,7 +71,8 @@ def run_query(
 
     A timeout on *any* run marks the pair as timed out — matching the
     paper, where a starred query never produced a measurement. Every
-    engine runs with the cyclic collector paused, as Wireframe's own
+    engine runs with the cyclic collector paused, and its rows
+    promoted past the young generation, as Wireframe's own
     ``evaluate`` does, so the comparison stays like-for-like.
     """
     if protocol is None:
@@ -84,10 +85,11 @@ def run_query(
         deadline = Deadline(protocol.timeout)
         start = time.perf_counter()
         try:
-            with collector_paused():
+            with collector_paused() as pause:
                 result = engine.evaluate(
                     query, deadline=deadline, materialize=protocol.materialize
                 )
+                pause.hand_back(len(result.rows or ()))
         except EvaluationTimeout:
             return QueryTiming(
                 engine=engine.name,

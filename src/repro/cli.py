@@ -440,9 +440,10 @@ def _cmd_query(args) -> int:
 def _evaluate_explained(engine, query, deadline, prepared, limit: int):
     """``engine.evaluate`` for ``repro query`` (``limit`` 0 = count
     only), plus each generation step's ``(estimated, actual)`` walks.
-    The collector stays paused until the answer graph is freed, as in
+    The collector stays paused until the answer graph is freed, and
+    the rows are reported to the pause, as in
     :meth:`~repro.core.engine.WireframeEngine.evaluate`."""
-    with collector_paused():
+    with collector_paused() as pause:
         detailed = engine.evaluate_detailed(
             query, deadline, limit > 0, prepared=prepared, limit=limit or None
         )
@@ -451,6 +452,7 @@ def _evaluate_explained(engine, query, deadline, prepared, limit: int):
         ))
         result = engine.engine_result(detailed)
         del detailed
+        pause.hand_back(len(result.rows or ()))
     return result, steps
 
 

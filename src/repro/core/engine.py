@@ -260,15 +260,18 @@ class WireframeEngine(Engine):
         cyclic collector is paused for the whole evaluation (see
         :mod:`repro.core.gc_pause`) and resumes only once the
         :class:`WireframeResult`, and with it the answer graph, has
-        been freed by reference count: only the returned rows are left
-        for its next pass to walk.
+        been freed by reference count. The returned rows are reported
+        to the pause, which promotes them past the young generation
+        when there are enough of them.
         """
-        with collector_paused():
+        with collector_paused() as pause:
             # The WireframeResult is a temporary: it dies as soon as
             # engine_result returns, before the pause ends.
-            return self.engine_result(self.evaluate_detailed(
+            result = self.engine_result(self.evaluate_detailed(
                 query, deadline, materialize, prepared=prepared, limit=limit
             ))
+            pause.hand_back(len(result.rows or ()))
+            return result
 
     def engine_result(self, result: WireframeResult) -> EngineResult:
         """``result`` as the uniform :class:`EngineResult`, with the

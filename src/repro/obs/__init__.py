@@ -14,7 +14,8 @@ The substrate every serving layer reports through (ISSUE 9):
 * :mod:`repro.obs.logging` — a JSON-lines logger and the slow-query
   log behind ``repro serve --slow-query-ms``;
 * :mod:`repro.obs.gc_metrics` — the cyclic collector's collections and
-  pause times, from one process-wide ``gc.callbacks`` hook.
+  pause times, from one process-wide ``gc.callbacks`` hook, and the
+  evaluations whose rows were promoted past its young generation.
 
 This package is deliberately a leaf: it imports nothing from the rest
 of :mod:`repro`, so the engine, service, storage, and server layers can

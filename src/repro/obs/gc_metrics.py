@@ -1,14 +1,17 @@
-"""The cyclic collector's work, as two metric families.
+"""The cyclic collector's work, as three metric families.
 
 - ``repro_gc_collections_total{generation}`` — collections per
   generation since the process started, read from ``gc.get_stats()``
   at scrape time.
+- ``repro_gc_promotions_total`` — evaluations whose young objects went
+  straight to the oldest generation instead of through a young
+  collection (:mod:`repro.core.gc_pause`), read at scrape time.
 - ``repro_gc_pause_seconds`` — a histogram of how long each collection
   took, fed by one ``gc.callbacks`` hook per process. The hook goes in
   when the first registry takes the family, so collections before that
   are counted but not timed.
 
-The collector is process-wide, so both families are too: every
+The collector is process-wide, so the families are too: every
 registry they are registered on reports the same process's numbers,
 and a prefork pool sums its workers'.
 
@@ -39,6 +42,21 @@ PAUSE_BUCKETS = (
 
 _install_lock = threading.Lock()
 _pauses: Histogram | None = None
+# Counted only by a pause's owner while it holds the pause's own lock,
+# so the count takes no lock of its own.
+_promotions = 0
+
+
+def count_promotion() -> None:
+    """Count one pause whose young objects were promoted."""
+    global _promotions
+    _promotions += 1
+
+
+def promotions() -> int:
+    """Pauses that promoted their young objects since the process
+    started."""
+    return _promotions
 
 
 def _pause_histogram() -> Histogram:
@@ -78,12 +96,19 @@ def _collections() -> dict:
 
 
 def register_gc_metrics(registry: MetricsRegistry) -> None:
-    """Put both collector families on ``registry``."""
+    """Put the collector families on ``registry``."""
     registry.callback(
         "repro_gc_collections_total",
         "Cyclic-collector passes since the process started, by generation.",
         _collections,
         kind="counter",
         labelnames=("generation",),
+    )
+    registry.callback(
+        "repro_gc_promotions_total",
+        "Evaluations whose young objects were promoted to the oldest "
+        "generation instead of walked by a young collection.",
+        promotions,
+        kind="counter",
     )
     registry.register(_pause_histogram())

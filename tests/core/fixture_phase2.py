@@ -13,11 +13,17 @@ rows must equal, as a list, the depth-first enumerator of
 embedding order, and its count :class:`NavigationalEngine`'s. After
 each paper query, every relation whose two indexes were both built
 (the second one by inverting the first) must hold exact mutual
-inverses. The file name keeps it out of tier-1 collection (about half
-a minute per run); CI runs it once per backend:
+inverses. Each paper snowflake, evaluated through
+:meth:`WireframeEngine.evaluate`, hands back thousands of rows; no
+young collection may run between its return and the release of those
+rows (:mod:`repro.core.gc_pause` promotes them). The file name keeps it
+out of tier-1 collection (about half a minute per run); CI runs it
+once per backend:
 
     REPRO_BACKEND=columnar python -m pytest tests/core/fixture_phase2.py -q
 """
+
+import gc
 
 import pytest
 
@@ -29,6 +35,7 @@ from repro.datasets.yago_like import generate_yago_like
 from repro.query.model import ConjunctiveQuery
 
 from tests.core.defactorize_reference import reference_rows
+from tests.core.test_gc_pause import collections_started
 from tests.properties.strategies import adjacency_pairs
 
 CYCLES = 64
@@ -78,6 +85,18 @@ def test_paper_query_rows_in_reference_order(store, index):
     both = assert_built_indexes_are_mutual_inverses(assert_reference_rows(store, query))
     # A diamond's chord joins read each side from both ends.
     assert both > 0 or not query.name.startswith("CQ_D")
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_snowflake_rows_skip_the_young_collection(store, index):
+    query = paper_queries()[index]
+    assert query.name.startswith("CQ_S")
+    engine = WireframeEngine(store)
+    with collections_started() as started:
+        result = engine.evaluate(query)
+        assert len(result.rows) >= gc.get_threshold()[0] > 0
+        del result
+    assert started == [], query.name
 
 
 def test_probe_rows_in_reference_order_after_writes(store):

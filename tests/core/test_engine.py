@@ -145,29 +145,80 @@ def test_total_seconds_property():
 
 def test_an_evaluation_leaves_nothing_to_the_cyclic_collector():
     """Plans, answer graphs and results die by reference count: with
-    the collector off, an acyclic and a cyclic paper query leave no
-    unreachable object behind, and the answer graph goes with its last
-    reference."""
+    the collector off, an acyclic and a cyclic paper query, and an
+    evaluation past its deadline, leave no unreachable object behind,
+    on Wireframe and on the four baselines (the benchmark harness
+    promotes around every one of them, see :mod:`repro.core.gc_pause`),
+    and the answer graph goes with its last reference."""
     import gc
     import weakref
 
+    from repro.baselines import (
+        ColumnarEngine,
+        HashJoinEngine,
+        IndexNestedLoopEngine,
+        NavigationalEngine,
+    )
     from repro.datasets.paper_queries import paper_queries
     from repro.datasets.yago_like import generate_yago_like
 
-    engine = WireframeEngine(generate_yago_like(scale=0.2, seed=0))
+    store = generate_yago_like(scale=0.2, seed=0)
+    engines = [
+        WireframeEngine(store),
+        HashJoinEngine(store),
+        IndexNestedLoopEngine(store),
+        ColumnarEngine(store),
+        NavigationalEngine(store),
+    ]
     queries = {q.name: q for q in paper_queries()}
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
+        for engine in engines:
+            for name in ("CQ_S#1", "CQ_D#1"):
+                assert engine.evaluate(queries[name]).count > 0
+                assert gc.collect() == 0, (engine.name, name)
+            with pytest.raises(EvaluationTimeout):
+                engine.evaluate(queries["CQ_S#1"],
+                                deadline=Deadline(1e-9, stride=1))
+            assert gc.collect() == 0, (engine.name, "expired deadline")
+        engine = engines[0]
         for name in ("CQ_S#1", "CQ_D#1"):
-            assert engine.evaluate(queries[name]).count > 0
-            assert gc.collect() == 0, name
             detail = engine.evaluate_detailed(queries[name])
             answer_graph = weakref.ref(detail.answer_graph)
             del detail
             assert answer_graph() is None, name
             assert gc.collect() == 0, name
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_service_evaluation_leaves_nothing_to_the_cyclic_collector():
+    """The same through ``QueryService.evaluate``: its worker thread,
+    plan and result caches, and an evaluation past its deadline."""
+    import gc
+
+    from repro.datasets.paper_queries import paper_queries
+    from repro.datasets.yago_like import generate_yago_like
+    from repro.service import QueryService
+
+    store = generate_yago_like(scale=0.2, seed=0)
+    queries = {q.name: q for q in paper_queries()}
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with QueryService(store) as service:
+            for name in ("CQ_S#1", "CQ_D#1", "CQ_S#1"):
+                assert service.evaluate(queries[name]).count > 0
+                assert gc.collect() == 0, name
+            with pytest.raises(EvaluationTimeout):
+                service.evaluate(queries["CQ_S#2"],
+                                 deadline=Deadline(1e-9, stride=1))
+            assert gc.collect() == 0, "expired deadline"
+        assert gc.collect() == 0, "close"
     finally:
         if was_enabled:
             gc.enable()

@@ -7,6 +7,11 @@ safe because the answer graph is acyclic and dies by reference count
 these tests pin is that ``gc.isenabled()`` always ends as it began, on
 every way out of an evaluation and across threads, and that overlapping
 evaluations never keep the collector off for good.
+
+The owner of a pause that hands back at least a young threshold of
+rows promotes what is young to the oldest generation: no young
+collection walks those rows. The promotion tests pin when it happens
+and when it must not.
 """
 
 from __future__ import annotations
@@ -14,13 +19,20 @@ from __future__ import annotations
 import gc
 import sys
 import threading
+import weakref
+from contextlib import contextmanager
 
 import pytest
 
+from repro.baselines import HashJoinEngine
+from repro.bench.harness import BenchmarkProtocol, run_query
 from repro.core.engine import WireframeEngine
 from repro.core.gc_pause import collector_paused
 from repro.datasets.motifs import figure1_graph, figure1_query
+from repro.datasets.paper_queries import paper_queries
+from repro.datasets.yago_like import generate_yago_like
 from repro.errors import EvaluationTimeout, QueryError
+from repro.obs.gc_metrics import promotions
 from repro.query.model import ConjunctiveQuery
 from repro.query.parser import parse_sparql
 from repro.service import QueryService
@@ -206,3 +218,148 @@ def test_overlapping_service_misses_do_not_starve_the_collector(mini_yago):
     assert max(seen) > min(seen)
     assert gc.get_stats()[0]["collections"] > before
     assert gc.isenabled()
+
+
+# ----------------------------------------------------------------------
+# Promotion of the rows handed back
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def snowflake():
+    """A scale-0.2 store and CQ_S#2 on it, whose 6,493 rows are many
+    times the young threshold."""
+    store = generate_yago_like(scale=0.2, seed=0)
+    query = next(q for q in paper_queries() if q.name == "CQ_S#2")
+    return WireframeEngine(store), query
+
+
+@contextmanager
+def collections_started():
+    """The generation of each collection that starts in the block."""
+    started: list[int] = []
+
+    def hook(phase: str, info: dict) -> None:
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(hook)
+
+
+def in_oldest_generation(obj) -> bool:
+    return any(young is obj for young in gc.get_objects(generation=2))
+
+
+def test_a_large_evaluations_rows_skip_the_young_collection(snowflake):
+    engine, query = snowflake
+    assert gc.get_threshold()[0] > 0
+    before = promotions()
+    with collections_started() as started:
+        result = engine.evaluate(query)
+        assert len(result.rows) >= gc.get_threshold()[0]
+        assert gc.get_count()[0] < gc.get_threshold()[0]
+        assert in_oldest_generation(result.rows)
+        del result
+    assert started == []
+    assert promotions() == before + 1
+    assert gc.isenabled()
+
+
+def test_a_small_evaluation_promotes_nothing():
+    engine = WireframeEngine(figure1_graph())
+    before = promotions()
+    result = engine.evaluate(figure1_query())
+    assert 0 < len(result.rows) < gc.get_threshold()[0]
+    assert not in_oldest_generation(result.rows)
+    assert promotions() == before
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_the_harness_promotes_each_run_once(snowflake, baseline):
+    """``run_query`` owns the pause for every engine, so a baseline's
+    rows are promoted too, and Wireframe's own inner pause is not an
+    owner: each run is promoted once, not twice."""
+    engine, query = snowflake
+    if baseline:
+        engine = HashJoinEngine(engine.store)
+    before = promotions()
+    timing = run_query(engine, query, BenchmarkProtocol(runs=2, discard=0))
+    assert timing.count == 6493
+    assert promotions() == before + 2
+
+
+def test_a_callers_freeze_is_never_thawed(snowflake):
+    engine, query = snowflake
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        before = promotions()
+        result = engine.evaluate(query)
+        assert len(result.rows) >= gc.get_threshold()[0]
+        assert gc.get_freeze_count() == frozen
+        assert promotions() == before
+    finally:
+        gc.unfreeze()
+
+
+def test_a_zero_threshold_promotes_nothing(snowflake):
+    engine, query = snowflake
+    thresholds = gc.get_threshold()
+    gc.set_threshold(0)
+    try:
+        before = promotions()
+        result = engine.evaluate(query)
+        assert len(result.rows) > 0
+        assert promotions() == before
+    finally:
+        gc.set_threshold(*thresholds)
+
+
+def test_a_nested_pause_never_promotes(snowflake):
+    engine, query = snowflake
+    before = promotions()
+    with collector_paused():
+        result = engine.evaluate(query)
+        assert promotions() == before
+        assert not gc.isenabled()
+    # The outer owner handed back nothing.
+    assert len(result.rows) >= gc.get_threshold()[0]
+    assert promotions() == before
+    assert gc.isenabled()
+
+
+def test_a_caller_who_disabled_the_collector_is_never_promoted(snowflake):
+    engine, query = snowflake
+    before = promotions()
+    gc.disable()
+    result = engine.evaluate(query)
+    assert not gc.isenabled()
+    gc.enable()
+    assert len(result.rows) >= gc.get_threshold()[0]
+    assert promotions() == before
+
+
+def test_a_cycle_made_before_a_promotion_is_still_reclaimed(snowflake):
+    """Promotion defers a young cycle to the next full collection; it
+    does not lose it."""
+    engine, query = snowflake
+
+    class Node:
+        pass
+
+    reclaimed: list[bool] = []
+    node = Node()
+    node.self = node
+    weakref.finalize(node, reclaimed.append, True)
+    del node
+    before = promotions()
+    result = engine.evaluate(query)
+    assert promotions() == before + 1
+    del result
+    gc.collect()
+    assert reclaimed == [True]

@@ -135,6 +135,7 @@ COMMON_METRICS = {
         ((("generation", "0"),), (("generation", "1"),), (("generation", "2"),)),
     ),
     "repro_gc_pause_seconds": ("histogram", (), BARE),
+    "repro_gc_promotions_total": ("counter", (), BARE),
     "repro_http_draining": ("gauge", (), BARE),
     "repro_http_in_flight": ("gauge", (), BARE),
     "repro_http_request_memo_lookups_total": (
