@@ -225,6 +225,12 @@ class AnswerGraph:
             return set()
         return set(sorted(found))
 
+    def retire_live(self, rel: RelKey) -> None:
+        """Pairs, not only whole nodes, left ``rel``: it is no longer
+        all of its predicate between its endpoints, so :meth:`bucket`
+        stops reading it off the store."""
+        self._live.pop(rel, None)
+
     def _live_predicate(self, rel: RelKey) -> int | None:
         """``rel``'s predicate, if ``rel`` is still that predicate
         restricted to its endpoints and the predicate has not been

@@ -250,6 +250,7 @@ def _prune_side(
 
     if not shrunk:
         return 0, {}
+    ag.retire_live(rel)
 
     # Pass 2: apply survivors in bulk and collect node-set removals.
     removals: Removals = {}

@@ -306,6 +306,7 @@ def _prune_side_reference(
 
     if not doomed:
         return 0, []
+    ag.retire_live(rel)
     removals: list[tuple[int, int]] = []
     s_var, o_var = ag.rel_vars[rel]
     node_sets = ag.node_sets

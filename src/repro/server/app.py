@@ -18,9 +18,10 @@ The event loop only parses and routes; evaluation runs on the
 service's thread pool and is awaited through
 :func:`asyncio.wrap_future`, so slow queries never stall the accept
 loop. **A repeated request costs what a cache hit is**: the validated
-request document is remembered under its body bytes (a bounded LRU,
-see :meth:`HTTPQueryServer._parsed`), a result-cache hit comes back
-from :meth:`QueryService.submit` as a completed future and is taken
+request document is remembered under its body bytes (a bounded cache
+that evicts by ARC, see :meth:`HTTPQueryServer._parsed`), a
+result-cache hit comes back from :meth:`QueryService.submit` as a
+completed future and is taken
 without a loop round trip, and the entry's shared
 :class:`~repro.engine_api.EngineResult` keeps its own JSON rendering,
 so the response body is a pre-rendered head, that fragment and a brace
@@ -66,7 +67,7 @@ from repro.obs.trace import (
     Trace,
     TraceBuffer,
 )
-from repro.service.caches import LRUCache
+from repro.service.caches import BoundedCache
 from repro.service.query_service import QueryService
 from repro.server.http import (
     HttpError,
@@ -323,7 +324,7 @@ class HTTPQueryServer:
         # thread only): validated request documents by their bytes, and
         # how often a response embedded a result's kept rendering
         # instead of rendering it.
-        self._request_memo = LRUCache(REQUEST_MEMO_ENTRIES)
+        self._request_memo = BoundedCache(REQUEST_MEMO_ENTRIES)
         self._fragment_renders = 0
         self._fragment_reuses = 0
 

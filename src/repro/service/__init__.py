@@ -9,7 +9,7 @@ pushes many queries through it. This package provides that layer:
   alpha-invariant key for a :class:`~repro.query.model.ConjunctiveQuery`
   (structurally identical queries share a key no matter how their
   variables are named).
-- :class:`~repro.service.caches.PlanCache` — an LRU of
+- :class:`~repro.service.caches.PlanCache` — a bounded ARC cache of
   ``(AGPlan, Chordification)`` pairs keyed on that signature, so
   repeated query templates skip the Edgifier/Triangulator entirely.
 - :class:`~repro.service.caches.ResultCache` — a bounded cache of final
@@ -22,13 +22,13 @@ pushes many queries through it. This package provides that layer:
   ``snapshot()`` (the ``/v1/stats`` view) reads back.
 """
 
-from repro.service.caches import CacheStats, LRUCache, PlanCache, ResultCache
+from repro.service.caches import BoundedCache, CacheStats, PlanCache, ResultCache
 from repro.service.query_service import QueryService
 from repro.service.signature import plan_signature, query_signature
 
 __all__ = [
+    "BoundedCache",
     "CacheStats",
-    "LRUCache",
     "PlanCache",
     "QueryService",
     "ResultCache",

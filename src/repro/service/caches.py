@@ -1,8 +1,8 @@
 """Thread-safe bounded caches for the query service.
 
-:class:`LRUCache` is the shared substrate: an ``OrderedDict`` guarded by
-a lock, with hit/miss/eviction counters. On top of it sit the two
-service caches:
+:class:`BoundedCache` is the shared substrate: a mapping that evicts by
+ARC (adaptive replacement), guarded by a lock, with hit/miss/eviction
+counters. On top of it sit the two service caches:
 
 - :class:`PlanCache` maps a query signature to the reusable planning
   artifacts ``(AGPlan, Chordification)``.
@@ -50,18 +50,42 @@ class CacheStats(NamedTuple):
         return self.hits / total if total else 0.0
 
 
-class LRUCache:
-    """A bounded least-recently-used mapping, safe for concurrent use.
+class BoundedCache:
+    """A bounded mapping that evicts by ARC, safe for concurrent use.
 
-    ``get`` promotes the entry to most-recently-used; ``put`` evicts the
-    oldest entry once ``maxsize`` is exceeded. ``maxsize <= 0`` disables
-    the cache entirely (every lookup misses, every put is dropped),
-    which lets the service switch caching off without special-casing.
+    ARC (adaptive replacement; Megiddo & Modha, FAST 2003) keeps its
+    resident entries in two recency-ordered lists: ``T1``, keys asked
+    for once since they entered, and ``T2``, keys asked for again. It
+    remembers the keys it last evicted from each in the ghost lists
+    ``B1`` and ``B2``, and splits the room between ``T1`` and ``T2`` by
+    a target ``p`` for ``T1``: a put of a ``B1`` ghost grows ``p`` (a
+    larger ``T1`` would have kept it), a put of a ``B2`` ghost shrinks
+    it. An eviction takes ``T1``'s oldest entry while ``T1`` is above
+    ``p``, else ``T2``'s. A one-off key therefore displaces other
+    one-off keys, not an entry that was asked for twice, and a scan of
+    fresh keys cannot flush the working set as it does under LRU.
+
+    A ghost is ``hash(key)``, never the key: a request body used as a
+    key is not retained past its entry. (Two keys that share a hash
+    can only misplace one admission.) All four lists together hold at
+    most ``2 * maxsize`` keys, ``T1`` and ``B1`` at most ``maxsize``.
+
+    A hit on ``T2`` costs one probe and a ``move_to_end``; a hit on
+    ``T1`` moves the entry to ``T2``. ``put`` of a resident key updates
+    it in place. :meth:`discard` and a stale drop remove an entry
+    without a ghost: the key was not evicted for want of room.
+    ``maxsize <= 0`` disables the cache entirely (every lookup misses,
+    every put is dropped), which lets the service switch caching off
+    without special-casing.
     """
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
-        self._data: OrderedDict[Hashable, Any] = OrderedDict()
+        self._t1: OrderedDict[Hashable, Any] = OrderedDict()
+        self._t2: OrderedDict[Hashable, Any] = OrderedDict()
+        self._b1: OrderedDict[int, None] = OrderedDict()
+        self._b2: OrderedDict[int, None] = OrderedDict()
+        self._p = 0
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -74,12 +98,17 @@ class LRUCache:
         """Look up ``key``; ``record=False`` leaves the counters alone
         (used for double-checks that already counted once)."""
         with self._lock:
-            value = self._data.get(key, self._MISSING)
-            if value is self._MISSING:
-                if record:
-                    self._misses += 1
-                return default
-            self._data.move_to_end(key)
+            t2 = self._t2
+            value = t2.get(key, self._MISSING)
+            if value is not self._MISSING:
+                t2.move_to_end(key)
+            else:
+                value = self._t1.pop(key, self._MISSING)
+                if value is self._MISSING:
+                    if record:
+                        self._misses += 1
+                    return default
+                t2[key] = value
             if record:
                 self._hits += 1
             return value
@@ -88,29 +117,74 @@ class LRUCache:
         if self.maxsize <= 0:
             return
         with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-            self._data[key] = value
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
+            if key in self._t2:
+                self._t2[key] = value
+            elif key in self._t1:
+                self._t1[key] = value
+            else:
+                self._admit(key, value)
+
+    def _admit(self, key: Hashable, value: Any) -> None:
+        """Make ``key`` resident: in ``T2`` if it is a ghost (moving
+        ``p`` towards the list that would have kept it), else in ``T1``.
+        Called under the lock."""
+        t1, b1, b2 = self._t1, self._b1, self._b2
+        ghost = hash(key)
+        if ghost in b1:
+            self._p = min(self.maxsize, self._p + max(1, len(b2) // len(b1)))
+            del b1[ghost]
+            self._make_room(False)
+            self._t2[key] = value
+        elif ghost in b2:
+            self._p = max(0, self._p - max(1, len(b1) // len(b2)))
+            del b2[ghost]
+            self._make_room(True)
+            self._t2[key] = value
+        else:
+            if len(t1) + len(b1) < self.maxsize:
+                if len(t1) + len(self._t2) + len(b1) + len(b2) >= 2 * self.maxsize:
+                    b2.popitem(last=False)
+                self._make_room(False)
+            elif b1:
+                b1.popitem(last=False)
+                self._make_room(False)
+            else:  # T1 fills the cache: its oldest leaves without a ghost
+                t1.popitem(last=False)
                 self._evictions += 1
+            t1[key] = value
+
+    def _make_room(self, b2_ghost: bool) -> None:
+        """Evict one resident entry to its ghost list if the cache is
+        full: ``T1``'s oldest while ``T1`` is above ``p`` (or at it, for
+        a key returning from ``B2``), else ``T2``'s."""
+        t1, t2 = self._t1, self._t2
+        if len(t1) + len(t2) < self.maxsize:
+            return
+        if t1 and (not t2 or len(t1) > self._p or (b2_ghost and len(t1) == self._p)):
+            self._b1[hash(t1.popitem(last=False)[0])] = None
+        else:
+            self._b2[hash(t2.popitem(last=False)[0])] = None
+        self._evictions += 1
 
     def discard(self, key: Hashable) -> None:
         """Remove ``key`` if present (no-op otherwise)."""
         with self._lock:
-            self._data.pop(key, None)
+            if self._t2.pop(key, self._MISSING) is self._MISSING:
+                self._t1.pop(key, None)
 
     def clear(self) -> None:
         with self._lock:
-            self._data.clear()
+            for part in (self._t1, self._t2, self._b1, self._b2):
+                part.clear()
+            self._p = 0
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._data)
+            return len(self._t1) + len(self._t2)
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
-            return key in self._data
+            return key in self._t2 or key in self._t1
 
     def stats(self) -> CacheStats:
         with self._lock:
@@ -118,7 +192,7 @@ class LRUCache:
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
-                size=len(self._data),
+                size=len(self._t1) + len(self._t2),
                 maxsize=self.maxsize,
                 stale_drops=self._stale_drops,
             )
@@ -130,8 +204,9 @@ class LRUCache:
             if record:
                 self._hits -= 1
                 self._misses += 1
-            if self._data.get(key) is entry:
-                del self._data[key]
+            # A lookup has just moved ``key`` into ``T2``.
+            if self._t2.get(key) is entry:
+                del self._t2[key]
                 self._stale_drops += 1
 
 
@@ -139,8 +214,8 @@ class LRUCache:
 Versions = tuple
 
 
-class PlanCache(LRUCache):
-    """LRU of ``(AGPlan, Chordification)`` keyed by query signature."""
+class PlanCache(BoundedCache):
+    """Bounded cache of ``(AGPlan, Chordification)`` keyed by query signature."""
 
     def get_plan(
         self, signature: Hashable, versions: Versions
@@ -185,7 +260,7 @@ class _ResultEntry:
         self.result = result
 
 
-class ResultCache(LRUCache):
+class ResultCache(BoundedCache):
     """Bounded result cache, valid per predicate version.
 
     An entry is served while the versions of its query's predicates are

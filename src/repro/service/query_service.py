@@ -119,7 +119,8 @@ class QueryService:
         Thread-pool width (default: ``min(8, cpu_count)``), at most
         ``MAX_WORKERS`` (:mod:`repro.utils.domains`).
     plan_cache_size / result_cache_size:
-        LRU capacities; ``0`` disables the respective cache.
+        Capacities of the two ARC-evicted caches; ``0`` disables the
+        respective cache.
     coalesce:
         Deduplicate identical *in-flight* queries: while a query is
         being evaluated, further submissions of an alpha-equivalent

@@ -5,6 +5,7 @@ from repro.core.burnback import (
     intersect_node_set,
     node_burnback,
 )
+from repro.core.engine import WireframeEngine
 from repro.core.generation import generate_answer_graph
 from repro.core.ideal import ideal_answer_graph
 from repro.core.reference import register_pairs
@@ -166,3 +167,25 @@ def test_edge_burnback_cascades_into_node_burnback():
     d = store.dictionary.lookup
     x_var = bound.var_index("x")
     assert d("9") not in ag.node_sets[x_var]
+
+
+def test_buckets_after_edge_burnback_match_the_built_index():
+    """Edge burnback removes pairs, not whole nodes: a relation it
+    pruned is no longer its predicate between its endpoints, so
+    ``bucket`` must not read it off the store any more."""
+    store = figure4_graph()
+    result = WireframeEngine(store, edge_burnback=True).evaluate_detailed(
+        figure4_query()
+    )
+    ag = result.answer_graph
+    assert result.generation_stats.spurious_pairs_removed == 2
+    served = 0
+    for rel in ag.materialized_order:
+        for pos in "so":
+            index = ag.index(rel, pos)
+            for key in store.nodes():
+                bucket = ag.bucket(rel, pos, key)
+                if bucket is not None:
+                    served += 1
+                    assert bucket == index.get(key, set()), (rel, pos, key)
+    assert served  # the relations burnback left whole still answer

@@ -589,12 +589,6 @@ def test_pool_widths_are_bounded_in_the_constructors(mini_yago, width):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["query", "--sparql", "select ?x where { ?x created ?y }", "--timeout", "0"],
-         "--timeout"),
-        (["query", "--sparql", "select ?x where { ?x created ?y }", "--timeout", "nan"],
-         "--timeout"),
-        (["query", "--sparql", "select ?x where { ?x created ?y }", "--limit", "-1"],
-         "--limit"),
         (["batch", "--template", "chain", "--timeout", "-1"], "--timeout"),
         (["batch", "--template", "chain", "--repeat", "0"], "--repeat"),
         (["generate", "unused", "--scale", "nan"], "--scale"),
@@ -625,7 +619,7 @@ def test_pool_widths_are_bounded_in_the_constructors(mini_yago, width):
         (["batch", "--template", "chain", "--repeat", "99999999999999999999"],
          "--repeat"),
     ],
-    ids=["query-timeout-0", "query-timeout-nan", "query-limit", "batch-timeout", "batch-repeat",
+    ids=["batch-timeout", "batch-repeat",
          "generate-scale-nan", "query-scale-nan", "stats-scale-inf", "stats-top",
          "table1-runs", "table1-timeout-0", "table1-timeout-nan", "generate-seed",
          "query-seed", "stats-seed", "mine-miner-seed", "mine-count", "batch-count",
