@@ -144,7 +144,7 @@ from repro.datasets import (
     paper_queries,
     paper_snowflake_queries,
 )
-from repro.datasets.loader import load_dataset, save_dataset
+from repro.datasets.loader import load_dataset
 from repro.server import (
     HTTPQueryServer,
     PreforkServer,
@@ -165,7 +165,7 @@ try:
 
     __version__ = _pkg_version("repro-answer-graph")
 except _PkgNotFound:  # pragma: no cover — uninstalled checkout
-    __version__ = "1.11.0"
+    __version__ = "1.12.0"
 
 #: Deprecated top-level names: old name -> (replacement name, object).
 #: Accessing one still works for a minor release but warns.
@@ -264,7 +264,6 @@ __all__ = [
     "load_snapshot_catalog",
     "is_snapshot",
     "load_dataset",
-    "save_dataset",
     # serving (HTTP front end + prefork pool)
     "HTTPQueryServer",
     "PreforkServer",

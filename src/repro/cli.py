@@ -2,14 +2,13 @@
 
 Commands
 --------
-``generate``   build the YAGO-like dataset and save it (offline prep)
 ``stats``      summarize a dataset and its catalog
 ``query``      evaluate a SPARQL CQ with any of the five engines
 ``batch``      serve many queries through the concurrent QueryService
 ``serve``      expose the QueryService over HTTP (the /v1 JSON API)
 ``mine``       mine non-empty template queries from a dataset
 ``table1``     regenerate the paper's Table 1
-``save``       write a dataset as a durable binary snapshot
+``save``       write a dataset as a durable binary snapshot (offline prep)
 ``dump``       export a dataset as an N-Triples file
 ``compact``    fold a snapshot's write-ahead log into a new generation
 ``wal-inspect``  print a write-ahead log's health and replay horizon
@@ -19,10 +18,10 @@ format share one canonical serialization:
 :meth:`repro.query.model.ConjunctiveQuery.to_dict` for queries and
 :meth:`repro.engine_api.EngineResult.to_dict` for results.
 
-Every command accepts ``--dataset DIR`` (a directory written by
-``generate``), ``--snapshot DIR`` (a durable snapshot written by
-``save`` — warm-starts without re-parsing), or ``--scale``/``--seed``
-to build the graph in-process.
+Every dataset command reads ``--snapshot DIR`` (a durable snapshot
+written by ``save`` — warm-starts without re-parsing) or builds the
+graph in-process from ``--scale``/``--seed``; ``repro save OUT --scale S
+--seed N`` generates and persists in one step.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.bench.harness import BenchmarkProtocol
 from repro.bench.table1 import format_table1, reproduce_table1
 from repro.bench.workloads import ENGINE_ORDER, default_engines
 from repro.core.gc_pause import collector_paused
-from repro.datasets.loader import load_dataset, save_dataset
+from repro.datasets.loader import load_dataset
 from repro.datasets.yago_like import generate_yago_like
 from repro.errors import EvaluationTimeout, ReproError
 from repro.graph.backends import DEFAULT_BACKEND, available_backends
@@ -44,7 +43,7 @@ from repro.graph.store import TripleStore
 from repro.graph.ntriples import dump_ntriples_file
 from repro.query.miner import QueryMiner
 from repro.query.parser import parse_query
-from repro.storage import load_snapshot, load_snapshot_catalog, save_snapshot
+from repro.storage import save_snapshot
 from repro.query.templates import (
     chain_template,
     cycle_template,
@@ -67,27 +66,19 @@ _TEMPLATES = {
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_mutually_exclusive_group()
-    source.add_argument("--dataset", help="directory written by `generate`")
-    source.add_argument(
+    parser.add_argument(
         "--snapshot",
         help="durable snapshot written by `save` (mmap warm start)",
     )
     parser.add_argument(
         "--scale", type=domains.scale, default=1.0,
-        help="in-process YAGO-like scale (ignored with --dataset/--snapshot)",
+        help="in-process YAGO-like scale (ignored with --snapshot)",
     )
     parser.add_argument("--seed", type=domains.seed, default=0)
     parser.add_argument(
         "--backend", choices=available_backends(), default=None,
         help="storage backend for the triple indexes "
         f"(default: $REPRO_BACKEND or {DEFAULT_BACKEND!r})",
-    )
-    parser.add_argument(
-        "--eager-terms", action="store_true",
-        help="when opening a snapshot (--snapshot, or --dataset pointing "
-        "at a snapshot directory): parse the whole term dictionary up "
-        "front instead of the lazy mmap dictionary (format v2 default)",
     )
     parser.add_argument(
         "--wal", action="store_true",
@@ -98,25 +89,16 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> tuple[TripleStore, Catalog]:
-    backend = getattr(args, "backend", None)
-    snapshot = getattr(args, "snapshot", None)
-    # --dataset also auto-detects snapshot directories, so the term
-    # policy must flow through both branches.
-    lazy_terms = False if getattr(args, "eager_terms", False) else None
-    if snapshot:
-        if getattr(args, "wal", False):
+    if args.snapshot:
+        if args.wal:
             from repro.storage import open_store
 
             # open_store seeds the catalog memo from the snapshot and
             # patches the replayed batches in: no rebuild on recovery.
-            store = open_store(snapshot, backend=backend)
+            store = open_store(args.snapshot, backend=args.backend)
             return store, store.catalog()
-        store = load_snapshot(snapshot, backend=backend, lazy_terms=lazy_terms)
-        catalog = load_snapshot_catalog(snapshot)
-        return store, catalog if catalog is not None else store.catalog()
-    if args.dataset:
-        return load_dataset(args.dataset, backend=backend, lazy_terms=lazy_terms)
-    store = generate_yago_like(scale=args.scale, seed=args.seed, backend=backend)
+        return load_dataset(args.snapshot, backend=args.backend)
+    store = generate_yago_like(scale=args.scale, seed=args.seed, backend=args.backend)
     return store, build_catalog(store)
 
 
@@ -127,11 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(EDBT 2021 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", help="build & save the YAGO-like dataset")
-    p_gen.add_argument("out", help="output directory")
-    p_gen.add_argument("--scale", type=domains.scale, default=1.0)
-    p_gen.add_argument("--seed", type=domains.seed, default=0)
 
     p_stats = sub.add_parser("stats", help="summarize a dataset")
     _add_dataset_args(p_stats)
@@ -311,18 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 
-def _cmd_generate(args) -> int:
-    start = time.time()
-    store = generate_yago_like(scale=args.scale, seed=args.seed)
-    catalog = build_catalog(store)
-    save_dataset(store, args.out, catalog)
-    print(
-        f"wrote {store.num_triples} triples, {len(store.predicates())} "
-        f"predicates to {args.out} in {time.time() - start:.1f}s"
-    )
-    return 0
-
-
 def _cmd_stats(args) -> int:
     store, catalog = _load(args)
     print(f"triples:    {store.num_triples}")
@@ -357,10 +322,6 @@ def _cmd_query(args) -> int:
 
     engine = default_engines(store, catalog, names=(args.engine,))[0]
     if args.edge_burnback:
-        if args.engine != "WF":
-            print("--edge-burnback applies to the WF engine only",
-                  file=sys.stderr)
-            return 2
         from repro.core.engine import WireframeEngine
 
         engine = WireframeEngine(store, catalog, edge_burnback=True)
@@ -368,7 +329,7 @@ def _cmd_query(args) -> int:
     prepared = steps = None
     # Under --json, stdout carries the JSON document alone.
     explain_out = sys.stderr if args.json else sys.stdout
-    if args.explain and args.engine == "WF":
+    if args.explain:
         prepared = engine.plan(query)
         _, ag_plan, chordification = prepared
         print("answer-graph plan:", file=explain_out)
@@ -588,21 +549,12 @@ def _cmd_serve(args) -> int:
 
     if args.workers > 1:
         return _serve_prefork(args)
-    if args.metrics_port is not None:
-        print(
-            "error: --metrics-port only applies to a --workers >= 2 pool; "
-            "a single-process server already answers GET /metrics on its "
-            "main port",
-            file=sys.stderr,
-        )
-        return 2
     if args.snapshot:
         # from_snapshot records the path/generation /v1/stats reports
         # and, with --wal, opens the DurableStore the service closes.
         service = QueryService.from_snapshot(
             args.snapshot,
             backend=args.backend,
-            lazy_terms=False if args.eager_terms else None,
             wal=args.wal,
             max_workers=args.threads,
         )
@@ -652,36 +604,14 @@ def _server_options(args) -> dict:
 
 
 def _serve_prefork(args) -> int:
-    """The multi-process branch of ``serve`` (``--workers N >= 2``).
-
-    Requires a durable ``--snapshot``: every worker process opens the
-    same mmap generation read-only, so there is nothing to fork from an
-    in-memory dataset, and a writable (``--wal``) store belongs to a
-    single owner, not a read-only pool.
-    """
+    """The multi-process branch of ``serve`` (``--workers N >= 2``),
+    over the ``--snapshot`` that :func:`_refusal` requires."""
     from repro.server import serve_prefork
-
-    snapshot = getattr(args, "snapshot", None)
-    if not snapshot:
-        print(
-            "error: --workers >= 2 serves a prefork pool over a shared "
-            "mmap snapshot; pass --snapshot PATH (see `repro save`)",
-            file=sys.stderr,
-        )
-        return 2
-    if getattr(args, "wal", False):
-        print(
-            "error: --wal opens a writable store owned by one process; "
-            "a --workers pool is read-only (run the writer separately "
-            "and let the pool hand off on each compaction)",
-            file=sys.stderr,
-        )
-        return 2
 
     def on_ready(address):
         host, port = address
         print(
-            f"serving snapshot {snapshot} with {args.workers} worker "
+            f"serving snapshot {args.snapshot} with {args.workers} worker "
             f"processes on http://{host}:{port} — POST /v1/query, "
             f"/v1/batch; GET /v1/health, /v1/stats; new snapshot "
             f"generations hand off live; Ctrl-C drains and exits",
@@ -689,11 +619,11 @@ def _serve_prefork(args) -> int:
         )
 
     serve_prefork(
-        snapshot,
+        args.snapshot,
         workers=args.workers,
         host=args.host,
         port=args.port,
-        backend=getattr(args, "backend", None),
+        backend=args.backend,
         threads=args.threads,
         on_ready=on_ready,
         metrics_port=args.metrics_port,
@@ -807,7 +737,6 @@ def _cmd_wal_inspect(args) -> int:
 
 
 _COMMANDS = {
-    "generate": _cmd_generate,
     "stats": _cmd_stats,
     "query": _cmd_query,
     "batch": _cmd_batch,
@@ -821,13 +750,49 @@ _COMMANDS = {
 }
 
 
+def _refusal(args) -> str | None:
+    """Why ``args`` combine options that cannot work together, or
+    ``None``. Checked before any dataset is built or server started."""
+    if getattr(args, "wal", False) and not args.snapshot:
+        return ("--wal journals the writes to a snapshot's log; pass "
+                "--snapshot PATH (see `repro save`)")
+    if args.command == "query" and args.engine != "WF":
+        for flag in ("edge_burnback", "explain"):
+            if getattr(args, flag):
+                return (f"--{flag.replace('_', '-')} applies to the WF "
+                        f"engine only, not --engine {args.engine}")
+    if args.command != "serve":
+        return None
+    if args.workers == 1:
+        if args.metrics_port is not None:
+            return ("--metrics-port only applies to a --workers >= 2 pool; "
+                    "a single-process server already answers GET /metrics "
+                    "on its main port")
+    elif not args.snapshot:
+        # Every worker maps the same generation read-only; there is
+        # nothing to fork from an in-memory graph.
+        return ("--workers >= 2 serves a prefork pool over a shared mmap "
+                "snapshot; pass --snapshot PATH (see `repro save`)")
+    elif args.wal:
+        # A writable store belongs to a single owner, not a read-only pool.
+        return ("--wal opens a writable store owned by one process; a "
+                "--workers pool is read-only (run the writer separately "
+                "and let the pool hand off on each compaction)")
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code (2 for a usage
-    error, such as a value outside its option's domain)."""
+    error, such as a value outside its option's domain, or options
+    that do not combine)."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed usage and the error
         return exc.code
+    refusal = _refusal(args)
+    if refusal is not None:
+        print(f"error: {refusal}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except (ReproError, OSError) as exc:

@@ -45,6 +45,7 @@ from dataclasses import replace
 from typing import Iterable, Sequence
 
 from repro.core.engine import WireframeEngine
+from repro.datasets.loader import load_dataset
 from repro.engine_api import EngineResult
 from repro.errors import EvaluationTimeout, ReproError, StoreError
 from repro.graph.store import TripleStore
@@ -55,13 +56,7 @@ from repro.query.model import ConjunctiveQuery
 from repro.service.caches import PlanCache, ResultCache
 from repro.service.signature import plan_signature, query_signature
 from repro.stats.catalog import Catalog
-from repro.storage import (
-    DurableStore,
-    MmapDictionary,
-    load_snapshot,
-    load_snapshot_catalog,
-    snapshot_generation,
-)
+from repro.storage import DurableStore, MmapDictionary, snapshot_generation
 from repro.utils import domains
 from repro.utils.deadline import Deadline
 
@@ -375,53 +370,36 @@ class QueryService:
 
     @classmethod
     def from_snapshot(
-        cls,
-        path,
-        *,
-        backend=None,
-        use_mmap: bool | None = None,
-        lazy_terms: bool | None = None,
-        verify: bool = True,
-        wal: bool = False,
-        fsync: str = "batch",
-        **service_kwargs,
+        cls, path, *, backend=None, wal: bool = False, **service_kwargs
     ) -> "QueryService":
         """Construct a service straight from a durable snapshot.
 
-        The store is warm-started via
-        :func:`repro.storage.load_snapshot` (zero-copy mmap onto the
-        columnar backend by default) and arrives frozen; the snapshot's
-        stored catalog, when present, is used instead of rebuilding
-        statistics. On a format-v2 snapshot a memory-mapped open also
-        defaults to the **lazy mmap dictionary** (``lazy_terms``), so
-        the term vocabulary is never parsed either — the cold-start
-        cost is O(1) in both triple and term count: no parsing, no
-        dictionary materialization, no sort. Remaining keyword
-        arguments are forwarded to the constructor.
+        The store and catalog come from
+        :func:`repro.datasets.loader.load_dataset`: zero-copy mmap onto
+        the columnar backend by default, frozen, with the snapshot's
+        stored catalog instead of rebuilt statistics. On a format-v2
+        snapshot a memory-mapped open also uses the **lazy mmap
+        dictionary**, so the term vocabulary is never parsed either —
+        the cold-start cost is O(1) in both triple and term count: no
+        parsing, no dictionary materialization, no sort. Remaining
+        keyword arguments are forwarded to the constructor.
 
         ``wal=True`` opens the **crash-safe writable path** instead: a
         :class:`~repro.storage.DurableStore`, kept as :attr:`durable`
         and closed by :meth:`close`. Its store arrives unfrozen with the
         write-ahead log replayed (the snapshot need not exist yet), and
-        every mutation journals durably under the ``fsync`` policy. The
-        stored catalog seeds the store's catalog memo and the replayed
-        batches are patched into it, so recovery pays no statistics
-        rebuild either. ``use_mmap``/``lazy_terms`` do not apply.
+        every mutation journals durably (``fsync="batch"``). The stored
+        catalog seeds the store's catalog memo and the replayed batches
+        are patched into it, so recovery pays no statistics rebuild
+        either.
         """
         if wal:
-            durable = DurableStore.open(path, backend=backend, fsync=fsync, verify=verify)
+            durable = DurableStore.open(path, backend=backend)
             service = cls(durable.store, **service_kwargs)
             service.durable = durable
             return service
 
-        store = load_snapshot(
-            path,
-            backend=backend,
-            use_mmap=use_mmap,
-            lazy_terms=lazy_terms,
-            verify=verify,
-        )
-        catalog = load_snapshot_catalog(path, verify=verify)
+        store, catalog = load_dataset(path, backend=backend)
         service = cls(store, catalog=catalog, **service_kwargs)
         service._source = {
             "path": os.fspath(path),

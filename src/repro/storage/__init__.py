@@ -14,8 +14,9 @@ The persistence subsystem behind ``repro save`` / ``--snapshot`` and
   straight out of the mapped ``terms.dict``/``terms.idx`` pair — the
   open cost is O(1) in vocabulary size;
 * :func:`is_snapshot` / :func:`read_manifest` /
-  :func:`load_snapshot_catalog` — introspection helpers used by the
-  dataset loader and the CLI;
+  :func:`load_snapshot_catalog` — introspection helpers; the stored
+  catalog is what :func:`repro.datasets.loader.load_dataset` (the CLI's
+  and ``QueryService.from_snapshot``'s opener) pairs with the store;
 * the **crash-safe write path**: :func:`open_store` loads a snapshot,
   replays its paired write-ahead log (:mod:`repro.storage.wal`), and
   attaches the journaling hook so every acknowledged batch survives

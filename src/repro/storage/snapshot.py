@@ -177,9 +177,10 @@ def save_snapshot(
     existing snapshot. ``catalog=None`` with ``include_catalog=True``
     uses the store's memoized catalog — the offline-preprocessing
     workflow — so a later :func:`~repro.datasets.loader.load_dataset`
-    needs no statistics rebuild. The store need not be frozen, but a
-    *mutation racing the save* is detected through the epoch counter
-    and aborts it rather than renaming a torn snapshot into place
+    (``--snapshot``, ``QueryService.from_snapshot``) needs no statistics
+    rebuild. The store need not be frozen, but a *mutation racing the
+    save* is detected through the epoch counter and aborts it rather
+    than renaming a torn snapshot into place
     (callers that must not race hold the store's ``write_lock`` — see
     ``DurableStore.persist`` — or go through the WAL compactor's
     retry loop instead).

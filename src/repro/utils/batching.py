@@ -1,12 +1,10 @@
 """Fixed-size batching for streaming ingest paths.
 
-Every file load reads in :data:`BATCH_SIZE` chunks instead of passing
-one file-length iterable to the store: N-Triples files as term-triple
-batches (``add_term_triples``), text datasets as line batches each
-parsed into ``int64`` columns and written per predicate
-(``add_columns``). The store's write lock is taken once per write — so
-a multi-gigabyte parse never runs *under* the lock — and peak memory is
-bounded by the batch, not the file.
+N-Triples files load in :data:`BATCH_SIZE` chunks of term triples
+(``add_term_triples``) instead of one file-length iterable, and dumps
+write in chunks of the same size. The store's write lock is taken once
+per write — so a multi-gigabyte parse never runs *under* the lock — and
+peak memory is bounded by the batch, not the file.
 """
 
 from __future__ import annotations

@@ -322,16 +322,16 @@ def _busy_store():
     )
 
 
-@pytest.mark.parametrize("generate", [
+@pytest.mark.parametrize("generation", [
     generate_answer_graph, generate_answer_graph_reference,
 ])
-def test_expired_deadline_raises_in_both_implementations(generate):
+def test_expired_deadline_raises_in_both_implementations(generation):
     store = _busy_store()
     query = ConjunctiveQuery([("?a", "A", "?b"), ("?b", "B", "?c")])
     bound, plan, chordification = _plan(store, query)
     deadline = Deadline(0.000001, stride=256)
     with pytest.raises(EvaluationTimeout):
-        generate(bound, plan, chordification=chordification, deadline=deadline)
+        generation(bound, plan, chordification=chordification, deadline=deadline)
 
 
 def test_kernel_timeout_overshoot_is_block_bounded():

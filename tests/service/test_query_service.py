@@ -14,7 +14,7 @@ from repro.query.model import ConjunctiveQuery, Const
 from repro.query.parser import parse_sparql
 from repro.query.templates import chain_template
 from repro.service import QueryService
-from repro.storage import save_snapshot
+from repro.storage import MmapDictionary, save_snapshot
 from repro.utils.deadline import Deadline
 
 
@@ -543,9 +543,10 @@ class TestPersistence:
             expect = service.evaluate(mined_queries[0])
             save_snapshot(service.store, tmp_path / "snap")
         with QueryService.from_snapshot(
-            tmp_path / "snap", backend="columnar", use_mmap=True
+            tmp_path / "snap", backend="columnar"
         ) as warm:
             assert warm.store.backend_name == "columnar"
+            assert isinstance(warm.store.dictionary, MmapDictionary)
             got = warm.evaluate(mined_queries[0])
             assert sorted(got.rows) == sorted(expect.rows)
 

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.datasets.loader import load_dataset
 from repro.errors import DictionaryError, SnapshotError
 from repro.graph.backends import available_backends
 from repro.graph.dictionary import Dictionary
@@ -201,9 +200,8 @@ def test_from_snapshot_never_materializes_term_to_id(tmp_path, monkeypatch):
         result = svc.evaluate(query)
         rows = sorted(result.decoded_rows(dictionary))
     monkeypatch.undo()
-    with QueryService.from_snapshot(
-        tmp_path / "snap", backend="columnar", lazy_terms=False
-    ) as eager_svc:
+    eager = load_snapshot(tmp_path / "snap", backend="columnar", lazy_terms=False)
+    with QueryService(eager) as eager_svc:
         eager_rows = sorted(
             eager_svc.evaluate(query).decoded_rows(eager_svc.store.dictionary)
         )
@@ -232,13 +230,3 @@ def test_service_persist_round_trips_lazy_dictionary(tmp_path):
     assert manifest["num_terms"] == len(store.dictionary)
     assert_same_contents(store, load_snapshot(tmp_path / "b"))
 
-
-def test_load_dataset_passes_lazy_terms_through(tmp_path):
-    save_snapshot(small_store("columnar"), tmp_path / "snap")
-    lazy_store, _ = load_dataset(str(tmp_path / "snap"), backend="columnar")
-    assert isinstance(lazy_store.dictionary, MmapDictionary)
-    eager_store, _ = load_dataset(
-        str(tmp_path / "snap"), backend="columnar", lazy_terms=False
-    )
-    assert isinstance(eager_store.dictionary, Dictionary)
-    assert_same_contents(lazy_store, eager_store)

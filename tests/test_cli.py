@@ -8,18 +8,6 @@ from repro.cli import build_parser, main
 from repro.utils import domains
 
 
-def test_generate_and_stats(tmp_path, capsys):
-    out = str(tmp_path / "ds")
-    assert main(["generate", out, "--scale", "0.05", "--seed", "1"]) == 0
-    text = capsys.readouterr().out
-    assert "wrote" in text and "predicates" in text
-
-    assert main(["stats", "--dataset", out, "--top", "3"]) == 0
-    text = capsys.readouterr().out
-    assert "triples:" in text
-    assert "top 3 predicates" in text
-
-
 def test_stats_in_process(capsys):
     assert main(["stats", "--scale", "0.05"]) == 0
     assert "predicates: 104" in capsys.readouterr().out
@@ -158,6 +146,44 @@ def test_query_edge_burnback_requires_wf(capsys):
         ]
     )
     assert code == 2
+
+
+def _forbid_building(monkeypatch):
+    """Make any dataset build or server start fail the test."""
+    import repro.cli
+    import repro.server
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built a dataset or started a server")
+
+    monkeypatch.setattr(repro.cli, "_load", fail)
+    monkeypatch.setattr(repro.cli, "generate_yago_like", fail)
+    monkeypatch.setattr(repro.server, "serve", fail)
+
+
+@pytest.mark.parametrize("flag", ["--explain", "--edge-burnback"])
+def test_wf_only_flags_are_refused_before_the_build(monkeypatch, capsys, flag):
+    """Not a silently missing plan, nor a refusal after the dataset is
+    built."""
+    _forbid_building(monkeypatch)
+    argv = ["query", "--scale", "0.05", "--engine", "NJ", flag,
+            "--sparql", "select ?x where { ?x actedIn ?m }"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} applies to the WF engine only, not --engine NJ\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["stats", "query", "batch", "serve", "save"])
+def test_wal_without_snapshot_is_refused(monkeypatch, capsys, command):
+    """``--wal`` journals beside a snapshot; over an in-process graph it
+    would be silently ignored, so it is refused before the build."""
+    _forbid_building(monkeypatch)
+    argv = [command, *_REQUIRED_ARGS.get(command, []), "--scale", "0.05"]
+    assert main(argv + ["--wal"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --wal ") and "--snapshot" in err
+    assert err.count("\n") == 1
 
 
 def test_query_edge_burnback_wf(capsys):
@@ -330,11 +356,11 @@ def test_batch_backend_flag(capsys):
 
 
 def test_dataset_loads_into_any_backend(tmp_path, capsys):
-    out = str(tmp_path / "ds")
-    assert main(["generate", out, "--scale", "0.05", "--seed", "1"]) == 0
+    out = str(tmp_path / "snap")
+    assert main(["save", out, "--scale", "0.05", "--seed", "1"]) == 0
     capsys.readouterr()
     for backend in ("hashdict", "columnar"):
-        assert main(["stats", "--dataset", out, "--backend", backend]) == 0
+        assert main(["stats", "--snapshot", out, "--backend", backend]) == 0
         assert f"backend:    {backend}" in capsys.readouterr().out
 
 
@@ -357,23 +383,24 @@ def test_save_then_stats_from_snapshot(tmp_path, capsys):
     assert main(["stats", "--snapshot", snap, "--top", "2"]) == 0
     out = capsys.readouterr().out
     assert "predicates: 104" in out
+    assert "top 2 predicates" in out
 
 
 def test_save_from_dataset_and_query_snapshot(tmp_path, capsys):
-    ds = str(tmp_path / "ds")
+    """A snapshot saved at a scale and seed answers with the row count
+    of the graph generated in-process at the same scale and seed."""
     snap = str(tmp_path / "snap")
-    assert main(["generate", ds, "--scale", "0.05"]) == 0
-    capsys.readouterr()
-    assert main(["save", snap, "--dataset", ds]) == 0
+    assert main(["save", snap, "--scale", "0.05", "--seed", "1"]) == 0
     capsys.readouterr()
     query = "select ?x, ?m where { ?x actedIn ?m }"
     assert main(["query", "--snapshot", snap, "--sparql", query,
                  "--limit", "0"]) == 0
     from_snap = capsys.readouterr().out.split(" rows")[0]
-    assert main(["query", "--dataset", ds, "--sparql", query,
+    assert main(["query", "--scale", "0.05", "--seed", "1", "--sparql", query,
                  "--limit", "0"]) == 0
-    from_ds = capsys.readouterr().out.split(" rows")[0]
-    assert from_snap == from_ds  # identical row counts
+    in_process = capsys.readouterr().out.split(" rows")[0]
+    assert int(from_snap) > 0
+    assert from_snap == in_process  # identical row counts
 
 
 def test_save_no_overwrite_refuses(tmp_path, capsys):
@@ -417,11 +444,6 @@ def test_dump_round_trips_through_parser(tmp_path):
     store = load_ntriples_file(wrapped)
     with open(out, encoding="utf-8") as handle:
         assert store.num_triples == sum(1 for _ in handle)
-
-
-def test_snapshot_and_dataset_flags_conflict(capsys):
-    assert main(["stats", "--dataset", "x", "--snapshot", "y"]) == 2
-    assert "not allowed with argument" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -542,11 +564,6 @@ def test_serve_snapshot_reports_its_source_and_owns_its_log(
         ("--watchdog-timeout", "nan"),
         ("--watchdog-interval", "-1"),
         ("--watchdog-interval", "nan"),
-        ("--timeout", "-1"),
-        ("--timeout", "nan"),
-        ("--timeout", "inf"),
-        ("--timeout", "1e999"),
-        ("--slow-query-ms", "nan"),
         ("--scale", "nan"),
         ("--scale", "99999999999999999999"),
         ("--seed", "-1"),
@@ -591,7 +608,6 @@ def test_pool_widths_are_bounded_in_the_constructors(mini_yago, width):
     [
         (["batch", "--template", "chain", "--timeout", "-1"], "--timeout"),
         (["batch", "--template", "chain", "--repeat", "0"], "--repeat"),
-        (["generate", "unused", "--scale", "nan"], "--scale"),
         (["query", "--sparql", "select ?x where { ?x created ?y }", "--scale", "nan"],
          "--scale"),
         (["stats", "--scale", "inf"], "--scale"),
@@ -599,7 +615,6 @@ def test_pool_widths_are_bounded_in_the_constructors(mini_yago, width):
         (["table1", "--runs", "0"], "--runs"),
         (["table1", "--timeout", "0"], "--timeout"),
         (["table1", "--timeout", "nan"], "--timeout"),
-        (["generate", "unused", "--seed", "-1"], "--seed"),
         (["query", "--sparql", "select ?x where { ?x created ?y }", "--seed", "-1"],
          "--seed"),
         (["stats", "--seed", "-1"], "--seed"),
@@ -615,17 +630,16 @@ def test_pool_widths_are_bounded_in_the_constructors(mini_yago, width):
         (["batch", "--template", "chain", "--timeout", "inf"], "--timeout"),
         (["table1", "--timeout", "inf"], "--timeout"),
         (["stats", "--scale", "1e15"], "--scale"),
-        (["generate", "unused", "--scale", "99999999999999999999"], "--scale"),
         (["batch", "--template", "chain", "--repeat", "99999999999999999999"],
          "--repeat"),
     ],
     ids=["batch-timeout", "batch-repeat",
-         "generate-scale-nan", "query-scale-nan", "stats-scale-inf", "stats-top",
-         "table1-runs", "table1-timeout-0", "table1-timeout-nan", "generate-seed",
+         "query-scale-nan", "stats-scale-inf", "stats-top",
+         "table1-runs", "table1-timeout-0", "table1-timeout-nan",
          "query-seed", "stats-seed", "mine-miner-seed", "mine-count", "batch-count",
          "table1-engines", "table1-engines-empty", "query-timeout-inf",
          "query-timeout-1e999", "batch-timeout-inf", "table1-timeout-inf",
-         "stats-scale-1e15", "generate-scale-1e20", "batch-repeat-1e20"],
+         "stats-scale-1e15", "batch-repeat-1e20"],
 )
 def test_query_and_batch_reject_out_of_range_numbers(monkeypatch, capsys, argv, flag):
     """Refused up front with exit 2, before a store is even loaded or
@@ -646,7 +660,6 @@ def test_query_and_batch_reject_out_of_range_numbers(monkeypatch, capsys, argv, 
 
 #: What each command needs besides the option under test.
 _REQUIRED_ARGS = {
-    "generate": ["unused"],
     "query": ["--sparql", "select ?x where { ?x created ?y }"],
     "batch": ["--template", "chain"],
     "save": ["unused"],

@@ -1,7 +1,7 @@
 """End-to-end integration: the full offline → online workflow.
 
 Exercises the complete user journey the README describes on one tiny
-deterministic dataset: generate → persist → reload → build catalog →
+deterministic dataset: generate → snapshot → reload with its catalog →
 mine queries → evaluate with every engine → regenerate a Table-1 row —
 asserting cross-stage consistency at each hand-off.
 """
@@ -21,28 +21,29 @@ from repro import (
 from repro.bench.harness import BenchmarkProtocol
 from repro.bench.table1 import reproduce_table1
 from repro.core.ideal import enumerate_embeddings_bruteforce
-from repro.datasets.loader import load_dataset, save_dataset
+from repro.datasets.loader import load_dataset
 from repro.query.shapes import QueryShape, classify_shape
 from repro.query.templates import snowflake_template
+from repro.storage import save_snapshot
 
 
 @pytest.fixture(scope="module")
 def workflow(tmp_path_factory):
-    directory = str(tmp_path_factory.mktemp("dataset"))
+    directory = str(tmp_path_factory.mktemp("dataset") / "snap")
     original = generate_yago_like(scale=0.1, seed=13)
-    save_dataset(original, directory)
+    save_snapshot(original, directory)
     store, catalog = load_dataset(directory)
-    return original, store, catalog
+    return original, directory, store, catalog
 
 
 def test_reload_is_identical(workflow):
-    original, store, _ = workflow
+    original, _, store, _ = workflow
     assert store.num_triples == original.num_triples
     assert set(store.triples()) == set(original.triples())
 
 
 def test_mined_query_agrees_across_all_engines(workflow):
-    _, store, catalog = workflow
+    _, _, store, catalog = workflow
     miner = QueryMiner(store, seed=5, forbidden_labels=["rdf:type"])
     query = miner.mine(snowflake_template(), count=1)[0]
     assert classify_shape(query) == QueryShape.SNOWFLAKE
@@ -66,7 +67,7 @@ def test_mined_query_agrees_across_all_engines(workflow):
 
 
 def test_table1_row_from_reloaded_dataset(workflow):
-    _, store, _ = workflow
+    _, _, store, _ = workflow
     rows = reproduce_table1(
         store=store,
         protocol=BenchmarkProtocol(runs=1, discard=0, timeout=30),
@@ -79,17 +80,14 @@ def test_table1_row_from_reloaded_dataset(workflow):
     assert all(seconds is not None for seconds in row.times.values())
 
 
-def test_cli_query_against_saved_dataset(workflow, tmp_path_factory, capsys):
+def test_cli_query_against_saved_dataset(workflow, capsys):
     from repro.cli import main
 
-    # Re-save under a fresh path to exercise the CLI's --dataset loading.
-    original, _, _ = workflow
-    directory = str(tmp_path_factory.mktemp("cli-ds"))
-    save_dataset(original, directory)
+    _, directory, _, _ = workflow
     code = main(
         [
             "query",
-            "--dataset", directory,
+            "--snapshot", directory,
             "--sparql", "select ?x, ?m where { ?x actedIn ?m }",
             "--limit", "2",
         ]
