@@ -75,3 +75,14 @@ def test_batched_helper_shapes():
     assert list(batched([], 3)) == []
     with pytest.raises(ValueError):
         list(batched(range(3), 0))
+
+
+def test_load_dataset_detects_snapshot(tmp_path):
+    store = figure1_graph()
+    catalog = build_catalog(store)
+    save_snapshot(store, str(tmp_path / "snap"), catalog=catalog)
+    restored, restored_catalog = load_dataset(str(tmp_path / "snap"))
+    assert set(restored.triples()) == set(store.triples())
+    assert list(restored.dictionary) == list(store.dictionary)
+    assert restored_catalog.unigrams == catalog.unigrams
+    assert restored.frozen

@@ -564,6 +564,11 @@ def test_serve_snapshot_reports_its_source_and_owns_its_log(
         ("--watchdog-timeout", "nan"),
         ("--watchdog-interval", "-1"),
         ("--watchdog-interval", "nan"),
+        ("--timeout", "-1"),
+        ("--timeout", "nan"),
+        ("--timeout", "inf"),
+        ("--timeout", "1e999"),
+        ("--slow-query-ms", "nan"),
         ("--scale", "nan"),
         ("--scale", "99999999999999999999"),
         ("--seed", "-1"),
